@@ -46,15 +46,18 @@ class RunConfig:
     trajectory_csv: bool = False
 
     def check(self) -> None:
-        if self.tol <= 0 or self.tol_rho <= 0:
-            raise SystemExit(EXIT_USAGE)
+        problems = [f"{flag} must be positive" for flag, value in
+                    (("--tol", self.tol), ("--tol-rho", self.tol_rho)) if not value > 0]
         if self.command == "simulate":
-            if self.horizon <= 0:
-                print("error: --horizon must be positive", file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
+            if not self.horizon > 0:
+                problems.append("--horizon must be positive")
+            if self.replications < 2:
+                problems.append("--reps must be at least 2 (the standard error needs two replications)")
             if self.seed is None:
-                print("error: --seed is required for simulation", file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
+                problems.append("--seed is required for simulation")
+        if problems:
+            print("error: " + "; ".join(problems), file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
 
 
 def _artifact_header(model) -> dict:
@@ -87,9 +90,16 @@ def _load_model_or_exit(path: Path):
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _load_policy(model, path: Path):
+def _action_indices(value):
+    """A JSON list of integer action indices as an int64 array; raises ValueError otherwise."""
     import numpy as np
 
+    if not isinstance(value, list) or not all(type(a) is int for a in value):
+        raise ValueError(value)
+    return np.array(value, dtype=np.int64)
+
+
+def _load_policy(model, path: Path):
     from .model import FeedbackPolicy
 
     try:
@@ -97,10 +107,14 @@ def _load_policy(model, path: Path):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read policy file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
-    policy = FeedbackPolicy(
-        interior=np.asarray(doc["interior"], dtype=np.int64),
-        boundary=np.asarray(doc.get("boundary", []), dtype=np.int64),
-    )
+    try:
+        interior = _action_indices(doc["interior"])
+        boundary = _action_indices(doc.get("boundary", []))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        print(f"error: policy file {path} must be a JSON object with an \"interior\" list and an "
+              "optional \"boundary\" list of integer action indices", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+    policy = FeedbackPolicy(interior=interior, boundary=boundary)
     problems = policy.feasibility_problems(model)
     if problems:
         print("error: " + "; ".join(problems), file=sys.stderr)

@@ -9,6 +9,7 @@ invariant violations as data.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -81,6 +82,14 @@ class Constants:
     K_g: float
 
 
+def _index_mask(index_lists, n_actions: int) -> np.ndarray:
+    mask = np.zeros((len(index_lists), n_actions), dtype=bool)
+    for i, idx in enumerate(index_lists):
+        mask[i, idx] = True
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True)
 class PdmpModel:
     """Immutable problem instance; tables are dimension-checked at load."""
@@ -119,21 +128,19 @@ class PdmpModel:
     def t_max(self) -> float:
         return self.flow.t_max
 
-    @property
+    # fixed model data, computed once per instance: cached_property writes to
+    # the instance __dict__, which a frozen dataclass does not guard
+    @functools.cached_property
     def feasible_mask(self) -> np.ndarray:
-        mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
-        for i, idx in enumerate(self.action_grid.feasible):
-            mask[i, idx] = True
-        return mask
+        """(n_states, n_actions) read-only mask of the feasible sets A(x)."""
+        return _index_mask(self.action_grid.feasible, self.n_actions)
 
-    @property
+    @functools.cached_property
     def boundary_feasible_mask(self) -> np.ndarray:
-        mask = np.zeros((self.n_boundary, self.n_actions), dtype=bool)
-        for i, idx in enumerate(self.action_grid.boundary_feasible):
-            mask[i, idx] = True
-        return mask
+        """(n_boundary, n_actions) read-only mask of the boundary feasible sets."""
+        return _index_mask(self.action_grid.boundary_feasible, self.n_actions)
 
-    @property
+    @functools.cached_property
     def lambda_sup(self) -> float:
         vals = [float(self.jump_rate[: self.n_states][self.feasible_mask].max(initial=0.0))]
         if self.n_boundary:
@@ -159,7 +166,14 @@ class FeedbackPolicy:
         return (tuple(int(a) for a in self.interior), tuple(int(a) for a in self.boundary))
 
     def feasibility_problems(self, model: PdmpModel) -> list[str]:
-        problems = []
+        problems = [
+            f"policy has {len(actions)} {where} entries, model has {count}"
+            for where, actions, count in (("interior", self.interior, model.n_states),
+                                          ("boundary", self.boundary, model.n_boundary))
+            if len(actions) != count
+        ]
+        if problems:
+            return problems
         for i, a in enumerate(self.interior):
             if int(a) not in model.action_grid.feasible[i]:
                 problems.append(f"action {int(a)} infeasible at interior state {i}")

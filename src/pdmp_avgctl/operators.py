@@ -120,35 +120,30 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) 
         edges.append(t)
     edges.append(end)
 
+    edges = np.asarray(edges)
+    dur = np.diff(edges)
     lam_sup = model.lambda_sup
-    cap = math.inf if lam_sup <= 0.0 else 0.25 / lam_sup
-    # sub-interval budget proportional to segment duration (relative to the
+    # per-segment interval counts: each interval at most 0.25 / lambda_sup
+    # long; a budget proportional to segment duration (relative to the
     # model's shortest inter-grid transit), so contracting flows refine evenly
-    # in time and every line sees the same spacing
-    base_h = ref_transit / fill if math.isfinite(ref_transit) else math.inf
-    times = [0.0]
-    seg_anchor_parts = []
-    seg_slices = []
-    k_cursor = 0
-    for s in range(len(anchors)):
-        dur = edges[s + 1] - edges[s]
-        count = int(math.ceil(dur / cap)) if math.isfinite(cap) else 0
-        is_tail = truncated and s == len(anchors) - 1
-        if is_tail:
-            count = max(count, MIN_TAIL_INTERVALS, fill)
-        elif math.isfinite(base_h) and dur > 0:
-            count = max(count, int(math.ceil(dur / base_h)))
-        else:
-            count = max(count, fill)
-        count = max(count, 1)
-        seg_times = np.linspace(edges[s], edges[s + 1], count + 1)[1:]
-        seg_times[-1] = edges[s + 1]
-        times.extend(seg_times.tolist())
-        seg_anchor_parts.append(np.full(count, anchors[s], dtype=np.int64))
-        seg_slices.append((k_cursor, k_cursor + count, anchors[s]))
-        k_cursor += count
-    times = np.asarray(times)
-    seg_anchor = np.concatenate(seg_anchor_parts)
+    # in time and every line sees the same spacing; a truncated line's tail
+    # takes at least max(MIN_TAIL_INTERVALS, fill) intervals instead
+    counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
+    base_h = ref_transit / fill
+    budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
+    if truncated:
+        budget[-1] = max(MIN_TAIL_INTERVALS, fill)
+    counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+
+    # node k of segment s sits at edges[s] + k * (dur[s] / counts[s]), the
+    # arithmetic of np.linspace; each segment ends exactly on its edge
+    seg = np.repeat(np.arange(dur.size), counts)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    k = np.arange(1, bounds[-1] + 1) - bounds[seg]
+    times = np.concatenate(([0.0], k * (dur / counts)[seg] + edges[seg]))
+    times[bounds[1:]] = edges[1:]
+    seg_anchor = np.asarray(anchors, dtype=np.int64)[seg]
+    seg_slices = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist(), anchors))
     dt = np.diff(times)
 
     if flow.kind == "trivial":
@@ -177,9 +172,7 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) 
         wlo[:, None] * model.running_cost[ilo, :]
         + (1.0 - wlo)[:, None] * model.running_cost[np.minimum(ilo + 1, n - 1), :]
     )
-    line_feasible = np.ones(model.n_actions, dtype=bool)
-    for i in dict.fromkeys(anchors):
-        line_feasible &= model.feasible_mask[i]
+    line_feasible = model.feasible_mask[anchors].all(axis=0)
 
     return _LineGeometry(
         origin_index=j,
@@ -187,7 +180,7 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) 
         states=states,
         dt=dt,
         seg_anchor=seg_anchor,
-        seg_slices=tuple(seg_slices),
+        seg_slices=seg_slices,
         ilo=ilo,
         wlo=wlo,
         lam_nodes=lam_nodes,
@@ -244,14 +237,6 @@ class PolicyPath:
         left = wlo[:-1] * table[ilo[:-1], a] + (1.0 - wlo[:-1]) * table[np.minimum(ilo[:-1] + 1, nmax), a]
         right = wlo[1:] * table[ilo[1:], a] + (1.0 - wlo[1:]) * table[np.minimum(ilo[1:] + 1, nmax), a]
         return left, right
-
-    def running_cost_cumulative(self) -> np.ndarray:
-        """Cumulative undiscounted running cost along the line (plain trapezoid)."""
-        f_left, f_right = self.node_table_values(self.model.running_cost)
-        out = np.empty(self.times.size)
-        out[0] = 0.0
-        np.cumsum(0.5 * self.dt * (f_left + f_right), out=out[1:])
-        return out
 
     def tail_weight(self, alpha: float) -> float:
         """Survival weight left beyond the truncation horizon (0 when the line hits)."""
@@ -457,11 +442,6 @@ class OperatorWorkspace:
         out = (kernel, ell, cost, paths)
         self._assembled[key] = out
         return out
-
-    def truncation_bound(self, policy, alpha: float = 0.0) -> float:
-        """Crude bound on the mass neglected past t_max, summed over lines."""
-        tails = [p.tail_weight(alpha) for p in self.policy_paths(policy)]
-        return float(max(tails, default=0.0))
 
     # -- one-stage machinery ---------------------------------------------------
 

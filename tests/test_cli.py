@@ -72,6 +72,44 @@ class TestExitCodes:
         assert code == 5
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("doc", [
+        {"boundary": []},
+        [[0, 0], []],
+        "interior",
+        {"interior": [[0], [0]]},
+        {"interior": ["a", "b"]},
+        {"interior": [1.5, 0]},
+        {"interior": [10 ** 30, 0]},
+    ], ids=["no-interior", "top-level-list", "top-level-string", "nested", "non-integer", "fractional",
+            "overflow"])
+    def test_malformed_policy_file_is_usage_error(self, bundled, tmp_path, capsys, doc):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(doc))
+        code = run_cli(["solve", "--model", bundled, "--policy", policy, "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: policy file")
+
+    def test_wrong_length_policy_is_refused(self, tmp_path, capsys):
+        model = pa.bundled_model_path("drift_boundary_64")
+        policy = tmp_path / "short.json"
+        policy.write_text(json.dumps({"interior": [0] * 10, "boundary": [0]}))
+        code = run_cli(["solve", "--model", model, "--policy", policy, "--out", tmp_path])
+        assert code == 1
+        assert "policy has 10 interior entries, model has 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,flag", [
+        (["evaluate", "--tol", "0"], "--tol"),
+        (["solve", "--tol-rho=-1e-8"], "--tol-rho"),
+        (["simulate", "--seed", "1", "--reps", "1"], "--reps"),
+    ])
+    def test_bad_numeric_flag_is_explained(self, bundled, tmp_path, capsys, args, flag):
+        code = run_cli(args + ["--model", bundled, "--out", tmp_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+
 class TestSolveArtifacts:
     def test_single_action_model_one_row_trace(self, write_model, tmp_path):
         path = write_model(renewal_doc(), "renewal")

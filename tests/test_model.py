@@ -58,6 +58,29 @@ class TestLoadModel:
             assert pa.validate_model(model) == [], name
 
 
+class TestModelTables:
+    def test_masks_are_computed_once_and_read_only(self, models):
+        for model in models.values():
+            for mask in ("feasible_mask", "boundary_feasible_mask"):
+                assert getattr(model, mask) is getattr(model, mask)
+                with pytest.raises(ValueError):
+                    getattr(model, mask)[...] = True
+
+    def test_masks_match_the_feasible_sets(self, models):
+        for model in models.values():
+            for mask, sets in ((model.feasible_mask, model.action_grid.feasible),
+                               (model.boundary_feasible_mask, model.action_grid.boundary_feasible)):
+                assert mask.shape == (len(sets), model.n_actions)
+                for row, idx in zip(mask, sets):
+                    assert np.flatnonzero(row).tolist() == sorted(int(a) for a in idx)
+
+    def test_lambda_sup_matches_a_fresh_recomputation(self, models):
+        for model in models.values():
+            sets = list(model.action_grid.feasible) + list(model.action_grid.boundary_feasible)
+            fresh = max(float(model.jump_rate[i, int(a)]) for i, idx in enumerate(sets) for a in idx)
+            assert model.lambda_sup == fresh
+
+
 class TestValidateModel:
     def test_well_formed_toy_is_clean(self, write_model):
         model = pa.load_model(write_model(two_state_jump_doc()))
@@ -190,6 +213,15 @@ class TestFeedbackPolicy:
         model = models["ctmdp_2state"]
         bad = pa.FeedbackPolicy(interior=np.array([5, 0]), boundary=np.array([], dtype=np.int64))
         assert bad.feasibility_problems(model)
+
+    def test_wrong_length_policy_is_reported(self, models):
+        model = models["drift_boundary_64"]
+        short = pa.FeedbackPolicy(interior=np.zeros(10, dtype=np.int64),
+                                  boundary=np.zeros(3, dtype=np.int64))
+        assert short.feasibility_problems(model) == [
+            "policy has 10 interior entries, model has 64",
+            "policy has 3 boundary entries, model has 1",
+        ]
 
     def test_random_feasible_policies(self, models):
         rng = np.random.default_rng(0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.operators import build_policy_path, cum_rate, kernel_matrix, op_G, op_H, op_L, op_calL
+from pdmp_avgctl.operators import (MIN_TAIL_INTERVALS, OperatorWorkspace, _passage_time, _reference_transit,
+                                   build_policy_path, cum_rate, kernel_matrix, op_G, op_H, op_L, op_calL)
 
 from toy_models import renewal_doc, swap_cycle_doc
 
@@ -272,3 +273,56 @@ class TestPolicyPath:
             for j in range(model.n_states):
                 path = build_policy_path(model, policy, j, workspace=workspaces[name])
                 assert path.tail_weight(0.0) <= 1e-12, (name, j)
+
+
+class TestLineGeometry:
+    @pytest.mark.parametrize("fill", [8, 16])
+    def test_mesh_invariants_on_bundled(self, models, fill):
+        for name, model in models.items():
+            ws = OperatorWorkspace(model, fill)
+            points = model.grid.points
+            for geom in ws.geometry:
+                where = (name, fill, geom.origin_index)
+                k_total = geom.dt.size
+                starts = [k0 for k0, _, _ in geom.seg_slices]
+                ends = [k1 for _, k1, _ in geom.seg_slices]
+                assert starts == [0] + ends[:-1] and ends[-1] == k_total, where
+                for k0, k1, anchor in geom.seg_slices:
+                    assert np.all(geom.seg_anchor[k0:k1] == anchor), where
+                assert np.all(np.diff(geom.times) > 0.0), where
+
+                # each segment ends exactly on the next grid passage, the last on t* or t_max
+                x = float(points[geom.origin_index])
+                anchors = [anchor for _, _, anchor in geom.seg_slices]
+                for (_, k1, _), nxt in zip(geom.seg_slices, anchors[1:]):
+                    assert geom.times[k1] == _passage_time(model.flow, x, float(points[nxt])), where
+                assert geom.times[-1] == (geom.t_star if geom.hit else model.t_max), where
+                if geom.truncated:
+                    k0, k1, _ = geom.seg_slices[-1]
+                    assert k1 - k0 >= max(MIN_TAIL_INTERVALS, fill), where
+
+                expected = np.logical_and.reduce(model.feasible_mask[anchors], axis=0)
+                assert np.array_equal(geom.line_feasible, expected), where
+
+    @pytest.mark.parametrize("fill", [8, 16])
+    def test_nodes_match_the_per_segment_linspace_reference(self, models, fill):
+        # the per-segment loop the vectorized build replaced, kept as reference
+        for name, model in models.items():
+            ws = OperatorWorkspace(model, fill)
+            lam_sup = model.lambda_sup
+            ref_transit = _reference_transit(model)
+            for geom in ws.geometry:
+                for s, (k0, k1, _) in enumerate(geom.seg_slices):
+                    t0, t1 = float(geom.times[k0]), float(geom.times[k1])
+                    dur = t1 - t0
+                    count = int(math.ceil(dur / (0.25 / lam_sup))) if lam_sup > 0.0 else 0
+                    if geom.truncated and s == len(geom.seg_slices) - 1:
+                        count = max(count, MIN_TAIL_INTERVALS, fill)
+                    elif math.isfinite(ref_transit) and dur > 0:
+                        count = max(count, int(math.ceil(dur / (ref_transit / fill))))
+                    else:
+                        count = max(count, fill)
+                    count = max(count, 1)
+                    assert k1 - k0 == count, (name, fill, geom.origin_index, s)
+                    assert np.array_equal(geom.times[k0 : k1 + 1], np.linspace(t0, t1, count + 1)), \
+                        (name, fill, geom.origin_index, s)

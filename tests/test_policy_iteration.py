@@ -126,6 +126,13 @@ class TestRunPia:
         with pytest.raises(ValueError, match="infeasible"):
             pa.run_pia(model, bad)
 
+    def test_wrong_length_start_rejected(self, models):
+        model = models["drift_boundary_64"]
+        short = pa.FeedbackPolicy(interior=np.zeros(10, dtype=np.int64),
+                                  boundary=np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="policy has 10 interior entries, model has 64"):
+            pa.run_pia(model, short)
+
     def test_bias_delta_is_monitored(self, models, workspaces):
         model = models["decay_flow_16"]
         rng = np.random.default_rng(7)
