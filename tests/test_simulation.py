@@ -185,3 +185,50 @@ class TestMcValidate:
         model, policy = renewal
         verdict = pa.mc_validate(model, policy, 0.7, 0, 97.3, 6, seed=2)
         assert len(verdict.rep_means) == 6
+
+
+# Per-replication means (float.hex), summed jumps and summed boundary hits of
+# the PIA-optimal policy at seed 424242, 8 reps x horizon 2e3, on the refined
+# workspace of the lowest feasible policy.  Any change to the trajectories the
+# simulator draws shows up here.
+GOLDEN = {
+    "ctmdp_2state": (
+        ["0x1.8ee673972a01cp+0", "0x1.8f7dddbf157e5p+0", "0x1.9027d1b9ff17fp+0",
+         "0x1.8e0788397fa77p+0", "0x1.8d3439f51ddf3p+0", "0x1.9116384969175p+0",
+         "0x1.95edc4683ea9cp+0", "0x1.8bff3950cc712p+0"],
+        19644, 0),
+    "ctmdp_3state": (
+        ["0x1.dbf8d4371ce10p+0", "0x1.dd53dcf3b385dp+0", "0x1.dc2fa29de1382p+0",
+         "0x1.dd4c3d6bf5064p+0", "0x1.dc1bdbf39cc5ep+0", "0x1.dc9335b5da352p+0",
+         "0x1.dc5c029213fe4p+0", "0x1.dd4fe4dbe94d0p+0"],
+        20290, 0),
+    "renewal_cycle": (
+        ["0x1.6666666666750p-1"] * 8,
+        16000, 16000),
+    "drift_boundary_64": (
+        ["0x1.15b1d534d63dcp+0", "0x1.1776d551c2bb4p+0", "0x1.123e67ad8814ap+0",
+         "0x1.1892b31825a9bp+0", "0x1.13ba50578fdcfp+0", "0x1.14f50db1c5359p+0",
+         "0x1.1536ac83e6adfp+0", "0x1.1666dc6648c7cp+0"],
+        27568, 13498),
+    "decay_flow_16": (
+        ["0x1.1fbfb53abb4f8p-1", "0x1.20217214838c8p-1", "0x1.1f6d6d2f7b10ap-1",
+         "0x1.20df08da7f230p-1", "0x1.20999958402a1p-1", "0x1.20f502178e924p-1",
+         "0x1.2022fe78bdde3p-1", "0x1.20e7cb8bffeedp-1"],
+        13533, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_monte_carlo(models, workspaces, solved, name):
+    model = models[name]
+    result, policy, _ = solved[name]
+    means, jumps, hits = GOLDEN[name]
+    verdict = pa.mc_validate(model, policy, result.rho, 0, 2e3, len(means), seed=424242,
+                             workspace=workspaces[name])
+    assert [float(m).hex() for m in verdict.rep_means] == means
+    tables = pa.prepare_simulation(model, policy, workspace=workspaces[name])
+    summaries = [pa.simulate(model, policy, 0, 2e3, 424242, replication=r, record=False,
+                             tables=tables)[1] for r in range(len(means))]
+    assert [s.average for s in summaries] == verdict.rep_means.tolist()
+    assert sum(s.jumps for s in summaries) == jumps
+    assert sum(s.boundary_hits for s in summaries) == hits
