@@ -9,11 +9,9 @@ continuous-time process.
 from .numerics import Table1D
 from .flow import (
     FlowSpec,
-    FlowMesh,
     PastBoundaryError,
     advance,
     hit_time,
-    build_mesh,
     flow_derivative,
 )
 from .model import (

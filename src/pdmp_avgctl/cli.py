@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +37,6 @@ class RunConfig:
     x0: int = 0
     out_dir: Path = Path(".")
     strict_audit: bool = False
-    deterministic: bool = False
-    threads: int | None = None
     policy_path: Path | None = None
     rho: float | None = None
     trace_path: Path | None = None
@@ -114,6 +111,11 @@ def _load_policy(model, path: Path):
         print(f"error: policy file {path} must be a JSON object with an \"interior\" list and an "
               "optional \"boundary\" list of integer action indices", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+    if doc.get("model_sha256", model.source_hash) != model.source_hash:
+        print(f"error: policy file {path} was written for a different model "
+              f"(model_sha256 {doc['model_sha256']}, loaded model {model.source_hash})",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     policy = FeedbackPolicy(interior=interior, boundary=boundary)
     problems = policy.feasibility_problems(model)
     if problems:
@@ -237,10 +239,18 @@ def cmd_simulate(config: RunConfig) -> int:
               else FeedbackPolicy.lowest_feasible(model))
 
     rho = config.rho
-    if rho is None:
-        result_path = config.out_dir / "evaluation.json"
-        if result_path.exists():
-            rho = json.loads(result_path.read_text()).get("rho")
+    result_path = config.out_dir / "evaluation.json"
+    if rho is None and result_path.exists():
+        try:
+            evaluation = json.loads(result_path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read {result_path}: {exc}; pass --rho", file=sys.stderr)
+            return EXIT_USAGE
+        if not isinstance(evaluation, dict) or evaluation.get("model_sha256") != model.source_hash:
+            print(f"error: {result_path} was written for a different model; pass --rho",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        rho = evaluation.get("rho")
 
     if not 0 <= config.x0 < model.n_states:
         print(f"error: --x0 must be in [0, {model.n_states})", file=sys.stderr)
@@ -306,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         if model_required:
             p.add_argument("--model", required=True, type=Path, help="model JSON file")
         p.add_argument("--out", type=Path, default=Path("."), help="artifact output directory")
-        p.add_argument("--deterministic", action="store_true",
-                       help="fixed reduction order for byte-identical artifacts")
-        p.add_argument("--threads", type=int, default=None, help="cap worker threads")
 
     p = sub.add_parser("validate", help="check model invariants")
     common(p)
@@ -344,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     config = RunConfig(
         command=args.command,
         model_path=getattr(args, "model", Path(".")),
@@ -359,8 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         x0=getattr(args, "x0", 0),
         out_dir=args.out,
         strict_audit=getattr(args, "strict_audit", False),
-        deterministic=args.deterministic,
-        threads=args.threads,
         policy_path=getattr(args, "policy", None),
         rho=getattr(args, "rho", None),
         trace_path=getattr(args, "trace", None),

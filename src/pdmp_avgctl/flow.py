@@ -1,4 +1,4 @@
-"""Deterministic motion between jumps: flows, boundary hitting times, meshes.
+"""Deterministic motion between jumps: flows and boundary hitting times.
 
 Flow kinds are restricted to monotone 1-D motion:
 
@@ -223,43 +223,6 @@ def advance(flow: FlowSpec, x: float, t: float) -> float:
         ystar = -flow.alpha0 / flow.alpha1
         return ystar + (float(x) - ystar) * math.exp(flow.alpha1 * t_eff)
     return _tabulated_advance(flow, float(x), t_eff)
-
-
-@dataclass(frozen=True)
-class FlowMesh:
-    """Time nodes along one flow line and the states at those nodes.
-
-    The final node time is exactly min(t*(x), t_max).
-    """
-
-    origin: float
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def end_time(self) -> float:
-        return float(self.times[-1])
-
-
-def build_mesh(flow: FlowSpec, x: float, resolution: int, rate_cap: float | None = None) -> FlowMesh:
-    """Uniform time mesh on [0, min(t*(x), t_max)].
-
-    ``rate_cap`` (an upper bound on the jump rate) caps node spacing at
-    1/(4*rate_cap) so survival factors stay resolved.
-    """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    end = min(hit_time(flow, x), flow.t_max)
-    n_intervals = resolution - 1
-    if rate_cap is not None and rate_cap > 0.0 and end > 0.0:
-        n_intervals = max(n_intervals, int(math.ceil(end * 4.0 * rate_cap)))
-    times = np.linspace(0.0, end, n_intervals + 1)
-    times[-1] = end
-    if flow.kind == "trivial":
-        states = np.full_like(times, float(x))
-    else:
-        states = np.array([advance(flow, x, t) for t in times])
-    return FlowMesh(origin=float(x), times=times, states=states)
 
 
 def flow_derivative(flow: FlowSpec, h: Table1D, x: float) -> float:

@@ -39,16 +39,10 @@ class DimensionError(ModelFormatError):
 
 @dataclass(frozen=True)
 class StateGrid:
-    """Interior grid coordinates plus boundary coordinates.
-
-    ``delta_label`` names the synthetic boundary for lines that never reach a
-    real boundary point; nothing is ever evaluated there (the boundary term is
-    defined to vanish on such lines).
-    """
+    """Interior grid coordinates plus boundary coordinates."""
 
     points: np.ndarray
     boundary_points: np.ndarray
-    delta_label: str = "delta"
 
     @property
     def n_interior(self) -> int:

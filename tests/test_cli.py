@@ -98,6 +98,42 @@ class TestBadInput:
         assert code == 1
         assert "policy has 10 interior entries, model has 64" in capsys.readouterr().err
 
+    def test_policy_for_another_model_is_refused(self, write_model, tmp_path, capsys):
+        solved_for = write_model(dominated_toy_doc(gap=0.8), "a")
+        other = write_model(dominated_toy_doc(gap=0.5), "b")
+        assert run_cli(["solve", "--model", solved_for, "--out", tmp_path]) == 0
+        code = run_cli(["simulate", "--model", other, "--policy", tmp_path / "policy.json",
+                        "--rho", "1.0", "--seed", "1", "--out", tmp_path])
+        assert code == 2
+        assert "was written for a different model" in capsys.readouterr().err
+
+    def test_stale_evaluation_rho_is_refused(self, write_model, tmp_path, capsys):
+        assert run_cli(["solve", "--model", write_model(dominated_toy_doc(), "a"),
+                        "--out", tmp_path]) == 0
+        other = write_model(renewal_doc(), "renewal")
+        assert run_cli(["simulate", "--model", other, "--seed", "1", "--out", tmp_path]) == 2
+        assert "evaluation.json was written for a different model; pass --rho" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "mc_summary.json").exists()
+        assert not (tmp_path / "sim_summary.json").exists()
+
+    @pytest.mark.parametrize("text", ["[1.0]", "{not json"], ids=["not-an-object", "unparsable"])
+    def test_malformed_evaluation_file_is_refused(self, write_model, tmp_path, capsys, text):
+        (tmp_path / "evaluation.json").write_text(text)
+        path = write_model(renewal_doc(), "renewal")
+        assert run_cli(["simulate", "--model", path, "--seed", "1", "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith("pass --rho")
+
+    def test_matching_evaluation_rho_is_used(self, write_model, tmp_path):
+        path = write_model(dominated_toy_doc(), "a")
+        assert run_cli(["solve", "--model", path, "--out", tmp_path]) == 0
+        rho = json.loads((tmp_path / "evaluation.json").read_text())["rho"]
+        code = run_cli(["simulate", "--model", path, "--policy", tmp_path / "policy.json",
+                        "--horizon", "100", "--reps", "2", "--seed", "1", "--out", tmp_path])
+        assert code == 0
+        assert json.loads((tmp_path / "mc_summary.json").read_text())["rho"] == rho
+
     @pytest.mark.parametrize("args,flag", [
         (["evaluate", "--tol", "0"], "--tol"),
         (["solve", "--tol-rho=-1e-8"], "--tol-rho"),
@@ -146,8 +182,8 @@ class TestSolveArtifacts:
     def test_reruns_are_byte_identical(self, bundled, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        run_cli(["solve", "--model", bundled, "--deterministic", "--out", out1])
-        run_cli(["solve", "--model", bundled, "--deterministic", "--out", out2])
+        run_cli(["solve", "--model", bundled, "--out", out1])
+        run_cli(["solve", "--model", bundled, "--out", out2])
         for name in ("evaluation.json", "policy.json", "trace.json", "trace.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 

@@ -7,7 +7,6 @@ from pdmp_avgctl.flow import (
     FlowSpec,
     PastBoundaryError,
     advance,
-    build_mesh,
     flow_derivative,
     hit_time,
     validate_flow,
@@ -106,35 +105,6 @@ class TestSemigroup:
         flow = FlowSpec(kind="tabulated1d", velocity=Table1D(pts, np.ones(65)), t_max=50.0,
                         lo=0.0, hi=1.0, boundary=np.array([1.0]))
         assert hit_time(flow, 0.25) == pytest.approx(0.75, rel=1e-12)
-
-
-class TestBuildMesh:
-    def test_trivial_uniform_nodes(self):
-        mesh = build_mesh(trivial(t_max=10.0), 0.5, 11)
-        assert np.allclose(mesh.times, np.arange(11.0))
-        assert np.all(mesh.states == 0.5)
-
-    def test_last_node_exactly_at_hit_time(self):
-        flow = unit_drift()
-        mesh = build_mesh(flow, 0.9, 8)
-        assert mesh.times[-1] == hit_time(flow, 0.9)  # bit-exact end placement
-        assert mesh.times[-1] == pytest.approx(0.1, abs=1e-15)
-        assert mesh.states[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_mesh_states_satisfy_semigroup_recheck(self):
-        flow = contraction(boundary=())
-        mesh = build_mesh(flow, 1.7, 40)
-        for k in range(1, len(mesh.times)):
-            direct = advance(flow, mesh.origin, mesh.times[k])
-            assert abs(mesh.states[k] - direct) <= 1e-9
-
-    def test_rate_cap_refines_spacing(self):
-        mesh = build_mesh(trivial(t_max=10.0), 0.5, 2, rate_cap=2.0)
-        assert np.max(np.diff(mesh.times)) <= 1.0 / (4.0 * 2.0) + 1e-12
-
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            build_mesh(trivial(), 0.5, 1)
 
 
 class TestFlowDerivative:

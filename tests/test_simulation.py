@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.simulation import SimulationError, _rng_stream
+from pdmp_avgctl.simulation import SimulationError, _cost_to, _rng_stream, _uniform_pairs
 
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
@@ -63,6 +63,84 @@ class TestSampleSojourn:
         rng = _rng_stream(5, 0)
         with pytest.raises(SimulationError, match="tail"):
             pa.sample_sojourn(model, policy, 0, rng)
+
+
+def reference_jump_target(model, line, hit, y, action, u):
+    """The post-jump draw on a freshly mixed kernel row (the per-jump numpy formula)."""
+    points, n = model.grid.points, model.n_states
+    if hit:
+        row = model.kernel_boundary[line.boundary_index, line.boundary_action]
+    else:
+        i = min(max(int(np.searchsorted(points, y, side="right")) - 1, 0), n - 2)
+        w = 1.0 - min(max((y - points[i]) / (points[i + 1] - points[i]), 0.0), 1.0)
+        row = w * model.kernel_interior[i, action] + (1.0 - w) * model.kernel_interior[i + 1, action]
+    return min(int(np.searchsorted(np.cumsum(row), u * row.sum())), n - 1)
+
+
+class TestJumpDraws:
+    def test_uniform_pairs_are_the_scalar_draws(self):
+        pairs = _uniform_pairs(_rng_stream(3, 1))
+        scalar = _rng_stream(3, 1)
+        for _ in range(1500):  # crosses a block boundary
+            assert next(pairs) == (scalar.random(), scalar.random())
+
+    @pytest.mark.parametrize("name", ["drift_boundary_64", "renewal_cycle", "ctmdp_3state"])
+    def test_grid_point_and_boundary_draws_match_the_mixed_row_formula(self, models, name):
+        model = models[name]
+        tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model))
+        hitting = [line for line in tables.lines if line.hit][:1]
+        cases = [(True, hitting[0], 0.0, -1)] if hitting else []
+        cases += [(False, tables.lines[0], float(y), a)
+                  for y in model.grid.points for a in range(model.n_actions)]
+        rng = np.random.default_rng(5)
+        for hit, line, y, a in cases:
+            row = (model.kernel_boundary[line.boundary_index, line.boundary_action] if hit
+                   else model.kernel_interior[int(np.searchsorted(model.grid.points, y)), a])
+            # random levels plus levels tied with each cumulative value
+            for u in list(rng.random(4)) + list(np.cumsum(row) / row.sum()):
+                assert tables.jump_target(hit, line, y, a, u) == \
+                    reference_jump_target(model, line, hit, y, a, u)
+
+    @pytest.mark.parametrize("name", ["drift_boundary_64", "decay_flow_16"])
+    def test_between_grid_points_draws_match_up_to_rounding(self, models, name):
+        model = models[name]
+        tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model))
+        line = tables.lines[0]
+        points = model.grid.points
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            y = float(rng.uniform(points[0], points[-1]))
+            a, u = int(rng.integers(model.n_actions)), float(rng.random())
+            got = tables.jump_target(False, line, y, a, u)
+            want = reference_jump_target(model, line, False, y, a, u)
+            if got != want:  # only where u sits on a cumulative value to rounding
+                i = min(max(int(np.searchsorted(points, y, side="right")) - 1, 0), len(points) - 2)
+                w = 1.0 - (y - points[i]) / (points[i + 1] - points[i])
+                row = w * model.kernel_interior[i, a] + (1.0 - w) * model.kernel_interior[i + 1, a]
+                gap = np.min(np.abs(np.cumsum(row) - u * row.sum()))
+                assert gap <= 1e-14, (y, a, u, got, want)
+
+
+class TestRunningCost:
+    def test_constant_rate_on_a_trivial_flow(self, models):
+        # state 1 of ctmdp_2state never moves: the cost integral is f * tau,
+        # inside the tabulated horizon and past it
+        model = models["ctmdp_2state"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        line = pa.prepare_simulation(model, policy).lines[1]
+        f = float(model.running_cost[1, policy.interior[1]])
+        for tau in (0.0, 0.3, 0.5 * line.end, line.end, 2.0 * line.end + 1.0):
+            assert _cost_to(line, tau) == pytest.approx(f * tau, rel=1e-12, abs=1e-15)
+
+    def test_interval_hint_never_changes_the_integral(self, models):
+        model = models["decay_flow_16"]
+        line = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model)).lines[5]
+        rng = np.random.default_rng(3)
+        for tau in rng.uniform(0.0, line.end, 200):
+            k = int(np.searchsorted(line.times, tau, side="right")) - 1
+            exact = _cost_to(line, tau)
+            for hint in (k, k - 1, k + 1, -1):
+                assert _cost_to(line, tau, min(hint, line.last)) == exact
 
 
 class TestSimulate:
