@@ -173,19 +173,23 @@ def cmd_evaluate(config: RunConfig) -> int:
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    payload = dict(_artifact_header(model), **result.to_dict())
-    _write_json(config.out_dir / "evaluation.json", payload)
+    _write_json(config.out_dir / "evaluation.json", _evaluation_payload(model, policy, result))
     print(f"rho = {result.rho:.12g}  D = {result.D:.6g}  residual = {result.residual:.3g}")
     return EXIT_OK
 
 
+def _policy_lists(policy) -> dict:
+    return {"interior": [int(a) for a in policy.interior],
+            "boundary": [int(a) for a in policy.boundary]}
+
+
 def _policy_payload(model, policy) -> dict:
-    return dict(
-        _artifact_header(model),
-        schema="pdmp-policy/1",
-        interior=[int(a) for a in policy.interior],
-        boundary=[int(a) for a in policy.boundary],
-    )
+    return dict(_artifact_header(model), schema="pdmp-policy/1", **_policy_lists(policy))
+
+
+def _evaluation_payload(model, policy, result) -> dict:
+    """evaluation.json: the result plus the policy it evaluates, which simulate checks."""
+    return dict(_artifact_header(model), policy=_policy_lists(policy), **result.to_dict())
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -214,7 +218,7 @@ def cmd_solve(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 
-    _write_json(config.out_dir / "evaluation.json", dict(_artifact_header(model), **result.to_dict()))
+    _write_json(config.out_dir / "evaluation.json", _evaluation_payload(model, policy, result))
     _write_json(config.out_dir / "policy.json", _policy_payload(model, policy))
     _write_json(config.out_dir / "trace.json", dict(_artifact_header(model), **trace.to_dict()))
     header = f"# model_sha256={model.source_hash} tool_version={_artifact_header(model)['tool_version']}"
@@ -248,6 +252,10 @@ def cmd_simulate(config: RunConfig) -> int:
             return EXIT_USAGE
         if not isinstance(evaluation, dict) or evaluation.get("model_sha256") != model.source_hash:
             print(f"error: {result_path} was written for a different model; pass --rho",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        if evaluation.get("policy") != _policy_lists(policy):
+            print(f"error: {result_path} was written for a different policy; pass --rho or --policy",
                   file=sys.stderr)
             return EXIT_USAGE
         rho = evaluation.get("rho")

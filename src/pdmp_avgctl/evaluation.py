@@ -46,8 +46,11 @@ def invariant_measure(kernel: np.ndarray, *, method: str = "auto",
 
     ``method`` is "direct" (stationarity system, grids up to 2000 states),
     "power" (iteration from the uniform row), or "auto" (direct when small).
-    Raises ErgodicityError when no unique invariant row can be certified; the
-    message includes the estimated subdominant eigenvalue modulus.
+    Raises ErgodicityError when no unique invariant row can be certified:
+    when the iteration does not converge, or when the transition graph
+    ``kernel > 0`` has more than one closed communicating class (checked at
+    every size, in O(n^2)); the message includes the (estimated) subdominant
+    eigenvalue modulus.
     """
     kernel = np.asarray(kernel, dtype=float)
     n = kernel.shape[0]
@@ -95,16 +98,43 @@ def invariant_measure(kernel: np.ndarray, *, method: str = "auto",
     nu = np.clip(nu, 0.0, None)
     nu = nu / nu.sum()
 
-    # uniqueness: the stationarity system must have a one-dimensional null space
-    if n <= 256:
-        sv = np.linalg.svd(kernel.T - np.eye(n), compute_uv=False)
-        if sv[-2] < 1e-10:
-            sub = _subdominant_modulus(kernel)
-            raise ErgodicityError(
-                "invariant measure is not unique (reducible kernel?); "
-                f"estimated subdominant eigenvalue modulus: {sub}"
-            )
+    # uniqueness: the chain on kernel > 0 must have exactly one closed class
+    if not _one_closed_class(kernel > 0.0, int(np.argmax(nu))):
+        raise ErgodicityError(
+            "invariant measure is not unique: the kernel has more than one closed "
+            "communicating class, so eigenvalue 1 repeats; subdominant eigenvalue modulus: 1"
+        )
     return nu
+
+
+def _reach(adj: np.ndarray, start: int) -> np.ndarray:
+    """States reachable from ``start`` along the edges of ``adj`` (start included)."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        new = adj[frontier].any(axis=0) & ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+    return seen
+
+
+def _one_closed_class(adj: np.ndarray, start: int) -> bool:
+    """Whether the chain with transition graph ``adj`` has exactly one closed class.
+
+    Walks from ``start`` to a state whose communicating class is closed (each
+    step moves to a state that cannot return, so the reachable set shrinks),
+    then checks that every state reaches that class: a state that does not
+    reaches another closed class.
+    """
+    adj_back = np.ascontiguousarray(adj.T)
+    while True:
+        forward = _reach(adj, start)
+        back = _reach(adj_back, start)
+        escapes = np.flatnonzero(forward & ~back)
+        if escapes.size == 0:
+            return bool(back.all())
+        start = int(escapes[0])
 
 
 def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray,

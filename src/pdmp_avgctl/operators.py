@@ -18,11 +18,18 @@ The control along a line is piecewise constant per inter-grid segment: the
 action of the most recently passed grid point governs until the next one,
 which is what makes the policy-improvement march (a per-segment backward
 dynamic program) minimize over exactly the path class the operators evaluate.
+
+Improvement and the optimality certificate read per-segment one-stage tables
+(:class:`SegmentTables`), built once per workspace on first use: for every
+segment and action the sojourn weight, the running-cost integral, the
+survival across the segment and the sparse weights of Qh = Q h on the grid.
+Only rho and Qh change between calls, so neither step re-integrates the mesh.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -398,6 +405,89 @@ class KernelMatrix:
         return self.matrix.sum(axis=1)
 
 
+@dataclass(frozen=True)
+class SegmentTables:
+    """Policy-independent one-stage weights of every (line segment, action).
+
+    Segments are numbered line by line in flow order; line j owns segments
+    ``line_start[j]:line_start[j + 1]``.  With action a held over segment s
+    and the value W carried in at the segment's end, the one-stage value over
+    the segment is
+
+        -rho * sojourn[s, a] + cost[s, a] + sum_k weights_k * Qh.flat[cols_k]
+        + survival[s, a] * W
+
+    where k runs over the entries with ``rows_k == s * n_a + a`` and
+    ``cols_k = grid index * n_a + a``.  These are the sums the interval
+    quadrature of :func:`op_L`, :func:`op_calL` and :func:`op_G` forms, taken
+    relative to the segment's start.
+    """
+
+    sojourn: np.ndarray   # (S, n_a) sum of e^{-rel} d phi0 over the intervals
+    cost: np.ndarray      # (S, n_a) running-cost integral
+    survival: np.ndarray  # (S, n_a) e^{-hazard across the segment}
+    rows: np.ndarray      # (nnz,) s * n_a + a
+    cols: np.ndarray      # (nnz,) grid index * n_a + a
+    weights: np.ndarray   # (nnz,) weight of Qh at that grid point
+    line_start: tuple     # (n + 1,) first segment of each line
+    anchors: tuple        # (S,) grid index whose action governs the segment
+
+    def values(self, rho: float, qh: np.ndarray) -> np.ndarray:
+        """(S, n_a) one-stage value of each segment with nothing carried in."""
+        q = np.bincount(self.rows, weights=self.weights * qh.ravel()[self.cols],
+                        minlength=self.sojourn.size)
+        return -rho * self.sojourn + self.cost + q.reshape(self.sojourn.shape)
+
+
+def _segment_tables(model, geometry) -> SegmentTables:
+    """One vectorized pass per line over its intervals, summed per segment."""
+    n, n_a = model.n_states, model.n_actions
+    action = np.arange(n_a)
+    parts = []
+    line_start = [0]
+    anchors = []
+    for geom in geometry:
+        starts = np.array([k0 for k0, _, _ in geom.seg_slices])
+        ends = np.array([k1 for _, k1, _ in geom.seg_slices])
+        seg = np.repeat(np.arange(starts.size), ends - starts)  # segment of each interval
+        d = geom.dt[:, None]
+        lam, f = geom.lam_nodes, geom.f_nodes
+        m = 0.5 * (lam[:-1] + lam[1:])
+        z = m * d
+        p0, p1 = phi0(z), phi1(z)
+        cum = np.zeros((z.shape[0] + 1, n_a))
+        np.cumsum(z, axis=0, out=cum[1:])
+        head = np.exp(-(cum[:-1] - cum[starts][seg])) * d  # survival since the segment's start
+        sojourn = np.add.reduceat(head * p0, starts, axis=0)
+        cost = np.add.reduceat(head * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1), starts, axis=0)
+        survival = np.exp(-(cum[ends] - cum[starts]))
+
+        # interval k weighs Qh at node k by m d (p0 - p1) and at node k + 1 by
+        # m d p1; a node reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[ilo + 1]
+        c_left = head * m * (p0 - p1)
+        c_right = head * m * p1
+        ilo, wlo = geom.ilo, geom.wlo[:, None]
+        hi = np.minimum(ilo + 1, n - 1)
+        grid = np.concatenate([ilo[:-1], hi[:-1], ilo[1:], hi[1:]])
+        w = np.concatenate([c_left * wlo[:-1], c_left * (1.0 - wlo[:-1]),
+                            c_right * wlo[1:], c_right * (1.0 - wlo[1:])])
+        key = np.tile(seg, 4) * n + grid
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        w = np.add.reduceat(w[order], first, axis=0).ravel()
+        key = key[first]
+        rows = ((key // n + line_start[-1])[:, None] * n_a + action).ravel()
+        cols = ((key % n)[:, None] * n_a + action).ravel()
+        keep = w != 0.0
+        parts.append((sojourn, cost, survival, rows[keep], cols[keep], w[keep]))
+        line_start.append(line_start[-1] + starts.size)
+        anchors.extend(anchor for _, _, anchor in geom.seg_slices)
+    sojourn, cost, survival, rows, cols, weights = (np.concatenate(p) for p in zip(*parts))
+    return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, rows=rows, cols=cols,
+                         weights=weights, line_start=tuple(line_start), anchors=tuple(anchors))
+
+
 class OperatorWorkspace:
     """Caches per-line meshes so repeated policy evaluations stay cheap.
 
@@ -412,7 +502,9 @@ class OperatorWorkspace:
         ref = _reference_transit(model)
         self.geometry = [_build_geometry(model, j, self.fill, ref) for j in range(model.n_states)]
         self._assembled: dict = {}
+        self._segments: SegmentTables | None = None
         self.refine_diff: float | None = None
+        self.refine_converged: bool | None = None
 
     # -- path construction ---------------------------------------------------
 
@@ -468,61 +560,63 @@ class OperatorWorkspace:
             best_val[zi] = vals[pick]
         return best_act, best_val
 
+    def segment_tables(self) -> SegmentTables:
+        """The per-segment one-stage tables, built on first use."""
+        if self._segments is None:
+            self._segments = _segment_tables(self.model, self.geometry)
+        return self._segments
+
     def improve(self, rho: float, h: np.ndarray, prev):
         """Backward march of the one-stage value along each line; argmin policy.
 
         Within each inter-grid segment the candidate action is frozen, so the
         march minimizes over exactly the piecewise-constant-per-segment paths
         the operators integrate, and the chosen policy's one-stage value
-        reproduces the march value.
+        reproduces the march value.  Each segment's value is read from the
+        segment tables.
         """
         from .model import FeedbackPolicy
 
         model = self.model
-        n_a = model.n_actions
+        n = model.n_states
         h = np.asarray(h, dtype=float)
         qh_int = model.kernel_interior @ h  # (n, n_a)
         b_act, b_val = self.boundary_minima(h, prev)
+        tables = self.segment_tables()
+        values = tables.values(rho, qh_int).tolist()
+        survival = tables.survival.tolist()
+        feasible = model.action_grid.feasible
+        mask = model.feasible_mask
+        incumbents = prev.interior.tolist()
 
-        new_interior = np.empty(model.n_states, dtype=np.int64)
+        new_interior = np.empty(n, dtype=np.int64)
         for geom in self.geometry:
-            qh_nodes = (
-                geom.wlo[:, None] * qh_int[geom.ilo, :]
-                + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :]
-            )
             if geom.hit:
                 w_next = float(b_val[geom.boundary_index])
             else:
+                # past the horizon the state is frozen: the stationary value
+                # (f - rho + lambda Qh) / lambda of the best feasible action
+                ilo, wlo = geom.ilo[-1], geom.wlo[-1]
+                qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[min(ilo + 1, n - 1), :]
                 lam_T = np.maximum(geom.lam_nodes[-1], 1e-12)
-                station = (geom.f_nodes[-1] - rho + geom.lam_nodes[-1] * qh_nodes[-1]) / lam_T
+                station = (geom.f_nodes[-1] - rho + geom.lam_nodes[-1] * qh_end) / lam_T
                 last_anchor = geom.seg_slices[-1][2]
-                masked = np.where(model.feasible_mask[last_anchor], station, np.inf)
-                w_next = float(np.min(masked))
-            chosen_first = None
-            for (k0, k1, anchor) in reversed(geom.seg_slices):
-                lam = geom.lam_nodes[k0 : k1 + 1]
-                f = geom.f_nodes[k0 : k1 + 1]
-                qh = qh_nodes[k0 : k1 + 1]
-                d = geom.dt[k0:k1, None]
-                m = 0.5 * (lam[:-1] + lam[1:])
-                z = m * d
-                p0 = phi0(z)
-                p1 = phi1(z)
-                contrib = (
-                    -rho * d * p0
-                    + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
-                    + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1)
-                )
-                rel = np.vstack([np.zeros((1, n_a)), np.cumsum(z, axis=0)])
-                w_vec = np.sum(np.exp(-rel[:-1]) * contrib, axis=0) + np.exp(-rel[-1]) * w_next
-                masked = np.where(model.feasible_mask[anchor], w_vec, np.inf)
-                pick = int(np.argmin(masked))
-                incumbent = int(prev.interior[anchor])
-                if masked[incumbent] <= masked[pick] + TIE_TOL * max(1.0, abs(masked[pick])):
+                w_next = float(np.min(np.where(mask[last_anchor], station, np.inf)))
+            j = geom.origin_index
+            for s in range(tables.line_start[j + 1] - 1, tables.line_start[j] - 1, -1):
+                anchor = tables.anchors[s]
+                v_s, b_s = values[s], survival[s]
+                pick, best = None, math.inf
+                for a in feasible[anchor]:
+                    val = v_s[a] + b_s[a] * w_next
+                    if val < best:
+                        pick, best = a, val
+                incumbent = incumbents[anchor]
+                if pick is None or (mask[anchor, incumbent] and v_s[incumbent] + b_s[incumbent] * w_next
+                                    <= best + TIE_TOL * max(1.0, abs(best))):
                     pick = incumbent
-                w_next = float(w_vec[pick])
-                chosen_first = pick
-            new_interior[geom.origin_index] = chosen_first
+                w_next = v_s[pick] + b_s[pick] * w_next
+            new_interior[j] = pick
         return FeedbackPolicy(interior=new_interior, boundary=b_act)
 
     def optimality_residual(self, rho: float, h: np.ndarray, policy) -> float:
@@ -530,45 +624,32 @@ class OperatorWorkspace:
 
         Each feasible action is held constant along the whole flow line (the
         boundary choice is optimized separately); actions infeasible at some
-        anchor of the line are excluded.
+        anchor of the line are excluded.  A line's sweep values follow the
+        recursion W <- value_s + survival_s * W over its segments, backward,
+        run for all lines at once by position from the line's end.
         """
         model = self.model
         h = np.asarray(h, dtype=float)
         qh_int = model.kernel_interior @ h
         _, b_val = self.boundary_minima(h)
-        worst = -math.inf
+        tables = self.segment_tables()
+        values, survival = tables.values(rho, qh_int), tables.survival
+        ends = np.asarray(tables.line_start[1:])
+        lengths = ends - np.asarray(tables.line_start[:-1])
+        w = np.zeros((model.n_states, model.n_actions))
         for geom in self.geometry:
-            if not geom.line_feasible.any():
-                continue
-            qh_nodes = (
-                geom.wlo[:, None] * qh_int[geom.ilo, :]
-                + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :]
-            )
-            d = geom.dt[:, None]
-            m = 0.5 * (geom.lam_nodes[:-1] + geom.lam_nodes[1:])
-            z = m * d
-            lam_cum = np.vstack([np.zeros((1, model.n_actions)), np.cumsum(z, axis=0)])
-            head = np.exp(-lam_cum[:-1])
-            p0 = phi0(z)
-            p1 = phi1(z)
-            f = geom.f_nodes
-            qh = qh_nodes
-            vals = np.sum(
-                head
-                * (
-                    -rho * d * p0
-                    + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
-                    + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1)
-                ),
-                axis=0,
-            )
             if geom.hit:
-                vals = vals + np.exp(-lam_cum[-1]) * b_val[geom.boundary_index]
-            best = np.min(np.where(geom.line_feasible, vals, np.inf))
-            worst = max(worst, float(h[geom.origin_index] - best))
-        if not math.isfinite(worst):
+                w[geom.origin_index] = b_val[geom.boundary_index]
+        for t in range(int(lengths.max(initial=0))):
+            live = np.flatnonzero(lengths > t)
+            s = ends[live] - 1 - t
+            w[live] = values[s] + survival[s] * w[live]
+        feasible = np.array([geom.line_feasible for geom in self.geometry])
+        some = feasible.any(axis=1)
+        if not some.any():
             raise ValueError("no flow line admits a feasible frozen-action sweep")
-        return worst
+        best = np.min(np.where(feasible, w, np.inf), axis=1)
+        return float(np.max(h[some] - best[some]))
 
 
 def build_policy_path(model, policy, state_index: int, *, fill: int = DEFAULT_FILL,
@@ -597,11 +678,14 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
 
     Agreement is measured as the max absolute change across kernel entries,
     expected sojourn weights and one-policy costs; the finer workspace is
-    returned with the achieved difference recorded on ``refine_diff``.
+    returned with the achieved difference recorded on ``refine_diff`` and
+    whether it met ``target`` on ``refine_converged``.  Stopping at
+    ``max_fill`` short of the target warns with a :class:`RuntimeWarning`.
     """
     fill = int(start_fill)
     ws = OperatorWorkspace(model, fill)
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
+    diff = math.inf
     while fill < max_fill:
         finer = OperatorWorkspace(model, fill * 2)
         k2, l2, c2, _ = finer.assemble(policy, 0.0)
@@ -616,4 +700,9 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
         fill *= 2
         if diff <= target:
             break
+    ws.refine_converged = diff <= target
+    if not ws.refine_converged:
+        warnings.warn(f"mesh refinement stopped at fill {fill} (max_fill {max_fill}) with "
+                      f"refine_diff {ws.refine_diff} above the target {target:g}",
+                      RuntimeWarning, stacklevel=2)
     return ws

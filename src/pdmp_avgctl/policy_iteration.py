@@ -6,6 +6,11 @@ use exactly the same exponential quadrature as the operator engine.  The
 value of the returned policy therefore reproduces the march value, which is
 what makes the average cost non-increasing across iterations up to solver
 tolerance.
+
+Both the improvement and the optimality certificate read the workspace's
+per-segment one-stage tables (sojourn weight, running-cost integral, survival
+and Qh weights per segment and action), which are summed from the mesh once
+per workspace; an iteration only combines them with its rho and Qh = Q h.
 """
 
 from __future__ import annotations

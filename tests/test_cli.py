@@ -134,6 +134,38 @@ class TestBadInput:
         assert code == 0
         assert json.loads((tmp_path / "mc_summary.json").read_text())["rho"] == rho
 
+    def test_evaluation_rho_of_another_policy_is_refused(self, write_model, tmp_path, capsys):
+        # solve evaluates its optimal policy; simulate without --policy runs lowest_feasible
+        path = write_model(dominated_toy_doc(), "a")
+        assert run_cli(["solve", "--model", path, "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "policy.json").read_text())["interior"] == [1, 1]
+        args = ["simulate", "--model", path, "--horizon", "100", "--reps", "2", "--seed", "1",
+                "--out", tmp_path]
+        assert run_cli(args) == 2
+        assert "evaluation.json was written for a different policy; pass --rho or --policy" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "mc_summary.json").exists()
+        assert run_cli(args + ["--policy", tmp_path / "policy.json"]) == 0
+        assert (tmp_path / "mc_summary.json").exists()
+
+    def test_evaluate_records_its_policy_for_simulate(self, write_model, tmp_path):
+        path = write_model(dominated_toy_doc(), "a")
+        assert run_cli(["evaluate", "--model", path, "--out", tmp_path]) == 0
+        evaluation = json.loads((tmp_path / "evaluation.json").read_text())
+        assert evaluation["policy"] == {"interior": [0, 0], "boundary": []}
+        assert run_cli(["simulate", "--model", path, "--horizon", "100", "--reps", "2",
+                        "--seed", "1", "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "mc_summary.json").read_text())["rho"] == evaluation["rho"]
+
+    def test_evaluation_without_a_recorded_policy_is_refused(self, write_model, tmp_path, capsys):
+        path = write_model(dominated_toy_doc(), "a")
+        assert run_cli(["evaluate", "--model", path, "--out", tmp_path]) == 0
+        evaluation = json.loads((tmp_path / "evaluation.json").read_text())
+        del evaluation["policy"]
+        (tmp_path / "evaluation.json").write_text(json.dumps(evaluation))
+        assert run_cli(["simulate", "--model", path, "--seed", "1", "--out", tmp_path]) == 2
+        assert "was written for a different policy" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args,flag", [
         (["evaluate", "--tol", "0"], "--tol"),
         (["solve", "--tol-rho=-1e-8"], "--tol-rho"),

@@ -28,6 +28,43 @@ class TestInvariantMeasure:
         with pytest.raises(ErgodicityError, match="subdominant"):
             invariant_measure(np.eye(3))
 
+    def test_two_block_reducible_kernel_raises_above_the_old_svd_limit(self):
+        # two closed classes of 150 states each: a stationary row exists for
+        # every mixture of the blocks, so no unique nu
+        rng = np.random.default_rng(5)
+        kernel = np.zeros((300, 300))
+        for lo in (0, 150):
+            block = rng.uniform(0.0, 1.0, size=(150, 150))
+            kernel[lo:lo + 150, lo:lo + 150] = block / block.sum(axis=1, keepdims=True)
+        with pytest.raises(ErgodicityError, match="more than one closed communicating class, so "
+                                                  "eigenvalue 1 repeats; subdominant eigenvalue modulus: 1"):
+            invariant_measure(kernel)
+
+    def test_transient_states_leave_the_measure_unique(self):
+        # 300 states: 0..149 feed a closed cycle 150..299; only the cycle carries mass
+        n = 300
+        kernel = np.zeros((n, n))
+        kernel[np.arange(149), np.arange(1, 150)] = 0.5
+        kernel[np.arange(149), 150] = 0.5
+        kernel[149, 150] = 1.0
+        kernel[np.arange(150, n), np.roll(np.arange(150, n), -1)] = 0.5
+        kernel[np.arange(150, n), np.arange(150, n)] = 0.5
+        nu = invariant_measure(kernel)
+        assert np.max(np.abs(nu[:150])) <= 1e-12
+        assert np.allclose(nu[150:], 1.0 / 150, atol=1e-10)
+
+    def test_closed_class_found_from_a_transient_start(self):
+        # the walk from a transient state down to the closed class, then back up
+        from pdmp_avgctl.evaluation import _one_closed_class
+
+        adj = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=bool)
+        assert _one_closed_class(adj, 0)
+        adj[1, 0] = True  # 0 <-> 1 now a class that still leaks into {2, 3}
+        assert _one_closed_class(adj, 0)
+        adj[0, 0], adj[0, 1], adj[1, 2] = True, False, False  # {0} closed as well as {2, 3}
+        assert not _one_closed_class(adj, 1)
+        assert not _one_closed_class(adj, 3)
+
     def test_substochastic_input_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             invariant_measure(np.array([[0.5, 0.3], [0.2, 0.8]]))

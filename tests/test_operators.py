@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.operators import (MIN_TAIL_INTERVALS, OperatorWorkspace, _passage_time, _reference_transit,
-                                   build_policy_path, cum_rate, kernel_matrix, op_G, op_H, op_L, op_calL)
+from pdmp_avgctl.numerics import phi0, phi1
+from pdmp_avgctl.operators import (MIN_TAIL_INTERVALS, REFINE_TARGET, TIE_TOL, OperatorWorkspace, _passage_time,
+                                   _reference_transit, build_policy_path, cum_rate, kernel_matrix, op_G,
+                                   op_H, op_L, op_calL)
 
-from toy_models import renewal_doc, swap_cycle_doc
+from conftest import BUNDLED
+from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
 def path_for(model, state_index=0, policy=None, fill=32):
@@ -275,6 +280,23 @@ class TestPolicyPath:
                 assert path.tail_weight(0.0) <= 1e-12, (name, j)
 
 
+class TestRefinement:
+    def test_stopping_short_of_the_target_warns(self, models):
+        model = models["decay_flow_16"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        with pytest.warns(RuntimeWarning, match=r"stopped at fill 16 \(max_fill 16\) with refine_diff "
+                                                r"\S+ above the target 1e-15"):
+            ws = pa.refined_workspace(model, policy, target=1e-15, max_fill=16)
+        assert ws.fill == 16 and ws.refine_converged is False and ws.refine_diff > 1e-15
+
+    def test_bundled_models_reach_the_target_without_warning(self, models):
+        for name, model in models.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ws = pa.refined_workspace(model, pa.FeedbackPolicy.lowest_feasible(model))
+            assert ws.refine_converged is True and ws.refine_diff <= REFINE_TARGET, name
+
+
 class TestLineGeometry:
     @pytest.mark.parametrize("fill", [8, 16])
     def test_mesh_invariants_on_bundled(self, models, fill):
@@ -326,3 +348,161 @@ class TestLineGeometry:
                     assert k1 - k0 == count, (name, fill, geom.origin_index, s)
                     assert np.array_equal(geom.times[k0 : k1 + 1], np.linspace(t0, t1, count + 1)), \
                         (name, fill, geom.origin_index, s)
+
+
+# -- per-segment one-stage tables ---------------------------------------------
+# The per-interval march and frozen-action sweep that the tables replaced, kept
+# as references: each re-integrates every segment of every line from the mesh.
+
+def reference_improve(ws, rho, h, prev):
+    model = ws.model
+    n_a = model.n_actions
+    qh_int = model.kernel_interior @ h
+    b_act, b_val = ws.boundary_minima(h, prev)
+    new_interior = np.empty(model.n_states, dtype=np.int64)
+    for geom in ws.geometry:
+        qh_nodes = (geom.wlo[:, None] * qh_int[geom.ilo, :]
+                    + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
+        if geom.hit:
+            w_next = float(b_val[geom.boundary_index])
+        else:
+            lam_T = np.maximum(geom.lam_nodes[-1], 1e-12)
+            station = (geom.f_nodes[-1] - rho + geom.lam_nodes[-1] * qh_nodes[-1]) / lam_T
+            masked = np.where(model.feasible_mask[geom.seg_slices[-1][2]], station, np.inf)
+            w_next = float(np.min(masked))
+        for (k0, k1, anchor) in reversed(geom.seg_slices):
+            lam, f, qh = geom.lam_nodes[k0:k1 + 1], geom.f_nodes[k0:k1 + 1], qh_nodes[k0:k1 + 1]
+            d = geom.dt[k0:k1, None]
+            m = 0.5 * (lam[:-1] + lam[1:])
+            z = m * d
+            p0, p1 = phi0(z), phi1(z)
+            contrib = (-rho * d * p0 + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
+                       + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1))
+            rel = np.vstack([np.zeros((1, n_a)), np.cumsum(z, axis=0)])
+            w_vec = np.sum(np.exp(-rel[:-1]) * contrib, axis=0) + np.exp(-rel[-1]) * w_next
+            masked = np.where(model.feasible_mask[anchor], w_vec, np.inf)
+            pick = int(np.argmin(masked))
+            incumbent = int(prev.interior[anchor])
+            if masked[incumbent] <= masked[pick] + TIE_TOL * max(1.0, abs(masked[pick])):
+                pick = incumbent
+            w_next = float(w_vec[pick])
+        new_interior[geom.origin_index] = pick
+    return pa.FeedbackPolicy(interior=new_interior, boundary=b_act)
+
+
+def reference_sweep_values(ws, rho, h):
+    """Per line: the frozen-action one-stage values, or None when no action is feasible."""
+    model = ws.model
+    qh_int = model.kernel_interior @ h
+    _, b_val = ws.boundary_minima(h)
+    out = []
+    for geom in ws.geometry:
+        if not geom.line_feasible.any():
+            out.append(None)
+            continue
+        qh = (geom.wlo[:, None] * qh_int[geom.ilo, :]
+              + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
+        d = geom.dt[:, None]
+        m = 0.5 * (geom.lam_nodes[:-1] + geom.lam_nodes[1:])
+        z = m * d
+        lam_cum = np.vstack([np.zeros((1, model.n_actions)), np.cumsum(z, axis=0)])
+        p0, p1 = phi0(z), phi1(z)
+        f = geom.f_nodes
+        vals = np.sum(np.exp(-lam_cum[:-1]) * (
+            -rho * d * p0 + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
+            + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1)), axis=0)
+        if geom.hit:
+            vals = vals + np.exp(-lam_cum[-1]) * b_val[geom.boundary_index]
+        out.append(np.where(geom.line_feasible, vals, np.inf))
+    return out
+
+
+def reference_optimality_residual(ws, rho, h):
+    return max(float(h[j] - np.min(v)) for j, v in enumerate(reference_sweep_values(ws, rho, h))
+               if v is not None)
+
+
+def random_problem(model, rng):
+    """A seeded random (rho, h, incumbent) of the scale PIA produces."""
+    rho = float(rng.uniform(0.0, 3.0))
+    h = rng.normal(scale=2.0, size=model.n_states)
+    return rho, h, pa.FeedbackPolicy.random_feasible(model, rng)
+
+
+class TestSegmentTables:
+    def test_tables_are_built_on_first_use_only(self, models):
+        ws = OperatorWorkspace(models["drift_boundary_64"], 8)
+        assert ws._segments is None
+        tables = ws.segment_tables()
+        assert ws.segment_tables() is tables
+        assert len(tables.line_start) == ws.model.n_states + 1
+        assert tables.line_start[-1] == sum(len(g.seg_slices) for g in ws.geometry)
+
+    def test_segment_recursion_matches_the_line_integrals(self, models, workspaces):
+        # the backward recursion over a line's segments under one frozen
+        # action is the whole-line quadrature of the reference sweep
+        rng = np.random.default_rng(61)
+        for name, model in models.items():
+            ws = workspaces[name]
+            tables = ws.segment_tables()
+            rho, h, _ = random_problem(model, rng)
+            values = tables.values(rho, model.kernel_interior @ h)
+            _, b_val = ws.boundary_minima(h)
+            for geom, ref in zip(ws.geometry, reference_sweep_values(ws, rho, h)):
+                if ref is None:
+                    continue
+                j = geom.origin_index
+                w = np.full(model.n_actions, b_val[geom.boundary_index] if geom.hit else 0.0)
+                for s in range(tables.line_start[j + 1] - 1, tables.line_start[j] - 1, -1):
+                    w = values[s] + tables.survival[s] * w
+                ok = np.isfinite(ref)
+                assert np.max(np.abs(w[ok] - ref[ok])) <= 1e-12 * max(1.0, np.max(np.abs(ref[ok]))), \
+                    (name, j)
+
+    def test_improve_and_residual_match_the_references(self, models, workspaces):
+        rng = np.random.default_rng(67)
+        for name, model in models.items():
+            ws = workspaces[name]
+            for _ in range(4):
+                rho, h, prev = random_problem(model, rng)
+                got = ws.improve(rho, h, prev)
+                want = reference_improve(ws, rho, h, prev)
+                assert got.key() == want.key(), name
+                res = ws.optimality_residual(rho, h, prev)
+                assert abs(res - reference_optimality_residual(ws, rho, h)) <= 1e-12, name
+
+    def test_matches_the_references_along_pia_iterates(self, models, workspaces):
+        # (rho, h) from real evaluations, with the incumbent as in run_pia
+        rng = np.random.default_rng(71)
+        for name, model in models.items():
+            ws = workspaces[name]
+            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            for _ in range(6):
+                res = pa.evaluate_policy(model, policy, workspace=ws)
+                improved = ws.improve(res.rho, res.h, policy)
+                assert improved.key() == reference_improve(ws, res.rho, res.h, policy).key(), name
+                assert abs(ws.optimality_residual(res.rho, res.h, policy)
+                           - reference_optimality_residual(ws, res.rho, res.h)) <= 1e-12, name
+                if improved.key() == policy.key():
+                    break
+                policy = improved
+
+    @pytest.mark.parametrize("incumbent", [[0, 0], [0, 1], [1, 0], [1, 1]])
+    def test_exact_ties_keep_the_incumbent(self, incumbent):
+        # gap 0: the two actions are identical, so every comparison is a tie
+        model = pa.model_from_dict(dominated_toy_doc(gap=0.0))
+        ws = OperatorWorkspace(model, 16)
+        prev = pa.FeedbackPolicy(interior=np.array(incumbent), boundary=np.array([], dtype=np.int64))
+        rho, h, _ = random_problem(model, np.random.default_rng(73))
+        assert ws.improve(rho, h, prev).interior.tolist() == incumbent
+        assert reference_improve(ws, rho, h, prev).interior.tolist() == incumbent
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(BUNDLED)), seed=st.integers(0, 2**32 - 1))
+    def test_improvement_never_raises_the_one_stage_value(self, models, workspaces, name, seed):
+        model, ws = models[name], workspaces[name]
+        rho, h, prev = random_problem(model, np.random.default_rng(seed))
+        improved = ws.improve(rho, h, prev)
+        v_prev = ws.one_stage_values(prev, rho, h)
+        v_new = ws.one_stage_values(improved, rho, h)
+        assert np.all(v_new <= v_prev + 1e-9 * (1.0 + np.max(np.abs(h)))), name
