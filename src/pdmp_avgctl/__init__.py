@@ -36,12 +36,6 @@ from .operators import (
     PolicyPath,
     KernelMatrix,
     OperatorWorkspace,
-    build_policy_path,
-    cum_rate,
-    op_L,
-    op_calL,
-    op_H,
-    op_G,
     kernel_matrix,
     refined_workspace,
 )

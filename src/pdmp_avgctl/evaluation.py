@@ -33,11 +33,18 @@ class ErgodicityError(EvaluationError):
     """The embedded chain looks reducible / non-ergodic under this policy."""
 
 
-def _subdominant_modulus(kernel: np.ndarray) -> float | None:
-    if kernel.shape[0] > 512:
-        return None
-    eigs = np.sort(np.abs(np.linalg.eigvals(kernel)))[::-1]
-    return float(eigs[1]) if eigs.size > 1 else 0.0
+def _subdominant_modulus(kernel: np.ndarray, steps: tuple) -> str:
+    """The second eigenvalue modulus up to n = 512, else what the iteration saw.
+
+    ``steps`` holds the l1 sizes of the iteration's last two steps; their
+    ratio estimates the modulus once the subdominant mode dominates.
+    """
+    if kernel.shape[0] <= 512:
+        eigs = np.sort(np.abs(np.linalg.eigvals(kernel)))[::-1]
+        return str(float(eigs[1]) if eigs.size > 1 else 0.0)
+    before, last = steps
+    ratio = last / before if before else None
+    return f"{ratio} (contraction ratio of the last two l1 steps)"
 
 
 def invariant_measure(kernel: np.ndarray, *, method: str = "auto",
@@ -81,15 +88,17 @@ def invariant_measure(kernel: np.ndarray, *, method: str = "auto",
         nu = np.full(n, 1.0 / n)
 
     # polish (and the pure-power path): nu <- nu G until l1-stationary
+    steps = (0.0, 0.0)
     for _ in range(max_iter):
         nxt = nu @ kernel
         nxt = nxt / nxt.sum()
-        if np.abs(nxt - nu).sum() <= tol:
+        steps = (steps[1], float(np.abs(nxt - nu).sum()))
+        if steps[1] <= tol:
             nu = nxt
             break
         nu = nxt
     else:
-        sub = _subdominant_modulus(kernel)
+        sub = _subdominant_modulus(kernel, steps)
         raise ErgodicityError(
             "invariant measure iteration did not converge; "
             f"estimated subdominant eigenvalue modulus: {sub}"

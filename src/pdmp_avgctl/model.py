@@ -532,7 +532,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     is given, geometric-ergodicity constants (a, kappa) are estimated from the
     decay of kernel powers on probe functions.
     """
-    from .operators import OperatorWorkspace, op_G
+    from .operators import OperatorWorkspace
     from .evaluation import invariant_measure, estimate_ergodic_constants
 
     c = model.constants
@@ -651,13 +651,10 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
                             for i in range(model.n_boundary)], dtype=np.int64)
             sweep_policies.append((f"const a{a}", FeedbackPolicy(interior, bnd)))
     for label, pol in sweep_policies:
-        paths = ws.policy_paths(pol)
-        for j, path in enumerate(paths):
-            gg = op_G(0.0, model.lyapunov_g, path)
-            s = bound[j] - gg
-            if s < slacks[j]:
-                slacks[j] = s
-                locs[j] = f"x={pts[j]} ({label})"
+        s = bound - ws.assemble(pol)[0] @ model.lyapunov_g
+        for j in np.flatnonzero(s < slacks):
+            slacks[j] = s[j]
+            locs[j] = f"x={pts[j]} ({label})"
     add("kernel-drift", slacks, locs)
 
     items.append(AuditItem("discounted-finiteness", "omitted", math.inf, "(not audited)",

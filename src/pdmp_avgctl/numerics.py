@@ -31,6 +31,24 @@ def phi1(z):
     return np.where(small, series, exact)
 
 
+def phi01(z):
+    """(phi0(z), phi1(z)) from one expm1, with the same series near z = 0."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < _SERIES_CUTOFF
+    zs = np.where(small, 1.0, z)
+    em = np.expm1(-zs)  # exp(-z) - 1
+    p0 = em / zs
+    np.negative(p0, out=p0)
+    p1 = p0 - 1.0  # (phi0 - exp(-z)) / z
+    p1 -= em
+    p1 /= zs
+    if small.any():
+        zz = z[small]
+        p0[small] = 1.0 - zz / 2.0 + zz * zz / 6.0
+        p1[small] = 0.5 - zz / 3.0 + zz * zz / 8.0
+    return p0, p1
+
+
 def interp_weights(coords: np.ndarray, x):
     """Bracketing indices and left weights for clamped linear interpolation.
 

@@ -1,29 +1,29 @@
 """Quadrature engine for the embedded-chain operators along flow lines.
 
-For a feedback policy the engine evaluates, per start state x,
+For a feedback policy u the engine gives, per start state x, the expected
+sojourn weight calL = int e^{-Lam} ds, the cost Lf + Hr (running cost along
+the flow plus the survival-weighted boundary charge) and the post-jump
+kernel G h = int e^{-Lam} Qh dLam + e^{-Lam(t*)} Q h(z, u_b), where Lam is
+the cumulative jump hazard along the flow, at zero discount.
 
-* the cumulative hazard  Lam(x, t) = int_0^t lambda(phi(x,s), u(.)) ds,
-* discounted flow integrals  L_a v = int e^{-a s - Lam} v ds,
-* the boundary term          H_a w = e^{-a t* - Lam(t*)} w(z, u_b),
-* the post-jump kernel       G_a h = int e^{-a s - Lam} Qh dLam + boundary part,
-
-on a mesh whose nodes include every grid-point passage time.  Each mesh
-interval integrates a linear interpolant of the data against the exactly
-integrated exponential survival weight (hazard frozen to its trapezoidal
-slope), so the jump-mass identity  G_0 1 = 1 - e^{-Lam(end)} + boundary mass
-telescopes to 1 in exact arithmetic and quadrature error comes only from the
-along-flow variation of the tables.
+The quadrature runs on a mesh whose nodes include every grid-point passage
+time.  Each mesh interval integrates a linear interpolant of the data against
+the exactly integrated exponential survival weight (hazard frozen to its
+trapezoidal slope), so the jump-mass identity  G 1 = 1 - e^{-Lam(end)} +
+boundary mass  telescopes to 1 in exact arithmetic and quadrature error comes
+only from the along-flow variation of the tables.
 
 The control along a line is piecewise constant per inter-grid segment: the
-action of the most recently passed grid point governs until the next one,
-which is what makes the policy-improvement march (a per-segment backward
-dynamic program) minimize over exactly the path class the operators evaluate.
-
-Improvement and the optimality certificate read per-segment one-stage tables
-(:class:`SegmentTables`), built once per workspace on first use: for every
-segment and action the sojourn weight, the running-cost integral, the
-survival across the segment and the sparse weights of Qh = Q h on the grid.
-Only rho and Qh change between calls, so neither step re-integrates the mesh.
+action of the most recently passed grid point governs until the next one.
+The quadrature is therefore written once, in :func:`_segment_tables`, which
+sums every (segment, action) pair's sojourn weight, running-cost integral,
+survival across the segment and sparse weights of Qh = Q h on the grid.
+Survival is multiplicative along a line (the flow's semigroup property), so
+:meth:`OperatorWorkspace.assemble` composes a policy's rows from its
+segments' entries, each weighted by the survival of the segments before it;
+improvement (a per-segment backward dynamic program) and the optimality
+certificate read the same tables, so all three minimize over and evaluate
+exactly the same path class.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowSpec, flow_direction, hit_time, _affine_passage, _tabulated_passage, advance
-from .numerics import phi0, phi1, interp_weights
+from .flow import (FlowSpec, advance, flow_direction, hit_time, _affine_passage, _tabulated_advance,
+                   _tabulated_passage)
+from .numerics import interp_weights, phi01
 
 DEFAULT_FILL = 8
 REFINE_TARGET = 5e-9
@@ -162,10 +163,11 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) 
             ystar = -flow.alpha0 / flow.alpha1
             states = ystar + (x - ystar) * np.exp(flow.alpha1 * times)
     else:
+        # node times never pass the line's end, so no boundary re-check
         states = np.empty_like(times)
         states[0] = x
         for k in range(dt.size):
-            states[k + 1] = advance(flow, states[k], float(dt[k]))
+            states[k + 1] = _tabulated_advance(flow, states[k], float(dt[k]))
     if hit:
         states[-1] = float(model.grid.boundary_points[boundary_index])
 
@@ -254,9 +256,9 @@ class PolicyPath:
     def flow_integral_tail_bound(self, alpha: float, v_sup: float) -> float:
         """Bound on the neglected tail of a flow integral past the horizon.
 
-        For op_L-type integrals of a value bounded by ``v_sup``: the state is
+        For flow integrals (L v) of a value bounded by ``v_sup``: the state is
         frozen past t_max, so the tail is at most v_sup * tail_weight / (alpha
-        + tail rate).  For op_G-type integrals use v_sup = sup |Qh| with
+        + tail rate).  For kernel integrals (G h) use v_sup = sup |Qh| with
         alpha >= 0, where the tail is at most v_sup * tail_weight outright.
         """
         if not self.truncated:
@@ -299,105 +301,15 @@ def _path_from_geometry(model, geom: _LineGeometry, policy) -> PolicyPath:
     )
 
 
-def _check_alpha(model, alpha: float) -> None:
-    if alpha < -model.constants.c - 1e-12:
-        raise ValueError(f"alpha={alpha} below -c={-model.constants.c}; operators undefined there")
-
-
-# ---------------------------------------------------------------------------
-# public operator surface
-# ---------------------------------------------------------------------------
-
-def cum_rate(path: PolicyPath, t: float) -> float:
-    """Cumulative jump hazard Lam(x, t) along the path; piecewise linear."""
-    if t < 0.0 or t > path.end_time * (1.0 + 1e-12) + 1e-15:
-        raise ValueError(f"t={t} outside the path horizon [0, {path.end_time}]")
-    return float(np.interp(t, path.times, path.cum_hazard))
-
-
-def _interval_weights(path: PolicyPath, alpha: float):
-    z = (alpha + path.hazard_slope) * path.dt
-    head = np.exp(-alpha * path.times[:-1] - path.cum_hazard[:-1])
-    return head, z, phi0(z), phi1(z)
-
-
-def op_L(alpha: float, v: np.ndarray, path: PolicyPath) -> float:
-    """Discounted flow integral of a (state, action) table along the path.
-
-    On lines truncated at the horizon the neglected tail is bounded by
-    ``path.flow_integral_tail_bound(alpha, sup |v|)``.
-    """
-    _check_alpha(path.model, alpha)
-    v = np.asarray(v, dtype=float)
-    head, _, p0, p1 = _interval_weights(path, alpha)
-    v_left, v_right = path.node_table_values(v)
-    return float(np.sum(head * path.dt * (v_left * p0 + (v_right - v_left) * p1)))
-
-
-def op_calL(alpha: float, path: PolicyPath) -> float:
-    """Expected discounted sojourn weight: op_L with v identically one."""
-    _check_alpha(path.model, alpha)
-    head, _, p0, _ = _interval_weights(path, alpha)
-    return float(np.sum(head * path.dt * p0))
-
-
-def op_H(alpha: float, w: np.ndarray, path: PolicyPath) -> float:
-    """Boundary-hit term; exactly zero when the line never reaches the boundary."""
-    _check_alpha(path.model, alpha)
-    if not path.hit:
-        return 0.0
-    surv = math.exp(-alpha * path.end_time - path.cum_hazard[-1])
-    return float(surv * np.asarray(w, dtype=float)[path.boundary_index, path.boundary_action])
-
-
-def op_G(alpha: float, h: np.ndarray, path: PolicyPath) -> float:
-    """Expected discounted value of h at the post-jump state."""
-    _check_alpha(path.model, alpha)
-    model = path.model
-    h = np.asarray(h, dtype=float)
-    qh = model.kernel_interior @ h  # (n_states, n_actions)
-    head, _, p0, p1 = _interval_weights(path, alpha)
-    qh_left, qh_right = path.node_table_values(qh)
-    mass = path.hazard_slope * path.dt
-    total = float(np.sum(head * mass * (qh_left * p0 + (qh_right - qh_left) * p1)))
-    if path.hit:
-        surv = math.exp(-alpha * path.end_time - path.cum_hazard[-1])
-        total += surv * float(model.kernel_boundary[path.boundary_index, path.boundary_action, :] @ h)
-    return total
-
-
-def _kernel_row(path: PolicyPath, alpha: float) -> np.ndarray:
-    model = path.model
-    n = model.n_states
-    n_a = model.n_actions
-    head, _, p0, p1 = _interval_weights(path, alpha)
-    mass = head * path.hazard_slope * path.dt
-    c_left = mass * (p0 - p1)
-    c_right = mass * p1
-    a = path.interval_actions
-    ilo = path.ilo
-    wlo = path.wlo
-    hi = np.minimum(ilo + 1, n - 1)
-    size = n * n_a
-    flat = (
-        np.bincount(ilo[:-1] * n_a + a, weights=c_left * wlo[:-1], minlength=size)
-        + np.bincount(hi[:-1] * n_a + a, weights=c_left * (1.0 - wlo[:-1]), minlength=size)
-        + np.bincount(ilo[1:] * n_a + a, weights=c_right * wlo[1:], minlength=size)
-        + np.bincount(hi[1:] * n_a + a, weights=c_right * (1.0 - wlo[1:]), minlength=size)
-    )
-    row = np.einsum("xa,xay->y", flat.reshape(n, n_a), model.kernel_interior)
-    if path.hit:
-        surv = math.exp(-alpha * path.end_time - path.cum_hazard[-1])
-        row = row + surv * model.kernel_boundary[path.boundary_index, path.boundary_action, :]
-    return row
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Embedded-chain kernel G(x, u_phi(x); .) restricted to the grid."""
+    """Embedded-chain kernel G(x, u_phi(x); .) restricted to the grid.
+
+    ``truncation_bound`` is the largest survival left at the horizon on a
+    line that never reaches the boundary: the jump mass its row leaves out.
+    """
 
     matrix: np.ndarray
-    alpha: float
     truncation_bound: float
 
     @property
@@ -418,9 +330,9 @@ class SegmentTables:
         + survival[s, a] * W
 
     where k runs over the entries with ``rows_k == s * n_a + a`` and
-    ``cols_k = grid index * n_a + a``.  These are the sums the interval
-    quadrature of :func:`op_L`, :func:`op_calL` and :func:`op_G` forms, taken
-    relative to the segment's start.
+    ``cols_k = grid index * n_a + a``.  Every integral is taken relative to
+    the segment's start, so a line's operators are its segments' entries
+    weighted by the survival of the segments before them.
     """
 
     sojourn: np.ndarray   # (S, n_a) sum of e^{-rel} d phi0 over the intervals
@@ -430,7 +342,9 @@ class SegmentTables:
     cols: np.ndarray      # (nnz,) grid index * n_a + a
     weights: np.ndarray   # (nnz,) weight of Qh at that grid point
     line_start: tuple     # (n + 1,) first segment of each line
-    anchors: tuple        # (S,) grid index whose action governs the segment
+    anchors: np.ndarray   # (S,) grid index whose action governs the segment
+    line: np.ndarray      # (S,) line of the segment
+    position: np.ndarray  # (S,) place of the segment on its line, from 0
 
     def values(self, rho: float, qh: np.ndarray) -> np.ndarray:
         """(S, n_a) one-stage value of each segment with nothing carried in."""
@@ -445,47 +359,71 @@ def _segment_tables(model, geometry) -> SegmentTables:
     action = np.arange(n_a)
     parts = []
     line_start = [0]
-    anchors = []
     for geom in geometry:
         starts = np.array([k0 for k0, _, _ in geom.seg_slices])
         ends = np.array([k1 for _, k1, _ in geom.seg_slices])
         seg = np.repeat(np.arange(starts.size), ends - starts)  # segment of each interval
         d = geom.dt[:, None]
         lam, f = geom.lam_nodes, geom.f_nodes
-        m = 0.5 * (lam[:-1] + lam[1:])
+        m = lam[:-1] + lam[1:]
+        m *= 0.5
         z = m * d
-        p0, p1 = phi0(z), phi1(z)
+        p0, p1 = phi01(z)
         cum = np.zeros((z.shape[0] + 1, n_a))
         np.cumsum(z, axis=0, out=cum[1:])
-        head = np.exp(-(cum[:-1] - cum[starts][seg])) * d  # survival since the segment's start
+        # survival since the segment's start, times the interval length
+        head = cum[starts][seg]
+        head -= cum[:-1]
+        np.exp(head, out=head)
+        head *= d
         sojourn = np.add.reduceat(head * p0, starts, axis=0)
-        cost = np.add.reduceat(head * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1), starts, axis=0)
+        q = p0 - p1
+        integrand = f[:-1] * q
+        integrand += f[1:] * p1
+        integrand *= head
+        cost = np.add.reduceat(integrand, starts, axis=0)
         survival = np.exp(-(cum[ends] - cum[starts]))
 
         # interval k weighs Qh at node k by m d (p0 - p1) and at node k + 1 by
-        # m d p1; a node reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[ilo + 1]
-        c_left = head * m * (p0 - p1)
-        c_right = head * m * p1
+        # m d p1, so a node inside a segment carries both neighbours' weights
+        # and a segment's end node its last interval's right weight.  A node
+        # reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[ilo + 1]; a segment spans a
+        # few consecutive grid points, so the weights are summed per
+        # (segment, grid point - the segment's lowest, action)
+        head *= m
+        right = head * p1
+        node = head
+        node *= q
+        first = node[starts[1:]].copy()
+        node[1:] += right[:-1]
+        node[starts[1:]] = first
         ilo, wlo = geom.ilo, geom.wlo[:, None]
         hi = np.minimum(ilo + 1, n - 1)
-        grid = np.concatenate([ilo[:-1], hi[:-1], ilo[1:], hi[1:]])
-        w = np.concatenate([c_left * wlo[:-1], c_left * (1.0 - wlo[:-1]),
-                            c_right * wlo[1:], c_right * (1.0 - wlo[1:])])
-        key = np.tile(seg, 4) * n + grid
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        w = np.add.reduceat(w[order], first, axis=0).ravel()
-        key = key[first]
-        rows = ((key // n + line_start[-1])[:, None] * n_a + action).ravel()
-        cols = ((key % n)[:, None] * n_a + action).ravel()
-        keep = w != 0.0
-        parts.append((sojourn, cost, survival, rows[keep], cols[keep], w[keep]))
+        base = np.minimum.reduceat(np.minimum(ilo[:-1], ilo[1:]), starts)
+        width = int(np.max(np.maximum(hi[:-1], hi[1:]) - base[seg])) + 1
+        size = starts.size * width * n_a
+        w = np.zeros(size)
+        for at, where, weight in ((seg, slice(0, -1), node), (np.arange(starts.size), ends, right[ends - 1])):
+            offset = at * width - base[at]
+            share = wlo[where]
+            for grid, part in ((ilo[where], weight * share), (hi[where], weight * (1.0 - share))):
+                key = (offset + grid)[:, None] * n_a + action
+                w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
+        flat = np.flatnonzero(w)
+        s, rest = np.divmod(flat, width * n_a)
+        off, a = np.divmod(rest, n_a)
+        rows = (s + line_start[-1]) * n_a + a
+        cols = (base[s] + off) * n_a + a
+        anchors = np.array([anchor for _, _, anchor in geom.seg_slices])
+        parts.append((sojourn, cost, survival, rows, cols, w[flat], anchors))
         line_start.append(line_start[-1] + starts.size)
-        anchors.extend(anchor for _, _, anchor in geom.seg_slices)
-    sojourn, cost, survival, rows, cols, weights = (np.concatenate(p) for p in zip(*parts))
+    sojourn, cost, survival, rows, cols, weights, anchors = (np.concatenate(p) for p in zip(*parts))
+    lengths = np.diff(line_start)
+    line = np.repeat(np.arange(len(geometry)), lengths)
+    position = np.arange(line.size) - np.repeat(line_start[:-1], lengths)
     return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, rows=rows, cols=cols,
-                         weights=weights, line_start=tuple(line_start), anchors=tuple(anchors))
+                         weights=weights, line_start=tuple(line_start), anchors=anchors,
+                         line=line, position=position)
 
 
 class OperatorWorkspace:
@@ -501,6 +439,8 @@ class OperatorWorkspace:
         self.fill = int(fill)
         ref = _reference_transit(model)
         self.geometry = [_build_geometry(model, j, self.fill, ref) for j in range(model.n_states)]
+        self._hit_lines = np.array([g.origin_index for g in self.geometry if g.hit], dtype=np.int64)
+        self._hit_boundary = np.array([g.boundary_index for g in self.geometry if g.hit], dtype=np.int64)
         self._assembled: dict = {}
         self._segments: SegmentTables | None = None
         self.refine_diff: float | None = None
@@ -514,24 +454,52 @@ class OperatorWorkspace:
     # -- assembled operator set ----------------------------------------------
 
     def assemble(self, policy, alpha: float = 0.0):
-        """(kernel, ell, cost, paths) for one policy at one discount shift."""
+        """(kernel, ell, cost, survival) of one policy, composed from the segment tables.
+
+        Line j reads segment s at the action of its anchor; with P_s the
+        product of the survivals of the line's earlier segments,
+
+            ell[j]  = sum_s P_s sojourn_s
+            cost[j] = sum_s P_s cost_s + P_end r(z, u_b)
+            G[j]    = sum_s P_s (Q weights_s) . Q_interior + P_end Q_boundary(z, u_b)
+
+        with the boundary terms on lines that hit it.  ``survival[j]`` is
+        P_end, the probability of no jump up to the line's end.  Only zero
+        discount is served; ``alpha`` is part of the cache key.
+        """
+        if alpha != 0.0:
+            raise ValueError(f"assemble serves only alpha = 0, got alpha={alpha}")
         key = (policy.key(), float(alpha))
         hitv = self._assembled.get(key)
         if hitv is not None:
             return hitv
         model = self.model
-        paths = self.policy_paths(policy)
-        n = model.n_states
-        kernel = np.empty((n, n))
-        ell = np.empty(n)
-        cost = np.empty(n)
-        for j, path in enumerate(paths):
-            kernel[j] = _kernel_row(path, alpha)
-            ell[j] = op_calL(alpha, path)
-            cost[j] = op_L(alpha, model.running_cost, path) + op_H(alpha, model.boundary_cost, path)
+        n, n_a = model.n_states, model.n_actions
+        tables = self.segment_tables()
+        seg = np.arange(tables.anchors.size)
+        act = policy.interior[tables.anchors]
+        # running products along each line, one row per line padded with ones
+        surv = np.ones((n, int(tables.position.max(initial=-1)) + 2))
+        surv[tables.line, tables.position + 1] = tables.survival[seg, act]
+        np.cumprod(surv, axis=1, out=surv)
+        prefix = surv[tables.line, tables.position]
+        survival = surv[:, -1].copy()
+        ell = np.bincount(tables.line, weights=prefix * tables.sojourn[seg, act], minlength=n)
+        cost = np.bincount(tables.line, weights=prefix * tables.cost[seg, act], minlength=n)
+        entry_seg, entry_act = np.divmod(tables.rows, n_a)
+        pick = entry_act == act[entry_seg]
+        entry_seg = entry_seg[pick]
+        flat = np.bincount(tables.line[entry_seg] * (n * n_a) + tables.cols[pick],
+                           weights=prefix[entry_seg] * tables.weights[pick], minlength=n * n * n_a)
+        kernel = flat.reshape(n, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
+        hit, z = self._hit_lines, self._hit_boundary
+        if hit.size:
+            b_act = policy.boundary[z]
+            kernel[hit] += survival[hit, None] * model.kernel_boundary[z, b_act]
+            cost[hit] += survival[hit] * model.boundary_cost[z, b_act]
         if len(self._assembled) > 256:
             self._assembled.clear()
-        out = (kernel, ell, cost, paths)
+        out = (kernel, ell, cost, survival)
         self._assembled[key] = out
         return out
 
@@ -585,6 +553,7 @@ class OperatorWorkspace:
         tables = self.segment_tables()
         values = tables.values(rho, qh_int).tolist()
         survival = tables.survival.tolist()
+        anchors = tables.anchors.tolist()
         feasible = model.action_grid.feasible
         mask = model.feasible_mask
         incumbents = prev.interior.tolist()
@@ -604,7 +573,7 @@ class OperatorWorkspace:
                 w_next = float(np.min(np.where(mask[last_anchor], station, np.inf)))
             j = geom.origin_index
             for s in range(tables.line_start[j + 1] - 1, tables.line_start[j] - 1, -1):
-                anchor = tables.anchors[s]
+                anchor = anchors[s]
                 v_s, b_s = values[s], survival[s]
                 pick, best = None, math.inf
                 for a in feasible[anchor]:
@@ -652,24 +621,13 @@ class OperatorWorkspace:
         return float(np.max(h[some] - best[some]))
 
 
-def build_policy_path(model, policy, state_index: int, *, fill: int = DEFAULT_FILL,
-                      workspace: OperatorWorkspace | None = None) -> PolicyPath:
-    """Feedback path of ``policy`` from one grid state."""
-    if workspace is not None:
-        return _path_from_geometry(model, workspace.geometry[state_index], policy)
-    geom = _build_geometry(model, state_index, fill)
-    return _path_from_geometry(model, geom, policy)
-
-
-def kernel_matrix(model, policy, alpha: float = 0.0, *,
-                  workspace: OperatorWorkspace | None = None,
+def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None,
                   fill: int = DEFAULT_FILL) -> KernelMatrix:
     """Embedded-chain kernel under a feedback policy, one row per grid state."""
-    _check_alpha(model, alpha)
     ws = workspace if workspace is not None else OperatorWorkspace(model, fill)
-    kernel, _, _, paths = ws.assemble(policy, alpha)
-    tail = max((p.tail_weight(alpha) for p in paths), default=0.0)
-    return KernelMatrix(matrix=kernel, alpha=alpha, truncation_bound=float(tail))
+    kernel, _, _, survival = ws.assemble(policy)
+    truncated = np.array([g.truncated for g in ws.geometry])
+    return KernelMatrix(matrix=kernel, truncation_bound=float(survival[truncated].max(initial=0.0)))
 
 
 def refined_workspace(model, policy, *, target: float = REFINE_TARGET,

@@ -65,6 +65,19 @@ class TestInvariantMeasure:
         assert not _one_closed_class(adj, 1)
         assert not _one_closed_class(adj, 3)
 
+    def test_non_convergence_above_512_states_reports_the_contraction_ratio(self):
+        # G = theta I + (1 - theta) 1 pi': every step shrinks nu - pi by
+        # exactly theta, the subdominant eigenvalue
+        n, theta = 600, 0.999
+        pi = np.random.default_rng(7).uniform(0.5, 1.5, n)
+        pi /= pi.sum()
+        kernel = theta * np.eye(n) + (1.0 - theta) * np.outer(np.ones(n), pi)
+        with pytest.raises(ErgodicityError, match=r"did not converge; estimated subdominant eigenvalue "
+                                                  r"modulus: \S+ \(contraction ratio") as info:
+            invariant_measure(kernel, method="power", max_iter=25)
+        ratio = float(str(info.value).split("modulus: ")[1].split()[0])
+        assert ratio == pytest.approx(theta, abs=1e-9)
+
     def test_substochastic_input_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             invariant_measure(np.array([[0.5, 0.3], [0.2, 0.8]]))

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 import pdmp_avgctl as pa
 from pdmp_avgctl.numerics import phi0, phi1
 from pdmp_avgctl.operators import (MIN_TAIL_INTERVALS, REFINE_TARGET, TIE_TOL, OperatorWorkspace, _passage_time,
-                                   _reference_transit, build_policy_path, cum_rate, kernel_matrix, op_G,
-                                   op_H, op_L, op_calL)
+                                   _reference_transit, kernel_matrix)
 
 from conftest import BUNDLED
+from reference_quadrature import (build_policy_path, cum_rate, op_G, op_H, op_L, op_calL,
+                                  reference_assemble)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -192,21 +193,70 @@ class TestKernelMatrix:
                 assert np.max(np.abs(km.row_sums - 1.0)) <= 1e-6, name
 
     def test_discounting_shrinks_rows(self, models, workspaces):
+        # the library serves alpha = 0 only; the reference quadrature discounts
         for name, model in models.items():
             policy = pa.FeedbackPolicy.lowest_feasible(model)
-            km = kernel_matrix(model, policy, alpha=model.constants.c, workspace=workspaces[name])
-            assert np.all(km.row_sums <= 1.0 + 1e-9), name
+            kernel, _, _ = reference_assemble(workspaces[name], policy, alpha=model.constants.c)
+            assert np.all(kernel.sum(axis=1) <= 1.0 + 1e-9), name
 
-    def test_matches_op_g_on_unit_vectors(self, trivial_rate2):
-        model = trivial_rate2
-        policy = pa.FeedbackPolicy.lowest_feasible(model)
-        km = kernel_matrix(model, policy, fill=32)
-        for j in range(model.n_states):
-            path = path_for(model, state_index=j)
-            for z in range(model.n_states):
+    def test_matches_op_g_on_unit_vectors(self, models, workspaces):
+        rng = np.random.default_rng(41)
+        for name, model in models.items():
+            ws = workspaces[name]
+            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            km = kernel_matrix(model, policy, workspace=ws)
+            paths = ws.policy_paths(policy)
+            for z in sorted({*range(0, model.n_states, max(1, model.n_states // 8)), model.n_states - 1}):
                 e = np.zeros(model.n_states)
                 e[z] = 1.0
-                assert km.matrix[j, z] == pytest.approx(op_G(0.0, e, path), abs=1e-12)
+                want = np.array([op_G(0.0, e, path) for path in paths])
+                assert np.max(np.abs(km.matrix[:, z] - want)) <= 1e-12, (name, z)
+
+    def test_truncation_bound_is_the_largest_tail_weight(self, models, workspaces):
+        doc = swap_cycle_doc(lam=(2.0, 2.0))
+        doc["flow"] = {"kind": "trivial", "t_max": 1.0}
+        truncated = pa.model_from_dict(doc)
+        cases = [(truncated, OperatorWorkspace(truncated, 16))]
+        cases += [(models[name], workspaces[name]) for name in BUNDLED]
+        for model, ws in cases:
+            policy = pa.FeedbackPolicy.lowest_feasible(model)
+            want = max(path.tail_weight(0.0) for path in ws.policy_paths(policy))
+            got = kernel_matrix(model, policy, workspace=ws).truncation_bound
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), model.name
+        # rate 2 up to the horizon t_max = 1
+        policy = pa.FeedbackPolicy.lowest_feasible(truncated)
+        assert kernel_matrix(truncated, policy).truncation_bound == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+    def test_assemble_serves_zero_discount_only(self, models, workspaces):
+        model = models["decay_flow_16"]
+        with pytest.raises(ValueError, match="alpha"):
+            workspaces["decay_flow_16"].assemble(pa.FeedbackPolicy.lowest_feasible(model), 0.3)
+
+
+class TestAssembleFromTables:
+    def test_matches_the_per_path_quadrature_on_bundled(self, models, workspaces):
+        rng = np.random.default_rng(43)
+        for name, model in models.items():
+            ws = workspaces[name]
+            for _ in range(5):
+                policy = pa.FeedbackPolicy.random_feasible(model, rng)
+                kernel, ell, cost, survival = ws.assemble(policy)
+                ref_kernel, ref_ell, ref_cost = reference_assemble(ws, policy)
+                assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12, name
+                assert np.max(np.abs(ell - ref_ell)) <= 1e-12, name
+                assert np.max(np.abs(cost - ref_cost)) <= 1e-12, name
+                ends = np.array([path.cum_hazard[-1] for path in ws.policy_paths(policy)])
+                assert np.max(np.abs(survival - np.exp(-ends))) <= 1e-12, name
+
+    def test_assembling_builds_no_policy_paths(self, models, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble built a policy path")
+
+        monkeypatch.setattr(pa.operators, "_path_from_geometry", refuse)
+        model = models["drift_boundary_64"]
+        kernel, ell, cost, survival = OperatorWorkspace(model, 8).assemble(pa.FeedbackPolicy.lowest_feasible(model))
+        assert kernel.shape == (model.n_states, model.n_states)
+        assert ell.shape == cost.shape == survival.shape == (model.n_states,)
 
 
 class TestBoundChain:

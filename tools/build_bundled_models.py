@@ -51,7 +51,7 @@ def sup_growth(model: pa.PdmpModel) -> float:
 
 def sup_kernel_drift_gap(model: pa.PdmpModel, k_g: float) -> float:
     """max over constant-action sweeps of Gg - k_g * g (so K_g must exceed it)."""
-    from pdmp_avgctl.operators import OperatorWorkspace, op_G
+    from pdmp_avgctl.operators import OperatorWorkspace
 
     ws = OperatorWorkspace(model, 32)
     worst = -np.inf
@@ -60,10 +60,8 @@ def sup_kernel_drift_gap(model: pa.PdmpModel, k_g: float) -> float:
                              for i in range(model.n_states)], dtype=np.int64)
         bnd = np.array([a if a in model.action_grid.boundary_feasible[i] else model.action_grid.boundary_feasible[i][0]
                         for i in range(model.n_boundary)], dtype=np.int64)
-        pol = pa.FeedbackPolicy(interior, bnd)
-        for j, path in enumerate(ws.policy_paths(pol)):
-            gg = op_G(0.0, model.lyapunov_g, path)
-            worst = max(worst, gg - k_g * model.lyapunov_g[j])
+        gg = ws.assemble(pa.FeedbackPolicy(interior, bnd))[0] @ model.lyapunov_g
+        worst = max(worst, float(np.max(gg - k_g * model.lyapunov_g)))
     return float(worst)
 
 
