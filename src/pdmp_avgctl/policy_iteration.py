@@ -1,16 +1,15 @@
 """Policy iteration: evaluate, improve by backward marching, certify.
 
 The improvement step solves, along every flow line, the one-stage
-minimization by a backward dynamic program whose per-segment one-step updates
-use exactly the same exponential quadrature as the operator engine.  The
-value of the returned policy therefore reproduces the march value, which is
-what makes the average cost non-increasing across iterations up to solver
-tolerance.
-
-Both the improvement and the optimality certificate read the workspace's
-per-segment one-stage tables (sojourn weight, running-cost integral, survival
-and Qh weights per segment and action), which are summed from the mesh once
-per workspace; an iteration only combines them with its rho and Qh = Q h.
+minimization by a backward dynamic program over the line's inter-grid
+segments.  Evaluation, improvement and the optimality certificate all read
+the workspace's per-segment one-stage tables (sojourn weight, running-cost
+integral, survival and Qh weights per segment and action), summed from the
+mesh once per workspace: evaluation composes the policy's operators from
+them, and an improvement or certificate combines them with its rho and
+Qh = Q h.  The value of the returned policy therefore reproduces the march
+value, which is what makes the average cost non-increasing across iterations
+up to solver tolerance.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 import pdmp_avgctl as pa
 from pdmp_avgctl.model import DimensionError, ModelFormatError
 
+from reference_quadrature import op_G
 from toy_models import swap_cycle_doc, two_state_jump_doc
 
 
@@ -168,6 +169,18 @@ class TestAuditAssumptions:
             report = pa.audit_assumptions(model, policy, workspace=workspaces[name])
             assert report.passed, f"{name}: {[i.name for i in report.items if i.status == 'fail']}"
             assert report.kappa_estimate is not None and report.kappa_estimate < 1.0
+
+    def test_kernel_drift_slacks_match_the_per_path_quadrature(self, models):
+        # slack k_g g + K_g - G g per line, G g integrated path by path
+        for name in ("drift_boundary_64", "decay_flow_16", "ctmdp_3state"):
+            model = models[name]
+            ws = pa.OperatorWorkspace(model)
+            c = model.constants
+            policy = pa.FeedbackPolicy.lowest_feasible(model)
+            item = pa.audit_assumptions(model, policy, workspace=ws).item("kernel-drift")
+            want = [c.k_g * model.lyapunov_g[j] + c.K_g - op_G(0.0, model.lyapunov_g, path)
+                    for j, path in enumerate(ws.policy_paths(policy))]
+            assert np.max(np.abs(np.array(item.slack_by_state) - want)) <= 1e-12, name
 
     def test_report_serializes(self, models):
         report = pa.audit_assumptions(models["ctmdp_2state"])

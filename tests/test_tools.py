@@ -6,6 +6,7 @@ tuners are checked here against the per-path reference quadrature.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,13 @@ def reference_kernel_drift_gap(model, k_g: float) -> float:
     return float(worst)
 
 
-@pytest.mark.parametrize("name", ["drift_boundary_64", "decay_flow_16"])
-def test_kernel_drift_gap_matches_the_reference_quadrature(recipes, name):
-    model = pa.load_model(pa.bundled_model_path(name))
+@pytest.mark.parametrize("name, g_scale", [("drift_boundary_64", 1.0), ("drift_boundary_64", 2.0),
+                                           ("decay_flow_16", 1.0)])
+def test_kernel_drift_gap_matches_the_reference_quadrature(recipes, name, g_scale):
+    # g_scale 2 keeps g above 1 everywhere, so k_g * g and k_g differ on every line
+    doc = json.loads(pa.bundled_model_path(name).read_text())
+    doc["lyapunov"]["g"] = [g_scale * g for g in doc["lyapunov"]["g"]]
+    model = pa.model_from_dict(doc)
     k_g = model.constants.k_g
     got = recipes.sup_kernel_drift_gap(model, k_g)
     assert abs(got - reference_kernel_drift_gap(model, k_g)) <= 1e-12
