@@ -8,9 +8,10 @@ G; with its invariant row nu the average cost per unit time is
 and the bias h is the unique solution of  h = -rho*calL + Lf + Hr + G h  with
 nu(h) = 0.  The policy's (G, calL, Lf + Hr) come from
 :meth:`OperatorWorkspace.assemble`, composed from the workspace's
-per-segment tables, the same sums improvement reads.  The default solver is a deflated direct linear solve; the
-geometric series  sum_k G^k w  is kept as an independent second method whose
-truncation is certified by estimated ergodicity constants.
+per-segment tables, the same sums improvement reads.  The default solver is
+a deflated direct linear solve; the geometric series  sum_k G^k w  is kept as
+an independent second method whose truncation is certified by estimated
+ergodicity constants.
 """
 
 from __future__ import annotations

@@ -479,7 +479,7 @@ class OperatorWorkspace:
         seg = np.arange(tables.anchors.size)
         act = policy.interior[tables.anchors]
         # running products along each line, one row per line padded with ones
-        surv = np.ones((n, int(tables.position.max(initial=-1)) + 2))
+        surv = np.ones((n, int(tables.position.max()) + 2))
         surv[tables.line, tables.position + 1] = tables.survival[seg, act]
         np.cumprod(surv, axis=1, out=surv)
         prefix = surv[tables.line, tables.position]
@@ -493,10 +493,9 @@ class OperatorWorkspace:
                            weights=prefix[entry_seg] * tables.weights[pick], minlength=n * n * n_a)
         kernel = flat.reshape(n, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
         hit, z = self._hit_lines, self._hit_boundary
-        if hit.size:
-            b_act = policy.boundary[z]
-            kernel[hit] += survival[hit, None] * model.kernel_boundary[z, b_act]
-            cost[hit] += survival[hit] * model.boundary_cost[z, b_act]
+        b_act = policy.boundary[z]
+        kernel[hit] += survival[hit, None] * model.kernel_boundary[z, b_act]
+        cost[hit] += survival[hit] * model.boundary_cost[z, b_act]
         if len(self._assembled) > 256:
             self._assembled.clear()
         out = (kernel, ell, cost, survival)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.numerics import phi0, phi1
+from pdmp_avgctl.numerics import phi0, phi01, phi1
 from pdmp_avgctl.operators import (MIN_TAIL_INTERVALS, REFINE_TARGET, TIE_TOL, OperatorWorkspace, _passage_time,
                                    _reference_transit, kernel_matrix)
 
@@ -480,6 +480,13 @@ def random_problem(model, rng):
 
 
 class TestSegmentTables:
+    def test_phi01_matches_phi0_and_phi1(self):
+        z = np.array([0.0, 1e-9, 5e-5, 9.99e-5, 1e-4, 1e-3, 0.1, 0.5, 1.0, 3.0, 30.0, 800.0])
+        p0, p1 = phi01(z)
+        assert np.array_equal(p0, phi0(z))
+        # phi1 divides a difference of order z by z: a few ulps of 1 over z
+        assert np.all(np.abs(p1 - phi1(z)) <= 1e-15 * np.maximum(1.0, 1.0 / np.maximum(z, 1e-300)))
+
     def test_tables_are_built_on_first_use_only(self, models):
         ws = OperatorWorkspace(models["drift_boundary_64"], 8)
         assert ws._segments is None
