@@ -33,7 +33,6 @@ from .model import (
     bundled_model_path,
 )
 from .operators import (
-    PolicyPath,
     KernelMatrix,
     OperatorWorkspace,
     kernel_matrix,
@@ -64,7 +63,6 @@ from .simulation import (
     SimulationExplosionError,
     McVerdict,
     prepare_simulation,
-    sample_sojourn,
     simulate,
     mc_validate,
 )

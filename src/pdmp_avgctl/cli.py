@@ -271,7 +271,7 @@ def cmd_simulate(config: RunConfig) -> int:
                         dict(_artifact_header(model), **verdict.to_dict()))
             print(f"verdict={'pass' if verdict.passed else 'fail'} "
                   f"mean={verdict.pooled_mean:.6g} se={verdict.pooled_se:.3g} rho={rho:.6g}")
-            exit_code = EXIT_OK
+            exit_code = EXIT_OK if verdict.passed else EXIT_VALIDATION
         else:
             record, summary = simulate(model, policy, config.x0, config.horizon, config.seed)
             _write_json(config.out_dir / "sim_summary.json",

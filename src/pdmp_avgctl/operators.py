@@ -203,105 +203,6 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) 
 
 
 @dataclass(frozen=True)
-class PolicyPath:
-    """The feedback path of a policy from one grid state, ready to integrate.
-
-    ``node_actions`` samples the feedback selector on the mesh (the interval
-    action is the left node's, matching the piecewise-constant-per-segment
-    control); ``cum_hazard`` holds Lam at the nodes.
-    """
-
-    model: object
-    origin_index: int
-    times: np.ndarray
-    states: np.ndarray
-    dt: np.ndarray
-    node_actions: np.ndarray      # (K+1,)
-    interval_actions: np.ndarray  # (K,)
-    lam_left: np.ndarray          # (K,)
-    lam_right: np.ndarray         # (K,)
-    hazard_slope: np.ndarray      # (K,) trapezoidal slope of Lam
-    cum_hazard: np.ndarray        # (K+1,)
-    hit: bool
-    boundary_index: int
-    boundary_action: int
-    t_star: float
-    truncated: bool
-    ilo: np.ndarray
-    wlo: np.ndarray
-
-    @property
-    def origin(self) -> float:
-        return float(self.states[0])
-
-    @property
-    def end_time(self) -> float:
-        return float(self.times[-1])
-
-    def node_table_values(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Table values at interval endpoints under each interval's action."""
-        a = self.interval_actions
-        ilo, wlo = self.ilo, self.wlo
-        nmax = table.shape[0] - 1
-        left = wlo[:-1] * table[ilo[:-1], a] + (1.0 - wlo[:-1]) * table[np.minimum(ilo[:-1] + 1, nmax), a]
-        right = wlo[1:] * table[ilo[1:], a] + (1.0 - wlo[1:]) * table[np.minimum(ilo[1:] + 1, nmax), a]
-        return left, right
-
-    def tail_weight(self, alpha: float) -> float:
-        """Survival weight left beyond the truncation horizon (0 when the line hits)."""
-        if not self.truncated:
-            return 0.0
-        return float(np.exp(-alpha * self.times[-1] - self.cum_hazard[-1]))
-
-    def flow_integral_tail_bound(self, alpha: float, v_sup: float) -> float:
-        """Bound on the neglected tail of a flow integral past the horizon.
-
-        For flow integrals (L v) of a value bounded by ``v_sup``: the state is
-        frozen past t_max, so the tail is at most v_sup * tail_weight / (alpha
-        + tail rate).  For kernel integrals (G h) use v_sup = sup |Qh| with
-        alpha >= 0, where the tail is at most v_sup * tail_weight outright.
-        """
-        if not self.truncated:
-            return 0.0
-        rate = float(self.lam_right[-1]) if self.dt.size else 0.0
-        denom = max(alpha + rate, 1e-12)
-        return abs(v_sup) * self.tail_weight(alpha) / denom
-
-
-def _path_from_geometry(model, geom: _LineGeometry, policy) -> PolicyPath:
-    a = policy.interior[geom.seg_anchor]
-    k_idx = np.arange(geom.dt.size)
-    lam_left = geom.lam_nodes[k_idx, a]
-    lam_right = geom.lam_nodes[k_idx + 1, a]
-    slope = 0.5 * (lam_left + lam_right)
-    cum = np.empty(geom.times.size)
-    cum[0] = 0.0
-    np.cumsum(slope * geom.dt, out=cum[1:])
-    boundary_action = int(policy.boundary[geom.boundary_index]) if geom.hit else -1
-    node_actions = np.append(a, a[-1])
-    return PolicyPath(
-        model=model,
-        origin_index=geom.origin_index,
-        times=geom.times,
-        states=geom.states,
-        dt=geom.dt,
-        node_actions=node_actions,
-        interval_actions=a,
-        lam_left=lam_left,
-        lam_right=lam_right,
-        hazard_slope=slope,
-        cum_hazard=cum,
-        hit=geom.hit,
-        boundary_index=geom.boundary_index,
-        boundary_action=boundary_action,
-        t_star=geom.t_star,
-        truncated=geom.truncated,
-        ilo=geom.ilo,
-        wlo=geom.wlo,
-    )
-
-
-@dataclass(frozen=True)
 class KernelMatrix:
     """Embedded-chain kernel G(x, u_phi(x); .) restricted to the grid.
 
@@ -445,11 +346,6 @@ class OperatorWorkspace:
         self._segments: SegmentTables | None = None
         self.refine_diff: float | None = None
         self.refine_converged: bool | None = None
-
-    # -- path construction ---------------------------------------------------
-
-    def policy_paths(self, policy) -> list[PolicyPath]:
-        return [_path_from_geometry(self.model, g, policy) for g in self.geometry]
 
     # -- assembled operator set ----------------------------------------------
 

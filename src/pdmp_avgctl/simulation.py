@@ -7,9 +7,14 @@ post-jump states drawn from the transition kernel.  Cost integrals reuse the
 operator engine's meshes so the simulated running cost and the solver's flow
 integrals are the same discretization.
 
-A jump costs O(log K) interpreted work on a K-node line: one binary search on
-the cumulative hazard (whose interval the running-cost integral reuses) and
-one on a precomputed cumulative kernel row, with uniforms drawn in blocks.
+A jump costs O(log K) interpreted work on a K-node line and makes no numpy
+call.  The line tables are memoryviews of their node arrays, which index to
+Python floats and are searched in place by :mod:`bisect` without a copy.  The
+sojourn is one ``bisect_right`` on the line's cumulative hazard, whose
+interval the running-cost integral reuses.  The post-jump state is one
+``bisect_left`` on a precomputed cumulative kernel row; between grid points,
+one on each neighbouring row brackets the search on their linear mixture.
+Uniforms are drawn from the stream in blocks.
 """
 
 from __future__ import annotations
@@ -41,21 +46,23 @@ class SimulationExplosionError(SimulationError):
 
 @dataclass(frozen=True, slots=True)
 class _Line:
-    """One start state's feedback path: the node arrays plus Python-float ends.
+    """One start state's feedback path: views of its node arrays plus Python-float ends.
 
-    The arrays are the operator engine's path arrays (``cost_cum``, ``f_left``
-    and ``f_right`` are derived once per policy); the scalars are what a
-    sojourn past the tabulated horizon needs.
+    Each table is a ``memoryview`` of a float64 (``actions``: int64) array:
+    indexing it gives a Python number and :mod:`bisect` searches it, without
+    copying the array.  ``times`` and ``states`` view the workspace's mesh;
+    the rest is derived once per policy.  The scalars are what a sojourn past
+    the tabulated horizon needs.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    hazard: np.ndarray       # cumulative hazard at nodes
-    slope: np.ndarray        # hazard slope per interval
-    cost_cum: np.ndarray     # cumulative running cost at nodes
-    f_left: np.ndarray
-    f_right: np.ndarray
-    actions: np.ndarray      # interval actions
+    times: memoryview
+    states: memoryview
+    hazard: memoryview       # cumulative hazard at nodes
+    slope: memoryview        # hazard slope per interval
+    cost_cum: memoryview     # cumulative running cost at nodes
+    f_left: memoryview
+    f_right: memoryview
+    actions: memoryview      # interval actions
     last: int                # index of the last interval
     hit: bool
     boundary_index: int
@@ -66,6 +73,46 @@ class _Line:
     f_tail: float
     state_tail: float
     action_tail: int
+
+
+def _line_tables(geom, policy) -> _Line:
+    """The feedback path of ``policy`` along one line of the mesh geometry.
+
+    Interval k runs under the action of its segment's anchor; the hazard
+    slope is the trapezoid of the jump rates at its two nodes and the running
+    cost is linear between its node values.
+    """
+    a = policy.interior[geom.seg_anchor]
+    k = np.arange(geom.dt.size)
+    lam_right = geom.lam_nodes[k + 1, a]
+    slope = 0.5 * (geom.lam_nodes[k, a] + lam_right)
+    hazard = np.empty(geom.times.size)
+    hazard[0] = 0.0
+    np.cumsum(slope * geom.dt, out=hazard[1:])
+    f_left, f_right = geom.f_nodes[k, a], geom.f_nodes[k + 1, a]
+    cost_cum = np.empty(geom.times.size)
+    cost_cum[0] = 0.0
+    np.cumsum(0.5 * geom.dt * (f_left + f_right), out=cost_cum[1:])
+    return _Line(
+        times=memoryview(geom.times),
+        states=memoryview(geom.states),
+        hazard=memoryview(hazard),
+        slope=memoryview(slope),
+        cost_cum=memoryview(cost_cum),
+        f_left=memoryview(f_left),
+        f_right=memoryview(f_right),
+        actions=memoryview(a),
+        last=int(geom.dt.size) - 1,
+        hit=geom.hit,
+        boundary_index=geom.boundary_index,
+        boundary_action=int(policy.boundary[geom.boundary_index]) if geom.hit else -1,
+        hazard_end=float(hazard[-1]),
+        end=float(geom.times[-1]),
+        lam_tail=float(lam_right[-1]),
+        f_tail=float(f_right[-1]),
+        state_tail=float(geom.states[-1]),
+        action_tail=int(a[-1]),
+    )
 
 
 class SimulationTables:
@@ -80,33 +127,7 @@ class SimulationTables:
         self.model = model
         self.policy = policy
         ws = workspace if workspace is not None else OperatorWorkspace(model)
-        self.lines = []
-        for path in ws.policy_paths(policy):
-            f_left, f_right = path.node_table_values(model.running_cost)
-            cost_cum = np.empty(path.times.size)
-            cost_cum[0] = 0.0
-            np.cumsum(0.5 * path.dt * (f_left + f_right), out=cost_cum[1:])
-            moves = path.dt.size > 0
-            self.lines.append(_Line(
-                times=path.times,
-                states=path.states,
-                hazard=path.cum_hazard,
-                slope=path.hazard_slope,
-                cost_cum=cost_cum,
-                f_left=f_left,
-                f_right=f_right,
-                actions=path.interval_actions,
-                last=int(path.dt.size) - 1,
-                hit=path.hit,
-                boundary_index=path.boundary_index,
-                boundary_action=path.boundary_action,
-                hazard_end=path.cum_hazard.item(-1),
-                end=path.times.item(-1),
-                lam_tail=path.lam_right.item(-1) if moves else 0.0,
-                f_tail=f_right.item(-1) if moves else 0.0,
-                state_tail=path.states.item(-1),
-                action_tail=path.interval_actions.item(-1) if moves else 0,
-            ))
+        self.lines = [_line_tables(geom, policy) for geom in ws.geometry]
         self.points = model.grid.points.tolist()
         self.interior_cum, self.interior_sum = _cumulative_rows(model.kernel_interior)
         self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
@@ -124,14 +145,32 @@ class SimulationTables:
         cumulative sums and sums, which can differ from those of the mixed
         row in the last bit, so a level within rounding of a cumulative value
         may land one state over.
+
+        That search is the first ``q`` whose mixed key ``w lo[q] + v hi[q]``
+        reaches the level.  The key is nondecreasing, and in exact arithmetic
+        it first reaches the level between the first crossings of ``lo`` and
+        of ``hi``; rounding can move it one index past either end.  So the
+        two crossings are found by ``bisect_left`` on each row, the key is
+        checked just outside the bracket at both ends and scanned inside it,
+        and a failed check falls back to the keyed bisect over all states.
         """
         points = self.points
         n = len(points)
         if hit:
             b, a = line.boundary_index, line.boundary_action
-            return min(bisect_left(self.boundary_cum[b][a], u * self.boundary_sum[b][a]), n - 1)
-        i = min(max(bisect_right(points, y) - 1, 0), n - 2)
-        w = 1.0 - min(max((y - points[i]) / (points[i + 1] - points[i]), 0.0), 1.0)
+            j = bisect_left(self.boundary_cum[b][a], u * self.boundary_sum[b][a])
+            return j if j < n else n - 1
+        i = bisect_right(points, y) - 1
+        if i < 0:
+            i = 0
+        elif i > n - 2:
+            i = n - 2
+        frac = (y - points[i]) / (points[i + 1] - points[i])
+        if frac < 0.0:
+            frac = 0.0
+        elif frac > 1.0:
+            frac = 1.0
+        w = 1.0 - frac
         cum, total = self.interior_cum, self.interior_sum
         if w == 1.0 or w == 0.0:
             r = i if w == 1.0 else i + 1
@@ -140,8 +179,17 @@ class SimulationTables:
             v = 1.0 - w
             lo, hi = cum[i][action], cum[i + 1][action]
             target = u * (w * total[i][action] + v * total[i + 1][action])
-            j = bisect_left(range(n), target, key=lambda q: w * lo[q] + v * hi[q])
-        return min(j, n - 1)
+            j = bisect_left(lo, target)
+            end = bisect_left(hi, target)
+            if end < j:
+                j, end = end, j
+            if (j == 0 or w * lo[j - 1] + v * hi[j - 1] < target) and \
+                    (end == n or w * lo[end] + v * hi[end] >= target):
+                while j < end and w * lo[j] + v * hi[j] < target:
+                    j += 1
+            else:
+                j = bisect_left(range(n), target, key=lambda q: w * lo[q] + v * hi[q])
+        return j if j < n else n - 1
 
 
 def _cumulative_rows(kernel: np.ndarray) -> tuple[list, list]:
@@ -154,62 +202,28 @@ def prepare_simulation(model, policy, *, workspace: OperatorWorkspace | None = N
     return SimulationTables(model, policy, workspace=workspace)
 
 
-def _draw_sojourn(line: _Line, u: float) -> tuple[float, bool, float, int, int]:
-    """(sojourn, hit_boundary, jump_state, jump_action, k) for one inter-jump leg.
-
-    Inverse transform of the uniform ``u`` on the tabulated cumulative
-    hazard; ``k`` is the mesh interval holding the sojourn, -1 past the table.
-    """
-    level = -math.log1p(-u)
-    if level >= line.hazard_end:
-        if line.hit:
-            return line.end, True, line.state_tail, line.boundary_action, -1
-        if line.lam_tail <= RATE_FLOOR:
-            raise SimulationError(
-                "drawn hazard level exceeds the tabulated horizon and the tail "
-                "jump rate is (numerically) zero; the model violates the "
-                "divergence the rate floor is supposed to guarantee"
-            )
-        return line.end + (level - line.hazard_end) / line.lam_tail, False, \
-            line.state_tail, line.action_tail, -1
-    hazard, times, states = line.hazard, line.times, line.states
-    k = min(max(int(hazard.searchsorted(level, "right")) - 1, 0), line.last)
-    m = line.slope.item(k)
-    t_k = times.item(k)
-    dt = times.item(k + 1) - t_k
-    sigma = (level - hazard.item(k)) / m if m > RATE_FLOOR else 0.0
-    frac = sigma / dt if dt > 0 else 0.0
-    y_k = states.item(k)
-    y = y_k + (states.item(k + 1) - y_k) * frac
-    return t_k + sigma, False, y, line.actions.item(k), k
-
-
 def _cost_to(line: _Line, tau: float, k: int = -1) -> float:
     """Running-cost integral over [0, tau] along ``line``.
 
-    ``k`` is a guess at the mesh interval holding ``tau`` (the sojourn's, from
-    :func:`_draw_sojourn`); it is used when ``tau`` lies in it, otherwise the
-    interval is searched for.
+    ``k`` is a guess at the mesh interval holding ``tau`` (the sojourn's);
+    it is used when ``tau`` lies in it, otherwise the interval is searched
+    for.
     """
     if tau >= line.end:
-        return line.cost_cum.item(-1) + (tau - line.end) * line.f_tail
+        return line.cost_cum[-1] + (tau - line.end) * line.f_tail
     times = line.times
-    if not (k >= 0 and times.item(k) <= tau < times.item(k + 1)):
-        k = min(max(int(times.searchsorted(tau, "right")) - 1, 0), line.last)
-    t_k = times.item(k)
-    dt = times.item(k + 1) - t_k
+    if not (k >= 0 and times[k] <= tau < times[k + 1]):
+        k = bisect_right(times, tau) - 1
+        if k < 0:
+            k = 0
+        elif k > line.last:
+            k = line.last
+    t_k = times[k]
+    dt = times[k + 1] - t_k
     sigma = tau - t_k
-    f_k = line.f_left.item(k)
-    f_at = f_k + (line.f_right.item(k) - f_k) * (sigma / dt if dt > 0 else 0.0)
-    return line.cost_cum.item(k) + 0.5 * sigma * (f_k + f_at)
-
-
-def sample_sojourn(model, policy, x: int, rng, *,
-                   tables: SimulationTables | None = None) -> tuple[float, bool]:
-    """Draw one inter-jump time from state index ``x``; flags boundary hits."""
-    tabs = tables if tables is not None else prepare_simulation(model, policy)
-    t, hit, _, _, _ = _draw_sojourn(tabs.lines[x], rng.random())
-    return t, hit
+    f_k = line.f_left[k]
+    f_at = f_k + (line.f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
+    return line.cost_cum[k] + 0.5 * sigma * (f_k + f_at)
 
 
 @dataclass(frozen=True)
@@ -265,15 +279,14 @@ def _rng_stream(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(replication)]))
 
 
-def _uniform_pairs(rng: np.random.Generator):
-    """The stream's uniforms two at a time, drawn in blocks.
+def _uniform_block(rng: np.random.Generator) -> list:
+    """The stream's next ``UNIFORM_BLOCK`` uniforms, as Python floats.
 
     ``rng.random(size)`` yields the same doubles as that many scalar
-    ``rng.random()`` calls, so the pairs are those of scalar draws.
+    ``rng.random()`` calls, so reading the blocks in order gives the scalar
+    draws.
     """
-    while True:
-        block = rng.random(UNIFORM_BLOCK).tolist()
-        yield from zip(block[::2], block[1::2])
+    return rng.random(UNIFORM_BLOCK).tolist()
 
 
 def simulate(model, policy, x0: int, horizon: float, seed: int, *,
@@ -305,7 +318,12 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     next_edge = edges[0]
 
     lines = tabs.lines
-    uniforms = _uniform_pairs(rng)
+    jump_target = tabs.jump_target
+    boundary_cost = tabs.boundary_cost
+    cost_to = _cost_to
+    log1p = math.log1p
+    block = _uniform_block(rng)
+    drawn = 0
     t = 0.0
     j = int(x0)
     cost_f = 0.0
@@ -316,25 +334,61 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
 
     while t < horizon:
         line = lines[j]
-        u_sojourn, u_jump = next(uniforms)
-        sojourn, hit, y_jump, act, k = _draw_sojourn(line, u_sojourn)
+        if drawn == UNIFORM_BLOCK:
+            block = _uniform_block(rng)
+            drawn = 0
+        u_jump = block[drawn + 1]
+        # the sojourn: inverse transform of the uniform on the cumulative
+        # hazard; k is the mesh interval holding it, -1 past the table
+        level = -log1p(-block[drawn])
+        drawn += 2
+        hazard_end = line.hazard_end
+        if level >= hazard_end:
+            k = -1
+            y_jump = line.state_tail
+            if line.hit:
+                sojourn, hit, act = line.end, True, line.boundary_action
+            elif line.lam_tail <= RATE_FLOOR:
+                raise SimulationError(
+                    "drawn hazard level exceeds the tabulated horizon and the tail "
+                    "jump rate is (numerically) zero; the model violates the "
+                    "divergence the rate floor is supposed to guarantee"
+                )
+            else:
+                sojourn, hit, act = line.end + (level - hazard_end) / line.lam_tail, False, \
+                    line.action_tail
+        else:
+            hazard, times, states = line.hazard, line.times, line.states
+            k = bisect_right(hazard, level) - 1
+            if k < 0:
+                k = 0
+            elif k > line.last:
+                k = line.last
+            m = line.slope[k]
+            t_k = times[k]
+            dt = times[k + 1] - t_k
+            sigma = (level - hazard[k]) / m if m > RATE_FLOOR else 0.0
+            frac = sigma / dt if dt > 0 else 0.0
+            y_k = states[k]
+            y_jump = y_k + (states[k + 1] - y_k) * frac
+            sojourn, hit, act = t_k + sigma, False, line.actions[k]
         t_next = t + sojourn
         # a jump landing exactly on the horizon still counts (T_i <= t convention)
         if t_next > horizon:
             while next_edge < horizon:
-                edge_costs.append(cost_f + cost_r + _cost_to(line, next_edge - t))
+                edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
                 next_edge = edges[len(edge_costs)]
-            cost_f += _cost_to(line, horizon - t)
+            cost_f += cost_to(line, horizon - t)
             t = horizon
             break
         while next_edge < t_next:
-            edge_costs.append(cost_f + cost_r + _cost_to(line, next_edge - t))
+            edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
             next_edge = edges[len(edge_costs)]
-        cost_f += _cost_to(line, sojourn, k)
+        cost_f += cost_to(line, sojourn, k)
         if hit:
-            cost_r += tabs.boundary_cost[line.boundary_index][line.boundary_action]
+            cost_r += boundary_cost[line.boundary_index][line.boundary_action]
             hits += 1
-        j = tabs.jump_target(hit, line, y_jump, act, u_jump)
+        j = jump_target(hit, line, y_jump, act, u_jump)
         jumps += 1
         t = t_next
         if record:

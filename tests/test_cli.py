@@ -59,6 +59,15 @@ class TestExitCodes:
         code = run_cli(["solve", "--model", path, "--strict-audit", "--out", tmp_path])
         assert code == 4
 
+    def test_failed_verdict_exits_1(self, write_model, tmp_path, capsys):
+        path = write_model(dominated_toy_doc(), "dom")
+        code = run_cli(["simulate", "--model", path, "--rho", "100", "--horizon", "200",
+                        "--reps", "4", "--seed", "1", "--out", tmp_path])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("verdict=fail ")
+        verdict = json.loads((tmp_path / "mc_summary.json").read_text())
+        assert verdict["passed"] is False and verdict["rho"] == 100.0
+
     def test_simulation_abort_maps_to_exit_5(self, bundled, tmp_path, monkeypatch):
         from pdmp_avgctl.simulation import SimulationExplosionError
 

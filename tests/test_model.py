@@ -7,7 +7,7 @@ import pytest
 import pdmp_avgctl as pa
 from pdmp_avgctl.model import DimensionError, ModelFormatError
 
-from reference_quadrature import op_G
+from reference_quadrature import op_G, policy_paths
 from toy_models import swap_cycle_doc, two_state_jump_doc
 
 
@@ -179,7 +179,7 @@ class TestAuditAssumptions:
             policy = pa.FeedbackPolicy.lowest_feasible(model)
             item = pa.audit_assumptions(model, policy, workspace=ws).item("kernel-drift")
             want = [c.k_g * model.lyapunov_g[j] + c.K_g - op_G(0.0, model.lyapunov_g, path)
-                    for j, path in enumerate(ws.policy_paths(policy))]
+                    for j, path in enumerate(policy_paths(ws, policy))]
             assert np.max(np.abs(np.array(item.slack_by_state) - want)) <= 1e-12, name
 
     def test_report_serializes(self, models):

@@ -28,9 +28,13 @@ def _random_feasible_sets(rng, count: int, n_a: int) -> list[list[int]]:
 
 
 @st.composite
-def random_model_docs(draw):
-    """A model document: toy dynamics with random sizes, rates, kernels and costs."""
-    flow = draw(st.sampled_from(FLOWS))
+def random_model_docs(draw, flow: str | None = None):
+    """A model document: toy dynamics with random sizes, rates, kernels and costs.
+
+    ``flow`` fixes the flow kind (one of ``FLOWS``); by default it is drawn.
+    """
+    if flow is None:
+        flow = draw(st.sampled_from(FLOWS))
     n = draw(st.integers(2, 6))
     n_a = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -11,7 +11,7 @@ from pdmp_avgctl.operators import (MIN_TAIL_INTERVALS, REFINE_TARGET, TIE_TOL, O
                                    _reference_transit, kernel_matrix)
 
 from conftest import BUNDLED
-from reference_quadrature import (build_policy_path, cum_rate, op_G, op_H, op_L, op_calL,
+from reference_quadrature import (build_policy_path, cum_rate, op_G, op_H, op_L, op_calL, policy_paths,
                                   reference_assemble)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
@@ -205,7 +205,7 @@ class TestKernelMatrix:
             ws = workspaces[name]
             policy = pa.FeedbackPolicy.random_feasible(model, rng)
             km = kernel_matrix(model, policy, workspace=ws)
-            paths = ws.policy_paths(policy)
+            paths = policy_paths(ws, policy)
             for z in sorted({*range(0, model.n_states, max(1, model.n_states // 8)), model.n_states - 1}):
                 e = np.zeros(model.n_states)
                 e[z] = 1.0
@@ -220,7 +220,7 @@ class TestKernelMatrix:
         cases += [(models[name], workspaces[name]) for name in BUNDLED]
         for model, ws in cases:
             policy = pa.FeedbackPolicy.lowest_feasible(model)
-            want = max(path.tail_weight(0.0) for path in ws.policy_paths(policy))
+            want = max(path.tail_weight(0.0) for path in policy_paths(ws, policy))
             got = kernel_matrix(model, policy, workspace=ws).truncation_bound
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300), model.name
         # rate 2 up to the horizon t_max = 1
@@ -245,18 +245,25 @@ class TestAssembleFromTables:
                 assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12, name
                 assert np.max(np.abs(ell - ref_ell)) <= 1e-12, name
                 assert np.max(np.abs(cost - ref_cost)) <= 1e-12, name
-                ends = np.array([path.cum_hazard[-1] for path in ws.policy_paths(policy)])
+                ends = np.array([path.cum_hazard[-1] for path in policy_paths(ws, policy)])
                 assert np.max(np.abs(survival - np.exp(-ends))) <= 1e-12, name
 
-    def test_assembling_builds_no_policy_paths(self, models, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("assemble built a policy path")
+    def test_assembling_builds_no_policy_paths(self, models):
+        # policy paths live only in the test reference: neither the operators
+        # nor the simulator has a path type or builder to fall back on
+        from pdmp_avgctl import operators, simulation
 
-        monkeypatch.setattr(pa.operators, "_path_from_geometry", refuse)
+        for module in (pa, operators, simulation):
+            for name in ("PolicyPath", "_path_from_geometry", "build_policy_path", "sample_sojourn"):
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(OperatorWorkspace, "policy_paths")
         model = models["drift_boundary_64"]
-        kernel, ell, cost, survival = OperatorWorkspace(model, 8).assemble(pa.FeedbackPolicy.lowest_feasible(model))
+        ws = OperatorWorkspace(model, 8)
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        kernel, ell, cost, survival = ws.assemble(policy)
         assert kernel.shape == (model.n_states, model.n_states)
         assert ell.shape == cost.shape == survival.shape == (model.n_states,)
+        assert len(pa.prepare_simulation(model, policy, workspace=ws).lines) == model.n_states
 
 
 class TestBoundChain:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import pdmp_avgctl as pa
 
 from oracles import model_arrays, uniformization_policy_value, uniformization_rvi
+from test_operator_properties import random_model_docs
 from toy_models import constant_cost_variant, dominated_toy_doc, renewal_doc, two_state_jump_doc
 
 
@@ -200,3 +202,31 @@ class TestTraceBoundedness:
             _, _, trace = pa.run_pia(model, u0, workspace=ws)
             for rec in trace.records:
                 assert rec.h_gnorm <= bound * 1.1 + 1e-9, (name, rec.n)
+
+
+# random trivial-flow CTMDPs: each example solves from a random feasible start
+PIA_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _solve_random_ctmdp(case):
+    doc, fill, seed = case
+    model = pa.model_from_dict(doc)
+    u0 = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed))
+    result, _, trace = pa.run_pia(model, u0, workspace=pa.OperatorWorkspace(model, fill))
+    return model, result, trace
+
+
+@PIA_PROPERTY_SETTINGS
+@given(case=random_model_docs(flow="trivial"))
+def test_pia_converges_with_rho_nonincreasing_on_random_ctmdps(case):
+    _, _, trace = _solve_random_ctmdp(case)
+    assert trace.status == "converged"
+    assert np.all(np.diff(trace.rhos) <= 1e-10), trace.rhos
+
+
+@PIA_PROPERTY_SETTINGS
+@given(case=random_model_docs(flow="trivial"))
+def test_pia_meets_the_uniformization_oracle_on_random_ctmdps(case):
+    model, result, _ = _solve_random_ctmdp(case)
+    rho_star, _ = uniformization_rvi(*model_arrays(model))
+    assert abs(result.rho - rho_star) <= 1e-6

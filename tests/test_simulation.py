@@ -1,11 +1,15 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.simulation import SimulationError, _cost_to, _rng_stream, _uniform_pairs
+from pdmp_avgctl.simulation import UNIFORM_BLOCK, SimulationError, _cost_to, _rng_stream, _uniform_block
 
+from reference_quadrature import policy_paths
+from test_operator_properties import random_model_docs
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
 
@@ -17,16 +21,18 @@ def renewal():
 
 
 class TestSampleSojourn:
+    """Sojourns drawn by :func:`simulate`, read off its trajectory records."""
+
     def test_exponential_law_by_ks(self, models):
         # constant rate 1.0 at state 0 under the lowest policy: sojourns are Exp(1)
         model = models["ctmdp_2state"]
         policy = pa.FeedbackPolicy.lowest_feasible(model)
-        tables = pa.prepare_simulation(model, policy)
-        rng = _rng_stream(1234, 0)
+        record, _ = pa.simulate(model, policy, 0, 2e5, seed=1234)
+        starts = np.concatenate(([0], record.post_jump_states[:-1]))
+        sojourns = np.diff(record.jump_times, prepend=0.0)[starts == 0]
         n = 100_000
-        draws = np.array([pa.sample_sojourn(model, policy, 0, rng, tables=tables)[0]
-                          for _ in range(n)])
-        draws.sort()
+        assert sojourns.size >= n
+        draws = np.sort(sojourns[:n])
         emp = np.arange(1, n + 1) / n
         cdf = 1.0 - np.exp(-draws)
         ks = max(np.max(np.abs(emp - cdf)), np.max(np.abs(emp - 1.0 / n - cdf)))
@@ -35,23 +41,22 @@ class TestSampleSojourn:
     def test_zero_rate_hits_boundary_deterministically(self, renewal):
         model, policy = renewal
         tables = pa.prepare_simulation(model, policy)
-        rng = _rng_stream(9, 0)
-        for _ in range(10):
-            t, hit = pa.sample_sojourn(model, policy, 4, rng, tables=tables)  # x = 0.25
-            assert t == pytest.approx(0.75, abs=1e-12)
-            assert hit is True
+        for rep in range(10):
+            record, _ = pa.simulate(model, policy, 4, 0.8, seed=9, replication=rep,
+                                    tables=tables)  # x = 0.25
+            assert record.jump_times[0] == pytest.approx(0.75, abs=1e-12)
+            assert record.hit_boundary[0]
 
     def test_interior_jump_does_not_flag_boundary(self, models):
         model = models["drift_boundary_64"]
         policy = pa.FeedbackPolicy.lowest_feasible(model)
         tables = pa.prepare_simulation(model, policy)
-        rng = _rng_stream(77, 0)
         saw_interior = False
-        for _ in range(50):
-            t, hit = pa.sample_sojourn(model, policy, 0, rng, tables=tables)
-            if not hit:
+        for rep in range(50):
+            record, _ = pa.simulate(model, policy, 0, 2.0, seed=77, replication=rep, tables=tables)
+            if not record.hit_boundary[0]:
                 saw_interior = True
-                assert t < 1.0
+                assert record.jump_times[0] < 1.0
         assert saw_interior
 
     def test_vanishing_tail_rate_is_an_error(self, write_model):
@@ -60,9 +65,30 @@ class TestSampleSojourn:
         doc["constants"]["lambda_lower"] = [0.0, 0.0]
         model = pa.load_model(write_model(doc))
         policy = pa.FeedbackPolicy.lowest_feasible(model)
-        rng = _rng_stream(5, 0)
         with pytest.raises(SimulationError, match="tail"):
-            pa.sample_sojourn(model, policy, 0, rng)
+            pa.simulate(model, policy, 0, 10.0, seed=5)
+
+
+class TestLineTables:
+    def test_match_the_reference_paths_bit_for_bit(self, models, workspaces):
+        # the tables are read off the mesh geometry with the arithmetic of the
+        # reference paths, so trajectories stay those of the path-built tables
+        rng = np.random.default_rng(61)
+        for name, model in models.items():
+            ws = workspaces[name]
+            for policy in (pa.FeedbackPolicy.lowest_feasible(model),
+                           pa.FeedbackPolicy.random_feasible(model, rng)):
+                tables = pa.prepare_simulation(model, policy, workspace=ws)
+                for line, path in zip(tables.lines, policy_paths(ws, policy)):
+                    f_left, f_right = path.node_table_values(model.running_cost)
+                    for got, want in ((line.times, path.times), (line.states, path.states),
+                                      (line.hazard, path.cum_hazard), (line.slope, path.hazard_slope),
+                                      (line.f_left, f_left), (line.f_right, f_right),
+                                      (line.actions, path.interval_actions)):
+                        assert np.array_equal(np.asarray(got), want), name
+                    assert (line.hit, line.boundary_index, line.boundary_action) == \
+                        (path.hit, path.boundary_index, path.boundary_action)
+                    assert line.lam_tail == path.lam_right[-1] and line.hazard_end == path.cum_hazard[-1]
 
 
 def reference_jump_target(model, line, hit, y, action, u):
@@ -79,10 +105,10 @@ def reference_jump_target(model, line, hit, y, action, u):
 
 class TestJumpDraws:
     def test_uniform_pairs_are_the_scalar_draws(self):
-        pairs = _uniform_pairs(_rng_stream(3, 1))
+        blocks = _rng_stream(3, 1)
+        draws = [u for _ in range(3) for u in _uniform_block(blocks)]  # crosses block boundaries
         scalar = _rng_stream(3, 1)
-        for _ in range(1500):  # crosses a block boundary
-            assert next(pairs) == (scalar.random(), scalar.random())
+        assert draws == [scalar.random() for _ in range(3 * UNIFORM_BLOCK)]
 
     @pytest.mark.parametrize("name", ["drift_boundary_64", "renewal_cycle", "ctmdp_3state"])
     def test_grid_point_and_boundary_draws_match_the_mixed_row_formula(self, models, name):
@@ -119,6 +145,81 @@ class TestJumpDraws:
                 row = w * model.kernel_interior[i, a] + (1.0 - w) * model.kernel_interior[i + 1, a]
                 gap = np.min(np.abs(np.cumsum(row) - u * row.sum()))
                 assert gap <= 1e-14, (y, a, u, got, want)
+
+
+def mixed_row(tables, y, action):
+    """(w, v, lo, hi, total): the kernel row mixed at ``y``, with the weights jump_target uses."""
+    points, n = tables.points, len(tables.points)
+    i = min(max(bisect_right(points, y) - 1, 0), n - 2)
+    w = 1.0 - min(max((y - points[i]) / (points[i + 1] - points[i]), 0.0), 1.0)
+    v = 1.0 - w
+    total = w * tables.interior_sum[i][action] + v * tables.interior_sum[i + 1][action]
+    return w, v, tables.interior_cum[i][action], tables.interior_cum[i + 1][action], total
+
+
+def keyed_jump_target(tables, y, action, u):
+    """The post-jump draw as the keyed bisect over every state of the mixed row."""
+    w, v, lo, hi, total = mixed_row(tables, y, action)
+    n = len(lo)
+    return min(bisect_left(range(n), u * total, key=lambda q: w * lo[q] + v * hi[q]), n - 1)
+
+
+def uniform_for(level: float, total: float) -> float:
+    """A uniform u with ``u * total == level`` where one exists next to ``level / total``."""
+    u = level / total
+    for cand in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)):
+        if 0.0 <= cand < 1.0 and cand * total == level:
+            return cand
+    return min(u, math.nextafter(1.0, 0.0))
+
+
+@st.composite
+def kernel_rows(draw):
+    """A trivial-flow model whose neighbouring kernel rows share cumulative values.
+
+    Rows get runs of zero mass, and a row's neighbour is often the same row
+    with its mass reshuffled inside one block, so both rows' cumulative sums
+    agree outside it: there the mixed key can round past both.
+    """
+    doc, _, _ = draw(random_model_docs(flow="trivial"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_a = len(doc["grid"]["points"]), len(doc["actions"]["values"])
+    rows = rng.dirichlet(np.full(n, 0.7), size=(n, n_a))
+    for x in range(n):
+        for a in range(n_a):
+            start, stop = sorted(rng.integers(0, n + 1, 2))
+            if rng.random() < 0.5 and stop - start < n:
+                rows[x, a, start:stop] = 0.0
+            if x > 0 and rng.random() < 0.6:
+                rows[x, a] = rows[x - 1, a]
+                rows[x, a, start:stop] = rng.permutation(rows[x, a, start:stop])
+            rows[x, a] /= rows[x, a].sum()
+    doc["kernel"]["interior"] = rows.tolist()
+    return pa.model_from_dict(doc), int(rng.integers(2**32))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=kernel_rows())
+def test_bracketed_draw_is_the_keyed_bisect(case):
+    # random levels, levels set exactly to a mixed-key value or a row's
+    # cumulative value, grid points and points within rounding of them
+    model, seed = case
+    tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model))
+    line = tables.lines[0]
+    points = tables.points
+    rng = np.random.default_rng(seed)
+    for i in range(len(points) - 1):
+        gap = points[i + 1] - points[i]
+        ys = [points[i], points[i + 1], math.nextafter(points[i], math.inf),
+              math.nextafter(points[i + 1], -math.inf)]
+        ys += (points[i] + gap * rng.random(4)).tolist()
+        for y in ys:
+            for a in range(model.n_actions):
+                w, v, lo, hi, total = mixed_row(tables, y, a)
+                levels = [w * p + v * q for p, q in zip(lo, hi)] + lo + hi
+                for u in rng.random(3).tolist() + [uniform_for(x, total) for x in levels]:
+                    assert tables.jump_target(False, line, y, a, u) == \
+                        keyed_jump_target(tables, y, a, u), (y, a, u)
 
 
 class TestRunningCost:

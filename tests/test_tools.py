@@ -15,7 +15,7 @@ import pytest
 import pdmp_avgctl as pa
 from pdmp_avgctl.operators import OperatorWorkspace
 
-from reference_quadrature import op_G
+from reference_quadrature import op_G, policy_paths
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "build_bundled_models.py"
 
@@ -35,7 +35,7 @@ def reference_kernel_drift_gap(model, k_g: float) -> float:
     for a in range(model.n_actions):
         interior = np.array([a if a in f else f[0] for f in model.action_grid.feasible], dtype=np.int64)
         bnd = np.array([a if a in f else f[0] for f in model.action_grid.boundary_feasible], dtype=np.int64)
-        for j, path in enumerate(ws.policy_paths(pa.FeedbackPolicy(interior, bnd))):
+        for j, path in enumerate(policy_paths(ws, pa.FeedbackPolicy(interior, bnd))):
             worst = max(worst, op_G(0.0, model.lyapunov_g, path) - k_g * model.lyapunov_g[j])
     return float(worst)
 
