@@ -195,6 +195,7 @@ def _evaluation_payload(model, policy, result) -> dict:
 def cmd_solve(config: RunConfig) -> int:
     from .evaluation import EvaluationError
     from .model import FeedbackPolicy, audit_assumptions, validate_model
+    from .operators import OperatorWorkspace, refined_workspace
     from .policy_iteration import run_pia
 
     model = _load_model_or_exit(config.model_path)
@@ -204,7 +205,9 @@ def cmd_solve(config: RunConfig) -> int:
 
     u0 = (_load_policy(model, config.policy_path) if config.policy_path
           else FeedbackPolicy.lowest_feasible(model))
-    report = audit_assumptions(model, u0)
+    # the audit's workspace is where refinement starts, so it is built once
+    start = OperatorWorkspace(model)
+    report = audit_assumptions(model, u0, workspace=start)
     if not report.passed:
         failing = [it.name for it in report.items if it.status == "fail"]
         if config.strict_audit:
@@ -213,7 +216,8 @@ def cmd_solve(config: RunConfig) -> int:
         print(f"warning: audit failed ({', '.join(failing)}); continuing", file=sys.stderr)
 
     try:
-        result, policy, trace = run_pia(model, u0, config.tol_rho, config.max_iter)
+        result, policy, trace = run_pia(model, u0, config.tol_rho, config.max_iter,
+                                        workspace=refined_workspace(model, u0, start=start))
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

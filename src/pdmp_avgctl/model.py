@@ -501,25 +501,52 @@ class AuditReport:
         }
 
 
-def _lower_hazard_nodes(model: PdmpModel, geom) -> np.ndarray:
-    """Cumulative integral of lambda_lower along one line's mesh nodes."""
-    lam_low = Table1D(model.grid.points, model.constants.lambda_lower)(geom.states)
-    return np.concatenate([[0.0], np.cumsum(0.5 * (lam_low[:-1] + lam_low[1:]) * geom.dt)])
+def _piece_integrals(model: PdmpModel, ws, rate: float, v_nodes=None):
+    """Per piece of ``ws``: int e^{rate s - int lambda_lower} v ds from its start, and the exponent at its end.
+
+    With ``v_nodes`` (values at the mesh nodes) the integrand v is linear
+    between nodes and the exponential weight frozen at each interval's left
+    node; without it v = 1 and the weight is integrated exactly (phi0).
+    """
+    mesh = ws.mesh
+    lam_low = Table1D(model.grid.points, model.constants.lambda_lower)(mesh.states)
+    left, dt = mesh.left, mesh.dt
+    z = (0.5 * (lam_low[left] + lam_low[left + 1]) - rate) * dt
+    rel = mesh.running_sums(z)
+    weight = np.exp(-rel[left]) * dt
+    weight *= _phi0(z) if v_nodes is None else 0.5 * (v_nodes[left] + v_nodes[left + 1])
+    return np.add.reduceat(weight, mesh.first[:-1]), rel[mesh.node_start[1:] - 1]
 
 
-def _exp_growth_integral(model: PdmpModel, geom) -> float:
-    """int_0^end exp(c t - int_0^t lambda_lower) dt on one line's mesh."""
-    lam_low = Table1D(model.grid.points, model.constants.lambda_lower)(geom.states)
-    m = 0.5 * (lam_low[:-1] + lam_low[1:]) - model.constants.c
-    z = m * geom.dt
-    cum = np.concatenate([[0.0], np.cumsum(z)])
-    return float(np.sum(np.exp(-cum[:-1]) * geom.dt * _phi0(z)))
+def _line_integral(model: PdmpModel, ws, rate: float, v_nodes=None) -> np.ndarray:
+    """Per line: :func:`_piece_integrals` over the whole line.
+
+    Each piece's integral is weighted by e^{rate t - int lambda_lower} at its
+    start, the product of the factors of the pieces before it, as
+    :meth:`OperatorWorkspace.assemble` weights by survival.
+    """
+    inner, exponent = _piece_integrals(model, ws, rate, v_nodes)
+    prefix, _ = ws.compose(np.exp(-exponent))
+    inc = ws.incidence
+    return np.bincount(inc.line, weights=prefix * inner[inc.piece], minlength=model.n_states)
 
 
-def _tail_decay(model: PdmpModel, geom) -> float:
-    """exp(c t - int lambda_lower) at the truncation horizon."""
-    total = float(_lower_hazard_nodes(model, geom)[-1])
-    return math.exp(model.constants.c * geom.times[-1] - total)
+def _exp_growth_integral(model: PdmpModel, ws) -> np.ndarray:
+    """Per line: int_0^end exp(c t - int_0^t lambda_lower) dt on the workspace's mesh."""
+    return _line_integral(model, ws, model.constants.c)
+
+
+def _lower_hazard(model: PdmpModel, ws) -> np.ndarray:
+    """Per line: int lambda_lower over the whole line."""
+    _, exponent = _piece_integrals(model, ws, 0.0)
+    inc = ws.incidence
+    return np.bincount(inc.line, weights=exponent[inc.piece], minlength=model.n_states)
+
+
+def _tail_decay(model: PdmpModel, ws) -> np.ndarray:
+    """Per line: exp(c t - int lambda_lower) at the line's end."""
+    ends = np.array([line.end for line in ws.lines])
+    return np.exp(model.constants.c * ends - _lower_hazard(model, ws))
 
 
 def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
@@ -569,7 +596,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
         [f"x={pts[i]}, a={int(worst_a[i])}" for i in range(n)])
 
     # boundary items only where some line actually reaches the boundary
-    reachable = sorted({g.boundary_index for g in ws.geometry if g.hit})
+    reachable = sorted({line.boundary_index for line in ws.lines if line.hit})
     if model.n_boundary and reachable:
         bmask = model.boundary_feasible_mask
         g_b = model.boundary_g()
@@ -601,22 +628,20 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     add("rate-floor", floor_slack, [f"x={pts[i]}" for i in range(n)])
 
     # expected-growth integral bounded by K_lambda
-    growth = np.array([_exp_growth_integral(model, g) for g in ws.geometry])
-    truncated_lines = [g for g in ws.geometry if g.truncated]
-    undecayed = [g for g in truncated_lines if _tail_decay(model, g) > 1e-9]
+    growth = _exp_growth_integral(model, ws)
+    truncated = np.array([line.truncated for line in ws.lines])
+    decay = _tail_decay(model, ws)[truncated]
+    undecayed = bool(np.any(decay > 1e-9))
     add("growth-integral", c.K_lambda - growth, [f"x={pts[i]}" for i in range(n)],
-        note="window-truncated on lines that never hit the boundary" if truncated_lines else "",
-        not_checkable=bool(undecayed))
+        note="window-truncated on lines that never hit the boundary" if truncated.any() else "",
+        not_checkable=undecayed)
 
     # large-time decay limits; only window decay is observable
-    if truncated_lines:
-        decay = max(_tail_decay(model, g) for g in truncated_lines)
+    if truncated.any():
         items.append(AuditItem("growth-decay-limit", "not_checkable", math.inf, "(limit)",
-                               f"window decay of exp(ct - int lambda_lower) at t_max: {decay:.3e}"))
-        g_end = max(
-            float(g_tab(geom.states[-1])) * math.exp(-float(_lower_hazard_nodes(model, geom)[-1]))
-            for geom in truncated_lines
-        )
+                               f"window decay of exp(ct - int lambda_lower) at t_max: {decay.max():.3e}"))
+        g_end = g_tab(ws.mesh.states[ws.mesh.node_start[ws.mesh.n_chain + 1:] - 1])
+        g_end = float(np.max((g_end * np.exp(-_lower_hazard(model, ws)))[truncated]))
         items.append(AuditItem("weight-decay-limit", "not_checkable", math.inf, "(limit)",
                                f"window decay of exp(-int lambda_lower) g at t_max: {g_end:.3e}"))
     else:
@@ -625,12 +650,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
 
     # discounted-by-lambda_lower running cost integrable
     fsup = np.where(fmask, model.running_cost, -np.inf).max(axis=1)
-    fsup_tab = Table1D(pts, fsup)
-    vals = []
-    for geom in ws.geometry:
-        cum = _lower_hazard_nodes(model, geom)
-        fv = fsup_tab(geom.states)
-        vals.append(float(np.sum(np.exp(-cum[:-1]) * geom.dt * 0.5 * (fv[:-1] + fv[1:]))))
+    vals = _line_integral(model, ws, 0.0, Table1D(pts, fsup)(ws.mesh.states))
     items.append(AuditItem("discounted-cost-integrable", "not_checkable" if undecayed else "pass",
                            math.inf, f"max over states: {max(vals):.6g}",
                            "finite on the truncation window"))

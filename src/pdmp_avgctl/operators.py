@@ -13,29 +13,38 @@ trapezoidal slope), so the jump-mass identity  G 1 = 1 - e^{-Lam(end)} +
 boundary mass  telescopes to 1 in exact arithmetic and quadrature error comes
 only from the along-flow variation of the tables.
 
-The control along a line is piecewise constant per inter-grid segment: the
-action of the most recently passed grid point governs until the next one.
-The quadrature is therefore written once, in :func:`_segment_tables`, which
-sums every (segment, action) pair's sojourn weight, running-cost integral,
-survival across the segment and sparse weights of Qh = Q h on the grid.
-Survival is multiplicative along a line (the flow's semigroup property), so
-:meth:`OperatorWorkspace.assemble` composes a policy's rows from its
-segments' entries, each weighted by the survival of the segments before it;
-improvement (a per-segment backward dynamic program) and the optimality
+The flow's semigroup property phi(x, s + t) = phi(phi(x, s), t) makes the line
+from grid point j its segment to the next grid point followed by the line
+from there.  So the mesh is built once per distinct *piece*, each timed from
+its own start: one per inter-grid segment (a grid point to the next in flow
+order), shared by every line that passes it, plus one exit piece per line,
+from the last grid point it passes to its boundary hit or the horizon
+``t_max``.  A line is a run of consecutive segments followed by its exit
+piece, and mesh and tables take O(n * fill) memory, not O(n^2 * fill).
+
+The control along a line is piecewise constant per piece: the action of the
+grid point a piece starts from governs it.  The quadrature is therefore
+written once, in :func:`_segment_tables`, which sums every (piece, action)
+pair's sojourn weight, running-cost integral, survival across the piece and
+sparse weights of Qh = Q h on the grid.  Survival is multiplicative along a
+line, so :meth:`OperatorWorkspace.assemble` composes a policy's rows from its
+pieces' entries, each weighted by the survival of the pieces before it;
+improvement (a per-piece backward dynamic program) and the optimality
 certificate read the same tables, so all three minimize over and evaluate
 exactly the same path class.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (FlowSpec, advance, flow_direction, hit_time, _affine_passage, _tabulated_advance,
-                   _tabulated_passage)
+from .flow import FlowSpec, advance, flow_direction, hit_time, _affine_passage, _tabulated_advance, \
+    _tabulated_passage
 from .numerics import interp_weights, phi01
 
 DEFAULT_FILL = 8
@@ -43,6 +52,8 @@ REFINE_TARGET = 5e-9
 MAX_FILL = 2048
 MIN_TAIL_INTERVALS = 8
 TIE_TOL = 1e-12
+# a grid point counts as passed when its passage time is below the line's end by this much
+PASS_MARGIN = 1e-15
 
 
 def _passage_time(flow: FlowSpec, x: float, z: float) -> float:
@@ -53,123 +64,209 @@ def _passage_time(flow: FlowSpec, x: float, z: float) -> float:
     return _tabulated_passage(flow, x, z)
 
 
+def _chain(model) -> tuple[np.ndarray, list]:
+    """Grid indices in flow order and the transit time between each consecutive pair.
+
+    A transit is ``inf`` where the flow never gets there (a fixed point on a
+    grid point).  A trivial flow moves nowhere, so it has no transits.
+    """
+    flow = model.flow
+    direction = flow_direction(flow)
+    order = np.arange(model.n_states)
+    if direction < 0:
+        order = order[::-1].copy()
+    if direction == 0:
+        return order, []
+    xs = model.grid.points[order].tolist()
+    return order, [_passage_time(flow, a, b) for a, b in zip(xs[:-1], xs[1:])]
+
+
 @dataclass(frozen=True)
-class _LineGeometry:
-    """Policy-independent mesh data for the flow line of one start state."""
+class _Piece:
+    """Policy-independent mesh of one piece, timed from the piece's start.
+
+    The arrays are views of the workspace's concatenated :class:`_Mesh`.
+    """
+
+    anchor: int              # grid index the piece starts from; its action governs the piece
+    times: np.ndarray        # (K+1,) from 0 to the piece's duration
+    states: np.ndarray       # (K+1,)
+    ilo: np.ndarray          # (K+1,) interior-grid interpolation indices
+    wlo: np.ndarray          # (K+1,)
+    lam_nodes: np.ndarray    # (K+1, n_actions) jump rate at nodes, all actions
+    f_nodes: np.ndarray      # (K+1, n_actions) running cost at nodes
+
+
+@dataclass(frozen=True)
+class _Mesh:
+    """The nodes of every piece, concatenated.
+
+    Piece p owns nodes ``node_start[p]:node_start[p + 1]`` and intervals
+    ``first[p]:first[p + 1]``; the inter-grid segments come first, in flow
+    order (piece q runs from flow position q to q + 1), then the exit piece
+    of each line in grid order.
+    """
+
+    node_start: np.ndarray   # (P+1,)
+    anchors: np.ndarray      # (P,)
+    n_chain: int             # number of inter-grid segments
+    times: np.ndarray        # (N,)
+    states: np.ndarray
+    ilo: np.ndarray
+    wlo: np.ndarray
+    lam_nodes: np.ndarray    # (N, n_actions)
+    f_nodes: np.ndarray
+
+    @functools.cached_property
+    def first(self) -> np.ndarray:
+        """(P+1,) first interval of each piece, and the interval count."""
+        return self.node_start - np.arange(self.node_start.size)
+
+    @functools.cached_property
+    def left(self) -> np.ndarray:
+        """(K,) the node at the left end of each interval."""
+        counts = np.diff(self.first)
+        return np.arange(self.first[-1]) + np.repeat(np.arange(counts.size), counts)
+
+    @property
+    def dt(self) -> np.ndarray:
+        return self.times[self.left + 1] - self.times[self.left]
+
+    def running_sums(self, z: np.ndarray) -> np.ndarray:
+        """Per node: the sum of the interval values ``z`` since its piece's start.
+
+        Each piece sums from its own first node (where the result is 0), so
+        the rounding of one piece never carries into the next.
+        """
+        out = np.zeros((self.times.size,) + z.shape[1:])
+        first = self.first.tolist()
+        for p, node in enumerate(self.node_start[:-1].tolist()):
+            k0, k1 = first[p], first[p + 1]
+            np.cumsum(z[k0:k1], axis=0, out=out[node + 1:node + 1 + k1 - k0])
+        return out
+
+    def pieces(self) -> list[_Piece]:
+        bounds = self.node_start.tolist()
+        return [_Piece(anchor=a, times=self.times[k0:k1], states=self.states[k0:k1],
+                       ilo=self.ilo[k0:k1], wlo=self.wlo[k0:k1], lam_nodes=self.lam_nodes[k0:k1],
+                       f_nodes=self.f_nodes[k0:k1])
+                for a, k0, k1 in zip(self.anchors.tolist(), bounds[:-1], bounds[1:])]
+
+
+@dataclass(frozen=True)
+class _FlowLine:
+    """The flow line of one start state: consecutive inter-grid segments, then its exit piece."""
 
     origin_index: int
-    times: np.ndarray          # (K+1,)
-    states: np.ndarray         # (K+1,)
-    dt: np.ndarray             # (K,)
-    seg_anchor: np.ndarray     # (K,) grid index whose action governs the interval
-    seg_slices: tuple          # ((k0, k1, anchor), ...) contiguous interval runs
-    ilo: np.ndarray            # (K+1,) interior-grid interpolation indices
-    wlo: np.ndarray            # (K+1,)
-    lam_nodes: np.ndarray      # (K+1, n_actions) jump rate at nodes, all actions
-    f_nodes: np.ndarray        # (K+1, n_actions) running cost at nodes
+    chain: range              # the inter-grid segments the line passes, in order
+    exit_piece: int
+    start: float              # passage time to the exit piece's grid point (0 without segments)
+    end: float                # t* on a hit, else t_max
     hit: bool
     boundary_index: int
     t_star: float
     truncated: bool
-    line_feasible: np.ndarray  # (n_actions,) feasible at every anchor of the line
+    line_feasible: np.ndarray  # (n_actions,) feasible at every grid point the line starts a piece from
+
+    @property
+    def pieces(self) -> tuple:
+        return (*self.chain, self.exit_piece)
 
 
-def _reference_transit(model) -> float:
-    """Shortest transit time between adjacent grid points, in flow direction."""
-    flow = model.flow
-    if flow.kind == "trivial":
-        return math.inf
-    points = model.grid.points
-    best = math.inf
-    for i in range(points.size - 1):
-        a, b = float(points[i]), float(points[i + 1])
-        if flow_direction(flow) > 0:
-            t = _passage_time(flow, a, b)
-        else:
-            t = _passage_time(flow, b, a)
-        if 0.0 < t < best:
-            best = t
-    return best
-
-
-def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) -> _LineGeometry:
-    flow = model.flow
-    points = model.grid.points
-    n = points.size
-    x = float(points[j])
-    if ref_transit is None:
-        ref_transit = _reference_transit(model)
-    t_star = hit_time(flow, x)
-    t_max = model.t_max
-    hit = t_star <= t_max
-    end = t_star if hit else t_max
-    truncated = not hit
-
-    boundary_index = -1
-    if hit:
-        z = advance(flow, x, t_star)
-        boundary_index = int(np.argmin(np.abs(model.grid.boundary_points - z)))
-
-    # grid-point passage times, in flow order, strictly inside (0, end)
-    direction = flow_direction(flow)
-    anchors = [j]
-    edges = [0.0]
-    if direction > 0:
-        downstream = range(j + 1, n)
-    elif direction < 0:
-        downstream = range(j - 1, -1, -1)
-    else:
-        downstream = ()
-    for i in downstream:
-        t = _passage_time(flow, x, float(points[i]))
-        if not (t < end - 1e-15):
-            break
-        anchors.append(i)
-        edges.append(t)
-    edges.append(end)
-
-    edges = np.asarray(edges)
-    dur = np.diff(edges)
-    lam_sup = model.lambda_sup
-    # per-segment interval counts: each interval at most 0.25 / lambda_sup
-    # long; a budget proportional to segment duration (relative to the
-    # model's shortest inter-grid transit), so contracting flows refine evenly
-    # in time and every line sees the same spacing; a truncated line's tail
-    # takes at least max(MIN_TAIL_INTERVALS, fill) intervals instead
+def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, lam_sup: float, base_h: float,
+                     fill: int) -> np.ndarray:
+    """Intervals per piece: each at most 0.25 / lambda_sup long, and a budget
+    proportional to the piece's duration (relative to the model's shortest
+    inter-grid transit), so contracting flows refine evenly in time and every
+    line sees the same spacing; a truncated line's tail takes at least
+    max(MIN_TAIL_INTERVALS, fill) intervals instead."""
     counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
-    base_h = ref_transit / fill
     budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
-    if truncated:
-        budget[-1] = max(MIN_TAIL_INTERVALS, fill)
-    counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+    budget[truncated_tail] = max(MIN_TAIL_INTERVALS, fill)
+    return np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
 
-    # node k of segment s sits at edges[s] + k * (dur[s] / counts[s]), the
-    # arithmetic of np.linspace; each segment ends exactly on its edge
-    seg = np.repeat(np.arange(dur.size), counts)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    k = np.arange(1, bounds[-1] + 1) - bounds[seg]
-    times = np.concatenate(([0.0], k * (dur / counts)[seg] + edges[seg]))
-    times[bounds[1:]] = edges[1:]
-    seg_anchor = np.asarray(anchors, dtype=np.int64)[seg]
-    seg_slices = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist(), anchors))
-    dt = np.diff(times)
+
+def _build_mesh(model, fill: int) -> tuple[_Mesh, list[_FlowLine]]:
+    """Every piece's mesh in one vectorized pass, and each line's list of pieces."""
+    flow = model.flow
+    points = model.grid.points
+    xs = points.tolist()
+    n = points.size
+    t_max = model.t_max
+    order, transit = _chain(model)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    n_chain = len(transit)
+    # the chain's running time gives every passage time up to rounding;
+    # only a passage within rounding of a line's end is decided exactly
+    elapsed = np.concatenate(([0.0], np.cumsum(transit)))
+
+    lines = []
+    blocked = np.vstack([np.zeros((1, model.n_actions), dtype=np.int64),
+                         np.cumsum(~model.feasible_mask[order], axis=0)])
+    for j, x in enumerate(xs):
+        t_star = hit_time(flow, x)
+        hit = t_star <= t_max
+        end = t_star if hit else t_max
+        boundary_index = -1
+        if hit:
+            z = advance(flow, x, t_star)
+            boundary_index = int(np.argmin(np.abs(model.grid.boundary_points - z)))
+        # grid points passed, in flow order: those whose passage time is below
+        # end - PASS_MARGIN, up to the first that is not
+        p = int(position[j])
+        q = p + 1
+        limit = end - PASS_MARGIN
+        if n_chain:
+            if math.isfinite(elapsed[p]):
+                slack = 1e-9 * (1.0 + abs(limit) + elapsed[p])
+                q = max(q, int(np.searchsorted(elapsed, elapsed[p] + limit - slack)))
+            while q < n and _passage_time(flow, x, xs[order[q]]) < limit:
+                q += 1
+        last = q - 1
+        start = 0.0 if last == p else _passage_time(flow, x, xs[order[last]])
+        feasible = (blocked[last + 1] - blocked[p]) == 0
+        lines.append(_FlowLine(origin_index=j, chain=range(p, last), exit_piece=n_chain + j,
+                               start=start, end=end, hit=hit, boundary_index=boundary_index,
+                               t_star=t_star, truncated=not hit, line_feasible=feasible))
+
+    # a segment no line reaches (its transit is infinite) is meshed with zero length
+    dur = np.array([t if math.isfinite(t) else 0.0 for t in transit]
+                   + [line.end - line.start for line in lines])
+    anchors = np.concatenate((order[:n_chain], [order[line.chain.stop] for line in lines])).astype(np.int64)
+    truncated_tail = np.zeros(dur.size, dtype=bool)
+    truncated_tail[n_chain:] = [line.truncated for line in lines]
+    shortest = min((t for t in transit if t > 0.0), default=math.inf)
+    counts = _interval_counts(dur, truncated_tail, model.lambda_sup, shortest / fill, fill)
+
+    # node k of a piece sits at k * (duration / count), the arithmetic of
+    # np.linspace; each piece ends exactly on its duration
+    node_start = np.concatenate(([0], np.cumsum(counts + 1)))
+    node_piece = np.repeat(np.arange(dur.size), counts + 1)
+    k = np.arange(node_start[-1]) - node_start[node_piece]
+    times = k * (dur / counts)[node_piece]
+    times[node_start[1:] - 1] = dur
+    origin = points[anchors][node_piece]
 
     if flow.kind == "trivial":
-        states = np.full_like(times, x)
+        states = origin
     elif flow.kind == "affine1d":
         if flow.alpha1 == 0.0:
-            states = x + flow.alpha0 * times
+            states = origin + flow.alpha0 * times
         else:
             ystar = -flow.alpha0 / flow.alpha1
-            states = ystar + (x - ystar) * np.exp(flow.alpha1 * times)
+            states = ystar + (origin - ystar) * np.exp(flow.alpha1 * times)
     else:
-        # node times never pass the line's end, so no boundary re-check
-        states = np.empty_like(times)
-        states[0] = x
-        for k in range(dt.size):
-            states[k + 1] = _tabulated_advance(flow, states[k], float(dt[k]))
-    if hit:
-        states[-1] = float(model.grid.boundary_points[boundary_index])
+        # node times never pass a piece's end, so no boundary re-check
+        states = origin.copy()
+        starts = np.zeros(times.size, dtype=bool)
+        starts[node_start[:-1]] = True
+        dt = np.diff(times).tolist()
+        for i in np.flatnonzero(~starts).tolist():
+            states[i] = _tabulated_advance(flow, states[i - 1], dt[i - 1])
+    for line in lines:
+        if line.hit:
+            states[node_start[line.exit_piece + 1] - 1] = float(model.grid.boundary_points[line.boundary_index])
 
     ilo, wlo = interp_weights(points, states)
     ilo_e, wlo_e = interp_weights(model.rate_coords, states)
@@ -181,25 +278,9 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) 
         wlo[:, None] * model.running_cost[ilo, :]
         + (1.0 - wlo)[:, None] * model.running_cost[np.minimum(ilo + 1, n - 1), :]
     )
-    line_feasible = model.feasible_mask[anchors].all(axis=0)
-
-    return _LineGeometry(
-        origin_index=j,
-        times=times,
-        states=states,
-        dt=dt,
-        seg_anchor=seg_anchor,
-        seg_slices=seg_slices,
-        ilo=ilo,
-        wlo=wlo,
-        lam_nodes=lam_nodes,
-        f_nodes=f_nodes,
-        hit=hit,
-        boundary_index=boundary_index,
-        t_star=t_star,
-        truncated=truncated,
-        line_feasible=line_feasible,
-    )
+    mesh = _Mesh(node_start=node_start, anchors=anchors, n_chain=n_chain, times=times, states=states,
+                 ilo=ilo, wlo=wlo, lam_nodes=lam_nodes, f_nodes=f_nodes)
+    return mesh, lines
 
 
 @dataclass(frozen=True)
@@ -220,144 +301,157 @@ class KernelMatrix:
 
 @dataclass(frozen=True)
 class SegmentTables:
-    """Policy-independent one-stage weights of every (line segment, action).
+    """Policy-independent one-stage weights of every (piece, action).
 
-    Segments are numbered line by line in flow order; line j owns segments
-    ``line_start[j]:line_start[j + 1]``.  With action a held over segment s
-    and the value W carried in at the segment's end, the one-stage value over
-    the segment is
+    With action a held over piece p and the value W carried in at the
+    piece's end, the one-stage value over the piece is
 
-        -rho * sojourn[s, a] + cost[s, a] + sum_k weights_k * Qh.flat[cols_k]
-        + survival[s, a] * W
+        -rho * sojourn[p, a] + cost[p, a] + sum_k weights_k * Qh.flat[cols_k]
+        + survival[p, a] * W
 
-    where k runs over the entries with ``rows_k == s * n_a + a`` and
+    where k runs over the entries with ``rows_k == p * n_a + a`` and
     ``cols_k = grid index * n_a + a``.  Every integral is taken relative to
-    the segment's start, so a line's operators are its segments' entries
-    weighted by the survival of the segments before them.
+    the piece's start, so a line's operators are its pieces' entries
+    weighted by the survival of the pieces before them.
     """
 
-    sojourn: np.ndarray   # (S, n_a) sum of e^{-rel} d phi0 over the intervals
-    cost: np.ndarray      # (S, n_a) running-cost integral
-    survival: np.ndarray  # (S, n_a) e^{-hazard across the segment}
-    rows: np.ndarray      # (nnz,) s * n_a + a
+    sojourn: np.ndarray   # (P, n_a) sum of e^{-rel} d phi0 over the intervals
+    cost: np.ndarray      # (P, n_a) running-cost integral
+    survival: np.ndarray  # (P, n_a) e^{-hazard across the piece}
+    rows: np.ndarray      # (nnz,) p * n_a + a, in piece order
     cols: np.ndarray      # (nnz,) grid index * n_a + a
     weights: np.ndarray   # (nnz,) weight of Qh at that grid point
-    line_start: tuple     # (n + 1,) first segment of each line
-    anchors: np.ndarray   # (S,) grid index whose action governs the segment
-    line: np.ndarray      # (S,) line of the segment
-    position: np.ndarray  # (S,) place of the segment on its line, from 0
+    anchors: np.ndarray   # (P,) grid index whose action governs the piece
 
     def values(self, rho: float, qh: np.ndarray) -> np.ndarray:
-        """(S, n_a) one-stage value of each segment with nothing carried in."""
+        """(P, n_a) one-stage value of each piece with nothing carried in."""
         q = np.bincount(self.rows, weights=self.weights * qh.ravel()[self.cols],
                         minlength=self.sojourn.size)
         return -rho * self.sojourn + self.cost + q.reshape(self.sojourn.shape)
 
 
-def _segment_tables(model, geometry) -> SegmentTables:
-    """One vectorized pass per line over its intervals, summed per segment."""
-    n, n_a = model.n_states, model.n_actions
-    action = np.arange(n_a)
-    parts = []
-    line_start = [0]
-    for geom in geometry:
-        starts = np.array([k0 for k0, _, _ in geom.seg_slices])
-        ends = np.array([k1 for _, k1, _ in geom.seg_slices])
-        seg = np.repeat(np.arange(starts.size), ends - starts)  # segment of each interval
-        d = geom.dt[:, None]
-        lam, f = geom.lam_nodes, geom.f_nodes
-        m = lam[:-1] + lam[1:]
-        m *= 0.5
-        z = m * d
-        p0, p1 = phi01(z)
-        cum = np.zeros((z.shape[0] + 1, n_a))
-        np.cumsum(z, axis=0, out=cum[1:])
-        # survival since the segment's start, times the interval length
-        head = cum[starts][seg]
-        head -= cum[:-1]
-        np.exp(head, out=head)
-        head *= d
-        sojourn = np.add.reduceat(head * p0, starts, axis=0)
-        q = p0 - p1
-        integrand = f[:-1] * q
-        integrand += f[1:] * p1
-        integrand *= head
-        cost = np.add.reduceat(integrand, starts, axis=0)
-        survival = np.exp(-(cum[ends] - cum[starts]))
+@dataclass(frozen=True)
+class Incidence:
+    """Which piece each line reads at each place.
 
-        # interval k weighs Qh at node k by m d (p0 - p1) and at node k + 1 by
-        # m d p1, so a node inside a segment carries both neighbours' weights
-        # and a segment's end node its last interval's right weight.  A node
-        # reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[ilo + 1]; a segment spans a
-        # few consecutive grid points, so the weights are summed per
-        # (segment, grid point - the segment's lowest, action)
-        head *= m
-        right = head * p1
-        node = head
-        node *= q
-        first = node[starts[1:]].copy()
-        node[1:] += right[:-1]
-        node[starts[1:]] = first
-        ilo, wlo = geom.ilo, geom.wlo[:, None]
-        hi = np.minimum(ilo + 1, n - 1)
-        base = np.minimum.reduceat(np.minimum(ilo[:-1], ilo[1:]), starts)
-        width = int(np.max(np.maximum(hi[:-1], hi[1:]) - base[seg])) + 1
-        size = starts.size * width * n_a
-        w = np.zeros(size)
-        for at, where, weight in ((seg, slice(0, -1), node), (np.arange(starts.size), ends, right[ends - 1])):
-            offset = at * width - base[at]
-            share = wlo[where]
-            for grid, part in ((ilo[where], weight * share), (hi[where], weight * (1.0 - share))):
-                key = (offset + grid)[:, None] * n_a + action
-                w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
-        flat = np.flatnonzero(w)
-        s, rest = np.divmod(flat, width * n_a)
-        off, a = np.divmod(rest, n_a)
-        rows = (s + line_start[-1]) * n_a + a
-        cols = (base[s] + off) * n_a + a
-        anchors = np.array([anchor for _, _, anchor in geom.seg_slices])
-        parts.append((sojourn, cost, survival, rows, cols, w[flat], anchors))
-        line_start.append(line_start[-1] + starts.size)
-    sojourn, cost, survival, rows, cols, weights, anchors = (np.concatenate(p) for p in zip(*parts))
-    lengths = np.diff(line_start)
-    line = np.repeat(np.arange(len(geometry)), lengths)
-    position = np.arange(line.size) - np.repeat(line_start[:-1], lengths)
-    return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, rows=rows, cols=cols,
-                         weights=weights, line_start=tuple(line_start), anchors=anchors,
-                         line=line, position=position)
+    Line j owns entries ``line_start[j]:line_start[j + 1]``, its pieces in
+    flow order.
+    """
+
+    line: np.ndarray        # (I,) line of the entry
+    position: np.ndarray    # (I,) place of the piece on its line, from 0
+    piece: np.ndarray       # (I,)
+    line_start: np.ndarray  # (n + 1,)
+
+
+def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
+    """One vectorized pass over every piece's intervals, summed per piece."""
+    n, n_a = model.n_states, model.n_actions
+    first = mesh.first
+    starts = first[:-1]
+    n_pieces = starts.size
+    left = mesh.left
+    d = mesh.dt[:, None]
+    lam, f = mesh.lam_nodes, mesh.f_nodes
+    m = lam[left] + lam[left + 1]
+    m *= 0.5
+    z = m * d
+    p0, p1 = phi01(z)
+    rel = mesh.running_sums(z)
+    # survival since the piece's start, times the interval length
+    head = np.exp(-rel[left])
+    head *= d
+    sojourn = np.add.reduceat(head * p0, starts, axis=0)
+    q = p0 - p1
+    integrand = f[left] * q
+    integrand += f[left + 1] * p1
+    integrand *= head
+    cost = np.add.reduceat(integrand, starts, axis=0)
+    survival = np.exp(-rel[mesh.node_start[1:] - 1])
+
+    # interval k weighs Qh at its left node by m d (p0 - p1) and at its right
+    # node by m d p1, so a node inside a piece carries both neighbours'
+    # weights.  A node reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[ilo + 1]; a
+    # piece spans a few consecutive grid points, so the weights are summed
+    # per (piece, grid point - the piece's lowest, action)
+    head *= m
+    node = np.zeros(lam.shape)
+    node[left] = head * q
+    node[left + 1] += head * p1
+    ilo, wlo = mesh.ilo, mesh.wlo[:, None]
+    hi = np.minimum(ilo + 1, n - 1)
+    node_piece = np.repeat(np.arange(n_pieces), np.diff(mesh.node_start))
+    base = np.minimum.reduceat(ilo, mesh.node_start[:-1])
+    width = int(np.max(hi - base[node_piece])) + 1
+    size = n_pieces * width * n_a
+    offset = node_piece * width - base[node_piece]
+    w = np.zeros(size)
+    for grid, part in ((ilo, node * wlo), (hi, node * (1.0 - wlo))):
+        key = (offset + grid)[:, None] * n_a + np.arange(n_a)
+        w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
+    flat = np.flatnonzero(w)
+    s, rest = np.divmod(flat, width * n_a)
+    off, a = np.divmod(rest, n_a)
+    return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, rows=s * n_a + a,
+                         cols=(base[s] + off) * n_a + a, weights=w[flat], anchors=mesh.anchors)
 
 
 class OperatorWorkspace:
-    """Caches per-line meshes so repeated policy evaluations stay cheap.
+    """Caches the piece meshes so repeated policy evaluations stay cheap.
 
-    The mesh geometry (grid-passage nodes plus per-segment fill) depends only
+    The mesh geometry (grid-passage nodes plus per-piece fill) depends only
     on the model, so every policy is integrated on identical nodes; that is
     what makes improvement values directly comparable across policies.
+    ``geometry`` lists the pieces, ``lines`` each start state's pieces.
     """
 
     def __init__(self, model, fill: int = DEFAULT_FILL):
         self.model = model
         self.fill = int(fill)
-        ref = _reference_transit(model)
-        self.geometry = [_build_geometry(model, j, self.fill, ref) for j in range(model.n_states)]
-        self._hit_lines = np.array([g.origin_index for g in self.geometry if g.hit], dtype=np.int64)
-        self._hit_boundary = np.array([g.boundary_index for g in self.geometry if g.hit], dtype=np.int64)
+        self.mesh, self.lines = _build_mesh(model, self.fill)
+        self.geometry = self.mesh.pieces()
+        self._hit_lines = np.array([g.origin_index for g in self.lines if g.hit], dtype=np.int64)
+        self._hit_boundary = np.array([g.boundary_index for g in self.lines if g.hit], dtype=np.int64)
         self._assembled: dict = {}
         self._segments: SegmentTables | None = None
         self.refine_diff: float | None = None
         self.refine_converged: bool | None = None
 
+    @functools.cached_property
+    def incidence(self) -> Incidence:
+        """Each line's pieces as flat arrays, built on first use."""
+        lengths = np.array([len(line.chain) + 1 for line in self.lines], dtype=np.int64)
+        line_start = np.concatenate(([0], np.cumsum(lengths)))
+        line = np.repeat(np.arange(lengths.size), lengths)
+        position = np.arange(line.size) - line_start[line]
+        chain_start = np.array([line.chain.start for line in self.lines], dtype=np.int64)
+        piece = np.where(position < lengths[line] - 1, chain_start[line] + position,
+                         self.mesh.n_chain + line)
+        return Incidence(line=line, position=position, piece=piece, line_start=line_start)
+
+    def compose(self, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Running products of a per-piece ``factor`` along every line.
+
+        Returns, per incidence entry, the product over the line's earlier
+        pieces, and per line the product over all of its pieces.
+        """
+        inc = self.incidence
+        prod = np.ones((len(self.lines), int(inc.position.max()) + 2))
+        prod[inc.line, inc.position + 1] = factor[inc.piece]
+        np.cumprod(prod, axis=1, out=prod)
+        return prod[inc.line, inc.position], prod[:, -1].copy()
+
     # -- assembled operator set ----------------------------------------------
 
     def assemble(self, policy, alpha: float = 0.0):
-        """(kernel, ell, cost, survival) of one policy, composed from the segment tables.
+        """(kernel, ell, cost, survival) of one policy, composed from the piece tables.
 
-        Line j reads segment s at the action of its anchor; with P_s the
-        product of the survivals of the line's earlier segments,
+        Piece p runs at the action of its anchor; with P_p the product of the
+        survivals of the line's earlier pieces,
 
-            ell[j]  = sum_s P_s sojourn_s
-            cost[j] = sum_s P_s cost_s + P_end r(z, u_b)
-            G[j]    = sum_s P_s (Q weights_s) . Q_interior + P_end Q_boundary(z, u_b)
+            ell[j]  = sum_p P_p sojourn_p
+            cost[j] = sum_p P_p cost_p + P_end r(z, u_b)
+            G[j]    = sum_p P_p (Q weights_p) . Q_interior + P_end Q_boundary(z, u_b)
 
         with the boundary terms on lines that hit it.  ``survival[j]`` is
         P_end, the probability of no jump up to the line's end.  Only zero
@@ -372,21 +466,22 @@ class OperatorWorkspace:
         model = self.model
         n, n_a = model.n_states, model.n_actions
         tables = self.segment_tables()
-        seg = np.arange(tables.anchors.size)
+        inc = self.incidence
+        pieces = np.arange(tables.anchors.size)
         act = policy.interior[tables.anchors]
-        # running products along each line, one row per line padded with ones
-        surv = np.ones((n, int(tables.position.max()) + 2))
-        surv[tables.line, tables.position + 1] = tables.survival[seg, act]
-        np.cumprod(surv, axis=1, out=surv)
-        prefix = surv[tables.line, tables.position]
-        survival = surv[:, -1].copy()
-        ell = np.bincount(tables.line, weights=prefix * tables.sojourn[seg, act], minlength=n)
-        cost = np.bincount(tables.line, weights=prefix * tables.cost[seg, act], minlength=n)
-        entry_seg, entry_act = np.divmod(tables.rows, n_a)
-        pick = entry_act == act[entry_seg]
-        entry_seg = entry_seg[pick]
-        flat = np.bincount(tables.line[entry_seg] * (n * n_a) + tables.cols[pick],
-                           weights=prefix[entry_seg] * tables.weights[pick], minlength=n * n * n_a)
+        prefix, survival = self.compose(tables.survival[pieces, act])
+        ell = np.bincount(inc.line, weights=prefix * tables.sojourn[pieces, act][inc.piece], minlength=n)
+        cost = np.bincount(inc.line, weights=prefix * tables.cost[pieces, act][inc.piece], minlength=n)
+        # every incidence entry takes its piece's Q weights at the piece's
+        # action (``pick``, grouped by piece), scaled by the entry's prefix
+        entry_piece, entry_act = np.divmod(tables.rows, n_a)
+        pick = np.flatnonzero(entry_act == act[entry_piece])
+        bounds = np.searchsorted(entry_piece[pick], np.arange(pieces.size + 1))
+        lo, count = bounds[inc.piece], np.diff(bounds)[inc.piece]
+        owner = np.repeat(np.arange(inc.piece.size), count)
+        entry = pick[np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count) + lo[owner]]
+        flat = np.bincount(inc.line[owner] * (n * n_a) + tables.cols[entry],
+                           weights=prefix[owner] * tables.weights[entry], minlength=n * n * n_a)
         kernel = flat.reshape(n, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
         hit, z = self._hit_lines, self._hit_boundary
         b_act = policy.boundary[z]
@@ -424,19 +519,19 @@ class OperatorWorkspace:
         return best_act, best_val
 
     def segment_tables(self) -> SegmentTables:
-        """The per-segment one-stage tables, built on first use."""
+        """The per-piece one-stage tables, built on first use."""
         if self._segments is None:
-            self._segments = _segment_tables(self.model, self.geometry)
+            self._segments = _segment_tables(self.model, self.mesh)
         return self._segments
 
     def improve(self, rho: float, h: np.ndarray, prev):
         """Backward march of the one-stage value along each line; argmin policy.
 
-        Within each inter-grid segment the candidate action is frozen, so the
-        march minimizes over exactly the piecewise-constant-per-segment paths
-        the operators integrate, and the chosen policy's one-stage value
-        reproduces the march value.  Each segment's value is read from the
-        segment tables.
+        Within each piece the candidate action is frozen, so the march
+        minimizes over exactly the piecewise-constant-per-piece paths the
+        operators integrate, and the chosen policy's one-stage value
+        reproduces the march value.  Each piece's value is read from the
+        piece tables.
         """
         from .model import FeedbackPolicy
 
@@ -454,22 +549,21 @@ class OperatorWorkspace:
         incumbents = prev.interior.tolist()
 
         new_interior = np.empty(n, dtype=np.int64)
-        for geom in self.geometry:
-            if geom.hit:
-                w_next = float(b_val[geom.boundary_index])
+        for line in self.lines:
+            if line.hit:
+                w_next = float(b_val[line.boundary_index])
             else:
                 # past the horizon the state is frozen: the stationary value
                 # (f - rho + lambda Qh) / lambda of the best feasible action
-                ilo, wlo = geom.ilo[-1], geom.wlo[-1]
+                tail = self.geometry[line.exit_piece]
+                ilo, wlo = tail.ilo[-1], tail.wlo[-1]
                 qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[min(ilo + 1, n - 1), :]
-                lam_T = np.maximum(geom.lam_nodes[-1], 1e-12)
-                station = (geom.f_nodes[-1] - rho + geom.lam_nodes[-1] * qh_end) / lam_T
-                last_anchor = geom.seg_slices[-1][2]
-                w_next = float(np.min(np.where(mask[last_anchor], station, np.inf)))
-            j = geom.origin_index
-            for s in range(tables.line_start[j + 1] - 1, tables.line_start[j] - 1, -1):
-                anchor = anchors[s]
-                v_s, b_s = values[s], survival[s]
+                lam_T = np.maximum(tail.lam_nodes[-1], 1e-12)
+                station = (tail.f_nodes[-1] - rho + tail.lam_nodes[-1] * qh_end) / lam_T
+                w_next = float(np.min(np.where(mask[tail.anchor], station, np.inf)))
+            for p in reversed(line.pieces):
+                anchor = anchors[p]
+                v_s, b_s = values[p], survival[p]
                 pick, best = None, math.inf
                 for a in feasible[anchor]:
                     val = v_s[a] + b_s[a] * w_next
@@ -480,7 +574,7 @@ class OperatorWorkspace:
                                     <= best + TIE_TOL * max(1.0, abs(best))):
                     pick = incumbent
                 w_next = v_s[pick] + b_s[pick] * w_next
-            new_interior[j] = pick
+            new_interior[line.origin_index] = pick
         return FeedbackPolicy(interior=new_interior, boundary=b_act)
 
     def optimality_residual(self, rho: float, h: np.ndarray, policy) -> float:
@@ -488,8 +582,8 @@ class OperatorWorkspace:
 
         Each feasible action is held constant along the whole flow line (the
         boundary choice is optimized separately); actions infeasible at some
-        anchor of the line are excluded.  A line's sweep values follow the
-        recursion W <- value_s + survival_s * W over its segments, backward,
+        piece of the line are excluded.  A line's sweep values follow the
+        recursion W <- value_p + survival_p * W over its pieces, backward,
         run for all lines at once by position from the line's end.
         """
         model = self.model
@@ -498,17 +592,17 @@ class OperatorWorkspace:
         _, b_val = self.boundary_minima(h)
         tables = self.segment_tables()
         values, survival = tables.values(rho, qh_int), tables.survival
-        ends = np.asarray(tables.line_start[1:])
-        lengths = ends - np.asarray(tables.line_start[:-1])
+        inc = self.incidence
+        ends = inc.line_start[1:]
+        lengths = np.diff(inc.line_start)
         w = np.zeros((model.n_states, model.n_actions))
-        for geom in self.geometry:
-            if geom.hit:
-                w[geom.origin_index] = b_val[geom.boundary_index]
+        if self._hit_lines.size:
+            w[self._hit_lines] = b_val[self._hit_boundary, None]
         for t in range(int(lengths.max(initial=0))):
             live = np.flatnonzero(lengths > t)
-            s = ends[live] - 1 - t
-            w[live] = values[s] + survival[s] * w[live]
-        feasible = np.array([geom.line_feasible for geom in self.geometry])
+            p = inc.piece[ends[live] - 1 - t]
+            w[live] = values[p] + survival[p] * w[live]
+        feasible = np.array([line.line_feasible for line in self.lines])
         some = feasible.any(axis=1)
         if not some.any():
             raise ValueError("no flow line admits a feasible frozen-action sweep")
@@ -521,22 +615,24 @@ def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None,
     """Embedded-chain kernel under a feedback policy, one row per grid state."""
     ws = workspace if workspace is not None else OperatorWorkspace(model, fill)
     kernel, _, _, survival = ws.assemble(policy)
-    truncated = np.array([g.truncated for g in ws.geometry])
+    truncated = np.array([line.truncated for line in ws.lines])
     return KernelMatrix(matrix=kernel, truncation_bound=float(survival[truncated].max(initial=0.0)))
 
 
 def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
-                      start_fill: int = DEFAULT_FILL, max_fill: int = MAX_FILL) -> OperatorWorkspace:
-    """Double per-segment mesh fill until successive operator sets agree.
+                      start: OperatorWorkspace | None = None, max_fill: int = MAX_FILL) -> OperatorWorkspace:
+    """Double per-piece mesh fill until successive operator sets agree.
 
-    Agreement is measured as the max absolute change across kernel entries,
-    expected sojourn weights and one-policy costs; the finer workspace is
-    returned with the achieved difference recorded on ``refine_diff`` and
-    whether it met ``target`` on ``refine_converged``.  Stopping at
-    ``max_fill`` short of the target warns with a :class:`RuntimeWarning`.
+    Refinement starts from ``start`` (a workspace of ``model``, say one an
+    audit already built) or from a new one at ``DEFAULT_FILL``.  Agreement
+    is measured as the max absolute change across kernel entries, expected
+    sojourn weights and one-policy costs; the finer workspace is returned
+    with the achieved difference recorded on ``refine_diff`` and whether it
+    met ``target`` on ``refine_converged``.  Stopping at ``max_fill`` short of
+    the target warns with a :class:`RuntimeWarning`.
     """
-    fill = int(start_fill)
-    ws = OperatorWorkspace(model, fill)
+    ws = start if start is not None else OperatorWorkspace(model, DEFAULT_FILL)
+    fill = ws.fill
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
     diff = math.inf
     while fill < max_fill:

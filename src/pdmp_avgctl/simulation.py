@@ -7,14 +7,22 @@ post-jump states drawn from the transition kernel.  Cost integrals reuse the
 operator engine's meshes so the simulated running cost and the solver's flow
 integrals are the same discretization.
 
+The tables follow the engine's pieces.  The inter-grid segments form one node
+chain in flow order, with one cumulative hazard C and one cumulative running
+cost along it per policy; the line from grid point j is the stretch of the
+chain from its start node b_j to the node e_j of the last grid point it
+passes, then its own exit piece's tables.  So the tables take O(n * fill)
+memory, and no line copies the chain.
+
 A jump costs O(log K) interpreted work on a K-node line and makes no numpy
-call.  The line tables are memoryviews of their node arrays, which index to
+call.  The tables are memoryviews of their node arrays, which index to
 Python floats and are searched in place by :mod:`bisect` without a copy.  The
-sojourn is one ``bisect_right`` on the line's cumulative hazard, whose
-interval the running-cost integral reuses.  The post-jump state is one
-``bisect_left`` on a precomputed cumulative kernel row; between grid points,
-one on each neighbouring row brackets the search on their linear mixture.
-Uniforms are drawn from the stream in blocks.
+sojourn is one ``bisect_right(C, C[b_j] + level, b_j, e_j)`` on the chain,
+or, when the hazard level passes the chain's end, one on the exit piece's
+cumulative hazard; the running-cost integral reuses the interval found.  The
+post-jump state is one ``bisect_left`` on a precomputed cumulative kernel
+row; between grid points, one on each neighbouring row brackets the search
+on their linear mixture.  Uniforms are drawn from the stream in blocks.
 """
 
 from __future__ import annotations
@@ -45,16 +53,42 @@ class SimulationExplosionError(SimulationError):
 
 
 @dataclass(frozen=True, slots=True)
-class _Line:
-    """One start state's feedback path: views of its node arrays plus Python-float ends.
+class _Chain:
+    """The inter-grid segments of a policy's path, one node chain in flow order.
 
     Each table is a ``memoryview`` of a float64 (``actions``: int64) array:
     indexing it gives a Python number and :mod:`bisect` searches it, without
-    copying the array.  ``times`` and ``states`` view the workspace's mesh;
-    the rest is derived once per policy.  The scalars are what a sojourn past
-    the tabulated horizon needs.
+    copying the array.
     """
 
+    times: memoryview        # running time at nodes
+    states: memoryview
+    hazard: memoryview       # cumulative hazard C at nodes
+    slope: memoryview        # hazard slope per interval
+    cost_cum: memoryview     # cumulative running cost at nodes
+    f_left: memoryview
+    f_right: memoryview
+    actions: memoryview      # interval actions
+
+
+@dataclass(frozen=True, slots=True)
+class _Line:
+    """One start state's feedback path: a stretch of the shared chain, then its exit piece.
+
+    ``b``/``e`` are the chain nodes of the start state and of the last grid
+    point the line passes (equal when it passes none), and ``chain_*`` the
+    hazard, time and running cost between them.  The remaining tables are the
+    exit piece's, timed from its start: ``times`` and ``states`` view the
+    workspace's mesh, the rest is derived once per policy, and the scalars
+    are what a sojourn past the tabulated horizon needs.
+    """
+
+    chain: _Chain            # shared by every line, not copied
+    b: int
+    e: int
+    chain_hazard: float
+    chain_time: float
+    chain_cost: float
     times: memoryview
     states: memoryview
     hazard: memoryview       # cumulative hazard at nodes
@@ -62,72 +96,124 @@ class _Line:
     cost_cum: memoryview     # cumulative running cost at nodes
     f_left: memoryview
     f_right: memoryview
-    actions: memoryview      # interval actions
     last: int                # index of the last interval
     hit: bool
     boundary_index: int
     boundary_action: int
     hazard_end: float
-    end: float
+    end: float               # the exit piece's duration
     lam_tail: float
     f_tail: float
     state_tail: float
-    action_tail: int
+    action_tail: int         # the exit piece's action
 
 
-def _line_tables(geom, policy) -> _Line:
-    """The feedback path of ``policy`` along one line of the mesh geometry.
+def _interval_tables(mesh, left: np.ndarray, actions: np.ndarray) -> tuple:
+    """(dt, slope, f_left, f_right, lam_right) of mesh intervals.
 
-    Interval k runs under the action of its segment's anchor; the hazard
-    slope is the trapezoid of the jump rates at its two nodes and the running
-    cost is linear between its node values.
+    ``left`` holds the left node of each interval and ``actions`` its action.
+    The hazard slope is the trapezoid of the jump rates at the interval's two
+    nodes and the running cost is linear between its node values.
     """
-    a = policy.interior[geom.seg_anchor]
-    k = np.arange(geom.dt.size)
-    lam_right = geom.lam_nodes[k + 1, a]
-    slope = 0.5 * (geom.lam_nodes[k, a] + lam_right)
-    hazard = np.empty(geom.times.size)
-    hazard[0] = 0.0
-    np.cumsum(slope * geom.dt, out=hazard[1:])
-    f_left, f_right = geom.f_nodes[k, a], geom.f_nodes[k + 1, a]
-    cost_cum = np.empty(geom.times.size)
-    cost_cum[0] = 0.0
-    np.cumsum(0.5 * geom.dt * (f_left + f_right), out=cost_cum[1:])
-    return _Line(
-        times=memoryview(geom.times),
-        states=memoryview(geom.states),
-        hazard=memoryview(hazard),
-        slope=memoryview(slope),
-        cost_cum=memoryview(cost_cum),
-        f_left=memoryview(f_left),
-        f_right=memoryview(f_right),
-        actions=memoryview(a),
-        last=int(geom.dt.size) - 1,
-        hit=geom.hit,
-        boundary_index=geom.boundary_index,
-        boundary_action=int(policy.boundary[geom.boundary_index]) if geom.hit else -1,
-        hazard_end=float(hazard[-1]),
-        end=float(geom.times[-1]),
-        lam_tail=float(lam_right[-1]),
-        f_tail=float(f_right[-1]),
-        state_tail=float(geom.states[-1]),
-        action_tail=int(a[-1]),
-    )
+    dt = mesh.times[left + 1] - mesh.times[left]
+    lam_right = mesh.lam_nodes[left + 1, actions]
+    slope = 0.5 * (mesh.lam_nodes[left, actions] + lam_right)
+    return dt, slope, mesh.f_nodes[left, actions], mesh.f_nodes[left + 1, actions], lam_right
+
+
+def _cumulative(values: np.ndarray) -> np.ndarray:
+    """Running sums of per-interval ``values`` at the nodes, from 0."""
+    out = np.empty(values.size + 1)
+    out[0] = 0.0
+    np.cumsum(values, out=out[1:])
+    return out
+
+
+def _chain_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Chain, list]:
+    """The policy's chain over the mesh's inter-grid segments, and the chain node of each flow position.
+
+    Chain node k is the left node of chain interval k, and one last node ends
+    the last segment; consecutive segments share their joint node, which
+    takes the next segment's first state, the grid point itself.  Times,
+    hazard and cost along the chain are each segment's own running values on
+    top of the totals of the segments before it, so rounding does not build
+    up over the whole chain.
+    """
+    n_chain = mesh.n_chain
+    first = mesh.first
+    k_chain = int(first[n_chain])
+    left = mesh.left[:k_chain]
+    segment = np.repeat(np.arange(n_chain), np.diff(first[:n_chain + 1]))
+    actions = piece_action[segment]
+    dt, slope, f_left, f_right, _ = _interval_tables(mesh, left, actions)
+    ends = mesh.node_start[1:n_chain + 1] - 1
+
+    def along(own):
+        """Chain-node values of per-segment running values ``own`` (one per mesh node)."""
+        before = _cumulative(own[ends])
+        return np.append(before[segment] + own[left], before[-1])
+
+    per_interval = np.zeros((int(first[-1]), 2))
+    per_interval[:k_chain, 0] = slope * dt
+    per_interval[:k_chain, 1] = 0.5 * dt * (f_left + f_right)
+    running = mesh.running_sums(per_interval)
+    states = np.append(mesh.states[left], mesh.states[mesh.node_start[n_chain] - 1])
+    chain = _Chain(times=memoryview(along(mesh.times)), states=memoryview(states),
+                   hazard=memoryview(along(running[:, 0])), slope=memoryview(slope),
+                   cost_cum=memoryview(along(running[:, 1])), f_left=memoryview(f_left),
+                   f_right=memoryview(f_right), actions=memoryview(actions))
+    return chain, first[np.minimum(np.arange(n_lines), n_chain)].tolist()
 
 
 class SimulationTables:
     """Frozen per-policy simulation data for every grid state.
 
-    Besides one :class:`_Line` per start state it holds, as Python lists, the
-    model data a post-jump draw reads: the grid points, the cumulative kernel
-    rows, each kernel row's ``sum()`` and the boundary charges.
+    Besides the shared :class:`_Chain` and one :class:`_Line` per start state
+    it holds, as Python lists, the model data a post-jump draw reads: the
+    grid points, the cumulative kernel rows, each kernel row's ``sum()`` and
+    the boundary charges.
     """
 
     def __init__(self, model, policy, *, workspace: OperatorWorkspace | None = None):
         self.model = model
         self.policy = policy
         ws = workspace if workspace is not None else OperatorWorkspace(model)
-        self.lines = [_line_tables(geom, policy) for geom in ws.geometry]
+        mesh = ws.mesh
+        piece_action = policy.interior[mesh.anchors]
+        self.chain, node_of = _chain_tables(mesh, piece_action, len(ws.lines))
+        chain = self.chain
+        self.lines = []
+        for line in ws.lines:
+            b, e = node_of[line.chain.start], node_of[line.chain.stop]
+            p = line.exit_piece
+            k0, k1 = int(mesh.node_start[p]), int(mesh.node_start[p + 1])
+            act = int(piece_action[p])
+            dt, slope, f_left, f_right, lam_right = _interval_tables(
+                mesh, np.arange(k0, k1 - 1), np.full(k1 - k0 - 1, act))
+            hazard, cost_cum = _cumulative(slope * dt), _cumulative(0.5 * dt * (f_left + f_right))
+            self.lines.append(_Line(
+                chain=chain, b=b, e=e,
+                chain_hazard=chain.hazard[e] - chain.hazard[b],
+                chain_time=chain.times[e] - chain.times[b],
+                chain_cost=chain.cost_cum[e] - chain.cost_cum[b],
+                times=memoryview(mesh.times[k0:k1]),
+                states=memoryview(mesh.states[k0:k1]),
+                hazard=memoryview(hazard),
+                slope=memoryview(slope),
+                cost_cum=memoryview(cost_cum),
+                f_left=memoryview(f_left),
+                f_right=memoryview(f_right),
+                last=k1 - k0 - 2,
+                hit=line.hit,
+                boundary_index=line.boundary_index,
+                boundary_action=int(policy.boundary[line.boundary_index]) if line.hit else -1,
+                hazard_end=float(hazard[-1]),
+                end=float(mesh.times[k1 - 1]),
+                lam_tail=float(lam_right[-1]),
+                f_tail=float(f_right[-1]),
+                state_tail=float(mesh.states[k1 - 1]),
+                action_tail=act,
+            ))
         self.points = model.grid.points.tolist()
         self.interior_cum, self.interior_sum = _cumulative_rows(model.kernel_interior)
         self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
@@ -205,14 +291,28 @@ def prepare_simulation(model, policy, *, workspace: OperatorWorkspace | None = N
 def _cost_to(line: _Line, tau: float, k: int = -1) -> float:
     """Running-cost integral over [0, tau] along ``line``.
 
-    ``k`` is a guess at the mesh interval holding ``tau`` (the sojourn's);
-    it is used when ``tau`` lies in it, otherwise the interval is searched
-    for.
+    ``k`` is a guess at the mesh interval holding ``tau`` (the sojourn's): a
+    chain interval while ``tau`` is short of the line's chain time, an exit
+    piece interval after it.  It is used when ``tau`` lies in it, otherwise
+    the interval is searched for.
     """
+    if tau < line.chain_time:
+        chain, b = line.chain, line.b
+        times = chain.times
+        tau += times[b]
+        if not (b <= k < line.e and times[k] <= tau < times[k + 1]):
+            k = bisect_right(times, tau, b, line.e) - 1
+        t_k = times[k]
+        dt = times[k + 1] - t_k
+        sigma = tau - t_k
+        f_k = chain.f_left[k]
+        f_at = f_k + (chain.f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
+        return chain.cost_cum[k] - chain.cost_cum[b] + 0.5 * sigma * (f_k + f_at)
+    tau -= line.chain_time
     if tau >= line.end:
-        return line.cost_cum[-1] + (tau - line.end) * line.f_tail
+        return line.chain_cost + (line.cost_cum[-1] + (tau - line.end) * line.f_tail)
     times = line.times
-    if not (k >= 0 and times[k] <= tau < times[k + 1]):
+    if not (0 <= k <= line.last and times[k] <= tau < times[k + 1]):
         k = bisect_right(times, tau) - 1
         if k < 0:
             k = 0
@@ -223,7 +323,7 @@ def _cost_to(line: _Line, tau: float, k: int = -1) -> float:
     sigma = tau - t_k
     f_k = line.f_left[k]
     f_at = f_k + (line.f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
-    return line.cost_cum[k] + 0.5 * sigma * (f_k + f_at)
+    return line.chain_cost + (line.cost_cum[k] + 0.5 * sigma * (f_k + f_at))
 
 
 @dataclass(frozen=True)
@@ -318,6 +418,9 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     next_edge = edges[0]
 
     lines = tabs.lines
+    chain = tabs.chain
+    c_hazard, c_times, c_states, c_slope, c_actions = \
+        chain.hazard, chain.times, chain.states, chain.slope, chain.actions
     jump_target = tabs.jump_target
     boundary_cost = tabs.boundary_cost
     cost_to = _cost_to
@@ -339,39 +442,55 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             drawn = 0
         u_jump = block[drawn + 1]
         # the sojourn: inverse transform of the uniform on the cumulative
-        # hazard; k is the mesh interval holding it, -1 past the table
+        # hazard; k is the mesh interval holding it (on the chain, else on
+        # the exit piece), -1 past the table
         level = -log1p(-block[drawn])
         drawn += 2
-        hazard_end = line.hazard_end
-        if level >= hazard_end:
-            k = -1
-            y_jump = line.state_tail
-            if line.hit:
-                sojourn, hit, act = line.end, True, line.boundary_action
-            elif line.lam_tail <= RATE_FLOOR:
-                raise SimulationError(
-                    "drawn hazard level exceeds the tabulated horizon and the tail "
-                    "jump rate is (numerically) zero; the model violates the "
-                    "divergence the rate floor is supposed to guarantee"
-                )
-            else:
-                sojourn, hit, act = line.end + (level - hazard_end) / line.lam_tail, False, \
-                    line.action_tail
-        else:
-            hazard, times, states = line.hazard, line.times, line.states
-            k = bisect_right(hazard, level) - 1
-            if k < 0:
-                k = 0
-            elif k > line.last:
-                k = line.last
-            m = line.slope[k]
-            t_k = times[k]
-            dt = times[k + 1] - t_k
-            sigma = (level - hazard[k]) / m if m > RATE_FLOOR else 0.0
+        if level < line.chain_hazard:
+            b = line.b
+            level += c_hazard[b]
+            k = bisect_right(c_hazard, level, b, line.e) - 1
+            m = c_slope[k]
+            t_k = c_times[k]
+            dt = c_times[k + 1] - t_k
+            sigma = (level - c_hazard[k]) / m if m > RATE_FLOOR else 0.0
             frac = sigma / dt if dt > 0 else 0.0
-            y_k = states[k]
-            y_jump = y_k + (states[k + 1] - y_k) * frac
-            sojourn, hit, act = t_k + sigma, False, line.actions[k]
+            y_k = c_states[k]
+            y_jump = y_k + (c_states[k + 1] - y_k) * frac
+            sojourn, hit, act = t_k - c_times[b] + sigma, False, c_actions[k]
+        else:
+            level -= line.chain_hazard
+            hazard_end = line.hazard_end
+            if level >= hazard_end:
+                k = -1
+                y_jump = line.state_tail
+                if line.hit:
+                    sojourn, hit, act = line.end, True, line.boundary_action
+                elif line.lam_tail <= RATE_FLOOR:
+                    raise SimulationError(
+                        "drawn hazard level exceeds the tabulated horizon and the tail "
+                        "jump rate is (numerically) zero; the model violates the "
+                        "divergence the rate floor is supposed to guarantee"
+                    )
+                else:
+                    sojourn, hit, act = line.end + (level - hazard_end) / line.lam_tail, False, \
+                        line.action_tail
+            else:
+                hazard, times, states = line.hazard, line.times, line.states
+                k = bisect_right(hazard, level) - 1
+                if k < 0:
+                    k = 0
+                elif k > line.last:
+                    k = line.last
+                m = line.slope[k]
+                t_k = times[k]
+                dt = times[k + 1] - t_k
+                sigma = (level - hazard[k]) / m if m > RATE_FLOOR else 0.0
+                frac = sigma / dt if dt > 0 else 0.0
+                y_k = states[k]
+                y_jump = y_k + (states[k + 1] - y_k) * frac
+                sojourn, hit, act = t_k + sigma, False, line.action_tail
+            sojourn += line.chain_time
         t_next = t + sojourn
         # a jump landing exactly on the horizon still counts (T_i <= t convention)
         if t_next > horizon:

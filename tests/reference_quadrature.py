@@ -1,10 +1,14 @@
-"""Per-path quadrature of the one-stage operators, kept as a test reference.
+"""Per-line meshes and per-path quadrature of the operators, kept as a test reference.
 
-The library assembles every policy's operators from its per-segment tables
-and simulates from per-line tables read off the mesh geometry.  This module
-integrates the same operators the direct way, one :class:`PolicyPath` (a
-policy's feedback path from one grid state) at a time over every mesh
-interval of the line, at any discount shift ``alpha >= -c``:
+The library meshes every inter-grid segment once, shares it among the flow
+lines that pass it, and assembles every policy's operators from per-piece
+tables.  This module keeps the engine that came before it: one mesh per
+line (:func:`_build_geometry`), with every downstream segment meshed again
+from the line's own start, and its per-(line, segment) tables
+(:func:`_segment_tables`).  On those meshes it integrates the operators the
+direct way, one :class:`PolicyPath` (a policy's feedback path from one grid
+state) at a time over every mesh interval of the line, at any discount shift
+``alpha >= -c``:
 
 * the cumulative hazard  Lam(x, t) = int_0^t lambda(phi(x,s), u(.)) ds,
 * discounted flow integrals  L_a v = int e^{-a s - Lam} v ds,
@@ -19,12 +23,285 @@ slope), which is the rule the segment tables sum.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from pdmp_avgctl.numerics import phi0, phi1
-from pdmp_avgctl.operators import DEFAULT_FILL, _build_geometry, _LineGeometry
+from pdmp_avgctl.flow import advance, flow_direction, hit_time, _tabulated_advance
+from pdmp_avgctl.model import FeedbackPolicy
+from pdmp_avgctl.numerics import interp_weights, phi0, phi01, phi1
+from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, _passage_time
+
+
+@dataclass(frozen=True)
+class _LineGeometry:
+    """Policy-independent mesh data for the flow line of one start state."""
+
+    origin_index: int
+    times: np.ndarray          # (K+1,)
+    states: np.ndarray         # (K+1,)
+    dt: np.ndarray             # (K,)
+    seg_anchor: np.ndarray     # (K,) grid index whose action governs the interval
+    seg_slices: tuple          # ((k0, k1, anchor), ...) contiguous interval runs
+    ilo: np.ndarray            # (K+1,) interior-grid interpolation indices
+    wlo: np.ndarray            # (K+1,)
+    lam_nodes: np.ndarray      # (K+1, n_actions) jump rate at nodes, all actions
+    f_nodes: np.ndarray        # (K+1, n_actions) running cost at nodes
+    hit: bool
+    boundary_index: int
+    t_star: float
+    truncated: bool
+    line_feasible: np.ndarray  # (n_actions,) feasible at every anchor of the line
+
+
+def _reference_transit(model) -> float:
+    """Shortest transit time between adjacent grid points, in flow direction."""
+    flow = model.flow
+    if flow.kind == "trivial":
+        return math.inf
+    points = model.grid.points
+    best = math.inf
+    for i in range(points.size - 1):
+        a, b = float(points[i]), float(points[i + 1])
+        if flow_direction(flow) > 0:
+            t = _passage_time(flow, a, b)
+        else:
+            t = _passage_time(flow, b, a)
+        if 0.0 < t < best:
+            best = t
+    return best
+
+
+def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) -> _LineGeometry:
+    flow = model.flow
+    points = model.grid.points
+    n = points.size
+    x = float(points[j])
+    if ref_transit is None:
+        ref_transit = _reference_transit(model)
+    t_star = hit_time(flow, x)
+    t_max = model.t_max
+    hit = t_star <= t_max
+    end = t_star if hit else t_max
+    truncated = not hit
+
+    boundary_index = -1
+    if hit:
+        z = advance(flow, x, t_star)
+        boundary_index = int(np.argmin(np.abs(model.grid.boundary_points - z)))
+
+    # grid-point passage times, in flow order, strictly inside (0, end)
+    direction = flow_direction(flow)
+    anchors = [j]
+    edges = [0.0]
+    if direction > 0:
+        downstream = range(j + 1, n)
+    elif direction < 0:
+        downstream = range(j - 1, -1, -1)
+    else:
+        downstream = ()
+    for i in downstream:
+        t = _passage_time(flow, x, float(points[i]))
+        if not (t < end - 1e-15):
+            break
+        anchors.append(i)
+        edges.append(t)
+    edges.append(end)
+
+    edges = np.asarray(edges)
+    dur = np.diff(edges)
+    lam_sup = model.lambda_sup
+    # per-segment interval counts: each interval at most 0.25 / lambda_sup
+    # long; a budget proportional to segment duration (relative to the
+    # model's shortest inter-grid transit), so contracting flows refine evenly
+    # in time and every line sees the same spacing; a truncated line's tail
+    # takes at least max(MIN_TAIL_INTERVALS, fill) intervals instead
+    counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
+    base_h = ref_transit / fill
+    budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
+    if truncated:
+        budget[-1] = max(MIN_TAIL_INTERVALS, fill)
+    counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+
+    # node k of segment s sits at edges[s] + k * (dur[s] / counts[s]), the
+    # arithmetic of np.linspace; each segment ends exactly on its edge
+    seg = np.repeat(np.arange(dur.size), counts)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    k = np.arange(1, bounds[-1] + 1) - bounds[seg]
+    times = np.concatenate(([0.0], k * (dur / counts)[seg] + edges[seg]))
+    times[bounds[1:]] = edges[1:]
+    seg_anchor = np.asarray(anchors, dtype=np.int64)[seg]
+    seg_slices = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist(), anchors))
+    dt = np.diff(times)
+
+    if flow.kind == "trivial":
+        states = np.full_like(times, x)
+    elif flow.kind == "affine1d":
+        if flow.alpha1 == 0.0:
+            states = x + flow.alpha0 * times
+        else:
+            ystar = -flow.alpha0 / flow.alpha1
+            states = ystar + (x - ystar) * np.exp(flow.alpha1 * times)
+    else:
+        # node times never pass the line's end, so no boundary re-check
+        states = np.empty_like(times)
+        states[0] = x
+        for k in range(dt.size):
+            states[k + 1] = _tabulated_advance(flow, states[k], float(dt[k]))
+    if hit:
+        states[-1] = float(model.grid.boundary_points[boundary_index])
+
+    ilo, wlo = interp_weights(points, states)
+    ilo_e, wlo_e = interp_weights(model.rate_coords, states)
+    lam_nodes = (
+        wlo_e[:, None] * model.rate_table[ilo_e, :]
+        + (1.0 - wlo_e)[:, None] * model.rate_table[np.minimum(ilo_e + 1, model.rate_coords.size - 1), :]
+    )
+    f_nodes = (
+        wlo[:, None] * model.running_cost[ilo, :]
+        + (1.0 - wlo)[:, None] * model.running_cost[np.minimum(ilo + 1, n - 1), :]
+    )
+    line_feasible = model.feasible_mask[anchors].all(axis=0)
+
+    return _LineGeometry(
+        origin_index=j,
+        times=times,
+        states=states,
+        dt=dt,
+        seg_anchor=seg_anchor,
+        seg_slices=seg_slices,
+        ilo=ilo,
+        wlo=wlo,
+        lam_nodes=lam_nodes,
+        f_nodes=f_nodes,
+        hit=hit,
+        boundary_index=boundary_index,
+        t_star=t_star,
+        truncated=truncated,
+        line_feasible=line_feasible,
+    )
+
+
+@dataclass(frozen=True)
+class LineSegmentTables:
+    """Policy-independent one-stage weights of every (line segment, action).
+
+    Segments are numbered line by line in flow order; line j owns segments
+    ``line_start[j]:line_start[j + 1]``.  With action a held over segment s
+    and the value W carried in at the segment's end, the one-stage value over
+    the segment is
+
+        -rho * sojourn[s, a] + cost[s, a] + sum_k weights_k * Qh.flat[cols_k]
+        + survival[s, a] * W
+
+    where k runs over the entries with ``rows_k == s * n_a + a`` and
+    ``cols_k = grid index * n_a + a``.  Every integral is taken relative to
+    the segment's start, so a line's operators are its segments' entries
+    weighted by the survival of the segments before them.
+    """
+
+    sojourn: np.ndarray   # (S, n_a) sum of e^{-rel} d phi0 over the intervals
+    cost: np.ndarray      # (S, n_a) running-cost integral
+    survival: np.ndarray  # (S, n_a) e^{-hazard across the segment}
+    rows: np.ndarray      # (nnz,) s * n_a + a
+    cols: np.ndarray      # (nnz,) grid index * n_a + a
+    weights: np.ndarray   # (nnz,) weight of Qh at that grid point
+    line_start: tuple     # (n + 1,) first segment of each line
+    anchors: np.ndarray   # (S,) grid index whose action governs the segment
+    line: np.ndarray      # (S,) line of the segment
+    position: np.ndarray  # (S,) place of the segment on its line, from 0
+
+    def values(self, rho: float, qh: np.ndarray) -> np.ndarray:
+        """(S, n_a) one-stage value of each segment with nothing carried in."""
+        q = np.bincount(self.rows, weights=self.weights * qh.ravel()[self.cols],
+                        minlength=self.sojourn.size)
+        return -rho * self.sojourn + self.cost + q.reshape(self.sojourn.shape)
+
+
+def _segment_tables(model, geometry) -> LineSegmentTables:
+    """One vectorized pass per line over its intervals, summed per segment."""
+    n, n_a = model.n_states, model.n_actions
+    action = np.arange(n_a)
+    parts = []
+    line_start = [0]
+    for geom in geometry:
+        starts = np.array([k0 for k0, _, _ in geom.seg_slices])
+        ends = np.array([k1 for _, k1, _ in geom.seg_slices])
+        seg = np.repeat(np.arange(starts.size), ends - starts)  # segment of each interval
+        d = geom.dt[:, None]
+        lam, f = geom.lam_nodes, geom.f_nodes
+        m = lam[:-1] + lam[1:]
+        m *= 0.5
+        z = m * d
+        p0, p1 = phi01(z)
+        cum = np.zeros((z.shape[0] + 1, n_a))
+        np.cumsum(z, axis=0, out=cum[1:])
+        # survival since the segment's start, times the interval length
+        head = cum[starts][seg]
+        head -= cum[:-1]
+        np.exp(head, out=head)
+        head *= d
+        sojourn = np.add.reduceat(head * p0, starts, axis=0)
+        q = p0 - p1
+        integrand = f[:-1] * q
+        integrand += f[1:] * p1
+        integrand *= head
+        cost = np.add.reduceat(integrand, starts, axis=0)
+        survival = np.exp(-(cum[ends] - cum[starts]))
+
+        # interval k weighs Qh at node k by m d (p0 - p1) and at node k + 1 by
+        # m d p1, so a node inside a segment carries both neighbours' weights
+        # and a segment's end node its last interval's right weight.  A node
+        # reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[ilo + 1]; a segment spans a
+        # few consecutive grid points, so the weights are summed per
+        # (segment, grid point - the segment's lowest, action)
+        head *= m
+        right = head * p1
+        node = head
+        node *= q
+        first = node[starts[1:]].copy()
+        node[1:] += right[:-1]
+        node[starts[1:]] = first
+        ilo, wlo = geom.ilo, geom.wlo[:, None]
+        hi = np.minimum(ilo + 1, n - 1)
+        base = np.minimum.reduceat(np.minimum(ilo[:-1], ilo[1:]), starts)
+        width = int(np.max(np.maximum(hi[:-1], hi[1:]) - base[seg])) + 1
+        size = starts.size * width * n_a
+        w = np.zeros(size)
+        for at, where, weight in ((seg, slice(0, -1), node), (np.arange(starts.size), ends, right[ends - 1])):
+            offset = at * width - base[at]
+            share = wlo[where]
+            for grid, part in ((ilo[where], weight * share), (hi[where], weight * (1.0 - share))):
+                key = (offset + grid)[:, None] * n_a + action
+                w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
+        flat = np.flatnonzero(w)
+        s, rest = np.divmod(flat, width * n_a)
+        off, a = np.divmod(rest, n_a)
+        rows = (s + line_start[-1]) * n_a + a
+        cols = (base[s] + off) * n_a + a
+        anchors = np.array([anchor for _, _, anchor in geom.seg_slices])
+        parts.append((sojourn, cost, survival, rows, cols, w[flat], anchors))
+        line_start.append(line_start[-1] + starts.size)
+    sojourn, cost, survival, rows, cols, weights, anchors = (np.concatenate(p) for p in zip(*parts))
+    lengths = np.diff(line_start)
+    line = np.repeat(np.arange(len(geometry)), lengths)
+    position = np.arange(line.size) - np.repeat(line_start[:-1], lengths)
+    return LineSegmentTables(sojourn=sojourn, cost=cost, survival=survival, rows=rows, cols=cols,
+                         weights=weights, line_start=tuple(line_start), anchors=anchors,
+                         line=line, position=position)
+
+
+_LINES = weakref.WeakKeyDictionary()
+
+
+def line_geometry(ws) -> list[_LineGeometry]:
+    """The per-line meshes of ``ws``'s model at ``ws``'s fill, built once per workspace."""
+    if ws not in _LINES:
+        ref = _reference_transit(ws.model)
+        _LINES[ws] = [_build_geometry(ws.model, j, ws.fill, ref) for j in range(ws.model.n_states)]
+    return _LINES[ws]
+
 
 
 @dataclass(frozen=True)
@@ -128,7 +405,7 @@ def _path_from_geometry(model, geom: _LineGeometry, policy) -> PolicyPath:
 
 def policy_paths(ws, policy) -> list[PolicyPath]:
     """The feedback path of ``policy`` from every grid state, on ``ws``'s mesh."""
-    return [_path_from_geometry(ws.model, g, policy) for g in ws.geometry]
+    return [_path_from_geometry(ws.model, g, policy) for g in line_geometry(ws)]
 
 
 def _check_alpha(model, alpha: float) -> None:
@@ -140,7 +417,7 @@ def build_policy_path(model, policy, state_index: int, *, fill: int = DEFAULT_FI
                       workspace=None) -> PolicyPath:
     """Feedback path of ``policy`` from one grid state."""
     if workspace is not None:
-        return _path_from_geometry(model, workspace.geometry[state_index], policy)
+        return _path_from_geometry(model, line_geometry(workspace)[state_index], policy)
     geom = _build_geometry(model, state_index, fill)
     return _path_from_geometry(model, geom, policy)
 
@@ -241,3 +518,75 @@ def reference_assemble(ws, policy, alpha: float = 0.0):
         ell[j] = op_calL(alpha, path)
         cost[j] = op_L(alpha, model.running_cost, path) + op_H(alpha, model.boundary_cost, path)
     return kernel, ell, cost
+
+
+# -- per-interval improvement and optimality certificate ---------------------
+# The march and frozen-action sweep that the segment tables replaced: each
+# re-integrates every segment of every line from the per-line mesh.
+
+def reference_improve(ws, rho, h, prev):
+    model = ws.model
+    n_a = model.n_actions
+    qh_int = model.kernel_interior @ h
+    b_act, b_val = ws.boundary_minima(h, prev)
+    new_interior = np.empty(model.n_states, dtype=np.int64)
+    for geom in line_geometry(ws):
+        qh_nodes = (geom.wlo[:, None] * qh_int[geom.ilo, :]
+                    + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
+        if geom.hit:
+            w_next = float(b_val[geom.boundary_index])
+        else:
+            lam_T = np.maximum(geom.lam_nodes[-1], 1e-12)
+            station = (geom.f_nodes[-1] - rho + geom.lam_nodes[-1] * qh_nodes[-1]) / lam_T
+            masked = np.where(model.feasible_mask[geom.seg_slices[-1][2]], station, np.inf)
+            w_next = float(np.min(masked))
+        for (k0, k1, anchor) in reversed(geom.seg_slices):
+            lam, f, qh = geom.lam_nodes[k0:k1 + 1], geom.f_nodes[k0:k1 + 1], qh_nodes[k0:k1 + 1]
+            d = geom.dt[k0:k1, None]
+            m = 0.5 * (lam[:-1] + lam[1:])
+            z = m * d
+            p0, p1 = phi0(z), phi1(z)
+            contrib = (-rho * d * p0 + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
+                       + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1))
+            rel = np.vstack([np.zeros((1, n_a)), np.cumsum(z, axis=0)])
+            w_vec = np.sum(np.exp(-rel[:-1]) * contrib, axis=0) + np.exp(-rel[-1]) * w_next
+            masked = np.where(model.feasible_mask[anchor], w_vec, np.inf)
+            pick = int(np.argmin(masked))
+            incumbent = int(prev.interior[anchor])
+            if masked[incumbent] <= masked[pick] + TIE_TOL * max(1.0, abs(masked[pick])):
+                pick = incumbent
+            w_next = float(w_vec[pick])
+        new_interior[geom.origin_index] = pick
+    return FeedbackPolicy(interior=new_interior, boundary=b_act)
+
+
+def reference_sweep_values(ws, rho, h):
+    """Per line: the frozen-action one-stage values, or None when no action is feasible."""
+    model = ws.model
+    qh_int = model.kernel_interior @ h
+    _, b_val = ws.boundary_minima(h)
+    out = []
+    for geom in line_geometry(ws):
+        if not geom.line_feasible.any():
+            out.append(None)
+            continue
+        qh = (geom.wlo[:, None] * qh_int[geom.ilo, :]
+              + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
+        d = geom.dt[:, None]
+        m = 0.5 * (geom.lam_nodes[:-1] + geom.lam_nodes[1:])
+        z = m * d
+        lam_cum = np.vstack([np.zeros((1, model.n_actions)), np.cumsum(z, axis=0)])
+        p0, p1 = phi0(z), phi1(z)
+        f = geom.f_nodes
+        vals = np.sum(np.exp(-lam_cum[:-1]) * (
+            -rho * d * p0 + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
+            + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1)), axis=0)
+        if geom.hit:
+            vals = vals + np.exp(-lam_cum[-1]) * b_val[geom.boundary_index]
+        out.append(np.where(geom.line_feasible, vals, np.inf))
+    return out
+
+
+def reference_optimality_residual(ws, rho, h):
+    return max(float(h[j] - np.min(v)) for j, v in enumerate(reference_sweep_values(ws, rho, h))
+               if v is not None)

@@ -212,6 +212,22 @@ class TestSolveArtifacts:
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert len(trace["iterations"]) == 1  # started at the optimum
 
+    def test_solve_builds_each_fill_once(self, tmp_path, monkeypatch):
+        # the audit runs on the fill-8 workspace that refinement then starts from
+        from pdmp_avgctl.operators import OperatorWorkspace
+
+        fills = []
+        build = OperatorWorkspace.__init__
+
+        def counted(ws, model, fill=8):
+            fills.append(fill)
+            build(ws, model, fill)
+
+        monkeypatch.setattr(OperatorWorkspace, "__init__", counted)
+        path = pa.bundled_model_path("drift_boundary_64")
+        assert run_cli(["solve", "--model", path, "--out", tmp_path]) == 0
+        assert fills == [8, 16, 32, 64, 128]
+
     def test_artifacts_embed_model_hash_and_version(self, bundled, tmp_path):
         run_cli(["solve", "--model", bundled, "--out", tmp_path])
         model = pa.load_model(bundled)

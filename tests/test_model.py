@@ -6,8 +6,9 @@ import pytest
 
 import pdmp_avgctl as pa
 from pdmp_avgctl.model import DimensionError, ModelFormatError
+from pdmp_avgctl.numerics import phi0
 
-from reference_quadrature import op_G, policy_paths
+from reference_quadrature import line_geometry, op_G, policy_paths
 from toy_models import swap_cycle_doc, two_state_jump_doc
 
 
@@ -181,6 +182,31 @@ class TestAuditAssumptions:
             want = [c.k_g * model.lyapunov_g[j] + c.K_g - op_G(0.0, model.lyapunov_g, path)
                     for j, path in enumerate(policy_paths(ws, policy))]
             assert np.max(np.abs(np.array(item.slack_by_state) - want)) <= 1e-12, name
+
+    def test_line_integrals_match_the_per_line_meshes(self, models, workspaces):
+        # the growth integral, the lower hazard and the discounted cost bound,
+        # composed from per-piece sums, are the per-line sums on the per-line mesh
+        from pdmp_avgctl.model import _exp_growth_integral, _line_integral, _lower_hazard
+
+        for name, model in models.items():
+            ws = workspaces[name]
+            c = model.constants
+            lower = pa.Table1D(model.grid.points, c.lambda_lower)
+            fsup = pa.Table1D(model.grid.points, np.where(model.feasible_mask, model.running_cost,
+                                                           -np.inf).max(axis=1))
+            got = (_exp_growth_integral(model, ws), _lower_hazard(model, ws),
+                   _line_integral(model, ws, 0.0, fsup(ws.mesh.states)))
+            for j, geom in enumerate(line_geometry(ws)):
+                lam = lower(geom.states)
+                step = 0.5 * (lam[:-1] + lam[1:]) * geom.dt
+                hazard = np.concatenate(([0.0], np.cumsum(step)))
+                z = step - c.c * geom.dt
+                growth_cum = np.concatenate(([0.0], np.cumsum(z)))
+                fv = fsup(geom.states)
+                want = (np.sum(np.exp(-growth_cum[:-1]) * geom.dt * phi0(z)), hazard[-1],
+                        np.sum(np.exp(-hazard[:-1]) * geom.dt * 0.5 * (fv[:-1] + fv[1:])))
+                for g, w in zip(got, want):
+                    assert abs(g[j] - w) <= 1e-12 * max(1.0, abs(w)), (name, j)
 
     def test_report_serializes(self, models):
         report = pa.audit_assumptions(models["ctmdp_2state"])

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
+from pdmp_avgctl.flow import flow_direction
 from pdmp_avgctl.numerics import phi0, phi01, phi1
-from pdmp_avgctl.operators import (MIN_TAIL_INTERVALS, REFINE_TARGET, TIE_TOL, OperatorWorkspace, _passage_time,
-                                   _reference_transit, kernel_matrix)
+from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, _passage_time, kernel_matrix
 
 from conftest import BUNDLED
-from reference_quadrature import (build_policy_path, cum_rate, op_G, op_H, op_L, op_calL, policy_paths,
-                                  reference_assemble)
+from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, cum_rate, line_geometry,
+                                  op_G, op_H, op_L, op_calL, policy_paths, reference_assemble, reference_improve,
+                                  reference_optimality_residual, reference_sweep_values)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -313,7 +314,7 @@ class TestPolicyPath:
             mask = model.feasible_mask
             for j in range(model.n_states):
                 path = build_policy_path(model, policy, j, workspace=workspaces[name])
-                anchors = workspaces[name].geometry[j].seg_anchor
+                anchors = line_geometry(workspaces[name])[j].seg_anchor
                 assert np.all(mask[anchors, path.interval_actions])
 
     def test_tail_bound_covers_the_neglected_integral(self, trivial_rate2):
@@ -354,130 +355,88 @@ class TestRefinement:
             assert ws.refine_converged is True and ws.refine_diff <= REFINE_TARGET, name
 
 
+def flow_order(model) -> np.ndarray:
+    """Grid indices in the order the flow passes them."""
+    order = np.arange(model.n_states)
+    return order[::-1] if flow_direction(model.flow) < 0 else order
+
+
 class TestLineGeometry:
     @pytest.mark.parametrize("fill", [8, 16])
     def test_mesh_invariants_on_bundled(self, models, fill):
         for name, model in models.items():
             ws = OperatorWorkspace(model, fill)
-            points = model.grid.points
-            for geom in ws.geometry:
-                where = (name, fill, geom.origin_index)
-                k_total = geom.dt.size
-                starts = [k0 for k0, _, _ in geom.seg_slices]
-                ends = [k1 for _, k1, _ in geom.seg_slices]
-                assert starts == [0] + ends[:-1] and ends[-1] == k_total, where
-                for k0, k1, anchor in geom.seg_slices:
-                    assert np.all(geom.seg_anchor[k0:k1] == anchor), where
-                assert np.all(np.diff(geom.times) > 0.0), where
+            points, flow = model.grid.points, model.flow
+            order = flow_order(model)
+            n_chain = ws.mesh.n_chain
+            assert n_chain == (0 if flow.kind == "trivial" else model.n_states - 1), name
+            for piece in ws.geometry:
+                assert piece.times[0] == 0.0 and np.all(np.diff(piece.times) > 0.0), name
+            # inter-grid segment q runs from the q-th grid point in flow order
+            # to the next and ends exactly on that transit time
+            for q, piece in enumerate(ws.geometry[:n_chain]):
+                assert piece.anchor == order[q], name
+                assert piece.times[-1] == _passage_time(flow, float(points[order[q]]), float(points[order[q + 1]]))
 
-                # each segment ends exactly on the next grid passage, the last on t* or t_max
-                x = float(points[geom.origin_index])
-                anchors = [anchor for _, _, anchor in geom.seg_slices]
-                for (_, k1, _), nxt in zip(geom.seg_slices, anchors[1:]):
-                    assert geom.times[k1] == _passage_time(model.flow, x, float(points[nxt])), where
-                assert geom.times[-1] == (geom.t_star if geom.hit else model.t_max), where
-                if geom.truncated:
-                    k0, k1, _ = geom.seg_slices[-1]
-                    assert k1 - k0 >= max(MIN_TAIL_INTERVALS, fill), where
+            reference = line_geometry(ws)
+            for line in ws.lines:
+                where = (name, fill, line.origin_index)
+                x = float(points[line.origin_index])
+                # the pieces tile the line: consecutive segments from its own
+                # grid point, then the exit piece from the next grid point
+                pos = int(np.flatnonzero(order == line.origin_index)[0])
+                assert list(line.chain) == list(range(pos, pos + len(line.chain))), where
+                anchors = [ws.geometry[p].anchor for p in line.pieces]
+                assert anchors == order[pos:pos + len(anchors)].tolist(), where
+                assert line.exit_piece == n_chain + line.origin_index, where
+                # it passes the grid points the per-line rule passes
+                assert anchors == [a for _, _, a in reference[line.origin_index].seg_slices], where
+                # the exit piece starts on its grid point's passage time and
+                # the line ends on t* or t_max
+                exit_piece = ws.geometry[line.exit_piece]
+                assert line.start == (_passage_time(flow, x, float(points[exit_piece.anchor]))
+                                      if line.chain else 0.0), where
+                assert line.end == (line.t_star if line.hit else model.t_max), where
+                assert exit_piece.times[-1] == line.end - line.start, where
+                if line.hit:
+                    assert exit_piece.states[-1] == model.grid.boundary_points[line.boundary_index], where
+                if line.truncated:
+                    assert exit_piece.times.size - 1 >= max(MIN_TAIL_INTERVALS, fill), where
 
                 expected = np.logical_and.reduce(model.feasible_mask[anchors], axis=0)
-                assert np.array_equal(geom.line_feasible, expected), where
+                assert np.array_equal(line.line_feasible, expected), where
 
     @pytest.mark.parametrize("fill", [8, 16])
     def test_nodes_match_the_per_segment_linspace_reference(self, models, fill):
-        # the per-segment loop the vectorized build replaced, kept as reference
+        # each piece takes the count rule on its own duration, with nodes
+        # placed as np.linspace places them; every line the per-line mesh
+        # builds gives each segment the same count and node times
         for name, model in models.items():
             ws = OperatorWorkspace(model, fill)
             lam_sup = model.lambda_sup
             ref_transit = _reference_transit(model)
-            for geom in ws.geometry:
-                for s, (k0, k1, _) in enumerate(geom.seg_slices):
-                    t0, t1 = float(geom.times[k0]), float(geom.times[k1])
-                    dur = t1 - t0
-                    count = int(math.ceil(dur / (0.25 / lam_sup))) if lam_sup > 0.0 else 0
-                    if geom.truncated and s == len(geom.seg_slices) - 1:
-                        count = max(count, MIN_TAIL_INTERVALS, fill)
-                    elif math.isfinite(ref_transit) and dur > 0:
-                        count = max(count, int(math.ceil(dur / (ref_transit / fill))))
-                    else:
-                        count = max(count, fill)
-                    count = max(count, 1)
-                    assert k1 - k0 == count, (name, fill, geom.origin_index, s)
-                    assert np.array_equal(geom.times[k0 : k1 + 1], np.linspace(t0, t1, count + 1)), \
-                        (name, fill, geom.origin_index, s)
+            n_chain = ws.mesh.n_chain
+            for p, piece in enumerate(ws.geometry):
+                dur = float(piece.times[-1])
+                count = int(math.ceil(dur / (0.25 / lam_sup))) if lam_sup > 0.0 else 0
+                if p >= n_chain and ws.lines[p - n_chain].truncated:
+                    count = max(count, MIN_TAIL_INTERVALS, fill)
+                elif math.isfinite(ref_transit) and dur > 0:
+                    count = max(count, int(math.ceil(dur / (ref_transit / fill))))
+                else:
+                    count = max(count, fill)
+                count = max(count, 1)
+                assert piece.times.size == count + 1, (name, fill, p)
+                assert np.array_equal(piece.times, np.linspace(0.0, dur, count + 1)), (name, fill, p)
+            for line, geom in zip(ws.lines, line_geometry(ws)):
+                for p, (k0, k1, _) in zip(line.pieces, geom.seg_slices):
+                    times = ws.geometry[p].times
+                    assert k1 - k0 == times.size - 1, (name, fill, line.origin_index, p)
+                    relative = geom.times[k0:k1 + 1] - geom.times[k0]
+                    assert np.max(np.abs(relative - times)) <= 1e-12 * max(1.0, times[-1])
 
 
 # -- per-segment one-stage tables ---------------------------------------------
-# The per-interval march and frozen-action sweep that the tables replaced, kept
-# as references: each re-integrates every segment of every line from the mesh.
-
-def reference_improve(ws, rho, h, prev):
-    model = ws.model
-    n_a = model.n_actions
-    qh_int = model.kernel_interior @ h
-    b_act, b_val = ws.boundary_minima(h, prev)
-    new_interior = np.empty(model.n_states, dtype=np.int64)
-    for geom in ws.geometry:
-        qh_nodes = (geom.wlo[:, None] * qh_int[geom.ilo, :]
-                    + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
-        if geom.hit:
-            w_next = float(b_val[geom.boundary_index])
-        else:
-            lam_T = np.maximum(geom.lam_nodes[-1], 1e-12)
-            station = (geom.f_nodes[-1] - rho + geom.lam_nodes[-1] * qh_nodes[-1]) / lam_T
-            masked = np.where(model.feasible_mask[geom.seg_slices[-1][2]], station, np.inf)
-            w_next = float(np.min(masked))
-        for (k0, k1, anchor) in reversed(geom.seg_slices):
-            lam, f, qh = geom.lam_nodes[k0:k1 + 1], geom.f_nodes[k0:k1 + 1], qh_nodes[k0:k1 + 1]
-            d = geom.dt[k0:k1, None]
-            m = 0.5 * (lam[:-1] + lam[1:])
-            z = m * d
-            p0, p1 = phi0(z), phi1(z)
-            contrib = (-rho * d * p0 + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
-                       + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1))
-            rel = np.vstack([np.zeros((1, n_a)), np.cumsum(z, axis=0)])
-            w_vec = np.sum(np.exp(-rel[:-1]) * contrib, axis=0) + np.exp(-rel[-1]) * w_next
-            masked = np.where(model.feasible_mask[anchor], w_vec, np.inf)
-            pick = int(np.argmin(masked))
-            incumbent = int(prev.interior[anchor])
-            if masked[incumbent] <= masked[pick] + TIE_TOL * max(1.0, abs(masked[pick])):
-                pick = incumbent
-            w_next = float(w_vec[pick])
-        new_interior[geom.origin_index] = pick
-    return pa.FeedbackPolicy(interior=new_interior, boundary=b_act)
-
-
-def reference_sweep_values(ws, rho, h):
-    """Per line: the frozen-action one-stage values, or None when no action is feasible."""
-    model = ws.model
-    qh_int = model.kernel_interior @ h
-    _, b_val = ws.boundary_minima(h)
-    out = []
-    for geom in ws.geometry:
-        if not geom.line_feasible.any():
-            out.append(None)
-            continue
-        qh = (geom.wlo[:, None] * qh_int[geom.ilo, :]
-              + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
-        d = geom.dt[:, None]
-        m = 0.5 * (geom.lam_nodes[:-1] + geom.lam_nodes[1:])
-        z = m * d
-        lam_cum = np.vstack([np.zeros((1, model.n_actions)), np.cumsum(z, axis=0)])
-        p0, p1 = phi0(z), phi1(z)
-        f = geom.f_nodes
-        vals = np.sum(np.exp(-lam_cum[:-1]) * (
-            -rho * d * p0 + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
-            + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1)), axis=0)
-        if geom.hit:
-            vals = vals + np.exp(-lam_cum[-1]) * b_val[geom.boundary_index]
-        out.append(np.where(geom.line_feasible, vals, np.inf))
-    return out
-
-
-def reference_optimality_residual(ws, rho, h):
-    return max(float(h[j] - np.min(v)) for j, v in enumerate(reference_sweep_values(ws, rho, h))
-               if v is not None)
-
 
 def random_problem(model, rng):
     """A seeded random (rho, h, incumbent) of the scale PIA produces."""
@@ -499,12 +458,39 @@ class TestSegmentTables:
         assert ws._segments is None
         tables = ws.segment_tables()
         assert ws.segment_tables() is tables
-        assert len(tables.line_start) == ws.model.n_states + 1
-        assert tables.line_start[-1] == sum(len(g.seg_slices) for g in ws.geometry)
+        assert tables.sojourn.shape == (len(ws.geometry), ws.model.n_actions)
+        inc = ws.incidence
+        assert inc.line_start.size == ws.model.n_states + 1
+        assert inc.line_start[-1] == sum(len(line.pieces) for line in ws.lines)
+        for j, line in enumerate(ws.lines):
+            entries = slice(inc.line_start[j], inc.line_start[j + 1])
+            assert inc.piece[entries].tolist() == list(line.pieces)
+            assert inc.position[entries].tolist() == list(range(len(line.pieces)))
+            assert np.all(inc.line[entries] == j)
+
+    def test_pieces_match_the_per_line_segment_tables(self, models, workspaces):
+        # every (line, segment) entry of the per-line tables is its piece's
+        # entry: integrals relative to the segment's start do not depend on
+        # the line the segment is met on
+        rng = np.random.default_rng(59)
+        for name, model in models.items():
+            ws = workspaces[name]
+            tables, reference = ws.segment_tables(), _segment_tables(model, line_geometry(ws))
+            rho, h, _ = random_problem(model, rng)
+            qh = model.kernel_interior @ h
+            got_values, want_values = tables.values(rho, qh), reference.values(rho, qh)
+            for j, line in enumerate(ws.lines):
+                segments = range(reference.line_start[j], reference.line_start[j + 1])
+                assert len(segments) == len(line.pieces), (name, j)
+                for s, p in zip(segments, line.pieces):
+                    for got, want in ((tables.sojourn[p], reference.sojourn[s]), (tables.cost[p], reference.cost[s]),
+                                      (tables.survival[p], reference.survival[s]),
+                                      (got_values[p], want_values[s])):
+                        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (name, j, s)
 
     def test_segment_recursion_matches_the_line_integrals(self, models, workspaces):
-        # the backward recursion over a line's segments under one frozen
-        # action is the whole-line quadrature of the reference sweep
+        # the backward recursion over a line's pieces under one frozen action
+        # is the whole-line quadrature of the reference sweep
         rng = np.random.default_rng(61)
         for name, model in models.items():
             ws = workspaces[name]
@@ -512,16 +498,15 @@ class TestSegmentTables:
             rho, h, _ = random_problem(model, rng)
             values = tables.values(rho, model.kernel_interior @ h)
             _, b_val = ws.boundary_minima(h)
-            for geom, ref in zip(ws.geometry, reference_sweep_values(ws, rho, h)):
+            for line, ref in zip(ws.lines, reference_sweep_values(ws, rho, h)):
                 if ref is None:
                     continue
-                j = geom.origin_index
-                w = np.full(model.n_actions, b_val[geom.boundary_index] if geom.hit else 0.0)
-                for s in range(tables.line_start[j + 1] - 1, tables.line_start[j] - 1, -1):
-                    w = values[s] + tables.survival[s] * w
+                w = np.full(model.n_actions, b_val[line.boundary_index] if line.hit else 0.0)
+                for p in reversed(line.pieces):
+                    w = values[p] + tables.survival[p] * w
                 ok = np.isfinite(ref)
                 assert np.max(np.abs(w[ok] - ref[ok])) <= 1e-12 * max(1.0, np.max(np.abs(ref[ok]))), \
-                    (name, j)
+                    (name, line.origin_index)
 
     def test_improve_and_residual_match_the_references(self, models, workspaces):
         rng = np.random.default_rng(67)

@@ -69,10 +69,26 @@ class TestSampleSojourn:
             pa.simulate(model, policy, 0, 10.0, seed=5)
 
 
+def line_arrays(line) -> dict:
+    """A simulation line's node and interval tables, chain stretch then exit piece, from 0."""
+    chain, b, e = line.chain, line.b, line.e
+    head = {name: np.asarray(getattr(chain, name)) for name in
+            ("times", "states", "hazard", "slope", "f_left", "f_right", "actions")}
+    own = {name: np.asarray(getattr(line, name)) for name in
+           ("times", "states", "hazard", "slope", "f_left", "f_right")}
+    nodes = {name: np.concatenate((head[name][b:e] - (head[name][b] if name != "states" else 0.0),
+                                   start + own[name]))
+             for name, start in (("times", line.chain_time), ("states", 0.0), ("hazard", line.chain_hazard))}
+    intervals = {name: np.concatenate((head[name][b:e], own[name])) for name in ("slope", "f_left", "f_right")}
+    intervals["actions"] = np.concatenate((head["actions"][b:e], np.full(line.last + 1, line.action_tail)))
+    return nodes | intervals
+
+
 class TestLineTables:
-    def test_match_the_reference_paths_bit_for_bit(self, models, workspaces):
-        # the tables are read off the mesh geometry with the arithmetic of the
-        # reference paths, so trajectories stay those of the path-built tables
+    def test_match_the_reference_paths(self, models, workspaces):
+        # a line's chain stretch and exit piece hold the reference path's
+        # tables; a line that passes no grid point is its exit piece alone,
+        # whose tables are the reference path's bit for bit
         rng = np.random.default_rng(61)
         for name, model in models.items():
             ws = workspaces[name]
@@ -81,14 +97,32 @@ class TestLineTables:
                 tables = pa.prepare_simulation(model, policy, workspace=ws)
                 for line, path in zip(tables.lines, policy_paths(ws, policy)):
                     f_left, f_right = path.node_table_values(model.running_cost)
-                    for got, want in ((line.times, path.times), (line.states, path.states),
-                                      (line.hazard, path.cum_hazard), (line.slope, path.hazard_slope),
-                                      (line.f_left, f_left), (line.f_right, f_right),
-                                      (line.actions, path.interval_actions)):
-                        assert np.array_equal(np.asarray(got), want), name
+                    got = line_arrays(line)
+                    for key, want in (("times", path.times), ("states", path.states),
+                                      ("hazard", path.cum_hazard), ("slope", path.hazard_slope),
+                                      ("f_left", f_left), ("f_right", f_right),
+                                      ("actions", path.interval_actions)):
+                        if line.b == line.e:
+                            assert np.array_equal(got[key], want), (name, key)
+                        else:
+                            assert got[key].shape == want.shape, (name, key)
+                            assert np.max(np.abs(got[key] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), \
+                                (name, key)
                     assert (line.hit, line.boundary_index, line.boundary_action) == \
                         (path.hit, path.boundary_index, path.boundary_action)
-                    assert line.lam_tail == path.lam_right[-1] and line.hazard_end == path.cum_hazard[-1]
+                    assert line.lam_tail == path.lam_right[-1]
+                    assert abs(line.chain_hazard + line.hazard_end - path.cum_hazard[-1]) <= 1e-12
+
+    def test_lines_share_one_chain(self, models, workspaces):
+        # no line copies the chain: the tables hold one node per mesh node,
+        # less the joints the segments share
+        model = models["drift_boundary_64"]
+        ws = workspaces["drift_boundary_64"]
+        tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws)
+        assert all(line.chain is tables.chain for line in tables.lines)
+        chain_nodes = len(tables.chain.times)
+        exit_nodes = sum(len(line.times) for line in tables.lines)
+        assert chain_nodes + exit_nodes == ws.mesh.times.size - (ws.mesh.n_chain - 1)
 
 
 def reference_jump_target(model, line, hit, y, action, u):
@@ -234,14 +268,37 @@ class TestRunningCost:
             assert _cost_to(line, tau) == pytest.approx(f * tau, rel=1e-12, abs=1e-15)
 
     def test_interval_hint_never_changes_the_integral(self, models):
+        # a hint is a chain interval short of the line's chain time and an
+        # exit piece interval past it; a wrong one is searched past
         model = models["decay_flow_16"]
         line = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model)).lines[5]
+        assert 0.0 < line.chain_time < line.chain_time + line.end
+        chain_times = np.asarray(line.chain.times)
         rng = np.random.default_rng(3)
-        for tau in rng.uniform(0.0, line.end, 200):
-            k = int(np.searchsorted(line.times, tau, side="right")) - 1
+        for tau in rng.uniform(0.0, line.chain_time + line.end, 200):
+            if tau < line.chain_time:
+                k = int(np.searchsorted(chain_times, chain_times[line.b] + tau, side="right")) - 1
+                hints = (k, k - 1, k + 1, -1, 0)
+            else:
+                k = int(np.searchsorted(line.times, tau - line.chain_time, side="right")) - 1
+                hints = (k, k - 1, min(k + 1, line.last), -1, line.b)
             exact = _cost_to(line, tau)
-            for hint in (k, k - 1, k + 1, -1):
-                assert _cost_to(line, tau, min(hint, line.last)) == exact
+            for hint in hints:
+                assert _cost_to(line, tau, hint) == exact
+
+    def test_matches_the_reference_path_integral(self, models, workspaces):
+        # the running cost up to tau along the chain stretch and exit piece
+        # is the reference path's trapezoid integral of the linear running cost
+        for name in ("drift_boundary_64", "decay_flow_16"):
+            model, ws = models[name], workspaces[name]
+            policy = pa.FeedbackPolicy.lowest_feasible(model)
+            tables = pa.prepare_simulation(model, policy, workspace=ws)
+            for j in (0, model.n_states // 2):
+                line, path = tables.lines[j], policy_paths(ws, policy)[j]
+                f_left, f_right = path.node_table_values(model.running_cost)
+                cum = np.concatenate(([0.0], np.cumsum(0.5 * path.dt * (f_left + f_right))))
+                for k in range(0, path.dt.size, max(1, path.dt.size // 50)):
+                    assert abs(_cost_to(line, float(path.times[k])) - cum[k]) <= 1e-12 * max(1.0, cum[-1])
 
 
 class TestSimulate:
@@ -385,14 +442,14 @@ GOLDEN = {
         ["0x1.6666666666750p-1"] * 8,
         16000, 16000),
     "drift_boundary_64": (
-        ["0x1.15b1d534d63dcp+0", "0x1.1776d551c2bb4p+0", "0x1.123e67ad8814ap+0",
-         "0x1.1892b31825a9bp+0", "0x1.13ba50578fdcfp+0", "0x1.14f50db1c5359p+0",
-         "0x1.1536ac83e6adfp+0", "0x1.1666dc6648c7cp+0"],
+        ["0x1.15b1d534d63ddp+0", "0x1.1776d551c2bb8p+0", "0x1.123e67ad8814cp+0",
+         "0x1.1892b31825aa2p+0", "0x1.13ba50578fdcfp+0", "0x1.14f50db1c535ap+0",
+         "0x1.1536ac83e6ae3p+0", "0x1.1666dc6648c80p+0"],
         27568, 13498),
     "decay_flow_16": (
-        ["0x1.1fbfb53abb4f8p-1", "0x1.20217214838c8p-1", "0x1.1f6d6d2f7b10ap-1",
-         "0x1.20df08da7f230p-1", "0x1.20999958402a1p-1", "0x1.20f502178e924p-1",
-         "0x1.2022fe78bdde3p-1", "0x1.20e7cb8bffeedp-1"],
+        ["0x1.1fbfb53abb4f8p-1", "0x1.20217214838c3p-1", "0x1.1f6d6d2f7b109p-1",
+         "0x1.20df08da7f232p-1", "0x1.209999584029ep-1", "0x1.20f502178e923p-1",
+         "0x1.2022fe78bdde0p-1", "0x1.20e7cb8bffeefp-1"],
         13533, 0),
 }
 

@@ -1,8 +1,10 @@
-"""The bundled-model recipes of ``tools/build_bundled_models.py``.
+"""The scripts under ``tools/``.
 
-The benchmark's model generator (``perfbench/drift.py``) imports this script
-by path and tunes its constants with the script's ``sup_*`` functions, so the
-tuners are checked here against the per-path reference quadrature.
+The benchmark's model generator (``perfbench/drift.py``) imports the
+bundled-model recipes of ``tools/build_bundled_models.py`` by path and tunes
+its constants with the script's ``sup_*`` functions, so the tuners are
+checked here against the per-path reference quadrature.  The scaling
+benchmark ``tools/bench_scaling.py`` is run on one small grid.
 """
 
 import importlib.util
@@ -17,15 +19,19 @@ from pdmp_avgctl.operators import OperatorWorkspace
 
 from reference_quadrature import op_G, policy_paths
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "build_bundled_models.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def recipes():
-    spec = importlib.util.spec_from_file_location("build_bundled_models", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("build_bundled_models")
 
 
 def reference_kernel_drift_gap(model, k_g: float) -> float:
@@ -57,3 +63,23 @@ def test_bundled_constants_cover_the_tuned_gap(recipes):
     model = pa.load_model(pa.bundled_model_path("drift_boundary_64"))
     gap = recipes.sup_kernel_drift_gap(model, model.constants.k_g)
     assert model.constants.K_g == round(max(gap * 1.2, 0.1), 6)
+
+
+def test_scaling_row_on_a_small_grid(tmp_path):
+    bench = load_tool("bench_scaling")
+    path = tmp_path / "drift_16.json"
+    path.write_text(json.dumps(bench.drift_doc(16)))
+    row = bench.measure(path)
+    model = pa.load_model(path)
+    ws = pa.refined_workspace(model, pa.FeedbackPolicy.lowest_feasible(model))
+    assert (row["n"], row["refined_fill"]) == (16, ws.fill)
+    assert row["mesh_nodes"] == ws.mesh.times.size
+    mesh = ws.mesh
+    arrays = (mesh.times, mesh.states, mesh.ilo, mesh.wlo, mesh.lam_nodes, mesh.f_nodes)
+    assert row["mesh_mb"] == round(sum(a.nbytes for a in arrays) / 2**20, 3)
+    assert row["rho"] == pa.evaluate_policy(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws).rho
+    for key in ("refine_s", "workspace_build_s", "tables_s", "assemble_s", "evaluate_s", "improve_s",
+                "residual_s"):
+        assert row[key] >= 0.0, key
+    assert row["tables_mb"] > 0.0 and row["peak_rss_mb"] > 0.0
+    assert set(bench.machine()) >= {"cores", "numpy", "python"}

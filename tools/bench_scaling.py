@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Scaling trajectory of the solver layers on generated drift_N models.
+
+For every N the ``drift_boundary_64`` recipe on an N-point grid
+(``perfbench/drift.py``'s ``drift_doc``) is written to a work directory, then
+measured in a fresh process, one N after another.  A measurement refines the
+workspace of the lowest feasible policy to the default target, then, on a new
+workspace at the refined fill, times one table build, one assemble, one
+evaluation, one improve and one optimality residual.  Run from the root of a
+checkout:
+
+    python tools/bench_scaling.py --label change --out BENCH_8.json
+
+The rows go under ``--label`` in the output file, next to those of other
+labels already there (say, the same script run on the parent commit with the
+same ``--work`` directory), with the machine's cores, numpy and Python
+versions.  Model files already in the work directory are reused.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib.util
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import pdmp_avgctl as pa  # noqa: E402
+
+SIZES = (64, 128, 256, 512, 1024)
+
+
+def drift_doc(n: int) -> dict:
+    """``perfbench/drift.py``'s model document for an ``n``-point grid."""
+    spec = importlib.util.spec_from_file_location("perfbench_drift", ROOT / "perfbench" / "drift.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.drift_doc(n)
+
+
+def _nbytes(*objects) -> int:
+    """Bytes of the arrays in the dataclass fields of ``objects``."""
+    total = 0
+    for obj in objects:
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, np.ndarray):
+                total += value.nbytes
+    return total
+
+
+def measure(path) -> dict:
+    """One row of the scaling table for the model file at ``path``."""
+    clock = time.perf_counter
+    model = pa.load_model(path)
+    policy = pa.FeedbackPolicy.lowest_feasible(model)
+    t0 = clock()
+    fill = pa.refined_workspace(model, policy).fill
+    t1 = clock()
+    ws = pa.OperatorWorkspace(model, fill)
+    t2 = clock()
+    tables = ws.segment_tables()
+    t3 = clock()
+    ws.assemble(policy)
+    t4 = clock()
+    result = pa.evaluate_policy(model, policy, workspace=ws)
+    t5 = clock()
+    ws.improve(result.rho, result.h, policy)
+    t6 = clock()
+    ws.optimality_residual(result.rho, result.h, policy)
+    t7 = clock()
+    incidence = getattr(ws, "incidence", None)
+    extra = (incidence,) if incidence is not None else ()
+    return {
+        "n": model.n_states,
+        "refined_fill": fill,
+        "mesh_nodes": sum(int(g.times.size) for g in ws.geometry),
+        "mesh_mb": round(_nbytes(*ws.geometry) / 2**20, 3),
+        "refine_s": round(t1 - t0, 4),
+        "workspace_build_s": round(t2 - t1, 4),
+        "tables_s": round(t3 - t2, 4),
+        "tables_mb": round(_nbytes(tables, *extra) / 2**20, 3),
+        "assemble_s": round(t4 - t3, 4),
+        "evaluate_s": round(t5 - t4, 4),
+        "improve_s": round(t6 - t5, 4),
+        "residual_s": round(t7 - t6, 4),
+        "rho": result.rho,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def machine() -> dict:
+    return {"cores": os.cpu_count(), "numpy": np.__version__, "python": platform.python_version(),
+            "machine": platform.machine(), "processor": platform.processor() or None}
+
+
+def _run(args: list) -> str:
+    """The last output line of this script run with ``args`` in a fresh process, BLAS on one thread."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True, check=True, env=env)
+    return out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="change", help="key of this run's rows in the output")
+    parser.add_argument("--out", type=Path, help="JSON file the rows are merged into")
+    parser.add_argument("--work", type=Path, default=ROOT / ".bench_scaling",
+                        help="directory of the generated model files")
+    parser.add_argument("--generate", nargs=2, metavar=("N", "PATH"), help=argparse.SUPPRESS)
+    parser.add_argument("--measure", type=Path, metavar="PATH", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.generate:
+        n, path = int(args.generate[0]), Path(args.generate[1])
+        path.write_text(json.dumps(drift_doc(n), indent=1) + "\n")
+        return 0
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+
+    args.work.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for n in SIZES:
+        path = args.work / f"drift_{n}.json"
+        if not path.exists():
+            _run(["--generate", str(n), str(path)])
+        rows.append(json.loads(_run(["--measure", str(path)])))
+        print(json.dumps(rows[-1]), flush=True)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {"machine": machine(), "rows": rows}
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -46,7 +46,7 @@ def sup_growth(model: pa.PdmpModel) -> float:
     from pdmp_avgctl.operators import OperatorWorkspace
 
     ws = OperatorWorkspace(model, 32)
-    return max(_exp_growth_integral(model, g) for g in ws.geometry)
+    return float(_exp_growth_integral(model, ws).max())
 
 
 def sup_kernel_drift_gap(model: pa.PdmpModel, k_g: float) -> float:
