@@ -11,15 +11,16 @@ The tables follow the engine's pieces.  The inter-grid segments form one node
 chain in flow order, with one cumulative hazard C and one cumulative running
 cost along it per policy; the line from grid point j is the stretch of the
 chain from its start node b_j to the node e_j of the last grid point it
-passes, then its own exit piece's tables.  So the tables take O(n * fill)
-memory, and no line copies the chain.
+passes, then its own exit piece's nodes, which follow the chain in the same
+arrays.  So the tables take O(n * fill) memory, and no line copies the
+chain.
 
 A jump costs O(log K) interpreted work on a K-node line and makes no numpy
 call.  The tables are memoryviews of their node arrays, which index to
 Python floats and are searched in place by :mod:`bisect` without a copy.  The
 sojourn is one ``bisect_right(C, C[b_j] + level, b_j, e_j)`` on the chain,
-or, when the hazard level passes the chain's end, one on the exit piece's
-cumulative hazard; the running-cost integral reuses the interval found.  The
+or, when the hazard level passes the chain's end, the same search over the
+exit piece's nodes; the running-cost integral reuses the interval found.  The
 post-jump state is one ``bisect_left`` on a precomputed cumulative kernel
 row; between grid points, one on each neighbouring row brackets the search
 on their linear mixture.  Uniforms are drawn from the stream in blocks.
@@ -53,17 +54,25 @@ class SimulationExplosionError(SimulationError):
 
 
 @dataclass(frozen=True, slots=True)
-class _Chain:
-    """The inter-grid segments of a policy's path, one node chain in flow order.
+class _Nodes:
+    """A policy's path tables over the whole mesh: the chain of inter-grid
+    segments, then every line's exit piece.
 
-    Each table is a ``memoryview`` of a float64 (``actions``: int64) array:
-    indexing it gives a Python number and :mod:`bisect` searches it, without
-    copying the array.
+    The chain holds one node per chain interval plus the last segment's end;
+    consecutive segments share their joint node, which takes the next
+    segment's first state, the grid point itself.  Its times, cumulative
+    hazard C and cumulative running cost run along the whole chain.  The
+    exit pieces follow in line order, one block of nodes each, timed from the
+    piece's start, with hazard and cost summed from 0 there.  Interval tables
+    are indexed by their left node; the entry at a block's last node is
+    unused.  Each table is a ``memoryview`` of a float64 (``actions``: int64)
+    array: indexing it gives a Python number and :mod:`bisect` searches it,
+    without copying the array.
     """
 
-    times: memoryview        # running time at nodes
+    times: memoryview
     states: memoryview
-    hazard: memoryview       # cumulative hazard C at nodes
+    hazard: memoryview       # cumulative hazard at nodes
     slope: memoryview        # hazard slope per interval
     cost_cum: memoryview     # cumulative running cost at nodes
     f_left: memoryview
@@ -73,34 +82,28 @@ class _Chain:
 
 @dataclass(frozen=True, slots=True)
 class _Line:
-    """One start state's feedback path: a stretch of the shared chain, then its exit piece.
+    """One start state's feedback path: a stretch of the chain, then its exit piece.
 
     ``b``/``e`` are the chain nodes of the start state and of the last grid
     point the line passes (equal when it passes none), and ``chain_*`` the
-    hazard, time and running cost between them.  The remaining tables are the
-    exit piece's, timed from its start: ``times`` and ``states`` view the
-    workspace's mesh, the rest is derived once per policy, and the scalars
-    are what a sojourn past the tabulated horizon needs.
+    hazard, time and running cost between them.  ``x0``/``x1`` are the exit
+    piece's first and last nodes; the scalars are its totals and what a
+    sojourn past the tabulated horizon needs.
     """
 
-    chain: _Chain            # shared by every line, not copied
+    nodes: _Nodes            # shared by every line, not copied
     b: int
     e: int
+    x0: int
+    x1: int
     chain_hazard: float
     chain_time: float
     chain_cost: float
-    times: memoryview
-    states: memoryview
-    hazard: memoryview       # cumulative hazard at nodes
-    slope: memoryview        # hazard slope per interval
-    cost_cum: memoryview     # cumulative running cost at nodes
-    f_left: memoryview
-    f_right: memoryview
-    last: int                # index of the last interval
     hit: bool
     boundary_index: int
     boundary_action: int
-    hazard_end: float
+    hazard_end: float        # the exit piece's hazard
+    cost_end: float          # the exit piece's running cost
     end: float               # the exit piece's duration
     lam_tail: float
     f_tail: float
@@ -108,67 +111,61 @@ class _Line:
     action_tail: int         # the exit piece's action
 
 
-def _interval_tables(mesh, left: np.ndarray, actions: np.ndarray) -> tuple:
-    """(dt, slope, f_left, f_right, lam_right) of mesh intervals.
+def _node_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, int]:
+    """The policy's :class:`_Nodes`, the chain node of each flow position,
+    and the shift from an exit piece's mesh node to its table node.
 
-    ``left`` holds the left node of each interval and ``actions`` its action.
-    The hazard slope is the trapezoid of the jump rates at the interval's two
-    nodes and the running cost is linear between its node values.
-    """
-    dt = mesh.times[left + 1] - mesh.times[left]
-    lam_right = mesh.lam_nodes[left + 1, actions]
-    slope = 0.5 * (mesh.lam_nodes[left, actions] + lam_right)
-    return dt, slope, mesh.f_nodes[left, actions], mesh.f_nodes[left + 1, actions], lam_right
-
-
-def _cumulative(values: np.ndarray) -> np.ndarray:
-    """Running sums of per-interval ``values`` at the nodes, from 0."""
-    out = np.empty(values.size + 1)
-    out[0] = 0.0
-    np.cumsum(values, out=out[1:])
-    return out
-
-
-def _chain_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Chain, list]:
-    """The policy's chain over the mesh's inter-grid segments, and the chain node of each flow position.
-
-    Chain node k is the left node of chain interval k, and one last node ends
-    the last segment; consecutive segments share their joint node, which
-    takes the next segment's first state, the grid point itself.  Times,
-    hazard and cost along the chain are each segment's own running values on
-    top of the totals of the segments before it, so rounding does not build
-    up over the whole chain.
+    The hazard slope of an interval is the trapezoid of the jump rates at its
+    two nodes and the running cost is linear between its node values.  Every
+    piece's hazard and cost are its own running sums from 0; the chain adds
+    each segment's onto the totals of the segments before it, so rounding
+    does not build up over the whole chain.
     """
     n_chain = mesh.n_chain
-    first = mesh.first
+    first, left = mesh.first, mesh.left
     k_chain = int(first[n_chain])
-    left = mesh.left[:k_chain]
-    segment = np.repeat(np.arange(n_chain), np.diff(first[:n_chain + 1]))
-    actions = piece_action[segment]
-    dt, slope, f_left, f_right, _ = _interval_tables(mesh, left, actions)
+    piece = np.repeat(np.arange(first.size - 1), np.diff(first))
+    actions = piece_action[piece]
+    dt = mesh.times[left + 1] - mesh.times[left]
+    lam, f = mesh.lam_nodes, mesh.f_nodes
+    slope = 0.5 * (lam[left, actions] + lam[left + 1, actions])
+    f_left, f_right = f[left, actions], f[left + 1, actions]
+    per_interval = np.empty((dt.size, 2))
+    per_interval[:, 0] = slope * dt
+    per_interval[:, 1] = 0.5 * dt * (f_left + f_right)
+    running = mesh.running_sums(per_interval)
+
+    # chain node k is the left node of chain interval k; exit nodes follow
+    # the chain's end node as they are in the mesh
+    exit_start = int(mesh.node_start[n_chain])
+    x_first = k_chain + 1
+    chain_left = left[:k_chain]
     ends = mesh.node_start[1:n_chain + 1] - 1
 
-    def along(own):
-        """Chain-node values of per-segment running values ``own`` (one per mesh node)."""
-        before = _cumulative(own[ends])
-        return np.append(before[segment] + own[left], before[-1])
+    def nodes(own):
+        """Node values: along the chain on top of earlier segments' totals, then the exit pieces' own."""
+        before = np.concatenate(([0.0], np.cumsum(own[ends])))
+        return np.concatenate((before[piece[:k_chain]] + own[chain_left], before[-1:], own[exit_start:]))
 
-    per_interval = np.zeros((int(first[-1]), 2))
-    per_interval[:k_chain, 0] = slope * dt
-    per_interval[:k_chain, 1] = 0.5 * dt * (f_left + f_right)
-    running = mesh.running_sums(per_interval)
-    states = np.append(mesh.states[left], mesh.states[mesh.node_start[n_chain] - 1])
-    chain = _Chain(times=memoryview(along(mesh.times)), states=memoryview(states),
-                   hazard=memoryview(along(running[:, 0])), slope=memoryview(slope),
-                   cost_cum=memoryview(along(running[:, 1])), f_left=memoryview(f_left),
-                   f_right=memoryview(f_right), actions=memoryview(actions))
-    return chain, first[np.minimum(np.arange(n_lines), n_chain)].tolist()
+    def intervals(values):
+        out = np.zeros(x_first + mesh.times.size - exit_start, dtype=values.dtype)
+        out[:k_chain] = values[:k_chain]
+        out[left[k_chain:] - exit_start + x_first] = values[k_chain:]
+        return out
+
+    states = np.concatenate((mesh.states[chain_left], mesh.states[[exit_start - 1]], mesh.states[exit_start:]))
+    tables = _Nodes(times=memoryview(nodes(mesh.times)), states=memoryview(states),
+                    hazard=memoryview(nodes(running[:, 0])), slope=memoryview(intervals(slope)),
+                    cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
+                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)))
+    node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
+    return tables, node_of, x_first - exit_start
 
 
 class SimulationTables:
     """Frozen per-policy simulation data for every grid state.
 
-    Besides the shared :class:`_Chain` and one :class:`_Line` per start state
+    Besides the shared :class:`_Nodes` and one :class:`_Line` per start state
     it holds, as Python lists, the model data a post-jump draw reads: the
     grid points, the cumulative kernel rows, each kernel row's ``sum()`` and
     the boundary charges.
@@ -180,38 +177,29 @@ class SimulationTables:
         ws = workspace if workspace is not None else OperatorWorkspace(model)
         mesh = ws.mesh
         piece_action = policy.interior[mesh.anchors]
-        self.chain, node_of = _chain_tables(mesh, piece_action, len(ws.lines))
-        chain = self.chain
+        self.nodes, node_of, shift = _node_tables(mesh, piece_action, len(ws.lines))
+        nodes = self.nodes
+        times, hazard, cost_cum = nodes.times, nodes.hazard, nodes.cost_cum
         self.lines = []
         for line in ws.lines:
             b, e = node_of[line.chain.start], node_of[line.chain.stop]
             p = line.exit_piece
-            k0, k1 = int(mesh.node_start[p]), int(mesh.node_start[p + 1])
+            x0, x1 = int(mesh.node_start[p]) + shift, int(mesh.node_start[p + 1]) - 1 + shift
             act = int(piece_action[p])
-            dt, slope, f_left, f_right, lam_right = _interval_tables(
-                mesh, np.arange(k0, k1 - 1), np.full(k1 - k0 - 1, act))
-            hazard, cost_cum = _cumulative(slope * dt), _cumulative(0.5 * dt * (f_left + f_right))
             self.lines.append(_Line(
-                chain=chain, b=b, e=e,
-                chain_hazard=chain.hazard[e] - chain.hazard[b],
-                chain_time=chain.times[e] - chain.times[b],
-                chain_cost=chain.cost_cum[e] - chain.cost_cum[b],
-                times=memoryview(mesh.times[k0:k1]),
-                states=memoryview(mesh.states[k0:k1]),
-                hazard=memoryview(hazard),
-                slope=memoryview(slope),
-                cost_cum=memoryview(cost_cum),
-                f_left=memoryview(f_left),
-                f_right=memoryview(f_right),
-                last=k1 - k0 - 2,
+                nodes=nodes, b=b, e=e, x0=x0, x1=x1,
+                chain_hazard=hazard[e] - hazard[b],
+                chain_time=times[e] - times[b],
+                chain_cost=cost_cum[e] - cost_cum[b],
                 hit=line.hit,
                 boundary_index=line.boundary_index,
                 boundary_action=int(policy.boundary[line.boundary_index]) if line.hit else -1,
-                hazard_end=float(hazard[-1]),
-                end=float(mesh.times[k1 - 1]),
-                lam_tail=float(lam_right[-1]),
-                f_tail=float(f_right[-1]),
-                state_tail=float(mesh.states[k1 - 1]),
+                hazard_end=hazard[x1],
+                cost_end=cost_cum[x1],
+                end=times[x1],
+                lam_tail=float(mesh.lam_nodes[x1 - shift, act]),
+                f_tail=float(mesh.f_nodes[x1 - shift, act]),
+                state_tail=nodes.states[x1],
                 action_tail=act,
             ))
         self.points = model.grid.points.tolist()
@@ -291,39 +279,30 @@ def prepare_simulation(model, policy, *, workspace: OperatorWorkspace | None = N
 def _cost_to(line: _Line, tau: float, k: int = -1) -> float:
     """Running-cost integral over [0, tau] along ``line``.
 
-    ``k`` is a guess at the mesh interval holding ``tau`` (the sojourn's): a
-    chain interval while ``tau`` is short of the line's chain time, an exit
-    piece interval after it.  It is used when ``tau`` lies in it, otherwise
-    the interval is searched for.
+    ``k`` is a guess at the node table interval holding ``tau`` (the
+    sojourn's).  It is used when ``tau`` lies in it, otherwise the interval
+    is searched for.
     """
+    nodes = line.nodes
+    times, cost_cum = nodes.times, nodes.cost_cum
     if tau < line.chain_time:
-        chain, b = line.chain, line.b
-        times = chain.times
-        tau += times[b]
-        if not (b <= k < line.e and times[k] <= tau < times[k + 1]):
-            k = bisect_right(times, tau, b, line.e) - 1
-        t_k = times[k]
-        dt = times[k + 1] - t_k
-        sigma = tau - t_k
-        f_k = chain.f_left[k]
-        f_at = f_k + (chain.f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
-        return chain.cost_cum[k] - chain.cost_cum[b] + 0.5 * sigma * (f_k + f_at)
-    tau -= line.chain_time
-    if tau >= line.end:
-        return line.chain_cost + (line.cost_cum[-1] + (tau - line.end) * line.f_tail)
-    times = line.times
-    if not (0 <= k <= line.last and times[k] <= tau < times[k + 1]):
-        k = bisect_right(times, tau) - 1
-        if k < 0:
-            k = 0
-        elif k > line.last:
-            k = line.last
+        # on the chain stretch, timed from node b
+        lo, hi, c_base, c_before = line.b, line.e, cost_cum[line.b], 0.0
+        tau += times[lo]
+    else:
+        # on the exit piece, timed from its start
+        tau -= line.chain_time
+        if tau >= line.end:
+            return line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
+        lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
+    if not (lo <= k < hi and times[k] <= tau < times[k + 1]):
+        k = bisect_right(times, tau, lo, hi) - 1
     t_k = times[k]
     dt = times[k + 1] - t_k
     sigma = tau - t_k
-    f_k = line.f_left[k]
-    f_at = f_k + (line.f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
-    return line.chain_cost + (line.cost_cum[k] + 0.5 * sigma * (f_k + f_at))
+    f_k = nodes.f_left[k]
+    f_at = f_k + (nodes.f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
+    return c_before + (cost_cum[k] - c_base + 0.5 * sigma * (f_k + f_at))
 
 
 @dataclass(frozen=True)
@@ -418,9 +397,9 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     next_edge = edges[0]
 
     lines = tabs.lines
-    chain = tabs.chain
-    c_hazard, c_times, c_states, c_slope, c_actions = \
-        chain.hazard, chain.times, chain.states, chain.slope, chain.actions
+    nodes = tabs.nodes
+    n_hazard, n_times, n_states, n_slope, n_actions = \
+        nodes.hazard, nodes.times, nodes.states, nodes.slope, nodes.actions
     jump_target = tabs.jump_target
     boundary_cost = tabs.boundary_cost
     cost_to = _cost_to
@@ -442,55 +421,43 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             drawn = 0
         u_jump = block[drawn + 1]
         # the sojourn: inverse transform of the uniform on the cumulative
-        # hazard; k is the mesh interval holding it (on the chain, else on
-        # the exit piece), -1 past the table
+        # hazard, over nodes lo..hi of the chain stretch (timed from node b)
+        # or of the exit piece (timed from its start, after the chain time);
+        # k is the interval holding it, -1 past the table
         level = -log1p(-block[drawn])
         drawn += 2
         if level < line.chain_hazard:
-            b = line.b
-            level += c_hazard[b]
-            k = bisect_right(c_hazard, level, b, line.e) - 1
-            m = c_slope[k]
-            t_k = c_times[k]
-            dt = c_times[k + 1] - t_k
-            sigma = (level - c_hazard[k]) / m if m > RATE_FLOOR else 0.0
-            frac = sigma / dt if dt > 0 else 0.0
-            y_k = c_states[k]
-            y_jump = y_k + (c_states[k + 1] - y_k) * frac
-            sojourn, hit, act = t_k - c_times[b] + sigma, False, c_actions[k]
+            lo, hi, t_base, t_before = line.b, line.e, n_times[line.b], 0.0
+            level += n_hazard[lo]
+            past = False
         else:
+            lo, hi, t_base, t_before = line.x0, line.x1, 0.0, line.chain_time
             level -= line.chain_hazard
-            hazard_end = line.hazard_end
-            if level >= hazard_end:
-                k = -1
-                y_jump = line.state_tail
-                if line.hit:
-                    sojourn, hit, act = line.end, True, line.boundary_action
-                elif line.lam_tail <= RATE_FLOOR:
-                    raise SimulationError(
-                        "drawn hazard level exceeds the tabulated horizon and the tail "
-                        "jump rate is (numerically) zero; the model violates the "
-                        "divergence the rate floor is supposed to guarantee"
-                    )
-                else:
-                    sojourn, hit, act = line.end + (level - hazard_end) / line.lam_tail, False, \
-                        line.action_tail
+            past = level >= line.hazard_end
+        if not past:
+            k = bisect_right(n_hazard, level, lo, hi) - 1
+            m = n_slope[k]
+            t_k = n_times[k]
+            dt = n_times[k + 1] - t_k
+            sigma = (level - n_hazard[k]) / m if m > RATE_FLOOR else 0.0
+            frac = sigma / dt if dt > 0 else 0.0
+            y_k = n_states[k]
+            y_jump = y_k + (n_states[k + 1] - y_k) * frac
+            sojourn, hit, act = t_before + (t_k - t_base + sigma), False, n_actions[k]
+        else:
+            k = -1
+            y_jump = line.state_tail
+            if line.hit:
+                sojourn, hit, act = t_before + line.end, True, line.boundary_action
+            elif line.lam_tail <= RATE_FLOOR:
+                raise SimulationError(
+                    "drawn hazard level exceeds the tabulated horizon and the tail "
+                    "jump rate is (numerically) zero; the model violates the "
+                    "divergence the rate floor is supposed to guarantee"
+                )
             else:
-                hazard, times, states = line.hazard, line.times, line.states
-                k = bisect_right(hazard, level) - 1
-                if k < 0:
-                    k = 0
-                elif k > line.last:
-                    k = line.last
-                m = line.slope[k]
-                t_k = times[k]
-                dt = times[k + 1] - t_k
-                sigma = (level - hazard[k]) / m if m > RATE_FLOOR else 0.0
-                frac = sigma / dt if dt > 0 else 0.0
-                y_k = states[k]
-                y_jump = y_k + (states[k + 1] - y_k) * frac
-                sojourn, hit, act = t_k + sigma, False, line.action_tail
-            sojourn += line.chain_time
+                sojourn, hit, act = t_before + (line.end + (level - line.hazard_end) / line.lam_tail), False, \
+                    line.action_tail
         t_next = t + sojourn
         # a jump landing exactly on the horizon still counts (T_i <= t convention)
         if t_next > horizon:

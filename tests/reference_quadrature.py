@@ -73,7 +73,12 @@ def _reference_transit(model) -> float:
     return best
 
 
-def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) -> _LineGeometry:
+def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
+                    counts: np.ndarray | None = None) -> _LineGeometry:
+    """The mesh of line ``j``, every segment timed from the line's start.
+
+    ``counts`` overrides the per-segment interval counts the rule gives.
+    """
     flow = model.flow
     points = model.grid.points
     n = points.size
@@ -117,12 +122,14 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None) 
     # model's shortest inter-grid transit), so contracting flows refine evenly
     # in time and every line sees the same spacing; a truncated line's tail
     # takes at least max(MIN_TAIL_INTERVALS, fill) intervals instead
-    counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
-    base_h = ref_transit / fill
-    budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
-    if truncated:
-        budget[-1] = max(MIN_TAIL_INTERVALS, fill)
-    counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+    if counts is None:
+        counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
+        base_h = ref_transit / fill
+        budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
+        if truncated:
+            budget[-1] = max(MIN_TAIL_INTERVALS, fill)
+        counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
 
     # node k of segment s sits at edges[s] + k * (dur[s] / counts[s]), the
     # arithmetic of np.linspace; each segment ends exactly on its edge
@@ -303,6 +310,51 @@ def line_geometry(ws) -> list[_LineGeometry]:
     return _LINES[ws]
 
 
+def piece_counts(ws) -> list[list[int]]:
+    """Per line: the interval count of each of its pieces in ``ws``'s shared mesh."""
+    return [[ws.geometry[p].times.size - 1 for p in line.pieces] for line in ws.lines]
+
+
+def forced_line_geometry(ws) -> list[_LineGeometry]:
+    """Per-line meshes, each timed from the line's own start, with the shared mesh's interval counts."""
+    ref = _reference_transit(ws.model)
+    return [_build_geometry(ws.model, j, ws.fill, ref, counts=c) for j, c in enumerate(piece_counts(ws))]
+
+
+def shared_line_geometry(ws) -> list[_LineGeometry]:
+    """Each line of ``ws`` laid out as one mesh: its pieces' nodes end to end.
+
+    A piece keeps its own nodes and node data, timed from the line's start,
+    so two consecutive pieces both hold their joint node and the interval
+    between those two nodes has length zero: it adds exactly nothing to any
+    integral.  The per-path quadrature on these meshes therefore integrates
+    the very intervals the piece tables sum.
+    """
+    out = []
+    for line in ws.lines:
+        pieces = [ws.geometry[p] for p in line.pieces]
+        offsets = [0.0]
+        for piece in pieces[:-1]:
+            offsets.append(offsets[-1] + float(piece.times[-1]))
+        times = np.concatenate([offset + piece.times for offset, piece in zip(offsets, pieces)])
+        sizes = np.array([piece.times.size for piece in pieces])
+        ends = np.cumsum(sizes) - 1
+        starts = ends - sizes + 1
+        # interval k runs from node k to node k + 1; the joint intervals
+        # (the last node of a piece to the first of the next) take the next
+        # piece's anchor
+        anchors = np.array([piece.anchor for piece in pieces], dtype=np.int64)
+        seg_anchor = np.repeat(anchors, sizes)[1:]
+        joined = {name: np.concatenate([getattr(piece, name) for piece in pieces])
+                  for name in ("states", "ilo", "wlo", "lam_nodes", "f_nodes")}
+        out.append(_LineGeometry(
+            origin_index=line.origin_index, times=times, dt=np.diff(times), seg_anchor=seg_anchor,
+            seg_slices=tuple(zip(starts.tolist(), ends.tolist(), anchors.tolist())),
+            hit=line.hit, boundary_index=line.boundary_index, t_star=line.t_star,
+            truncated=line.truncated, line_feasible=line.line_feasible, **joined))
+    return out
+
+
 
 @dataclass(frozen=True)
 class PolicyPath:
@@ -403,9 +455,14 @@ def _path_from_geometry(model, geom: _LineGeometry, policy) -> PolicyPath:
     )
 
 
-def policy_paths(ws, policy) -> list[PolicyPath]:
-    """The feedback path of ``policy`` from every grid state, on ``ws``'s mesh."""
-    return [_path_from_geometry(ws.model, g, policy) for g in line_geometry(ws)]
+def policy_paths(ws, policy, geometry=None) -> list[PolicyPath]:
+    """The feedback path of ``policy`` from every grid state.
+
+    The paths run on ``geometry`` (one mesh per line), by default the
+    per-line meshes of ``ws``'s model at ``ws``'s fill.
+    """
+    lines = line_geometry(ws) if geometry is None else geometry
+    return [_path_from_geometry(ws.model, g, policy) for g in lines]
 
 
 def _check_alpha(model, alpha: float) -> None:
@@ -506,14 +563,15 @@ def _kernel_row(path: PolicyPath, alpha: float) -> np.ndarray:
     return row
 
 
-def reference_assemble(ws, policy, alpha: float = 0.0):
-    """(kernel, ell, cost) of one policy, integrated path by path on ``ws``'s mesh."""
+def reference_assemble(ws, policy, alpha: float = 0.0, geometry=None):
+    """(kernel, ell, cost) of one policy, integrated path by path on ``geometry``
+    (by default the per-line meshes at ``ws``'s fill)."""
     model = ws.model
     n = model.n_states
     kernel = np.empty((n, n))
     ell = np.empty(n)
     cost = np.empty(n)
-    for j, path in enumerate(policy_paths(ws, policy)):
+    for j, path in enumerate(policy_paths(ws, policy, geometry)):
         kernel[j] = _kernel_row(path, alpha)
         ell[j] = op_calL(alpha, path)
         cost[j] = op_L(alpha, model.running_cost, path) + op_H(alpha, model.boundary_cost, path)
@@ -522,15 +580,16 @@ def reference_assemble(ws, policy, alpha: float = 0.0):
 
 # -- per-interval improvement and optimality certificate ---------------------
 # The march and frozen-action sweep that the segment tables replaced: each
-# re-integrates every segment of every line from the per-line mesh.
+# re-integrates every segment of every line from a per-line mesh
+# (``geometry``, by default the per-line meshes at ``ws``'s fill).
 
-def reference_improve(ws, rho, h, prev):
+def reference_improve(ws, rho, h, prev, geometry=None):
     model = ws.model
     n_a = model.n_actions
     qh_int = model.kernel_interior @ h
     b_act, b_val = ws.boundary_minima(h, prev)
     new_interior = np.empty(model.n_states, dtype=np.int64)
-    for geom in line_geometry(ws):
+    for geom in line_geometry(ws) if geometry is None else geometry:
         qh_nodes = (geom.wlo[:, None] * qh_int[geom.ilo, :]
                     + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
         if geom.hit:
@@ -560,13 +619,13 @@ def reference_improve(ws, rho, h, prev):
     return FeedbackPolicy(interior=new_interior, boundary=b_act)
 
 
-def reference_sweep_values(ws, rho, h):
+def reference_sweep_values(ws, rho, h, geometry=None):
     """Per line: the frozen-action one-stage values, or None when no action is feasible."""
     model = ws.model
     qh_int = model.kernel_interior @ h
     _, b_val = ws.boundary_minima(h)
     out = []
-    for geom in line_geometry(ws):
+    for geom in line_geometry(ws) if geometry is None else geometry:
         if not geom.line_feasible.any():
             out.append(None)
             continue
@@ -587,6 +646,6 @@ def reference_sweep_values(ws, rho, h):
     return out
 
 
-def reference_optimality_residual(ws, rho, h):
-    return max(float(h[j] - np.min(v)) for j, v in enumerate(reference_sweep_values(ws, rho, h))
+def reference_optimality_residual(ws, rho, h, geometry=None):
+    return max(float(h[j] - np.min(v)) for j, v in enumerate(reference_sweep_values(ws, rho, h, geometry))
                if v is not None)

@@ -1,9 +1,8 @@
 """Property tests of the assembled operators on random small models.
 
 Each example perturbs one of the hand-built documents of ``toy_models``: grid
-size and spacing, action count, feasible sets, flow kind, direction and
-speed, jump rates, kernels and costs are drawn at random, and the workspace
-is built at a small fill.
+size, action count, feasible sets, flow kind and speed, jump rates, kernels
+and costs are drawn at random, and the workspace is built at a small fill.
 """
 
 import numpy as np
@@ -13,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import pdmp_avgctl as pa
 from pdmp_avgctl.operators import OperatorWorkspace
 
-from reference_quadrature import (line_geometry, reference_assemble, reference_improve,
-                                  reference_optimality_residual)
+from reference_quadrature import (forced_line_geometry, line_geometry, piece_counts, reference_assemble,
+                                  reference_improve, reference_optimality_residual, shared_line_geometry)
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
 FLOWS = ("trivial", "drift", "affine", "tabulated")
@@ -30,27 +29,48 @@ def _random_feasible_sets(rng, count: int, n_a: int) -> list[list[int]]:
     return out
 
 
-def _moving_grid(rng, n: int, direction: int) -> np.ndarray:
-    """n grid points on [0, 0.9] with random gaps, the first one the flow crosses the narrowest.
+def _vary_layout(doc: dict, rng, flow: str) -> None:
+    """Redraw where the flow lines run: grid gaps, direction and horizon.
 
-    The narrowest crossing sets the mesh spacing; placed first, no line
-    reaches it from upstream, so the per-line reference meshes every segment
-    alike on every line (a line meets the others' transits only up to
-    rounding, which could tip a count rule sitting exactly on an integer).
+    The grid keeps the uniform spacing of ``renewal_doc`` or takes random
+    gaps; half the flows are mirrored to run toward smaller coordinates, to a
+    boundary point below the grid; t_max is drawn as a fraction of the time
+    to cross the grid (of a unit time for a trivial flow), so some lines stop
+    before the boundary.
     """
-    gaps = rng.uniform(1.0, 2.0, n - 1)
-    gaps[0 if direction > 0 else -1] = 0.3 * gaps.min()
-    return 0.9 * np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum()
+    if flow == "trivial":
+        doc["flow"]["t_max"] = float(rng.uniform(0.2, 1.2))
+        return
+    flow_doc = doc["flow"]
+    points = np.asarray(doc["grid"]["points"])
+    if rng.random() < 0.5:
+        gaps = rng.uniform(0.5, 1.5, points.size)  # the last one to the boundary at 1
+        points = np.concatenate(([0.0], np.cumsum(gaps[:-1]))) / gaps.sum()
+    boundary = 1.0
+    if flow_doc["kind"] == "affine1d":
+        speed = flow_doc["alpha0"]
+    else:
+        speed = float(np.mean(flow_doc["velocity"]))
+    if rng.random() < 0.5:
+        # x -> top - x maps the grid onto itself reversed and the boundary below it
+        top = float(points[-1])
+        points, boundary = top - points[::-1], top - boundary
+        if flow_doc["kind"] == "affine1d":
+            flow_doc["alpha0"] = -(flow_doc["alpha0"] + flow_doc["alpha1"] * top)
+        else:
+            flow_doc["velocity"] = [-v for v in reversed(flow_doc["velocity"])]
+    doc["grid"] = {"points": points.tolist(), "boundary_points": [boundary]}
+    flow_doc["t_max"] = float(rng.uniform(0.2, 1.5)) / speed
 
 
 @st.composite
-def random_model_docs(draw, flow: str | None = None, truncate: bool = False):
+def random_model_docs(draw, flow: str | None = None, varied: bool = False):
     """A model document: toy dynamics with random sizes, rates, kernels and costs.
 
     ``flow`` fixes the flow kind (one of ``FLOWS``); by default it is drawn.
-    A moving flow runs toward larger or smaller coordinates, to a boundary
-    point past the grid, so every line hits it unless ``truncate`` draws a
-    horizon t_max short enough to stop some lines first.
+    A moving flow runs toward larger coordinates across the uniform grid of
+    ``renewal_doc``, and every line hits the boundary; ``varied`` also draws
+    the grid gaps, the direction and a horizon (see :func:`_vary_layout`).
     """
     if flow is None:
         flow = draw(st.sampled_from(FLOWS))
@@ -64,26 +84,19 @@ def random_model_docs(draw, flow: str | None = None, truncate: bool = False):
         n_b = 0
         # positive rates, so the survival left at the horizon is negligible
         lam = rng.uniform(0.5, 3.0, size=(n, n_a))
-        speed = 0.0
     else:
-        direction = 1 if rng.random() < 0.5 else -1
         doc = renewal_doc(n=n)
-        doc["grid"] = {"points": _moving_grid(rng, n, direction).tolist(),
-                       "boundary_points": [1.0 if direction > 0 else -0.1]}
         n_b = 1
         lam = rng.uniform(0.0, 3.0, size=(n + n_b, n_a))
-        speed = float(rng.uniform(0.5, 2.0))
         if flow == "drift":
-            doc["flow"] = {"kind": "affine1d", "alpha0": direction * speed, "alpha1": 0.0}
+            doc["flow"] = {"kind": "affine1d", "alpha0": float(rng.uniform(0.5, 2.0)), "alpha1": 0.0}
         elif flow == "affine":
-            # the speed changes by at most a quarter over the domain
-            doc["flow"] = {"kind": "affine1d", "alpha0": direction * speed,
-                           "alpha1": float(rng.uniform(-0.25, 0.25)) * speed}
+            doc["flow"] = {"kind": "affine1d", "alpha0": float(rng.uniform(0.5, 2.0)),
+                           "alpha1": float(rng.uniform(-0.4, 0.4))}
         else:
-            doc["flow"] = {"kind": "tabulated1d", "velocity": (direction * rng.uniform(0.8, 2.0, n)).tolist()}
-    if truncate:
-        # a fraction of the time to cross the grid (for a trivial flow, of a unit time)
-        doc["flow"]["t_max"] = float(rng.uniform(0.2, 1.2)) * (0.9 / speed if flow != "trivial" else 1.0)
+            doc["flow"] = {"kind": "tabulated1d", "velocity": rng.uniform(0.5, 2.0, n).tolist()}
+    if varied:
+        _vary_layout(doc, rng, flow)
     kern = rng.dirichlet(np.full(n, 0.7), size=(n + n_b, n_a))
     doc["actions"] = {"values": list(range(n_a)), "feasible": _random_feasible_sets(rng, n, n_a),
                       "boundary_feasible": _random_feasible_sets(rng, n_b, n_a)}
@@ -128,12 +141,15 @@ def test_unit_running_cost_without_boundary_charge_is_the_sojourn(case):
 @PROPERTY_SETTINGS
 @given(case=random_model_docs())
 def test_assemble_matches_the_per_path_quadrature(case):
+    # the per-path quadrature runs over every interval of each line's pieces,
+    # laid end to end: the same mesh the composed piece tables sum
     doc, fill, seed = case
     model = pa.model_from_dict(doc)
     ws = OperatorWorkspace(model, fill)
+    geometry = shared_line_geometry(ws)
     for policy in _policies(model, seed):
         kernel, ell, cost, _ = ws.assemble(policy)
-        for got, want in zip((kernel, ell, cost), reference_assemble(ws, policy)):
+        for got, want in zip((kernel, ell, cost), reference_assemble(ws, policy, geometry=geometry)):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
@@ -145,21 +161,35 @@ def _within(got, want) -> bool:
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_shared_pieces_match_the_per_line_reference(flow, data):
-    # hitting and truncated lines, flows of both directions: the shared
-    # meshes reproduce the per-line meshes' counts and passed grid points,
-    # and operators, improvement and certificate agree with the reference
-    doc, fill, seed = data.draw(random_model_docs(flow=flow, truncate=True))
+    # the per-line reference meshes each segment again on every line that
+    # passes it, timed from the line's start.  The shared mesh passes the
+    # same grid points, and gives each piece the count of the line that
+    # starts on it.  Where the count rule sits on an integer (a uniform
+    # grid), rounding of the passage times can give one segment different
+    # counts on different lines; the shared count is then one of them.
+    # Operators, improvement and certificate agree with the per-line
+    # quadrature on meshes of the shared counts.
+    doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
     model = pa.model_from_dict(doc)
     ws = OperatorWorkspace(model, fill)
-    for line, geom in zip(ws.lines, line_geometry(ws)):
+    seen = {}
+    for line, geom, counts in zip(ws.lines, line_geometry(ws), piece_counts(ws)):
         assert [ws.geometry[p].anchor for p in line.pieces] == [a for _, _, a in geom.seg_slices]
-        assert [ws.geometry[p].times.size - 1 for p in line.pieces] == [k1 - k0 for k0, k1, _ in geom.seg_slices]
         assert (line.hit, line.boundary_index, line.truncated) == (geom.hit, geom.boundary_index, geom.truncated)
+        reference = [k1 - k0 for k0, k1, _ in geom.seg_slices]
+        assert counts[-1] == reference[-1]
+        if line.chain:
+            assert counts[0] == reference[0]
+        for p, count in zip(line.chain, reference):
+            seen.setdefault(p, set()).add(count)
+    for p, counts in seen.items():
+        assert ws.geometry[p].times.size - 1 in counts
+    geometry = forced_line_geometry(ws)
     rng = np.random.default_rng(seed)
     for policy in _policies(model, seed):
-        for got, want in zip(ws.assemble(policy)[:3], reference_assemble(ws, policy)):
+        for got, want in zip(ws.assemble(policy)[:3], reference_assemble(ws, policy, geometry=geometry)):
             assert _within(got, want)
         rho, h = float(rng.uniform(0.0, 3.0)), rng.normal(scale=2.0, size=model.n_states)
-        assert ws.improve(rho, h, policy).key() == reference_improve(ws, rho, h, policy).key()
+        assert ws.improve(rho, h, policy).key() == reference_improve(ws, rho, h, policy, geometry).key()
         residual = ws.optimality_residual(rho, h, policy)
-        assert _within(np.array([residual]), np.array([reference_optimality_residual(ws, rho, h)]))
+        assert _within(np.array([residual]), np.array([reference_optimality_residual(ws, rho, h, geometry)]))

@@ -59,6 +59,37 @@ class TestSampleSojourn:
                 assert record.jump_times[0] < 1.0
         assert saw_interior
 
+    @pytest.mark.parametrize("name", ["drift_boundary_64", "decay_flow_16"])
+    def test_sojourn_inverts_the_cumulative_hazard(self, models, workspaces, monkeypatch, name):
+        # a hazard level inside every interval of a line, chain stretch and
+        # exit piece alike, and one past its end: the first jump comes at the
+        # reference path's time of that cumulative hazard, or at its end
+        model, ws = models[name], workspaces[name]
+        policy = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(4))
+        tables = pa.prepare_simulation(model, policy, workspace=ws)
+        blocks = []
+        # a hazard level far past every line's end for every later sojourn
+        monkeypatch.setattr(pa.simulation, "_uniform_block",
+                            lambda rng: blocks.pop() if blocks else [1.0 - 2.0**-40, 0.5] * (UNIFORM_BLOCK // 2))
+        paths = policy_paths(ws, policy)
+        for j in (0, model.n_states // 2, model.n_states - 2):
+            path = paths[j]
+            hazard = path.cum_hazard
+            # about 40 intervals, with the ends of the chain stretch and of the exit piece
+            k_chain, size = tables.lines[j].e - tables.lines[j].b, hazard.size - 1
+            picks = set(range(0, size, max(1, size // 40))) | {k_chain - 1, k_chain, size - 2, size - 1}
+            levels = [0.5 * (hazard[k] + hazard[k + 1]) for k in sorted(picks)
+                      if 0 <= k < size and hazard[k + 1] > hazard[k]]
+            for level in levels + [hazard[-1] + 1.0]:
+                u = -math.expm1(-level)
+                if u == 1.0:
+                    continue
+                want = float(np.interp(-math.log1p(-u), hazard, path.times))
+                blocks.append([u, 0.5] * (UNIFORM_BLOCK // 2))
+                record, _ = pa.simulate(model, policy, j, want + 1e-6, seed=0, tables=tables)
+                assert record.jump_times[0] == pytest.approx(want, rel=1e-12, abs=1e-12), (j, level)
+                assert bool(record.hit_boundary[0]) == (level > hazard[-1] and path.hit), (j, level)
+
     def test_vanishing_tail_rate_is_an_error(self, write_model):
         doc = two_state_jump_doc()
         doc["rates"]["lambda"] = [[0.0, 0.0], [0.0, 0.0]]
@@ -71,16 +102,14 @@ class TestSampleSojourn:
 
 def line_arrays(line) -> dict:
     """A simulation line's node and interval tables, chain stretch then exit piece, from 0."""
-    chain, b, e = line.chain, line.b, line.e
-    head = {name: np.asarray(getattr(chain, name)) for name in
-            ("times", "states", "hazard", "slope", "f_left", "f_right", "actions")}
-    own = {name: np.asarray(getattr(line, name)) for name in
-           ("times", "states", "hazard", "slope", "f_left", "f_right")}
-    nodes = {name: np.concatenate((head[name][b:e] - (head[name][b] if name != "states" else 0.0),
-                                   start + own[name]))
+    b, e, x0, x1 = line.b, line.e, line.x0, line.x1
+    arr = {name: np.asarray(getattr(line.nodes, name)) for name in
+           ("times", "states", "hazard", "slope", "f_left", "f_right", "actions")}
+    nodes = {name: np.concatenate((arr[name][b:e] - (arr[name][b] if name != "states" else 0.0),
+                                   start + arr[name][x0:x1 + 1]))
              for name, start in (("times", line.chain_time), ("states", 0.0), ("hazard", line.chain_hazard))}
-    intervals = {name: np.concatenate((head[name][b:e], own[name])) for name in ("slope", "f_left", "f_right")}
-    intervals["actions"] = np.concatenate((head["actions"][b:e], np.full(line.last + 1, line.action_tail)))
+    intervals = {name: np.concatenate((arr[name][b:e], arr[name][x0:x1]))
+                 for name in ("slope", "f_left", "f_right", "actions")}
     return nodes | intervals
 
 
@@ -119,10 +148,12 @@ class TestLineTables:
         model = models["drift_boundary_64"]
         ws = workspaces["drift_boundary_64"]
         tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws)
-        assert all(line.chain is tables.chain for line in tables.lines)
-        chain_nodes = len(tables.chain.times)
-        exit_nodes = sum(len(line.times) for line in tables.lines)
-        assert chain_nodes + exit_nodes == ws.mesh.times.size - (ws.mesh.n_chain - 1)
+        assert all(line.nodes is tables.nodes for line in tables.lines)
+        assert len(tables.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
+        exit_nodes = [(line.x0, line.x1) for line in tables.lines]
+        assert exit_nodes[0][0] == ws.mesh.first[ws.mesh.n_chain] + 1
+        assert all(x1 + 1 == y0 for (_, x1), (y0, _) in zip(exit_nodes, exit_nodes[1:]))
+        assert exit_nodes[-1][1] == len(tables.nodes.times) - 1
 
 
 def reference_jump_target(model, line, hit, y, action, u):
@@ -273,15 +304,16 @@ class TestRunningCost:
         model = models["decay_flow_16"]
         line = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model)).lines[5]
         assert 0.0 < line.chain_time < line.chain_time + line.end
-        chain_times = np.asarray(line.chain.times)
+        times = np.asarray(line.nodes.times)
         rng = np.random.default_rng(3)
         for tau in rng.uniform(0.0, line.chain_time + line.end, 200):
             if tau < line.chain_time:
-                k = int(np.searchsorted(chain_times, chain_times[line.b] + tau, side="right")) - 1
-                hints = (k, k - 1, k + 1, -1, 0)
+                k = int(np.searchsorted(times[:line.e + 1], times[line.b] + tau, side="right")) - 1
+                hints = (k, k - 1, k + 1, -1, 0, line.x0)
             else:
-                k = int(np.searchsorted(line.times, tau - line.chain_time, side="right")) - 1
-                hints = (k, k - 1, min(k + 1, line.last), -1, line.b)
+                k = line.x0 + int(np.searchsorted(times[line.x0:line.x1 + 1], tau - line.chain_time,
+                                                  side="right")) - 1
+                hints = (k, k - 1, min(k + 1, line.x1 - 1), -1, line.b)
             exact = _cost_to(line, tau)
             for hint in hints:
                 assert _cost_to(line, tau, hint) == exact
