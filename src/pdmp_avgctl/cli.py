@@ -45,6 +45,8 @@ class RunConfig:
     def check(self) -> None:
         problems = [f"{flag} must be positive" for flag, value in
                     (("--tol", self.tol), ("--tol-rho", self.tol_rho)) if not value > 0]
+        if self.command == "solve" and self.max_iter < 1:
+            problems.append("--max-iter must be at least 1")
         if self.command == "simulate":
             if not self.horizon > 0:
                 problems.append("--horizon must be positive")

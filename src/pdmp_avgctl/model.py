@@ -521,14 +521,18 @@ def _piece_integrals(model: PdmpModel, ws, rate: float, v_nodes=None):
 def _line_integral(model: PdmpModel, ws, rate: float, v_nodes=None) -> np.ndarray:
     """Per line: :func:`_piece_integrals` over the whole line.
 
-    Each piece's integral is weighted by e^{rate t - int lambda_lower} at its
-    start, the product of the factors of the pieces before it, as
-    :meth:`OperatorWorkspace.assemble` weights by survival.
+    One backward pass: each piece's integral plus e^{rate t - int
+    lambda_lower} across the piece times the integral of the rest of the
+    line, as :meth:`OperatorWorkspace.assemble` carries survival.
     """
     inner, exponent = _piece_integrals(model, ws, rate, v_nodes)
-    prefix, _ = ws.compose(np.exp(-exponent))
-    inc = ws.incidence
-    return np.bincount(inc.line, weights=prefix * inner[inc.piece], minlength=model.n_states)
+    return ws.backward(inner, np.exp(-exponent), np.zeros(len(ws.exits)))
+
+
+def _exponent_sum(model: PdmpModel, ws, rate: float) -> np.ndarray:
+    """Per line: int lambda_lower - rate t over the whole line."""
+    _, exponent = _piece_integrals(model, ws, rate)
+    return ws.backward(exponent, np.ones(exponent.size), np.zeros(len(ws.exits)))
 
 
 def _exp_growth_integral(model: PdmpModel, ws) -> np.ndarray:
@@ -538,15 +542,12 @@ def _exp_growth_integral(model: PdmpModel, ws) -> np.ndarray:
 
 def _lower_hazard(model: PdmpModel, ws) -> np.ndarray:
     """Per line: int lambda_lower over the whole line."""
-    _, exponent = _piece_integrals(model, ws, 0.0)
-    inc = ws.incidence
-    return np.bincount(inc.line, weights=exponent[inc.piece], minlength=model.n_states)
+    return _exponent_sum(model, ws, 0.0)
 
 
 def _tail_decay(model: PdmpModel, ws) -> np.ndarray:
     """Per line: exp(c t - int lambda_lower) at the line's end."""
-    ends = np.array([line.end for line in ws.lines])
-    return np.exp(model.constants.c * ends - _lower_hazard(model, ws))
+    return np.exp(-_exponent_sum(model, ws, model.constants.c))
 
 
 def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
@@ -596,7 +597,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
         [f"x={pts[i]}, a={int(worst_a[i])}" for i in range(n)])
 
     # boundary items only where some line actually reaches the boundary
-    reachable = sorted({line.boundary_index for line in ws.lines if line.hit})
+    reachable = sorted({e.boundary_index for e in ws.exits if e.hit})
     if model.n_boundary and reachable:
         bmask = model.boundary_feasible_mask
         g_b = model.boundary_g()
@@ -629,7 +630,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
 
     # expected-growth integral bounded by K_lambda
     growth = _exp_growth_integral(model, ws)
-    truncated = np.array([line.truncated for line in ws.lines])
+    truncated = ws.truncated
     decay = _tail_decay(model, ws)[truncated]
     undecayed = bool(np.any(decay > 1e-9))
     add("growth-integral", c.K_lambda - growth, [f"x={pts[i]}" for i in range(n)],
@@ -640,7 +641,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     if truncated.any():
         items.append(AuditItem("growth-decay-limit", "not_checkable", math.inf, "(limit)",
                                f"window decay of exp(ct - int lambda_lower) at t_max: {decay.max():.3e}"))
-        g_end = g_tab(ws.mesh.states[ws.mesh.node_start[ws.mesh.n_chain + 1:] - 1])
+        g_end = g_tab(ws.mesh.states[ws.mesh.node_start[[e.piece + 1 for e in ws.exits]] - 1])[ws.exit_of]
         g_end = float(np.max((g_end * np.exp(-_lower_hazard(model, ws)))[truncated]))
         items.append(AuditItem("weight-decay-limit", "not_checkable", math.inf, "(limit)",
                                f"window decay of exp(-int lambda_lower) g at t_max: {g_end:.3e}"))

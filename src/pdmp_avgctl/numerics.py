@@ -21,16 +21,6 @@ def phi0(z):
     return np.where(small, series, exact)
 
 
-def phi1(z):
-    """(1 - (1 + z) exp(-z)) / z^2, stable near z = 0; phi1(0) = 1/2."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < _SERIES_CUTOFF
-    zs = np.where(small, 1.0, z)
-    exact = (-np.expm1(-zs) / zs - np.exp(-zs)) / zs
-    series = 0.5 - z / 3.0 + z * z / 8.0
-    return np.where(small, series, exact)
-
-
 def phi01(z):
     """(phi0(z), phi1(z)) from one expm1, with the same series near z = 0."""
     z = np.asarray(z, dtype=float)
@@ -83,6 +73,3 @@ class Table1D:
         if self.coords.size == 1:
             return np.full_like(np.asarray(x, dtype=float), self.values[0])
         return np.interp(np.asarray(x, dtype=float), self.coords, self.values)
-
-    def locate(self, x):
-        return interp_weights(self.coords, x)

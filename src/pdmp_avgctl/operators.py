@@ -15,23 +15,28 @@ only from the along-flow variation of the tables.
 
 The flow's semigroup property phi(x, s + t) = phi(phi(x, s), t) makes the line
 from grid point j its segment to the next grid point followed by the line
-from there.  So the mesh is built once per distinct *piece*, each timed from
-its own start: one per inter-grid segment (a grid point to the next in flow
-order), shared by every line that passes it, plus one exit piece per line,
-from the last grid point it passes to its boundary hit or the horizon
-``t_max``.  A line is a run of consecutive segments followed by its exit
-piece, and mesh and tables take O(n * fill) memory, not O(n^2 * fill).
+from there.  Whether it goes on is decided once per grid point: it does when
+the transit to the next grid point is finite and the boundary does not cut
+it.  So a line runs through consecutive segments to its chain end b, then
+along the one exit piece of b, timed from x_b, that ends at the boundary hit
+t*(x_b) or, when t*(x_b) > t_max, at t_max (``t_max`` bounds only this final
+piece).  The mesh is built once per distinct *piece*, each timed from its own
+start: one per inter-grid segment, shared by every line that passes it, and
+one per chain end, shared by every line that ends there.  Mesh and tables
+take O(n * fill) memory.
 
 The control along a line is piecewise constant per piece: the action of the
 grid point a piece starts from governs it.  The quadrature is therefore
 written once, in :func:`_segment_tables`, which sums every (piece, action)
 pair's sojourn weight, running-cost integral, survival across the piece and
-sparse weights of Qh = Q h on the grid.  Survival is multiplicative along a
-line, so :meth:`OperatorWorkspace.assemble` composes a policy's rows from its
-pieces' entries, each weighted by the survival of the pieces before it;
-improvement (a per-piece backward dynamic program) and the optimality
-certificate read the same tables, so all three minimize over and evaluate
-exactly the same path class.
+sparse weights of Qh = Q h on the grid.  The value to go from a grid point
+does not depend on the line that reached it, so every operator is one
+backward pass over the grid positions in flow order
+(:meth:`OperatorWorkspace.backward`): the piece's value plus its survival
+times the value at the next grid point, or the exit's terminal value at a
+chain end.  Assembly, improvement and the optimality certificate run that
+pass on the same tables, so all three minimize over and evaluate exactly the
+same path class.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ REFINE_TARGET = 5e-9
 MAX_FILL = 2048
 MIN_TAIL_INTERVALS = 8
 TIE_TOL = 1e-12
-# a grid point counts as passed when its passage time is below the line's end by this much
-PASS_MARGIN = 1e-15
 
 
 def _passage_time(flow: FlowSpec, x: float, z: float) -> float:
@@ -104,7 +107,7 @@ class _Mesh:
     Piece p owns nodes ``node_start[p]:node_start[p + 1]`` and intervals
     ``first[p]:first[p + 1]``; the inter-grid segments come first, in flow
     order (piece q runs from flow position q to q + 1), then the exit piece
-    of each line in grid order.
+    of each chain end in flow order.
     """
 
     node_start: np.ndarray   # (P+1,)
@@ -154,23 +157,13 @@ class _Mesh:
 
 
 @dataclass(frozen=True)
-class _FlowLine:
-    """The flow line of one start state: consecutive inter-grid segments, then its exit piece."""
+class _Exit:
+    """The exit piece of one chain end: from its grid point to t* or to ``t_max``."""
 
-    origin_index: int
-    chain: range              # the inter-grid segments the line passes, in order
-    exit_piece: int
-    start: float              # passage time to the exit piece's grid point (0 without segments)
-    end: float                # t* on a hit, else t_max
-    hit: bool
-    boundary_index: int
-    t_star: float
-    truncated: bool
-    line_feasible: np.ndarray  # (n_actions,) feasible at every grid point the line starts a piece from
-
-    @property
-    def pieces(self) -> tuple:
-        return (*self.chain, self.exit_piece)
+    position: int        # flow position of the chain end
+    piece: int
+    hit: bool            # the piece ends on the boundary, else at t_max
+    boundary_index: int  # -1 without a hit
 
 
 def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, lam_sup: float, base_h: float,
@@ -178,64 +171,49 @@ def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, lam_sup: float
     """Intervals per piece: each at most 0.25 / lambda_sup long, and a budget
     proportional to the piece's duration (relative to the model's shortest
     inter-grid transit), so contracting flows refine evenly in time and every
-    line sees the same spacing; a truncated line's tail takes at least
-    max(MIN_TAIL_INTERVALS, fill) intervals instead."""
+    line sees the same spacing; an exit piece that stops at t_max takes at
+    least max(MIN_TAIL_INTERVALS, fill) intervals instead."""
     counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
     budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
     budget[truncated_tail] = max(MIN_TAIL_INTERVALS, fill)
     return np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
 
 
-def _build_mesh(model, fill: int) -> tuple[_Mesh, list[_FlowLine]]:
-    """Every piece's mesh in one vectorized pass, and each line's list of pieces."""
+def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.ndarray]:
+    """Every piece's mesh in one vectorized pass.
+
+    Returns the grid indices in flow order, the mesh, the exit of each chain
+    end in flow order, and per grid state the exit its line ends on.
+    """
     flow = model.flow
     points = model.grid.points
-    xs = points.tolist()
     n = points.size
     t_max = model.t_max
     order, transit = _chain(model)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
     n_chain = len(transit)
-    # the chain's running time gives every passage time up to rounding;
-    # only a passage within rounding of a line's end is decided exactly
-    elapsed = np.concatenate(([0.0], np.cumsum(transit)))
-
-    lines = []
-    blocked = np.vstack([np.zeros((1, model.n_actions), dtype=np.int64),
-                         np.cumsum(~model.feasible_mask[order], axis=0)])
-    for j, x in enumerate(xs):
-        t_star = hit_time(flow, x)
-        hit = t_star <= t_max
-        end = t_star if hit else t_max
+    xs = points[order].tolist()
+    t_star = [hit_time(flow, x) for x in xs]
+    # position q goes on to q + 1 when the transit is finite and the boundary
+    # does not cut it; a line runs on to the first chain end
+    goes_on = [math.isfinite(t) and s > t for t, s in zip(transit, t_star)]
+    ends = [q for q in range(n) if q >= n_chain or not goes_on[q]]
+    exits = []
+    for k, q in enumerate(ends):
+        hit = t_star[q] <= t_max
         boundary_index = -1
         if hit:
-            z = advance(flow, x, t_star)
+            z = advance(flow, xs[q], t_star[q])
             boundary_index = int(np.argmin(np.abs(model.grid.boundary_points - z)))
-        # grid points passed, in flow order: those whose passage time is below
-        # end - PASS_MARGIN, up to the first that is not
-        p = int(position[j])
-        q = p + 1
-        limit = end - PASS_MARGIN
-        if n_chain:
-            if math.isfinite(elapsed[p]):
-                slack = 1e-9 * (1.0 + abs(limit) + elapsed[p])
-                q = max(q, int(np.searchsorted(elapsed, elapsed[p] + limit - slack)))
-            while q < n and _passage_time(flow, x, xs[order[q]]) < limit:
-                q += 1
-        last = q - 1
-        start = 0.0 if last == p else _passage_time(flow, x, xs[order[last]])
-        feasible = (blocked[last + 1] - blocked[p]) == 0
-        lines.append(_FlowLine(origin_index=j, chain=range(p, last), exit_piece=n_chain + j,
-                               start=start, end=end, hit=hit, boundary_index=boundary_index,
-                               t_star=t_star, truncated=not hit, line_feasible=feasible))
+        exits.append(_Exit(position=q, piece=n_chain + k, hit=hit, boundary_index=boundary_index))
+    exit_of = np.empty(n, dtype=np.int64)
+    exit_of[order] = np.searchsorted(ends, np.arange(n))
 
-    # a segment no line reaches (its transit is infinite) is meshed with zero length
-    dur = np.array([t if math.isfinite(t) else 0.0 for t in transit]
-                   + [line.end - line.start for line in lines])
-    anchors = np.concatenate((order[:n_chain], [order[line.chain.stop] for line in lines])).astype(np.int64)
+    # a segment no line runs along is meshed with zero length
+    dur = np.array([t if on else 0.0 for t, on in zip(transit, goes_on)]
+                   + [t_star[e.position] if e.hit else t_max for e in exits])
+    anchors = order[np.concatenate((np.arange(n_chain), ends)).astype(np.int64)]
     truncated_tail = np.zeros(dur.size, dtype=bool)
-    truncated_tail[n_chain:] = [line.truncated for line in lines]
+    truncated_tail[n_chain:] = [not e.hit for e in exits]
     shortest = min((t for t in transit if t > 0.0), default=math.inf)
     counts = _interval_counts(dur, truncated_tail, model.lambda_sup, shortest / fill, fill)
 
@@ -264,9 +242,9 @@ def _build_mesh(model, fill: int) -> tuple[_Mesh, list[_FlowLine]]:
         dt = np.diff(times).tolist()
         for i in np.flatnonzero(~starts).tolist():
             states[i] = _tabulated_advance(flow, states[i - 1], dt[i - 1])
-    for line in lines:
-        if line.hit:
-            states[node_start[line.exit_piece + 1] - 1] = float(model.grid.boundary_points[line.boundary_index])
+    for e in exits:
+        if e.hit:
+            states[node_start[e.piece + 1] - 1] = float(model.grid.boundary_points[e.boundary_index])
 
     ilo, wlo = interp_weights(points, states)
     ilo_e, wlo_e = interp_weights(model.rate_coords, states)
@@ -280,15 +258,15 @@ def _build_mesh(model, fill: int) -> tuple[_Mesh, list[_FlowLine]]:
     )
     mesh = _Mesh(node_start=node_start, anchors=anchors, n_chain=n_chain, times=times, states=states,
                  ilo=ilo, wlo=wlo, lam_nodes=lam_nodes, f_nodes=f_nodes)
-    return mesh, lines
+    return order, mesh, exits, exit_of
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Embedded-chain kernel G(x, u_phi(x); .) restricted to the grid.
 
-    ``truncation_bound`` is the largest survival left at the horizon on a
-    line that never reaches the boundary: the jump mass its row leaves out.
+    ``truncation_bound`` is the largest survival left at the end of a line
+    that stops at t_max: the jump mass its row leaves out.
     """
 
     matrix: np.ndarray
@@ -328,20 +306,6 @@ class SegmentTables:
         q = np.bincount(self.rows, weights=self.weights * qh.ravel()[self.cols],
                         minlength=self.sojourn.size)
         return -rho * self.sojourn + self.cost + q.reshape(self.sojourn.shape)
-
-
-@dataclass(frozen=True)
-class Incidence:
-    """Which piece each line reads at each place.
-
-    Line j owns entries ``line_start[j]:line_start[j + 1]``, its pieces in
-    flow order.
-    """
-
-    line: np.ndarray        # (I,) line of the entry
-    position: np.ndarray    # (I,) place of the piece on its line, from 0
-    piece: np.ndarray       # (I,)
-    line_start: np.ndarray  # (n + 1,)
 
 
 def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
@@ -402,60 +366,64 @@ class OperatorWorkspace:
     The mesh geometry (grid-passage nodes plus per-piece fill) depends only
     on the model, so every policy is integrated on identical nodes; that is
     what makes improvement values directly comparable across policies.
-    ``geometry`` lists the pieces, ``lines`` each start state's pieces.
+    ``geometry`` lists the pieces, ``order`` the grid indices in flow order,
+    ``exits`` the exit of each chain end and ``exit_of`` the exit each grid
+    state's line ends on.
     """
 
     def __init__(self, model, fill: int = DEFAULT_FILL):
         self.model = model
         self.fill = int(fill)
-        self.mesh, self.lines = _build_mesh(model, self.fill)
+        self.order, self.mesh, self.exits, self.exit_of = _build_mesh(model, self.fill)
         self.geometry = self.mesh.pieces()
-        self._hit_lines = np.array([g.origin_index for g in self.lines if g.hit], dtype=np.int64)
-        self._hit_boundary = np.array([g.boundary_index for g in self.lines if g.hit], dtype=np.int64)
+        # (grid index, piece, exit or -1) per flow position, against the flow
+        n_chain = self.mesh.n_chain
+        at_end = {e.position: k for k, e in enumerate(self.exits)}
+        self._steps = [(j, n_chain + at_end[q], at_end[q]) if q in at_end else (j, q, -1)
+                       for q, j in reversed(list(enumerate(self.order.tolist())))]
         self._assembled: dict = {}
         self._segments: SegmentTables | None = None
         self.refine_diff: float | None = None
         self.refine_converged: bool | None = None
 
-    @functools.cached_property
-    def incidence(self) -> Incidence:
-        """Each line's pieces as flat arrays, built on first use."""
-        lengths = np.array([len(line.chain) + 1 for line in self.lines], dtype=np.int64)
-        line_start = np.concatenate(([0], np.cumsum(lengths)))
-        line = np.repeat(np.arange(lengths.size), lengths)
-        position = np.arange(line.size) - line_start[line]
-        chain_start = np.array([line.chain.start for line in self.lines], dtype=np.int64)
-        piece = np.where(position < lengths[line] - 1, chain_start[line] + position,
-                         self.mesh.n_chain + line)
-        return Incidence(line=line, position=position, piece=piece, line_start=line_start)
+    @property
+    def truncated(self) -> np.ndarray:
+        """(n,) whether each grid state's line stops at t_max instead of the boundary."""
+        return ~np.array([e.hit for e in self.exits], dtype=bool)[self.exit_of]
 
-    def compose(self, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Running products of a per-piece ``factor`` along every line.
+    def backward(self, values: np.ndarray, factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+        """Value to go along every flow line, in one pass over the grid positions against the flow.
 
-        Returns, per incidence entry, the product over the line's earlier
-        pieces, and per line the product over all of its pieces.
+        From flow position q a line runs piece p: the segment to q + 1, or at
+        a chain end its exit piece k.  So
+
+            W[q] = values[p] + factors[p] * (W[q + 1], or terminal[k] at a chain end)
+
+        with ``values`` and ``factors`` per piece and ``terminal`` per exit,
+        any trailing shape broadcast.  Returns W per grid index.
         """
-        inc = self.incidence
-        prod = np.ones((len(self.lines), int(inc.position.max()) + 2))
-        prod[inc.line, inc.position + 1] = factor[inc.piece]
-        np.cumprod(prod, axis=1, out=prod)
-        return prod[inc.line, inc.position], prod[:, -1].copy()
+        out = np.empty((self.model.n_states,) + np.shape(values)[1:])
+        w = None
+        for j, p, k in self._steps:
+            w = values[p] + factors[p] * (w if k < 0 else terminal[k])
+            out[j] = w
+        return out
 
     # -- assembled operator set ----------------------------------------------
 
     def assemble(self, policy, alpha: float = 0.0):
-        """(kernel, ell, cost, survival) of one policy, composed from the piece tables.
+        """(kernel, ell, cost, survival) of one policy, one backward pass over the piece tables.
 
-        Piece p runs at the action of its anchor; with P_p the product of the
-        survivals of the line's earlier pieces,
+        Piece p runs at the action of its anchor, with kernel row
+        g_p = (Q weights_p) . Q_interior.  The pass carries
 
-            ell[j]  = sum_p P_p sojourn_p
-            cost[j] = sum_p P_p cost_p + P_end r(z, u_b)
-            G[j]    = sum_p P_p (Q weights_p) . Q_interior + P_end Q_boundary(z, u_b)
+            [G, ell, cost, S] <- [g_p, sojourn_p, cost_p, 0] + survival_p [G, ell, cost, S]
 
-        with the boundary terms on lines that hit it.  ``survival[j]`` is
-        P_end, the probability of no jump up to the line's end.  Only zero
-        discount is served; ``alpha`` is part of the cache key.
+        from [Q_boundary(z, u_b), 0, r(z, u_b), 1] after an exit that hits
+        the boundary at z and from [0, 0, 0, 1] after one that stops at
+        t_max.  ``survival[j]`` is S, the probability of no jump up to the
+        line's end.  Only zero discount is served; ``alpha`` is part of the
+        cache key.
         """
         if alpha != 0.0:
             raise ValueError(f"assemble serves only alpha = 0, got alpha={alpha}")
@@ -466,30 +434,28 @@ class OperatorWorkspace:
         model = self.model
         n, n_a = model.n_states, model.n_actions
         tables = self.segment_tables()
-        inc = self.incidence
-        pieces = np.arange(tables.anchors.size)
+        n_pieces = tables.anchors.size
+        pieces = np.arange(n_pieces)
         act = policy.interior[tables.anchors]
-        prefix, survival = self.compose(tables.survival[pieces, act])
-        ell = np.bincount(inc.line, weights=prefix * tables.sojourn[pieces, act][inc.piece], minlength=n)
-        cost = np.bincount(inc.line, weights=prefix * tables.cost[pieces, act][inc.piece], minlength=n)
-        # every incidence entry takes its piece's Q weights at the piece's
-        # action (``pick``, grouped by piece), scaled by the entry's prefix
         entry_piece, entry_act = np.divmod(tables.rows, n_a)
-        pick = np.flatnonzero(entry_act == act[entry_piece])
-        bounds = np.searchsorted(entry_piece[pick], np.arange(pieces.size + 1))
-        lo, count = bounds[inc.piece], np.diff(bounds)[inc.piece]
-        owner = np.repeat(np.arange(inc.piece.size), count)
-        entry = pick[np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count) + lo[owner]]
-        flat = np.bincount(inc.line[owner] * (n * n_a) + tables.cols[entry],
-                           weights=prefix[owner] * tables.weights[entry], minlength=n * n * n_a)
-        kernel = flat.reshape(n, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
-        hit, z = self._hit_lines, self._hit_boundary
-        b_act = policy.boundary[z]
-        kernel[hit] += survival[hit, None] * model.kernel_boundary[z, b_act]
-        cost[hit] += survival[hit] * model.boundary_cost[z, b_act]
+        pick = entry_act == act[entry_piece]
+        flat = np.bincount(entry_piece[pick] * (n * n_a) + tables.cols[pick], weights=tables.weights[pick],
+                           minlength=n_pieces * n * n_a)
+        values = np.zeros((n_pieces, n + 3))
+        values[:, :n] = flat.reshape(n_pieces, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
+        values[:, n] = tables.sojourn[pieces, act]
+        values[:, n + 1] = tables.cost[pieces, act]
+        terminal = np.zeros((len(self.exits), n + 3))
+        terminal[:, n + 2] = 1.0
+        for k, e in enumerate(self.exits):
+            if e.hit:
+                b_act = policy.boundary[e.boundary_index]
+                terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
+                terminal[k, n + 1] = model.boundary_cost[e.boundary_index, b_act]
+        w = self.backward(values, tables.survival[pieces, act], terminal)
         if len(self._assembled) > 256:
             self._assembled.clear()
-        out = (kernel, ell, cost, survival)
+        out = (w[:, :n].copy(), w[:, n].copy(), w[:, n + 1].copy(), w[:, n + 2].copy())
         self._assembled[key] = out
         return out
 
@@ -525,13 +491,16 @@ class OperatorWorkspace:
         return self._segments
 
     def improve(self, rho: float, h: np.ndarray, prev):
-        """Backward march of the one-stage value along each line; argmin policy.
+        """Argmin policy of the one-stage value, one backward pass over the grid positions.
 
-        Within each piece the candidate action is frozen, so the march
-        minimizes over exactly the piecewise-constant-per-piece paths the
-        operators integrate, and the chosen policy's one-stage value
-        reproduces the march value.  Each piece's value is read from the
-        piece tables.
+        At each grid point every feasible action is held over the piece that
+        starts there, with the minimized value to go carried in at its end,
+        so the pass minimizes over exactly the piecewise-constant-per-piece
+        paths the operators integrate, and the chosen policy's one-stage
+        value reproduces the pass's value.  A tie within ``TIE_TOL`` keeps
+        the incumbent.  Past an exit that stops at t_max the state is frozen,
+        with the stationary value (f - rho + lambda Qh) / lambda of its best
+        feasible action.
         """
         from .model import FeedbackPolicy
 
@@ -543,38 +512,38 @@ class OperatorWorkspace:
         tables = self.segment_tables()
         values = tables.values(rho, qh_int).tolist()
         survival = tables.survival.tolist()
-        anchors = tables.anchors.tolist()
         feasible = model.action_grid.feasible
         mask = model.feasible_mask
         incumbents = prev.interior.tolist()
+        terminal = []
+        for e in self.exits:
+            if e.hit:
+                terminal.append(float(b_val[e.boundary_index]))
+                continue
+            tail = self.geometry[e.piece]
+            ilo, wlo = tail.ilo[-1], tail.wlo[-1]
+            qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[min(ilo + 1, n - 1), :]
+            lam_T = np.maximum(tail.lam_nodes[-1], 1e-12)
+            station = (tail.f_nodes[-1] - rho + tail.lam_nodes[-1] * qh_end) / lam_T
+            terminal.append(float(np.min(np.where(mask[tail.anchor], station, np.inf))))
 
         new_interior = np.empty(n, dtype=np.int64)
-        for line in self.lines:
-            if line.hit:
-                w_next = float(b_val[line.boundary_index])
-            else:
-                # past the horizon the state is frozen: the stationary value
-                # (f - rho + lambda Qh) / lambda of the best feasible action
-                tail = self.geometry[line.exit_piece]
-                ilo, wlo = tail.ilo[-1], tail.wlo[-1]
-                qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[min(ilo + 1, n - 1), :]
-                lam_T = np.maximum(tail.lam_nodes[-1], 1e-12)
-                station = (tail.f_nodes[-1] - rho + tail.lam_nodes[-1] * qh_end) / lam_T
-                w_next = float(np.min(np.where(mask[tail.anchor], station, np.inf)))
-            for p in reversed(line.pieces):
-                anchor = anchors[p]
-                v_s, b_s = values[p], survival[p]
-                pick, best = None, math.inf
-                for a in feasible[anchor]:
-                    val = v_s[a] + b_s[a] * w_next
-                    if val < best:
-                        pick, best = a, val
-                incumbent = incumbents[anchor]
-                if pick is None or (mask[anchor, incumbent] and v_s[incumbent] + b_s[incumbent] * w_next
-                                    <= best + TIE_TOL * max(1.0, abs(best))):
-                    pick = incumbent
-                w_next = v_s[pick] + b_s[pick] * w_next
-            new_interior[line.origin_index] = pick
+        w_next = 0.0
+        for j, p, k in self._steps:
+            if k >= 0:
+                w_next = terminal[k]
+            v_s, b_s = values[p], survival[p]
+            pick, best = None, math.inf
+            for a in feasible[j]:
+                val = v_s[a] + b_s[a] * w_next
+                if val < best:
+                    pick, best = a, val
+            incumbent = incumbents[j]
+            if pick is None or (mask[j, incumbent] and v_s[incumbent] + b_s[incumbent] * w_next
+                                <= best + TIE_TOL * max(1.0, abs(best))):
+                pick = incumbent
+            w_next = v_s[pick] + b_s[pick] * w_next
+            new_interior[j] = pick
         return FeedbackPolicy(interior=new_interior, boundary=b_act)
 
     def optimality_residual(self, rho: float, h: np.ndarray, policy) -> float:
@@ -582,31 +551,25 @@ class OperatorWorkspace:
 
         Each feasible action is held constant along the whole flow line (the
         boundary choice is optimized separately); actions infeasible at some
-        piece of the line are excluded.  A line's sweep values follow the
-        recursion W <- value_p + survival_p * W over its pieces, backward,
-        run for all lines at once by position from the line's end.
+        grid point the line starts a piece from are excluded.  One backward
+        pass carries every action's sweep value and, as a product of 0/1
+        factors, whether the action is feasible all along the line.
         """
         model = self.model
+        n_a = model.n_actions
         h = np.asarray(h, dtype=float)
-        qh_int = model.kernel_interior @ h
         _, b_val = self.boundary_minima(h)
         tables = self.segment_tables()
-        values, survival = tables.values(rho, qh_int), tables.survival
-        inc = self.incidence
-        ends = inc.line_start[1:]
-        lengths = np.diff(inc.line_start)
-        w = np.zeros((model.n_states, model.n_actions))
-        if self._hit_lines.size:
-            w[self._hit_lines] = b_val[self._hit_boundary, None]
-        for t in range(int(lengths.max(initial=0))):
-            live = np.flatnonzero(lengths > t)
-            p = inc.piece[ends[live] - 1 - t]
-            w[live] = values[p] + survival[p] * w[live]
-        feasible = np.array([line.line_feasible for line in self.lines])
+        values = np.hstack((tables.values(rho, model.kernel_interior @ h), np.zeros(tables.survival.shape)))
+        factors = np.hstack((tables.survival, model.feasible_mask[tables.anchors]))
+        terminal = np.ones((len(self.exits), 2 * n_a))
+        terminal[:, :n_a] = [[b_val[e.boundary_index] if e.hit else 0.0] for e in self.exits]
+        w = self.backward(values, factors, terminal)
+        feasible = w[:, n_a:] > 0.5
         some = feasible.any(axis=1)
         if not some.any():
             raise ValueError("no flow line admits a feasible frozen-action sweep")
-        best = np.min(np.where(feasible, w, np.inf), axis=1)
+        best = np.min(np.where(feasible, w[:, :n_a], np.inf), axis=1)
         return float(np.max(h[some] - best[some]))
 
 
@@ -615,8 +578,7 @@ def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None,
     """Embedded-chain kernel under a feedback policy, one row per grid state."""
     ws = workspace if workspace is not None else OperatorWorkspace(model, fill)
     kernel, _, _, survival = ws.assemble(policy)
-    truncated = np.array([line.truncated for line in ws.lines])
-    return KernelMatrix(matrix=kernel, truncation_bound=float(survival[truncated].max(initial=0.0)))
+    return KernelMatrix(matrix=kernel, truncation_bound=float(survival[ws.truncated].max(initial=0.0)))
 
 
 def refined_workspace(model, policy, *, target: float = REFINE_TARGET,

@@ -1,15 +1,16 @@
-"""Policy iteration: evaluate, improve by backward marching, certify.
+"""Policy iteration: evaluate, improve by one backward pass, certify.
 
-The improvement step solves, along every flow line, the one-stage
-minimization by a backward dynamic program over the line's inter-grid
-segments.  Evaluation, improvement and the optimality certificate all read
-the workspace's per-segment one-stage tables (sojourn weight, running-cost
-integral, survival and Qh weights per segment and action), summed from the
-mesh once per workspace: evaluation composes the policy's operators from
-them, and an improvement or certificate combines them with its rho and
-Qh = Q h.  The value of the returned policy therefore reproduces the march
-value, which is what makes the average cost non-increasing across iterations
-up to solver tolerance.
+The improvement step solves the one-stage minimization by a backward dynamic
+program over the grid points in flow order: the value to go from a grid
+point does not depend on the flow line that reached it.  Evaluation,
+improvement and the optimality certificate all read the workspace's
+per-piece one-stage tables (sojourn weight, running-cost integral, survival
+and Qh weights per piece and action), summed from the mesh once per
+workspace, and each runs one backward pass over them: evaluation for the
+policy's operators, an improvement or certificate with its rho and
+Qh = Q h.  The value of the returned policy therefore reproduces the pass's
+value, which is what makes the average cost non-increasing across
+iterations up to solver tolerance.
 """
 
 from __future__ import annotations

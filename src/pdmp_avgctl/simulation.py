@@ -10,10 +10,10 @@ integrals are the same discretization.
 The tables follow the engine's pieces.  The inter-grid segments form one node
 chain in flow order, with one cumulative hazard C and one cumulative running
 cost along it per policy; the line from grid point j is the stretch of the
-chain from its start node b_j to the node e_j of the last grid point it
-passes, then its own exit piece's nodes, which follow the chain in the same
+chain from its start node b_j to the node e_j of its chain end, then the
+nodes of that chain end's exit piece, which follow the chain in the same
 arrays.  So the tables take O(n * fill) memory, and no line copies the
-chain.
+chain or an exit piece.
 
 A jump costs O(log K) interpreted work on a K-node line and makes no numpy
 call.  The tables are memoryviews of their node arrays, which index to
@@ -56,13 +56,13 @@ class SimulationExplosionError(SimulationError):
 @dataclass(frozen=True, slots=True)
 class _Nodes:
     """A policy's path tables over the whole mesh: the chain of inter-grid
-    segments, then every line's exit piece.
+    segments, then every chain end's exit piece.
 
     The chain holds one node per chain interval plus the last segment's end;
     consecutive segments share their joint node, which takes the next
     segment's first state, the grid point itself.  Its times, cumulative
     hazard C and cumulative running cost run along the whole chain.  The
-    exit pieces follow in line order, one block of nodes each, timed from the
+    exit pieces follow in flow order, one block of nodes each, timed from the
     piece's start, with hazard and cost summed from 0 there.  Interval tables
     are indexed by their left node; the entry at a block's last node is
     unused.  Each table is a ``memoryview`` of a float64 (``actions``: int64)
@@ -82,13 +82,13 @@ class _Nodes:
 
 @dataclass(frozen=True, slots=True)
 class _Line:
-    """One start state's feedback path: a stretch of the chain, then its exit piece.
+    """One start state's feedback path: a stretch of the chain, then its chain end's exit piece.
 
-    ``b``/``e`` are the chain nodes of the start state and of the last grid
-    point the line passes (equal when it passes none), and ``chain_*`` the
-    hazard, time and running cost between them.  ``x0``/``x1`` are the exit
-    piece's first and last nodes; the scalars are its totals and what a
-    sojourn past the tabulated horizon needs.
+    ``b``/``e`` are the chain nodes of the start state and of its chain end
+    (equal when the start state is a chain end), and ``chain_*`` the
+    hazard, time and running cost between them.  ``x0``/``x1`` are the first
+    and last nodes of the chain end's exit piece; the scalars are its totals
+    and what a sojourn past the tabulated horizon needs.
     """
 
     nodes: _Nodes            # shared by every line, not copied
@@ -177,13 +177,15 @@ class SimulationTables:
         ws = workspace if workspace is not None else OperatorWorkspace(model)
         mesh = ws.mesh
         piece_action = policy.interior[mesh.anchors]
-        self.nodes, node_of, shift = _node_tables(mesh, piece_action, len(ws.lines))
+        self.nodes, node_of, shift = _node_tables(mesh, piece_action, model.n_states)
         nodes = self.nodes
         times, hazard, cost_cum = nodes.times, nodes.hazard, nodes.cost_cum
+        position = np.argsort(ws.order).tolist()
         self.lines = []
-        for line in ws.lines:
-            b, e = node_of[line.chain.start], node_of[line.chain.stop]
-            p = line.exit_piece
+        for j, k in enumerate(ws.exit_of.tolist()):
+            ex = ws.exits[k]
+            b, e = node_of[position[j]], node_of[ex.position]
+            p = ex.piece
             x0, x1 = int(mesh.node_start[p]) + shift, int(mesh.node_start[p + 1]) - 1 + shift
             act = int(piece_action[p])
             self.lines.append(_Line(
@@ -191,9 +193,9 @@ class SimulationTables:
                 chain_hazard=hazard[e] - hazard[b],
                 chain_time=times[e] - times[b],
                 chain_cost=cost_cum[e] - cost_cum[b],
-                hit=line.hit,
-                boundary_index=line.boundary_index,
-                boundary_action=int(policy.boundary[line.boundary_index]) if line.hit else -1,
+                hit=ex.hit,
+                boundary_index=ex.boundary_index,
+                boundary_action=int(policy.boundary[ex.boundary_index]) if ex.hit else -1,
                 hazard_end=hazard[x1],
                 cost_end=cost_cum[x1],
                 end=times[x1],

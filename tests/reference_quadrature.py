@@ -1,14 +1,23 @@
-"""Per-line meshes and per-path quadrature of the operators, kept as a test reference.
+"""Per-line meshes, per-line compositions and per-path quadrature of the operators, kept as a test reference.
 
-The library meshes every inter-grid segment once, shares it among the flow
-lines that pass it, and assembles every policy's operators from per-piece
-tables.  This module keeps the engine that came before it: one mesh per
-line (:func:`_build_geometry`), with every downstream segment meshed again
-from the line's own start, and its per-(line, segment) tables
-(:func:`_segment_tables`).  On those meshes it integrates the operators the
-direct way, one :class:`PolicyPath` (a policy's feedback path from one grid
-state) at a time over every mesh interval of the line, at any discount shift
-``alpha >= -c``:
+The library meshes every inter-grid segment and every chain end's exit piece
+once, shares them among the flow lines that pass them, and runs every
+operator as one backward pass over the grid positions.  This module keeps
+the engines that came before it, on the library's line rule:
+
+* one mesh per line (:func:`_build_geometry`), with every downstream segment
+  meshed again from the line's own start, and its per-(line, segment) tables
+  (:func:`_segment_tables`);
+* on the library's shared pieces, the per-line compositions: each line's
+  pieces as an incidence list (:func:`incidence`), the operators as running
+  survival products along it (:func:`composed_assemble`), the improvement
+  as a backward march along each line (:func:`marched_improve`) and the
+  certificate as a sweep of all lines by position from their ends
+  (:func:`swept_residual`).
+
+On the per-line meshes it integrates the operators the direct way, one
+:class:`PolicyPath` (a policy's feedback path from one grid state) at a time
+over every mesh interval of the line, at any discount shift ``alpha >= -c``:
 
 * the cumulative hazard  Lam(x, t) = int_0^t lambda(phi(x,s), u(.)) ds,
 * discounted flow integrals  L_a v = int e^{-a s - Lam} v ds,
@@ -30,8 +39,18 @@ import numpy as np
 
 from pdmp_avgctl.flow import advance, flow_direction, hit_time, _tabulated_advance
 from pdmp_avgctl.model import FeedbackPolicy
-from pdmp_avgctl.numerics import interp_weights, phi0, phi01, phi1
+from pdmp_avgctl.numerics import _SERIES_CUTOFF, interp_weights, phi0, phi01
 from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, _passage_time
+
+
+def phi1(z):
+    """(1 - (1 + z) exp(-z)) / z^2, stable near z = 0; phi1(0) = 1/2."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < _SERIES_CUTOFF
+    zs = np.where(small, 1.0, z)
+    exact = (-np.expm1(-zs) / zs - np.exp(-zs)) / zs
+    series = 0.5 - z / 3.0 + z * z / 8.0
+    return np.where(small, series, exact)
 
 
 @dataclass(frozen=True)
@@ -86,17 +105,10 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
     if ref_transit is None:
         ref_transit = _reference_transit(model)
     t_star = hit_time(flow, x)
-    t_max = model.t_max
-    hit = t_star <= t_max
-    end = t_star if hit else t_max
-    truncated = not hit
 
-    boundary_index = -1
-    if hit:
-        z = advance(flow, x, t_star)
-        boundary_index = int(np.argmin(np.abs(model.grid.boundary_points - z)))
-
-    # grid-point passage times, in flow order, strictly inside (0, end)
+    # grid-point passage times, in flow order, before the boundary hit; the
+    # last grid point passed starts the exit piece, which stops at t_max
+    # when the boundary is farther than t_max from there
     direction = flow_direction(flow)
     anchors = [j]
     edges = [0.0]
@@ -108,11 +120,19 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
         downstream = ()
     for i in downstream:
         t = _passage_time(flow, x, float(points[i]))
-        if not (t < end - 1e-15):
+        if not (t < t_star):
             break
         anchors.append(i)
         edges.append(t)
+    hit = hit_time(flow, float(points[anchors[-1]])) <= model.t_max
+    end = t_star if hit else edges[-1] + model.t_max
+    truncated = not hit
     edges.append(end)
+
+    boundary_index = -1
+    if hit:
+        z = advance(flow, x, t_star)
+        boundary_index = int(np.argmin(np.abs(model.grid.boundary_points - z)))
 
     edges = np.asarray(edges)
     dur = np.diff(edges)
@@ -310,9 +330,28 @@ def line_geometry(ws) -> list[_LineGeometry]:
     return _LINES[ws]
 
 
+def line_pieces(ws) -> list[list[int]]:
+    """Per grid state: the pieces of ``ws`` its line runs, in flow order.
+
+    The segments from its own grid point to its chain end, then that chain
+    end's exit piece.
+    """
+    position = np.argsort(ws.order).tolist()
+    out = []
+    for j, k in enumerate(ws.exit_of.tolist()):
+        ex = ws.exits[k]
+        out.append(list(range(position[j], ex.position)) + [ex.piece])
+    return out
+
+
+def line_exit(ws, j: int):
+    """The exit record of grid state ``j``'s line."""
+    return ws.exits[int(ws.exit_of[j])]
+
+
 def piece_counts(ws) -> list[list[int]]:
     """Per line: the interval count of each of its pieces in ``ws``'s shared mesh."""
-    return [[ws.geometry[p].times.size - 1 for p in line.pieces] for line in ws.lines]
+    return [[ws.geometry[p].times.size - 1 for p in pieces] for pieces in line_pieces(ws)]
 
 
 def forced_line_geometry(ws) -> list[_LineGeometry]:
@@ -330,9 +369,11 @@ def shared_line_geometry(ws) -> list[_LineGeometry]:
     integral.  The per-path quadrature on these meshes therefore integrates
     the very intervals the piece tables sum.
     """
+    model = ws.model
     out = []
-    for line in ws.lines:
-        pieces = [ws.geometry[p] for p in line.pieces]
+    for j, line in enumerate(line_pieces(ws)):
+        ex = line_exit(ws, j)
+        pieces = [ws.geometry[p] for p in line]
         offsets = [0.0]
         for piece in pieces[:-1]:
             offsets.append(offsets[-1] + float(piece.times[-1]))
@@ -348,12 +389,158 @@ def shared_line_geometry(ws) -> list[_LineGeometry]:
         joined = {name: np.concatenate([getattr(piece, name) for piece in pieces])
                   for name in ("states", "ilo", "wlo", "lam_nodes", "f_nodes")}
         out.append(_LineGeometry(
-            origin_index=line.origin_index, times=times, dt=np.diff(times), seg_anchor=seg_anchor,
+            origin_index=j, times=times, dt=np.diff(times), seg_anchor=seg_anchor,
             seg_slices=tuple(zip(starts.tolist(), ends.tolist(), anchors.tolist())),
-            hit=line.hit, boundary_index=line.boundary_index, t_star=line.t_star,
-            truncated=line.truncated, line_feasible=line.line_feasible, **joined))
+            hit=ex.hit, boundary_index=ex.boundary_index, t_star=hit_time(model.flow, float(model.grid.points[j])),
+            truncated=not ex.hit, line_feasible=model.feasible_mask[anchors].all(axis=0), **joined))
     return out
 
+
+# -- per-line compositions on the shared pieces ------------------------------
+# Each line's pieces as flat incidence arrays, composed by running survival
+# products (operators), a backward march per line (improvement) and a sweep
+# of all lines by position from their ends (certificate).
+
+@dataclass(frozen=True)
+class Incidence:
+    """Which piece each line reads at each place.
+
+    Line j owns entries ``line_start[j]:line_start[j + 1]``, its pieces in
+    flow order.
+    """
+
+    line: np.ndarray        # (I,) line of the entry
+    position: np.ndarray    # (I,) place of the piece on its line, from 0
+    piece: np.ndarray       # (I,)
+    line_start: np.ndarray  # (n + 1,)
+
+
+def incidence(ws) -> Incidence:
+    """Each line's pieces of ``ws`` as flat arrays."""
+    lines = line_pieces(ws)
+    lengths = np.array([len(pieces) for pieces in lines], dtype=np.int64)
+    line_start = np.concatenate(([0], np.cumsum(lengths)))
+    line = np.repeat(np.arange(lengths.size), lengths)
+    return Incidence(line=line, position=np.arange(line.size) - line_start[line],
+                     piece=np.concatenate(lines).astype(np.int64), line_start=line_start)
+
+
+def compose(ws, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running products of a per-piece ``factor`` along every line.
+
+    Returns, per incidence entry, the product over the line's earlier
+    pieces, and per line the product over all of its pieces.
+    """
+    inc = incidence(ws)
+    prod = np.ones((ws.model.n_states, int(inc.position.max()) + 2))
+    prod[inc.line, inc.position + 1] = factor[inc.piece]
+    np.cumprod(prod, axis=1, out=prod)
+    return prod[inc.line, inc.position], prod[:, -1].copy()
+
+
+def composed_assemble(ws, policy):
+    """(kernel, ell, cost, survival) of one policy, composed line by line from the piece tables.
+
+    With P_p the product of the survivals of the line's earlier pieces,
+    ell = sum_p P_p sojourn_p, cost = sum_p P_p cost_p + P_end r(z, u_b) and
+    G = sum_p P_p (Q weights_p) . Q_interior + P_end Q_boundary(z, u_b).
+    """
+    model = ws.model
+    n, n_a = model.n_states, model.n_actions
+    tables = ws.segment_tables()
+    inc = incidence(ws)
+    pieces = np.arange(tables.anchors.size)
+    act = policy.interior[tables.anchors]
+    prefix, survival = compose(ws, tables.survival[pieces, act])
+    ell = np.bincount(inc.line, weights=prefix * tables.sojourn[pieces, act][inc.piece], minlength=n)
+    cost = np.bincount(inc.line, weights=prefix * tables.cost[pieces, act][inc.piece], minlength=n)
+    # every incidence entry takes its piece's Q weights at the piece's
+    # action (``pick``, grouped by piece), scaled by the entry's prefix
+    entry_piece, entry_act = np.divmod(tables.rows, n_a)
+    pick = np.flatnonzero(entry_act == act[entry_piece])
+    bounds = np.searchsorted(entry_piece[pick], np.arange(pieces.size + 1))
+    lo, count = bounds[inc.piece], np.diff(bounds)[inc.piece]
+    owner = np.repeat(np.arange(inc.piece.size), count)
+    entry = pick[np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count) + lo[owner]]
+    flat = np.bincount(inc.line[owner] * (n * n_a) + tables.cols[entry],
+                       weights=prefix[owner] * tables.weights[entry], minlength=n * n * n_a)
+    kernel = flat.reshape(n, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
+    for j in range(n):
+        ex = line_exit(ws, j)
+        if ex.hit:
+            b_act = policy.boundary[ex.boundary_index]
+            kernel[j] += survival[j] * model.kernel_boundary[ex.boundary_index, b_act]
+            cost[j] += survival[j] * model.boundary_cost[ex.boundary_index, b_act]
+    return kernel, ell, cost, survival
+
+
+def marched_improve(ws, rho, h, prev):
+    """Backward march of the one-stage value along each line, piece by piece; argmin policy."""
+    model = ws.model
+    n = model.n_states
+    qh_int = model.kernel_interior @ h
+    b_act, b_val = ws.boundary_minima(h, prev)
+    tables = ws.segment_tables()
+    values = tables.values(rho, qh_int).tolist()
+    survival = tables.survival.tolist()
+    anchors = tables.anchors.tolist()
+    feasible = model.action_grid.feasible
+    mask = model.feasible_mask
+    incumbents = prev.interior.tolist()
+    new_interior = np.empty(n, dtype=np.int64)
+    for j, pieces in enumerate(line_pieces(ws)):
+        ex = line_exit(ws, j)
+        if ex.hit:
+            w_next = float(b_val[ex.boundary_index])
+        else:
+            # past the horizon the state is frozen: the stationary value
+            # (f - rho + lambda Qh) / lambda of the best feasible action
+            tail = ws.geometry[ex.piece]
+            ilo, wlo = tail.ilo[-1], tail.wlo[-1]
+            qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[min(ilo + 1, n - 1), :]
+            lam_T = np.maximum(tail.lam_nodes[-1], 1e-12)
+            station = (tail.f_nodes[-1] - rho + tail.lam_nodes[-1] * qh_end) / lam_T
+            w_next = float(np.min(np.where(mask[tail.anchor], station, np.inf)))
+        for p in reversed(pieces):
+            anchor = anchors[p]
+            v_s, b_s = values[p], survival[p]
+            pick, best = None, math.inf
+            for a in feasible[anchor]:
+                val = v_s[a] + b_s[a] * w_next
+                if val < best:
+                    pick, best = a, val
+            incumbent = incumbents[anchor]
+            if pick is None or (mask[anchor, incumbent] and v_s[incumbent] + b_s[incumbent] * w_next
+                                <= best + TIE_TOL * max(1.0, abs(best))):
+                pick = incumbent
+            w_next = v_s[pick] + b_s[pick] * w_next
+        new_interior[j] = pick
+    return FeedbackPolicy(interior=new_interior, boundary=b_act)
+
+
+def swept_residual(ws, rho, h):
+    """The optimality residual, every line's frozen-action sweep run by position from its end."""
+    model = ws.model
+    qh_int = model.kernel_interior @ h
+    _, b_val = ws.boundary_minima(h)
+    tables = ws.segment_tables()
+    values, survival = tables.values(rho, qh_int), tables.survival
+    inc = incidence(ws)
+    ends = inc.line_start[1:]
+    lengths = np.diff(inc.line_start)
+    w = np.zeros((model.n_states, model.n_actions))
+    for j in range(model.n_states):
+        ex = line_exit(ws, j)
+        if ex.hit:
+            w[j] = b_val[ex.boundary_index]
+    for t in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > t)
+        p = inc.piece[ends[live] - 1 - t]
+        w[live] = values[p] + survival[p] * w[live]
+    feasible = np.array([model.feasible_mask[tables.anchors[pieces]].all(axis=0) for pieces in line_pieces(ws)])
+    some = feasible.any(axis=1)
+    best = np.min(np.where(feasible, w, np.inf), axis=1)
+    return float(np.max(h[some] - best[some]))
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,7 @@ class TestBadInput:
         (["evaluate", "--tol", "0"], "--tol"),
         (["solve", "--tol-rho=-1e-8"], "--tol-rho"),
         (["simulate", "--seed", "1", "--reps", "1"], "--reps"),
+        (["solve", "--max-iter", "0"], "--max-iter"),
     ])
     def test_bad_numeric_flag_is_explained(self, bundled, tmp_path, capsys, args, flag):
         code = run_cli(args + ["--model", bundled, "--out", tmp_path])

@@ -185,7 +185,7 @@ class TestAuditAssumptions:
 
     def test_line_integrals_match_the_per_line_meshes(self, models, workspaces):
         # the growth integral, the lower hazard and the discounted cost bound,
-        # composed from per-piece sums, are the per-line sums on the per-line mesh
+        # carried from per-piece sums by one backward pass, are the per-line sums on the per-line mesh
         from pdmp_avgctl.model import _exp_growth_integral, _line_integral, _lower_hazard
 
         for name, model in models.items():

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import pdmp_avgctl as pa
 from pdmp_avgctl.operators import OperatorWorkspace
 
-from reference_quadrature import (forced_line_geometry, line_geometry, piece_counts, reference_assemble,
-                                  reference_improve, reference_optimality_residual, shared_line_geometry)
+from reference_quadrature import (composed_assemble, forced_line_geometry, line_exit, line_geometry, line_pieces,
+                                  marched_improve, piece_counts, reference_assemble, reference_improve,
+                                  reference_optimality_residual, shared_line_geometry, swept_residual)
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
 FLOWS = ("trivial", "drift", "affine", "tabulated")
@@ -161,26 +162,26 @@ def _within(got, want) -> bool:
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_shared_pieces_match_the_per_line_reference(flow, data):
-    # the per-line reference meshes each segment again on every line that
-    # passes it, timed from the line's start.  The shared mesh passes the
-    # same grid points, and gives each piece the count of the line that
-    # starts on it.  Where the count rule sits on an integer (a uniform
-    # grid), rounding of the passage times can give one segment different
-    # counts on different lines; the shared count is then one of them.
-    # Operators, improvement and certificate agree with the per-line
-    # quadrature on meshes of the shared counts.
+    # the per-line reference meshes each segment and exit piece again on
+    # every line that passes it, timed from the line's start.  The shared
+    # mesh passes the same grid points, ends each line as the reference
+    # does, and gives each piece the count of the line that starts on it.
+    # Where the count rule sits on an integer (a uniform grid), rounding of
+    # the passage times can give one piece different counts on different
+    # lines; the shared count is then one of them.  Operators, improvement
+    # and certificate agree with the per-line quadrature on meshes of the
+    # shared counts.
     doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
     model = pa.model_from_dict(doc)
     ws = OperatorWorkspace(model, fill)
     seen = {}
-    for line, geom, counts in zip(ws.lines, line_geometry(ws), piece_counts(ws)):
-        assert [ws.geometry[p].anchor for p in line.pieces] == [a for _, _, a in geom.seg_slices]
-        assert (line.hit, line.boundary_index, line.truncated) == (geom.hit, geom.boundary_index, geom.truncated)
+    for j, (pieces, geom, counts) in enumerate(zip(line_pieces(ws), line_geometry(ws), piece_counts(ws))):
+        ex = line_exit(ws, j)
+        assert [ws.geometry[p].anchor for p in pieces] == [a for _, _, a in geom.seg_slices]
+        assert (ex.hit, ex.boundary_index, not ex.hit) == (geom.hit, geom.boundary_index, geom.truncated)
         reference = [k1 - k0 for k0, k1, _ in geom.seg_slices]
-        assert counts[-1] == reference[-1]
-        if line.chain:
-            assert counts[0] == reference[0]
-        for p, count in zip(line.chain, reference):
+        assert counts[0] == reference[0]
+        for p, count in zip(pieces, reference):
             seen.setdefault(p, set()).add(count)
     for p, counts in seen.items():
         assert ws.geometry[p].times.size - 1 in counts
@@ -193,3 +194,25 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
         assert ws.improve(rho, h, policy).key() == reference_improve(ws, rho, h, policy, geometry).key()
         residual = ws.optimality_residual(rho, h, policy)
         assert _within(np.array([residual]), np.array([reference_optimality_residual(ws, rho, h, geometry)]))
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_backward_pass_matches_the_per_line_compositions(flow, data):
+    # on the same pieces, one backward pass over the grid positions gives
+    # what composing every line's own pieces gives: running survival
+    # products for the operators, a march along each line for the
+    # improvement, and a sweep of all lines from their ends for the
+    # certificate
+    doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
+    model = pa.model_from_dict(doc)
+    ws = OperatorWorkspace(model, fill)
+    rng = np.random.default_rng(seed)
+    for policy in _policies(model, seed):
+        for got, want in zip(ws.assemble(policy), composed_assemble(ws, policy)):
+            assert _within(got, want)
+        rho, h = float(rng.uniform(0.0, 3.0)), rng.normal(scale=2.0, size=model.n_states)
+        assert ws.improve(rho, h, policy).key() == marched_improve(ws, rho, h, policy).key()
+        residual = ws.optimality_residual(rho, h, policy)
+        assert _within(np.array([residual]), np.array([swept_residual(ws, rho, h)]))

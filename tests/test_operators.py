@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.flow import flow_direction
-from pdmp_avgctl.numerics import phi0, phi01, phi1
+from pdmp_avgctl.flow import flow_direction, hit_time
+from pdmp_avgctl.numerics import phi0, phi01
 from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, _passage_time, kernel_matrix
 
 from conftest import BUNDLED
-from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, cum_rate, line_geometry,
-                                  op_G, op_H, op_L, op_calL, policy_paths, reference_assemble, reference_improve,
-                                  reference_optimality_residual, reference_sweep_values)
+from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
+                                  cum_rate, forced_line_geometry, line_exit, line_geometry, line_pieces, marched_improve, op_G, op_H,
+                                  op_L, op_calL, phi1, policy_paths, reference_assemble, reference_improve,
+                                  reference_optimality_residual, reference_sweep_values, swept_residual)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -368,43 +370,54 @@ class TestLineGeometry:
             ws = OperatorWorkspace(model, fill)
             points, flow = model.grid.points, model.flow
             order = flow_order(model)
-            n_chain = ws.mesh.n_chain
-            assert n_chain == (0 if flow.kind == "trivial" else model.n_states - 1), name
+            xs = points[order].tolist()
+            n, n_chain = model.n_states, ws.mesh.n_chain
+            assert np.array_equal(ws.order, order), name
+            assert n_chain == (0 if flow.kind == "trivial" else n - 1), name
             for piece in ws.geometry:
                 assert piece.times[0] == 0.0 and np.all(np.diff(piece.times) > 0.0), name
             # inter-grid segment q runs from the q-th grid point in flow order
             # to the next and ends exactly on that transit time
             for q, piece in enumerate(ws.geometry[:n_chain]):
                 assert piece.anchor == order[q], name
-                assert piece.times[-1] == _passage_time(flow, float(points[order[q]]), float(points[order[q + 1]]))
+                assert piece.times[-1] == _passage_time(flow, xs[q], xs[q + 1])
+
+            # a position goes on to the next when the transit is finite and
+            # the boundary does not cut it; every other one is a chain end,
+            # with one exit piece after the segments, timed from its grid
+            # point, that ends on t* or t_max
+            transit = [_passage_time(flow, a, b) for a, b in zip(xs[:n_chain], xs[1:])]
+            ends = [q for q in range(n) if q >= n_chain
+                    or not (math.isfinite(transit[q]) and hit_time(flow, xs[q]) > transit[q])]
+            assert [e.position for e in ws.exits] == ends, name
+            for k, e in enumerate(ws.exits):
+                where = (name, fill, e.position)
+                piece = ws.geometry[e.piece]
+                t_star = hit_time(flow, xs[e.position])
+                assert e.piece == n_chain + k and piece.anchor == order[e.position], where
+                assert e.hit == (t_star <= model.t_max), where
+                assert piece.times[-1] == (t_star if e.hit else model.t_max), where
+                if e.hit:
+                    assert piece.states[-1] == model.grid.boundary_points[e.boundary_index], where
+                else:
+                    assert e.boundary_index == -1, where
+                    assert piece.times.size - 1 >= max(MIN_TAIL_INTERVALS, fill), where
 
             reference = line_geometry(ws)
-            for line in ws.lines:
-                where = (name, fill, line.origin_index)
-                x = float(points[line.origin_index])
-                # the pieces tile the line: consecutive segments from its own
-                # grid point, then the exit piece from the next grid point
-                pos = int(np.flatnonzero(order == line.origin_index)[0])
-                assert list(line.chain) == list(range(pos, pos + len(line.chain))), where
-                anchors = [ws.geometry[p].anchor for p in line.pieces]
+            for j, pieces in enumerate(line_pieces(ws)):
+                where = (name, fill, j)
+                # consecutive segments from its own grid point to the first
+                # chain end, then that end's exit piece
+                pos = int(np.flatnonzero(order == j)[0])
+                anchors = [ws.geometry[p].anchor for p in pieces]
                 assert anchors == order[pos:pos + len(anchors)].tolist(), where
-                assert line.exit_piece == n_chain + line.origin_index, where
-                # it passes the grid points the per-line rule passes
-                assert anchors == [a for _, _, a in reference[line.origin_index].seg_slices], where
-                # the exit piece starts on its grid point's passage time and
-                # the line ends on t* or t_max
-                exit_piece = ws.geometry[line.exit_piece]
-                assert line.start == (_passage_time(flow, x, float(points[exit_piece.anchor]))
-                                      if line.chain else 0.0), where
-                assert line.end == (line.t_star if line.hit else model.t_max), where
-                assert exit_piece.times[-1] == line.end - line.start, where
-                if line.hit:
-                    assert exit_piece.states[-1] == model.grid.boundary_points[line.boundary_index], where
-                if line.truncated:
-                    assert exit_piece.times.size - 1 >= max(MIN_TAIL_INTERVALS, fill), where
-
-                expected = np.logical_and.reduce(model.feasible_mask[anchors], axis=0)
-                assert np.array_equal(line.line_feasible, expected), where
+                assert ws.exits[ws.exit_of[j]].position == min(q for q in ends if q >= pos), where
+                # it passes the grid points the per-line rule passes, and ends
+                # as that line ends
+                geom = reference[j]
+                assert anchors == [a for _, _, a in geom.seg_slices], where
+                assert (line_exit(ws, j).hit, line_exit(ws, j).boundary_index) == (geom.hit, geom.boundary_index)
+            assert np.array_equal(ws.truncated, [not line_exit(ws, j).hit for j in range(n)]), name
 
     @pytest.mark.parametrize("fill", [8, 16])
     def test_nodes_match_the_per_segment_linspace_reference(self, models, fill):
@@ -419,7 +432,7 @@ class TestLineGeometry:
             for p, piece in enumerate(ws.geometry):
                 dur = float(piece.times[-1])
                 count = int(math.ceil(dur / (0.25 / lam_sup))) if lam_sup > 0.0 else 0
-                if p >= n_chain and ws.lines[p - n_chain].truncated:
+                if p >= n_chain and not ws.exits[p - n_chain].hit:
                     count = max(count, MIN_TAIL_INTERVALS, fill)
                 elif math.isfinite(ref_transit) and dur > 0:
                     count = max(count, int(math.ceil(dur / (ref_transit / fill))))
@@ -428,12 +441,62 @@ class TestLineGeometry:
                 count = max(count, 1)
                 assert piece.times.size == count + 1, (name, fill, p)
                 assert np.array_equal(piece.times, np.linspace(0.0, dur, count + 1)), (name, fill, p)
-            for line, geom in zip(ws.lines, line_geometry(ws)):
-                for p, (k0, k1, _) in zip(line.pieces, geom.seg_slices):
+            for j, (pieces, geom) in enumerate(zip(line_pieces(ws), line_geometry(ws))):
+                for p, (k0, k1, _) in zip(pieces, geom.seg_slices):
                     times = ws.geometry[p].times
-                    assert k1 - k0 == times.size - 1, (name, fill, line.origin_index, p)
+                    assert k1 - k0 == times.size - 1, (name, fill, j, p)
                     relative = geom.times[k0:k1 + 1] - geom.times[k0]
                     assert np.max(np.abs(relative - times)) <= 1e-12 * max(1.0, times[-1])
+
+    def test_a_fixed_point_on_a_grid_point_ends_a_chain(self):
+        # decay_flow_16 with a grid point added on the flow's fixed point 0:
+        # the transit there is infinite, so the chain ends one grid point
+        # before it and the fixed point is a chain end of its own, both with
+        # exits that stop at t_max
+        doc = json.loads(pa.bundled_model_path("decay_flow_16").read_text())
+        doc["grid"]["points"] = [0.0] + doc["grid"]["points"]
+        for table in (doc["rates"]["lambda"], doc["costs"]["running"], doc["actions"]["feasible"],
+                      doc["lyapunov"]["g"], doc["constants"]["lambda_lower"], doc["kernel"]["interior"]):
+            table.insert(0, table[0])
+        doc["kernel"]["interior"] = [[[0.0] + row for row in rows] for rows in doc["kernel"]["interior"]]
+        model = pa.model_from_dict(doc)
+        ws = OperatorWorkspace(model, 8)
+        n = model.n_states
+        assert [(e.position, e.hit) for e in ws.exits] == [(n - 2, False), (n - 1, False)]
+        assert ws.exit_of.tolist() == [1] + [0] * (n - 1)
+        agrees_with_the_per_line_references(ws, np.random.default_rng(3))
+
+    def test_a_boundary_between_grid_points_ends_a_chain(self):
+        # drift_boundary_64 with a second boundary point at 0.45: the line
+        # from the grid point before it hits it, so that grid point is a
+        # chain end, and the grid points past it run on to the boundary at 1
+        doc = json.loads(pa.bundled_model_path("drift_boundary_64").read_text())
+        doc["grid"]["boundary_points"].append(0.45)
+        for table in (doc["rates"]["lambda"], doc["kernel"]["boundary"], doc["costs"]["boundary"],
+                      doc["lyapunov"]["r_bar"], doc["actions"]["boundary_feasible"]):
+            table.append(table[-1])
+        model = pa.model_from_dict(doc)
+        ws = OperatorWorkspace(model, 8)
+        last = int(np.searchsorted(model.grid.points, 0.45)) - 1
+        assert [(e.position, e.hit, e.boundary_index) for e in ws.exits] == \
+            [(last, True, 1), (model.n_states - 1, True, 0)]
+        assert ws.exit_of.tolist() == [0] * (last + 1) + [1] * (model.n_states - last - 1)
+        agrees_with_the_per_line_references(ws, np.random.default_rng(5))
+
+
+def agrees_with_the_per_line_references(ws, rng):
+    """The backward pass against the per-line compositions and the per-path quadrature, on the same mesh."""
+    model = ws.model
+    geometry = forced_line_geometry(ws)
+    for _ in range(3):
+        policy = pa.FeedbackPolicy.random_feasible(model, rng)
+        got = ws.assemble(policy)
+        for want in (composed_assemble(ws, policy), reference_assemble(ws, policy, geometry=geometry)):
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
+        rho, h, prev = random_problem(model, rng)
+        assert ws.improve(rho, h, prev).key() == marched_improve(ws, rho, h, prev).key()
+        assert abs(ws.optimality_residual(rho, h, prev) - swept_residual(ws, rho, h)) <= 1e-12
 
 
 # -- per-segment one-stage tables ---------------------------------------------
@@ -459,14 +522,14 @@ class TestSegmentTables:
         tables = ws.segment_tables()
         assert ws.segment_tables() is tables
         assert tables.sojourn.shape == (len(ws.geometry), ws.model.n_actions)
-        inc = ws.incidence
-        assert inc.line_start.size == ws.model.n_states + 1
-        assert inc.line_start[-1] == sum(len(line.pieces) for line in ws.lines)
-        for j, line in enumerate(ws.lines):
-            entries = slice(inc.line_start[j], inc.line_start[j + 1])
-            assert inc.piece[entries].tolist() == list(line.pieces)
-            assert inc.position[entries].tolist() == list(range(len(line.pieces)))
-            assert np.all(inc.line[entries] == j)
+        # the backward pass runs each line's pieces: counted with unit values
+        # and factors, and the piece indices themselves summed
+        pieces = line_pieces(ws)
+        ones = np.ones(len(ws.geometry))
+        no_exit = np.zeros(len(ws.exits))
+        assert ws.backward(ones, ones, no_exit).tolist() == [len(line) for line in pieces]
+        assert ws.backward(np.arange(ones.size, dtype=float), ones, no_exit).tolist() == \
+            [sum(line) for line in pieces]
 
     def test_pieces_match_the_per_line_segment_tables(self, models, workspaces):
         # every (line, segment) entry of the per-line tables is its piece's
@@ -479,10 +542,10 @@ class TestSegmentTables:
             rho, h, _ = random_problem(model, rng)
             qh = model.kernel_interior @ h
             got_values, want_values = tables.values(rho, qh), reference.values(rho, qh)
-            for j, line in enumerate(ws.lines):
+            for j, line in enumerate(line_pieces(ws)):
                 segments = range(reference.line_start[j], reference.line_start[j + 1])
-                assert len(segments) == len(line.pieces), (name, j)
-                for s, p in zip(segments, line.pieces):
+                assert len(segments) == len(line), (name, j)
+                for s, p in zip(segments, line):
                     for got, want in ((tables.sojourn[p], reference.sojourn[s]), (tables.cost[p], reference.cost[s]),
                                       (tables.survival[p], reference.survival[s]),
                                       (got_values[p], want_values[s])):
@@ -498,15 +561,15 @@ class TestSegmentTables:
             rho, h, _ = random_problem(model, rng)
             values = tables.values(rho, model.kernel_interior @ h)
             _, b_val = ws.boundary_minima(h)
-            for line, ref in zip(ws.lines, reference_sweep_values(ws, rho, h)):
+            for j, (line, ref) in enumerate(zip(line_pieces(ws), reference_sweep_values(ws, rho, h))):
                 if ref is None:
                     continue
-                w = np.full(model.n_actions, b_val[line.boundary_index] if line.hit else 0.0)
-                for p in reversed(line.pieces):
+                ex = line_exit(ws, j)
+                w = np.full(model.n_actions, b_val[ex.boundary_index] if ex.hit else 0.0)
+                for p in reversed(line):
                     w = values[p] + tables.survival[p] * w
                 ok = np.isfinite(ref)
-                assert np.max(np.abs(w[ok] - ref[ok])) <= 1e-12 * max(1.0, np.max(np.abs(ref[ok]))), \
-                    (name, line.origin_index)
+                assert np.max(np.abs(w[ok] - ref[ok])) <= 1e-12 * max(1.0, np.max(np.abs(ref[ok]))), (name, j)
 
     def test_improve_and_residual_match_the_references(self, models, workspaces):
         rng = np.random.default_rng(67)

@@ -143,17 +143,21 @@ class TestLineTables:
                     assert abs(line.chain_hazard + line.hazard_end - path.cum_hazard[-1]) <= 1e-12
 
     def test_lines_share_one_chain(self, models, workspaces):
-        # no line copies the chain: the tables hold one node per mesh node,
-        # less the joints the segments share
-        model = models["drift_boundary_64"]
-        ws = workspaces["drift_boundary_64"]
-        tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws)
-        assert all(line.nodes is tables.nodes for line in tables.lines)
-        assert len(tables.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
-        exit_nodes = [(line.x0, line.x1) for line in tables.lines]
-        assert exit_nodes[0][0] == ws.mesh.first[ws.mesh.n_chain] + 1
-        assert all(x1 + 1 == y0 for (_, x1), (y0, _) in zip(exit_nodes, exit_nodes[1:]))
-        assert exit_nodes[-1][1] == len(tables.nodes.times) - 1
+        # no line copies the chain or an exit piece: the tables hold one node
+        # per mesh node, less the joints the segments share, and every line
+        # that ends on the same chain end reads that end's exit nodes
+        for name in ("drift_boundary_64", "ctmdp_3state"):
+            model, ws = models[name], workspaces[name]
+            tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws)
+            assert all(line.nodes is tables.nodes for line in tables.lines)
+            assert len(tables.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
+            ends = ws.exit_of.tolist()
+            exit_nodes = {k: (line.x0, line.x1) for k, line in zip(ends, tables.lines)}
+            assert all((line.x0, line.x1) == exit_nodes[k] for k, line in zip(ends, tables.lines)), name
+            exit_nodes = [exit_nodes[k] for k in range(len(ws.exits))]
+            assert exit_nodes[0][0] == ws.mesh.first[ws.mesh.n_chain] + 1, name
+            assert all(x1 + 1 == y0 for (_, x1), (y0, _) in zip(exit_nodes, exit_nodes[1:])), name
+            assert exit_nodes[-1][1] == len(tables.nodes.times) - 1, name
 
 
 def reference_jump_target(model, line, hit, y, action, u):
@@ -479,9 +483,9 @@ GOLDEN = {
          "0x1.1536ac83e6ae3p+0", "0x1.1666dc6648c80p+0"],
         27568, 13498),
     "decay_flow_16": (
-        ["0x1.1fbfb53abb4f8p-1", "0x1.20217214838c3p-1", "0x1.1f6d6d2f7b109p-1",
-         "0x1.20df08da7f232p-1", "0x1.209999584029ep-1", "0x1.20f502178e923p-1",
-         "0x1.2022fe78bdde0p-1", "0x1.20e7cb8bffeefp-1"],
+        ["0x1.1fbfb53abb4f8p-1", "0x1.20217214838c6p-1", "0x1.1f6d6d2f7b108p-1",
+         "0x1.20df08da7f232p-1", "0x1.209999584029ep-1", "0x1.20f502178e924p-1",
+         "0x1.2022fe78bdde0p-1", "0x1.20e7cb8bffeeep-1"],
         13533, 0),
 }
 

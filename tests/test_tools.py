@@ -78,6 +78,11 @@ def test_scaling_row_on_a_small_grid(tmp_path):
     arrays = (mesh.times, mesh.states, mesh.ilo, mesh.wlo, mesh.lam_nodes, mesh.f_nodes)
     assert row["mesh_mb"] == round(sum(a.nbytes for a in arrays) / 2**20, 3)
     assert row["rho"] == pa.evaluate_policy(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws).rho
+    # the tables are the piece tables plus the workspace's own small arrays
+    tables = ws.segment_tables()
+    arrays = (tables.sojourn, tables.cost, tables.survival, tables.rows, tables.cols, tables.weights, tables.anchors)
+    assert row["tables_mb"] == round((sum(a.nbytes for a in arrays) + ws.order.nbytes + ws.exit_of.nbytes) / 2**20, 3)
+    assert row["load_s"] > 0.0 and 0.0 < row["rss_after_load_mb"] <= row["peak_rss_mb"]
     for key in ("refine_s", "workspace_build_s", "tables_s", "assemble_s", "evaluate_s", "improve_s",
                 "residual_s"):
         assert row[key] >= 0.0, key

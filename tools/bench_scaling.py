@@ -3,13 +3,16 @@
 
 For every N the ``drift_boundary_64`` recipe on an N-point grid
 (``perfbench/drift.py``'s ``drift_doc``) is written to a work directory, then
-measured in a fresh process, one N after another.  A measurement refines the
-workspace of the lowest feasible policy to the default target, then, on a new
-workspace at the refined fill, times one table build, one assemble, one
-evaluation, one improve and one optimality residual.  Run from the root of a
+measured in a fresh process, one N after another.  A measurement loads the
+model file, refines the workspace of the lowest feasible policy to the
+default target, then, at the refined fill, times the workspace build, the
+table build, assemble (each call on an empty assemble cache), evaluation,
+improve and the optimality residual.  Every time is the median of
+``SAMPLES`` calls.  ``rss_after_load_mb`` is the process's peak RSS right
+after the first load, ``peak_rss_mb`` at the end.  Run from the root of a
 checkout:
 
-    python tools/bench_scaling.py --label change --out BENCH_8.json
+    python tools/bench_scaling.py --label change --out BENCH_11.json
 
 The rows go under ``--label`` in the output file, next to those of other
 labels already there (say, the same script run on the parent commit with the
@@ -39,6 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import pdmp_avgctl as pa  # noqa: E402
 
 SIZES = (64, 128, 256, 512, 1024)
+SAMPLES = 3
 
 
 def drift_doc(n: int) -> dict:
@@ -60,43 +64,73 @@ def _nbytes(*objects) -> int:
     return total
 
 
+def _table_bytes(ws) -> int:
+    """Bytes of the arrays a workspace holds besides its model, its mesh and its assembled operators."""
+    total = 0
+    for name, value in vars(ws).items():
+        if name in ("model", "mesh", "geometry", "_assembled"):
+            continue
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif dataclasses.is_dataclass(value):
+            total += _nbytes(value)
+    return total
+
+
+def _rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def _median_s(call, before=None) -> float:
+    """Median wall time of ``SAMPLES`` calls of ``call``, each after ``before()``."""
+    times = []
+    for _ in range(SAMPLES):
+        if before is not None:
+            before()
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return round(float(np.median(times)), 4)
+
+
 def measure(path) -> dict:
     """One row of the scaling table for the model file at ``path``."""
-    clock = time.perf_counter
     model = pa.load_model(path)
+    rss_after_load = _rss_mb()
+    load_s = _median_s(lambda: pa.load_model(path))
     policy = pa.FeedbackPolicy.lowest_feasible(model)
-    t0 = clock()
     fill = pa.refined_workspace(model, policy).fill
-    t1 = clock()
-    ws = pa.OperatorWorkspace(model, fill)
-    t2 = clock()
-    tables = ws.segment_tables()
-    t3 = clock()
-    ws.assemble(policy)
-    t4 = clock()
+    refine_s = _median_s(lambda: pa.refined_workspace(model, policy))
+    build_s = _median_s(lambda: pa.OperatorWorkspace(model, fill))
+    spare = []
+
+    def fresh_workspace():
+        spare[:] = [pa.OperatorWorkspace(model, fill)]
+
+    tables_s = _median_s(lambda: spare[0].segment_tables(), before=fresh_workspace)
+    ws = spare[0]
+    assemble_s = _median_s(lambda: ws.assemble(policy), before=ws._assembled.clear)
     result = pa.evaluate_policy(model, policy, workspace=ws)
-    t5 = clock()
-    ws.improve(result.rho, result.h, policy)
-    t6 = clock()
-    ws.optimality_residual(result.rho, result.h, policy)
-    t7 = clock()
-    incidence = getattr(ws, "incidence", None)
-    extra = (incidence,) if incidence is not None else ()
+    evaluate_s = _median_s(lambda: pa.evaluate_policy(model, policy, workspace=ws))
+    improve_s = _median_s(lambda: ws.improve(result.rho, result.h, policy))
+    residual_s = _median_s(lambda: ws.optimality_residual(result.rho, result.h, policy))
     return {
         "n": model.n_states,
         "refined_fill": fill,
         "mesh_nodes": sum(int(g.times.size) for g in ws.geometry),
         "mesh_mb": round(_nbytes(*ws.geometry) / 2**20, 3),
-        "refine_s": round(t1 - t0, 4),
-        "workspace_build_s": round(t2 - t1, 4),
-        "tables_s": round(t3 - t2, 4),
-        "tables_mb": round(_nbytes(tables, *extra) / 2**20, 3),
-        "assemble_s": round(t4 - t3, 4),
-        "evaluate_s": round(t5 - t4, 4),
-        "improve_s": round(t6 - t5, 4),
-        "residual_s": round(t7 - t6, 4),
+        "load_s": load_s,
+        "rss_after_load_mb": rss_after_load,
+        "refine_s": refine_s,
+        "workspace_build_s": build_s,
+        "tables_s": tables_s,
+        "tables_mb": round(_table_bytes(ws) / 2**20, 3),
+        "assemble_s": assemble_s,
+        "evaluate_s": evaluate_s,
+        "improve_s": improve_s,
+        "residual_s": residual_s,
         "rho": result.rho,
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": _rss_mb(),
     }
 
 
