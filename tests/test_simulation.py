@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import pdmp_avgctl as pa
 from pdmp_avgctl.simulation import UNIFORM_BLOCK, SimulationError, _cost_to, _rng_stream, _uniform_block
 
+import reference_simulation
 from reference_quadrature import policy_paths
-from test_operator_properties import random_model_docs
+from test_operator_properties import FLOWS, random_model_docs
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
 
@@ -289,6 +290,46 @@ def test_bracketed_draw_is_the_keyed_bisect(case):
                 for u in rng.random(3).tolist() + [uniform_for(x, total) for x in levels]:
                     assert tables.jump_target(False, line, y, a, u) == \
                         keyed_jump_target(tables, y, a, u), (y, a, u)
+
+
+def _outcome(simulate, *args, **kwargs):
+    """A simulation's record and summary, or the type and message of what it raised."""
+    try:
+        return simulate(*args, **kwargs)
+    except Exception as exc:  # both loops must raise alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trajectories_match_the_reference_loop(flow, data):
+    # every jump of the library's loop is the reference loop's, bit for bit:
+    # times, post-jump states, hit flags, costs at jumps, average and se
+    doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
+    batches = data.draw(st.sampled_from([1, 2, 20]))
+    model = pa.model_from_dict(doc)
+    ws = pa.OperatorWorkspace(model, fill)
+    rng = np.random.default_rng(seed)
+    for policy in (pa.FeedbackPolicy.lowest_feasible(model),
+                   pa.FeedbackPolicy.random_feasible(model, rng),
+                   pa.FeedbackPolicy.random_feasible(model, rng)):
+        tables = pa.prepare_simulation(model, policy, workspace=ws)
+        x0 = int(rng.integers(model.n_states))
+        horizon = float(rng.uniform(5.0, 40.0))
+        kwargs = dict(replication=int(rng.integers(4)), batches=batches, tables=tables)
+        got = _outcome(pa.simulate, model, policy, x0, horizon, seed, **kwargs)
+        want = _outcome(reference_simulation.simulate, model, policy, x0, horizon, seed, **kwargs)
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        (rec, summ), (ref_rec, ref_summ) = got, want
+        assert rec.jump_count == ref_rec.jump_count > 0
+        for name in ("jump_times", "post_jump_states", "hit_boundary", "cost_at_jumps"):
+            assert np.array_equal(getattr(rec, name), getattr(ref_rec, name)), name
+        assert (rec.running_cost_total, rec.boundary_cost_total, rec.final_time) == \
+            (ref_rec.running_cost_total, ref_rec.boundary_cost_total, ref_rec.final_time)
+        assert summ == ref_summ
 
 
 class TestRunningCost:
