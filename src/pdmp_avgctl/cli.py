@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,12 +49,16 @@ class RunConfig:
         if self.command == "solve" and self.max_iter < 1:
             problems.append("--max-iter must be at least 1")
         if self.command == "simulate":
-            if not self.horizon > 0:
-                problems.append("--horizon must be positive")
+            if not 0 < self.horizon < math.inf:
+                problems.append("--horizon must be positive and finite")
             if self.replications < 2:
                 problems.append("--reps must be at least 2 (the standard error needs two replications)")
             if self.seed is None:
                 problems.append("--seed is required for simulation")
+            elif not 0 <= self.seed < 2**64:
+                problems.append("--seed must be in [0, 2**64) (a Philox key word)")
+            if self.rho is not None and not math.isfinite(self.rho):
+                problems.append("--rho must be finite")
         if problems:
             print("error: " + "; ".join(problems), file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
@@ -265,6 +270,9 @@ def cmd_simulate(config: RunConfig) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         rho = evaluation.get("rho")
+        if rho is not None and (type(rho) not in (int, float) or not math.isfinite(rho)):
+            print(f"error: {result_path} holds no finite rho; pass --rho", file=sys.stderr)
+            return EXIT_USAGE
 
     if not 0 <= config.x0 < model.n_states:
         print(f"error: --x0 must be in [0, {model.n_states})", file=sys.stderr)

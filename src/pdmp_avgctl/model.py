@@ -168,12 +168,12 @@ class FeedbackPolicy:
         ]
         if problems:
             return problems
-        for i, a in enumerate(self.interior):
-            if int(a) not in model.action_grid.feasible[i]:
-                problems.append(f"action {int(a)} infeasible at interior state {i}")
-        for i, a in enumerate(self.boundary):
-            if int(a) not in model.action_grid.boundary_feasible[i]:
-                problems.append(f"action {int(a)} infeasible at boundary point {i}")
+        for where, actions, mask in (("interior state", self.interior, model.feasible_mask),
+                                     ("boundary point", self.boundary, model.boundary_feasible_mask)):
+            actions = np.asarray(actions, dtype=np.int64)
+            ok = (actions >= 0) & (actions < model.n_actions)  # an index outside the action grid is infeasible
+            ok[ok] = mask[ok, actions[ok]]
+            problems += [f"action {int(actions[i])} infeasible at {where} {i}" for i in np.flatnonzero(~ok)]
         return problems
 
     @classmethod

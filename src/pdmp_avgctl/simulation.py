@@ -85,8 +85,9 @@ class _Line:
     """One start state's feedback path: a stretch of the chain, then its chain end's exit piece.
 
     ``b``/``e`` are the chain nodes of the start state and of its chain end
-    (equal when the start state is a chain end), and ``chain_*`` the
-    hazard, time and running cost between them.  ``x0``/``x1`` are the first
+    (equal when the start state is a chain end), ``*_b`` the node tables'
+    values at ``b``, and ``chain_*`` the hazard, time and running cost
+    between ``b`` and ``e``.  ``x0``/``x1`` are the first
     and last nodes of the chain end's exit piece; the scalars are its totals
     and what a sojourn past the tabulated horizon needs.
     """
@@ -96,6 +97,9 @@ class _Line:
     e: int
     x0: int
     x1: int
+    hazard_b: float
+    time_b: float
+    cost_b: float
     chain_hazard: float
     chain_time: float
     chain_cost: float
@@ -172,6 +176,9 @@ class SimulationTables:
     """
 
     def __init__(self, model, policy, *, workspace: OperatorWorkspace | None = None):
+        problems = policy.feasibility_problems(model)
+        if problems:
+            raise ValueError("infeasible policy: " + "; ".join(problems))
         self.model = model
         self.policy = policy
         ws = workspace if workspace is not None else OperatorWorkspace(model)
@@ -190,6 +197,7 @@ class SimulationTables:
             act = int(piece_action[p])
             self.lines.append(_Line(
                 nodes=nodes, b=b, e=e, x0=x0, x1=x1,
+                hazard_b=hazard[b], time_b=times[b], cost_b=cost_cum[b],
                 chain_hazard=hazard[e] - hazard[b],
                 chain_time=times[e] - times[b],
                 chain_cost=cost_cum[e] - cost_cum[b],
@@ -209,63 +217,10 @@ class SimulationTables:
         self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
         self.boundary_cost = model.boundary_cost.tolist()
 
-    def jump_target(self, hit: bool, line: _Line, y: float, action: int, u: float) -> int:
-        """Post-jump state index for uniform ``u``.
 
-        Equals ``min(searchsorted(cumsum(row), u * row.sum()), n - 1)`` for
-        the boundary row of ``line`` on a hit, else for the kernel row
-        interpolated linearly between the grid points around ``y``.  Where
-        ``y`` sits on a grid point the row is one stored row and the search
-        runs on its precomputed cumulative sums, bit for bit as on the mixed
-        row.  In between it runs on the same mixture of the two neighbours'
-        cumulative sums and sums, which can differ from those of the mixed
-        row in the last bit, so a level within rounding of a cumulative value
-        may land one state over.
-
-        That search is the first ``q`` whose mixed key ``w lo[q] + v hi[q]``
-        reaches the level.  The key is nondecreasing, and in exact arithmetic
-        it first reaches the level between the first crossings of ``lo`` and
-        of ``hi``; rounding can move it one index past either end.  So the
-        two crossings are found by ``bisect_left`` on each row, the key is
-        checked just outside the bracket at both ends and scanned inside it,
-        and a failed check falls back to the keyed bisect over all states.
-        """
-        points = self.points
-        n = len(points)
-        if hit:
-            b, a = line.boundary_index, line.boundary_action
-            j = bisect_left(self.boundary_cum[b][a], u * self.boundary_sum[b][a])
-            return j if j < n else n - 1
-        i = bisect_right(points, y) - 1
-        if i < 0:
-            i = 0
-        elif i > n - 2:
-            i = n - 2
-        frac = (y - points[i]) / (points[i + 1] - points[i])
-        if frac < 0.0:
-            frac = 0.0
-        elif frac > 1.0:
-            frac = 1.0
-        w = 1.0 - frac
-        cum, total = self.interior_cum, self.interior_sum
-        if w == 1.0 or w == 0.0:
-            r = i if w == 1.0 else i + 1
-            j = bisect_left(cum[r][action], u * total[r][action])
-        else:
-            v = 1.0 - w
-            lo, hi = cum[i][action], cum[i + 1][action]
-            target = u * (w * total[i][action] + v * total[i + 1][action])
-            j = bisect_left(lo, target)
-            end = bisect_left(hi, target)
-            if end < j:
-                j, end = end, j
-            if (j == 0 or w * lo[j - 1] + v * hi[j - 1] < target) and \
-                    (end == n or w * lo[end] + v * hi[end] >= target):
-                while j < end and w * lo[j] + v * hi[j] < target:
-                    j += 1
-            else:
-                j = bisect_left(range(n), target, key=lambda q: w * lo[q] + v * hi[q])
-        return j if j < n else n - 1
+def _keyed_draw(lo: list, hi: list, w: float, v: float, target: float) -> int:
+    """The first state whose mixed cumulative key ``w lo[q] + v hi[q]`` reaches ``target``."""
+    return bisect_left(range(len(lo)), target, key=lambda q: w * lo[q] + v * hi[q])
 
 
 def _cumulative_rows(kernel: np.ndarray) -> tuple[list, list]:
@@ -278,27 +233,25 @@ def prepare_simulation(model, policy, *, workspace: OperatorWorkspace | None = N
     return SimulationTables(model, policy, workspace=workspace)
 
 
-def _cost_to(line: _Line, tau: float, k: int = -1) -> float:
+def _cost_to(line: _Line, tau: float) -> float:
     """Running-cost integral over [0, tau] along ``line``.
 
-    ``k`` is a guess at the node table interval holding ``tau`` (the
-    sojourn's).  It is used when ``tau`` lies in it, otherwise the interval
-    is searched for.
+    :func:`simulate` runs the same arithmetic inline for each sojourn, with
+    the sojourn's interval as a guess that spares the search.
     """
     nodes = line.nodes
     times, cost_cum = nodes.times, nodes.cost_cum
     if tau < line.chain_time:
         # on the chain stretch, timed from node b
-        lo, hi, c_base, c_before = line.b, line.e, cost_cum[line.b], 0.0
-        tau += times[lo]
+        lo, hi, c_base, c_before = line.b, line.e, line.cost_b, 0.0
+        tau += line.time_b
     else:
         # on the exit piece, timed from its start
         tau -= line.chain_time
         if tau >= line.end:
             return line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
         lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
-    if not (lo <= k < hi and times[k] <= tau < times[k + 1]):
-        k = bisect_right(times, tau, lo, hi) - 1
+    k = bisect_right(times, tau, lo, hi) - 1
     t_k = times[k]
     dt = times[k + 1] - t_k
     sigma = tau - t_k
@@ -356,8 +309,20 @@ class SimulationSummary:
         }
 
 
+SEED_BOUND = 2**64  # a Philox key word is an unsigned 64-bit integer
+
+
 def _rng_stream(seed: int, replication: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(replication)]))
+    """The Philox stream keyed by (seed, replication).
+
+    The key is passed as a uint64 array: numpy reads a list holding a word
+    of 2**63 or more next to a smaller one as float64, which rounds the
+    word.  Below 2**63 both forms give the same key.
+    """
+    for name, value in (("seed", seed), ("replication", replication)):
+        if not 0 <= int(value) < SEED_BOUND:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return np.random.Generator(np.random.Philox(key=np.array([int(seed), int(replication)], dtype=np.uint64)))
 
 
 def _uniform_block(rng: np.random.Generator) -> list:
@@ -370,6 +335,11 @@ def _uniform_block(rng: np.random.Generator) -> list:
     return rng.random(UNIFORM_BLOCK).tolist()
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+
+
 def simulate(model, policy, x0: int, horizon: float, seed: int, *,
              replication: int = 0, batches: int = DEFAULT_BATCHES,
              max_jumps: int | None = None, record: bool = True,
@@ -380,15 +350,23 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     trajectory bit for bit (counter-based generator, fixed draw order: one
     uniform for the sojourn and one for the post-jump state per jump, drawn
     from the stream in blocks).
+
+    ``tables`` must have been prepared for this model object and this policy
+    (the same object or one with the same :meth:`FeedbackPolicy.key`); they
+    checked the policy's feasibility when they were built, so a replication
+    does not check it again.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    _check_horizon(horizon)
     if not 0 <= int(x0) < model.n_states:
         raise ValueError(f"x0 must be a grid state index in [0, {model.n_states}), got {x0}")
-    problems = policy.feasibility_problems(model)
-    if problems:
-        raise ValueError("infeasible policy: " + "; ".join(problems))
-    tabs = tables if tables is not None else prepare_simulation(model, policy)
+    if tables is None:
+        tabs = prepare_simulation(model, policy)
+    elif tables.model is not model:
+        raise ValueError("simulation tables were prepared for another model")
+    elif tables.policy is not policy and tables.policy.key() != policy.key():
+        raise ValueError("simulation tables were prepared for another policy")
+    else:
+        tabs = tables
     rng = _rng_stream(seed, replication)
     if max_jumps is None:
         max_jumps = int(max(100_000, 100.0 * (model.lambda_sup + 1.0) * horizon))
@@ -402,10 +380,15 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     nodes = tabs.nodes
     n_hazard, n_times, n_states, n_slope, n_actions = \
         nodes.hazard, nodes.times, nodes.states, nodes.slope, nodes.actions
-    jump_target = tabs.jump_target
-    boundary_cost = tabs.boundary_cost
+    n_cost, n_f_left, n_f_right = nodes.cost_cum, nodes.f_left, nodes.f_right
+    points = tabs.points
+    n = len(points)
+    last = n - 1
+    cum, total = tabs.interior_cum, tabs.interior_sum
+    boundary_cum, boundary_sum, boundary_cost = tabs.boundary_cum, tabs.boundary_sum, tabs.boundary_cost
     cost_to = _cost_to
     log1p = math.log1p
+    rate_floor, block_size = RATE_FLOOR, UNIFORM_BLOCK
     block = _uniform_block(rng)
     drawn = 0
     t = 0.0
@@ -418,7 +401,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
 
     while t < horizon:
         line = lines[j]
-        if drawn == UNIFORM_BLOCK:
+        if drawn == block_size:
             block = _uniform_block(rng)
             drawn = 0
         u_jump = block[drawn + 1]
@@ -429,8 +412,8 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
         level = -log1p(-block[drawn])
         drawn += 2
         if level < line.chain_hazard:
-            lo, hi, t_base, t_before = line.b, line.e, n_times[line.b], 0.0
-            level += n_hazard[lo]
+            lo, hi, t_base, t_before = line.b, line.e, line.time_b, 0.0
+            level += line.hazard_b
             past = False
         else:
             lo, hi, t_base, t_before = line.x0, line.x1, 0.0, line.chain_time
@@ -440,8 +423,9 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             k = bisect_right(n_hazard, level, lo, hi) - 1
             m = n_slope[k]
             t_k = n_times[k]
-            dt = n_times[k + 1] - t_k
-            sigma = (level - n_hazard[k]) / m if m > RATE_FLOOR else 0.0
+            t_k1 = n_times[k + 1]
+            dt = t_k1 - t_k
+            sigma = (level - n_hazard[k]) / m if m > rate_floor else 0.0
             frac = sigma / dt if dt > 0 else 0.0
             y_k = n_states[k]
             y_jump = y_k + (n_states[k + 1] - y_k) * frac
@@ -451,7 +435,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             y_jump = line.state_tail
             if line.hit:
                 sojourn, hit, act = t_before + line.end, True, line.boundary_action
-            elif line.lam_tail <= RATE_FLOOR:
+            elif line.lam_tail <= rate_floor:
                 raise SimulationError(
                     "drawn hazard level exceeds the tabulated horizon and the tail "
                     "jump rate is (numerically) zero; the model violates the "
@@ -472,11 +456,74 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
         while next_edge < t_next:
             edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
             next_edge = edges[len(edge_costs)]
-        cost_f += cost_to(line, sojourn, k)
+
+        # the running cost of the sojourn: _cost_to(line, sojourn), with the
+        # sojourn's interval k as the guess at the interval holding it
+        tau = sojourn
+        if tau < line.chain_time:
+            lo, hi, c_base, c_before = line.b, line.e, line.cost_b, 0.0
+            tau += line.time_b
+        else:
+            tau -= line.chain_time
+            lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
+            if tau >= line.end:
+                lo = -1
+                cost_f += line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
+        if lo >= 0:
+            # t_k and t_k1 still hold the times at the ends of the sojourn's interval k
+            if not (lo <= k < hi and t_k <= tau < t_k1):
+                k = bisect_right(n_times, tau, lo, hi) - 1
+                t_k = n_times[k]
+                t_k1 = n_times[k + 1]
+            dt = t_k1 - t_k
+            sigma = tau - t_k
+            f_k = n_f_left[k]
+            f_at = f_k + (n_f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
+            cost_f += c_before + (n_cost[k] - c_base + 0.5 * sigma * (f_k + f_at))
+
+        # the post-jump state: the first whose cumulative kernel mass reaches
+        # u times the row's, on the boundary row on a hit, else on the kernel
+        # row interpolated between the grid points around y_jump; between
+        # them the search on the mixed key is bracketed by the first
+        # crossings of the two rows (checked one past each end; _keyed_draw
+        # when a check fails)
         if hit:
-            cost_r += boundary_cost[line.boundary_index][line.boundary_action]
+            b, a = line.boundary_index, line.boundary_action
+            cost_r += boundary_cost[b][a]
             hits += 1
-        j = jump_target(hit, line, y_jump, act, u_jump)
+            j = bisect_left(boundary_cum[b][a], u_jump * boundary_sum[b][a])
+        else:
+            i = bisect_right(points, y_jump) - 1
+            if i < 0:
+                i = 0
+            elif i > n - 2:
+                i = n - 2
+            frac = (y_jump - points[i]) / (points[i + 1] - points[i])
+            if frac < 0.0:
+                frac = 0.0
+            elif frac > 1.0:
+                frac = 1.0
+            w = 1.0 - frac
+            if w == 1.0:
+                j = bisect_left(cum[i][act], u_jump * total[i][act])
+            elif w == 0.0:
+                j = bisect_left(cum[i + 1][act], u_jump * total[i + 1][act])
+            else:
+                v = 1.0 - w
+                row_lo, row_hi = cum[i][act], cum[i + 1][act]
+                target = u_jump * (w * total[i][act] + v * total[i + 1][act])
+                j = bisect_left(row_lo, target)
+                end = bisect_left(row_hi, target)
+                if end < j:
+                    j, end = end, j
+                if (j == 0 or w * row_lo[j - 1] + v * row_hi[j - 1] < target) and \
+                        (end == n or w * row_lo[end] + v * row_hi[end] >= target):
+                    while j < end and w * row_lo[j] + v * row_hi[j] < target:
+                        j += 1
+                else:
+                    j = _keyed_draw(row_lo, row_hi, w, v, target)
+        if j > last:
+            j = last
         jumps += 1
         t = t_next
         if record:
@@ -552,16 +599,24 @@ def mc_validate(model, policy, rho: float, x0: int, horizon: float,
     """Independent replications; passes iff |pooled mean - rho| <= 3 SE.
 
     A small absolute floor (1e-9 * max(1, |rho|)) keeps the check meaningful
-    on deterministic models where the batch spread is exactly zero.
+    on deterministic models where the batch spread is exactly zero.  The
+    policy's feasibility is checked once, when its tables are prepared.
     """
+    if replications < 2:
+        raise ValueError(f"replications must be at least 2 (the standard error needs two), got {replications}")
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
+    _check_horizon(horizon)
     tabs = prepare_simulation(model, policy, workspace=workspace)
     means = np.empty(replications)
     for r in range(replications):
+        # the module-level simulate, looked up once per replication, so a
+        # wrapper installed around it sees every replication
         _, summary = simulate(model, policy, x0, horizon, seed, replication=r,
                               record=False, tables=tabs)
         means[r] = summary.average
     pooled = float(means.mean())
-    se = float(means.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+    se = float(means.std(ddof=1) / math.sqrt(replications))
     atol = 1e-9 * max(1.0, abs(rho))
     passed = abs(pooled - rho) <= 3.0 * se + atol
     return McVerdict(passed=passed, pooled_mean=pooled, pooled_se=se, rho=float(rho),

@@ -143,6 +143,18 @@ class TestBadInput:
         assert code == 0
         assert json.loads((tmp_path / "mc_summary.json").read_text())["rho"] == rho
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), "1.0"], ids=["nan", "inf", "string"])
+    def test_evaluation_without_a_finite_rho_is_refused(self, write_model, tmp_path, capsys, rho):
+        path = write_model(dominated_toy_doc(), "a")
+        assert run_cli(["solve", "--model", path, "--out", tmp_path]) == 0
+        evaluation = json.loads((tmp_path / "evaluation.json").read_text())
+        (tmp_path / "evaluation.json").write_text(json.dumps(dict(evaluation, rho=rho)))
+        code = run_cli(["simulate", "--model", path, "--policy", tmp_path / "policy.json",
+                        "--horizon", "100", "--reps", "2", "--seed", "1", "--out", tmp_path])
+        assert code == 2
+        assert "holds no finite rho; pass --rho" in capsys.readouterr().err
+        assert not (tmp_path / "mc_summary.json").exists()
+
     def test_evaluation_rho_of_another_policy_is_refused(self, write_model, tmp_path, capsys):
         # solve evaluates its optimal policy; simulate without --policy runs lowest_feasible
         path = write_model(dominated_toy_doc(), "a")
@@ -180,6 +192,12 @@ class TestBadInput:
         (["solve", "--tol-rho=-1e-8"], "--tol-rho"),
         (["simulate", "--seed", "1", "--reps", "1"], "--reps"),
         (["solve", "--max-iter", "0"], "--max-iter"),
+        (["simulate", "--seed", "1", "--horizon", "inf"], "--horizon"),
+        (["simulate", "--seed", "1", "--horizon", "nan"], "--horizon"),
+        (["simulate", "--seed", "18446744073709551616"], "--seed"),
+        (["simulate", "--seed", "-1"], "--seed"),
+        (["simulate", "--seed", "1", "--rho", "nan"], "--rho"),
+        (["simulate", "--seed", "1", "--rho", "inf"], "--rho"),
     ])
     def test_bad_numeric_flag_is_explained(self, bundled, tmp_path, capsys, args, flag):
         code = run_cli(args + ["--model", bundled, "--out", tmp_path])

@@ -262,6 +262,21 @@ class TestFeedbackPolicy:
             "policy has 3 boundary entries, model has 1",
         ]
 
+    def test_problems_follow_the_per_state_membership_rule(self, models):
+        # the masked check gives the messages, in the order, of testing each
+        # state's action for membership in its feasible set
+        rng = np.random.default_rng(9)
+        for model in models.values():
+            grid = model.action_grid
+            for _ in range(5):
+                policy = pa.FeedbackPolicy(interior=rng.integers(-1, model.n_actions + 1, model.n_states),
+                                           boundary=rng.integers(-1, model.n_actions + 1, model.n_boundary))
+                want = [f"action {a} infeasible at interior state {i}"
+                        for i, a in enumerate(policy.interior.tolist()) if a not in grid.feasible[i]]
+                want += [f"action {a} infeasible at boundary point {i}"
+                         for i, a in enumerate(policy.boundary.tolist()) if a not in grid.boundary_feasible[i]]
+                assert policy.feasibility_problems(model) == want
+
     def test_random_feasible_policies(self, models):
         rng = np.random.default_rng(0)
         model = models["drift_boundary_64"]

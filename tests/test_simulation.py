@@ -1,3 +1,4 @@
+import copy
 import math
 from bisect import bisect_left, bisect_right
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.simulation import UNIFORM_BLOCK, SimulationError, _cost_to, _rng_stream, _uniform_block
+from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _cost_to, _Line, _Nodes, _rng_stream,
+                                    _uniform_block)
 
 import reference_simulation
 from reference_quadrature import policy_paths
@@ -173,6 +175,42 @@ def reference_jump_target(model, line, hit, y, action, u):
     return min(int(np.searchsorted(np.cumsum(row), u * row.sum())), n - 1)
 
 
+def loop_draws(tables, line, hit: bool, y: float, action: int, us: list) -> list:
+    """The post-jump states :func:`simulate`'s loop draws with uniforms ``us``
+    after a jump at ``y`` under ``action``, or on a hit of ``line``'s boundary.
+
+    Every line of a copy of ``tables`` becomes one exit piece resting at
+    ``y`` with unit hazard over unit time, so every sojourn ends at the same
+    level inside it (or, on a hit, at its end), where the jump's second
+    uniform is the next of ``us``.
+    """
+    assert 0 < len(us) < UNIFORM_BLOCK // 2
+    rate = 0.0 if hit else 1.0
+
+    def table(values, dtype=float):
+        return memoryview(np.array(values, dtype=dtype))
+
+    nodes = _Nodes(times=table([0.0, 1.0]), states=table([y, y]), hazard=table([0.0, rate]),
+                   slope=table([rate, 0.0]), cost_cum=table([0.0, 0.0]), f_left=table([0.0, 0.0]),
+                   f_right=table([0.0, 0.0]), actions=table([action, action], np.int64))
+    rest = _Line(nodes=nodes, b=0, e=0, x0=0, x1=1, hazard_b=0.0, time_b=0.0, cost_b=0.0,
+                 chain_hazard=0.0, chain_time=0.0, chain_cost=0.0, hit=hit,
+                 boundary_index=line.boundary_index, boundary_action=line.boundary_action,
+                 hazard_end=rate, cost_end=0.0, end=1.0, lam_tail=1.0, f_tail=0.0, state_tail=y,
+                 action_tail=action)
+    resting = copy.copy(tables)
+    resting.nodes, resting.lines = nodes, [rest] * len(tables.lines)
+    block = [0.5, 0.5] * (UNIFORM_BLOCK // 2)
+    block[1:2 * len(us):2] = us
+    sojourn = 1.0 if hit else -math.log1p(-0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pa.simulation, "_uniform_block", lambda rng: block)
+        record, _ = pa.simulate(tables.model, tables.policy, 0, (len(us) + 0.5) * sojourn, seed=0,
+                                tables=resting)
+    assert record.jump_count == len(us) and record.hit_boundary.all() == hit
+    return record.post_jump_states.tolist()
+
+
 class TestJumpDraws:
     def test_uniform_pairs_are_the_scalar_draws(self):
         blocks = _rng_stream(3, 1)
@@ -193,9 +231,9 @@ class TestJumpDraws:
             row = (model.kernel_boundary[line.boundary_index, line.boundary_action] if hit
                    else model.kernel_interior[int(np.searchsorted(model.grid.points, y)), a])
             # random levels plus levels tied with each cumulative value
-            for u in list(rng.random(4)) + list(np.cumsum(row) / row.sum()):
-                assert tables.jump_target(hit, line, y, a, u) == \
-                    reference_jump_target(model, line, hit, y, a, u)
+            us = rng.random(4).tolist() + (np.cumsum(row) / row.sum()).tolist()
+            assert loop_draws(tables, line, hit, y, a, us) == \
+                [reference_jump_target(model, line, hit, y, a, u) for u in us]
 
     @pytest.mark.parametrize("name", ["drift_boundary_64", "decay_flow_16"])
     def test_between_grid_points_draws_match_up_to_rounding(self, models, name):
@@ -207,7 +245,7 @@ class TestJumpDraws:
         for _ in range(2000):
             y = float(rng.uniform(points[0], points[-1]))
             a, u = int(rng.integers(model.n_actions)), float(rng.random())
-            got = tables.jump_target(False, line, y, a, u)
+            [got] = loop_draws(tables, line, False, y, a, [u])
             want = reference_jump_target(model, line, False, y, a, u)
             if got != want:  # only where u sits on a cumulative value to rounding
                 i = min(max(int(np.searchsorted(points, y, side="right")) - 1, 0), len(points) - 2)
@@ -218,7 +256,7 @@ class TestJumpDraws:
 
 
 def mixed_row(tables, y, action):
-    """(w, v, lo, hi, total): the kernel row mixed at ``y``, with the weights jump_target uses."""
+    """(w, v, lo, hi, total): the kernel row mixed at ``y``, with the weights the post-jump draw uses."""
     points, n = tables.points, len(tables.points)
     i = min(max(bisect_right(points, y) - 1, 0), n - 2)
     w = 1.0 - min(max((y - points[i]) / (points[i + 1] - points[i]), 0.0), 1.0)
@@ -287,9 +325,9 @@ def test_bracketed_draw_is_the_keyed_bisect(case):
             for a in range(model.n_actions):
                 w, v, lo, hi, total = mixed_row(tables, y, a)
                 levels = [w * p + v * q for p, q in zip(lo, hi)] + lo + hi
-                for u in rng.random(3).tolist() + [uniform_for(x, total) for x in levels]:
-                    assert tables.jump_target(False, line, y, a, u) == \
-                        keyed_jump_target(tables, y, a, u), (y, a, u)
+                us = rng.random(3).tolist() + [uniform_for(x, total) for x in levels]
+                assert loop_draws(tables, line, False, y, a, us) == \
+                    [keyed_jump_target(tables, y, a, u) for u in us], (y, a)
 
 
 def _outcome(simulate, *args, **kwargs):
@@ -343,25 +381,37 @@ class TestRunningCost:
         for tau in (0.0, 0.3, 0.5 * line.end, line.end, 2.0 * line.end + 1.0):
             assert _cost_to(line, tau) == pytest.approx(f * tau, rel=1e-12, abs=1e-15)
 
-    def test_interval_hint_never_changes_the_integral(self, models):
-        # a hint is a chain interval short of the line's chain time and an
-        # exit piece interval past it; a wrong one is searched past
-        model = models["decay_flow_16"]
-        line = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model)).lines[5]
-        assert 0.0 < line.chain_time < line.chain_time + line.end
-        times = np.asarray(line.nodes.times)
-        rng = np.random.default_rng(3)
-        for tau in rng.uniform(0.0, line.chain_time + line.end, 200):
-            if tau < line.chain_time:
-                k = int(np.searchsorted(times[:line.e + 1], times[line.b] + tau, side="right")) - 1
-                hints = (k, k - 1, k + 1, -1, 0, line.x0)
-            else:
-                k = line.x0 + int(np.searchsorted(times[line.x0:line.x1 + 1], tau - line.chain_time,
-                                                  side="right")) - 1
-                hints = (k, k - 1, min(k + 1, line.x1 - 1), -1, line.b)
-            exact = _cost_to(line, tau)
-            for hint in hints:
-                assert _cost_to(line, tau, hint) == exact
+    def test_interval_hint_never_changes_the_integral(self, models, monkeypatch):
+        # simulate integrates a sojourn's running cost from the interval its
+        # sojourn search found, searching only when rounding puts the
+        # sojourn outside it; for sojourns ending on a node, one ulp past
+        # it, inside an interval or past the table, that is _cost_to's
+        # searched integral
+        blocks = []
+        # a hazard level far past every line's end for every later sojourn
+        monkeypatch.setattr(pa.simulation, "_uniform_block",
+                            lambda rng: blocks.pop() if blocks else [1.0 - 2.0**-40, 0.5] * (UNIFORM_BLOCK // 2))
+        for name, j in (("decay_flow_16", 5), ("drift_boundary_64", 0), ("drift_boundary_64", 40)):
+            model = models[name]
+            policy = pa.FeedbackPolicy.lowest_feasible(model)
+            tables = pa.prepare_simulation(model, policy)
+            line = tables.lines[j]
+            assert 0.0 < line.chain_time < line.chain_time + line.end
+            charge = tables.boundary_cost[line.boundary_index][line.boundary_action] if line.hit else 0.0
+            hazard = line_arrays(line)["hazard"]
+            levels = [x for h in hazard[::max(1, hazard.size // 60)] for x in (h, math.nextafter(h, math.inf))]
+            levels += (0.5 * (hazard[1:] + hazard[:-1]))[::max(1, hazard.size // 20)].tolist()
+            levels.append(hazard[-1] + 1.0)
+            horizon = line.chain_time + line.end + (2.0 / line.lam_tail if line.lam_tail > 0 else 1.0)
+            for level in levels:
+                u = -math.expm1(-level)
+                if not 0.0 < u < 1.0:
+                    continue
+                blocks.append([u, 0.5] * (UNIFORM_BLOCK // 2))
+                record, _ = pa.simulate(model, policy, j, horizon, seed=0, tables=tables)
+                tau = float(record.jump_times[0])
+                assert record.cost_at_jumps[0] == _cost_to(line, tau) + (charge if record.hit_boundary[0] else 0.0), \
+                    (name, j, level)
 
     def test_matches_the_reference_path_integral(self, models, workspaces):
         # the running cost up to tau along the chain stretch and exit piece
@@ -469,6 +519,70 @@ class TestSimulate:
         with pytest.raises(ValueError, match="x0"):
             pa.simulate(model, policy, 99, 10.0, seed=1)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, models, horizon):
+        model = models["ctmdp_2state"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        for call in (lambda: pa.simulate(model, policy, 0, horizon, seed=1),
+                     lambda: pa.mc_validate(model, policy, 1.0, 0, horizon, 4, seed=1)):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                call()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_the_philox_key_is_refused(self, models, seed):
+        model = models["ctmdp_2state"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            _rng_stream(seed, 0)
+        with pytest.raises(ValueError, match="seed must be in"):
+            pa.simulate(model, policy, 0, 10.0, seed=seed)
+
+    def test_seeds_past_two_to_the_63_key_their_own_streams(self, models):
+        # every seed in [0, 2**64) is its own Philox key word, the largest too
+        draws = [_rng_stream(seed, 0).random() for seed in (2**63 + 1, 2**63 + 2, 2**64 - 1)]
+        assert len(set(draws)) == 3
+        model = models["ctmdp_2state"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        _, summary = pa.simulate(model, policy, 0, 10.0, seed=2**64 - 1)
+        assert summary.seed == 2**64 - 1 and summary.jumps > 0
+
+    def test_seeds_below_two_to_the_63_keep_their_streams(self):
+        # the key words as a list of Python ints, as streams were keyed before
+        for seed, replication in ((0, 0), (7, 3), (424242, 31), (2**63 - 1, 2**62)):
+            listed = np.random.Generator(np.random.Philox(key=[seed, replication]))
+            assert _rng_stream(seed, replication).random(8).tolist() == listed.random(8).tolist()
+
+    @pytest.mark.parametrize("action", [1, 2, -1], ids=["infeasible", "past-the-actions", "negative"])
+    def test_infeasible_policy_is_refused_before_any_table(self, write_model, action):
+        # an action outside the action grid is refused like an infeasible
+        # one, not met as an IndexError while the tables are built
+        doc = two_state_jump_doc()
+        doc["actions"]["feasible"] = [[0], [0, 1]]
+        model = pa.load_model(write_model(doc))
+        bad = pa.FeedbackPolicy(interior=np.array([action, 0]), boundary=np.array([], dtype=np.int64))
+        message = f"infeasible policy: action {action} infeasible at interior state 0"
+        for call in (lambda: pa.prepare_simulation(model, bad),
+                     lambda: pa.simulate(model, bad, 0, 10.0, seed=1),
+                     lambda: pa.mc_validate(model, bad, 1.0, 0, 10.0, 4, seed=1)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_tables_of_another_policy_or_model_are_refused(self, models):
+        model = models["drift_boundary_64"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        other = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(2))
+        assert other.key() != policy.key()
+        tables = pa.prepare_simulation(model, policy)
+        with pytest.raises(ValueError, match="prepared for another policy"):
+            pa.simulate(model, other, 0, 10.0, seed=1, tables=tables)
+        twin_model = pa.load_model(pa.bundled_model_path("drift_boundary_64"))
+        with pytest.raises(ValueError, match="prepared for another model"):
+            pa.simulate(twin_model, policy, 0, 10.0, seed=1, tables=tables)
+        # a policy with the same actions is the tables' policy
+        twin = pa.FeedbackPolicy(interior=policy.interior.copy(), boundary=policy.boundary.copy())
+        got, want = (pa.simulate(model, p, 0, 10.0, seed=1, tables=tables) for p in (twin, policy))
+        assert np.array_equal(got[0].jump_times, want[0].jump_times) and got[1] == want[1]
+
 
 class TestMcValidate:
     def test_constant_cost_passes_exactly(self, write_model):
@@ -493,6 +607,18 @@ class TestMcValidate:
         off = pa.mc_validate(model, policy, result.rho + 10.0 * honest.pooled_se,
                              0, 3000.0, 12, seed=17, workspace=workspaces["ctmdp_3state"])
         assert not off.passed
+
+    @pytest.mark.parametrize("replications", [0, 1])
+    def test_fewer_than_two_replications_are_refused(self, renewal, replications):
+        model, policy = renewal
+        with pytest.raises(ValueError, match="replications must be at least 2"):
+            pa.mc_validate(model, policy, 0.7, 0, 10.0, replications, seed=1)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho_is_refused(self, renewal, rho):
+        model, policy = renewal
+        with pytest.raises(ValueError, match="rho must be finite"):
+            pa.mc_validate(model, policy, rho, 0, 10.0, 4, seed=1)
 
     def test_replications_are_independent_streams(self, renewal):
         model, policy = renewal
