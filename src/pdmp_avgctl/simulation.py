@@ -406,21 +406,22 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             drawn = 0
         u_jump = block[drawn + 1]
         # the sojourn: inverse transform of the uniform on the cumulative
-        # hazard, over nodes lo..hi of the chain stretch (timed from node b)
-        # or of the exit piece (timed from its start, after the chain time);
-        # k is the interval holding it, -1 past the table
+        # hazard, over the nodes of the chain stretch (timed from node b) or
+        # of the exit piece (timed from its start, after the chain time); k
+        # is the interval holding it, -1 past the table
         level = -log1p(-block[drawn])
         drawn += 2
         if level < line.chain_hazard:
-            lo, hi, t_base, t_before = line.b, line.e, line.time_b, 0.0
             level += line.hazard_b
-            past = False
+            k = bisect_right(n_hazard, level, line.b, line.e) - 1
+            t_base = line.time_b
+            t_before = 0.0
         else:
-            lo, hi, t_base, t_before = line.x0, line.x1, 0.0, line.chain_time
             level -= line.chain_hazard
-            past = level >= line.hazard_end
-        if not past:
-            k = bisect_right(n_hazard, level, lo, hi) - 1
+            k = bisect_right(n_hazard, level, line.x0, line.x1) - 1 if level < line.hazard_end else -1
+            t_base = 0.0
+            t_before = line.chain_time
+        if k >= 0:
             m = n_slope[k]
             t_k = n_times[k]
             t_k1 = n_times[k + 1]
@@ -431,7 +432,6 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             y_jump = y_k + (n_states[k + 1] - y_k) * frac
             sojourn, hit, act = t_before + (t_k - t_base + sigma), False, n_actions[k]
         else:
-            k = -1
             y_jump = line.state_tail
             if line.hit:
                 sojourn, hit, act = t_before + line.end, True, line.boundary_action

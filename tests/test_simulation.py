@@ -384,14 +384,15 @@ class TestRunningCost:
     def test_interval_hint_never_changes_the_integral(self, models, monkeypatch):
         # simulate integrates a sojourn's running cost from the interval its
         # sojourn search found, searching only when rounding puts the
-        # sojourn outside it; for sojourns ending on a node, one ulp past
-        # it, inside an interval or past the table, that is _cost_to's
-        # searched integral
+        # sojourn outside it (for these lines and levels it does so a few
+        # hundred times, twice into the exit piece from a chain interval);
+        # for sojourns ending on a node, one ulp either side of it, inside
+        # an interval or past the table, that is _cost_to's searched integral
         blocks = []
         # a hazard level far past every line's end for every later sojourn
         monkeypatch.setattr(pa.simulation, "_uniform_block",
                             lambda rng: blocks.pop() if blocks else [1.0 - 2.0**-40, 0.5] * (UNIFORM_BLOCK // 2))
-        for name, j in (("decay_flow_16", 5), ("drift_boundary_64", 0), ("drift_boundary_64", 40)):
+        for name, j in (("decay_flow_16", 12), ("drift_boundary_64", 16), ("drift_boundary_64", 56)):
             model = models[name]
             policy = pa.FeedbackPolicy.lowest_feasible(model)
             tables = pa.prepare_simulation(model, policy)
@@ -399,7 +400,7 @@ class TestRunningCost:
             assert 0.0 < line.chain_time < line.chain_time + line.end
             charge = tables.boundary_cost[line.boundary_index][line.boundary_action] if line.hit else 0.0
             hazard = line_arrays(line)["hazard"]
-            levels = [x for h in hazard[::max(1, hazard.size // 60)] for x in (h, math.nextafter(h, math.inf))]
+            levels = [x for h in hazard for x in (h, math.nextafter(h, math.inf), math.nextafter(h, 0.0))]
             levels += (0.5 * (hazard[1:] + hazard[:-1]))[::max(1, hazard.size // 20)].tolist()
             levels.append(hazard[-1] + 1.0)
             horizon = line.chain_time + line.end + (2.0 / line.lam_tail if line.lam_tail > 0 else 1.0)
