@@ -15,15 +15,22 @@ nodes of that chain end's exit piece, which follow the chain in the same
 arrays.  So the tables take O(n * fill) memory, and no line copies the
 chain or an exit piece.
 
-A jump costs O(log K) interpreted work on a K-node line and makes no numpy
-call.  The tables are memoryviews of their node arrays, which index to
-Python floats and are searched in place by :mod:`bisect` without a copy.  The
-sojourn is one ``bisect_right(C, C[b_j] + level, b_j, e_j)`` on the chain,
-or, when the hazard level passes the chain's end, the same search over the
-exit piece's nodes; the running-cost integral reuses the interval found.  The
-post-jump state is one ``bisect_left`` on a precomputed cumulative kernel
-row; between grid points, one on each neighbouring row brackets the search
-on their linear mixture.  Uniforms are drawn from the stream in blocks.
+A jump costs O(log K) interpreted work on a K-node line and makes neither a
+numpy call nor a Python call: the sojourn, its running cost and the
+post-jump draw are written out in :func:`simulate`'s loop.  The tables are
+memoryviews of their node arrays, which index to Python floats and are
+searched in place by :mod:`bisect` without a copy.  The sojourn is one
+``bisect_right(C, C[b_j] + level, b_j, e_j)`` on the chain, or, when the
+hazard level passes the chain's end, the same search over the exit piece's
+nodes; the running-cost integral reuses the interval found.  The post-jump
+state is one ``bisect_left`` on a precomputed cumulative kernel row; between
+grid points, one on each neighbouring row brackets the search on their
+linear mixture, and only a failed bracket check calls the keyed bisect.
+Uniforms are drawn from the stream in blocks.
+
+What does not change from one replication to the next is checked once: the
+policy's feasibility when its :class:`SimulationTables` are built, and in
+:func:`simulate` only that the tables belong to the model and policy given.
 """
 
 from __future__ import annotations
@@ -172,7 +179,9 @@ class SimulationTables:
     Besides the shared :class:`_Nodes` and one :class:`_Line` per start state
     it holds, as Python lists, the model data a post-jump draw reads: the
     grid points, the cumulative kernel rows, each kernel row's ``sum()`` and
-    the boundary charges.
+    the boundary charges.  An infeasible policy (an action outside a
+    state's feasible set, or outside the action grid) is refused with
+    ``ValueError`` before anything is built.
     """
 
     def __init__(self, model, policy, *, workspace: OperatorWorkspace | None = None):

@@ -87,4 +87,5 @@ def test_scaling_row_on_a_small_grid(tmp_path):
                 "residual_s"):
         assert row[key] >= 0.0, key
     assert row["tables_mb"] > 0.0 and row["peak_rss_mb"] > 0.0
+    assert row["mc_us_per_jump"] > 0.0 and row["mc_fixed_us"] > 0.0
     assert set(bench.machine()) >= {"cores", "numpy", "python"}

@@ -8,11 +8,17 @@ model file, refines the workspace of the lowest feasible policy to the
 default target, then, at the refined fill, times the workspace build, the
 table build, assemble (each call on an empty assemble cache), evaluation,
 improve and the optimality residual.  Every time is the median of
-``SAMPLES`` calls.  ``rss_after_load_mb`` is the process's peak RSS right
+``SAMPLES`` calls.  The Monte Carlo columns run the same policy on
+simulation tables prepared once: ``mc_us_per_jump`` is the median over
+``SAMPLES`` replications at horizon ``MC_HORIZON`` of a replication's time
+per jump, and ``mc_fixed_us`` the time of a replication whose horizon ends
+before its first jump (the per-replication cost of keying the stream,
+drawing the first uniforms, the batch edges and the summary), the median of
+``SAMPLES`` batches of ``MC_FIXED_CALLS``.  ``rss_after_load_mb`` is the process's peak RSS right
 after the first load, ``peak_rss_mb`` at the end.  Run from the root of a
 checkout:
 
-    python tools/bench_scaling.py --label change --out BENCH_11.json
+    python tools/bench_scaling.py --label change --out BENCH_13.json
 
 The rows go under ``--label`` in the output file, next to those of other
 labels already there (say, the same script run on the parent commit with the
@@ -43,6 +49,8 @@ import pdmp_avgctl as pa  # noqa: E402
 
 SIZES = (64, 128, 256, 512, 1024)
 SAMPLES = 3
+MC_HORIZON = 1e4
+MC_FIXED_CALLS = 200
 
 
 def drift_doc(n: int) -> dict:
@@ -114,6 +122,17 @@ def measure(path) -> dict:
     evaluate_s = _median_s(lambda: pa.evaluate_policy(model, policy, workspace=ws))
     improve_s = _median_s(lambda: ws.improve(result.rho, result.h, policy))
     residual_s = _median_s(lambda: ws.optimality_residual(result.rho, result.h, policy))
+    tables = pa.prepare_simulation(model, policy, workspace=ws)
+    per_jump = []
+    for r in range(SAMPLES):
+        t0 = time.perf_counter()
+        _, summary = pa.simulate(model, policy, 0, MC_HORIZON, 1, replication=r, record=False, tables=tables)
+        per_jump.append((time.perf_counter() - t0) / summary.jumps)
+
+    def short_replications():
+        for r in range(MC_FIXED_CALLS):
+            pa.simulate(model, policy, 0, 1e-9, 1, replication=r, record=False, tables=tables)
+
     return {
         "n": model.n_states,
         "refined_fill": fill,
@@ -129,6 +148,8 @@ def measure(path) -> dict:
         "evaluate_s": evaluate_s,
         "improve_s": improve_s,
         "residual_s": residual_s,
+        "mc_us_per_jump": round(1e6 * float(np.median(per_jump)), 3),
+        "mc_fixed_us": round(1e6 * _median_s(short_replications) / MC_FIXED_CALLS, 1),
         "rho": result.rho,
         "peak_rss_mb": _rss_mb(),
     }
