@@ -94,9 +94,9 @@ class _Line:
     ``b``/``e`` are the chain nodes of the start state and of its chain end
     (equal when the start state is a chain end), ``*_b`` the node tables'
     values at ``b``, and ``chain_*`` the hazard, time and running cost
-    between ``b`` and ``e``.  ``x0``/``x1`` are the first
-    and last nodes of the chain end's exit piece; the scalars are its totals
-    and what a sojourn past the tabulated horizon needs.
+    between ``b`` and ``e``.  ``x0``/``x1`` are the first and last nodes of
+    the chain end's exit piece; the scalars are its totals and what a
+    sojourn past the tabulated horizon needs.
     """
 
     nodes: _Nodes            # shared by every line, not copied
@@ -318,9 +318,6 @@ class SimulationSummary:
         }
 
 
-SEED_BOUND = 2**64  # a Philox key word is an unsigned 64-bit integer
-
-
 def _rng_stream(seed: int, replication: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, replication).
 
@@ -329,7 +326,7 @@ def _rng_stream(seed: int, replication: int) -> np.random.Generator:
     word.  Below 2**63 both forms give the same key.
     """
     for name, value in (("seed", seed), ("replication", replication)):
-        if not 0 <= int(value) < SEED_BOUND:
+        if not 0 <= int(value) < 2**64:  # a key word is an unsigned 64-bit integer
             raise ValueError(f"{name} must be in [0, 2**64), got {value}")
     return np.random.Generator(np.random.Philox(key=np.array([int(seed), int(replication)], dtype=np.uint64)))
 
@@ -475,7 +472,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
         else:
             tau -= line.chain_time
             lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
-            if tau >= line.end:
+            if tau >= line.end:  # past the table: no interval to integrate
                 lo = -1
                 cost_f += line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
         if lo >= 0:
