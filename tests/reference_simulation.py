@@ -2,8 +2,8 @@
 
 :func:`simulate`, :func:`cost_to` and :func:`jump_target` are the jump loop
 as it was before the running-cost integral and the post-jump draw were
-inlined into it, verbatim but for ``jump_target`` taking the simulation
-tables as its first argument.  They read the library's tables, streams and
+inlined into it, verbatim but for their names and for ``jump_target``
+taking the simulation tables as its first argument.  They read the library's tables, streams and
 record types, so a trajectory of the library's :func:`pdmp_avgctl.simulate`
 must equal this one bit for bit: jump times, post-jump states, hit flags,
 costs at jumps, the average and its standard error.

@@ -14,9 +14,11 @@ simulation tables prepared once: ``mc_us_per_jump`` is the median over
 per jump, and ``mc_fixed_us`` the time of a replication whose horizon ends
 before its first jump (the per-replication cost of keying the stream,
 drawing the first uniforms, the batch edges and the summary), the median of
-``SAMPLES`` batches of ``MC_FIXED_CALLS``.  ``rss_after_load_mb`` is the process's peak RSS right
-after the first load, ``peak_rss_mb`` at the end.  Run from the root of a
-checkout:
+``SAMPLES`` batches of ``MC_FIXED_CALLS``.  These are wall times of one
+process: a host whose speed drifts by a quarter within a minute moves them
+as much between two runs of the same code.  ``rss_after_load_mb`` is the
+process's peak RSS right after the first load, ``peak_rss_mb`` at the end.
+Run from the root of a checkout:
 
     python tools/bench_scaling.py --label change --out BENCH_13.json
 
