@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorWorkspace, refined_workspace
+from .operators import OperatorWorkspace, check_workspace, refined_workspace
 
 DEFAULT_TOL = 1e-8
 POWER_TOL = 1e-12
@@ -276,7 +276,9 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *, method: str = "d
     (truncated geometric sum, kept as the independent cross-check).  The
     returned residual is the sup-norm defect of the solved equation on the
     solver's own mesh; use :func:`residual` for a doubled-mesh recheck.
+    A ``workspace`` built for another model is refused with ``ValueError``.
     """
+    check_workspace(model, workspace)
     problems = policy.feasibility_problems(model)
     if problems:
         raise ValueError("infeasible policy: " + "; ".join(problems))
@@ -325,6 +327,7 @@ def residual(model, policy, result: EvaluationResult, *,
     Guards against mesh-correlated cancellation: the solve's own defect can be
     tiny on its mesh while the operators are still unconverged.
     """
+    check_workspace(model, workspace)
     fill = int(result.stats.get("fill", 8)) if result.stats else 8
     ws = workspace if workspace is not None else OperatorWorkspace(model, fill * 2)
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)

@@ -558,11 +558,13 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     would need the t -> infinity limit on a truncated horizon are reported as
     "not_checkable" with the observed window decay in the note.  When a policy
     is given, geometric-ergodicity constants (a, kappa) are estimated from the
-    decay of kernel powers on probe functions.
+    decay of kernel powers on probe functions.  A ``workspace`` built for
+    another model is refused with ``ValueError``.
     """
-    from .operators import OperatorWorkspace
+    from .operators import OperatorWorkspace, check_workspace
     from .evaluation import invariant_measure, estimate_ergodic_constants
 
+    check_workspace(model, workspace)
     c = model.constants
     pts = model.grid.points
     n = model.n_states

@@ -36,7 +36,14 @@ backward pass over the grid positions in flow order
 times the value at the next grid point, or the exit's terminal value at a
 chain end.  Assembly, improvement and the optimality certificate run that
 pass on the same tables, so all three minimize over and evaluate exactly the
-same path class.
+same path class.  Improvement and the certificate share one pass
+(:meth:`OperatorWorkspace.improve_and_certify`), on Python floats, with Qh,
+the boundary minima and the pieces' one-stage values computed once for both.
+
+A workspace belongs to the model object it was built for; every entry that
+takes one refuses another model's (:func:`check_workspace`).  Its one
+per-policy cache holds each policy's assembled operators and, from
+:func:`~pdmp_avgctl.policy_iteration.run_pia`, each policy's PIA step.
 """
 
 from __future__ import annotations
@@ -45,11 +52,13 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .flow import FlowSpec, advance, flow_direction, hit_time, _affine_passage, _tabulated_advance, \
     _tabulated_passage
+from .model import FeedbackPolicy
 from .numerics import interp_weights, phi01
 
 DEFAULT_FILL = 8
@@ -57,6 +66,7 @@ REFINE_TARGET = 5e-9
 MAX_FILL = 2048
 MIN_TAIL_INTERVALS = 8
 TIE_TOL = 1e-12
+CACHE_ENTRIES = 256
 
 
 def _passage_time(flow: FlowSpec, x: float, z: float) -> float:
@@ -368,7 +378,10 @@ class OperatorWorkspace:
     what makes improvement values directly comparable across policies.
     ``geometry`` lists the pieces, ``order`` the grid indices in flow order,
     ``exits`` the exit of each chain end and ``exit_of`` the exit each grid
-    state's line ends on.
+    state's line ends on.  The piece tables, with the lists the
+    improvement/certificate pass reads, are built on first use, and one
+    per-policy cache (:meth:`cached`) keeps assembled operators and PIA
+    steps.
     """
 
     def __init__(self, model, fill: int = DEFAULT_FILL):
@@ -383,6 +396,7 @@ class OperatorWorkspace:
                        for q, j in reversed(list(enumerate(self.order.tolist())))]
         self._assembled: dict = {}
         self._segments: SegmentTables | None = None
+        self._pass: tuple | None = None
         self.refine_diff: float | None = None
         self.refine_converged: bool | None = None
 
@@ -409,6 +423,25 @@ class OperatorWorkspace:
             out[j] = w
         return out
 
+    # -- the per-policy cache -------------------------------------------------
+
+    def cached(self, key, compute):
+        """``compute()``, kept under ``key`` in the workspace's per-policy cache.
+
+        The cache holds each policy's assembled operators (key ``(policy
+        key, alpha)``) and its PIA step (see
+        :func:`~pdmp_avgctl.policy_iteration.run_pia`); past
+        ``CACHE_ENTRIES`` entries it starts over.  A ``compute`` that raises
+        stores nothing.
+        """
+        out = self._assembled.get(key)
+        if out is None:
+            out = compute()
+            if len(self._assembled) > CACHE_ENTRIES:
+                self._assembled.clear()
+            self._assembled[key] = out
+        return out
+
     # -- assembled operator set ----------------------------------------------
 
     def assemble(self, policy, alpha: float = 0.0):
@@ -427,10 +460,9 @@ class OperatorWorkspace:
         """
         if alpha != 0.0:
             raise ValueError(f"assemble serves only alpha = 0, got alpha={alpha}")
-        key = (policy.key(), float(alpha))
-        hitv = self._assembled.get(key)
-        if hitv is not None:
-            return hitv
+        return self.cached((policy.key(), float(alpha)), lambda: self._assemble(policy))
+
+    def _assemble(self, policy):
         model = self.model
         n, n_a = model.n_states, model.n_actions
         tables = self.segment_tables()
@@ -453,11 +485,7 @@ class OperatorWorkspace:
                 terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
                 terminal[k, n + 1] = model.boundary_cost[e.boundary_index, b_act]
         w = self.backward(values, tables.survival[pieces, act], terminal)
-        if len(self._assembled) > 256:
-            self._assembled.clear()
-        out = (w[:, :n].copy(), w[:, n].copy(), w[:, n + 1].copy(), w[:, n + 2].copy())
-        self._assembled[key] = out
-        return out
+        return (w[:, :n].copy(), w[:, n].copy(), w[:, n + 1].copy(), w[:, n + 2].copy())
 
     # -- one-stage machinery ---------------------------------------------------
 
@@ -467,115 +495,183 @@ class OperatorWorkspace:
 
     def boundary_minima(self, h: np.ndarray, prev=None):
         """Optimal boundary action and value min_b [r(z,b) + Qh(z,b)] per point."""
+        best_act, best_val, _ = self._boundary_choice(h, prev)
+        return best_act, best_val
+
+    def _boundary_choice(self, h: np.ndarray, prev):
+        """Per boundary point: the chosen action, its value, and the minimum value.
+
+        The choice is the feasible argmin, or the incumbent of ``prev`` when
+        it ties within ``TIE_TOL``; without ``prev`` the chosen value is the
+        minimum.
+        """
         model = self.model
         nb = model.n_boundary
         best_val = np.empty(nb)
+        min_val = np.empty(nb)
         best_act = np.empty(nb, dtype=np.int64)
         qh_b = model.kernel_boundary @ h if nb else np.zeros((0, model.n_actions))
         for zi in range(nb):
             vals = model.boundary_cost[zi] + qh_b[zi]
             masked = np.where(model.boundary_feasible_mask[zi], vals, np.inf)
             pick = int(np.argmin(masked))
+            min_val[zi] = vals[pick]
             if prev is not None:
                 incumbent = int(prev.boundary[zi])
                 if masked[incumbent] <= masked[pick] + TIE_TOL * max(1.0, abs(masked[pick])):
                     pick = incumbent
             best_act[zi] = pick
             best_val[zi] = vals[pick]
-        return best_act, best_val
+        return best_act, best_val, min_val
 
     def segment_tables(self) -> SegmentTables:
-        """The per-piece one-stage tables, built on first use."""
+        """The per-piece one-stage tables, built on first use.
+
+        The lists :meth:`improve_and_certify` reads are built with them, so
+        no pass pays for them.
+        """
         if self._segments is None:
             self._segments = _segment_tables(self.model, self.mesh)
+            self._pass = self._pass_lists(self._segments)
         return self._segments
 
-    def improve(self, rho: float, h: np.ndarray, prev):
-        """Argmin policy of the one-stage value, one backward pass over the grid positions.
+    def _pass_lists(self, tables: SegmentTables) -> tuple:
+        """What the improvement/certificate pass reads besides (rho, h), as lists where it loops.
 
-        At each grid point every feasible action is held over the piece that
-        starts there, with the minimized value to go carried in at its end,
-        so the pass minimizes over exactly the piecewise-constant-per-piece
-        paths the operators integrate, and the chosen policy's one-stage
-        value reproduces the pass's value.  A tie within ``TIE_TOL`` keeps
-        the incumbent.  Past an exit that stops at t_max the state is frozen,
-        with the stationary value (f - rho + lambda Qh) / lambda of its best
-        feasible action.
+        Per piece the survival of every action; per grid state its feasible
+        actions, its mask and the mask of actions feasible at every piece
+        start of its line (those a frozen-action sweep may hold); the exits
+        that hit the boundary with their boundary point; and, for the exits
+        that stop at t_max (None without any), the grid interpolation, jump
+        rate, running cost and feasibility at the end of the exit piece.
+        Built with the segment tables, once per workspace.
         """
-        from .model import FeedbackPolicy
-
         model = self.model
-        n = model.n_states
+        mesh = self.mesh
+        # a line's sweep may hold an action feasible at every flow position
+        # from the line's own to its chain end's: none of them counts it
+        # among the infeasible ones
+        bad = ~model.feasible_mask[self.order]
+        infeasible = np.cumsum(bad, axis=0)
+        end = np.array([e.position for e in self.exits], dtype=np.int64)[self.exit_of[self.order]]
+        line_ok = np.empty(bad.shape, dtype=bool)
+        line_ok[self.order] = infeasible[end] == infeasible - bad
+        hits = [(k, e.boundary_index) for k, e in enumerate(self.exits) if e.hit]
+        tails = [(k, e.piece) for k, e in enumerate(self.exits) if not e.hit]
+        stationary = None
+        if tails:
+            end = mesh.node_start[[p + 1 for _, p in tails]] - 1
+            ilo = mesh.ilo[end]
+            stationary = ([k for k, _ in tails], ilo, np.minimum(ilo + 1, model.n_states - 1),
+                          mesh.wlo[end][:, None], mesh.lam_nodes[end], np.maximum(mesh.lam_nodes[end], 1e-12),
+                          mesh.f_nodes[end], model.feasible_mask[mesh.anchors[[p for _, p in tails]]])
+        return (tables.survival.tolist(), [f.tolist() for f in model.action_grid.feasible],
+                model.feasible_mask.tolist(), line_ok.tolist(), hits, stationary)
+
+    def improve_and_certify(self, rho: float, h: np.ndarray, prev) -> tuple:
+        """The improved policy and the optimality residual, one backward pass over the grid positions.
+
+        *Improvement.*  At each grid point every feasible action is held
+        over the piece that starts there, with the minimized value to go
+        carried in at its end, so the pass minimizes over exactly the
+        piecewise-constant-per-piece paths the operators integrate, and the
+        chosen policy's one-stage value reproduces the pass's value.  A tie
+        within ``TIE_TOL`` keeps the incumbent of ``prev``.  Past an exit
+        that stops at t_max the state is frozen, with the stationary value
+        (f - rho + lambda Qh) / lambda of its best feasible action.
+
+        *Certificate.*  sup_x [ h(x) - min over frozen-action sweeps of the
+        one-stage value ]: each action is held constant along the whole flow
+        line (the boundary choice is optimized separately, with no
+        incumbent), and an action infeasible at some grid point the line
+        starts a piece from is excluded.  The same pass carries every
+        action's sweep value.  A line from a chain end runs one piece, so
+        only a model with empty feasible sets (which ``validate_model``
+        flags) can leave no line such a sweep; that raises ``ValueError``.
+
+        Qh, the boundary minima and the pieces' one-stage values are computed
+        once for both, and the arithmetic is that of a pass per part.
+        """
+        model = self.model
         h = np.asarray(h, dtype=float)
         qh_int = model.kernel_interior @ h  # (n, n_a)
-        b_act, b_val = self.boundary_minima(h, prev)
-        tables = self.segment_tables()
-        values = tables.values(rho, qh_int).tolist()
-        survival = tables.survival.tolist()
-        feasible = model.action_grid.feasible
-        mask = model.feasible_mask
-        incumbents = prev.interior.tolist()
-        terminal = []
-        for e in self.exits:
-            if e.hit:
-                terminal.append(float(b_val[e.boundary_index]))
-                continue
-            tail = self.geometry[e.piece]
-            ilo, wlo = tail.ilo[-1], tail.wlo[-1]
-            qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[min(ilo + 1, n - 1), :]
-            lam_T = np.maximum(tail.lam_nodes[-1], 1e-12)
-            station = (tail.f_nodes[-1] - rho + tail.lam_nodes[-1] * qh_end) / lam_T
-            terminal.append(float(np.min(np.where(mask[tail.anchor], station, np.inf))))
+        b_act, b_val, b_min = self._boundary_choice(h, prev)
+        values = self.segment_tables().values(rho, qh_int).tolist()
+        survival, feasible, mask, line_ok, hits, stationary = self._pass
+        if not any(map(any, line_ok)):
+            raise ValueError("no flow line admits a feasible frozen-action sweep")
+        terminal = [0.0] * len(self.exits)  # improvement
+        sweep_end = [0.0] * len(self.exits)  # certificate
+        b_val, b_min = b_val.tolist(), b_min.tolist()
+        for k, zi in hits:
+            terminal[k], sweep_end[k] = b_val[zi], b_min[zi]
+        if stationary is not None:
+            tail_k, ilo, hi, wlo, lam, lam_T, f, tail_mask = stationary
+            qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[hi, :]
+            station = (f - rho + lam * qh_end) / lam_T
+            for k, v in zip(tail_k, np.min(np.where(tail_mask, station, np.inf), axis=1).tolist()):
+                terminal[k] = v
 
-        new_interior = np.empty(n, dtype=np.int64)
-        w_next = 0.0
-        for j, p, k in self._steps:
+        h_list = h.tolist()
+        incumbents = prev.interior.tolist()
+        new_interior = [0] * model.n_states
+        residual = -math.inf
+        for j, p, k in self._steps:  # the first step, the last flow position, is a chain end
+            v_s, b_s = values[p], survival[p]
             if k >= 0:
                 w_next = terminal[k]
-            v_s, b_s = values[p], survival[p]
+                w_end = sweep_end[k]
+                sweep = [v + b * w_end for v, b in zip(v_s, b_s)]
+            else:
+                sweep = [v + b * w for v, b, w in zip(v_s, b_s, sweep)]
+            ok = line_ok[j]
+            if any(ok):
+                gap = h_list[j] - min(compress(sweep, ok))
+                if gap > residual:
+                    residual = gap
+
             pick, best = None, math.inf
             for a in feasible[j]:
                 val = v_s[a] + b_s[a] * w_next
                 if val < best:
                     pick, best = a, val
             incumbent = incumbents[j]
-            if pick is None or (mask[j, incumbent] and v_s[incumbent] + b_s[incumbent] * w_next
+            if pick is None or (mask[j][incumbent] and v_s[incumbent] + b_s[incumbent] * w_next
                                 <= best + TIE_TOL * max(1.0, abs(best))):
                 pick = incumbent
             w_next = v_s[pick] + b_s[pick] * w_next
             new_interior[j] = pick
-        return FeedbackPolicy(interior=new_interior, boundary=b_act)
+        return FeedbackPolicy(interior=np.array(new_interior, dtype=np.int64), boundary=b_act), residual
+
+    def improve(self, rho: float, h: np.ndarray, prev):
+        """Argmin policy of the one-stage value; see :meth:`improve_and_certify`."""
+        return self.improve_and_certify(rho, h, prev)[0]
 
     def optimality_residual(self, rho: float, h: np.ndarray, policy) -> float:
         """sup_x [ h(x) - min over frozen-action sweeps of the one-stage value ].
 
-        Each feasible action is held constant along the whole flow line (the
-        boundary choice is optimized separately); actions infeasible at some
-        grid point the line starts a piece from are excluded.  One backward
-        pass carries every action's sweep value and, as a product of 0/1
-        factors, whether the action is feasible all along the line.
+        See :meth:`improve_and_certify`, which is run with ``policy`` as the
+        incumbent; the residual itself does not depend on ``policy``.
         """
-        model = self.model
-        n_a = model.n_actions
-        h = np.asarray(h, dtype=float)
-        _, b_val = self.boundary_minima(h)
-        tables = self.segment_tables()
-        values = np.hstack((tables.values(rho, model.kernel_interior @ h), np.zeros(tables.survival.shape)))
-        factors = np.hstack((tables.survival, model.feasible_mask[tables.anchors]))
-        terminal = np.ones((len(self.exits), 2 * n_a))
-        terminal[:, :n_a] = [[b_val[e.boundary_index] if e.hit else 0.0] for e in self.exits]
-        w = self.backward(values, factors, terminal)
-        feasible = w[:, n_a:] > 0.5
-        some = feasible.any(axis=1)
-        if not some.any():
-            raise ValueError("no flow line admits a feasible frozen-action sweep")
-        best = np.min(np.where(feasible, w[:, :n_a], np.inf), axis=1)
-        return float(np.max(h[some] - best[some]))
+        return self.improve_and_certify(rho, h, policy)[1]
+
+
+def check_workspace(model, workspace: OperatorWorkspace | None) -> None:
+    """Refuse with ``ValueError`` a workspace built for another model object.
+
+    A workspace's mesh, tables and cached operators and steps are those of
+    its own model, so one handed in with another model would answer for the
+    wrong model without a sign.  Models are told apart by identity, as
+    simulation tables are.
+    """
+    if workspace is not None and workspace.model is not model:
+        raise ValueError("the workspace was built for another model")
 
 
 def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None,
                   fill: int = DEFAULT_FILL) -> KernelMatrix:
     """Embedded-chain kernel under a feedback policy, one row per grid state."""
+    check_workspace(model, workspace)
     ws = workspace if workspace is not None else OperatorWorkspace(model, fill)
     kernel, _, _, survival = ws.assemble(policy)
     return KernelMatrix(matrix=kernel, truncation_bound=float(survival[ws.truncated].max(initial=0.0)))
@@ -586,13 +682,15 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
     """Double per-piece mesh fill until successive operator sets agree.
 
     Refinement starts from ``start`` (a workspace of ``model``, say one an
-    audit already built) or from a new one at ``DEFAULT_FILL``.  Agreement
+    audit already built; another model's is refused with ``ValueError``) or
+    from a new one at ``DEFAULT_FILL``.  Agreement
     is measured as the max absolute change across kernel entries, expected
     sojourn weights and one-policy costs; the finer workspace is returned
     with the achieved difference recorded on ``refine_diff`` and whether it
     met ``target`` on ``refine_converged``.  Stopping at ``max_fill`` short of
     the target warns with a :class:`RuntimeWarning`.
     """
+    check_workspace(model, start)
     ws = start if start is not None else OperatorWorkspace(model, DEFAULT_FILL)
     fill = ws.fill
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)

@@ -1,4 +1,4 @@
-"""Policy iteration: evaluate, improve by one backward pass, certify.
+"""Policy iteration: evaluate, then improve and certify in one backward pass.
 
 The improvement step solves the one-stage minimization by a backward dynamic
 program over the grid points in flow order: the value to go from a grid
@@ -6,11 +6,17 @@ point does not depend on the flow line that reached it.  Evaluation,
 improvement and the optimality certificate all read the workspace's
 per-piece one-stage tables (sojourn weight, running-cost integral, survival
 and Qh weights per piece and action), summed from the mesh once per
-workspace, and each runs one backward pass over them: evaluation for the
-policy's operators, an improvement or certificate with its rho and
-Qh = Q h.  The value of the returned policy therefore reproduces the pass's
-value, which is what makes the average cost non-increasing across
+workspace: evaluation runs one backward pass for the policy's operators,
+and improvement and certificate share one more, with the evaluation's rho
+and Qh = Q h.  The value of the returned policy therefore reproduces the
+pass's value, which is what makes the average cost non-increasing across
 iterations up to solver tolerance.
+
+One PIA step -- a policy's evaluation, its improved policy and its
+certificate -- depends only on the workspace, the policy and the evaluation
+tolerance, so :func:`run_pia` keeps each step in the workspace's per-policy
+cache, with its arrays read-only, and a later run on the same workspace
+that reaches the same policy (another start of a sweep) reuses it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import FeedbackPolicy
-from .operators import OperatorWorkspace, refined_workspace
+from .operators import OperatorWorkspace, check_workspace, refined_workspace
 from .evaluation import EvaluationResult, evaluate_policy
 
 DEFAULT_TOL_RHO = 1e-8
@@ -73,6 +79,7 @@ class PiaTrace:
 def one_stage_value(model, rho: float, h: np.ndarray, policy: FeedbackPolicy, *,
                     workspace: OperatorWorkspace | None = None) -> np.ndarray:
     """-rho*calL + Lf + Hr + Gh under the policy's feedback paths, per state."""
+    check_workspace(model, workspace)
     ws = workspace if workspace is not None else OperatorWorkspace(model)
     return ws.one_stage_values(policy, rho, np.asarray(h, dtype=float))
 
@@ -80,6 +87,7 @@ def one_stage_value(model, rho: float, h: np.ndarray, policy: FeedbackPolicy, *,
 def improve_policy(model, rho: float, h: np.ndarray, prev: FeedbackPolicy, *,
                    workspace: OperatorWorkspace | None = None) -> FeedbackPolicy:
     """One-stage minimizing policy given (rho, h); ties keep the incumbent."""
+    check_workspace(model, workspace)
     ws = workspace if workspace is not None else OperatorWorkspace(model)
     return ws.improve(rho, np.asarray(h, dtype=float), prev)
 
@@ -87,8 +95,18 @@ def improve_policy(model, rho: float, h: np.ndarray, prev: FeedbackPolicy, *,
 def optimality_residual(model, rho: float, h: np.ndarray, policy: FeedbackPolicy, *,
                         workspace: OperatorWorkspace | None = None) -> float:
     """sup_x of h(x) minus the best frozen-action one-stage value at x."""
+    check_workspace(model, workspace)
     ws = workspace if workspace is not None else OperatorWorkspace(model)
     return ws.optimality_residual(rho, np.asarray(h, dtype=float), policy)
+
+
+def _step(model, ws: OperatorWorkspace, policy: FeedbackPolicy, eval_tol: float) -> tuple:
+    """(evaluation, improved policy, optimality residual) of ``policy`` on ``ws``, arrays read-only."""
+    evaluation = evaluate_policy(model, policy, eval_tol, workspace=ws)
+    improved, opt_res = ws.improve_and_certify(evaluation.rho, evaluation.h, policy)
+    for array in (evaluation.h, evaluation.nu, improved.interior, improved.boundary):
+        array.flags.writeable = False
+    return evaluation, improved, opt_res
 
 
 def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
@@ -102,9 +120,16 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
     optimality residual below ``10 * tol_rho``, or ``max_iter`` is reached.
     Revisiting an earlier policy without improving rho reports "cycling" and
     the best iterate seen.
+
+    Each step (evaluation, improved policy, certificate) is kept in the
+    workspace's per-policy cache under the policy's key and ``eval_tol``,
+    and taken from there when this or a later run on the same workspace
+    reaches the policy again; its arrays are read-only.  A step that raises
+    is not kept.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_workspace(model, workspace)
     problems = u0.feasibility_problems(model)
     if problems:
         raise ValueError("infeasible initial policy: " + "; ".join(problems))
@@ -119,11 +144,11 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
     evaluation = None
 
     for n in range(max_iter):
-        evaluation = evaluate_policy(model, policy, eval_tol, workspace=ws)
-        improved = ws.improve(evaluation.rho, evaluation.h, policy)
+        key = policy.key()
+        evaluation, improved, opt_res = ws.cached(("pia-step", key, eval_tol),
+                                                  lambda: _step(model, ws, policy, eval_tol))
         changed = int(np.sum(improved.interior != policy.interior)
                       + np.sum(improved.boundary != policy.boundary))
-        opt_res = ws.optimality_residual(evaluation.rho, evaluation.h, policy)
         delta_h = float(np.max(np.abs(evaluation.h - prev_h))) if prev_h is not None else math.nan
         trace.records.append(IterationRecord(
             n=n,
@@ -147,7 +172,6 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
             trace.reason = "rho-tolerance"
             return evaluation, policy, trace
 
-        key = policy.key()
         if key in seen and evaluation.rho >= seen[key] - tol_rho:
             trace.status = "cycling"
             return best[1], best[2], trace

@@ -31,6 +31,8 @@ Uniforms are drawn from the stream in blocks.
 What does not change from one replication to the next is checked once: the
 policy's feasibility when its :class:`SimulationTables` are built, and in
 :func:`simulate` only that the tables belong to the model and policy given.
+A replication's batch edges and batch-means standard error are those of
+``np.linspace`` and ``np.std``, bit for bit, without their per-call set-up.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorWorkspace
+from .operators import OperatorWorkspace, check_workspace
 
 DEFAULT_BATCHES = 20
 RATE_FLOOR = 1e-12
@@ -181,10 +183,12 @@ class SimulationTables:
     grid points, the cumulative kernel rows, each kernel row's ``sum()`` and
     the boundary charges.  An infeasible policy (an action outside a
     state's feasible set, or outside the action grid) is refused with
-    ``ValueError`` before anything is built.
+    ``ValueError`` before anything is built, and so is a ``workspace`` built
+    for another model.
     """
 
     def __init__(self, model, policy, *, workspace: OperatorWorkspace | None = None):
+        check_workspace(model, workspace)
         problems = policy.feasibility_problems(model)
         if problems:
             raise ValueError("infeasible policy: " + "; ".join(problems))
@@ -341,6 +345,35 @@ def _uniform_block(rng: np.random.Generator) -> list:
     return rng.random(UNIFORM_BLOCK).tolist()
 
 
+def _batch_edges(horizon: float, batches: int) -> list:
+    """``np.linspace(horizon / batches, horizon, batches).tolist()`` in numpy's arithmetic, without its set-up.
+
+    Edge i is ``i * step + start``, and the last one is ``horizon`` itself;
+    a step that underflows to zero gives ``i / (batches - 1) * delta +
+    start``, as numpy's does.
+    """
+    start = horizon / batches
+    if batches == 1:
+        return [start]
+    div = batches - 1
+    delta = horizon - start
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [horizon]
+    return [i * step + start for i in range(div)] + [horizon]
+
+
+def _standard_error(batch_means: np.ndarray) -> float:
+    """``np.std(batch_means, ddof=1) / sqrt(batches)`` in ``np.std``'s order of operations, without its set-up.
+
+    The mean, the squared deviations from it and their sum over
+    ``batches - 1``, with numpy's pairwise ``np.add.reduce`` for both sums.
+    """
+    batches = batch_means.size
+    dev = batch_means - np.add.reduce(batch_means) / batches
+    return math.sqrt(np.add.reduce(dev * dev) / (batches - 1)) / math.sqrt(batches)
+
+
 def _check_horizon(horizon: float) -> None:
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -363,6 +396,8 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     does not check it again.
     """
     _check_horizon(horizon)
+    if batches < 1:
+        raise ValueError(f"batches must be at least 1, got {batches}")
     if not 0 <= int(x0) < model.n_states:
         raise ValueError(f"x0 must be a grid state index in [0, {model.n_states}), got {x0}")
     if tables is None:
@@ -378,7 +413,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
         max_jumps = int(max(100_000, 100.0 * (model.lambda_sup + 1.0) * horizon))
 
     # one edge past the last so the "next edge" test needs no bounds check
-    edges = np.linspace(horizon / batches, horizon, batches).tolist() + [math.inf]
+    edges = _batch_edges(horizon, batches) + [math.inf]
     edge_costs = []
     next_edge = edges[0]
 
@@ -548,7 +583,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
 
     batch_totals = np.diff(np.concatenate([[0.0], edge_costs]))
     batch_means = batch_totals / (horizon / batches)
-    se = float(np.std(batch_means, ddof=1) / math.sqrt(batches)) if batches > 1 else 0.0
+    se = _standard_error(batch_means) if batches > 1 else 0.0
 
     record_obj = TrajectoryRecord(
         jump_times=np.asarray(jt),

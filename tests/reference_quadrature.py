@@ -13,7 +13,8 @@ the engines that came before it, on the library's line rule:
   survival products along it (:func:`composed_assemble`), the improvement
   as a backward march along each line (:func:`marched_improve`) and the
   certificate as a sweep of all lines by position from their ends
-  (:func:`swept_residual`).
+  (:func:`swept_residual`), and the certificate as its own numpy backward
+  pass over the grid positions (:func:`numpy_optimality_residual`).
 
 On the per-line meshes it integrates the operators the direct way, one
 :class:`PolicyPath` (a policy's feedback path from one grid state) at a time
@@ -540,6 +541,32 @@ def swept_residual(ws, rho, h):
     feasible = np.array([model.feasible_mask[tables.anchors[pieces]].all(axis=0) for pieces in line_pieces(ws)])
     some = feasible.any(axis=1)
     best = np.min(np.where(feasible, w, np.inf), axis=1)
+    return float(np.max(h[some] - best[some]))
+
+
+def numpy_optimality_residual(ws, rho, h):
+    """The optimality certificate as one numpy backward pass of its own, as the library ran it.
+
+    Every action's frozen sweep value and, as a product of 0/1 factors, its
+    feasibility all along the line are carried by ``ws.backward``; the
+    library now computes the same certificate on Python floats in the pass
+    it shares with improvement, with the same arithmetic.
+    """
+    model = ws.model
+    n_a = model.n_actions
+    h = np.asarray(h, dtype=float)
+    _, b_val = ws.boundary_minima(h)
+    tables = ws.segment_tables()
+    values = np.hstack((tables.values(rho, model.kernel_interior @ h), np.zeros(tables.survival.shape)))
+    factors = np.hstack((tables.survival, model.feasible_mask[tables.anchors]))
+    terminal = np.ones((len(ws.exits), 2 * n_a))
+    terminal[:, :n_a] = [[b_val[e.boundary_index] if e.hit else 0.0] for e in ws.exits]
+    w = ws.backward(values, factors, terminal)
+    feasible = w[:, n_a:] > 0.5
+    some = feasible.any(axis=1)
+    if not some.any():
+        raise ValueError("no flow line admits a feasible frozen-action sweep")
+    best = np.min(np.where(feasible, w[:, :n_a], np.inf), axis=1)
     return float(np.max(h[some] - best[some]))
 
 

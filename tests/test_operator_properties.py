@@ -13,8 +13,9 @@ import pdmp_avgctl as pa
 from pdmp_avgctl.operators import OperatorWorkspace
 
 from reference_quadrature import (composed_assemble, forced_line_geometry, line_exit, line_geometry, line_pieces,
-                                  marched_improve, piece_counts, reference_assemble, reference_improve,
-                                  reference_optimality_residual, shared_line_geometry, swept_residual)
+                                  marched_improve, numpy_optimality_residual, piece_counts, reference_assemble,
+                                  reference_improve, reference_optimality_residual, shared_line_geometry,
+                                  swept_residual)
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
 FLOWS = ("trivial", "drift", "affine", "tabulated")
@@ -216,3 +217,5 @@ def test_backward_pass_matches_the_per_line_compositions(flow, data):
         assert ws.improve(rho, h, policy).key() == marched_improve(ws, rho, h, policy).key()
         residual = ws.optimality_residual(rho, h, policy)
         assert _within(np.array([residual]), np.array([swept_residual(ws, rho, h)]))
+        # the certificate's own numpy pass does the same arithmetic in the same order
+        assert residual == numpy_optimality_residual(ws, rho, h)

@@ -14,8 +14,9 @@ from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWor
 from conftest import BUNDLED
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
                                   cum_rate, forced_line_geometry, line_exit, line_geometry, line_pieces, marched_improve, op_G, op_H,
-                                  op_L, op_calL, phi1, policy_paths, reference_assemble, reference_improve,
-                                  reference_optimality_residual, reference_sweep_values, swept_residual)
+                                  numpy_optimality_residual, op_L, op_calL, phi1, policy_paths, reference_assemble,
+                                  reference_improve, reference_optimality_residual, reference_sweep_values,
+                                  swept_residual)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -599,6 +600,17 @@ class TestSegmentTables:
                     break
                 policy = improved
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(BUNDLED)), seed=st.integers(0, 2**32 - 1))
+    def test_one_pass_certificate_is_the_numpy_pass(self, models, workspaces, name, seed):
+        # same arithmetic in the same order, so equal to the bit, not within a tolerance
+        model, ws = models[name], workspaces[name]
+        rho, h, prev = random_problem(model, np.random.default_rng(seed))
+        improved, residual = ws.improve_and_certify(rho, h, prev)
+        assert residual == numpy_optimality_residual(ws, rho, h), name
+        assert improved.key() == marched_improve(ws, rho, h, prev).key(), name
+        assert (ws.improve(rho, h, prev).key(), ws.optimality_residual(rho, h, prev)) == (improved.key(), residual)
+
     @pytest.mark.parametrize("incumbent", [[0, 0], [0, 1], [1, 0], [1, 1]])
     def test_exact_ties_keep_the_incumbent(self, incumbent):
         # gap 0: the two actions are identical, so every comparison is a tie
@@ -618,3 +630,40 @@ class TestSegmentTables:
         v_prev = ws.one_stage_values(prev, rho, h)
         v_new = ws.one_stage_values(improved, rho, h)
         assert np.all(v_new <= v_prev + 1e-9 * (1.0 + np.max(np.abs(h)))), name
+
+
+# every entry that takes a workspace refuses one built for another model
+OTHER_MODEL_ENTRIES = {
+    "evaluate_policy": lambda m, u, res, ws: pa.evaluate_policy(m, u, workspace=ws),
+    "residual": lambda m, u, res, ws: pa.residual(m, u, res, workspace=ws),
+    "run_pia": lambda m, u, res, ws: pa.run_pia(m, u, workspace=ws),
+    "one_stage_value": lambda m, u, res, ws: pa.one_stage_value(m, res.rho, res.h, u, workspace=ws),
+    "improve_policy": lambda m, u, res, ws: pa.improve_policy(m, res.rho, res.h, u, workspace=ws),
+    "optimality_residual": lambda m, u, res, ws: pa.optimality_residual(m, res.rho, res.h, u, workspace=ws),
+    "kernel_matrix": lambda m, u, res, ws: kernel_matrix(m, u, workspace=ws),
+    "refined_workspace": lambda m, u, res, ws: pa.refined_workspace(m, u, start=ws),
+    "audit_assumptions": lambda m, u, res, ws: pa.audit_assumptions(m, u, workspace=ws),
+    "prepare_simulation": lambda m, u, res, ws: pa.prepare_simulation(m, u, workspace=ws),
+    "mc_validate": lambda m, u, res, ws: pa.mc_validate(m, u, res.rho, 0, 10.0, 2, 0, workspace=ws),
+}
+
+
+@pytest.fixture(scope="module")
+def tripled_ctmdp():
+    """ctmdp_2state with its running costs tripled, and a workspace of it."""
+    doc = json.loads(pa.bundled_model_path("ctmdp_2state").read_text())
+    doc["costs"]["running"] = [[3.0 * c for c in row] for row in doc["costs"]["running"]]
+    model = pa.model_from_dict(doc)
+    return model, OperatorWorkspace(model, 16)
+
+
+@pytest.mark.parametrize("entry", sorted(OTHER_MODEL_ENTRIES))
+def test_a_workspace_of_another_model_is_refused(models, tripled_ctmdp, entry):
+    model = models["ctmdp_2state"]
+    other, other_ws = tripled_ctmdp
+    policy = pa.FeedbackPolicy.lowest_feasible(model)
+    own = pa.evaluate_policy(model, policy, workspace=OperatorWorkspace(model, 16))
+    # the other model's rho differs, so an answer from its workspace would be wrong
+    assert pa.evaluate_policy(other, policy, workspace=other_ws).rho == pytest.approx(3.0 * own.rho)
+    with pytest.raises(ValueError, match="workspace was built for another model"):
+        OTHER_MODEL_ENTRIES[entry](model, policy, own, other_ws)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
 
@@ -230,3 +232,70 @@ def test_pia_meets_the_uniformization_oracle_on_random_ctmdps(case):
     model, result, _ = _solve_random_ctmdp(case)
     rho_star, _ = uniformization_rvi(*model_arrays(model))
     assert abs(result.rho - rho_star) <= 1e-6
+
+
+# a sweep: several starts solved on one workspace, as the benchmark's start
+# sweeps and a user's restarts run them, reusing each other's cached steps
+
+def _pia_outcome(model, u0, ws):
+    """What a run shows: its trace record for record, its policy, rho, h and nu, or what it raised."""
+    try:
+        result, policy, trace = pa.run_pia(model, u0, workspace=ws)
+    except Exception as exc:  # a raising run must raise the same on a fresh workspace
+        return type(exc), str(exc)
+    # astuple keeps the float objects, so the first record's nan delta_h
+    # compares equal by identity within the tuple
+    return (trace.status, trace.reason, [dataclasses.astuple(r) for r in trace.records], policy.key(),
+            result.rho, result.h.tolist(), result.nu.tolist())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=random_model_docs(varied=True), starts=st.integers(3, 5))
+def test_a_sweep_on_one_workspace_runs_as_on_fresh_workspaces(case, starts):
+    doc, fill, seed = case
+    model = pa.model_from_dict(doc)
+    rng = np.random.default_rng(seed)
+    shared = pa.OperatorWorkspace(model, fill)
+    for _ in range(starts):
+        u0 = pa.FeedbackPolicy.random_feasible(model, rng)
+        assert _pia_outcome(model, u0, shared) == _pia_outcome(model, u0, pa.OperatorWorkspace(model, fill))
+
+
+class TestStepCache:
+    def test_a_later_run_reuses_the_step_and_its_arrays_are_read_only(self, models):
+        model = models["drift_boundary_64"]
+        ws = pa.OperatorWorkspace(model, 16)
+        u0 = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(11))
+        first, policy, trace = pa.run_pia(model, u0, workspace=ws)
+        assert len(trace.records) > 1
+        again, _, _ = pa.run_pia(model, u0, workspace=ws)
+        assert again is first
+        steps = [v for v in ws._assembled.values() if isinstance(v[0], pa.EvaluationResult)]
+        assert len(steps) == len(trace.records)
+        for evaluation, improved, _ in steps:
+            for array in (evaluation.h, evaluation.nu, improved.interior, improved.boundary):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+        with pytest.raises(ValueError, match="read-only"):
+            policy.interior[0] = 0
+
+    @pytest.mark.parametrize("where", ["evaluation", "pass"])
+    def test_a_step_that_raises_is_not_kept(self, models, monkeypatch, where):
+        model = models["ctmdp_3state"]
+        ws = pa.OperatorWorkspace(model, 16)
+        u0 = pa.FeedbackPolicy.lowest_feasible(model)
+
+        def fail(*args, **kwargs):
+            raise pa.EvaluationError("refused for the test")
+
+        with monkeypatch.context() as patch:
+            if where == "evaluation":
+                patch.setattr(pa.policy_iteration, "evaluate_policy", fail)
+            else:
+                patch.setattr(ws, "improve_and_certify", fail)
+            with pytest.raises(pa.EvaluationError, match="refused for the test"):
+                pa.run_pia(model, u0, workspace=ws)
+        # at most the operators the evaluation assembled on the way
+        assert set(ws._assembled) <= {(u0.key(), 0.0)}
+        _, _, trace = pa.run_pia(model, u0, workspace=ws)
+        assert trace.status == "converged"

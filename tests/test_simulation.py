@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _cost_to, _Line, _Nodes, _rng_stream,
-                                    _uniform_block)
+from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _cost_to, _Line, _Nodes,
+                                    _rng_stream, _standard_error, _uniform_block)
 
 import reference_simulation
 from reference_quadrature import policy_paths
@@ -429,6 +429,20 @@ class TestRunningCost:
                     assert abs(_cost_to(line, float(path.times[k])) - cum[k]) <= 1e-12 * max(1.0, cum[-1])
 
 
+def test_batch_edges_and_standard_error_are_numpys_to_the_bit():
+    # horizons from the smallest subnormal (where numpy's step underflows to
+    # zero) to near the largest double, batch counts from 1
+    rng = np.random.default_rng(2024)
+    horizons = [5e-324, 1e-320, 1e-310, 2.5e-308, 1e308, 1.7e308] + (10.0 ** rng.uniform(-6, 7, 2000)).tolist()
+    for i, horizon in enumerate(horizons):
+        batches = int(rng.integers(1, 200)) if i % 3 else 20
+        assert _batch_edges(horizon, batches) == np.linspace(horizon / batches, horizon, batches).tolist(), \
+            (horizon, batches)
+        if batches > 1:
+            means = rng.normal(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-12, 3), batches)
+            assert _standard_error(means) == float(np.std(means, ddof=1) / math.sqrt(batches)), (horizon, batches)
+
+
 class TestSimulate:
     def test_deterministic_renewal_cycle(self, renewal):
         model, policy = renewal
@@ -528,6 +542,13 @@ class TestSimulate:
                      lambda: pa.mc_validate(model, policy, 1.0, 0, horizon, 4, seed=1)):
             with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 call()
+
+    @pytest.mark.parametrize("batches", [0, -1])
+    def test_batches_must_be_at_least_one(self, models, batches):
+        model = models["ctmdp_2state"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        with pytest.raises(ValueError, match=f"batches must be at least 1, got {batches}"):
+            pa.simulate(model, policy, 0, 10.0, seed=1, batches=batches)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_the_philox_key_is_refused(self, models, seed):

@@ -4,7 +4,8 @@ The benchmark's model generator (``perfbench/drift.py``) imports the
 bundled-model recipes of ``tools/build_bundled_models.py`` by path and tunes
 its constants with the script's ``sup_*`` functions, so the tuners are
 checked here against the per-path reference quadrature.  The scaling
-benchmark ``tools/bench_scaling.py`` is run on one small grid.
+benchmark ``tools/bench_scaling.py`` is run on one small grid, with the
+benchmark's host-speed probe.
 """
 
 import importlib.util
@@ -83,9 +84,9 @@ def test_scaling_row_on_a_small_grid(tmp_path):
     arrays = (tables.sojourn, tables.cost, tables.survival, tables.rows, tables.cols, tables.weights, tables.anchors)
     assert row["tables_mb"] == round((sum(a.nbytes for a in arrays) + ws.order.nbytes + ws.exit_of.nbytes) / 2**20, 3)
     assert row["load_s"] > 0.0 and 0.0 < row["rss_after_load_mb"] <= row["peak_rss_mb"]
-    for key in ("refine_s", "workspace_build_s", "tables_s", "assemble_s", "evaluate_s", "improve_s",
-                "residual_s"):
-        assert row[key] >= 0.0, key
+    for key in ("refine_s", "workspace_build_s", "tables_s", "assemble_s", "evaluate_s", "improve_certify_s"):
+        assert row[key] >= 0.0 and row[f"ref_{key}"] >= 0.0, key
     assert row["tables_mb"] > 0.0 and row["peak_rss_mb"] > 0.0
     assert row["mc_us_per_jump"] > 0.0 and row["mc_fixed_us"] > 0.0
+    assert row["ref_mc_us_per_jump"] > 0.0 and row["ref_mc_fixed_us"] > 0.0 and row["slowdown"] > 0.0
     assert set(bench.machine()) >= {"cores", "numpy", "python"}

@@ -7,17 +7,28 @@ measured in a fresh process, one N after another.  A measurement loads the
 model file, refines the workspace of the lowest feasible policy to the
 default target, then, at the refined fill, times the workspace build, the
 table build, assemble (each call on an empty assemble cache), evaluation,
-improve and the optimality residual.  Every time is the median of
+and the pass that gives the improved policy and the optimality residual
+together.  Every time is the median of
 ``SAMPLES`` calls.  The Monte Carlo columns run the same policy on
 simulation tables prepared once: ``mc_us_per_jump`` is the median over
 ``SAMPLES`` replications at horizon ``MC_HORIZON`` of a replication's time
 per jump, and ``mc_fixed_us`` the time of a replication whose horizon ends
 before its first jump (the per-replication cost of keying the stream,
 drawing the first uniforms, the batch edges and the summary), the median of
-``SAMPLES`` batches of ``MC_FIXED_CALLS``.  These are wall times of one
-process: a host whose speed drifts by a quarter within a minute moves them
-as much between two runs of the same code.  ``rss_after_load_mb`` is the
+``SAMPLES`` batches of ``MC_FIXED_CALLS``.  ``rss_after_load_mb`` is the
 process's peak RSS right after the first load, ``peak_rss_mb`` at the end.
+
+Each measuring process runs the benchmark's host-speed probe
+(``perfbench/speed.py``'s ``SpeedProbe``, loaded by path) throughout.
+Beside every timed column ``X`` the row gives ``ref_X``: the same median in
+the probe's reference seconds, that is the wall time less the probe's own
+share, divided by the slowdown its calibration kernel showed at the same
+moments; ``slowdown`` is that factor over the whole measurement.  A host
+whose speed drifts by a quarter within a minute moves the wall times of two
+runs of the same code as much; the reference times take most of that out.
+The probe's samples also land inside some timed calls, so the wall times
+read a few per cent higher than without it, and its module adds 2-4 MB to
+the RSS columns.
 Run from the root of a checkout:
 
     python tools/bench_scaling.py --label change --out BENCH_13.json
@@ -55,12 +66,17 @@ MC_HORIZON = 1e4
 MC_FIXED_CALLS = 200
 
 
-def drift_doc(n: int) -> dict:
-    """``perfbench/drift.py``'s model document for an ``n``-point grid."""
-    spec = importlib.util.spec_from_file_location("perfbench_drift", ROOT / "perfbench" / "drift.py")
+def _perfbench(name: str):
+    """``perfbench/<name>.py`` of this checkout, imported as a module by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.drift_doc(n)
+    return module
+
+
+def drift_doc(n: int) -> dict:
+    """``perfbench/drift.py``'s model document for an ``n``-point grid."""
+    return _perfbench("drift").drift_doc(n)
 
 
 def _nbytes(*objects) -> int:
@@ -91,70 +107,86 @@ def _rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def _median_s(call, before=None) -> float:
-    """Median wall time of ``SAMPLES`` calls of ``call``, each after ``before()``."""
-    times = []
+def _timed(call, before=None) -> list:
+    """Wall intervals ``(t0, t1)`` of ``SAMPLES`` calls of ``call``, each after ``before()``."""
+    spans = []
     for _ in range(SAMPLES):
         if before is not None:
             before()
         t0 = time.perf_counter()
         call()
-        times.append(time.perf_counter() - t0)
-    return round(float(np.median(times)), 4)
+        spans.append((t0, time.perf_counter()))
+    return spans
 
 
 def measure(path) -> dict:
     """One row of the scaling table for the model file at ``path``."""
+    probe = _perfbench("speed").SpeedProbe()
+    probe.start()
+    begun = time.perf_counter()
+    try:
+        row, columns = _measure(path)
+    finally:
+        ended = time.perf_counter()
+        probe.stop()
+    for key, spans, factors, digits in columns:
+        row[key] = round(float(np.median([(t1 - t0) * f for (t0, t1), f in zip(spans, factors)])), digits)
+        row[f"ref_{key}"] = round(float(np.median([probe.seconds(t0, t1) * f
+                                                   for (t0, t1), f in zip(spans, factors)])), digits)
+    row["slowdown"] = round(probe.slowdown(begun, ended), 3)
+    return row
+
+
+def _measure(path) -> tuple[dict, list]:
+    """The row's untimed columns, and per timed column ``(key, spans, factor per span to its unit, digits)``."""
+    columns = []
+
+    def timed(key, call, before=None, factors=(1.0,) * SAMPLES, digits=4):
+        columns.append((key, _timed(call, before), factors, digits))
+
     model = pa.load_model(path)
     rss_after_load = _rss_mb()
-    load_s = _median_s(lambda: pa.load_model(path))
+    timed("load_s", lambda: pa.load_model(path))
     policy = pa.FeedbackPolicy.lowest_feasible(model)
     fill = pa.refined_workspace(model, policy).fill
-    refine_s = _median_s(lambda: pa.refined_workspace(model, policy))
-    build_s = _median_s(lambda: pa.OperatorWorkspace(model, fill))
+    timed("refine_s", lambda: pa.refined_workspace(model, policy))
+    timed("workspace_build_s", lambda: pa.OperatorWorkspace(model, fill))
     spare = []
 
     def fresh_workspace():
         spare[:] = [pa.OperatorWorkspace(model, fill)]
 
-    tables_s = _median_s(lambda: spare[0].segment_tables(), before=fresh_workspace)
+    timed("tables_s", lambda: spare[0].segment_tables(), before=fresh_workspace)
     ws = spare[0]
-    assemble_s = _median_s(lambda: ws.assemble(policy), before=ws._assembled.clear)
+    timed("assemble_s", lambda: ws.assemble(policy), before=ws._assembled.clear)
     result = pa.evaluate_policy(model, policy, workspace=ws)
-    evaluate_s = _median_s(lambda: pa.evaluate_policy(model, policy, workspace=ws))
-    improve_s = _median_s(lambda: ws.improve(result.rho, result.h, policy))
-    residual_s = _median_s(lambda: ws.optimality_residual(result.rho, result.h, policy))
+    timed("evaluate_s", lambda: pa.evaluate_policy(model, policy, workspace=ws))
+    timed("improve_certify_s", lambda: ws.improve_and_certify(result.rho, result.h, policy))
     tables = pa.prepare_simulation(model, policy, workspace=ws)
-    per_jump = []
-    for r in range(SAMPLES):
-        t0 = time.perf_counter()
-        _, summary = pa.simulate(model, policy, 0, MC_HORIZON, 1, replication=r, record=False, tables=tables)
-        per_jump.append((time.perf_counter() - t0) / summary.jumps)
+    jumps = []
+
+    def replication():
+        _, summary = pa.simulate(model, policy, 0, MC_HORIZON, 1, replication=len(jumps), record=False,
+                                 tables=tables)
+        jumps.append(summary.jumps)
 
     def short_replications():
         for r in range(MC_FIXED_CALLS):
             pa.simulate(model, policy, 0, 1e-9, 1, replication=r, record=False, tables=tables)
 
+    spans = _timed(replication)
+    columns.append(("mc_us_per_jump", spans, [1e6 / j for j in jumps], 3))
+    timed("mc_fixed_us", short_replications, factors=(1e6 / MC_FIXED_CALLS,) * SAMPLES, digits=1)
     return {
         "n": model.n_states,
         "refined_fill": fill,
         "mesh_nodes": sum(int(g.times.size) for g in ws.geometry),
         "mesh_mb": round(_nbytes(*ws.geometry) / 2**20, 3),
-        "load_s": load_s,
         "rss_after_load_mb": rss_after_load,
-        "refine_s": refine_s,
-        "workspace_build_s": build_s,
-        "tables_s": tables_s,
         "tables_mb": round(_table_bytes(ws) / 2**20, 3),
-        "assemble_s": assemble_s,
-        "evaluate_s": evaluate_s,
-        "improve_s": improve_s,
-        "residual_s": residual_s,
-        "mc_us_per_jump": round(1e6 * float(np.median(per_jump)), 3),
-        "mc_fixed_us": round(1e6 * _median_s(short_replications) / MC_FIXED_CALLS, 1),
         "rho": result.rho,
         "peak_rss_mb": _rss_mb(),
-    }
+    }, columns
 
 
 def machine() -> dict:
