@@ -13,7 +13,10 @@ cost along it per policy; the line from grid point j is the stretch of the
 chain from its start node b_j to the node e_j of its chain end, then the
 nodes of that chain end's exit piece, which follow the chain in the same
 arrays.  So the tables take O(n * fill) memory, and no line copies the
-chain or an exit piece.
+chain or an exit piece.  An exit piece whose jump rate, running cost and
+post-jump kernel row are the same at every node (on a trivial flow, or
+outside the grid's hull, where the model data are clamped) is one interval
+from 0 to its end, with the arithmetic of one interval on its two nodes.
 
 A jump costs O(log K) interpreted work on a K-node line and makes neither a
 numpy call nor a Python call: the sojourn, its running cost and the
@@ -28,6 +31,15 @@ grid points, one on each neighbouring row brackets the search on their
 linear mixture, and only a failed bracket check calls the keyed bisect.
 Uniforms are drawn from the stream in blocks.
 
+A stationary line is one such constant exit piece and nothing else: no
+chain stretch, no boundary hit, and one stored kernel row for every
+post-jump draw (a pure-jump process has only these).  Its state does not
+move, so its sojourn is exponential, ``level / rate``, or past ``t_max`` the
+tail formula.  A jump on it costs one row search, not O(log K): the loop
+takes a short branch that does the general branch's arithmetic with the
+line's invariants (:class:`_Stationary`) in place of the searches, and so
+draws the same trajectory bit for bit.
+
 What does not change from one replication to the next is checked once: the
 policy's feasibility when its :class:`SimulationTables` are built, and in
 :func:`simulate` only that the tables belong to the model and policy given.
@@ -37,9 +49,11 @@ A replication's batch edges and batch-means standard error are those of
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +62,8 @@ from .operators import OperatorWorkspace, check_workspace
 DEFAULT_BATCHES = 20
 RATE_FLOOR = 1e-12
 UNIFORM_BLOCK = 1024  # uniforms per draw from the stream; even, so pairs never straddle blocks
+_DEAD_TAIL = ("drawn hazard level exceeds the tabulated horizon and the tail jump rate is (numerically) "
+              "zero; the model violates the divergence the rate floor is supposed to guarantee")
 
 
 class SimulationError(RuntimeError):
@@ -89,6 +105,24 @@ class _Nodes:
     actions: memoryview      # interval actions
 
 
+class _Stationary(NamedTuple):
+    """What a sojourn on a stationary line reads, in the jump loop's order.
+
+    The line has no chain stretch and no boundary hit, and its exit piece is
+    one interval of constant rate, cost and post-jump row.
+    """
+
+    rate: float              # the interval's hazard slope
+    end: float
+    hazard_end: float
+    lam_tail: float
+    f_sum: float             # the interval's f_left + f_right
+    cost_end: float
+    f_tail: float
+    row: list                # the cumulative kernel row of every post-jump draw
+    row_total: float         # that kernel row's sum()
+
+
 @dataclass(frozen=True, slots=True)
 class _Line:
     """One start state's feedback path: a stretch of the chain, then its chain end's exit piece.
@@ -98,7 +132,9 @@ class _Line:
     values at ``b``, and ``chain_*`` the hazard, time and running cost
     between ``b`` and ``e``.  ``x0``/``x1`` are the first and last nodes of
     the chain end's exit piece; the scalars are its totals and what a
-    sojourn past the tabulated horizon needs.
+    sojourn past the tabulated horizon needs.  ``stationary`` is what the
+    jump loop's short branch reads on a stationary line, and None on any
+    other line.
     """
 
     nodes: _Nodes            # shared by every line, not copied
@@ -122,18 +158,66 @@ class _Line:
     f_tail: float
     state_tail: float
     action_tail: int         # the exit piece's action
+    stationary: _Stationary | None
 
 
-def _node_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, int]:
+def _constant_exits(mesh, piece_action: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per exit piece, whether its tables are constant at the piece's action.
+
+    They are when the jump rate and the running cost are ``==`` at every node
+    and every node's post-jump row is the same: the node states are all
+    equal, or all at or below the first grid point, or all at or above the
+    last, where the kernel rows are clamped.
+    """
+    n_chain = mesh.n_chain
+    exit_start = int(mesh.node_start[n_chain])
+    first = mesh.node_start[n_chain:-1] - exit_start
+    piece = np.repeat(np.arange(first.size), np.diff(mesh.node_start[n_chain:]))
+    nodes = np.arange(exit_start, mesh.times.size)
+    actions = piece_action[n_chain:][piece]
+    states = mesh.states[exit_start:]
+
+    def every(flags):
+        return np.logical_and.reduceat(flags, first)
+
+    def equal(values):
+        return every(values == values[first][piece])
+
+    return (equal(mesh.lam_nodes[nodes, actions]) & equal(mesh.f_nodes[nodes, actions])
+            & (equal(states) | every(states <= points[0]) | every(states >= points[-1])))
+
+
+def _collapse_exits(mesh, constant: np.ndarray):
+    """``mesh`` with each exit piece flagged in ``constant`` cut to its first and last nodes."""
+    n_chain = mesh.n_chain
+    keep = np.ones(mesh.times.size, dtype=bool)
+    counts = np.diff(mesh.node_start) - 1
+    for p in (np.flatnonzero(constant) + n_chain).tolist():
+        keep[mesh.node_start[p] + 1:mesh.node_start[p + 1] - 1] = False
+        counts[p] = 1
+    kept = np.flatnonzero(keep)  # np.take of rows: a boolean mask is ten times slower on the 2-D tables
+    return dataclasses.replace(mesh, node_start=np.concatenate(([0], np.cumsum(counts + 1))),
+                               **{name: np.take(getattr(mesh, name), kept, axis=0)
+                                  for name in ("times", "states", "ilo", "wlo", "lam_nodes", "f_nodes")})
+
+
+def _node_tables(mesh, piece_action: np.ndarray, points: np.ndarray,
+                 n_lines: int) -> tuple[_Nodes, list, list, np.ndarray]:
     """The policy's :class:`_Nodes`, the chain node of each flow position,
-    and the shift from an exit piece's mesh node to its table node.
+    the first and last table nodes of each exit piece, and which exit
+    pieces are constant (:func:`_constant_exits`).
 
     The hazard slope of an interval is the trapezoid of the jump rates at its
     two nodes and the running cost is linear between its node values.  Every
     piece's hazard and cost are its own running sums from 0; the chain adds
     each segment's onto the totals of the segments before it, so rounding
-    does not build up over the whole chain.
+    does not build up over the whole chain.  A constant exit piece is one
+    interval from 0 to its end: the same slope, hazard and cost arithmetic
+    on its first and last nodes.
     """
+    constant = _constant_exits(mesh, piece_action, points)
+    if constant.any():
+        mesh = _collapse_exits(mesh, constant)
     n_chain = mesh.n_chain
     first, left = mesh.first, mesh.left
     k_chain = int(first[n_chain])
@@ -172,7 +256,32 @@ def _node_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, 
                     cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
                     f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)))
     node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
-    return tables, node_of, x_first - exit_start
+    exit_first = (mesh.node_start[n_chain:] + (x_first - exit_start)).tolist()
+    return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]])), constant
+
+
+def _fixed_row(points: list, y0: float, y1: float) -> int:
+    """The stored kernel row that every post-jump draw on the interval from
+    ``y0`` to ``y1`` reads, or -1 where no one row is sure.
+
+    The jump loop's jump point ``y0 + (y1 - y0) * frac``, ``frac >= 0``, is
+    ``y0`` when the two are equal, and else lies on ``y1``'s side of ``y0``
+    (or on it), whatever the rounding.  So an interval that starts at or
+    below the first grid point and moves down, or at or above the last and
+    moves up, draws every jump from the clamped first or last row; one that
+    does not move draws from the row the loop's weights give at ``y0``, when
+    they pick one stored row.
+    """
+    n = len(points)
+    if y1 < y0 <= points[0]:
+        return 0
+    if y1 > y0 >= points[-1]:
+        return n - 1
+    if y1 != y0:
+        return -1
+    i = min(max(bisect_right(points, y0) - 1, 0), n - 2)
+    w = 1.0 - min(max((y0 - points[i]) / (points[i + 1] - points[i]), 0.0), 1.0)
+    return i if w == 1.0 else i + 1 if w == 0.0 else -1
 
 
 class SimulationTables:
@@ -181,7 +290,9 @@ class SimulationTables:
     Besides the shared :class:`_Nodes` and one :class:`_Line` per start state
     it holds, as Python lists, the model data a post-jump draw reads: the
     grid points, the cumulative kernel rows, each kernel row's ``sum()`` and
-    the boundary charges.  An infeasible policy (an action outside a
+    the boundary charges.  A constant exit piece is one interval of the node
+    tables, and a stationary line carries its :class:`_Stationary`, which
+    holds its cumulative kernel row.  An infeasible policy (an action outside a
     state's feasible set, or outside the action grid) is refused with
     ``ValueError`` before anything is built, and so is a ``workspace`` built
     for another model.
@@ -196,8 +307,13 @@ class SimulationTables:
         self.policy = policy
         ws = workspace if workspace is not None else OperatorWorkspace(model)
         mesh = ws.mesh
+        self.points = model.grid.points.tolist()
+        self.interior_cum, self.interior_sum = _cumulative_rows(model.kernel_interior)
+        self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
+        self.boundary_cost = model.boundary_cost.tolist()
         piece_action = policy.interior[mesh.anchors]
-        self.nodes, node_of, shift = _node_tables(mesh, piece_action, model.n_states)
+        self.nodes, node_of, exit_nodes, constant = _node_tables(mesh, piece_action, model.grid.points,
+                                                                 model.n_states)
         nodes = self.nodes
         times, hazard, cost_cum = nodes.times, nodes.hazard, nodes.cost_cum
         position = np.argsort(ws.order).tolist()
@@ -206,8 +322,19 @@ class SimulationTables:
             ex = ws.exits[k]
             b, e = node_of[position[j]], node_of[ex.position]
             p = ex.piece
-            x0, x1 = int(mesh.node_start[p]) + shift, int(mesh.node_start[p + 1]) - 1 + shift
+            x0, x1 = exit_nodes[k]
             act = int(piece_action[p])
+            last = int(mesh.node_start[p + 1]) - 1
+            end, hazard_end, cost_end = times[x1], hazard[x1], cost_cum[x1]
+            lam_tail, f_tail = float(mesh.lam_nodes[last, act]), float(mesh.f_nodes[last, act])
+            stationary = None
+            if b == e and not ex.hit and constant[k]:
+                row = _fixed_row(self.points, nodes.states[x0], nodes.states[x1])
+                if row >= 0:
+                    stationary = _Stationary(
+                        rate=nodes.slope[x0], end=end, hazard_end=hazard_end, lam_tail=lam_tail,
+                        f_sum=nodes.f_left[x0] + nodes.f_right[x0], cost_end=cost_end, f_tail=f_tail,
+                        row=self.interior_cum[row][act], row_total=self.interior_sum[row][act])
             self.lines.append(_Line(
                 nodes=nodes, b=b, e=e, x0=x0, x1=x1,
                 hazard_b=hazard[b], time_b=times[b], cost_b=cost_cum[b],
@@ -217,18 +344,15 @@ class SimulationTables:
                 hit=ex.hit,
                 boundary_index=ex.boundary_index,
                 boundary_action=int(policy.boundary[ex.boundary_index]) if ex.hit else -1,
-                hazard_end=hazard[x1],
-                cost_end=cost_cum[x1],
-                end=times[x1],
-                lam_tail=float(mesh.lam_nodes[x1 - shift, act]),
-                f_tail=float(mesh.f_nodes[x1 - shift, act]),
+                hazard_end=hazard_end,
+                cost_end=cost_end,
+                end=end,
+                lam_tail=lam_tail,
+                f_tail=f_tail,
                 state_tail=nodes.states[x1],
                 action_tail=act,
+                stationary=stationary,
             ))
-        self.points = model.grid.points.tolist()
-        self.interior_cum, self.interior_sum = _cumulative_rows(model.kernel_interior)
-        self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
-        self.boundary_cost = model.boundary_cost.tolist()
 
 
 def _keyed_draw(lo: list, hi: list, w: float, v: float, target: float) -> int:
@@ -446,45 +570,55 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             block = _uniform_block(rng)
             drawn = 0
         u_jump = block[drawn + 1]
-        # the sojourn: inverse transform of the uniform on the cumulative
-        # hazard, over the nodes of the chain stretch (timed from node b) or
-        # of the exit piece (timed from its start, after the chain time); k
-        # is the interval holding it, -1 past the table
         level = -log1p(-block[drawn])
         drawn += 2
-        if level < line.chain_hazard:
-            level += line.hazard_b
-            k = bisect_right(n_hazard, level, line.b, line.e) - 1
-            t_base = line.time_b
-            t_before = 0.0
-        else:
-            level -= line.chain_hazard
-            k = bisect_right(n_hazard, level, line.x0, line.x1) - 1 if level < line.hazard_end else -1
-            t_base = 0.0
-            t_before = line.chain_time
-        if k >= 0:
-            m = n_slope[k]
-            t_k = n_times[k]
-            t_k1 = n_times[k + 1]
-            dt = t_k1 - t_k
-            sigma = (level - n_hazard[k]) / m if m > rate_floor else 0.0
-            frac = sigma / dt if dt > 0 else 0.0
-            y_k = n_states[k]
-            y_jump = y_k + (n_states[k + 1] - y_k) * frac
-            sojourn, hit, act = t_before + (t_k - t_base + sigma), False, n_actions[k]
-        else:
-            y_jump = line.state_tail
-            if line.hit:
-                sojourn, hit, act = t_before + line.end, True, line.boundary_action
-            elif line.lam_tail <= rate_floor:
-                raise SimulationError(
-                    "drawn hazard level exceeds the tabulated horizon and the tail "
-                    "jump rate is (numerically) zero; the model violates the "
-                    "divergence the rate floor is supposed to guarantee"
-                )
+        still = line.stationary
+        if still is not None:
+            # a stationary line: the general branch's arithmetic on its one
+            # interval, where the chain stretch, the node searches and the
+            # row interpolation drop out
+            rate, end, hazard_end, lam_tail, f_sum, cost_end, f_tail, row, row_total = still
+            hit = False
+            if level < hazard_end:
+                sojourn = level / rate if rate > rate_floor else 0.0
+            elif lam_tail <= rate_floor:
+                raise SimulationError(_DEAD_TAIL)
             else:
-                sojourn, hit, act = t_before + (line.end + (level - line.hazard_end) / line.lam_tail), False, \
-                    line.action_tail
+                sojourn = end + (level - hazard_end) / lam_tail
+        else:
+            # the sojourn: inverse transform of the uniform on the cumulative
+            # hazard, over the nodes of the chain stretch (timed from node b)
+            # or of the exit piece (timed from its start, after the chain
+            # time); k is the interval holding it, -1 past the table
+            if level < line.chain_hazard:
+                level += line.hazard_b
+                k = bisect_right(n_hazard, level, line.b, line.e) - 1
+                t_base = line.time_b
+                t_before = 0.0
+            else:
+                level -= line.chain_hazard
+                k = bisect_right(n_hazard, level, line.x0, line.x1) - 1 if level < line.hazard_end else -1
+                t_base = 0.0
+                t_before = line.chain_time
+            if k >= 0:
+                m = n_slope[k]
+                t_k = n_times[k]
+                t_k1 = n_times[k + 1]
+                dt = t_k1 - t_k
+                sigma = (level - n_hazard[k]) / m if m > rate_floor else 0.0
+                frac = sigma / dt if dt > 0 else 0.0
+                y_k = n_states[k]
+                y_jump = y_k + (n_states[k + 1] - y_k) * frac
+                sojourn, hit, act = t_before + (t_k - t_base + sigma), False, n_actions[k]
+            else:
+                y_jump = line.state_tail
+                if line.hit:
+                    sojourn, hit, act = t_before + line.end, True, line.boundary_action
+                elif line.lam_tail <= rate_floor:
+                    raise SimulationError(_DEAD_TAIL)
+                else:
+                    sojourn, hit, act = t_before + (line.end + (level - line.hazard_end) / line.lam_tail), False, \
+                        line.action_tail
         t_next = t + sojourn
         # a jump landing exactly on the horizon still counts (T_i <= t convention)
         if t_next > horizon:
@@ -498,71 +632,80 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
             next_edge = edges[len(edge_costs)]
 
-        # the running cost of the sojourn: _cost_to(line, sojourn), with the
-        # sojourn's interval k as the guess at the interval holding it
-        tau = sojourn
-        if tau < line.chain_time:
-            lo, hi, c_base, c_before = line.b, line.e, line.cost_b, 0.0
-            tau += line.time_b
-        else:
-            tau -= line.chain_time
-            lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
-            if tau >= line.end:  # past the table: no interval to integrate
-                lo = -1
-                cost_f += line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
-        if lo >= 0:
-            # t_k and t_k1 still hold the times at the ends of the sojourn's interval k
-            if not (lo <= k < hi and t_k <= tau < t_k1):
-                k = bisect_right(n_times, tau, lo, hi) - 1
-                t_k = n_times[k]
-                t_k1 = n_times[k + 1]
-            dt = t_k1 - t_k
-            sigma = tau - t_k
-            f_k = n_f_left[k]
-            f_at = f_k + (n_f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
-            cost_f += c_before + (n_cost[k] - c_base + 0.5 * sigma * (f_k + f_at))
-
-        # the post-jump state: the first whose cumulative kernel mass reaches
-        # u times the row's, on the boundary row on a hit, else on the kernel
-        # row interpolated between the grid points around y_jump; between
-        # them the search on the mixed key is bracketed by the first
-        # crossings of the two rows (checked one past each end; _keyed_draw
-        # when a check fails)
-        if hit:
-            b, a = line.boundary_index, line.boundary_action
-            cost_r += boundary_cost[b][a]
-            hits += 1
-            j = bisect_left(boundary_cum[b][a], u_jump * boundary_sum[b][a])
-        else:
-            i = bisect_right(points, y_jump) - 1
-            if i < 0:
-                i = 0
-            elif i > n - 2:
-                i = n - 2
-            frac = (y_jump - points[i]) / (points[i + 1] - points[i])
-            if frac < 0.0:
-                frac = 0.0
-            elif frac > 1.0:
-                frac = 1.0
-            w = 1.0 - frac
-            if w == 1.0:
-                j = bisect_left(cum[i][act], u_jump * total[i][act])
-            elif w == 0.0:
-                j = bisect_left(cum[i + 1][act], u_jump * total[i + 1][act])
+        if still is not None:
+            # _cost_to(line, sojourn) on the one interval, and the post-jump
+            # state on the line's one kernel row
+            if sojourn < end:
+                cost_f += 0.5 * sojourn * f_sum
             else:
-                v = 1.0 - w
-                row_lo, row_hi = cum[i][act], cum[i + 1][act]
-                target = u_jump * (w * total[i][act] + v * total[i + 1][act])
-                j = bisect_left(row_lo, target)
-                end = bisect_left(row_hi, target)
-                if end < j:
-                    j, end = end, j
-                if (j == 0 or w * row_lo[j - 1] + v * row_hi[j - 1] < target) and \
-                        (end == n or w * row_lo[end] + v * row_hi[end] >= target):
-                    while j < end and w * row_lo[j] + v * row_hi[j] < target:
-                        j += 1
+                cost_f += cost_end + (sojourn - end) * f_tail
+            j = bisect_left(row, u_jump * row_total)
+        else:
+            # the running cost of the sojourn: _cost_to(line, sojourn), with
+            # the sojourn's interval k as the guess at the interval holding it
+            tau = sojourn
+            if tau < line.chain_time:
+                lo, hi, c_base, c_before = line.b, line.e, line.cost_b, 0.0
+                tau += line.time_b
+            else:
+                tau -= line.chain_time
+                lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
+                if tau >= line.end:  # past the table: no interval to integrate
+                    lo = -1
+                    cost_f += line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
+            if lo >= 0:
+                # t_k and t_k1 still hold the times at the ends of the sojourn's interval k
+                if not (lo <= k < hi and t_k <= tau < t_k1):
+                    k = bisect_right(n_times, tau, lo, hi) - 1
+                    t_k = n_times[k]
+                    t_k1 = n_times[k + 1]
+                dt = t_k1 - t_k
+                sigma = tau - t_k
+                f_k = n_f_left[k]
+                f_at = f_k + (n_f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
+                cost_f += c_before + (n_cost[k] - c_base + 0.5 * sigma * (f_k + f_at))
+
+            # the post-jump state: the first whose cumulative kernel mass
+            # reaches u times the row's, on the boundary row on a hit, else
+            # on the kernel row interpolated between the grid points around
+            # y_jump; between them the search on the mixed key is bracketed
+            # by the first crossings of the two rows (checked one past each
+            # end; _keyed_draw when a check fails)
+            if hit:
+                b, a = line.boundary_index, line.boundary_action
+                cost_r += boundary_cost[b][a]
+                hits += 1
+                j = bisect_left(boundary_cum[b][a], u_jump * boundary_sum[b][a])
+            else:
+                i = bisect_right(points, y_jump) - 1
+                if i < 0:
+                    i = 0
+                elif i > n - 2:
+                    i = n - 2
+                frac = (y_jump - points[i]) / (points[i + 1] - points[i])
+                if frac < 0.0:
+                    frac = 0.0
+                elif frac > 1.0:
+                    frac = 1.0
+                w = 1.0 - frac
+                if w == 1.0:
+                    j = bisect_left(cum[i][act], u_jump * total[i][act])
+                elif w == 0.0:
+                    j = bisect_left(cum[i + 1][act], u_jump * total[i + 1][act])
                 else:
-                    j = _keyed_draw(row_lo, row_hi, w, v, target)
+                    v = 1.0 - w
+                    row_lo, row_hi = cum[i][act], cum[i + 1][act]
+                    target = u_jump * (w * total[i][act] + v * total[i + 1][act])
+                    j = bisect_left(row_lo, target)
+                    j_end = bisect_left(row_hi, target)
+                    if j_end < j:
+                        j, j_end = j_end, j
+                    if (j == 0 or w * row_lo[j - 1] + v * row_hi[j - 1] < target) and \
+                            (j_end == n or w * row_lo[j_end] + v * row_hi[j_end] >= target):
+                        while j < j_end and w * row_lo[j] + v * row_hi[j] < target:
+                            j += 1
+                    else:
+                        j = _keyed_draw(row_lo, row_hi, w, v, target)
         if j > last:
             j = last
         jumps += 1

@@ -1,14 +1,15 @@
 import copy
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _cost_to, _Line, _Nodes,
-                                    _rng_stream, _standard_error, _uniform_block)
+from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _constant_exits, _cost_to, _Line,
+                                    _Nodes, _rng_stream, _standard_error, _uniform_block)
 
 import reference_simulation
 from reference_quadrature import policy_paths
@@ -120,21 +121,45 @@ class TestLineTables:
     def test_match_the_reference_paths(self, models, workspaces):
         # a line's chain stretch and exit piece hold the reference path's
         # tables; a line that passes no grid point is its exit piece alone,
-        # whose tables are the reference path's bit for bit
+        # whose tables are the reference path's bit for bit.  A constant exit
+        # piece is one interval: the reference path's rate and cost are equal
+        # at every node of its exit and its states share one post-jump row,
+        # the interval holds the path's first exit interval and last node,
+        # and its end, hazard and cost are the path's over the whole exit
         rng = np.random.default_rng(61)
         for name, model in models.items():
             ws = workspaces[name]
+            points = model.grid.points
             for policy in (pa.FeedbackPolicy.lowest_feasible(model),
                            pa.FeedbackPolicy.random_feasible(model, rng)):
                 tables = pa.prepare_simulation(model, policy, workspace=ws)
                 for line, path in zip(tables.lines, policy_paths(ws, policy)):
                     f_left, f_right = path.node_table_values(model.running_cost)
                     got = line_arrays(line)
-                    for key, want in (("times", path.times), ("states", path.states),
-                                      ("hazard", path.cum_hazard), ("slope", path.hazard_slope),
-                                      ("f_left", f_left), ("f_right", f_right),
-                                      ("actions", path.interval_actions)):
+                    wanted = {"times": path.times, "states": path.states, "hazard": path.cum_hazard,
+                              "slope": path.hazard_slope, "f_left": f_left, "f_right": f_right,
+                              "actions": path.interval_actions}
+                    k_chain, size = line.e - line.b, path.dt.size
+                    collapsed = line.x1 - line.x0 < size - k_chain
+                    if collapsed:
+                        assert line.x1 == line.x0 + 1, name
                         if line.b == line.e:
+                            # the exit piece alone, on the path's own nodes; every
+                            # exit piece is its chain end's line's
+                            for values in (path.lam_left, path.lam_right, f_left, f_right):
+                                assert np.all(values == values[0]), name
+                            assert (np.all(path.states == path.states[0]) or np.all(path.states <= points[0])
+                                    or np.all(path.states >= points[-1])), name
+                        cost = np.sum(0.5 * path.dt[k_chain:] * (f_left[k_chain:] + f_right[k_chain:]))
+                        for got_end, want_end in ((line.end, path.times[-1] - path.times[k_chain]),
+                                                  (line.hazard_end, path.cum_hazard[-1] - path.cum_hazard[k_chain]),
+                                                  (line.cost_end, cost)):
+                            assert abs(got_end - want_end) <= 1e-12 * max(1.0, abs(want_end)), name
+                        kept_nodes, kept_intervals = np.r_[:k_chain + 1, size], np.arange(k_chain + 1)
+                        wanted = {key: want[kept_nodes if key in ("times", "states", "hazard") else kept_intervals]
+                                  for key, want in wanted.items()}
+                    for key, want in wanted.items():
+                        if line.b == line.e and not (collapsed and key == "hazard"):
                             assert np.array_equal(got[key], want), (name, key)
                         else:
                             assert got[key].shape == want.shape, (name, key)
@@ -143,7 +168,8 @@ class TestLineTables:
                     assert (line.hit, line.boundary_index, line.boundary_action) == \
                         (path.hit, path.boundary_index, path.boundary_action)
                     assert line.lam_tail == path.lam_right[-1]
-                    assert abs(line.chain_hazard + line.hazard_end - path.cum_hazard[-1]) <= 1e-12
+                    if not collapsed:  # a collapsed exit's hazard is checked relative to the path's above
+                        assert abs(line.chain_hazard + line.hazard_end - path.cum_hazard[-1]) <= 1e-12
 
     def test_lines_share_one_chain(self, models, workspaces):
         # no line copies the chain or an exit piece: the tables hold one node
@@ -151,9 +177,18 @@ class TestLineTables:
         # that ends on the same chain end reads that end's exit nodes
         for name in ("drift_boundary_64", "ctmdp_3state"):
             model, ws = models[name], workspaces[name]
-            tables = pa.prepare_simulation(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws)
+            policy = pa.FeedbackPolicy.lowest_feasible(model)
+            tables = pa.prepare_simulation(model, policy, workspace=ws)
             assert all(line.nodes is tables.nodes for line in tables.lines)
-            assert len(tables.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
+            meshed = reference_simulation.meshed_tables(model, policy, workspace=ws)
+            assert len(meshed.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
+            # a constant exit piece keeps its first and last nodes: every one
+            # of ctmdp_3state's, none of drift_boundary_64's
+            mesh, n_chain = ws.mesh, ws.mesh.n_chain
+            exit_sizes = np.diff(mesh.node_start)[n_chain:]
+            constant = _constant_exits(mesh, policy.interior[mesh.anchors], model.grid.points)
+            assert constant.all() if name == "ctmdp_3state" else not constant.any()
+            assert len(tables.nodes.times) == len(meshed.nodes.times) - int(np.sum((exit_sizes - 2)[constant]))
             ends = ws.exit_of.tolist()
             exit_nodes = {k: (line.x0, line.x1) for k, line in zip(ends, tables.lines)}
             assert all((line.x0, line.x1) == exit_nodes[k] for k, line in zip(ends, tables.lines)), name
@@ -197,7 +232,7 @@ def loop_draws(tables, line, hit: bool, y: float, action: int, us: list) -> list
                  chain_hazard=0.0, chain_time=0.0, chain_cost=0.0, hit=hit,
                  boundary_index=line.boundary_index, boundary_action=line.boundary_action,
                  hazard_end=rate, cost_end=0.0, end=1.0, lam_tail=1.0, f_tail=0.0, state_tail=y,
-                 action_tail=action)
+                 action_tail=action, stationary=None)
     resting = copy.copy(tables)
     resting.nodes, resting.lines = nodes, [rest] * len(tables.lines)
     block = [0.5, 0.5] * (UNIFORM_BLOCK // 2)
@@ -368,6 +403,116 @@ def test_trajectories_match_the_reference_loop(flow, data):
         assert (rec.running_cost_total, rec.boundary_cost_total, rec.final_time) == \
             (ref_rec.running_cost_total, ref_rec.boundary_cost_total, ref_rec.final_time)
         assert summ == ref_summ
+
+
+def stationary_cases(tables, record, x0: int, seed: int, replication: int) -> Counter:
+    """How many recorded jumps left a stationary line inside its one interval, and how many past it.
+
+    A jump's hazard level is the first uniform of its pair, read again from
+    the replication's stream.
+    """
+    rng = _rng_stream(seed, replication)
+    uniforms = []
+    while len(uniforms) < 2 * record.jump_count:
+        uniforms += _uniform_block(rng)
+    cases = Counter()
+    for i, j in enumerate([x0] + record.post_jump_states[:-1].tolist()):
+        still = tables.lines[j].stationary
+        if still is not None:
+            cases["in_piece" if -math.log1p(-uniforms[2 * i]) < still.hazard_end else "past_t_max"] += 1
+    return cases
+
+
+def test_reference_loop_examples_reach_both_stationary_cases(monkeypatch, capsys):
+    # the trivial-flow examples of test_trajectories_match_the_reference_loop
+    # prove the stationary branch bit-identical to the reference loop; they
+    # draw sojourns inside the one interval and past t_max alike
+    cases = Counter()
+    simulate = pa.simulate
+
+    def counting(model, policy, x0, horizon, seed, **kwargs):
+        out = simulate(model, policy, x0, horizon, seed, **kwargs)
+        cases.update(stationary_cases(kwargs["tables"], out[0], x0, seed, kwargs["replication"]))
+        return out
+
+    monkeypatch.setattr(pa, "simulate", counting)
+    test_trajectories_match_the_reference_loop("trivial")
+    with capsys.disabled():
+        print(f"\nstationary jumps in the trivial reference-loop examples: {dict(cases)}")
+    assert cases["in_piece"] > 0 and cases["past_t_max"] > 0
+
+
+def assert_meshed_trajectory(tables, meshed, model, policy, x0, horizon, seed, **kwargs):
+    """The trajectory on collapsed tables is the one on the meshed tables: the
+    same post-jump states, hit flags and jump count, and jump times, costs at
+    jumps and average within 1e-12 relative."""
+    got = _outcome(pa.simulate, model, policy, x0, horizon, seed, tables=tables, **kwargs)
+    want = _outcome(pa.simulate, model, policy, x0, horizon, seed, tables=meshed, **kwargs)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (rec, summ), (ref_rec, ref_summ) = got, want
+    assert rec.jump_count == ref_rec.jump_count > 0
+    assert np.array_equal(rec.post_jump_states, ref_rec.post_jump_states)
+    assert np.array_equal(rec.hit_boundary, ref_rec.hit_boundary)
+    for name in ("jump_times", "cost_at_jumps"):
+        got_values, want_values = getattr(rec, name), getattr(ref_rec, name)
+        assert np.all(np.abs(got_values - want_values) <= 1e-12 * np.abs(want_values)), name
+    assert abs(summ.average - ref_summ.average) <= 1e-12 * abs(ref_summ.average)
+
+
+class TestStationaryLines:
+    """Constant exit pieces cut to one interval, and the jump loop's branch for lines that are only such a piece."""
+
+    @pytest.mark.parametrize("name", ["ctmdp_2state", "ctmdp_3state", "renewal_cycle", "drift_boundary_64",
+                                      "decay_flow_16"])
+    def test_trajectories_match_the_meshed_tables(self, models, workspaces, solved, name):
+        model, ws = models[name], workspaces[name]
+        for policy in (solved[name][1], pa.FeedbackPolicy.lowest_feasible(model),
+                       pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(8))):
+            tables = pa.prepare_simulation(model, policy, workspace=ws)
+            meshed = reference_simulation.meshed_tables(model, policy, workspace=ws)
+            for replication, x0 in enumerate((0, model.n_states - 1)):
+                assert_meshed_trajectory(tables, meshed, model, policy, x0, 1e3, 424242, replication=replication)
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_trajectories_match_the_meshed_tables_on_random_models(self, flow, data):
+        doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
+        model = pa.model_from_dict(doc)
+        ws = pa.OperatorWorkspace(model, fill)
+        rng = np.random.default_rng(seed)
+        for policy in (pa.FeedbackPolicy.lowest_feasible(model), pa.FeedbackPolicy.random_feasible(model, rng)):
+            tables = pa.prepare_simulation(model, policy, workspace=ws)
+            meshed = reference_simulation.meshed_tables(model, policy, workspace=ws)
+            assert_meshed_trajectory(tables, meshed, model, policy, int(rng.integers(model.n_states)),
+                                     float(rng.uniform(5.0, 40.0)), seed, replication=int(rng.integers(4)))
+
+    def test_no_hit_line_is_stationary_on_the_bundled_models(self, models, workspaces, solved):
+        # nor any line of drift_boundary_64, whose exit piece varies
+        for name, model in models.items():
+            for policy in (solved[name][1], pa.FeedbackPolicy.lowest_feasible(model),
+                           pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(9))):
+                lines = pa.prepare_simulation(model, policy, workspace=workspaces[name]).lines
+                assert not any(line.hit and line.stationary is not None for line in lines), name
+                if name == "drift_boundary_64":
+                    assert all(line.stationary is None for line in lines)
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_no_hit_line_is_stationary_on_random_models(self, flow, data):
+        # and every line of a trivial flow is
+        doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
+        model = pa.model_from_dict(doc)
+        ws = pa.OperatorWorkspace(model, fill)
+        rng = np.random.default_rng(seed)
+        for policy in (pa.FeedbackPolicy.lowest_feasible(model), pa.FeedbackPolicy.random_feasible(model, rng)):
+            lines = pa.prepare_simulation(model, policy, workspace=ws).lines
+            assert not any(line.hit and line.stationary is not None for line in lines)
+            if flow == "trivial":
+                assert all(line.stationary is not None for line in lines)
 
 
 class TestRunningCost:
@@ -651,7 +796,10 @@ class TestMcValidate:
 # Per-replication means (float.hex), summed jumps and summed boundary hits of
 # the PIA-optimal policy at seed 424242, 8 reps x horizon 2e3, on the refined
 # workspace of the lowest feasible policy.  Any change to the trajectories the
-# simulator draws shows up here.
+# simulator draws shows up here.  Cutting the constant exit pieces to one
+# interval moved eight means of ctmdp_3state and decay_flow_16 by 1-2 ulps
+# (at most 4e-16 relative: the exact hazard and cost of one interval against
+# the rounding of the meshed running sums); jumps and hits did not move.
 GOLDEN = {
     "ctmdp_2state": (
         ["0x1.8ee673972a01cp+0", "0x1.8f7dddbf157e5p+0", "0x1.9027d1b9ff17fp+0",
@@ -659,9 +807,9 @@ GOLDEN = {
          "0x1.95edc4683ea9cp+0", "0x1.8bff3950cc712p+0"],
         19644, 0),
     "ctmdp_3state": (
-        ["0x1.dbf8d4371ce10p+0", "0x1.dd53dcf3b385dp+0", "0x1.dc2fa29de1382p+0",
-         "0x1.dd4c3d6bf5064p+0", "0x1.dc1bdbf39cc5ep+0", "0x1.dc9335b5da352p+0",
-         "0x1.dc5c029213fe4p+0", "0x1.dd4fe4dbe94d0p+0"],
+        ["0x1.dbf8d4371ce10p+0", "0x1.dd53dcf3b385dp+0", "0x1.dc2fa29de1383p+0",
+         "0x1.dd4c3d6bf5066p+0", "0x1.dc1bdbf39cc5ep+0", "0x1.dc9335b5da351p+0",
+         "0x1.dc5c029213fe3p+0", "0x1.dd4fe4dbe94d0p+0"],
         20290, 0),
     "renewal_cycle": (
         ["0x1.6666666666750p-1"] * 8,
@@ -672,9 +820,9 @@ GOLDEN = {
          "0x1.1536ac83e6ae3p+0", "0x1.1666dc6648c80p+0"],
         27568, 13498),
     "decay_flow_16": (
-        ["0x1.1fbfb53abb4f8p-1", "0x1.20217214838c6p-1", "0x1.1f6d6d2f7b108p-1",
-         "0x1.20df08da7f232p-1", "0x1.209999584029ep-1", "0x1.20f502178e924p-1",
-         "0x1.2022fe78bdde0p-1", "0x1.20e7cb8bffeeep-1"],
+        ["0x1.1fbfb53abb4f8p-1", "0x1.20217214838c6p-1", "0x1.1f6d6d2f7b107p-1",
+         "0x1.20df08da7f232p-1", "0x1.209999584029ep-1", "0x1.20f502178e923p-1",
+         "0x1.2022fe78bdddep-1", "0x1.20e7cb8bffeefp-1"],
         13533, 0),
 }
 

@@ -15,8 +15,13 @@ simulation tables prepared once: ``mc_us_per_jump`` is the median over
 per jump, and ``mc_fixed_us`` the time of a replication whose horizon ends
 before its first jump (the per-replication cost of keying the stream,
 drawing the first uniforms, the batch edges and the summary), the median of
-``SAMPLES`` batches of ``MC_FIXED_CALLS``.  ``rss_after_load_mb`` is the
-process's peak RSS right after the first load, ``peak_rss_mb`` at the end.
+``SAMPLES`` batches of ``MC_FIXED_CALLS``.  No line of drift_N is
+stationary (a line that is one constant exit piece and never hits the
+boundary): every drift_N line ends on the boundary, so the ``mc_*`` columns
+time the general jump branch only, never the simulator's short branch for
+stationary lines.  ``rss_after_load_mb`` is the process's peak RSS right
+after the first load, ``peak_rss_mb`` at the end.  Every time is recorded
+to 3 significant figures.
 
 Each measuring process runs the benchmark's host-speed probe
 (``perfbench/speed.py``'s ``SpeedProbe``, loaded by path) throughout.
@@ -129,20 +134,24 @@ def measure(path) -> dict:
     finally:
         ended = time.perf_counter()
         probe.stop()
-    for key, spans, factors, digits in columns:
-        row[key] = round(float(np.median([(t1 - t0) * f for (t0, t1), f in zip(spans, factors)])), digits)
-        row[f"ref_{key}"] = round(float(np.median([probe.seconds(t0, t1) * f
-                                                   for (t0, t1), f in zip(spans, factors)])), digits)
+    for key, spans, factors in columns:
+        row[key] = _significant(np.median([(t1 - t0) * f for (t0, t1), f in zip(spans, factors)]))
+        row[f"ref_{key}"] = _significant(np.median([probe.seconds(t0, t1) * f for (t0, t1), f in zip(spans, factors)]))
     row["slowdown"] = round(probe.slowdown(begun, ended), 3)
     return row
 
 
+def _significant(value: float) -> float:
+    """``value`` to 3 significant figures."""
+    return float(f"{value:.3g}")
+
+
 def _measure(path) -> tuple[dict, list]:
-    """The row's untimed columns, and per timed column ``(key, spans, factor per span to its unit, digits)``."""
+    """The row's untimed columns, and per timed column ``(key, spans, factor per span to its unit)``."""
     columns = []
 
-    def timed(key, call, before=None, factors=(1.0,) * SAMPLES, digits=4):
-        columns.append((key, _timed(call, before), factors, digits))
+    def timed(key, call, before=None, factors=(1.0,) * SAMPLES):
+        columns.append((key, _timed(call, before), factors))
 
     model = pa.load_model(path)
     rss_after_load = _rss_mb()
@@ -175,8 +184,8 @@ def _measure(path) -> tuple[dict, list]:
             pa.simulate(model, policy, 0, 1e-9, 1, replication=r, record=False, tables=tables)
 
     spans = _timed(replication)
-    columns.append(("mc_us_per_jump", spans, [1e6 / j for j in jumps], 3))
-    timed("mc_fixed_us", short_replications, factors=(1e6 / MC_FIXED_CALLS,) * SAMPLES, digits=1)
+    columns.append(("mc_us_per_jump", spans, [1e6 / j for j in jumps]))
+    timed("mc_fixed_us", short_replications, factors=(1e6 / MC_FIXED_CALLS,) * SAMPLES)
     return {
         "n": model.n_states,
         "refined_fill": fill,
