@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorWorkspace, check_workspace, refined_workspace
+from .operators import DEFAULT_FILL, OperatorWorkspace, check_workspace, refined_workspace
 
 DEFAULT_TOL = 1e-8
 POWER_TOL = 1e-12
@@ -328,7 +328,7 @@ def residual(model, policy, result: EvaluationResult, *,
     tiny on its mesh while the operators are still unconverged.
     """
     check_workspace(model, workspace)
-    fill = int(result.stats.get("fill", 8)) if result.stats else 8
+    fill = int(result.stats.get("fill", DEFAULT_FILL)) if result.stats else DEFAULT_FILL
     ws = workspace if workspace is not None else OperatorWorkspace(model, fill * 2)
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
     defect = result.h + result.rho * ell - cost - kernel @ result.h

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import FlowSpec, flow_derivative, validate_flow
-from .numerics import Table1D, phi0 as _phi0
+from .numerics import Table1D, phi01
 
 SCHEMA_VERSION = "pdmp-model/1"
 LOAD_ROWSUM_TOL = 1e-6
@@ -504,17 +504,22 @@ class AuditReport:
 def _piece_integrals(model: PdmpModel, ws, rate: float, v_nodes=None):
     """Per piece of ``ws``: int e^{rate s - int lambda_lower} v ds from its start, and the exponent at its end.
 
-    With ``v_nodes`` (values at the mesh nodes) the integrand v is linear
-    between nodes and the exponential weight frozen at each interval's left
-    node; without it v = 1 and the weight is integrated exactly (phi0).
+    v is linear between the mesh nodes (``v_nodes``; 1 by default) and
+    lambda_lower - rate is frozen to its trapezoidal slope on each interval,
+    whose exponential weight is integrated exactly, as in the engine:
+    e^{-rel} dt (v_l (phi0 - phi1) + v_r phi1), written
+    v_l phi0 + (v_r - v_l) phi1 so that v = 1 gives phi0 to the bit.  A
+    constant piece is exact on its one interval.
     """
     mesh = ws.mesh
     lam_low = Table1D(model.grid.points, model.constants.lambda_lower)(mesh.states)
     left, dt = mesh.left, mesh.dt
     z = (0.5 * (lam_low[left] + lam_low[left + 1]) - rate) * dt
     rel = mesh.running_sums(z)
+    p0, p1 = phi01(z)
+    v = np.ones(mesh.times.size) if v_nodes is None else v_nodes
     weight = np.exp(-rel[left]) * dt
-    weight *= _phi0(z) if v_nodes is None else 0.5 * (v_nodes[left] + v_nodes[left + 1])
+    weight *= v[left] * p0 + (v[left + 1] - v[left]) * p1
     return np.add.reduceat(weight, mesh.first[:-1]), rel[mesh.node_start[1:] - 1]
 
 

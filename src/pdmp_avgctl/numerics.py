@@ -11,18 +11,9 @@ import numpy as np
 _SERIES_CUTOFF = 1e-4
 
 
-def phi0(z):
-    """(1 - exp(-z)) / z, stable near z = 0; phi0(0) = 1."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < _SERIES_CUTOFF
-    zs = np.where(small, 1.0, z)
-    exact = -np.expm1(-zs) / zs
-    series = 1.0 - z / 2.0 + z * z / 6.0
-    return np.where(small, series, exact)
-
-
 def phi01(z):
-    """(phi0(z), phi1(z)) from one expm1, with the same series near z = 0."""
+    """phi0(z) = (1 - exp(-z)) / z and phi1(z) = (1 - (1 + z) exp(-z)) / z^2
+    from one expm1, with a truncated series near z = 0 (phi0(0) = 1, phi1(0) = 1/2)."""
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _SERIES_CUTOFF
     zs = np.where(small, 1.0, z)

@@ -23,7 +23,11 @@ t*(x_b) or, when t*(x_b) > t_max, at t_max (``t_max`` bounds only this final
 piece).  The mesh is built once per distinct *piece*, each timed from its own
 start: one per inter-grid segment, shared by every line that passes it, and
 one per chain end, shared by every line that ends there.  Mesh and tables
-take O(n * fill) memory.
+take O(n * fill) memory.  An exit piece whose two end states are equal (a
+trivial flow, or a chain end on the flow's fixed point) or lie at or beyond
+the same end of the rate coordinates, where the model data are clamped, has
+the same jump rate, running cost and kernel row all along for every action;
+it is one interval (``_Exit.constant``), on which the quadrature is exact.
 
 The control along a line is piecewise constant per piece: the action of the
 grid point a piece starts from governs it.  The quadrature is therefore
@@ -174,19 +178,60 @@ class _Exit:
     piece: int
     hit: bool            # the piece ends on the boundary, else at t_max
     boundary_index: int  # -1 without a hit
+    constant: bool       # jump rate, running cost and kernel row are the same all along: one interval
 
 
-def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, lam_sup: float, base_h: float,
-                     fill: int) -> np.ndarray:
+def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, one_interval: np.ndarray, lam_sup: float,
+                     base_h: float, fill: int) -> np.ndarray:
     """Intervals per piece: each at most 0.25 / lambda_sup long, and a budget
     proportional to the piece's duration (relative to the model's shortest
     inter-grid transit), so contracting flows refine evenly in time and every
     line sees the same spacing; an exit piece that stops at t_max takes at
-    least max(MIN_TAIL_INTERVALS, fill) intervals instead."""
+    least max(MIN_TAIL_INTERVALS, fill) intervals instead.  A constant exit
+    piece (``one_interval``) takes one interval, on which the quadrature is
+    exact."""
     counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
     budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
     budget[truncated_tail] = max(MIN_TAIL_INTERVALS, fill)
-    return np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+    counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+    counts[one_interval] = 1
+    return counts
+
+
+def _flow_states(flow: FlowSpec, origin: np.ndarray, times: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The state at each node, on pieces that start from ``origin`` at the nodes flagged in ``starts``."""
+    if flow.kind == "trivial":
+        return origin
+    if flow.kind == "affine1d":
+        if flow.alpha1 == 0.0:
+            return origin + flow.alpha0 * times
+        ystar = -flow.alpha0 / flow.alpha1
+        return ystar + (origin - ystar) * np.exp(flow.alpha1 * times)
+    # node times never pass a piece's end, so no boundary re-check
+    states = origin.copy()
+    dt = np.diff(times).tolist()
+    for i in np.flatnonzero(~starts).tolist():
+        states[i] = _tabulated_advance(flow, states[i - 1], dt[i - 1])
+    return states
+
+
+def _constant_exits(model, x0: np.ndarray, dur: np.ndarray) -> np.ndarray:
+    """Per exit piece from ``x0`` of duration ``dur``, whether it is constant.
+
+    It is when its two end states, as a one-interval mesh places them, are
+    equal, or lie at or beyond the same end of the rate coordinates (and so
+    of the grid), where the jump rate, running cost and kernel row are
+    clamped for every action.  A 1-D flow is monotone, so the two end states
+    bound the whole piece.  The rate coordinates hold the boundary points,
+    so a piece that hits the boundary is constant only when it has length 0.
+    """
+    origin = np.repeat(x0, 2)
+    times = np.zeros(origin.size)
+    times[1::2] = dur
+    states = _flow_states(model.flow, origin, times, np.arange(origin.size) % 2 == 0)
+    s0, s1 = states[::2], states[1::2]
+    lo, hi = model.rate_coords[[0, -1]]
+    return (s0 == s1) | ((s0 <= lo) & (s1 <= lo)) | ((s0 >= hi) & (s1 >= hi))
 
 
 def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.ndarray]:
@@ -207,25 +252,23 @@ def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.nd
     # does not cut it; a line runs on to the first chain end
     goes_on = [math.isfinite(t) and s > t for t, s in zip(transit, t_star)]
     ends = [q for q in range(n) if q >= n_chain or not goes_on[q]]
-    exits = []
-    for k, q in enumerate(ends):
-        hit = t_star[q] <= t_max
-        boundary_index = -1
-        if hit:
-            z = advance(flow, xs[q], t_star[q])
-            boundary_index = int(np.argmin(np.abs(model.grid.boundary_points - z)))
-        exits.append(_Exit(position=q, piece=n_chain + k, hit=hit, boundary_index=boundary_index))
+    hits = [t_star[q] <= t_max for q in ends]
+    boundary_index = [int(np.argmin(np.abs(model.grid.boundary_points - advance(flow, xs[q], t_star[q]))))
+                      if hit else -1 for q, hit in zip(ends, hits)]
+    # a segment no line runs along is meshed with zero length
+    dur = np.array([t if on else 0.0 for t, on in zip(transit, goes_on)]
+                   + [t_star[q] if hit else t_max for q, hit in zip(ends, hits)])
+    constant = _constant_exits(model, points[order[ends]], dur[n_chain:])
+    exits = [_Exit(position=q, piece=n_chain + k, hit=hit, boundary_index=b, constant=c)
+             for k, (q, hit, b, c) in enumerate(zip(ends, hits, boundary_index, constant.tolist()))]
     exit_of = np.empty(n, dtype=np.int64)
     exit_of[order] = np.searchsorted(ends, np.arange(n))
 
-    # a segment no line runs along is meshed with zero length
-    dur = np.array([t if on else 0.0 for t, on in zip(transit, goes_on)]
-                   + [t_star[e.position] if e.hit else t_max for e in exits])
     anchors = order[np.concatenate((np.arange(n_chain), ends)).astype(np.int64)]
-    truncated_tail = np.zeros(dur.size, dtype=bool)
-    truncated_tail[n_chain:] = [not e.hit for e in exits]
+    truncated_tail = np.concatenate((np.zeros(n_chain, dtype=bool), np.logical_not(hits)))
+    one_interval = np.concatenate((np.zeros(n_chain, dtype=bool), constant))
     shortest = min((t for t in transit if t > 0.0), default=math.inf)
-    counts = _interval_counts(dur, truncated_tail, model.lambda_sup, shortest / fill, fill)
+    counts = _interval_counts(dur, truncated_tail, one_interval, model.lambda_sup, shortest / fill, fill)
 
     # node k of a piece sits at k * (duration / count), the arithmetic of
     # np.linspace; each piece ends exactly on its duration
@@ -234,24 +277,9 @@ def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.nd
     k = np.arange(node_start[-1]) - node_start[node_piece]
     times = k * (dur / counts)[node_piece]
     times[node_start[1:] - 1] = dur
-    origin = points[anchors][node_piece]
-
-    if flow.kind == "trivial":
-        states = origin
-    elif flow.kind == "affine1d":
-        if flow.alpha1 == 0.0:
-            states = origin + flow.alpha0 * times
-        else:
-            ystar = -flow.alpha0 / flow.alpha1
-            states = ystar + (origin - ystar) * np.exp(flow.alpha1 * times)
-    else:
-        # node times never pass a piece's end, so no boundary re-check
-        states = origin.copy()
-        starts = np.zeros(times.size, dtype=bool)
-        starts[node_start[:-1]] = True
-        dt = np.diff(times).tolist()
-        for i in np.flatnonzero(~starts).tolist():
-            states[i] = _tabulated_advance(flow, states[i - 1], dt[i - 1])
+    starts = np.zeros(times.size, dtype=bool)
+    starts[node_start[:-1]] = True
+    states = _flow_states(flow, points[anchors][node_piece], times, starts)
     for e in exits:
         if e.hit:
             states[node_start[e.piece + 1] - 1] = float(model.grid.boundary_points[e.boundary_index])

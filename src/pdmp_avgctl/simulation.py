@@ -13,10 +13,9 @@ cost along it per policy; the line from grid point j is the stretch of the
 chain from its start node b_j to the node e_j of its chain end, then the
 nodes of that chain end's exit piece, which follow the chain in the same
 arrays.  So the tables take O(n * fill) memory, and no line copies the
-chain or an exit piece.  An exit piece whose jump rate, running cost and
-post-jump kernel row are the same at every node (on a trivial flow, or
-outside the grid's hull, where the model data are clamped) is one interval
-from 0 to its end, with the arithmetic of one interval on its two nodes.
+chain or an exit piece.  A constant exit piece, whose jump rate, running cost
+and post-jump kernel row are the same all along, is one interval of the
+operator mesh, and so of the tables.
 
 A jump costs O(log K) interpreted work on a K-node line and makes neither a
 numpy call nor a Python call: the sojourn, its running cost and the
@@ -49,7 +48,6 @@ A replication's batch edges and batch-means standard error are those of
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -161,63 +159,16 @@ class _Line:
     stationary: _Stationary | None
 
 
-def _constant_exits(mesh, piece_action: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Per exit piece, whether its tables are constant at the piece's action.
-
-    They are when the jump rate and the running cost are ``==`` at every node
-    and every node's post-jump row is the same: the node states are all
-    equal, or all at or below the first grid point, or all at or above the
-    last, where the kernel rows are clamped.
-    """
-    n_chain = mesh.n_chain
-    exit_start = int(mesh.node_start[n_chain])
-    first = mesh.node_start[n_chain:-1] - exit_start
-    piece = np.repeat(np.arange(first.size), np.diff(mesh.node_start[n_chain:]))
-    nodes = np.arange(exit_start, mesh.times.size)
-    actions = piece_action[n_chain:][piece]
-    states = mesh.states[exit_start:]
-
-    def every(flags):
-        return np.logical_and.reduceat(flags, first)
-
-    def equal(values):
-        return every(values == values[first][piece])
-
-    return (equal(mesh.lam_nodes[nodes, actions]) & equal(mesh.f_nodes[nodes, actions])
-            & (equal(states) | every(states <= points[0]) | every(states >= points[-1])))
-
-
-def _collapse_exits(mesh, constant: np.ndarray):
-    """``mesh`` with each exit piece flagged in ``constant`` cut to its first and last nodes."""
-    n_chain = mesh.n_chain
-    keep = np.ones(mesh.times.size, dtype=bool)
-    counts = np.diff(mesh.node_start) - 1
-    for p in (np.flatnonzero(constant) + n_chain).tolist():
-        keep[mesh.node_start[p] + 1:mesh.node_start[p + 1] - 1] = False
-        counts[p] = 1
-    kept = np.flatnonzero(keep)  # np.take of rows: a boolean mask is ten times slower on the 2-D tables
-    return dataclasses.replace(mesh, node_start=np.concatenate(([0], np.cumsum(counts + 1))),
-                               **{name: np.take(getattr(mesh, name), kept, axis=0)
-                                  for name in ("times", "states", "ilo", "wlo", "lam_nodes", "f_nodes")})
-
-
-def _node_tables(mesh, piece_action: np.ndarray, points: np.ndarray,
-                 n_lines: int) -> tuple[_Nodes, list, list, np.ndarray]:
+def _node_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, list]:
     """The policy's :class:`_Nodes`, the chain node of each flow position,
-    the first and last table nodes of each exit piece, and which exit
-    pieces are constant (:func:`_constant_exits`).
+    and the first and last table nodes of each exit piece.
 
     The hazard slope of an interval is the trapezoid of the jump rates at its
     two nodes and the running cost is linear between its node values.  Every
     piece's hazard and cost are its own running sums from 0; the chain adds
     each segment's onto the totals of the segments before it, so rounding
-    does not build up over the whole chain.  A constant exit piece is one
-    interval from 0 to its end: the same slope, hazard and cost arithmetic
-    on its first and last nodes.
+    does not build up over the whole chain.
     """
-    constant = _constant_exits(mesh, piece_action, points)
-    if constant.any():
-        mesh = _collapse_exits(mesh, constant)
     n_chain = mesh.n_chain
     first, left = mesh.first, mesh.left
     k_chain = int(first[n_chain])
@@ -257,7 +208,7 @@ def _node_tables(mesh, piece_action: np.ndarray, points: np.ndarray,
                     f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)))
     node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
     exit_first = (mesh.node_start[n_chain:] + (x_first - exit_start)).tolist()
-    return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]])), constant
+    return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))
 
 
 def _fixed_row(points: list, y0: float, y1: float) -> int:
@@ -290,12 +241,11 @@ class SimulationTables:
     Besides the shared :class:`_Nodes` and one :class:`_Line` per start state
     it holds, as Python lists, the model data a post-jump draw reads: the
     grid points, the cumulative kernel rows, each kernel row's ``sum()`` and
-    the boundary charges.  A constant exit piece is one interval of the node
-    tables, and a stationary line carries its :class:`_Stationary`, which
-    holds its cumulative kernel row.  An infeasible policy (an action outside a
-    state's feasible set, or outside the action grid) is refused with
-    ``ValueError`` before anything is built, and so is a ``workspace`` built
-    for another model.
+    the boundary charges.  A stationary line carries its
+    :class:`_Stationary`, which holds its cumulative kernel row.  An
+    infeasible policy (an action outside a state's feasible set, or outside
+    the action grid) is refused with ``ValueError`` before anything is
+    built, and so is a ``workspace`` built for another model.
     """
 
     def __init__(self, model, policy, *, workspace: OperatorWorkspace | None = None):
@@ -312,8 +262,7 @@ class SimulationTables:
         self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
         self.boundary_cost = model.boundary_cost.tolist()
         piece_action = policy.interior[mesh.anchors]
-        self.nodes, node_of, exit_nodes, constant = _node_tables(mesh, piece_action, model.grid.points,
-                                                                 model.n_states)
+        self.nodes, node_of, exit_nodes = _node_tables(mesh, piece_action, model.n_states)
         nodes = self.nodes
         times, hazard, cost_cum = nodes.times, nodes.hazard, nodes.cost_cum
         position = np.argsort(ws.order).tolist()
@@ -328,7 +277,7 @@ class SimulationTables:
             end, hazard_end, cost_end = times[x1], hazard[x1], cost_cum[x1]
             lam_tail, f_tail = float(mesh.lam_nodes[last, act]), float(mesh.f_nodes[last, act])
             stationary = None
-            if b == e and not ex.hit and constant[k]:
+            if b == e and not ex.hit and ex.constant:
                 row = _fixed_row(self.points, nodes.states[x0], nodes.states[x1])
                 if row >= 0:
                     stationary = _Stationary(

@@ -8,6 +8,9 @@ the engines that came before it, on the library's line rule:
 * one mesh per line (:func:`_build_geometry`), with every downstream segment
   meshed again from the line's own start, and its per-(line, segment) tables
   (:func:`_segment_tables`);
+* the library's mesh with every exit piece at the count rule's intervals
+  (:func:`meshed_workspace`), as it was before a constant exit piece became
+  one interval;
 * on the library's shared pieces, the per-line compositions: each line's
   pieces as an incidence list (:func:`incidence`), the operators as running
   survival products along it (:func:`composed_assemble`), the improvement
@@ -35,13 +38,25 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
+from pdmp_avgctl import operators
 from pdmp_avgctl.flow import advance, flow_direction, hit_time, _tabulated_advance
 from pdmp_avgctl.model import FeedbackPolicy
-from pdmp_avgctl.numerics import _SERIES_CUTOFF, interp_weights, phi0, phi01
-from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, _passage_time
+from pdmp_avgctl.numerics import _SERIES_CUTOFF, interp_weights, phi01
+from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, OperatorWorkspace, _passage_time
+
+
+def phi0(z):
+    """(1 - exp(-z)) / z, stable near z = 0; phi0(0) = 1."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < _SERIES_CUTOFF
+    zs = np.where(small, 1.0, z)
+    exact = -np.expm1(-zs) / zs
+    series = 1.0 - z / 2.0 + z * z / 6.0
+    return np.where(small, series, exact)
 
 
 def phi1(z):
@@ -93,6 +108,34 @@ def _reference_transit(model) -> float:
     return best
 
 
+def _line_states(flow, x: float, times: np.ndarray) -> np.ndarray:
+    """The states at ``times`` along the flow line from ``x``."""
+    if flow.kind == "trivial":
+        return np.full_like(times, x)
+    if flow.kind == "affine1d":
+        if flow.alpha1 == 0.0:
+            return x + flow.alpha0 * times
+        ystar = -flow.alpha0 / flow.alpha1
+        return ystar + (x - ystar) * np.exp(flow.alpha1 * times)
+    # node times never pass the line's end, so no boundary re-check
+    states = np.empty_like(times)
+    states[0] = x
+    for k in range(times.size - 1):
+        states[k + 1] = _tabulated_advance(flow, states[k], float(times[k + 1] - times[k]))
+    return states
+
+
+def exit_is_constant(model, anchor: int, duration: float) -> bool:
+    """Whether the exit piece from grid point ``anchor`` is one interval.
+
+    It is when its two end states on a one-interval mesh of its own are
+    equal, or lie at or beyond the same end of the rate coordinates.
+    """
+    start, end = _line_states(model.flow, float(model.grid.points[anchor]), np.array([0.0, duration])).tolist()
+    lo, hi = model.rate_coords[0], model.rate_coords[-1]
+    return start == end or (start <= lo and end <= lo) or (start >= hi and end >= hi)
+
+
 def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
                     counts: np.ndarray | None = None) -> _LineGeometry:
     """The mesh of line ``j``, every segment timed from the line's start.
@@ -142,7 +185,8 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
     # long; a budget proportional to segment duration (relative to the
     # model's shortest inter-grid transit), so contracting flows refine evenly
     # in time and every line sees the same spacing; a truncated line's tail
-    # takes at least max(MIN_TAIL_INTERVALS, fill) intervals instead
+    # takes at least max(MIN_TAIL_INTERVALS, fill) intervals instead; a
+    # constant exit piece (exit_is_constant) takes one
     if counts is None:
         counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
         base_h = ref_transit / fill
@@ -150,6 +194,8 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
         if truncated:
             budget[-1] = max(MIN_TAIL_INTERVALS, fill)
         counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+        if exit_is_constant(model, anchors[-1], float(dur[-1])):
+            counts[-1] = 1
     counts = np.asarray(counts, dtype=np.int64)
 
     # node k of segment s sits at edges[s] + k * (dur[s] / counts[s]), the
@@ -163,20 +209,7 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
     seg_slices = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist(), anchors))
     dt = np.diff(times)
 
-    if flow.kind == "trivial":
-        states = np.full_like(times, x)
-    elif flow.kind == "affine1d":
-        if flow.alpha1 == 0.0:
-            states = x + flow.alpha0 * times
-        else:
-            ystar = -flow.alpha0 / flow.alpha1
-            states = ystar + (x - ystar) * np.exp(flow.alpha1 * times)
-    else:
-        # node times never pass the line's end, so no boundary re-check
-        states = np.empty_like(times)
-        states[0] = x
-        for k in range(dt.size):
-            states[k + 1] = _tabulated_advance(flow, states[k], float(dt[k]))
+    states = _line_states(flow, x, times)
     if hit:
         states[-1] = float(model.grid.boundary_points[boundary_index])
 
@@ -321,6 +354,14 @@ def _segment_tables(model, geometry) -> LineSegmentTables:
 
 
 _LINES = weakref.WeakKeyDictionary()
+
+
+def meshed_workspace(model, fill: int) -> OperatorWorkspace:
+    """A workspace at ``fill`` that marks no exit piece constant, so every
+    exit piece keeps the count rule's intervals, as before constant pieces
+    were meshed as one interval."""
+    with mock.patch.object(operators, "_constant_exits", lambda model, x0, dur: np.zeros(x0.size, bool)):
+        return OperatorWorkspace(model, fill)
 
 
 def line_geometry(ws) -> list[_LineGeometry]:

@@ -1,5 +1,5 @@
 """The scalar jump loop of the simulator with its per-jump calls, and its
-meshed node tables, kept as test references.
+tables on the full mesh, kept as test references.
 
 :func:`simulate`, :func:`cost_to` and :func:`jump_target` are the jump loop
 as it was before the running-cost integral and the post-jump draw were
@@ -9,11 +9,11 @@ record types, so a trajectory of the library's :func:`pdmp_avgctl.simulate`
 must equal this one bit for bit: jump times, post-jump states, hit flags,
 costs at jumps, the average and its standard error.
 
-:func:`node_tables` is the node-table build as it was before constant exit
-pieces were cut to one interval, verbatim but for its name: every exit
-piece keeps its full mesh.  :func:`meshed_tables` prepares the library's
-simulation tables on it, so they mark no line stationary, and the library's
-trajectories on them are the ones drawn before the cut.
+:func:`meshed_tables` prepares the library's simulation tables on a mesh
+whose constant exit pieces keep the count rule's intervals instead of one
+(:func:`reference_quadrature.meshed_workspace`), so they mark no line
+stationary, and the library's trajectories on them are drawn by the general
+branch of the jump loop on the full mesh.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from unittest import mock
 
 import numpy as np
 
-from pdmp_avgctl import simulation
+from pdmp_avgctl.operators import DEFAULT_FILL
 from pdmp_avgctl.simulation import (DEFAULT_BATCHES, RATE_FLOOR, UNIFORM_BLOCK, SimulationError,
-                                    SimulationExplosionError, SimulationSummary, TrajectoryRecord, _Nodes,
-                                    _rng_stream, _uniform_block, prepare_simulation)
+                                    SimulationExplosionError, SimulationSummary, TrajectoryRecord, _rng_stream,
+                                    _uniform_block, prepare_simulation)
+from reference_quadrature import meshed_workspace
 
 
 def jump_target(tables, hit: bool, line, y: float, action: int, u: float) -> int:
@@ -271,65 +271,9 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     return record_obj, summary
 
 
-def node_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, int]:
-    """The policy's :class:`_Nodes`, the chain node of each flow position,
-    and the shift from an exit piece's mesh node to its table node.
-
-    The hazard slope of an interval is the trapezoid of the jump rates at its
-    two nodes and the running cost is linear between its node values.  Every
-    piece's hazard and cost are its own running sums from 0; the chain adds
-    each segment's onto the totals of the segments before it, so rounding
-    does not build up over the whole chain.
-    """
-    n_chain = mesh.n_chain
-    first, left = mesh.first, mesh.left
-    k_chain = int(first[n_chain])
-    piece = np.repeat(np.arange(first.size - 1), np.diff(first))
-    actions = piece_action[piece]
-    dt = mesh.times[left + 1] - mesh.times[left]
-    lam, f = mesh.lam_nodes, mesh.f_nodes
-    slope = 0.5 * (lam[left, actions] + lam[left + 1, actions])
-    f_left, f_right = f[left, actions], f[left + 1, actions]
-    per_interval = np.empty((dt.size, 2))
-    per_interval[:, 0] = slope * dt
-    per_interval[:, 1] = 0.5 * dt * (f_left + f_right)
-    running = mesh.running_sums(per_interval)
-
-    # chain node k is the left node of chain interval k; exit nodes follow
-    # the chain's end node as they are in the mesh
-    exit_start = int(mesh.node_start[n_chain])
-    x_first = k_chain + 1
-    chain_left = left[:k_chain]
-    ends = mesh.node_start[1:n_chain + 1] - 1
-
-    def nodes(own):
-        """Node values: along the chain on top of earlier segments' totals, then the exit pieces' own."""
-        before = np.concatenate(([0.0], np.cumsum(own[ends])))
-        return np.concatenate((before[piece[:k_chain]] + own[chain_left], before[-1:], own[exit_start:]))
-
-    def intervals(values):
-        out = np.zeros(x_first + mesh.times.size - exit_start, dtype=values.dtype)
-        out[:k_chain] = values[:k_chain]
-        out[left[k_chain:] - exit_start + x_first] = values[k_chain:]
-        return out
-
-    states = np.concatenate((mesh.states[chain_left], mesh.states[[exit_start - 1]], mesh.states[exit_start:]))
-    tables = _Nodes(times=memoryview(nodes(mesh.times)), states=memoryview(states),
-                    hazard=memoryview(nodes(running[:, 0])), slope=memoryview(intervals(slope)),
-                    cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
-                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)))
-    node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
-    return tables, node_of, x_first - exit_start
-
-
-def _meshed_node_tables(mesh, piece_action, points, n_lines):
-    """:func:`node_tables` in the library's ``_node_tables`` form: every exit piece's table nodes, none constant."""
-    tables, node_of, shift = node_tables(mesh, piece_action, n_lines)
-    starts = (mesh.node_start[mesh.n_chain:] + shift).tolist()
-    return tables, node_of, list(zip(starts[:-1], [x - 1 for x in starts[1:]])), np.zeros(len(starts) - 1, bool)
-
-
 def meshed_tables(model, policy, *, workspace=None):
-    """The library's simulation tables with every exit piece on its full mesh and no stationary line."""
-    with mock.patch.object(simulation, "_node_tables", _meshed_node_tables):
-        return prepare_simulation(model, policy, workspace=workspace)
+    """The library's simulation tables on a workspace at the same fill whose
+    exit pieces all keep the count rule's intervals, so no line is
+    stationary."""
+    fill = workspace.fill if workspace is not None else DEFAULT_FILL
+    return prepare_simulation(model, policy, workspace=meshed_workspace(model, fill))

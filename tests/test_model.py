@@ -6,9 +6,8 @@ import pytest
 
 import pdmp_avgctl as pa
 from pdmp_avgctl.model import DimensionError, ModelFormatError
-from pdmp_avgctl.numerics import phi0
 
-from reference_quadrature import line_geometry, op_G, policy_paths
+from reference_quadrature import line_geometry, op_G, phi0, phi1, policy_paths
 from toy_models import swap_cycle_doc, two_state_jump_doc
 
 
@@ -203,10 +202,31 @@ class TestAuditAssumptions:
                 z = step - c.c * geom.dt
                 growth_cum = np.concatenate(([0.0], np.cumsum(z)))
                 fv = fsup(geom.states)
+                # the running cost linear on each interval against the exactly
+                # integrated exponential weight
+                exact = fv[:-1] * (phi0(step) - phi1(step)) + fv[1:] * phi1(step)
                 want = (np.sum(np.exp(-growth_cum[:-1]) * geom.dt * phi0(z)), hazard[-1],
-                        np.sum(np.exp(-hazard[:-1]) * geom.dt * 0.5 * (fv[:-1] + fv[1:])))
+                        np.sum(np.exp(-hazard[:-1]) * geom.dt * exact))
                 for g, w in zip(got, want):
                     assert abs(g[j] - w) <= 1e-12 * max(1.0, abs(w)), (name, j)
+
+    @pytest.mark.parametrize("fill", [8, 16])
+    def test_discounted_cost_bound_is_the_closed_form_on_a_pure_jump_model(self, models, fill):
+        # ctmdp_2state never moves, so the bound on int e^{-lambda_lower t} f
+        # over its window is f (1 - e^{-lambda_lower t_max}) / lambda_lower
+        # per state, 3.5 and 1.46667
+        from pdmp_avgctl.model import _line_integral
+
+        model = models["ctmdp_2state"]
+        ws = pa.OperatorWorkspace(model, fill)
+        lam = model.constants.lambda_lower
+        fsup = np.where(model.feasible_mask, model.running_cost, -np.inf).max(axis=1)
+        want = fsup * -np.expm1(-lam * model.t_max) / lam
+        got = _line_integral(model, ws, 0.0, pa.Table1D(model.grid.points, fsup)(ws.mesh.states))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        assert np.allclose(want, [3.5, 1.46667], rtol=0, atol=5e-6)
+        item = pa.audit_assumptions(model, workspace=ws).item("discounted-cost-integrable")
+        assert item.worst_location == "max over states: 3.5"
 
     def test_report_serializes(self, models):
         report = pa.audit_assumptions(models["ctmdp_2state"])

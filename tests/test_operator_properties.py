@@ -13,9 +13,9 @@ import pdmp_avgctl as pa
 from pdmp_avgctl.operators import OperatorWorkspace
 
 from reference_quadrature import (composed_assemble, forced_line_geometry, line_exit, line_geometry, line_pieces,
-                                  marched_improve, numpy_optimality_residual, piece_counts, reference_assemble,
-                                  reference_improve, reference_optimality_residual, shared_line_geometry,
-                                  swept_residual)
+                                  marched_improve, meshed_workspace, numpy_optimality_residual, piece_counts,
+                                  reference_assemble, reference_improve, reference_optimality_residual,
+                                  shared_line_geometry, swept_residual)
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
 FLOWS = ("trivial", "drift", "affine", "tabulated")
@@ -66,13 +66,15 @@ def _vary_layout(doc: dict, rng, flow: str) -> None:
 
 
 @st.composite
-def random_model_docs(draw, flow: str | None = None, varied: bool = False):
+def random_model_docs(draw, flow: str | None = None, varied: bool = False, clamped: bool = False):
     """A model document: toy dynamics with random sizes, rates, kernels and costs.
 
     ``flow`` fixes the flow kind (one of ``FLOWS``); by default it is drawn.
     A moving flow runs toward larger coordinates across the uniform grid of
     ``renewal_doc``, and every line hits the boundary; ``varied`` also draws
     the grid gaps, the direction and a horizon (see :func:`_vary_layout`).
+    ``clamped`` drops a moving flow's boundary point, so every line runs on
+    past the last grid point, where the model data are clamped, to t_max.
     """
     if flow is None:
         flow = draw(st.sampled_from(FLOWS))
@@ -90,6 +92,9 @@ def random_model_docs(draw, flow: str | None = None, varied: bool = False):
         doc = renewal_doc(n=n)
         n_b = 1
         lam = rng.uniform(0.0, 3.0, size=(n + n_b, n_a))
+        if clamped:
+            n_b = 0
+            lam = lam[:n]
         if flow == "drift":
             doc["flow"] = {"kind": "affine1d", "alpha0": float(rng.uniform(0.5, 2.0)), "alpha1": 0.0}
         elif flow == "affine":
@@ -99,6 +104,8 @@ def random_model_docs(draw, flow: str | None = None, varied: bool = False):
             doc["flow"] = {"kind": "tabulated1d", "velocity": rng.uniform(0.5, 2.0, n).tolist()}
     if varied:
         _vary_layout(doc, rng, flow)
+    if n_b == 0:
+        doc["grid"]["boundary_points"] = []
     kern = rng.dirichlet(np.full(n, 0.7), size=(n + n_b, n_a))
     doc["actions"] = {"values": list(range(n_a)), "feasible": _random_feasible_sets(rng, n, n_a),
                       "boundary_feasible": _random_feasible_sets(rng, n_b, n_a)}
@@ -172,7 +179,8 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
     # lines; the shared count is then one of them.  Operators, improvement
     # and certificate agree with the per-line quadrature on meshes of the
     # shared counts.
-    doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
+    clamped = data.draw(st.booleans())
+    doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True, clamped=clamped))
     model = pa.model_from_dict(doc)
     ws = OperatorWorkspace(model, fill)
     seen = {}
@@ -195,6 +203,35 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
         assert ws.improve(rho, h, policy).key() == reference_improve(ws, rho, h, policy, geometry).key()
         residual = ws.optimality_residual(rho, h, policy)
         assert _within(np.array([residual]), np.array([reference_optimality_residual(ws, rho, h, geometry)]))
+
+    # a constant exit piece (every exit of a trivial flow, the exit past the
+    # grid of a clamped one) is one interval with the same jump rate, running
+    # cost and kernel row at both nodes for every action, and the operators
+    # are those of the same exit meshed at the count rule's intervals
+    meshed = meshed_workspace(model, fill)
+    constant = [e.constant for e in ws.exits]
+    if flow == "trivial":
+        assert all(constant)
+    else:  # an affine flow's first node past the grid can round back inside it
+        assert all(c == clamped for c in constant) or (flow == "affine" and not any(constant))
+    for e in ws.exits:
+        piece, old = ws.geometry[e.piece], meshed.geometry[e.piece]
+        if e.constant:
+            assert piece.times.size == 2 and piece.times[-1] == old.times[-1]
+            for values in (piece.lam_nodes, piece.f_nodes, node_kernel_rows(model, piece)):
+                assert np.array_equal(values[0], values[1])
+        else:
+            assert np.array_equal(piece.times, old.times)
+    for policy in _policies(model, seed):
+        for got, want in zip(ws.assemble(policy)[:3], meshed.assemble(policy)[:3]):
+            assert _within(got, want)
+
+
+def node_kernel_rows(model, piece) -> np.ndarray:
+    """(K+1, n_a, n) the kernel rows the engine reads at each node of ``piece``."""
+    kernel = model.kernel_interior
+    hi = np.minimum(piece.ilo + 1, model.n_states - 1)
+    return piece.wlo[:, None, None] * kernel[piece.ilo] + (1.0 - piece.wlo)[:, None, None] * kernel[hi]
 
 
 @pytest.mark.parametrize("flow", FLOWS)

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
 from pdmp_avgctl.flow import flow_direction, hit_time
-from pdmp_avgctl.numerics import phi0, phi01
+from pdmp_avgctl.numerics import phi01
 from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, _passage_time, kernel_matrix
 
 from conftest import BUNDLED
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
                                   cum_rate, forced_line_geometry, line_exit, line_geometry, line_pieces, marched_improve, op_G, op_H,
-                                  numpy_optimality_residual, op_L, op_calL, phi1, policy_paths, reference_assemble,
-                                  reference_improve, reference_optimality_residual, reference_sweep_values,
-                                  swept_residual)
+                                  numpy_optimality_residual, op_L, op_calL, phi0, phi1, policy_paths,
+                                  reference_assemble, reference_improve, reference_optimality_residual,
+                                  reference_sweep_values, swept_residual)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -402,7 +402,18 @@ class TestLineGeometry:
                     assert piece.states[-1] == model.grid.boundary_points[e.boundary_index], where
                 else:
                     assert e.boundary_index == -1, where
+                # an exit piece whose end states are equal, or lie at or
+                # beyond one end of the rate coordinates, is one interval
+                lo, hi = model.rate_coords[[0, -1]]
+                s0, s1 = piece.states[[0, -1]]
+                assert e.constant == (s0 == s1 or max(s0, s1) <= lo or min(s0, s1) >= hi), where
+                if e.constant:
+                    assert piece.times.size == 2, where
+                elif not e.hit:
                     assert piece.times.size - 1 >= max(MIN_TAIL_INTERVALS, fill), where
+            # every exit of the trivial flows, decay_flow_16's below its grid
+            assert sum(e.constant for e in ws.exits) == {"ctmdp_2state": 2, "ctmdp_3state": 3,
+                                                         "decay_flow_16": 1}.get(name, 0), name
 
             reference = line_geometry(ws)
             for j, pieces in enumerate(line_pieces(ws)):
@@ -422,9 +433,10 @@ class TestLineGeometry:
 
     @pytest.mark.parametrize("fill", [8, 16])
     def test_nodes_match_the_per_segment_linspace_reference(self, models, fill):
-        # each piece takes the count rule on its own duration, with nodes
-        # placed as np.linspace places them; every line the per-line mesh
-        # builds gives each segment the same count and node times
+        # each piece takes the count rule on its own duration (a constant
+        # exit piece one interval), with nodes placed as np.linspace places
+        # them; every line the per-line mesh builds gives each segment the
+        # same count and node times
         for name, model in models.items():
             ws = OperatorWorkspace(model, fill)
             lam_sup = model.lambda_sup
@@ -433,7 +445,9 @@ class TestLineGeometry:
             for p, piece in enumerate(ws.geometry):
                 dur = float(piece.times[-1])
                 count = int(math.ceil(dur / (0.25 / lam_sup))) if lam_sup > 0.0 else 0
-                if p >= n_chain and not ws.exits[p - n_chain].hit:
+                if p >= n_chain and ws.exits[p - n_chain].constant:
+                    count = 1
+                elif p >= n_chain and not ws.exits[p - n_chain].hit:
                     count = max(count, MIN_TAIL_INTERVALS, fill)
                 elif math.isfinite(ref_transit) and dur > 0:
                     count = max(count, int(math.ceil(dur / (ref_transit / fill))))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _constant_exits, _cost_to, _Line,
-                                    _Nodes, _rng_stream, _standard_error, _uniform_block)
+from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _cost_to, _Line, _Nodes,
+                                    _rng_stream, _standard_error, _uniform_block)
 
 import reference_simulation
 from reference_quadrature import policy_paths
@@ -121,15 +121,11 @@ class TestLineTables:
     def test_match_the_reference_paths(self, models, workspaces):
         # a line's chain stretch and exit piece hold the reference path's
         # tables; a line that passes no grid point is its exit piece alone,
-        # whose tables are the reference path's bit for bit.  A constant exit
-        # piece is one interval: the reference path's rate and cost are equal
-        # at every node of its exit and its states share one post-jump row,
-        # the interval holds the path's first exit interval and last node,
-        # and its end, hazard and cost are the path's over the whole exit
+        # whose tables are the reference path's bit for bit (on a constant
+        # exit piece, one interval in both)
         rng = np.random.default_rng(61)
         for name, model in models.items():
             ws = workspaces[name]
-            points = model.grid.points
             for policy in (pa.FeedbackPolicy.lowest_feasible(model),
                            pa.FeedbackPolicy.random_feasible(model, rng)):
                 tables = pa.prepare_simulation(model, policy, workspace=ws)
@@ -139,27 +135,8 @@ class TestLineTables:
                     wanted = {"times": path.times, "states": path.states, "hazard": path.cum_hazard,
                               "slope": path.hazard_slope, "f_left": f_left, "f_right": f_right,
                               "actions": path.interval_actions}
-                    k_chain, size = line.e - line.b, path.dt.size
-                    collapsed = line.x1 - line.x0 < size - k_chain
-                    if collapsed:
-                        assert line.x1 == line.x0 + 1, name
-                        if line.b == line.e:
-                            # the exit piece alone, on the path's own nodes; every
-                            # exit piece is its chain end's line's
-                            for values in (path.lam_left, path.lam_right, f_left, f_right):
-                                assert np.all(values == values[0]), name
-                            assert (np.all(path.states == path.states[0]) or np.all(path.states <= points[0])
-                                    or np.all(path.states >= points[-1])), name
-                        cost = np.sum(0.5 * path.dt[k_chain:] * (f_left[k_chain:] + f_right[k_chain:]))
-                        for got_end, want_end in ((line.end, path.times[-1] - path.times[k_chain]),
-                                                  (line.hazard_end, path.cum_hazard[-1] - path.cum_hazard[k_chain]),
-                                                  (line.cost_end, cost)):
-                            assert abs(got_end - want_end) <= 1e-12 * max(1.0, abs(want_end)), name
-                        kept_nodes, kept_intervals = np.r_[:k_chain + 1, size], np.arange(k_chain + 1)
-                        wanted = {key: want[kept_nodes if key in ("times", "states", "hazard") else kept_intervals]
-                                  for key, want in wanted.items()}
                     for key, want in wanted.items():
-                        if line.b == line.e and not (collapsed and key == "hazard"):
+                        if line.b == line.e:
                             assert np.array_equal(got[key], want), (name, key)
                         else:
                             assert got[key].shape == want.shape, (name, key)
@@ -168,27 +145,20 @@ class TestLineTables:
                     assert (line.hit, line.boundary_index, line.boundary_action) == \
                         (path.hit, path.boundary_index, path.boundary_action)
                     assert line.lam_tail == path.lam_right[-1]
-                    if not collapsed:  # a collapsed exit's hazard is checked relative to the path's above
-                        assert abs(line.chain_hazard + line.hazard_end - path.cum_hazard[-1]) <= 1e-12
+                    assert abs(line.chain_hazard + line.hazard_end - path.cum_hazard[-1]) <= 1e-12
 
     def test_lines_share_one_chain(self, models, workspaces):
         # no line copies the chain or an exit piece: the tables hold one node
         # per mesh node, less the joints the segments share, and every line
-        # that ends on the same chain end reads that end's exit nodes
+        # that ends on the same chain end reads that end's exit nodes, the
+        # piece's own intervals: one on a constant exit piece (every one of
+        # ctmdp_3state's, none of drift_boundary_64's)
         for name in ("drift_boundary_64", "ctmdp_3state"):
             model, ws = models[name], workspaces[name]
             policy = pa.FeedbackPolicy.lowest_feasible(model)
             tables = pa.prepare_simulation(model, policy, workspace=ws)
             assert all(line.nodes is tables.nodes for line in tables.lines)
-            meshed = reference_simulation.meshed_tables(model, policy, workspace=ws)
-            assert len(meshed.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
-            # a constant exit piece keeps its first and last nodes: every one
-            # of ctmdp_3state's, none of drift_boundary_64's
-            mesh, n_chain = ws.mesh, ws.mesh.n_chain
-            exit_sizes = np.diff(mesh.node_start)[n_chain:]
-            constant = _constant_exits(mesh, policy.interior[mesh.anchors], model.grid.points)
-            assert constant.all() if name == "ctmdp_3state" else not constant.any()
-            assert len(tables.nodes.times) == len(meshed.nodes.times) - int(np.sum((exit_sizes - 2)[constant]))
+            assert len(tables.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
             ends = ws.exit_of.tolist()
             exit_nodes = {k: (line.x0, line.x1) for k, line in zip(ends, tables.lines)}
             assert all((line.x0, line.x1) == exit_nodes[k] for k, line in zip(ends, tables.lines)), name
@@ -196,6 +166,11 @@ class TestLineTables:
             assert exit_nodes[0][0] == ws.mesh.first[ws.mesh.n_chain] + 1, name
             assert all(x1 + 1 == y0 for (_, x1), (y0, _) in zip(exit_nodes, exit_nodes[1:])), name
             assert exit_nodes[-1][1] == len(tables.nodes.times) - 1, name
+            constant = [e.constant for e in ws.exits]
+            assert all(constant) if name == "ctmdp_3state" else not any(constant)
+            for (x0, x1), e in zip(exit_nodes, ws.exits):
+                assert x1 - x0 == ws.geometry[e.piece].times.size - 1, name
+                assert x1 - x0 == 1 or not e.constant, name
 
 
 def reference_jump_target(model, line, hit, y, action, u):
@@ -443,9 +418,9 @@ def test_reference_loop_examples_reach_both_stationary_cases(monkeypatch, capsys
 
 
 def assert_meshed_trajectory(tables, meshed, model, policy, x0, horizon, seed, **kwargs):
-    """The trajectory on collapsed tables is the one on the meshed tables: the
-    same post-jump states, hit flags and jump count, and jump times, costs at
-    jumps and average within 1e-12 relative."""
+    """The trajectory on one-interval exit tables is the one on the meshed
+    tables: the same post-jump states, hit flags and jump count, and jump
+    times, costs at jumps and average within 1e-12 relative."""
     got = _outcome(pa.simulate, model, policy, x0, horizon, seed, tables=tables, **kwargs)
     want = _outcome(pa.simulate, model, policy, x0, horizon, seed, tables=meshed, **kwargs)
     if isinstance(want[0], type):
@@ -462,7 +437,7 @@ def assert_meshed_trajectory(tables, meshed, model, policy, x0, horizon, seed, *
 
 
 class TestStationaryLines:
-    """Constant exit pieces cut to one interval, and the jump loop's branch for lines that are only such a piece."""
+    """Constant exit pieces as one interval, and the jump loop's branch for lines that are only such a piece."""
 
     @pytest.mark.parametrize("name", ["ctmdp_2state", "ctmdp_3state", "renewal_cycle", "drift_boundary_64",
                                       "decay_flow_16"])

@@ -3,7 +3,8 @@
 The benchmark's model generator (``perfbench/drift.py``) imports the
 bundled-model recipes of ``tools/build_bundled_models.py`` by path and tunes
 its constants with the script's ``sup_*`` functions, so the tuners are
-checked here against the per-path reference quadrature.  The scaling
+checked here against the per-path reference quadrature, and every recipe
+must write its bundled model byte for byte.  The scaling
 benchmark ``tools/bench_scaling.py`` is run on one small grid, with the
 benchmark's host-speed probe.
 """
@@ -64,6 +65,17 @@ def test_bundled_constants_cover_the_tuned_gap(recipes):
     model = pa.load_model(pa.bundled_model_path("drift_boundary_64"))
     gap = recipes.sup_kernel_drift_gap(model, model.constants.k_g)
     assert model.constants.K_g == round(max(gap * 1.2, 0.1), 6)
+
+
+@pytest.mark.parametrize("name", pa.bundled_model_names())
+def test_recipes_regenerate_the_bundled_models(recipes, monkeypatch, tmp_path, capsys, name):
+    # each recipe tunes its constants with the sup_* functions the benchmark
+    # generator imports, so any change to what they compute shows in the bytes
+    monkeypatch.setattr(recipes, "OUT", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    getattr(recipes, name)()
+    assert (tmp_path / f"{name}.json").read_bytes() == pa.bundled_model_path(name).read_bytes()
+    assert f"wrote {name}.json" in capsys.readouterr().out
 
 
 def test_scaling_row_on_a_small_grid(tmp_path):
