@@ -50,9 +50,6 @@ from .evaluation import (
 from .policy_iteration import (
     PiaTrace,
     IterationRecord,
-    improve_policy,
-    one_stage_value,
-    optimality_residual,
     run_pia,
 )
 from .simulation import (

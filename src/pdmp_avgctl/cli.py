@@ -27,8 +27,10 @@ EXIT_SIM_ABORT = 5
 
 @dataclass
 class RunConfig:
+    """One command's settings, and the one place each default is stated."""
+
     command: str
-    model_path: Path
+    model_path: Path | None = None
     tol: float = 1e-8
     tol_rho: float = 1e-8
     max_iter: int = 200
@@ -328,68 +330,53 @@ def cmd_report(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each option's ``dest`` is its :class:`RunConfig` field.
+
+    An option not given is left out of the parsed namespace, so the
+    :class:`RunConfig` default applies.
+    """
     parser = argparse.ArgumentParser(
         prog="pdmp-avgctl",
         description="Average-cost control of piecewise-deterministic Markov processes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=True):
+    def command(name, help, model_required=True):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         if model_required:
-            p.add_argument("--model", required=True, type=Path, help="model JSON file")
-        p.add_argument("--out", type=Path, default=Path("."), help="artifact output directory")
+            p.add_argument("--model", dest="model_path", metavar="MODEL", required=True, type=Path,
+                           help="model JSON file")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, help="artifact output directory")
+        return p
 
-    p = sub.add_parser("validate", help="check model invariants")
-    common(p)
-    p = sub.add_parser("audit", help="audit growth/ergodicity assumptions")
-    common(p)
-    p.add_argument("--policy", type=Path, default=None)
-    p = sub.add_parser("evaluate", help="evaluate a fixed policy")
-    common(p)
-    p.add_argument("--policy", type=Path, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p = sub.add_parser("solve", help="run policy iteration")
-    common(p)
-    p.add_argument("--policy", type=Path, default=None,
-                   help="initial policy (default: lowest feasible action per state)")
-    p.add_argument("--tol-rho", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=200)
+    def policy(p, help=None):
+        p.add_argument("--policy", dest="policy_path", metavar="POLICY", type=Path, help=help)
+
+    command("validate", "check model invariants")
+    policy(command("audit", "audit growth/ergodicity assumptions"))
+    p = command("evaluate", "evaluate a fixed policy")
+    policy(p)
+    p.add_argument("--tol", type=float)
+    p = command("solve", "run policy iteration")
+    policy(p, "initial policy (default: lowest feasible action per state)")
+    p.add_argument("--tol-rho", type=float)
+    p.add_argument("--max-iter", type=int)
     p.add_argument("--strict-audit", action="store_true")
-    p = sub.add_parser("simulate", help="simulate a policy / validate rho by Monte Carlo")
-    common(p)
-    p.add_argument("--policy", type=Path, default=None)
-    p.add_argument("--rho", type=float, default=None,
-                   help="reference average cost; enables the Monte Carlo verdict")
-    p.add_argument("--horizon", type=float, default=1e4)
-    p.add_argument("--reps", type=int, default=32)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--x0", type=int, default=0, help="start state index")
+    p = command("simulate", "simulate a policy / validate rho by Monte Carlo")
+    policy(p)
+    p.add_argument("--rho", type=float, help="reference average cost; enables the Monte Carlo verdict")
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--reps", dest="replications", metavar="REPS", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--x0", type=int, help="start state index")
     p.add_argument("--trajectory-csv", action="store_true")
-    p = sub.add_parser("report", help="emit plot-ready CSVs from a solve trace")
-    common(p, model_required=False)
-    p.add_argument("--trace", type=Path, default=None)
+    p = command("report", "emit plot-ready CSVs from a solve trace", model_required=False)
+    p.add_argument("--trace", dest="trace_path", metavar="TRACE", type=Path)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        model_path=getattr(args, "model", Path(".")),
-        tol=getattr(args, "tol", 1e-8),
-        tol_rho=getattr(args, "tol_rho", 1e-8),
-        max_iter=getattr(args, "max_iter", 200),
-        horizon=getattr(args, "horizon", 1e4),
-        replications=getattr(args, "reps", 32),
-        seed=getattr(args, "seed", None),
-        x0=getattr(args, "x0", 0),
-        out_dir=args.out,
-        strict_audit=getattr(args, "strict_audit", False),
-        policy_path=getattr(args, "policy", None),
-        rho=getattr(args, "rho", None),
-        trace_path=getattr(args, "trace", None),
-        trajectory_csv=getattr(args, "trajectory_csv", False),
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     config.check()
     handler = {
         "validate": cmd_validate,

@@ -268,8 +268,7 @@ def _solve_series(kernel, nu, w, g, coords, model, rho, tol):
 
 
 def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *, method: str = "direct",
-                    workspace: OperatorWorkspace | None = None,
-                    refine_target: float | None = None) -> EvaluationResult:
+                    workspace: OperatorWorkspace | None = None) -> EvaluationResult:
     """Average cost and bias of a feedback policy.
 
     ``method`` is "direct" (deflated linear solve, the default) or "series"
@@ -284,7 +283,7 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *, method: str = "d
         raise ValueError("infeasible policy: " + "; ".join(problems))
     ws = workspace
     if ws is None:
-        ws = refined_workspace(model, policy, target=refine_target or min(tol / 2.0, 5e-9))
+        ws = refined_workspace(model, policy, target=min(tol / 2.0, 5e-9))
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
 
     nu = invariant_measure(kernel)

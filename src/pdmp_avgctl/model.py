@@ -523,36 +523,24 @@ def _piece_integrals(model: PdmpModel, ws, rate: float, v_nodes=None):
     return np.add.reduceat(weight, mesh.first[:-1]), rel[mesh.node_start[1:] - 1]
 
 
-def _line_integral(model: PdmpModel, ws, rate: float, v_nodes=None) -> np.ndarray:
-    """Per line: :func:`_piece_integrals` over the whole line.
+def _line_integrals(model: PdmpModel, ws, rate: float, v_nodes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per line: :func:`_piece_integrals` over the whole line, and int lambda_lower - rate t over it.
 
-    One backward pass: each piece's integral plus e^{rate t - int
-    lambda_lower} across the piece times the integral of the rest of the
-    line, as :meth:`OperatorWorkspace.assemble` carries survival.
+    One exponent pass and one backward pass: each piece's integral plus
+    e^{rate t - int lambda_lower} across the piece times the integral of
+    the rest of the line, as :meth:`OperatorWorkspace.assemble` carries
+    survival, and the pieces' exponents summed alongside.
     """
     inner, exponent = _piece_integrals(model, ws, rate, v_nodes)
-    return ws.backward(inner, np.exp(-exponent), np.zeros(len(ws.exits)))
-
-
-def _exponent_sum(model: PdmpModel, ws, rate: float) -> np.ndarray:
-    """Per line: int lambda_lower - rate t over the whole line."""
-    _, exponent = _piece_integrals(model, ws, rate)
-    return ws.backward(exponent, np.ones(exponent.size), np.zeros(len(ws.exits)))
+    w = ws.backward(np.column_stack((inner, exponent)),
+                    np.column_stack((np.exp(-exponent), np.ones(exponent.size))),
+                    np.zeros((len(ws.exits), 2)))
+    return w[:, 0], w[:, 1]
 
 
 def _exp_growth_integral(model: PdmpModel, ws) -> np.ndarray:
     """Per line: int_0^end exp(c t - int_0^t lambda_lower) dt on the workspace's mesh."""
-    return _line_integral(model, ws, model.constants.c)
-
-
-def _lower_hazard(model: PdmpModel, ws) -> np.ndarray:
-    """Per line: int lambda_lower over the whole line."""
-    return _exponent_sum(model, ws, 0.0)
-
-
-def _tail_decay(model: PdmpModel, ws) -> np.ndarray:
-    """Per line: exp(c t - int lambda_lower) at the line's end."""
-    return np.exp(-_exponent_sum(model, ws, model.constants.c))
+    return _line_integrals(model, ws, model.constants.c)[0]
 
 
 def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
@@ -636,20 +624,24 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     add("rate-floor", floor_slack, [f"x={pts[i]}" for i in range(n)])
 
     # expected-growth integral bounded by K_lambda
-    growth = _exp_growth_integral(model, ws)
+    growth, growth_exponent = _line_integrals(model, ws, c.c)
     truncated = ws.truncated
-    decay = _tail_decay(model, ws)[truncated]
+    decay = np.exp(-growth_exponent)[truncated]
     undecayed = bool(np.any(decay > 1e-9))
     add("growth-integral", c.K_lambda - growth, [f"x={pts[i]}" for i in range(n)],
         note="window-truncated on lines that never hit the boundary" if truncated.any() else "",
         not_checkable=undecayed)
+
+    # the discounted-by-lambda_lower running cost, and the lower hazard, over each line
+    fsup = np.where(fmask, model.running_cost, -np.inf).max(axis=1)
+    discounted_cost, lower_hazard = _line_integrals(model, ws, 0.0, Table1D(pts, fsup)(ws.mesh.states))
 
     # large-time decay limits; only window decay is observable
     if truncated.any():
         items.append(AuditItem("growth-decay-limit", "not_checkable", math.inf, "(limit)",
                                f"window decay of exp(ct - int lambda_lower) at t_max: {decay.max():.3e}"))
         g_end = g_tab(ws.mesh.states[ws.mesh.node_start[[e.piece + 1 for e in ws.exits]] - 1])[ws.exit_of]
-        g_end = float(np.max((g_end * np.exp(-_lower_hazard(model, ws)))[truncated]))
+        g_end = float(np.max((g_end * np.exp(-lower_hazard))[truncated]))
         items.append(AuditItem("weight-decay-limit", "not_checkable", math.inf, "(limit)",
                                f"window decay of exp(-int lambda_lower) g at t_max: {g_end:.3e}"))
     else:
@@ -657,10 +649,8 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
         items.append(AuditItem("weight-decay-limit", "pass", math.inf, "(vacuous)", "every line hits the boundary"))
 
     # discounted-by-lambda_lower running cost integrable
-    fsup = np.where(fmask, model.running_cost, -np.inf).max(axis=1)
-    vals = _line_integral(model, ws, 0.0, Table1D(pts, fsup)(ws.mesh.states))
     items.append(AuditItem("discounted-cost-integrable", "not_checkable" if undecayed else "pass",
-                           math.inf, f"max over states: {max(vals):.6g}",
+                           math.inf, f"max over states: {max(discounted_cost):.6g}",
                            "finite on the truncation window"))
 
     # kernel drift: Gg <= k_g g + K_g along feedback paths (given policy, else all

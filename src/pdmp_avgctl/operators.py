@@ -33,16 +33,18 @@ The control along a line is piecewise constant per piece: the action of the
 grid point a piece starts from governs it.  The quadrature is therefore
 written once, in :func:`_segment_tables`, which sums every (piece, action)
 pair's sojourn weight, running-cost integral, survival across the piece and
-sparse weights of Qh = Q h on the grid.  The value to go from a grid point
-does not depend on the line that reached it, so every operator is one
-backward pass over the grid positions in flow order
-(:meth:`OperatorWorkspace.backward`): the piece's value plus its survival
-times the value at the next grid point, or the exit's terminal value at a
-chain end.  Assembly, improvement and the optimality certificate run that
-pass on the same tables, so all three minimize over and evaluate exactly the
-same path class.  Improvement and the certificate share one pass
-(:meth:`OperatorWorkspace.improve_and_certify`), on Python floats, with Qh,
-the boundary minima and the pieces' one-stage values computed once for both.
+weights of Qh = Q h on the few consecutive grid points the piece spans: a
+dense band of ``width`` slots per (piece, action), which assembly and the
+one-stage values both read.  The value to go from a grid point does not
+depend on the line that reached it, so every operator is one backward pass
+over the grid positions in flow order (:meth:`OperatorWorkspace.backward`):
+the piece's value plus its survival times the value at the next grid point,
+or the exit's terminal value at a chain end.  Assembly, improvement and the
+optimality certificate run that pass on the same tables, so all three
+minimize over and evaluate exactly the same path class.  Improvement and the
+certificate are one entry (:meth:`OperatorWorkspace.improve_and_certify`),
+one pass on Python floats, with Qh, the boundary minima and the pieces'
+one-stage values computed once for both.
 
 A workspace belongs to the model object it was built for; every entry that
 takes one refuses another model's (:func:`check_workspace`).  Its one
@@ -322,28 +324,30 @@ class SegmentTables:
     With action a held over piece p and the value W carried in at the
     piece's end, the one-stage value over the piece is
 
-        -rho * sojourn[p, a] + cost[p, a] + sum_k weights_k * Qh.flat[cols_k]
+        -rho * sojourn[p, a] + cost[p, a] + sum_k weights[k, p, a] * Qh.flat[cols[k, p, a]]
         + survival[p, a] * W
 
-    where k runs over the entries with ``rows_k == p * n_a + a`` and
-    ``cols_k = grid index * n_a + a``.  Every integral is taken relative to
-    the piece's start, so a line's operators are its pieces' entries
-    weighted by the survival of the pieces before them.
+    The band slot k is grid point ``base_p + k``, base_p the lowest grid
+    point the piece reads, and ``cols = min(base_p + k, n - 1) * n_a + a``
+    indexes both ``Qh.ravel()`` and ``kernel_interior.reshape(n * n_a, n)``;
+    a slot past the grid is clamped and has weight exactly 0.  Every
+    integral is taken relative to the piece's start, so a line's operators
+    are its pieces' entries weighted by the survival of the pieces before
+    them.
     """
 
     sojourn: np.ndarray   # (P, n_a) sum of e^{-rel} d phi0 over the intervals
     cost: np.ndarray      # (P, n_a) running-cost integral
     survival: np.ndarray  # (P, n_a) e^{-hazard across the piece}
-    rows: np.ndarray      # (nnz,) p * n_a + a, in piece order
-    cols: np.ndarray      # (nnz,) grid index * n_a + a
-    weights: np.ndarray   # (nnz,) weight of Qh at that grid point
+    weights: np.ndarray   # (width, P, n_a) weight of Qh at each band slot
+    cols: np.ndarray      # (width, P, n_a) grid index * n_a + a of each band slot
     anchors: np.ndarray   # (P,) grid index whose action governs the piece
 
     def values(self, rho: float, qh: np.ndarray) -> np.ndarray:
         """(P, n_a) one-stage value of each piece with nothing carried in."""
-        q = np.bincount(self.rows, weights=self.weights * qh.ravel()[self.cols],
-                        minlength=self.sojourn.size)
-        return -rho * self.sojourn + self.cost + q.reshape(self.sojourn.shape)
+        q = qh.ravel()[self.cols]
+        q *= self.weights
+        return -rho * self.sojourn + self.cost + q.sum(axis=0)
 
 
 def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
@@ -373,29 +377,28 @@ def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
 
     # interval k weighs Qh at its left node by m d (p0 - p1) and at its right
     # node by m d p1, so a node inside a piece carries both neighbours'
-    # weights.  A node reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[ilo + 1]; a
-    # piece spans a few consecutive grid points, so the weights are summed
-    # per (piece, grid point - the piece's lowest, action)
+    # weights.  A node reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[hi], hi =
+    # ilo + 1, or ilo itself where wlo = 1 (a node on a grid point reads no
+    # other); a piece spans a few consecutive grid points, so the weights are
+    # summed per (grid point - the piece's lowest, piece, action)
     head *= m
     node = np.zeros(lam.shape)
     node[left] = head * q
     node[left + 1] += head * p1
     ilo, wlo = mesh.ilo, mesh.wlo[:, None]
-    hi = np.minimum(ilo + 1, n - 1)
+    hi = np.where(mesh.wlo < 1.0, ilo + 1, ilo)
     node_piece = np.repeat(np.arange(n_pieces), np.diff(mesh.node_start))
     base = np.minimum.reduceat(ilo, mesh.node_start[:-1])
     width = int(np.max(hi - base[node_piece])) + 1
-    size = n_pieces * width * n_a
-    offset = node_piece * width - base[node_piece]
+    size = width * n_pieces * n_a
+    offset = node_piece - base[node_piece] * n_pieces
     w = np.zeros(size)
     for grid, part in ((ilo, node * wlo), (hi, node * (1.0 - wlo))):
-        key = (offset + grid)[:, None] * n_a + np.arange(n_a)
+        key = (offset + grid * n_pieces)[:, None] * n_a + np.arange(n_a)
         w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
-    flat = np.flatnonzero(w)
-    s, rest = np.divmod(flat, width * n_a)
-    off, a = np.divmod(rest, n_a)
-    return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, rows=s * n_a + a,
-                         cols=(base[s] + off) * n_a + a, weights=w[flat], anchors=mesh.anchors)
+    grid = np.minimum(base + np.arange(width)[:, None], n - 1)
+    return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, weights=w.reshape(width, n_pieces, n_a),
+                         cols=grid[:, :, None] * n_a + np.arange(n_a), anchors=mesh.anchors)
 
 
 class OperatorWorkspace:
@@ -475,8 +478,11 @@ class OperatorWorkspace:
     def assemble(self, policy, alpha: float = 0.0):
         """(kernel, ell, cost, survival) of one policy, one backward pass over the piece tables.
 
-        Piece p runs at the action of its anchor, with kernel row
-        g_p = (Q weights_p) . Q_interior.  The pass carries
+        Piece p runs at the action a of its anchor, with kernel row
+
+            g_p = sum_k weights[k, p, a] * kernel_interior.reshape(n * n_a, n)[cols[k, p, a]]
+
+        (its band's kernel rows, weighted).  The pass carries
 
             [G, ell, cost, S] <- [g_p, sojourn_p, cost_p, 0] + survival_p [G, ell, cost, S]
 
@@ -497,12 +503,10 @@ class OperatorWorkspace:
         n_pieces = tables.anchors.size
         pieces = np.arange(n_pieces)
         act = policy.interior[tables.anchors]
-        entry_piece, entry_act = np.divmod(tables.rows, n_a)
-        pick = entry_act == act[entry_piece]
-        flat = np.bincount(entry_piece[pick] * (n * n_a) + tables.cols[pick], weights=tables.weights[pick],
-                           minlength=n_pieces * n * n_a)
+        # each piece's kernel row: its band's kernel rows at its action, weighted
+        weights, cols = tables.weights[:, pieces, act].T, tables.cols[:, pieces, act].T
         values = np.zeros((n_pieces, n + 3))
-        values[:, :n] = flat.reshape(n_pieces, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
+        values[:, :n] = (weights[:, None, :] @ model.kernel_interior.reshape(n * n_a, n)[cols])[:, 0]
         values[:, n] = tables.sojourn[pieces, act]
         values[:, n + 1] = tables.cost[pieces, act]
         terminal = np.zeros((len(self.exits), n + 3))
@@ -516,15 +520,6 @@ class OperatorWorkspace:
         return (w[:, :n].copy(), w[:, n].copy(), w[:, n + 1].copy(), w[:, n + 2].copy())
 
     # -- one-stage machinery ---------------------------------------------------
-
-    def one_stage_values(self, policy, rho: float, h: np.ndarray) -> np.ndarray:
-        kernel, ell, cost, _ = self.assemble(policy, 0.0)
-        return -rho * ell + cost + kernel @ h
-
-    def boundary_minima(self, h: np.ndarray, prev=None):
-        """Optimal boundary action and value min_b [r(z,b) + Qh(z,b)] per point."""
-        best_act, best_val, _ = self._boundary_choice(h, prev)
-        return best_act, best_val
 
     def _boundary_choice(self, h: np.ndarray, prev):
         """Per boundary point: the chosen action, its value, and the minimum value.
@@ -670,18 +665,6 @@ class OperatorWorkspace:
             w_next = v_s[pick] + b_s[pick] * w_next
             new_interior[j] = pick
         return FeedbackPolicy(interior=np.array(new_interior, dtype=np.int64), boundary=b_act), residual
-
-    def improve(self, rho: float, h: np.ndarray, prev):
-        """Argmin policy of the one-stage value; see :meth:`improve_and_certify`."""
-        return self.improve_and_certify(rho, h, prev)[0]
-
-    def optimality_residual(self, rho: float, h: np.ndarray, policy) -> float:
-        """sup_x [ h(x) - min over frozen-action sweeps of the one-stage value ].
-
-        See :meth:`improve_and_certify`, which is run with ``policy`` as the
-        incumbent; the residual itself does not depend on ``policy``.
-        """
-        return self.improve_and_certify(rho, h, policy)[1]
 
 
 def check_workspace(model, workspace: OperatorWorkspace | None) -> None:

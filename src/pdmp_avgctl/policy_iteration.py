@@ -13,10 +13,10 @@ pass's value, which is what makes the average cost non-increasing across
 iterations up to solver tolerance.
 
 One PIA step -- a policy's evaluation, its improved policy and its
-certificate -- depends only on the workspace, the policy and the evaluation
-tolerance, so :func:`run_pia` keeps each step in the workspace's per-policy
-cache, with its arrays read-only, and a later run on the same workspace
-that reaches the same policy (another start of a sweep) reuses it.
+certificate -- depends only on the workspace and the policy, so
+:func:`run_pia` keeps each step in the workspace's per-policy cache, with
+its arrays read-only, and a later run on the same workspace that reaches
+the same policy (another start of a sweep) reuses it.
 """
 
 from __future__ import annotations
@@ -76,33 +76,9 @@ class PiaTrace:
                 "iterations": self.to_rows()}
 
 
-def one_stage_value(model, rho: float, h: np.ndarray, policy: FeedbackPolicy, *,
-                    workspace: OperatorWorkspace | None = None) -> np.ndarray:
-    """-rho*calL + Lf + Hr + Gh under the policy's feedback paths, per state."""
-    check_workspace(model, workspace)
-    ws = workspace if workspace is not None else OperatorWorkspace(model)
-    return ws.one_stage_values(policy, rho, np.asarray(h, dtype=float))
-
-
-def improve_policy(model, rho: float, h: np.ndarray, prev: FeedbackPolicy, *,
-                   workspace: OperatorWorkspace | None = None) -> FeedbackPolicy:
-    """One-stage minimizing policy given (rho, h); ties keep the incumbent."""
-    check_workspace(model, workspace)
-    ws = workspace if workspace is not None else OperatorWorkspace(model)
-    return ws.improve(rho, np.asarray(h, dtype=float), prev)
-
-
-def optimality_residual(model, rho: float, h: np.ndarray, policy: FeedbackPolicy, *,
-                        workspace: OperatorWorkspace | None = None) -> float:
-    """sup_x of h(x) minus the best frozen-action one-stage value at x."""
-    check_workspace(model, workspace)
-    ws = workspace if workspace is not None else OperatorWorkspace(model)
-    return ws.optimality_residual(rho, np.asarray(h, dtype=float), policy)
-
-
-def _step(model, ws: OperatorWorkspace, policy: FeedbackPolicy, eval_tol: float) -> tuple:
+def _step(model, ws: OperatorWorkspace, policy: FeedbackPolicy) -> tuple:
     """(evaluation, improved policy, optimality residual) of ``policy`` on ``ws``, arrays read-only."""
-    evaluation = evaluate_policy(model, policy, eval_tol, workspace=ws)
+    evaluation = evaluate_policy(model, policy, workspace=ws)
     improved, opt_res = ws.improve_and_certify(evaluation.rho, evaluation.h, policy)
     for array in (evaluation.h, evaluation.nu, improved.interior, improved.boundary):
         array.flags.writeable = False
@@ -111,8 +87,7 @@ def _step(model, ws: OperatorWorkspace, policy: FeedbackPolicy, eval_tol: float)
 
 def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
             max_iter: int = DEFAULT_MAX_ITER, *,
-            workspace: OperatorWorkspace | None = None,
-            eval_tol: float = 1e-8) -> tuple[EvaluationResult, FeedbackPolicy, PiaTrace]:
+            workspace: OperatorWorkspace | None = None) -> tuple[EvaluationResult, FeedbackPolicy, PiaTrace]:
     """Alternate policy evaluation and improvement until the policy is a fixed point.
 
     Termination: the improved policy equals the current one (primary, finite
@@ -122,9 +97,9 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
     the best iterate seen.
 
     Each step (evaluation, improved policy, certificate) is kept in the
-    workspace's per-policy cache under the policy's key and ``eval_tol``,
-    and taken from there when this or a later run on the same workspace
-    reaches the policy again; its arrays are read-only.  A step that raises
+    workspace's per-policy cache under the policy's key, and taken from
+    there when this or a later run on the same workspace reaches the policy
+    again; its arrays are read-only.  A step that raises
     is not kept.
     """
     if max_iter < 1:
@@ -145,8 +120,7 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
 
     for n in range(max_iter):
         key = policy.key()
-        evaluation, improved, opt_res = ws.cached(("pia-step", key, eval_tol),
-                                                  lambda: _step(model, ws, policy, eval_tol))
+        evaluation, improved, opt_res = ws.cached(("pia-step", key), lambda: _step(model, ws, policy))
         changed = int(np.sum(improved.interior != policy.interior)
                       + np.sum(improved.boundary != policy.boundary))
         delta_h = float(np.max(np.abs(evaluation.h - prev_h))) if prev_h is not None else math.nan

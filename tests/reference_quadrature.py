@@ -17,7 +17,12 @@ the engines that came before it, on the library's line rule:
   as a backward march along each line (:func:`marched_improve`) and the
   certificate as a sweep of all lines by position from their ends
   (:func:`swept_residual`), and the certificate as its own numpy backward
-  pass over the grid positions (:func:`numpy_optimality_residual`).
+  pass over the grid positions (:func:`numpy_optimality_residual`);
+* on the library's piece tables, each piece's kernel row as a dense
+  (P, n * n_a) product with the whole interior kernel
+  (:func:`dense_assemble`) and the one-stage values as sparse per-piece
+  sums (:func:`sparse_values`), as the library computed them before it
+  read the tables' band of Q weights directly.
 
 On the per-line meshes it integrates the operators the direct way, one
 :class:`PolicyPath` (a policy's feedback path from one grid state) at a time
@@ -496,16 +501,11 @@ def composed_assemble(ws, policy):
     prefix, survival = compose(ws, tables.survival[pieces, act])
     ell = np.bincount(inc.line, weights=prefix * tables.sojourn[pieces, act][inc.piece], minlength=n)
     cost = np.bincount(inc.line, weights=prefix * tables.cost[pieces, act][inc.piece], minlength=n)
-    # every incidence entry takes its piece's Q weights at the piece's
-    # action (``pick``, grouped by piece), scaled by the entry's prefix
-    entry_piece, entry_act = np.divmod(tables.rows, n_a)
-    pick = np.flatnonzero(entry_act == act[entry_piece])
-    bounds = np.searchsorted(entry_piece[pick], np.arange(pieces.size + 1))
-    lo, count = bounds[inc.piece], np.diff(bounds)[inc.piece]
-    owner = np.repeat(np.arange(inc.piece.size), count)
-    entry = pick[np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count) + lo[owner]]
-    flat = np.bincount(inc.line[owner] * (n * n_a) + tables.cols[entry],
-                       weights=prefix[owner] * tables.weights[entry], minlength=n * n * n_a)
+    # every incidence entry takes its piece's band at the piece's action,
+    # scaled by the entry's prefix
+    weights = tables.weights[:, pieces, act][:, inc.piece] * prefix
+    cols = inc.line * (n * n_a) + tables.cols[:, pieces, act][:, inc.piece]
+    flat = np.bincount(cols.ravel(), weights=weights.ravel(), minlength=n * n * n_a)
     kernel = flat.reshape(n, n * n_a) @ model.kernel_interior.reshape(n * n_a, n)
     for j in range(n):
         ex = line_exit(ws, j)
@@ -516,12 +516,63 @@ def composed_assemble(ws, policy):
     return kernel, ell, cost, survival
 
 
+def dense_assemble(ws, policy):
+    """(kernel, ell, cost, survival) of one policy, each piece's kernel row a dense product.
+
+    As the library assembled before it gathered each piece's band of kernel
+    rows: the piece's Q weights at its action are scattered into a dense
+    (P, n * n_a) array, which multiplies the whole interior kernel; then the
+    same backward pass.
+    """
+    model = ws.model
+    n, n_a = model.n_states, model.n_actions
+    tables = ws.segment_tables()
+    n_pieces = tables.anchors.size
+    pieces = np.arange(n_pieces)
+    act = policy.interior[tables.anchors]
+    flat = np.zeros((n_pieces, n * n_a))
+    np.add.at(flat, (pieces, tables.cols[:, pieces, act]), tables.weights[:, pieces, act])
+    values = np.zeros((n_pieces, n + 3))
+    values[:, :n] = flat @ model.kernel_interior.reshape(n * n_a, n)
+    values[:, n] = tables.sojourn[pieces, act]
+    values[:, n + 1] = tables.cost[pieces, act]
+    terminal = np.zeros((len(ws.exits), n + 3))
+    terminal[:, n + 2] = 1.0
+    for k, e in enumerate(ws.exits):
+        if e.hit:
+            b_act = policy.boundary[e.boundary_index]
+            terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
+            terminal[k, n + 1] = model.boundary_cost[e.boundary_index, b_act]
+    w = ws.backward(values, tables.survival[pieces, act], terminal)
+    return w[:, :n], w[:, n], w[:, n + 1], w[:, n + 2]
+
+
+def sparse_values(tables, rho, qh):
+    """``tables.values(rho, qh)`` as the library summed it before the band.
+
+    The nonzero band slots as (row = piece * n_a + action, column, weight)
+    triples, their products with Qh summed per row by ``bincount``.
+    """
+    _, n_pieces, n_a = tables.weights.shape
+    rows = np.broadcast_to(np.arange(n_pieces * n_a).reshape(n_pieces, n_a), tables.weights.shape)
+    nonzero = tables.weights != 0.0
+    q = np.bincount(rows[nonzero], weights=tables.weights[nonzero] * qh.ravel()[tables.cols[nonzero]],
+                    minlength=n_pieces * n_a)
+    return -rho * tables.sojourn + tables.cost + q.reshape(n_pieces, n_a)
+
+
+def one_stage_values(ws, policy, rho, h):
+    """-rho*calL + Lf + Hr + Gh under the policy's feedback paths, per state, from ``ws.assemble``."""
+    kernel, ell, cost, _ = ws.assemble(policy)
+    return -rho * ell + cost + kernel @ h
+
+
 def marched_improve(ws, rho, h, prev):
     """Backward march of the one-stage value along each line, piece by piece; argmin policy."""
     model = ws.model
     n = model.n_states
     qh_int = model.kernel_interior @ h
-    b_act, b_val = ws.boundary_minima(h, prev)
+    b_act, b_val, _ = ws._boundary_choice(h, prev)
     tables = ws.segment_tables()
     values = tables.values(rho, qh_int).tolist()
     survival = tables.survival.tolist()
@@ -564,7 +615,7 @@ def swept_residual(ws, rho, h):
     """The optimality residual, every line's frozen-action sweep run by position from its end."""
     model = ws.model
     qh_int = model.kernel_interior @ h
-    _, b_val = ws.boundary_minima(h)
+    _, b_val, _ = ws._boundary_choice(h, None)
     tables = ws.segment_tables()
     values, survival = tables.values(rho, qh_int), tables.survival
     inc = incidence(ws)
@@ -596,7 +647,7 @@ def numpy_optimality_residual(ws, rho, h):
     model = ws.model
     n_a = model.n_actions
     h = np.asarray(h, dtype=float)
-    _, b_val = ws.boundary_minima(h)
+    _, b_val, _ = ws._boundary_choice(h, None)
     tables = ws.segment_tables()
     values = np.hstack((tables.values(rho, model.kernel_interior @ h), np.zeros(tables.survival.shape)))
     factors = np.hstack((tables.survival, model.feasible_mask[tables.anchors]))
@@ -842,7 +893,7 @@ def reference_improve(ws, rho, h, prev, geometry=None):
     model = ws.model
     n_a = model.n_actions
     qh_int = model.kernel_interior @ h
-    b_act, b_val = ws.boundary_minima(h, prev)
+    b_act, b_val, _ = ws._boundary_choice(h, prev)
     new_interior = np.empty(model.n_states, dtype=np.int64)
     for geom in line_geometry(ws) if geometry is None else geometry:
         qh_nodes = (geom.wlo[:, None] * qh_int[geom.ilo, :]
@@ -878,7 +929,7 @@ def reference_sweep_values(ws, rho, h, geometry=None):
     """Per line: the frozen-action one-stage values, or None when no action is feasible."""
     model = ws.model
     qh_int = model.kernel_interior @ h
-    _, b_val = ws.boundary_minima(h)
+    _, b_val, _ = ws._boundary_choice(h, None)
     out = []
     for geom in line_geometry(ws) if geometry is None else geometry:
         if not geom.line_feasible.any():

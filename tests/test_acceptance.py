@@ -115,8 +115,7 @@ def test_criterion_06_optimality_certificate(models, workspaces, solved):
     worst = -np.inf
     for name, model in models.items():
         result, policy, _ = solved[name]
-        res = pa.optimality_residual(model, result.rho, result.h, policy,
-                                     workspace=workspaces[name])
+        _, res = workspaces[name].improve_and_certify(result.rho, result.h, policy)
         assert res <= 1e-7, (name, res)
         worst = max(worst, res)
     report("criterion 6 (optimality certificate)", f"max residual = {worst:.2e}")

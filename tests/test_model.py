@@ -185,7 +185,7 @@ class TestAuditAssumptions:
     def test_line_integrals_match_the_per_line_meshes(self, models, workspaces):
         # the growth integral, the lower hazard and the discounted cost bound,
         # carried from per-piece sums by one backward pass, are the per-line sums on the per-line mesh
-        from pdmp_avgctl.model import _exp_growth_integral, _line_integral, _lower_hazard
+        from pdmp_avgctl.model import _exp_growth_integral, _line_integrals
 
         for name, model in models.items():
             ws = workspaces[name]
@@ -193,8 +193,8 @@ class TestAuditAssumptions:
             lower = pa.Table1D(model.grid.points, c.lambda_lower)
             fsup = pa.Table1D(model.grid.points, np.where(model.feasible_mask, model.running_cost,
                                                            -np.inf).max(axis=1))
-            got = (_exp_growth_integral(model, ws), _lower_hazard(model, ws),
-                   _line_integral(model, ws, 0.0, fsup(ws.mesh.states)))
+            discounted_cost, lower_hazard = _line_integrals(model, ws, 0.0, fsup(ws.mesh.states))
+            got = (_exp_growth_integral(model, ws), lower_hazard, discounted_cost)
             for j, geom in enumerate(line_geometry(ws)):
                 lam = lower(geom.states)
                 step = 0.5 * (lam[:-1] + lam[1:]) * geom.dt
@@ -215,14 +215,14 @@ class TestAuditAssumptions:
         # ctmdp_2state never moves, so the bound on int e^{-lambda_lower t} f
         # over its window is f (1 - e^{-lambda_lower t_max}) / lambda_lower
         # per state, 3.5 and 1.46667
-        from pdmp_avgctl.model import _line_integral
+        from pdmp_avgctl.model import _line_integrals
 
         model = models["ctmdp_2state"]
         ws = pa.OperatorWorkspace(model, fill)
         lam = model.constants.lambda_lower
         fsup = np.where(model.feasible_mask, model.running_cost, -np.inf).max(axis=1)
         want = fsup * -np.expm1(-lam * model.t_max) / lam
-        got = _line_integral(model, ws, 0.0, pa.Table1D(model.grid.points, fsup)(ws.mesh.states))
+        got, _ = _line_integrals(model, ws, 0.0, pa.Table1D(model.grid.points, fsup)(ws.mesh.states))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         assert np.allclose(want, [3.5, 1.46667], rtol=0, atol=5e-6)
         item = pa.audit_assumptions(model, workspace=ws).item("discounted-cost-integrable")

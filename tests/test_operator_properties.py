@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import pdmp_avgctl as pa
 from pdmp_avgctl.operators import OperatorWorkspace
 
-from reference_quadrature import (composed_assemble, forced_line_geometry, line_exit, line_geometry, line_pieces,
-                                  marched_improve, meshed_workspace, numpy_optimality_residual, piece_counts,
+from reference_quadrature import (composed_assemble, dense_assemble, forced_line_geometry, line_exit, line_geometry,
+                                  line_pieces, marched_improve, meshed_workspace, numpy_optimality_residual, piece_counts,
                                   reference_assemble, reference_improve, reference_optimality_residual,
                                   shared_line_geometry, swept_residual)
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
@@ -200,8 +200,8 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
         for got, want in zip(ws.assemble(policy)[:3], reference_assemble(ws, policy, geometry=geometry)):
             assert _within(got, want)
         rho, h = float(rng.uniform(0.0, 3.0)), rng.normal(scale=2.0, size=model.n_states)
-        assert ws.improve(rho, h, policy).key() == reference_improve(ws, rho, h, policy, geometry).key()
-        residual = ws.optimality_residual(rho, h, policy)
+        improved, residual = ws.improve_and_certify(rho, h, policy)
+        assert improved.key() == reference_improve(ws, rho, h, policy, geometry).key()
         assert _within(np.array([residual]), np.array([reference_optimality_residual(ws, rho, h, geometry)]))
 
     # a constant exit piece (every exit of a trivial flow, the exit past the
@@ -242,17 +242,23 @@ def test_backward_pass_matches_the_per_line_compositions(flow, data):
     # what composing every line's own pieces gives: running survival
     # products for the operators, a march along each line for the
     # improvement, and a sweep of all lines from their ends for the
-    # certificate
+    # certificate; and each piece's gathered kernel row is the dense product.
+    # A band slot clamped past the last grid point (some affine and tabulated
+    # examples have them) carries no weight.
     doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
     model = pa.model_from_dict(doc)
     ws = OperatorWorkspace(model, fill)
+    tables = ws.segment_tables()
+    slot_grid = tables.cols[:1] // model.n_actions + np.arange(tables.weights.shape[0])[:, None, None]
+    assert np.all(tables.weights[slot_grid > model.n_states - 1] == 0.0)
     rng = np.random.default_rng(seed)
     for policy in _policies(model, seed):
-        for got, want in zip(ws.assemble(policy), composed_assemble(ws, policy)):
-            assert _within(got, want)
+        for want in (composed_assemble(ws, policy), dense_assemble(ws, policy)):
+            for got, w in zip(ws.assemble(policy), want):
+                assert _within(got, w)
         rho, h = float(rng.uniform(0.0, 3.0)), rng.normal(scale=2.0, size=model.n_states)
-        assert ws.improve(rho, h, policy).key() == marched_improve(ws, rho, h, policy).key()
-        residual = ws.optimality_residual(rho, h, policy)
+        improved, residual = ws.improve_and_certify(rho, h, policy)
+        assert improved.key() == marched_improve(ws, rho, h, policy).key()
         assert _within(np.array([residual]), np.array([swept_residual(ws, rho, h)]))
         # the certificate's own numpy pass does the same arithmetic in the same order
         assert residual == numpy_optimality_residual(ws, rho, h)

@@ -13,10 +13,11 @@ from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWor
 
 from conftest import BUNDLED
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
-                                  cum_rate, forced_line_geometry, line_exit, line_geometry, line_pieces, marched_improve, op_G, op_H,
-                                  numpy_optimality_residual, op_L, op_calL, phi0, phi1, policy_paths,
-                                  reference_assemble, reference_improve, reference_optimality_residual,
-                                  reference_sweep_values, swept_residual)
+                                  cum_rate, dense_assemble, forced_line_geometry, line_exit, line_geometry, line_pieces,
+                                  marched_improve, op_G, op_H, numpy_optimality_residual, one_stage_values, op_L,
+                                  op_calL, phi0, phi1, policy_paths, reference_assemble, reference_improve,
+                                  reference_optimality_residual, reference_sweep_values, sparse_values,
+                                  swept_residual)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -251,6 +252,18 @@ class TestAssembleFromTables:
                 assert np.max(np.abs(cost - ref_cost)) <= 1e-12, name
                 ends = np.array([path.cum_hazard[-1] for path in policy_paths(ws, policy)])
                 assert np.max(np.abs(survival - np.exp(-ends))) <= 1e-12, name
+
+    def test_band_gather_matches_the_dense_product(self, models, workspaces):
+        # each piece's kernel row gathered from its band's kernel rows is the
+        # dense (P, n * n_a) product with the whole interior kernel
+        rng = np.random.default_rng(47)
+        for name, model in models.items():
+            ws = workspaces[name]
+            policies = [pa.FeedbackPolicy.lowest_feasible(model)]
+            policies += [pa.FeedbackPolicy.random_feasible(model, rng) for _ in range(3)]
+            for policy in policies:
+                for got, want in zip(ws.assemble(policy), dense_assemble(ws, policy)):
+                    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
 
     def test_assembling_builds_no_policy_paths(self, models):
         # policy paths live only in the test reference: neither the operators
@@ -510,8 +523,9 @@ def agrees_with_the_per_line_references(ws, rng):
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
         rho, h, prev = random_problem(model, rng)
-        assert ws.improve(rho, h, prev).key() == marched_improve(ws, rho, h, prev).key()
-        assert abs(ws.optimality_residual(rho, h, prev) - swept_residual(ws, rho, h)) <= 1e-12
+        improved, residual = ws.improve_and_certify(rho, h, prev)
+        assert improved.key() == marched_improve(ws, rho, h, prev).key()
+        assert abs(residual - swept_residual(ws, rho, h)) <= 1e-12
 
 
 # -- per-segment one-stage tables ---------------------------------------------
@@ -566,6 +580,22 @@ class TestSegmentTables:
                                       (got_values[p], want_values[s])):
                         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (name, j, s)
 
+    def test_band_values_match_the_sparse_sums(self, models, workspaces):
+        # slot k of a piece's band is grid point base + k at the slot's action,
+        # clamped to the last grid point, where it carries no weight; the
+        # band's one-stage values are the sums over its nonzero slots
+        rng = np.random.default_rng(53)
+        for name, model in models.items():
+            tables = workspaces[name].segment_tables()
+            n_a, width = model.n_actions, tables.weights.shape[0]
+            slot_grid = tables.cols[:1] // n_a + np.arange(width)[:, None, None]
+            assert np.all(tables.weights[slot_grid > model.n_states - 1] == 0.0), name
+            assert np.array_equal(np.minimum(slot_grid, model.n_states - 1) * n_a + np.arange(n_a), tables.cols), name
+            rho, h, _ = random_problem(model, rng)
+            qh = model.kernel_interior @ h
+            want = sparse_values(tables, rho, qh)
+            assert np.max(np.abs(tables.values(rho, qh) - want)) <= 1e-15 * max(1.0, np.max(np.abs(want))), name
+
     def test_segment_recursion_matches_the_line_integrals(self, models, workspaces):
         # the backward recursion over a line's pieces under one frozen action
         # is the whole-line quadrature of the reference sweep
@@ -575,7 +605,7 @@ class TestSegmentTables:
             tables = ws.segment_tables()
             rho, h, _ = random_problem(model, rng)
             values = tables.values(rho, model.kernel_interior @ h)
-            _, b_val = ws.boundary_minima(h)
+            _, b_val, _ = ws._boundary_choice(h, None)
             for j, (line, ref) in enumerate(zip(line_pieces(ws), reference_sweep_values(ws, rho, h))):
                 if ref is None:
                     continue
@@ -592,10 +622,8 @@ class TestSegmentTables:
             ws = workspaces[name]
             for _ in range(4):
                 rho, h, prev = random_problem(model, rng)
-                got = ws.improve(rho, h, prev)
-                want = reference_improve(ws, rho, h, prev)
-                assert got.key() == want.key(), name
-                res = ws.optimality_residual(rho, h, prev)
+                got, res = ws.improve_and_certify(rho, h, prev)
+                assert got.key() == reference_improve(ws, rho, h, prev).key(), name
                 assert abs(res - reference_optimality_residual(ws, rho, h)) <= 1e-12, name
 
     def test_matches_the_references_along_pia_iterates(self, models, workspaces):
@@ -606,10 +634,9 @@ class TestSegmentTables:
             policy = pa.FeedbackPolicy.random_feasible(model, rng)
             for _ in range(6):
                 res = pa.evaluate_policy(model, policy, workspace=ws)
-                improved = ws.improve(res.rho, res.h, policy)
+                improved, residual = ws.improve_and_certify(res.rho, res.h, policy)
                 assert improved.key() == reference_improve(ws, res.rho, res.h, policy).key(), name
-                assert abs(ws.optimality_residual(res.rho, res.h, policy)
-                           - reference_optimality_residual(ws, res.rho, res.h)) <= 1e-12, name
+                assert abs(residual - reference_optimality_residual(ws, res.rho, res.h)) <= 1e-12, name
                 if improved.key() == policy.key():
                     break
                 policy = improved
@@ -623,7 +650,6 @@ class TestSegmentTables:
         improved, residual = ws.improve_and_certify(rho, h, prev)
         assert residual == numpy_optimality_residual(ws, rho, h), name
         assert improved.key() == marched_improve(ws, rho, h, prev).key(), name
-        assert (ws.improve(rho, h, prev).key(), ws.optimality_residual(rho, h, prev)) == (improved.key(), residual)
 
     @pytest.mark.parametrize("incumbent", [[0, 0], [0, 1], [1, 0], [1, 1]])
     def test_exact_ties_keep_the_incumbent(self, incumbent):
@@ -632,7 +658,7 @@ class TestSegmentTables:
         ws = OperatorWorkspace(model, 16)
         prev = pa.FeedbackPolicy(interior=np.array(incumbent), boundary=np.array([], dtype=np.int64))
         rho, h, _ = random_problem(model, np.random.default_rng(73))
-        assert ws.improve(rho, h, prev).interior.tolist() == incumbent
+        assert ws.improve_and_certify(rho, h, prev)[0].interior.tolist() == incumbent
         assert reference_improve(ws, rho, h, prev).interior.tolist() == incumbent
 
     @settings(max_examples=12, deadline=None, derandomize=True)
@@ -640,9 +666,9 @@ class TestSegmentTables:
     def test_improvement_never_raises_the_one_stage_value(self, models, workspaces, name, seed):
         model, ws = models[name], workspaces[name]
         rho, h, prev = random_problem(model, np.random.default_rng(seed))
-        improved = ws.improve(rho, h, prev)
-        v_prev = ws.one_stage_values(prev, rho, h)
-        v_new = ws.one_stage_values(improved, rho, h)
+        improved, _ = ws.improve_and_certify(rho, h, prev)
+        v_prev = one_stage_values(ws, prev, rho, h)
+        v_new = one_stage_values(ws, improved, rho, h)
         assert np.all(v_new <= v_prev + 1e-9 * (1.0 + np.max(np.abs(h)))), name
 
 
@@ -651,9 +677,6 @@ OTHER_MODEL_ENTRIES = {
     "evaluate_policy": lambda m, u, res, ws: pa.evaluate_policy(m, u, workspace=ws),
     "residual": lambda m, u, res, ws: pa.residual(m, u, res, workspace=ws),
     "run_pia": lambda m, u, res, ws: pa.run_pia(m, u, workspace=ws),
-    "one_stage_value": lambda m, u, res, ws: pa.one_stage_value(m, res.rho, res.h, u, workspace=ws),
-    "improve_policy": lambda m, u, res, ws: pa.improve_policy(m, res.rho, res.h, u, workspace=ws),
-    "optimality_residual": lambda m, u, res, ws: pa.optimality_residual(m, res.rho, res.h, u, workspace=ws),
     "kernel_matrix": lambda m, u, res, ws: kernel_matrix(m, u, workspace=ws),
     "refined_workspace": lambda m, u, res, ws: pa.refined_workspace(m, u, start=ws),
     "audit_assumptions": lambda m, u, res, ws: pa.audit_assumptions(m, u, workspace=ws),

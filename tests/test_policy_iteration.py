@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import pdmp_avgctl as pa
 
 from oracles import model_arrays, uniformization_policy_value, uniformization_rvi
+from reference_quadrature import one_stage_values
 from test_operator_properties import random_model_docs
 from toy_models import constant_cost_variant, dominated_toy_doc, renewal_doc, two_state_jump_doc
 
@@ -23,7 +24,7 @@ class TestImprovePolicy:
         model = pa.model_from_dict(renewal_doc())
         policy = pa.FeedbackPolicy.lowest_feasible(model)
         res = pa.evaluate_policy(model, policy)
-        improved = pa.improve_policy(model, res.rho, res.h, policy)
+        improved, _ = pa.OperatorWorkspace(model).improve_and_certify(res.rho, res.h, policy)
         assert improved.key() == policy.key()
 
     def test_dominating_action_is_selected_everywhere(self, dominated):
@@ -31,7 +32,7 @@ class TestImprovePolicy:
         all_zero = pa.FeedbackPolicy(interior=np.zeros(2, dtype=np.int64),
                                      boundary=np.array([], dtype=np.int64))
         res = pa.evaluate_policy(model, all_zero, workspace=ws)
-        improved = pa.improve_policy(model, res.rho, res.h, all_zero, workspace=ws)
+        improved, _ = ws.improve_and_certify(res.rho, res.h, all_zero)
         assert improved.interior.tolist() == [1, 1]
 
     def test_improvement_never_raises_rho(self, models, workspaces):
@@ -42,7 +43,7 @@ class TestImprovePolicy:
             for _ in range(4):
                 policy = pa.FeedbackPolicy.random_feasible(model, rng)
                 res = pa.evaluate_policy(model, policy, tol, workspace=ws)
-                improved = pa.improve_policy(model, res.rho, res.h, policy, workspace=ws)
+                improved, _ = ws.improve_and_certify(res.rho, res.h, policy)
                 res2 = pa.evaluate_policy(model, improved, tol, workspace=ws)
                 assert res2.rho <= res.rho + 10 * tol, name
 
@@ -52,9 +53,9 @@ class TestImprovePolicy:
             ws = workspaces[name]
             policy = pa.FeedbackPolicy.random_feasible(model, rng)
             res = pa.evaluate_policy(model, policy, workspace=ws)
-            improved = pa.improve_policy(model, res.rho, res.h, policy, workspace=ws)
-            v_old = pa.one_stage_value(model, res.rho, res.h, policy, workspace=ws)
-            v_new = pa.one_stage_value(model, res.rho, res.h, improved, workspace=ws)
+            improved, _ = ws.improve_and_certify(res.rho, res.h, policy)
+            v_old = one_stage_values(ws, policy, res.rho, res.h)
+            v_new = one_stage_values(ws, improved, res.rho, res.h)
             assert np.all(v_new <= v_old + 1e-7), name
 
 
@@ -62,22 +63,20 @@ class TestOneStageValue:
     def test_reproduces_bias_at_converged_evaluation(self, models, workspaces, solved):
         for name, model in models.items():
             result, policy, _ = solved[name]
-            values = pa.one_stage_value(model, result.rho, result.h, policy,
-                                        workspace=workspaces[name])
+            values = one_stage_values(workspaces[name], policy, result.rho, result.h)
             assert np.max(np.abs(values - result.h)) <= 1e-7, name
 
     def test_nonnegative_with_zero_bias_and_rate(self, models, workspaces):
         for name, model in models.items():
             policy = pa.FeedbackPolicy.lowest_feasible(model)
-            values = pa.one_stage_value(model, 0.0, np.zeros(model.n_states), policy,
-                                        workspace=workspaces[name])
+            values = one_stage_values(workspaces[name], policy, 0.0, np.zeros(model.n_states))
             assert np.all(values >= -1e-12), name
 
     def test_constant_cost_cancels_exactly(self, write_model):
         doc = constant_cost_variant(two_state_jump_doc(), 2.5)
         model = pa.load_model(write_model(doc))
         policy = pa.FeedbackPolicy.lowest_feasible(model)
-        values = pa.one_stage_value(model, 2.5, np.zeros(2), policy)
+        values = one_stage_values(pa.OperatorWorkspace(model), policy, 2.5, np.zeros(2))
         assert np.max(np.abs(values)) <= 1e-10
 
 
@@ -150,15 +149,14 @@ class TestOptimalityResidual:
     def test_converged_output_certifies(self, models, workspaces, solved):
         for name, model in models.items():
             result, policy, _ = solved[name]
-            res = pa.optimality_residual(model, result.rho, result.h, policy,
-                                         workspace=workspaces[name])
+            _, res = workspaces[name].improve_and_certify(result.rho, result.h, policy)
             assert res <= 1e-7, name
 
     def test_single_action_model_is_exactly_certified(self):
         model = pa.model_from_dict(renewal_doc())
         policy = pa.FeedbackPolicy.lowest_feasible(model)
         result = pa.evaluate_policy(model, policy)
-        res = pa.optimality_residual(model, result.rho, result.h, policy)
+        _, res = pa.OperatorWorkspace(model).improve_and_certify(result.rho, result.h, policy)
         assert abs(res) <= 1e-8
 
     def test_suboptimal_policy_shows_the_dominance_gap(self, dominated):
@@ -170,7 +168,7 @@ class TestOptimalityResidual:
         res = pa.evaluate_policy(model, all_zero, workspace=ws)
         _, ell, _, _ = ws.assemble(all_zero, 0.0)
         expected_gap = 0.8 * float(ell.max())
-        residual = pa.optimality_residual(model, res.rho, res.h, all_zero, workspace=ws)
+        _, residual = ws.improve_and_certify(res.rho, res.h, all_zero)
         assert residual >= 0.95 * expected_gap
 
     def test_fixed_point_consistency(self, models, workspaces):
@@ -181,13 +179,12 @@ class TestOptimalityResidual:
             policy = pa.FeedbackPolicy.random_feasible(model, rng)
             for _ in range(25):
                 res = pa.evaluate_policy(model, policy, workspace=ws)
-                improved = pa.improve_policy(model, res.rho, res.h, policy, workspace=ws)
+                improved, _ = ws.improve_and_certify(res.rho, res.h, policy)
                 if improved.key() == policy.key():
                     break
                 policy = improved
             res = pa.evaluate_policy(model, policy, workspace=ws)
-            assert pa.optimality_residual(model, res.rho, res.h, policy,
-                                          workspace=ws) <= 1e-7, name
+            assert ws.improve_and_certify(res.rho, res.h, policy)[1] <= 1e-7, name
 
 
 class TestTraceBoundedness:
