@@ -8,10 +8,11 @@ G; with its invariant row nu the average cost per unit time is
 and the bias h is the unique solution of  h = -rho*calL + Lf + Hr + G h  with
 nu(h) = 0.  The policy's (G, calL, Lf + Hr) come from
 :meth:`OperatorWorkspace.assemble`, one backward pass over the workspace's
-per-piece tables, the same sums improvement reads.  The default solver is
-a deflated direct linear solve; the geometric series  sum_k G^k w  is kept as
-an independent second method whose truncation is certified by estimated
-ergodicity constants.
+per-piece tables, the same sums improvement reads.  The bias is solved by
+one deflated direct linear solve.  The paper's geometric series
+sum_k G^k (Lf + Hr - rho calL), truncated by the estimated ergodicity
+constants of :func:`estimate_ergodic_constants`, is kept only as the tests'
+independent cross-check of that solve.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ DEFAULT_TOL = 1e-8
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 200_000
 DIRECT_SOLVE_LIMIT = 2000
+ERGODIC_PROBE_POWERS = 20
 
 
 class EvaluationError(RuntimeError):
@@ -50,12 +52,13 @@ def _subdominant_modulus(kernel: np.ndarray, steps: tuple) -> str:
     return f"{ratio} (contraction ratio of the last two l1 steps)"
 
 
-def invariant_measure(kernel: np.ndarray, *, method: str = "auto",
-                      tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> np.ndarray:
+def invariant_measure(kernel: np.ndarray) -> np.ndarray:
     """Invariant probability row nu with nu G = nu, sum nu = 1, nu >= 0.
 
-    ``method`` is "direct" (stationarity system, grids up to 2000 states),
-    "power" (iteration from the uniform row), or "auto" (direct when small).
+    Up to ``DIRECT_SOLVE_LIMIT`` states the stationarity system is solved
+    directly and the result polished by the power iteration; above that, or
+    when the direct solve fails, the iteration runs from the uniform row to
+    an l1 step of ``POWER_TOL`` within ``POWER_MAX_ITER`` steps.
     Raises ErgodicityError when no unique invariant row can be certified:
     when the iteration does not converge, or when the transition graph
     ``kernel > 0`` has more than one closed communicating class (checked at
@@ -70,12 +73,8 @@ def invariant_measure(kernel: np.ndarray, *, method: str = "auto",
     if rowdev > 1e-6:
         raise ValueError(f"kernel rows must sum to 1 within 1e-6 (max deviation {rowdev:.3e})")
 
-    if method not in ("auto", "direct", "power"):
-        raise ValueError(f"unknown method {method!r}")
-    use_direct = method == "direct" or (method == "auto" and n <= DIRECT_SOLVE_LIMIT)
-
     nu = None
-    if use_direct:
+    if n <= DIRECT_SOLVE_LIMIT:
         system = kernel.T - np.eye(n)
         system[-1, :] = 1.0
         rhs = np.zeros(n)
@@ -92,11 +91,11 @@ def invariant_measure(kernel: np.ndarray, *, method: str = "auto",
 
     # polish (and the pure-power path): nu <- nu G until l1-stationary
     steps = (0.0, 0.0)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         nxt = nu @ kernel
         nxt = nxt / nxt.sum()
         steps = (steps[1], float(np.abs(nxt - nu).sum()))
-        if steps[1] <= tol:
+        if steps[1] <= POWER_TOL:
             nu = nxt
             break
         nu = nxt
@@ -150,12 +149,12 @@ def _one_closed_class(adj: np.ndarray, start: int) -> bool:
 
 
 def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray,
-                               coords: np.ndarray, *, powers: int = 20) -> tuple[float, float]:
+                               coords: np.ndarray) -> tuple[float, float]:
     """Estimate (a, kappa) of the geometric decay |G^k h - nu(h)| <= a ||h||_g kappa^k g.
 
     Probes h in {g, 1, coordinate}; kappa is fitted from the log-decay of the
-    g-weighted errors over k = 1..powers, a is the smallest prefactor making
-    the bound hold at every observed power (k = 0 included).
+    g-weighted errors over k = 1..ERGODIC_PROBE_POWERS, a is the smallest
+    prefactor making the bound hold at every observed power (k = 0 included).
     """
     g = np.asarray(g, dtype=float)
     probes = [np.asarray(g, dtype=float), np.ones_like(g), np.asarray(coords, dtype=float)]
@@ -167,7 +166,7 @@ def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray
         target = float(nu @ h)
         errs = []
         vec = h.astype(float)
-        for _ in range(powers + 1):
+        for _ in range(ERGODIC_PROBE_POWERS + 1):
             errs.append(float(np.max(np.abs(vec - target) / g)) / hnorm)
             vec = kernel @ vec
         errs = np.asarray(errs)
@@ -204,7 +203,11 @@ def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """Solution of the fixed-policy average-cost equation on the grid."""
+    """Solution of the fixed-policy average-cost equation on the grid.
+
+    ``method`` ("direct") and ``iterations`` (0) name the one solver; they
+    stay because ``evaluation.json`` carries them.
+    """
 
     rho: float
     h: np.ndarray
@@ -244,37 +247,12 @@ def _solve_direct(kernel, nu, w):
     return h - float(nu @ h) * np.ones(n)
 
 
-def _solve_series(kernel, nu, w, g, coords, model, rho, tol):
-    a_est, kappa = estimate_ergodic_constants(kernel, nu, g, coords)
-    if kappa >= 1.0 - 1e-9:
-        raise EvaluationError(
-            f"geometric series refused: estimated kappa={kappa} is not certified below 1"
-        )
-    c = model.constants
-    m_u = max(rho * c.K_lambda, c.M * (1.0 + c.b * c.K_lambda) / c.c)
-    g_max = float(np.max(g))
-    total = w.copy()
-    term = w.copy()
-    k = 0
-    while True:
-        k += 1
-        term = kernel @ term
-        total += term
-        tail = a_est * m_u * g_max * kappa ** (k + 1) / (1.0 - kappa)
-        if tail <= tol or k >= 100_000:
-            break
-    total -= float(nu @ total) * np.ones_like(total)
-    return total, k, kappa, a_est
-
-
-def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *, method: str = "direct",
+def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
                     workspace: OperatorWorkspace | None = None) -> EvaluationResult:
-    """Average cost and bias of a feedback policy.
+    """Average cost and bias of a feedback policy, by the deflated direct solve.
 
-    ``method`` is "direct" (deflated linear solve, the default) or "series"
-    (truncated geometric sum, kept as the independent cross-check).  The
-    returned residual is the sup-norm defect of the solved equation on the
-    solver's own mesh; use :func:`residual` for a doubled-mesh recheck.
+    The returned residual is the sup-norm defect of the solved equation on
+    the solver's own mesh; use :func:`residual` for a doubled-mesh recheck.
     A ``workspace`` built for another model is refused with ``ValueError``.
     """
     check_workspace(model, workspace)
@@ -291,32 +269,15 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *, method: str = "d
     rho = float(nu @ cost) / D
     w = cost - rho * ell
 
-    iterations = 0
-    kappa = a_est = None
-    if method == "direct":
-        h = _solve_direct(kernel, nu, w)
-    elif method == "series":
-        h, iterations, kappa, a_est = _solve_series(
-            kernel, nu, w, model.lyapunov_g, model.grid.points, model, rho, tol
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    h = _solve_direct(kernel, nu, w)
     defect = h + rho * ell - cost - kernel @ h
     res = float(np.max(np.abs(defect)))
     if res > tol:
         raise EvaluationError(
-            f"pseudo-Poisson defect {res:.3e} exceeds tol={tol:.3e} (method={method})"
+            f"pseudo-Poisson defect {res:.3e} exceeds tol={tol:.3e} (method=direct)"
         )
-    stats = {
-        "fill": ws.fill,
-        "refine_diff": ws.refine_diff,
-        "nu_h": float(nu @ h),
-        "kappa": kappa,
-        "a": a_est,
-    }
-    return EvaluationResult(rho=rho, h=h, nu=nu, D=D, residual=res,
-                            method=method, iterations=iterations, stats=stats)
+    stats = {"fill": ws.fill, "refine_diff": ws.refine_diff, "nu_h": float(nu @ h)}
+    return EvaluationResult(rho=rho, h=h, nu=nu, D=D, residual=res, method="direct", iterations=0, stats=stats)
 
 
 def residual(model, policy, result: EvaluationResult, *,

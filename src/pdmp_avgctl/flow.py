@@ -187,6 +187,15 @@ def _tabulated_passage(flow: FlowSpec, x: float, z: float) -> float:
         y = edge
 
 
+def passage_time(flow: FlowSpec, x: float, z: float) -> float:
+    """Time for the flow from x to reach z; inf if it never does (always, for a trivial flow)."""
+    if flow.kind == "trivial":
+        return math.inf
+    if flow.kind == "affine1d":
+        return _affine_passage(flow.alpha0, flow.alpha1, x, z)
+    return _tabulated_passage(flow, x, z)
+
+
 def hit_time(flow: FlowSpec, x: float) -> float:
     """First time the flow from x reaches a boundary point; inf if never."""
     if flow.kind == "trivial" or flow.boundary.size == 0:
@@ -202,9 +211,7 @@ def hit_time(flow: FlowSpec, x: float) -> float:
         target = None
     if target is None:
         return math.inf
-    if flow.kind == "affine1d":
-        return _affine_passage(flow.alpha0, flow.alpha1, float(x), target)
-    return _tabulated_passage(flow, float(x), target)
+    return passage_time(flow, float(x), target)
 
 
 def advance(flow: FlowSpec, x: float, t: float) -> float:

@@ -26,7 +26,6 @@ SCHEMA_VERSION = "pdmp-model/1"
 LOAD_ROWSUM_TOL = 1e-6
 ROWSUM_TOL = 1e-12
 AUDIT_SLACK_TOL = 1e-9
-ERGODIC_PROBE_POWERS = 20
 
 
 class ModelFormatError(ValueError):
@@ -544,10 +543,11 @@ def _exp_growth_integral(model: PdmpModel, ws) -> np.ndarray:
 
 
 def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
-                      tol: float = AUDIT_SLACK_TOL, workspace=None) -> AuditReport:
+                      workspace=None) -> AuditReport:
     """Numerically audit the standing growth/ergodicity assumptions.
 
-    State-by-state checks take the sup over feasible actions.  Items that
+    State-by-state checks take the sup over feasible actions; an item fails
+    when its worst slack is below ``-AUDIT_SLACK_TOL``.  Items that
     would need the t -> infinity limit on a truncated horizon are reported as
     "not_checkable" with the observed window decay in the note.  When a policy
     is given, geometric-ergodicity constants (a, kappa) are estimated from the
@@ -555,7 +555,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     another model is refused with ``ValueError``.
     """
     from .operators import OperatorWorkspace, check_workspace
-    from .evaluation import invariant_measure, estimate_ergodic_constants
+    from .evaluation import ERGODIC_PROBE_POWERS, estimate_ergodic_constants, invariant_measure
 
     check_workspace(model, workspace)
     c = model.constants
@@ -571,7 +571,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
             items.append(AuditItem(name, "pass", math.inf, "(vacuous)", note or "no states to check"))
             return
         worst = int(np.argmin(slacks))
-        status = "not_checkable" if not_checkable else ("pass" if slacks[worst] >= -tol else "fail")
+        status = "not_checkable" if not_checkable else ("pass" if slacks[worst] >= -AUDIT_SLACK_TOL else "fail")
         items.append(AuditItem(name, status, float(slacks[worst]), locations[worst], note,
                                tuple(float(s) for s in slacks)))
 
@@ -683,9 +683,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
         kernel, _, _, _ = ws.assemble(policy, 0.0)
         try:
             nu = invariant_measure(kernel)
-            a_est, kappa_est = estimate_ergodic_constants(
-                kernel, nu, model.lyapunov_g, model.grid.points, powers=ERGODIC_PROBE_POWERS
-            )
+            a_est, kappa_est = estimate_ergodic_constants(kernel, nu, model.lyapunov_g, model.grid.points)
             items.append(AuditItem("geometric-ergodicity", "pass", math.inf, "(estimated)",
                                    f"a={a_est:.6g}, kappa={kappa_est:.6g} from {ERGODIC_PROBE_POWERS} kernel powers"))
         except Exception as exc:  # estimation is best-effort; audit records the failure

@@ -62,8 +62,7 @@ from itertools import compress
 
 import numpy as np
 
-from .flow import FlowSpec, advance, flow_direction, hit_time, _affine_passage, _tabulated_advance, \
-    _tabulated_passage
+from .flow import FlowSpec, advance, flow_direction, hit_time, passage_time, _tabulated_advance
 from .model import FeedbackPolicy
 from .numerics import interp_weights, phi01
 
@@ -73,14 +72,6 @@ MAX_FILL = 2048
 MIN_TAIL_INTERVALS = 8
 TIE_TOL = 1e-12
 CACHE_ENTRIES = 256
-
-
-def _passage_time(flow: FlowSpec, x: float, z: float) -> float:
-    if flow.kind == "trivial":
-        return math.inf
-    if flow.kind == "affine1d":
-        return _affine_passage(flow.alpha0, flow.alpha1, x, z)
-    return _tabulated_passage(flow, x, z)
 
 
 def _chain(model) -> tuple[np.ndarray, list]:
@@ -97,7 +88,7 @@ def _chain(model) -> tuple[np.ndarray, list]:
     if direction == 0:
         return order, []
     xs = model.grid.points[order].tolist()
-    return order, [_passage_time(flow, a, b) for a, b in zip(xs[:-1], xs[1:])]
+    return order, [passage_time(flow, a, b) for a, b in zip(xs[:-1], xs[1:])]
 
 
 @dataclass(frozen=True)
@@ -201,14 +192,20 @@ def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, one_interval: 
 
 
 def _flow_states(flow: FlowSpec, origin: np.ndarray, times: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The state at each node, on pieces that start from ``origin`` at the nodes flagged in ``starts``."""
+    """The state at each node, on pieces that start from ``origin`` at the nodes flagged in ``starts``.
+
+    A piece's first node is its origin exactly.
+    """
     if flow.kind == "trivial":
         return origin
     if flow.kind == "affine1d":
         if flow.alpha1 == 0.0:
             return origin + flow.alpha0 * times
         ystar = -flow.alpha0 / flow.alpha1
-        return ystar + (origin - ystar) * np.exp(flow.alpha1 * times)
+        # ystar + (x - ystar) * 1.0 need not round back to x
+        states = ystar + (origin - ystar) * np.exp(flow.alpha1 * times)
+        states[starts] = origin[starts]
+        return states
     # node times never pass a piece's end, so no boundary re-check
     states = origin.copy()
     dt = np.diff(times).tolist()
@@ -407,7 +404,8 @@ class OperatorWorkspace:
     The mesh geometry (grid-passage nodes plus per-piece fill) depends only
     on the model, so every policy is integrated on identical nodes; that is
     what makes improvement values directly comparable across policies.
-    ``geometry`` lists the pieces, ``order`` the grid indices in flow order,
+    ``mesh`` holds the pieces' nodes, ``geometry`` lists per-piece views of
+    it (built on first read), ``order`` the grid indices in flow order,
     ``exits`` the exit of each chain end and ``exit_of`` the exit each grid
     state's line ends on.  The piece tables, with the lists the
     improvement/certificate pass reads, are built on first use, and one
@@ -419,7 +417,6 @@ class OperatorWorkspace:
         self.model = model
         self.fill = int(fill)
         self.order, self.mesh, self.exits, self.exit_of = _build_mesh(model, self.fill)
-        self.geometry = self.mesh.pieces()
         # (grid index, piece, exit or -1) per flow position, against the flow
         n_chain = self.mesh.n_chain
         at_end = {e.position: k for k, e in enumerate(self.exits)}
@@ -430,6 +427,11 @@ class OperatorWorkspace:
         self._pass: tuple | None = None
         self.refine_diff: float | None = None
         self.refine_converged: bool | None = None
+
+    @functools.cached_property
+    def geometry(self) -> list[_Piece]:
+        """The pieces, as views of the mesh; no solver layer reads them."""
+        return self.mesh.pieces()
 
     @property
     def truncated(self) -> np.ndarray:
@@ -679,17 +681,16 @@ def check_workspace(model, workspace: OperatorWorkspace | None) -> None:
         raise ValueError("the workspace was built for another model")
 
 
-def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None,
-                  fill: int = DEFAULT_FILL) -> KernelMatrix:
+def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None) -> KernelMatrix:
     """Embedded-chain kernel under a feedback policy, one row per grid state."""
     check_workspace(model, workspace)
-    ws = workspace if workspace is not None else OperatorWorkspace(model, fill)
+    ws = workspace if workspace is not None else OperatorWorkspace(model)
     kernel, _, _, survival = ws.assemble(policy)
     return KernelMatrix(matrix=kernel, truncation_bound=float(survival[ws.truncated].max(initial=0.0)))
 
 
 def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
-                      start: OperatorWorkspace | None = None, max_fill: int = MAX_FILL) -> OperatorWorkspace:
+                      start: OperatorWorkspace | None = None) -> OperatorWorkspace:
     """Double per-piece mesh fill until successive operator sets agree.
 
     Refinement starts from ``start`` (a workspace of ``model``, say one an
@@ -698,7 +699,7 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
     is measured as the max absolute change across kernel entries, expected
     sojourn weights and one-policy costs; the finer workspace is returned
     with the achieved difference recorded on ``refine_diff`` and whether it
-    met ``target`` on ``refine_converged``.  Stopping at ``max_fill`` short of
+    met ``target`` on ``refine_converged``.  Stopping at ``MAX_FILL`` short of
     the target warns with a :class:`RuntimeWarning`.
     """
     check_workspace(model, start)
@@ -706,7 +707,7 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
     fill = ws.fill
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
     diff = math.inf
-    while fill < max_fill:
+    while fill < MAX_FILL:
         finer = OperatorWorkspace(model, fill * 2)
         k2, l2, c2, _ = finer.assemble(policy, 0.0)
         diff = max(
@@ -722,7 +723,7 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
             break
     ws.refine_converged = diff <= target
     if not ws.refine_converged:
-        warnings.warn(f"mesh refinement stopped at fill {fill} (max_fill {max_fill}) with "
+        warnings.warn(f"mesh refinement stopped at fill {fill} (max_fill {MAX_FILL}) with "
                       f"refine_diff {ws.refine_diff} above the target {target:g}",
                       RuntimeWarning, stacklevel=2)
     return ws

@@ -1,13 +1,55 @@
-"""Independent oracles for trivial-flow models.
+"""Independent oracles: uniformization for trivial-flow models, the series bias.
 
 A pure-jump controlled chain (no motion between jumps) is a continuous-time
 MDP, so its optimal average cost is computable by uniformization plus relative
 value iteration on plain arrays, with no part of the solver library involved.
+
+:func:`series_bias` solves the pseudo-Poisson equation of any model the way
+the paper writes it, as the geometric series sum_k G^k (Lf + Hr - rho calL),
+so the library's deflated direct solve has a second, independent method to
+agree with.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pdmp_avgctl.evaluation import estimate_ergodic_constants, invariant_measure
+
+
+def series_bias(model, policy, workspace, tol: float = 1e-8):
+    """(rho, h): average cost and bias of ``policy`` by the truncated geometric series.
+
+    The operators are those ``workspace`` assembles.  The series is summed
+    until the tail bound a m_u max(g) kappa^(k+1) / (1 - kappa), with (a,
+    kappa) the estimated ergodicity constants, is at most ``tol`` (or 100 000
+    terms), then shifted to nu(h) = 0.  Raises ``AssertionError`` when kappa
+    is not certified below 1 or the pseudo-Poisson defect exceeds ``tol``.
+    """
+    kernel, ell, cost, _ = workspace.assemble(policy, 0.0)
+    nu = invariant_measure(kernel)
+    rho = float(nu @ cost) / float(nu @ ell)
+    w = cost - rho * ell
+    g = model.lyapunov_g
+    a_est, kappa = estimate_ergodic_constants(kernel, nu, g, model.grid.points)
+    assert kappa < 1.0 - 1e-9, f"geometric series refused: estimated kappa={kappa} is not certified below 1"
+    c = model.constants
+    m_u = max(rho * c.K_lambda, c.M * (1.0 + c.b * c.K_lambda) / c.c)
+    g_max = float(np.max(g))
+    total = w.copy()
+    term = w.copy()
+    k = 0
+    while True:
+        k += 1
+        term = kernel @ term
+        total += term
+        tail = a_est * m_u * g_max * kappa ** (k + 1) / (1.0 - kappa)
+        if tail <= tol or k >= 100_000:
+            break
+    h = total - float(nu @ total) * np.ones_like(total)
+    defect = float(np.max(np.abs(h + rho * ell - cost - kernel @ h)))
+    assert defect <= tol, f"pseudo-Poisson defect {defect:.3e} of the series exceeds tol={tol:.3e}"
+    return rho, h
 
 
 def _uniformized(lam: np.ndarray, kernel: np.ndarray):

@@ -48,10 +48,10 @@ from unittest import mock
 import numpy as np
 
 from pdmp_avgctl import operators
-from pdmp_avgctl.flow import advance, flow_direction, hit_time, _tabulated_advance
+from pdmp_avgctl.flow import advance, flow_direction, hit_time, passage_time, _tabulated_advance
 from pdmp_avgctl.model import FeedbackPolicy
 from pdmp_avgctl.numerics import _SERIES_CUTOFF, interp_weights, phi01
-from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, OperatorWorkspace, _passage_time
+from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, OperatorWorkspace
 
 
 def phi0(z):
@@ -105,9 +105,9 @@ def _reference_transit(model) -> float:
     for i in range(points.size - 1):
         a, b = float(points[i]), float(points[i + 1])
         if flow_direction(flow) > 0:
-            t = _passage_time(flow, a, b)
+            t = passage_time(flow, a, b)
         else:
-            t = _passage_time(flow, b, a)
+            t = passage_time(flow, b, a)
         if 0.0 < t < best:
             best = t
     return best
@@ -121,7 +121,9 @@ def _line_states(flow, x: float, times: np.ndarray) -> np.ndarray:
         if flow.alpha1 == 0.0:
             return x + flow.alpha0 * times
         ystar = -flow.alpha0 / flow.alpha1
-        return ystar + (x - ystar) * np.exp(flow.alpha1 * times)
+        states = ystar + (x - ystar) * np.exp(flow.alpha1 * times)
+        states[0] = x  # the state at time 0 is x, which the formula need not round back to
+        return states
     # node times never pass the line's end, so no boundary re-check
     states = np.empty_like(times)
     states[0] = x
@@ -168,7 +170,7 @@ def _build_geometry(model, j: int, fill: int, ref_transit: float | None = None,
     else:
         downstream = ()
     for i in downstream:
-        t = _passage_time(flow, x, float(points[i]))
+        t = passage_time(flow, x, float(points[i]))
         if not (t < t_star):
             break
         anchors.append(i)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import pdmp_avgctl as pa
+from pdmp_avgctl import evaluation
 from pdmp_avgctl.evaluation import ErgodicityError, invariant_measure
 
+from oracles import series_bias
 from toy_models import constant_cost_variant, swap_cycle_doc, two_state_jump_doc
 
 
@@ -16,12 +18,13 @@ class TestInvariantMeasure:
         nu = invariant_measure(np.array([[0.5, 0.5], [0.25, 0.75]]))
         assert np.allclose(nu, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
-    def test_power_method_agrees_with_direct(self):
+    def test_power_method_agrees_with_direct(self, monkeypatch):
         rng = np.random.default_rng(2)
         kernel = rng.uniform(0.05, 1.0, size=(6, 6))
         kernel /= kernel.sum(axis=1, keepdims=True)
-        direct = invariant_measure(kernel, method="direct")
-        power = invariant_measure(kernel, method="power")
+        direct = invariant_measure(kernel)
+        monkeypatch.setattr(evaluation, "DIRECT_SOLVE_LIMIT", 0)  # the power iteration alone
+        power = invariant_measure(kernel)
         assert np.allclose(direct, power, atol=1e-10)
 
     def test_reducible_kernel_raises(self):
@@ -65,16 +68,18 @@ class TestInvariantMeasure:
         assert not _one_closed_class(adj, 1)
         assert not _one_closed_class(adj, 3)
 
-    def test_non_convergence_above_512_states_reports_the_contraction_ratio(self):
+    def test_non_convergence_above_512_states_reports_the_contraction_ratio(self, monkeypatch):
         # G = theta I + (1 - theta) 1 pi': every step shrinks nu - pi by
         # exactly theta, the subdominant eigenvalue
         n, theta = 600, 0.999
         pi = np.random.default_rng(7).uniform(0.5, 1.5, n)
         pi /= pi.sum()
         kernel = theta * np.eye(n) + (1.0 - theta) * np.outer(np.ones(n), pi)
+        monkeypatch.setattr(evaluation, "DIRECT_SOLVE_LIMIT", 0)
+        monkeypatch.setattr(evaluation, "POWER_MAX_ITER", 25)
         with pytest.raises(ErgodicityError, match=r"did not converge; estimated subdominant eigenvalue "
                                                   r"modulus: \S+ \(contraction ratio") as info:
-            invariant_measure(kernel, method="power", max_iter=25)
+            invariant_measure(kernel)
         ratio = float(str(info.value).split("modulus: ")[1].split()[0])
         assert ratio == pytest.approx(theta, abs=1e-9)
 
@@ -134,23 +139,19 @@ class TestEvaluatePolicy:
         for name, model in models.items():
             policy = pa.FeedbackPolicy.lowest_feasible(model)
             direct = pa.evaluate_policy(model, policy, workspace=workspaces[name])
-            series = pa.evaluate_policy(model, policy, method="series", workspace=workspaces[name])
-            assert np.max(np.abs(direct.h - series.h)) <= 1e-6, name
-            assert series.rho == pytest.approx(direct.rho, abs=1e-10)
+            rho, h = series_bias(model, policy, workspaces[name])
+            assert np.max(np.abs(direct.h - h)) <= 1e-6, name
+            assert rho == pytest.approx(direct.rho, abs=1e-10)
 
     def test_uniqueness_across_methods_and_restarts(self, models, workspaces):
         # the solution should not depend on how the linear algebra is seeded
         model = models["ctmdp_2state"]
         policy = pa.FeedbackPolicy.lowest_feasible(model)
         tol = 1e-8
-        runs = [
-            pa.evaluate_policy(model, policy, tol, workspace=workspaces["ctmdp_2state"]),
-            pa.evaluate_policy(model, policy, tol, method="series",
-                               workspace=workspaces["ctmdp_2state"]),
-        ]
-        for res in runs[1:]:
-            assert abs(res.rho - runs[0].rho) <= 10 * tol
-            assert np.max(np.abs(res.h - runs[0].h)) <= 10 * tol * 100
+        direct = pa.evaluate_policy(model, policy, tol, workspace=workspaces["ctmdp_2state"])
+        rho, h = series_bias(model, policy, workspaces["ctmdp_2state"], tol)
+        assert abs(rho - direct.rho) <= 10 * tol
+        assert np.max(np.abs(h - direct.h)) <= 10 * tol * 100
 
     def test_gnorm_bound_with_audited_constants(self, models, workspaces, solved):
         for name, model in models.items():

@@ -166,6 +166,18 @@ def _within(got, want) -> bool:
     return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
+@PROPERTY_SETTINGS
+@given(case=st.booleans().flatmap(lambda clamped: random_model_docs(flow="affine", varied=True, clamped=clamped)))
+def test_affine_pieces_start_exactly_on_their_grid_points(case):
+    # ystar + (x - ystar) * exp(0) need not round back to x, so a piece's
+    # first node is placed on its grid point, not computed
+    doc, fill, _ = case
+    assert doc["flow"]["alpha1"] != 0.0
+    model = pa.model_from_dict(doc)
+    mesh = OperatorWorkspace(model, fill).mesh
+    assert np.array_equal(mesh.states[mesh.node_start[:-1]], model.grid.points[mesh.anchors])
+
+
 @pytest.mark.parametrize("flow", FLOWS)
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -212,8 +224,8 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
     constant = [e.constant for e in ws.exits]
     if flow == "trivial":
         assert all(constant)
-    else:  # an affine flow's first node past the grid can round back inside it
-        assert all(c == clamped for c in constant) or (flow == "affine" and not any(constant))
+    else:
+        assert all(c == clamped for c in constant)
     for e in ws.exits:
         piece, old = ws.geometry[e.piece], meshed.geometry[e.piece]
         if e.constant:

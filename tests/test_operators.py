@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.flow import flow_direction, hit_time
+from pdmp_avgctl import operators
+from pdmp_avgctl.flow import flow_direction, hit_time, passage_time
 from pdmp_avgctl.numerics import phi01
-from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, _passage_time, kernel_matrix
+from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, kernel_matrix
 
 from conftest import BUNDLED
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
@@ -268,7 +269,7 @@ class TestAssembleFromTables:
     def test_assembling_builds_no_policy_paths(self, models):
         # policy paths live only in the test reference: neither the operators
         # nor the simulator has a path type or builder to fall back on
-        from pdmp_avgctl import operators, simulation
+        from pdmp_avgctl import simulation
 
         for module in (pa, operators, simulation):
             for name in ("PolicyPath", "_path_from_geometry", "build_policy_path", "sample_sojourn"):
@@ -355,12 +356,13 @@ class TestPolicyPath:
 
 
 class TestRefinement:
-    def test_stopping_short_of_the_target_warns(self, models):
+    def test_stopping_short_of_the_target_warns(self, models, monkeypatch):
         model = models["decay_flow_16"]
         policy = pa.FeedbackPolicy.lowest_feasible(model)
+        monkeypatch.setattr(operators, "MAX_FILL", 16)
         with pytest.warns(RuntimeWarning, match=r"stopped at fill 16 \(max_fill 16\) with refine_diff "
                                                 r"\S+ above the target 1e-15"):
-            ws = pa.refined_workspace(model, policy, target=1e-15, max_fill=16)
+            ws = pa.refined_workspace(model, policy, target=1e-15)
         assert ws.fill == 16 and ws.refine_converged is False and ws.refine_diff > 1e-15
 
     def test_bundled_models_reach_the_target_without_warning(self, models):
@@ -394,13 +396,13 @@ class TestLineGeometry:
             # to the next and ends exactly on that transit time
             for q, piece in enumerate(ws.geometry[:n_chain]):
                 assert piece.anchor == order[q], name
-                assert piece.times[-1] == _passage_time(flow, xs[q], xs[q + 1])
+                assert piece.times[-1] == passage_time(flow, xs[q], xs[q + 1])
 
             # a position goes on to the next when the transit is finite and
             # the boundary does not cut it; every other one is a chain end,
             # with one exit piece after the segments, timed from its grid
             # point, that ends on t* or t_max
-            transit = [_passage_time(flow, a, b) for a, b in zip(xs[:n_chain], xs[1:])]
+            transit = [passage_time(flow, a, b) for a, b in zip(xs[:n_chain], xs[1:])]
             ends = [q for q in range(n) if q >= n_chain
                     or not (math.isfinite(transit[q]) and hit_time(flow, xs[q]) > transit[q])]
             assert [e.position for e in ws.exits] == ends, name

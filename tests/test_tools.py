@@ -79,8 +79,9 @@ def test_recipes_regenerate_the_bundled_models(recipes, monkeypatch, tmp_path, c
     assert f"wrote {name}.json" in capsys.readouterr().out
 
 
-def test_scaling_row_on_a_small_grid(tmp_path):
+def test_scaling_row_on_a_small_grid(tmp_path, monkeypatch):
     bench = load_tool("bench_scaling")
+    monkeypatch.setattr(bench, "BUDGET_S", 0.0)  # MIN_SAMPLES calls per column
     path = tmp_path / "drift_16.json"
     path.write_text(json.dumps(bench.drift_doc(16)))
     row = bench.measure(path)
@@ -105,3 +106,11 @@ def test_scaling_row_on_a_small_grid(tmp_path):
     assert row["mc_us_per_jump"] > 0.0 and row["mc_fixed_us"] > 0.0
     assert row["ref_mc_us_per_jump"] > 0.0 and row["ref_mc_fixed_us"] > 0.0 and row["slowdown"] > 0.0
     assert set(bench.machine()) >= {"cores", "numpy", "python"}
+
+
+def test_scaling_columns_fill_their_budget(monkeypatch):
+    bench = load_tool("bench_scaling")
+    monkeypatch.setattr(bench, "BUDGET_S", 0.0)
+    assert len(bench._timed(lambda: None)) == bench.MIN_SAMPLES
+    monkeypatch.setattr(bench, "BUDGET_S", 0.02)
+    assert len(bench._timed(lambda: None)) > bench.MIN_SAMPLES

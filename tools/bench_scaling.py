@@ -8,14 +8,16 @@ model file, refines the workspace of the lowest feasible policy to the
 default target, then, at the refined fill, times the workspace build, the
 table build, assemble (each call on an empty assemble cache), evaluation,
 and the pass that gives the improved policy and the optimality residual
-together.  Every time is the median of
-``SAMPLES`` calls.  The Monte Carlo columns run the same policy on
-simulation tables prepared once: ``mc_us_per_jump`` is the median over
-``SAMPLES`` replications at horizon ``MC_HORIZON`` of a replication's time
-per jump, and ``mc_fixed_us`` the time of a replication whose horizon ends
-before its first jump (the per-replication cost of keying the stream,
-drawing the first uniforms, the batch edges and the summary), the median of
-``SAMPLES`` batches of ``MC_FIXED_CALLS``.  No line of drift_N is
+together.  Every time is the median of as many calls as fit in
+``BUDGET_S`` seconds, and of at least ``MIN_SAMPLES``, so a
+sub-millisecond column takes thousands of calls and a slow one three.  The
+Monte Carlo columns run the same policy on simulation tables prepared once:
+``mc_us_per_jump`` is the median over replications at horizon
+``MC_HORIZON`` of a replication's time per jump, and ``mc_fixed_us`` the
+time of a replication whose horizon ends before its first jump (the
+per-replication cost of keying the stream, drawing the first uniforms, the
+batch edges and the summary), the median over batches of
+``MC_FIXED_CALLS``.  No line of drift_N is
 stationary (a line that is one constant exit piece and never hits the
 boundary): every drift_N line ends on the boundary, so the ``mc_*`` columns
 time the general jump branch only, never the simulator's short branch for
@@ -66,7 +68,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import pdmp_avgctl as pa  # noqa: E402
 
 SIZES = (64, 128, 256, 512, 1024)
-SAMPLES = 3
+MIN_SAMPLES = 3
+BUDGET_S = 1.0
 MC_HORIZON = 1e4
 MC_FIXED_CALLS = 200
 
@@ -84,15 +87,10 @@ def drift_doc(n: int) -> dict:
     return _perfbench("drift").drift_doc(n)
 
 
-def _nbytes(*objects) -> int:
-    """Bytes of the arrays in the dataclass fields of ``objects``."""
-    total = 0
-    for obj in objects:
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-    return total
+def _nbytes(obj) -> int:
+    """Bytes of the arrays in the dataclass fields of ``obj``."""
+    values = (getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return sum(value.nbytes for value in values if isinstance(value, np.ndarray))
 
 
 def _table_bytes(ws) -> int:
@@ -113,9 +111,14 @@ def _rss_mb() -> float:
 
 
 def _timed(call, before=None) -> list:
-    """Wall intervals ``(t0, t1)`` of ``SAMPLES`` calls of ``call``, each after ``before()``."""
+    """Wall intervals ``(t0, t1)`` of calls of ``call``, each after ``before()``.
+
+    The calls go on until ``BUDGET_S`` seconds have passed since the first
+    began, and number at least ``MIN_SAMPLES``.
+    """
     spans = []
-    for _ in range(SAMPLES):
+    begun = time.perf_counter()
+    while len(spans) < MIN_SAMPLES or time.perf_counter() - begun < BUDGET_S:
         if before is not None:
             before()
         t0 = time.perf_counter()
@@ -150,8 +153,9 @@ def _measure(path) -> tuple[dict, list]:
     """The row's untimed columns, and per timed column ``(key, spans, factor per span to its unit)``."""
     columns = []
 
-    def timed(key, call, before=None, factors=(1.0,) * SAMPLES):
-        columns.append((key, _timed(call, before), factors))
+    def timed(key, call, before=None, factor=1.0):
+        spans = _timed(call, before)
+        columns.append((key, spans, [factor] * len(spans)))
 
     model = pa.load_model(path)
     rss_after_load = _rss_mb()
@@ -185,12 +189,14 @@ def _measure(path) -> tuple[dict, list]:
 
     spans = _timed(replication)
     columns.append(("mc_us_per_jump", spans, [1e6 / j for j in jumps]))
-    timed("mc_fixed_us", short_replications, factors=(1e6 / MC_FIXED_CALLS,) * SAMPLES)
+    timed("mc_fixed_us", short_replications, factor=1e6 / MC_FIXED_CALLS)
+    mesh = ws.mesh
     return {
         "n": model.n_states,
         "refined_fill": fill,
-        "mesh_nodes": sum(int(g.times.size) for g in ws.geometry),
-        "mesh_mb": round(_nbytes(*ws.geometry) / 2**20, 3),
+        "mesh_nodes": int(mesh.times.size),
+        "mesh_mb": round(sum(a.nbytes for a in (mesh.times, mesh.states, mesh.ilo, mesh.wlo, mesh.lam_nodes,
+                                                mesh.f_nodes)) / 2**20, 3),
         "rss_after_load_mb": rss_after_load,
         "tables_mb": round(_table_bytes(ws) / 2**20, 3),
         "rho": result.rho,
