@@ -140,6 +140,15 @@ class PdmpModel:
             vals.append(float(self.jump_rate[self.n_states :][self.boundary_feasible_mask].max(initial=0.0)))
         return max(vals)
 
+    @functools.cached_property
+    def chain_geometry(self):
+        """Flow order, chain ends, exits and piece durations of the flow lines,
+        which every operator workspace of this model shares at any fill
+        (:class:`~pdmp_avgctl.operators._ChainGeometry`)."""
+        from .operators import _chain_geometry
+
+        return _chain_geometry(self)
+
     def g_table(self) -> Table1D:
         return Table1D(self.grid.points, self.lyapunov_g)
 
@@ -226,9 +235,10 @@ def _index_lists(raw, count: int, n_actions: int, name: str) -> tuple:
         idx = np.asarray(entry, dtype=np.int64)
         if idx.ndim != 1:
             raise ModelFormatError(f"'{name}[{i}]' must be a flat list of action indices")
-        if idx.size and (idx.min() < 0 or idx.max() >= n_actions):
+        actions = sorted(set(idx.tolist()))
+        if actions and (actions[0] < 0 or actions[-1] >= n_actions):
             raise ModelFormatError(f"'{name}[{i}]' contains an action index outside 0..{n_actions - 1}")
-        out.append(np.unique(idx))
+        out.append(np.array(actions, dtype=np.int64))
     return tuple(out)
 
 

@@ -46,9 +46,13 @@ certificate are one entry (:meth:`OperatorWorkspace.improve_and_certify`),
 one pass on Python floats, with Qh, the boundary minima and the pieces'
 one-stage values computed once for both.
 
-A workspace belongs to the model object it was built for; every entry that
-takes one refuses another model's (:func:`check_workspace`).  Its one
-per-policy cache holds each policy's assembled operators and, from
+What no fill changes (flow order, transits, chain ends, exits and piece
+durations) is worked out once per model object
+(:attr:`~pdmp_avgctl.model.PdmpModel.chain_geometry`) and shared, read-only,
+by all its workspaces; a workspace builds only its nodes.  A workspace
+belongs to the model object it was built for; every entry that takes one
+refuses another model's (:func:`check_workspace`).  Its one per-policy
+cache holds each policy's assembled operators and, from
 :func:`~pdmp_avgctl.policy_iteration.run_pia`, each policy's PIA step.
 """
 
@@ -142,17 +146,39 @@ class _Mesh:
     def dt(self) -> np.ndarray:
         return self.times[self.left + 1] - self.times[self.left]
 
+    @functools.cached_property
+    def _padded(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Index maps for the (P, W) layout of :meth:`running_sums`, one piece
+        per row and W its longest piece's interval count: W, the interval
+        each slot holds (interval 0 in a row's padding, which no node reads),
+        and the slot each node reads (slot 0 at a piece's first node, which
+        is set to 0)."""
+        counts = np.diff(self.first)
+        width = int(counts.max())
+        slot = np.arange(self.first[-1]) + np.repeat(np.arange(counts.size) * width - self.first[:-1], counts)
+        source = np.zeros(counts.size * width, dtype=np.int64)
+        source[slot] = np.arange(self.first[-1])
+        node = np.zeros(self.times.size, dtype=np.int64)
+        node[self.left + 1] = slot
+        return width, source, node
+
     def running_sums(self, z: np.ndarray) -> np.ndarray:
         """Per node: the sum of the interval values ``z`` since its piece's start.
 
         Each piece sums from its own first node (where the result is 0), so
-        the rounding of one piece never carries into the next.
+        the rounding of one piece never carries into the next.  The pieces
+        are summed side by side, one per row of a padded array, by one
+        cumulative sum along the rows: each piece's own sequential sum, bit
+        for bit.  The padded array holds P times the longest piece's
+        interval count entries per column of ``z``; on the bundled models
+        that is at most 4 times the interval count (decay_flow_16, whose
+        pieces near the flow's fixed point are long), and once on the others.
         """
-        out = np.zeros((self.times.size,) + z.shape[1:])
-        first = self.first.tolist()
-        for p, node in enumerate(self.node_start[:-1].tolist()):
-            k0, k1 = first[p], first[p + 1]
-            np.cumsum(z[k0:k1], axis=0, out=out[node + 1:node + 1 + k1 - k0])
+        width, source, node = self._padded
+        pad = z.take(source, axis=0).reshape((-1, width) + z.shape[1:])
+        np.cumsum(pad, axis=1, out=pad)
+        out = pad.reshape((-1,) + z.shape[1:]).take(node, axis=0)
+        out[self.node_start[:-1]] = 0.0
         return out
 
     def pieces(self) -> list[_Piece]:
@@ -233,12 +259,29 @@ def _constant_exits(model, x0: np.ndarray, dur: np.ndarray) -> np.ndarray:
     return (s0 == s1) | ((s0 <= lo) & (s1 <= lo)) | ((s0 >= hi) & (s1 >= hi))
 
 
-def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.ndarray]:
-    """Every piece's mesh in one vectorized pass.
+@dataclass(frozen=True)
+class _ChainGeometry:
+    """The part of the piece meshes that no fill changes, built once per model
+    object (:attr:`~pdmp_avgctl.model.PdmpModel.chain_geometry`) and shared by
+    all its workspaces, so its arrays are read-only.
 
-    Returns the grid indices in flow order, the mesh, the exit of each chain
-    end in flow order, and per grid state the exit its line ends on.
+    Pieces are numbered as in :class:`_Mesh`.
     """
+
+    order: np.ndarray           # (n,) grid indices in flow order
+    n_chain: int                # number of inter-grid segments
+    exits: tuple                # the _Exit of each chain end, in flow order
+    exit_of: np.ndarray         # (n,) per grid state, the exit its line ends on
+    anchors: np.ndarray         # (P,) grid index each piece starts from
+    dur: np.ndarray             # (P,) duration; 0 for a segment no line runs along
+    truncated_tail: np.ndarray  # (P,) the exit pieces that stop at t_max
+    one_interval: np.ndarray    # (P,) the constant exit pieces
+    shortest: float             # the shortest positive inter-grid transit
+    steps: tuple                # (grid index, piece, exit or -1) per flow position, against the flow
+
+
+def _chain_geometry(model) -> _ChainGeometry:
+    """Flow order, chain ends, exits and piece durations of ``model``'s lines."""
     flow = model.flow
     points = model.grid.points
     n = points.size
@@ -258,16 +301,31 @@ def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.nd
     dur = np.array([t if on else 0.0 for t, on in zip(transit, goes_on)]
                    + [t_star[q] if hit else t_max for q, hit in zip(ends, hits)])
     constant = _constant_exits(model, points[order[ends]], dur[n_chain:])
-    exits = [_Exit(position=q, piece=n_chain + k, hit=hit, boundary_index=b, constant=c)
-             for k, (q, hit, b, c) in enumerate(zip(ends, hits, boundary_index, constant.tolist()))]
+    exits = tuple(_Exit(position=q, piece=n_chain + k, hit=hit, boundary_index=b, constant=c)
+                  for k, (q, hit, b, c) in enumerate(zip(ends, hits, boundary_index, constant.tolist())))
     exit_of = np.empty(n, dtype=np.int64)
     exit_of[order] = np.searchsorted(ends, np.arange(n))
+    at_end = {e.position: k for k, e in enumerate(exits)}
+    steps = tuple((j, n_chain + at_end[q], at_end[q]) if q in at_end else (j, q, -1)
+                  for q, j in reversed(list(enumerate(order.tolist()))))
+    chain = _ChainGeometry(
+        order=order, n_chain=n_chain, exits=exits, exit_of=exit_of,
+        anchors=order[np.concatenate((np.arange(n_chain), ends)).astype(np.int64)], dur=dur,
+        truncated_tail=np.concatenate((np.zeros(n_chain, dtype=bool), np.logical_not(hits))),
+        one_interval=np.concatenate((np.zeros(n_chain, dtype=bool), constant)),
+        shortest=min((t for t in transit if t > 0.0), default=math.inf), steps=steps)
+    for arr in (chain.order, chain.exit_of, chain.anchors, chain.dur, chain.truncated_tail, chain.one_interval):
+        arr.flags.writeable = False
+    return chain
 
-    anchors = order[np.concatenate((np.arange(n_chain), ends)).astype(np.int64)]
-    truncated_tail = np.concatenate((np.zeros(n_chain, dtype=bool), np.logical_not(hits)))
-    one_interval = np.concatenate((np.zeros(n_chain, dtype=bool), constant))
-    shortest = min((t for t in transit if t > 0.0), default=math.inf)
-    counts = _interval_counts(dur, truncated_tail, one_interval, model.lambda_sup, shortest / fill, fill)
+
+def _build_mesh(model, chain: _ChainGeometry, fill: int) -> _Mesh:
+    """Every piece's nodes at ``fill``, in one vectorized pass."""
+    points = model.grid.points
+    n = points.size
+    dur = chain.dur
+    counts = _interval_counts(dur, chain.truncated_tail, chain.one_interval, model.lambda_sup,
+                              chain.shortest / fill, fill)
 
     # node k of a piece sits at k * (duration / count), the arithmetic of
     # np.linspace; each piece ends exactly on its duration
@@ -278,8 +336,8 @@ def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.nd
     times[node_start[1:] - 1] = dur
     starts = np.zeros(times.size, dtype=bool)
     starts[node_start[:-1]] = True
-    states = _flow_states(flow, points[anchors][node_piece], times, starts)
-    for e in exits:
+    states = _flow_states(model.flow, points[chain.anchors][node_piece], times, starts)
+    for e in chain.exits:
         if e.hit:
             states[node_start[e.piece + 1] - 1] = float(model.grid.boundary_points[e.boundary_index])
 
@@ -293,9 +351,8 @@ def _build_mesh(model, fill: int) -> tuple[np.ndarray, _Mesh, list[_Exit], np.nd
         wlo[:, None] * model.running_cost[ilo, :]
         + (1.0 - wlo)[:, None] * model.running_cost[np.minimum(ilo + 1, n - 1), :]
     )
-    mesh = _Mesh(node_start=node_start, anchors=anchors, n_chain=n_chain, times=times, states=states,
+    return _Mesh(node_start=node_start, anchors=chain.anchors, n_chain=chain.n_chain, times=times, states=states,
                  ilo=ilo, wlo=wlo, lam_nodes=lam_nodes, f_nodes=f_nodes)
-    return order, mesh, exits, exit_of
 
 
 @dataclass(frozen=True)
@@ -405,9 +462,10 @@ class OperatorWorkspace:
     on the model, so every policy is integrated on identical nodes; that is
     what makes improvement values directly comparable across policies.
     ``mesh`` holds the pieces' nodes, ``geometry`` lists per-piece views of
-    it (built on first read), ``order`` the grid indices in flow order,
-    ``exits`` the exit of each chain end and ``exit_of`` the exit each grid
-    state's line ends on.  The piece tables, with the lists the
+    it (built on first read), and ``chain`` is the model's shared
+    :class:`_ChainGeometry`, with its ``order`` (the grid indices in flow
+    order), ``exits`` (the exit of each chain end) and ``exit_of`` (the exit
+    each grid state's line ends on).  The piece tables, with the lists the
     improvement/certificate pass reads, are built on first use, and one
     per-policy cache (:meth:`cached`) keeps assembled operators and PIA
     steps.
@@ -416,12 +474,9 @@ class OperatorWorkspace:
     def __init__(self, model, fill: int = DEFAULT_FILL):
         self.model = model
         self.fill = int(fill)
-        self.order, self.mesh, self.exits, self.exit_of = _build_mesh(model, self.fill)
-        # (grid index, piece, exit or -1) per flow position, against the flow
-        n_chain = self.mesh.n_chain
-        at_end = {e.position: k for k, e in enumerate(self.exits)}
-        self._steps = [(j, n_chain + at_end[q], at_end[q]) if q in at_end else (j, q, -1)
-                       for q, j in reversed(list(enumerate(self.order.tolist())))]
+        self.chain = model.chain_geometry
+        self.order, self.exits, self.exit_of = self.chain.order, self.chain.exits, self.chain.exit_of
+        self.mesh = _build_mesh(model, self.chain, self.fill)
         self._assembled: dict = {}
         self._segments: SegmentTables | None = None
         self._pass: tuple | None = None
@@ -451,7 +506,7 @@ class OperatorWorkspace:
         """
         out = np.empty((self.model.n_states,) + np.shape(values)[1:])
         w = None
-        for j, p, k in self._steps:
+        for j, p, k in self.chain.steps:
             w = values[p] + factors[p] * (w if k < 0 else terminal[k])
             out[j] = w
         return out
@@ -641,7 +696,7 @@ class OperatorWorkspace:
         incumbents = prev.interior.tolist()
         new_interior = [0] * model.n_states
         residual = -math.inf
-        for j, p, k in self._steps:  # the first step, the last flow position, is a chain end
+        for j, p, k in self.chain.steps:  # the first step, the last flow position, is a chain end
             v_s, b_s = values[p], survival[p]
             if k >= 0:
                 w_next = terminal[k]

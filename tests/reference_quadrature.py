@@ -11,6 +11,9 @@ the engines that came before it, on the library's line rule:
 * the library's mesh with every exit piece at the count rule's intervals
   (:func:`meshed_workspace`), as it was before a constant exit piece became
   one interval;
+* a mesh's per-piece running sums as one ``np.cumsum`` per piece
+  (:func:`looped_running_sums`), as the library summed them before it laid
+  the pieces side by side;
 * on the library's shared pieces, the per-line compositions: each line's
   pieces as an incidence list (:func:`incidence`), the operators as running
   survival products along it (:func:`composed_assemble`), the improvement
@@ -366,9 +369,22 @@ _LINES = weakref.WeakKeyDictionary()
 def meshed_workspace(model, fill: int) -> OperatorWorkspace:
     """A workspace at ``fill`` that marks no exit piece constant, so every
     exit piece keeps the count rule's intervals, as before constant pieces
-    were meshed as one interval."""
+    were meshed as one interval.  Its chain geometry is its own: the model's
+    shared one is left as it was."""
     with mock.patch.object(operators, "_constant_exits", lambda model, x0, dur: np.zeros(x0.size, bool)):
+        chain = operators._chain_geometry(model)
+    with mock.patch.dict(vars(model), chain_geometry=chain):
         return OperatorWorkspace(model, fill)
+
+
+def looped_running_sums(mesh, z: np.ndarray) -> np.ndarray:
+    """``mesh.running_sums(z)`` by one ``np.cumsum`` per piece."""
+    out = np.zeros((mesh.times.size,) + z.shape[1:])
+    first = mesh.first.tolist()
+    for p, node in enumerate(mesh.node_start[:-1].tolist()):
+        k0, k1 = first[p], first[p + 1]
+        np.cumsum(z[k0:k1], axis=0, out=out[node + 1:node + 1 + k1 - k0])
+    return out
 
 
 def line_geometry(ws) -> list[_LineGeometry]:

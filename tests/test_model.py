@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,56 @@ class TestLoadModel:
         for name in pa.bundled_model_names():
             model = pa.load_model(pa.bundled_model_path(name))
             assert pa.validate_model(model) == [], name
+
+    def test_feasible_lists_load_sorted_and_unique(self):
+        doc = json.loads(pa.bundled_model_path("drift_boundary_64").read_text())
+        doc["actions"]["feasible"][:3] = [[1, 0, 1], [1, 1], []]
+        doc["actions"]["boundary_feasible"] = [[1, 0, 0]]
+        model = pa.model_from_dict(doc)
+        sets = model.action_grid.feasible + model.action_grid.boundary_feasible
+        assert all(idx.dtype == np.int64 and idx.ndim == 1 for idx in sets)
+        assert [idx.tolist() for idx in sets[:4]] == [[0, 1], [1], [], [0, 1]]
+        assert sets[-1].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("feasible, error, message", [
+        ([[0, 1], [0, 2]], ModelFormatError, r"^'actions\.feasible\[1\]' contains an action index outside 0\.\.1$"),
+        ([[0, 1], [-1, 0]], ModelFormatError, r"^'actions\.feasible\[1\]' contains an action index outside 0\.\.1$"),
+        ([[0, 1], [[0], [1]]], ModelFormatError, r"^'actions\.feasible\[1\]' must be a flat list of action indices$"),
+        ([[0, 1]], DimensionError, r"^'actions\.feasible': expected 2 entries, got 1$"),
+    ])
+    def test_bad_feasible_lists_are_refused(self, write_model, feasible, error, message):
+        doc = two_state_jump_doc()
+        doc["actions"]["feasible"] = feasible
+        with pytest.raises(error, match=message):
+            pa.load_model(write_model(doc))
+
+
+# numpy.linalg and numpy.random are the subpackages the library calls by name
+# (numpy may import either lazily); any other numpy or scipy module that the
+# pipeline loads is a detour every process pays for
+PIPELINE = """
+import sys
+import numpy, numpy.linalg, numpy.random
+import pdmp_avgctl as pa
+before = set(sys.modules)
+model = pa.load_model(pa.bundled_model_path("drift_boundary_64"))
+assert pa.validate_model(model) == []
+u0 = pa.FeedbackPolicy.lowest_feasible(model)
+pa.audit_assumptions(model, u0)
+ws = pa.refined_workspace(model, u0)
+result, policy, _ = pa.run_pia(model, u0, workspace=ws)
+assert pa.mc_validate(model, policy, result.rho, 0, 100.0, 4, 1, workspace=ws).replications
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_the_pipeline_loads_no_further_numpy_or_scipy_module():
+    src = str(Path(pa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", PIPELINE], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.split()
+    assert [m for m in loaded if m == "numpy" or m.startswith(("numpy.", "scipy"))] == []
 
 
 class TestModelTables:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -15,10 +16,10 @@ from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWor
 from conftest import BUNDLED
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
                                   cum_rate, dense_assemble, forced_line_geometry, line_exit, line_geometry, line_pieces,
-                                  marched_improve, op_G, op_H, numpy_optimality_residual, one_stage_values, op_L,
-                                  op_calL, phi0, phi1, policy_paths, reference_assemble, reference_improve,
-                                  reference_optimality_residual, reference_sweep_values, sparse_values,
-                                  swept_residual)
+                                  looped_running_sums, marched_improve, op_G, op_H, numpy_optimality_residual,
+                                  one_stage_values, op_L, op_calL, phi0, phi1, policy_paths, reference_assemble,
+                                  reference_improve, reference_optimality_residual, reference_sweep_values,
+                                  sparse_values, swept_residual)
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -477,6 +478,44 @@ class TestLineGeometry:
                     assert k1 - k0 == times.size - 1, (name, fill, j, p)
                     relative = geom.times[k0:k1 + 1] - geom.times[k0]
                     assert np.max(np.abs(relative - times)) <= 1e-12 * max(1.0, times[-1])
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_running_sums_match_the_per_piece_loop(self, models, workspaces, name):
+        # bit for bit, on the engine's hazard increments and on random
+        # values of mixed magnitude, one column and several
+        model = models[name]
+        rng = np.random.default_rng(7)
+        for ws in (OperatorWorkspace(model, 8), workspaces[name]):
+            mesh = ws.mesh
+            hazard = 0.5 * (mesh.lam_nodes[mesh.left] + mesh.lam_nodes[mesh.left + 1]) * mesh.dt[:, None]
+            size = mesh.left.size
+            for z in (hazard, hazard[:, 0], rng.normal(size=size) * 10.0 ** rng.uniform(-8, 3, size),
+                      rng.normal(size=(size, 3)) * 10.0 ** rng.uniform(-8, 3, (size, 3))):
+                assert np.array_equal(mesh.running_sums(z), looped_running_sums(mesh, z)), (name, ws.fill)
+
+    def test_workspaces_of_one_model_share_one_chain_geometry(self):
+        # the fill-independent geometry is built once per model object and
+        # is read-only; each workspace's mesh is the one a new model object
+        # builds with its own chain geometry
+        for name in BUNDLED:
+            path = pa.bundled_model_path(name)
+            model, fresh = pa.load_model(path), pa.load_model(path)
+            coarse, fine = OperatorWorkspace(model, 8), OperatorWorkspace(model, 32)
+            chain = model.chain_geometry
+            assert coarse.chain is chain and fine.chain is chain and coarse.mesh.anchors is chain.anchors, name
+            assert coarse.exits is chain.exits and fine.order is chain.order, name
+            for field in dataclasses.fields(chain):
+                value = getattr(chain, field.name)
+                if isinstance(value, np.ndarray):
+                    with pytest.raises(ValueError):
+                        value[...] = 0
+            for ws in (coarse, fine):
+                other = OperatorWorkspace(fresh, ws.fill)
+                assert other.chain is not chain and other.exits == ws.exits, name
+                assert other.chain.steps == chain.steps, name
+                for field in dataclasses.fields(ws.mesh):
+                    assert np.array_equal(getattr(ws.mesh, field.name), getattr(other.mesh, field.name)), \
+                        (name, ws.fill, field.name)
 
     def test_a_fixed_point_on_a_grid_point_ends_a_chain(self):
         # decay_flow_16 with a grid point added on the flow's fixed point 0:

@@ -94,10 +94,11 @@ def _nbytes(obj) -> int:
 
 
 def _table_bytes(ws) -> int:
-    """Bytes of the arrays a workspace holds besides its model, its mesh and its assembled operators."""
+    """Bytes of the arrays a workspace holds besides its model, the chain geometry it shares with the
+    model's other workspaces, its mesh and its assembled operators."""
     total = 0
     for name, value in vars(ws).items():
-        if name in ("model", "mesh", "geometry", "_assembled"):
+        if name in ("model", "chain", "mesh", "geometry", "_assembled"):
             continue
         if isinstance(value, np.ndarray):
             total += value.nbytes
