@@ -147,37 +147,50 @@ class _Mesh:
         return self.times[self.left + 1] - self.times[self.left]
 
     @functools.cached_property
-    def _padded(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Index maps for the (P, W) layout of :meth:`running_sums`, one piece
-        per row and W its longest piece's interval count: W, the interval
-        each slot holds (interval 0 in a row's padding, which no node reads),
-        and the slot each node reads (slot 0 at a piece's first node, which
-        is set to 0)."""
+    def _blocks(self) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]:
+        """The padded layout of :meth:`running_sums`.
+
+        The pieces are grouped by length class: a piece of K intervals is in
+        class ceil(log2 K), and each class is a block of rows, one piece per
+        row, as wide as its longest piece.  A row is padded to less than
+        twice its own length, so the layout has fewer than twice as many
+        slots as the mesh has intervals.  Returns each block's (first slot,
+        rows, width), the interval each slot holds (interval 0 in a row's
+        padding, which no node reads) and the slot each node reads (slot 0
+        at a piece's first node, which is set to 0).
+        """
         counts = np.diff(self.first)
-        width = int(counts.max())
-        slot = np.arange(self.first[-1]) + np.repeat(np.arange(counts.size) * width - self.first[:-1], counts)
-        source = np.zeros(counts.size * width, dtype=np.int64)
+        length_class = np.ceil(np.log2(counts))
+        blocks, row_start, start = [], np.zeros(counts.size, dtype=np.int64), 0
+        for c in sorted(set(length_class.tolist())):
+            rows = np.flatnonzero(length_class == c)
+            width = int(counts[rows].max())
+            row_start[rows] = start + width * np.arange(rows.size)
+            blocks.append((start, rows.size, width))
+            start += rows.size * width
+        slot = np.arange(self.first[-1]) + np.repeat(row_start - self.first[:-1], counts)
+        source = np.zeros(start, dtype=np.int64)
         source[slot] = np.arange(self.first[-1])
         node = np.zeros(self.times.size, dtype=np.int64)
         node[self.left + 1] = slot
-        return width, source, node
+        return blocks, source, node
 
     def running_sums(self, z: np.ndarray) -> np.ndarray:
         """Per node: the sum of the interval values ``z`` since its piece's start.
 
         Each piece sums from its own first node (where the result is 0), so
         the rounding of one piece never carries into the next.  The pieces
-        are summed side by side, one per row of a padded array, by one
-        cumulative sum along the rows: each piece's own sequential sum, bit
-        for bit.  The padded array holds P times the longest piece's
-        interval count entries per column of ``z``; on the bundled models
-        that is at most 4 times the interval count (decay_flow_16, whose
-        pieces near the flow's fixed point are long), and once on the others.
+        are summed side by side, one per row of a padded block
+        (:attr:`_blocks`), by one cumulative sum along the rows per block:
+        each piece's own sequential sum, bit for bit.  The blocks hold fewer
+        than twice the interval count of entries per column of ``z``.
         """
-        width, source, node = self._padded
-        pad = z.take(source, axis=0).reshape((-1, width) + z.shape[1:])
-        np.cumsum(pad, axis=1, out=pad)
-        out = pad.reshape((-1,) + z.shape[1:]).take(node, axis=0)
+        blocks, source, node = self._blocks
+        pad = z.take(source, axis=0)
+        for start, rows, width in blocks:
+            block = pad[start:start + rows * width].reshape((rows, width) + z.shape[1:])
+            np.cumsum(block, axis=1, out=block)
+        out = pad.take(node, axis=0)
         out[self.node_start[:-1]] = 0.0
         return out
 

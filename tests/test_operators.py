@@ -493,6 +493,32 @@ class TestLineGeometry:
                       rng.normal(size=(size, 3)) * 10.0 ** rng.uniform(-8, 3, (size, 3))):
                 assert np.array_equal(mesh.running_sums(z), looped_running_sums(mesh, z)), (name, ws.fill)
 
+    def test_running_sums_pad_long_pieces_less_than_twice(self):
+        # decay_flow_16's recipe on 256 grid points: the pieces near the
+        # flow's fixed point are far longer than the rest, so padding every
+        # piece to the longest would take over 8 times the interval count
+        doc = json.loads(pa.bundled_model_path("decay_flow_16").read_text())
+        n = 256
+        points = [(i + 1) / n for i in range(n)]
+        doc["grid"]["points"] = points
+        doc["actions"]["feasible"] = [[0, 1]] * n
+        doc["rates"]["lambda"] = [[0.8 + 0.3 * x, 1.2 + 0.2 * x] for x in points]
+        doc["costs"]["running"] = [[0.4 + 1.5 * x, 0.7 + 1.2 * x] for x in points]
+        doc["kernel"]["interior"] = [[[1.0 / n] * n] * 2] * n
+        doc["lyapunov"]["g"] = [1.0] * n
+        doc["constants"]["lambda_lower"] = [0.8 + 0.3 * x for x in points]
+        model = pa.model_from_dict(doc)
+        rng = np.random.default_rng(11)
+        for fill in (8, 64):
+            mesh = OperatorWorkspace(model, fill).mesh
+            counts = np.diff(mesh.first)
+            intervals = int(mesh.first[-1])
+            assert counts.max() * counts.size > 8 * intervals, fill
+            blocks, source, _ = mesh._blocks
+            assert source.size == sum(rows * width for _, rows, width in blocks) < 2 * intervals, fill
+            z = rng.normal(size=(intervals, 2)) * 10.0 ** rng.uniform(-8, 3, (intervals, 2))
+            assert np.array_equal(mesh.running_sums(z), looped_running_sums(mesh, z)), fill
+
     def test_workspaces_of_one_model_share_one_chain_geometry(self):
         # the fill-independent geometry is built once per model object and
         # is read-only; each workspace's mesh is the one a new model object
