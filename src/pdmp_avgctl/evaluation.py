@@ -8,11 +8,13 @@ G; with its invariant row nu the average cost per unit time is
 and the bias h is the unique solution of  h = -rho*calL + Lf + Hr + G h  with
 nu(h) = 0.  The policy's (G, calL, Lf + Hr) come from
 :meth:`OperatorWorkspace.assemble`, one backward pass over the workspace's
-per-piece tables, the same sums improvement reads.  The bias is solved by
-one deflated direct linear solve.  The paper's geometric series
-sum_k G^k (Lf + Hr - rho calL), truncated by the estimated ergodicity
-constants of :func:`estimate_ergodic_constants`, is kept only as the tests'
-independent cross-check of that solve.
+per-piece tables, the same sums improvement reads.  nu is unique when the
+graph of G has one closed communicating class; that is checked first, and
+nu is then one direct solve of its stationarity system, checked by one step
+nu <- nu G.  The bias is solved by one deflated direct linear solve.  The
+paper's geometric series sum_k G^k (Lf + Hr - rho calL), truncated by the
+estimated ergodicity constants of :func:`estimate_ergodic_constants`, is
+kept only as the tests' independent cross-check of that solve.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import numpy as np
 from .operators import DEFAULT_FILL, OperatorWorkspace, check_workspace, refined_workspace
 
 DEFAULT_TOL = 1e-8
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 200_000
-DIRECT_SOLVE_LIMIT = 2000
+STATIONARY_TOL = 1e-12
 ERGODIC_PROBE_POWERS = 20
 
 
@@ -38,32 +38,17 @@ class ErgodicityError(EvaluationError):
     """The embedded chain looks reducible / non-ergodic under this policy."""
 
 
-def _subdominant_modulus(kernel: np.ndarray, steps: tuple) -> str:
-    """The second eigenvalue modulus up to n = 512, else what the iteration saw.
-
-    ``steps`` holds the l1 sizes of the iteration's last two steps; their
-    ratio estimates the modulus once the subdominant mode dominates.
-    """
-    if kernel.shape[0] <= 512:
-        eigs = np.sort(np.abs(np.linalg.eigvals(kernel)))[::-1]
-        return str(float(eigs[1]) if eigs.size > 1 else 0.0)
-    before, last = steps
-    ratio = last / before if before else None
-    return f"{ratio} (contraction ratio of the last two l1 steps)"
-
-
 def invariant_measure(kernel: np.ndarray) -> np.ndarray:
     """Invariant probability row nu with nu G = nu, sum nu = 1, nu >= 0.
 
-    Up to ``DIRECT_SOLVE_LIMIT`` states the stationarity system is solved
-    directly and the result polished by the power iteration; above that, or
-    when the direct solve fails, the iteration runs from the uniform row to
-    an l1 step of ``POWER_TOL`` within ``POWER_MAX_ITER`` steps.
-    Raises ErgodicityError when no unique invariant row can be certified:
-    when the iteration does not converge, or when the transition graph
-    ``kernel > 0`` has more than one closed communicating class (checked at
-    every size, in O(n^2)); the message includes the (estimated) subdominant
-    eigenvalue modulus.
+    The transition graph ``kernel > 0`` must have exactly one closed
+    communicating class (checked first, in O(n^2)); the stationarity system
+    nu (G - I) = 0 with sum nu = 1 is then nonsingular and solved directly.
+    One step nu <- nu G, renormalised, must move nu by at most
+    ``STATIONARY_TOL`` in l1.  Raises ErgodicityError when the class check
+    fails (the message gives the subdominant eigenvalue modulus, 1), or when
+    the solve fails, returns a non-finite or negative entry, or does not
+    pass the stationarity step.
     """
     kernel = np.asarray(kernel, dtype=float)
     n = kernel.shape[0]
@@ -72,50 +57,35 @@ def invariant_measure(kernel: np.ndarray) -> np.ndarray:
     rowdev = np.max(np.abs(kernel.sum(axis=1) - 1.0))
     if rowdev > 1e-6:
         raise ValueError(f"kernel rows must sum to 1 within 1e-6 (max deviation {rowdev:.3e})")
-
-    nu = None
-    if n <= DIRECT_SOLVE_LIMIT:
-        system = kernel.T - np.eye(n)
-        system[-1, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        try:
-            nu = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            nu = None
-        if nu is not None and (np.any(nu < -1e-9) or not np.all(np.isfinite(nu))):
-            nu = None
-
-    if nu is None:
-        nu = np.full(n, 1.0 / n)
-
-    # polish (and the pure-power path): nu <- nu G until l1-stationary
-    steps = (0.0, 0.0)
-    for _ in range(POWER_MAX_ITER):
-        nxt = nu @ kernel
-        nxt = nxt / nxt.sum()
-        steps = (steps[1], float(np.abs(nxt - nu).sum()))
-        if steps[1] <= POWER_TOL:
-            nu = nxt
-            break
-        nu = nxt
-    else:
-        sub = _subdominant_modulus(kernel, steps)
-        raise ErgodicityError(
-            "invariant measure iteration did not converge; "
-            f"estimated subdominant eigenvalue modulus: {sub}"
-        )
-
-    nu = np.clip(nu, 0.0, None)
-    nu = nu / nu.sum()
-
-    # uniqueness: the chain on kernel > 0 must have exactly one closed class
-    if not _one_closed_class(kernel > 0.0, int(np.argmax(nu))):
+    if not _one_closed_class(kernel > 0.0, 0):
         raise ErgodicityError(
             "invariant measure is not unique: the kernel has more than one closed "
             "communicating class, so eigenvalue 1 repeats; subdominant eigenvalue modulus: 1"
         )
-    return nu
+
+    system = kernel.T - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        nu = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ErgodicityError(f"stationarity system could not be solved: {exc}") from exc
+    if not np.all(np.isfinite(nu)):
+        raise ErgodicityError("stationarity solve returned a non-finite entry")
+    if np.min(nu) < -1e-9:
+        raise ErgodicityError(f"stationarity solve returned a negative entry ({np.min(nu):.3e})")
+
+    nxt = nu @ kernel
+    nxt = nxt / nxt.sum()
+    step = float(np.abs(nxt - nu).sum())
+    if not step <= STATIONARY_TOL:
+        raise ErgodicityError(
+            f"solved nu is not stationary: one step nu <- nu G moves it by {step:.3e} "
+            f"in l1, above {STATIONARY_TOL:.0e}"
+        )
+    nu = np.clip(nxt, 0.0, None)
+    return nu / nu.sum()
 
 
 def _reach(adj: np.ndarray, start: int) -> np.ndarray:
@@ -234,19 +204,6 @@ class EvaluationResult:
         }
 
 
-def _solve_direct(kernel, nu, w):
-    n = kernel.shape[0]
-    system = np.eye(n) - kernel + np.outer(np.ones(n), nu)
-    try:
-        h = np.linalg.solve(system, w)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(
-            "deflated system (I - G + 1 nu') is singular; the chain's "
-            "geometric rate looks like kappa ~ 1"
-        ) from exc
-    return h - float(nu @ h) * np.ones(n)
-
-
 def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
                     workspace: OperatorWorkspace | None = None) -> EvaluationResult:
     """Average cost and bias of a feedback policy, by the deflated direct solve.
@@ -269,7 +226,15 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
     rho = float(nu @ cost) / D
     w = cost - rho * ell
 
-    h = _solve_direct(kernel, nu, w)
+    n = kernel.shape[0]
+    try:
+        h = np.linalg.solve(np.eye(n) - kernel + np.outer(np.ones(n), nu), w)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError(
+            "deflated system (I - G + 1 nu') is singular; the chain's "
+            "geometric rate looks like kappa ~ 1"
+        ) from exc
+    h = h - float(nu @ h) * np.ones(n)
     defect = h + rho * ell - cost - kernel @ h
     res = float(np.max(np.abs(defect)))
     if res > tol:

@@ -543,7 +543,7 @@ def _line_integrals(model: PdmpModel, ws, rate: float, v_nodes=None) -> tuple[np
     inner, exponent = _piece_integrals(model, ws, rate, v_nodes)
     w = ws.backward(np.column_stack((inner, exponent)),
                     np.column_stack((np.exp(-exponent), np.ones(exponent.size))),
-                    np.zeros((len(ws.exits), 2)))
+                    np.zeros((len(ws.chain.exits), 2)))
     return w[:, 0], w[:, 1]
 
 
@@ -602,7 +602,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
         [f"x={pts[i]}, a={int(worst_a[i])}" for i in range(n)])
 
     # boundary items only where some line actually reaches the boundary
-    reachable = sorted({e.boundary_index for e in ws.exits if e.hit})
+    reachable = sorted({e.boundary_index for e in ws.chain.exits if e.hit})
     if model.n_boundary and reachable:
         bmask = model.boundary_feasible_mask
         g_b = model.boundary_g()
@@ -650,7 +650,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     if truncated.any():
         items.append(AuditItem("growth-decay-limit", "not_checkable", math.inf, "(limit)",
                                f"window decay of exp(ct - int lambda_lower) at t_max: {decay.max():.3e}"))
-        g_end = g_tab(ws.mesh.states[ws.mesh.node_start[[e.piece + 1 for e in ws.exits]] - 1])[ws.exit_of]
+        g_end = g_tab(ws.mesh.states[ws.mesh.node_start[[e.piece + 1 for e in ws.chain.exits]] - 1])[ws.chain.exit_of]
         g_end = float(np.max((g_end * np.exp(-lower_hazard))[truncated]))
         items.append(AuditItem("weight-decay-limit", "not_checkable", math.inf, "(limit)",
                                f"window decay of exp(-int lambda_lower) g at t_max: {g_end:.3e}"))

@@ -476,19 +476,18 @@ class OperatorWorkspace:
     what makes improvement values directly comparable across policies.
     ``mesh`` holds the pieces' nodes, ``geometry`` lists per-piece views of
     it (built on first read), and ``chain`` is the model's shared
-    :class:`_ChainGeometry`, with its ``order`` (the grid indices in flow
-    order), ``exits`` (the exit of each chain end) and ``exit_of`` (the exit
-    each grid state's line ends on).  The piece tables, with the lists the
-    improvement/certificate pass reads, are built on first use, and one
-    per-policy cache (:meth:`cached`) keeps assembled operators and PIA
-    steps.
+    :class:`_ChainGeometry`, the one place to read ``chain.order`` (the grid
+    indices in flow order), ``chain.exits`` (the exit of each chain end) and
+    ``chain.exit_of`` (the exit each grid state's line ends on).  The piece
+    tables, with the lists the improvement/certificate pass reads, are built
+    on first use, and one per-policy cache (:meth:`cached`) keeps assembled
+    operators and PIA steps.
     """
 
     def __init__(self, model, fill: int = DEFAULT_FILL):
         self.model = model
         self.fill = int(fill)
         self.chain = model.chain_geometry
-        self.order, self.exits, self.exit_of = self.chain.order, self.chain.exits, self.chain.exit_of
         self.mesh = _build_mesh(model, self.chain, self.fill)
         self._assembled: dict = {}
         self._segments: SegmentTables | None = None
@@ -504,7 +503,7 @@ class OperatorWorkspace:
     @property
     def truncated(self) -> np.ndarray:
         """(n,) whether each grid state's line stops at t_max instead of the boundary."""
-        return ~np.array([e.hit for e in self.exits], dtype=bool)[self.exit_of]
+        return ~np.array([e.hit for e in self.chain.exits], dtype=bool)[self.chain.exit_of]
 
     def backward(self, values: np.ndarray, factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
         """Value to go along every flow line, in one pass over the grid positions against the flow.
@@ -579,9 +578,9 @@ class OperatorWorkspace:
         values[:, :n] = (weights[:, None, :] @ model.kernel_interior.reshape(n * n_a, n)[cols])[:, 0]
         values[:, n] = tables.sojourn[pieces, act]
         values[:, n + 1] = tables.cost[pieces, act]
-        terminal = np.zeros((len(self.exits), n + 3))
+        terminal = np.zeros((len(self.chain.exits), n + 3))
         terminal[:, n + 2] = 1.0
-        for k, e in enumerate(self.exits):
+        for k, e in enumerate(self.chain.exits):
             if e.hit:
                 b_act = policy.boundary[e.boundary_index]
                 terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
@@ -641,16 +640,17 @@ class OperatorWorkspace:
         """
         model = self.model
         mesh = self.mesh
+        chain = self.chain
         # a line's sweep may hold an action feasible at every flow position
         # from the line's own to its chain end's: none of them counts it
         # among the infeasible ones
-        bad = ~model.feasible_mask[self.order]
+        bad = ~model.feasible_mask[chain.order]
         infeasible = np.cumsum(bad, axis=0)
-        end = np.array([e.position for e in self.exits], dtype=np.int64)[self.exit_of[self.order]]
+        end = np.array([e.position for e in chain.exits], dtype=np.int64)[chain.exit_of[chain.order]]
         line_ok = np.empty(bad.shape, dtype=bool)
-        line_ok[self.order] = infeasible[end] == infeasible - bad
-        hits = [(k, e.boundary_index) for k, e in enumerate(self.exits) if e.hit]
-        tails = [(k, e.piece) for k, e in enumerate(self.exits) if not e.hit]
+        line_ok[chain.order] = infeasible[end] == infeasible - bad
+        hits = [(k, e.boundary_index) for k, e in enumerate(chain.exits) if e.hit]
+        tails = [(k, e.piece) for k, e in enumerate(chain.exits) if not e.hit]
         stationary = None
         if tails:
             end = mesh.node_start[[p + 1 for _, p in tails]] - 1
@@ -693,8 +693,8 @@ class OperatorWorkspace:
         survival, feasible, mask, line_ok, hits, stationary = self._pass
         if not any(map(any, line_ok)):
             raise ValueError("no flow line admits a feasible frozen-action sweep")
-        terminal = [0.0] * len(self.exits)  # improvement
-        sweep_end = [0.0] * len(self.exits)  # certificate
+        terminal = [0.0] * len(self.chain.exits)  # improvement
+        sweep_end = [0.0] * len(self.chain.exits)  # certificate
         b_val, b_min = b_val.tolist(), b_min.tolist()
         for k, zi in hits:
             terminal[k], sweep_end[k] = b_val[zi], b_min[zi]

@@ -58,6 +58,9 @@ import numpy as np
 from .operators import OperatorWorkspace, check_workspace
 
 DEFAULT_BATCHES = 20
+# the jump-count guard: max(MAX_JUMPS_FLOOR, MAX_JUMPS_FACTOR * (lambda_sup + 1) * horizon)
+MAX_JUMPS_FLOOR = 100_000
+MAX_JUMPS_FACTOR = 100.0
 RATE_FLOOR = 1e-12
 UNIFORM_BLOCK = 1024  # uniforms per draw from the stream; even, so pairs never straddle blocks
 _DEAD_TAIL = ("drawn hazard level exceeds the tabulated horizon and the tail jump rate is (numerically) "
@@ -265,10 +268,10 @@ class SimulationTables:
         self.nodes, node_of, exit_nodes = _node_tables(mesh, piece_action, model.n_states)
         nodes = self.nodes
         times, hazard, cost_cum = nodes.times, nodes.hazard, nodes.cost_cum
-        position = np.argsort(ws.order).tolist()
+        position = np.argsort(ws.chain.order).tolist()
         self.lines = []
-        for j, k in enumerate(ws.exit_of.tolist()):
-            ex = ws.exits[k]
+        for j, k in enumerate(ws.chain.exit_of.tolist()):
+            ex = ws.chain.exits[k]
             b, e = node_of[position[j]], node_of[ex.position]
             p = ex.piece
             x0, x1 = exit_nodes[k]
@@ -453,8 +456,7 @@ def _check_horizon(horizon: float) -> None:
 
 
 def simulate(model, policy, x0: int, horizon: float, seed: int, *,
-             replication: int = 0, batches: int = DEFAULT_BATCHES,
-             max_jumps: int | None = None, record: bool = True,
+             replication: int = 0, record: bool = True,
              tables: SimulationTables | None = None) -> tuple[TrajectoryRecord, SimulationSummary]:
     """Simulate the controlled process from grid state index ``x0``.
 
@@ -467,10 +469,12 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     (the same object or one with the same :meth:`FeedbackPolicy.key`); they
     checked the policy's feasibility when they were built, so a replication
     does not check it again.
+
+    The average's standard error comes from ``DEFAULT_BATCHES`` batch means,
+    and a run past the jump-count guard (``MAX_JUMPS_FLOOR``,
+    ``MAX_JUMPS_FACTOR``) raises :class:`SimulationExplosionError`.
     """
     _check_horizon(horizon)
-    if batches < 1:
-        raise ValueError(f"batches must be at least 1, got {batches}")
     if not 0 <= int(x0) < model.n_states:
         raise ValueError(f"x0 must be a grid state index in [0, {model.n_states}), got {x0}")
     if tables is None:
@@ -482,8 +486,8 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     else:
         tabs = tables
     rng = _rng_stream(seed, replication)
-    if max_jumps is None:
-        max_jumps = int(max(100_000, 100.0 * (model.lambda_sup + 1.0) * horizon))
+    batches = DEFAULT_BATCHES
+    max_jumps = int(max(MAX_JUMPS_FLOOR, MAX_JUMPS_FACTOR * (model.lambda_sup + 1.0) * horizon))
 
     # one edge past the last so the "next edge" test needs no bounds check
     edges = _batch_edges(horizon, batches) + [math.inf]

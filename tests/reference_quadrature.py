@@ -401,17 +401,17 @@ def line_pieces(ws) -> list[list[int]]:
     The segments from its own grid point to its chain end, then that chain
     end's exit piece.
     """
-    position = np.argsort(ws.order).tolist()
+    position = np.argsort(ws.chain.order).tolist()
     out = []
-    for j, k in enumerate(ws.exit_of.tolist()):
-        ex = ws.exits[k]
+    for j, k in enumerate(ws.chain.exit_of.tolist()):
+        ex = ws.chain.exits[k]
         out.append(list(range(position[j], ex.position)) + [ex.piece])
     return out
 
 
 def line_exit(ws, j: int):
     """The exit record of grid state ``j``'s line."""
-    return ws.exits[int(ws.exit_of[j])]
+    return ws.chain.exits[int(ws.chain.exit_of[j])]
 
 
 def piece_counts(ws) -> list[list[int]]:
@@ -554,9 +554,9 @@ def dense_assemble(ws, policy):
     values[:, :n] = flat @ model.kernel_interior.reshape(n * n_a, n)
     values[:, n] = tables.sojourn[pieces, act]
     values[:, n + 1] = tables.cost[pieces, act]
-    terminal = np.zeros((len(ws.exits), n + 3))
+    terminal = np.zeros((len(ws.chain.exits), n + 3))
     terminal[:, n + 2] = 1.0
-    for k, e in enumerate(ws.exits):
+    for k, e in enumerate(ws.chain.exits):
         if e.hit:
             b_act = policy.boundary[e.boundary_index]
             terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
@@ -669,8 +669,8 @@ def numpy_optimality_residual(ws, rho, h):
     tables = ws.segment_tables()
     values = np.hstack((tables.values(rho, model.kernel_interior @ h), np.zeros(tables.survival.shape)))
     factors = np.hstack((tables.survival, model.feasible_mask[tables.anchors]))
-    terminal = np.ones((len(ws.exits), 2 * n_a))
-    terminal[:, :n_a] = [[b_val[e.boundary_index] if e.hit else 0.0] for e in ws.exits]
+    terminal = np.ones((len(ws.chain.exits), 2 * n_a))
+    terminal[:, :n_a] = [[b_val[e.boundary_index] if e.hit else 0.0] for e in ws.chain.exits]
     w = ws.backward(values, factors, terminal)
     feasible = w[:, n_a:] > 0.5
     some = feasible.any(axis=1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
 from pdmp_avgctl import evaluation
@@ -18,14 +19,14 @@ class TestInvariantMeasure:
         nu = invariant_measure(np.array([[0.5, 0.5], [0.25, 0.75]]))
         assert np.allclose(nu, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
-    def test_power_method_agrees_with_direct(self, monkeypatch):
+    def test_direct_measure_matches_the_eigenvector_oracle(self):
+        # oracle: the left eigenvector of G for the eigenvalue nearest 1
         rng = np.random.default_rng(2)
         kernel = rng.uniform(0.05, 1.0, size=(6, 6))
         kernel /= kernel.sum(axis=1, keepdims=True)
-        direct = invariant_measure(kernel)
-        monkeypatch.setattr(evaluation, "DIRECT_SOLVE_LIMIT", 0)  # the power iteration alone
-        power = invariant_measure(kernel)
-        assert np.allclose(direct, power, atol=1e-10)
+        vals, vecs = np.linalg.eig(kernel.T)
+        left = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+        assert np.allclose(invariant_measure(kernel), left / left.sum(), rtol=0.0, atol=1e-12)
 
     def test_reducible_kernel_raises(self):
         with pytest.raises(ErgodicityError, match="subdominant"):
@@ -68,24 +69,60 @@ class TestInvariantMeasure:
         assert not _one_closed_class(adj, 1)
         assert not _one_closed_class(adj, 3)
 
-    def test_non_convergence_above_512_states_reports_the_contraction_ratio(self, monkeypatch):
-        # G = theta I + (1 - theta) 1 pi': every step shrinks nu - pi by
-        # exactly theta, the subdominant eigenvalue
+    def test_slowly_mixing_600_state_kernel_is_solved_directly(self):
+        # G = theta I + (1 - theta) 1 pi' has invariant row pi and subdominant
+        # eigenvalue theta, so a power iteration would need thousands of steps
         n, theta = 600, 0.999
         pi = np.random.default_rng(7).uniform(0.5, 1.5, n)
         pi /= pi.sum()
         kernel = theta * np.eye(n) + (1.0 - theta) * np.outer(np.ones(n), pi)
-        monkeypatch.setattr(evaluation, "DIRECT_SOLVE_LIMIT", 0)
-        monkeypatch.setattr(evaluation, "POWER_MAX_ITER", 25)
-        with pytest.raises(ErgodicityError, match=r"did not converge; estimated subdominant eigenvalue "
-                                                  r"modulus: \S+ \(contraction ratio") as info:
-            invariant_measure(kernel)
-        ratio = float(str(info.value).split("modulus: ")[1].split()[0])
-        assert ratio == pytest.approx(theta, abs=1e-9)
+        assert np.max(np.abs(invariant_measure(kernel) - pi)) <= 1e-12
+
+    def test_failed_stationarity_step_names_its_size(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "STATIONARY_TOL", -1.0)
+        with pytest.raises(ErgodicityError, match=r"one step nu <- nu G moves it by \S+ in l1, above -1e\+00"):
+            invariant_measure(np.array([[0.5, 0.5], [0.25, 0.75]]))
 
     def test_substochastic_input_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             invariant_measure(np.array([[0.5, 0.3], [0.2, 0.8]]))
+
+
+def _closed_class_count(adj: np.ndarray) -> int:
+    """Closed communicating classes of the graph ``adj``, from its reflexive transitive closure."""
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    while True:
+        wider = reach | (reach.astype(np.int64) @ reach.astype(np.int64) > 0)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    mutual = reach & reach.T
+    # i's class is closed when everything i reaches reaches i back
+    return len({tuple(mutual[i]) for i in range(adj.shape[0]) if not (reach[i] & ~mutual[i]).any()})
+
+
+@st.composite
+def sparse_kernels(draw):
+    n = draw(st.integers(2, 12))
+    density = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    mask = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n) < density
+    mask |= np.eye(n, dtype=bool) & ~mask.any(axis=1, keepdims=True)  # an empty row stays put
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    kernel = np.where(mask, weights, 0.0)
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel=sparse_kernels())
+def test_invariant_measure_exists_exactly_when_one_class_is_closed(kernel):
+    if _closed_class_count(kernel > 0.0) > 1:
+        with pytest.raises(ErgodicityError, match="more than one closed communicating class"):
+            invariant_measure(kernel)
+        return
+    nu = invariant_measure(kernel)
+    assert np.all(nu >= 0.0)
+    assert nu.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(nu @ kernel - nu).sum() <= 1e-13
 
 
 class TestEvaluatePolicy:

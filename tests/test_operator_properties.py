@@ -221,12 +221,12 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
     # cost and kernel row at both nodes for every action, and the operators
     # are those of the same exit meshed at the count rule's intervals
     meshed = meshed_workspace(model, fill)
-    constant = [e.constant for e in ws.exits]
+    constant = [e.constant for e in ws.chain.exits]
     if flow == "trivial":
         assert all(constant)
     else:
         assert all(c == clamped for c in constant)
-    for e in ws.exits:
+    for e in ws.chain.exits:
         piece, old = ws.geometry[e.piece], meshed.geometry[e.piece]
         if e.constant:
             assert piece.times.size == 2 and piece.times[-1] == old.times[-1]

@@ -389,7 +389,7 @@ class TestLineGeometry:
             order = flow_order(model)
             xs = points[order].tolist()
             n, n_chain = model.n_states, ws.mesh.n_chain
-            assert np.array_equal(ws.order, order), name
+            assert np.array_equal(ws.chain.order, order), name
             assert n_chain == (0 if flow.kind == "trivial" else n - 1), name
             for piece in ws.geometry:
                 assert piece.times[0] == 0.0 and np.all(np.diff(piece.times) > 0.0), name
@@ -406,8 +406,8 @@ class TestLineGeometry:
             transit = [passage_time(flow, a, b) for a, b in zip(xs[:n_chain], xs[1:])]
             ends = [q for q in range(n) if q >= n_chain
                     or not (math.isfinite(transit[q]) and hit_time(flow, xs[q]) > transit[q])]
-            assert [e.position for e in ws.exits] == ends, name
-            for k, e in enumerate(ws.exits):
+            assert [e.position for e in ws.chain.exits] == ends, name
+            for k, e in enumerate(ws.chain.exits):
                 where = (name, fill, e.position)
                 piece = ws.geometry[e.piece]
                 t_star = hit_time(flow, xs[e.position])
@@ -428,8 +428,8 @@ class TestLineGeometry:
                 elif not e.hit:
                     assert piece.times.size - 1 >= max(MIN_TAIL_INTERVALS, fill), where
             # every exit of the trivial flows, decay_flow_16's below its grid
-            assert sum(e.constant for e in ws.exits) == {"ctmdp_2state": 2, "ctmdp_3state": 3,
-                                                         "decay_flow_16": 1}.get(name, 0), name
+            assert sum(e.constant for e in ws.chain.exits) == {"ctmdp_2state": 2, "ctmdp_3state": 3,
+                                                               "decay_flow_16": 1}.get(name, 0), name
 
             reference = line_geometry(ws)
             for j, pieces in enumerate(line_pieces(ws)):
@@ -439,7 +439,7 @@ class TestLineGeometry:
                 pos = int(np.flatnonzero(order == j)[0])
                 anchors = [ws.geometry[p].anchor for p in pieces]
                 assert anchors == order[pos:pos + len(anchors)].tolist(), where
-                assert ws.exits[ws.exit_of[j]].position == min(q for q in ends if q >= pos), where
+                assert ws.chain.exits[ws.chain.exit_of[j]].position == min(q for q in ends if q >= pos), where
                 # it passes the grid points the per-line rule passes, and ends
                 # as that line ends
                 geom = reference[j]
@@ -461,9 +461,9 @@ class TestLineGeometry:
             for p, piece in enumerate(ws.geometry):
                 dur = float(piece.times[-1])
                 count = int(math.ceil(dur / (0.25 / lam_sup))) if lam_sup > 0.0 else 0
-                if p >= n_chain and ws.exits[p - n_chain].constant:
+                if p >= n_chain and ws.chain.exits[p - n_chain].constant:
                     count = 1
-                elif p >= n_chain and not ws.exits[p - n_chain].hit:
+                elif p >= n_chain and not ws.chain.exits[p - n_chain].hit:
                     count = max(count, MIN_TAIL_INTERVALS, fill)
                 elif math.isfinite(ref_transit) and dur > 0:
                     count = max(count, int(math.ceil(dur / (ref_transit / fill))))
@@ -529,7 +529,6 @@ class TestLineGeometry:
             coarse, fine = OperatorWorkspace(model, 8), OperatorWorkspace(model, 32)
             chain = model.chain_geometry
             assert coarse.chain is chain and fine.chain is chain and coarse.mesh.anchors is chain.anchors, name
-            assert coarse.exits is chain.exits and fine.order is chain.order, name
             for field in dataclasses.fields(chain):
                 value = getattr(chain, field.name)
                 if isinstance(value, np.ndarray):
@@ -537,7 +536,7 @@ class TestLineGeometry:
                         value[...] = 0
             for ws in (coarse, fine):
                 other = OperatorWorkspace(fresh, ws.fill)
-                assert other.chain is not chain and other.exits == ws.exits, name
+                assert other.chain is not chain and other.chain.exits == ws.chain.exits, name
                 assert other.chain.steps == chain.steps, name
                 for field in dataclasses.fields(ws.mesh):
                     assert np.array_equal(getattr(ws.mesh, field.name), getattr(other.mesh, field.name)), \
@@ -557,8 +556,8 @@ class TestLineGeometry:
         model = pa.model_from_dict(doc)
         ws = OperatorWorkspace(model, 8)
         n = model.n_states
-        assert [(e.position, e.hit) for e in ws.exits] == [(n - 2, False), (n - 1, False)]
-        assert ws.exit_of.tolist() == [1] + [0] * (n - 1)
+        assert [(e.position, e.hit) for e in ws.chain.exits] == [(n - 2, False), (n - 1, False)]
+        assert ws.chain.exit_of.tolist() == [1] + [0] * (n - 1)
         agrees_with_the_per_line_references(ws, np.random.default_rng(3))
 
     def test_a_boundary_between_grid_points_ends_a_chain(self):
@@ -573,9 +572,9 @@ class TestLineGeometry:
         model = pa.model_from_dict(doc)
         ws = OperatorWorkspace(model, 8)
         last = int(np.searchsorted(model.grid.points, 0.45)) - 1
-        assert [(e.position, e.hit, e.boundary_index) for e in ws.exits] == \
+        assert [(e.position, e.hit, e.boundary_index) for e in ws.chain.exits] == \
             [(last, True, 1), (model.n_states - 1, True, 0)]
-        assert ws.exit_of.tolist() == [0] * (last + 1) + [1] * (model.n_states - last - 1)
+        assert ws.chain.exit_of.tolist() == [0] * (last + 1) + [1] * (model.n_states - last - 1)
         agrees_with_the_per_line_references(ws, np.random.default_rng(5))
 
 
@@ -622,7 +621,7 @@ class TestSegmentTables:
         # and factors, and the piece indices themselves summed
         pieces = line_pieces(ws)
         ones = np.ones(len(ws.geometry))
-        no_exit = np.zeros(len(ws.exits))
+        no_exit = np.zeros(len(ws.chain.exits))
         assert ws.backward(ones, ones, no_exit).tolist() == [len(line) for line in pieces]
         assert ws.backward(np.arange(ones.size, dtype=float), ones, no_exit).tolist() == \
             [sum(line) for line in pieces]

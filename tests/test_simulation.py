@@ -159,16 +159,16 @@ class TestLineTables:
             tables = pa.prepare_simulation(model, policy, workspace=ws)
             assert all(line.nodes is tables.nodes for line in tables.lines)
             assert len(tables.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
-            ends = ws.exit_of.tolist()
+            ends = ws.chain.exit_of.tolist()
             exit_nodes = {k: (line.x0, line.x1) for k, line in zip(ends, tables.lines)}
             assert all((line.x0, line.x1) == exit_nodes[k] for k, line in zip(ends, tables.lines)), name
-            exit_nodes = [exit_nodes[k] for k in range(len(ws.exits))]
+            exit_nodes = [exit_nodes[k] for k in range(len(ws.chain.exits))]
             assert exit_nodes[0][0] == ws.mesh.first[ws.mesh.n_chain] + 1, name
             assert all(x1 + 1 == y0 for (_, x1), (y0, _) in zip(exit_nodes, exit_nodes[1:])), name
             assert exit_nodes[-1][1] == len(tables.nodes.times) - 1, name
-            constant = [e.constant for e in ws.exits]
+            constant = [e.constant for e in ws.chain.exits]
             assert all(constant) if name == "ctmdp_3state" else not any(constant)
-            for (x0, x1), e in zip(exit_nodes, ws.exits):
+            for (x0, x1), e in zip(exit_nodes, ws.chain.exits):
                 assert x1 - x0 == ws.geometry[e.piece].times.size - 1, name
                 assert x1 - x0 == 1 or not e.constant, name
 
@@ -365,9 +365,11 @@ def test_trajectories_match_the_reference_loop(flow, data):
         tables = pa.prepare_simulation(model, policy, workspace=ws)
         x0 = int(rng.integers(model.n_states))
         horizon = float(rng.uniform(5.0, 40.0))
-        kwargs = dict(replication=int(rng.integers(4)), batches=batches, tables=tables)
-        got = _outcome(pa.simulate, model, policy, x0, horizon, seed, **kwargs)
-        want = _outcome(reference_simulation.simulate, model, policy, x0, horizon, seed, **kwargs)
+        kwargs = dict(replication=int(rng.integers(4)), tables=tables)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pa.simulation, "DEFAULT_BATCHES", batches)
+            got = _outcome(pa.simulate, model, policy, x0, horizon, seed, **kwargs)
+        want = _outcome(reference_simulation.simulate, model, policy, x0, horizon, seed, batches=batches, **kwargs)
         if isinstance(want[0], type):
             assert got == want
             continue
@@ -635,11 +637,13 @@ class TestSimulate:
             ok += summary.jumps / horizon <= bound
         assert ok >= 99
 
-    def test_explosion_guard_aborts_with_stats(self, models):
+    def test_explosion_guard_aborts_with_stats(self, models, monkeypatch):
         model = models["ctmdp_2state"]
         policy = pa.FeedbackPolicy.lowest_feasible(model)
-        with pytest.raises(pa.SimulationExplosionError) as err:
-            pa.simulate(model, policy, 0, 1e4, seed=4, max_jumps=50)
+        monkeypatch.setattr(pa.simulation, "MAX_JUMPS_FLOOR", 50)
+        monkeypatch.setattr(pa.simulation, "MAX_JUMPS_FACTOR", 0.0)
+        with pytest.raises(pa.SimulationExplosionError, match=r"guard \(50\)") as err:
+            pa.simulate(model, policy, 0, 1e4, seed=4)
         assert err.value.stats["jumps"] > 50
 
     def test_invalid_horizon(self, models):
@@ -662,13 +666,6 @@ class TestSimulate:
                      lambda: pa.mc_validate(model, policy, 1.0, 0, horizon, 4, seed=1)):
             with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 call()
-
-    @pytest.mark.parametrize("batches", [0, -1])
-    def test_batches_must_be_at_least_one(self, models, batches):
-        model = models["ctmdp_2state"]
-        policy = pa.FeedbackPolicy.lowest_feasible(model)
-        with pytest.raises(ValueError, match=f"batches must be at least 1, got {batches}"):
-            pa.simulate(model, policy, 0, 10.0, seed=1, batches=batches)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_the_philox_key_is_refused(self, models, seed):

@@ -93,10 +93,10 @@ def test_scaling_row_on_a_small_grid(tmp_path, monkeypatch):
     arrays = (mesh.times, mesh.states, mesh.ilo, mesh.wlo, mesh.lam_nodes, mesh.f_nodes)
     assert row["mesh_mb"] == round(sum(a.nbytes for a in arrays) / 2**20, 3)
     assert row["rho"] == pa.evaluate_policy(model, pa.FeedbackPolicy.lowest_feasible(model), workspace=ws).rho
-    # the tables are the piece tables plus the workspace's own small arrays
+    # the tables are the piece tables; the chain geometry is the model's, shared by its workspaces
     tables = ws.segment_tables()
     table_bytes = sum(getattr(tables, f.name).nbytes for f in dataclasses.fields(tables))
-    assert row["tables_mb"] == round((table_bytes + ws.order.nbytes + ws.exit_of.nbytes) / 2**20, 3)
+    assert row["tables_mb"] == round(table_bytes / 2**20, 3)
     assert row["load_s"] > 0.0 and 0.0 < row["rss_after_load_mb"] <= row["peak_rss_mb"]
     # times keep 3 significant figures, so the sub-millisecond layers read non-zero
     for key in ("refine_s", "workspace_build_s", "tables_s", "assemble_s", "evaluate_s", "improve_certify_s"):
