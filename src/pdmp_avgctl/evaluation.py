@@ -13,8 +13,11 @@ graph of G has one closed communicating class; that is checked first, and
 nu is then one direct solve of its stationarity system, checked by one step
 nu <- nu G.  The bias is solved by one deflated direct linear solve.  The
 paper's geometric series sum_k G^k (Lf + Hr - rho calL), truncated by the
-estimated ergodicity constants of :func:`estimate_ergodic_constants`, is
-kept only as the tests' independent cross-check of that solve.
+ergodicity constants of :func:`estimate_ergodic_constants`, is kept only as
+the tests' independent cross-check of that solve.  Those constants (a,
+kappa) are certified, not fitted: they come from the g-weighted operator
+norms of the powers of G - 1 nu, so |G^k h - nu(h)| <= a ||h||_g kappa^k g
+holds for every h and every k.
 """
 
 from __future__ import annotations
@@ -118,57 +121,41 @@ def _one_closed_class(adj: np.ndarray, start: int) -> bool:
         start = int(escapes[0])
 
 
-def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray,
-                               coords: np.ndarray) -> tuple[float, float]:
-    """Estimate (a, kappa) of the geometric decay |G^k h - nu(h)| <= a ||h||_g kappa^k g.
+def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """Certified (a, kappa) of the geometric decay |G^k h - nu(h)| <= a ||h||_g kappa^k g.
 
-    Probes h in {g, 1, coordinate}; kappa is fitted from the log-decay of the
-    g-weighted errors over k = 1..ERGODIC_PROBE_POWERS, a is the smallest
-    prefactor making the bound hold at every observed power (k = 0 included).
+    c_k = ||G^k - 1 nu||_g = max_i sum_j |(G^k - 1 nu)_ij| g_j / g_i is
+    the g-weighted operator norm of (G - 1 nu)^k (of I - 1 nu at k = 0),
+    taken for k = 0, 1, ... up to ``ERGODIC_PROBE_POWERS``; the loop stops
+    after the first c_k below 1e-8, where roundoff is still far below c_k.
+    The norm is submultiplicative, so every such K with c_K < 1 gives
+    kappa = c_K^(1/K) and a = max_{r<K} c_r / kappa^r with c_k <= a kappa^k
+    for every k >= 0: the bound holds for every h, with no fit.  The
+    candidate with the smallest a / (1 - kappa) is returned.  c_K = 0 is a
+    candidate only at K = 1 (kappa = 0 bounds no nonzero c_r at r > 0).
+    Raises ErgodicityError when there is no candidate.
     """
     g = np.asarray(g, dtype=float)
-    probes = [np.asarray(g, dtype=float), np.ones_like(g), np.asarray(coords, dtype=float)]
-    err_series = []
-    for h in probes:
-        hnorm = float(np.max(np.abs(h) / g))
-        if hnorm == 0.0:
-            continue
-        target = float(nu @ h)
-        errs = []
-        vec = h.astype(float)
-        for _ in range(ERGODIC_PROBE_POWERS + 1):
-            errs.append(float(np.max(np.abs(vec - target) / g)) / hnorm)
-            vec = kernel @ vec
-        errs = np.asarray(errs)
-        # a numerically nu-invariant probe (errors at roundoff scale from the
-        # start) carries no rate information, only accumulation noise
-        if errs[0] < 1e-8:
-            continue
-        err_series.append(errs)
-
-    def usable_range(errs: np.ndarray) -> np.ndarray:
-        # once the error sequence turns upward it is roundoff accumulation,
-        # not geometric decay; fit only the decaying head above a hard floor
-        cut = int(np.argmin(errs))
-        floor = max(1e-12, 4.0 * float(errs[cut]))
-        ks = np.arange(1, cut + 1)
-        return ks[errs[1 : cut + 1] > floor]
-
-    kappa = 0.0
-    for errs in err_series:
-        ks = usable_range(errs)
-        if ks.size >= 2:
-            slope = np.polyfit(ks, np.log(errs[ks]), 1)[0]
-            kappa = max(kappa, float(np.clip(np.exp(slope), 0.0, 1.0 - 1e-12)))
-    a = 0.0
-    for errs in err_series:
-        ks = usable_range(errs)
-        for k in np.concatenate([[0], ks]):
-            denom = kappa**k if kappa > 0.0 else (1.0 if k == 0 else None)
-            if denom is None or denom < 1e-300:
-                continue
-            a = max(a, errs[int(k)] / denom)
-    return (max(a, 1e-12), kappa)
+    deflated = kernel - nu
+    power = np.eye(g.size) - nu
+    norms, best = [], None
+    for k in range(ERGODIC_PROBE_POWERS + 1):
+        c = float(np.max(np.abs(power) @ g / g))
+        if k and c < 1.0 and (c > 0.0 or k == 1):
+            kappa = c ** (1.0 / k)
+            a = max(norms[r] / kappa**r for r in range(k))
+            if best is None or a / (1.0 - kappa) < best[0] / (1.0 - best[1]):
+                best = (a, kappa)
+        norms.append(c)
+        if c < 1e-8:
+            break
+        power = power @ deflated
+    if best is None:
+        raise ErgodicityError(
+            f"no power of G - 1 nu up to {len(norms) - 1} contracts in the g-norm "
+            f"(smallest ||G^k - 1 nu||_g: {min(norms):.3e})"
+        )
+    return best
 
 
 @dataclass(frozen=True)

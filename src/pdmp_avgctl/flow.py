@@ -179,10 +179,7 @@ def _tabulated_passage(flow: FlowSpec, x: float, z: float) -> float:
         edge, vy, s = _tabulated_cell(flow, y, direction)
         past_edge = (z - edge) * direction >= 0.0 if math.isfinite(edge) else False
         if not past_edge:
-            v_z = vy + s * (z - y)
-            if s == 0.0 or abs(v_z - vy) <= 1e-14 * abs(vy):
-                return total + (z - y) / (0.5 * (vy + v_z))
-            return total + math.log(v_z / vy) / s
+            return total + _cell_exit_time(y, z, vy, s)
         total += _cell_exit_time(y, edge, vy, s)
         y = edge
 

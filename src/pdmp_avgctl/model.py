@@ -547,11 +547,6 @@ def _line_integrals(model: PdmpModel, ws, rate: float, v_nodes=None) -> tuple[np
     return w[:, 0], w[:, 1]
 
 
-def _exp_growth_integral(model: PdmpModel, ws) -> np.ndarray:
-    """Per line: int_0^end exp(c t - int_0^t lambda_lower) dt on the workspace's mesh."""
-    return _line_integrals(model, ws, model.constants.c)[0]
-
-
 def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
                       workspace=None) -> AuditReport:
     """Numerically audit the standing growth/ergodicity assumptions.
@@ -560,12 +555,16 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
     when its worst slack is below ``-AUDIT_SLACK_TOL``.  Items that
     would need the t -> infinity limit on a truncated horizon are reported as
     "not_checkable" with the observed window decay in the note.  When a policy
-    is given, geometric-ergodicity constants (a, kappa) are estimated from the
-    decay of kernel powers on probe functions.  A ``workspace`` built for
-    another model is refused with ``ValueError``.
+    is given, the geometric-ergodicity constants (a, kappa) are certified from
+    the g-weighted operator norms of the deflated kernel's powers (see
+    :func:`~pdmp_avgctl.evaluation.estimate_ergodic_constants`), so they
+    bound |G^k h - nu(h)| for every h.  A kernel with more than one closed
+    class, or one that no power up to ``ERGODIC_PROBE_POWERS`` contracts,
+    makes that item "not_checkable".  A ``workspace`` built for another
+    model is refused with ``ValueError``.
     """
     from .operators import OperatorWorkspace, check_workspace
-    from .evaluation import ERGODIC_PROBE_POWERS, estimate_ergodic_constants, invariant_measure
+    from .evaluation import ERGODIC_PROBE_POWERS, EvaluationError, estimate_ergodic_constants, invariant_measure
 
     check_workspace(model, workspace)
     c = model.constants
@@ -693,11 +692,13 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
         kernel, _, _, _ = ws.assemble(policy, 0.0)
         try:
             nu = invariant_measure(kernel)
-            a_est, kappa_est = estimate_ergodic_constants(kernel, nu, model.lyapunov_g, model.grid.points)
+            a_est, kappa_est = estimate_ergodic_constants(kernel, nu, model.lyapunov_g)
             items.append(AuditItem("geometric-ergodicity", "pass", math.inf, "(estimated)",
-                                   f"a={a_est:.6g}, kappa={kappa_est:.6g} from {ERGODIC_PROBE_POWERS} kernel powers"))
-        except Exception as exc:  # estimation is best-effort; audit records the failure
-            items.append(AuditItem("geometric-ergodicity", "not_checkable", math.inf, "(estimated)", f"estimation failed: {exc}"))
+                                   f"a={a_est:.6g}, kappa={kappa_est:.6g} from the g-norms of "
+                                   f"(G - 1 nu)^k, k <= {ERGODIC_PROBE_POWERS}"))
+        except EvaluationError as exc:
+            items.append(AuditItem("geometric-ergodicity", "not_checkable", math.inf, "(estimated)",
+                                   f"not certified: {exc}"))
 
     return AuditReport(items=tuple(items), a_estimate=a_est, kappa_estimate=kappa_est,
                        policy_label="(none)" if policy is None else "given policy")

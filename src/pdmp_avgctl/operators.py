@@ -122,8 +122,6 @@ class _Mesh:
     """
 
     node_start: np.ndarray   # (P+1,)
-    anchors: np.ndarray      # (P,)
-    n_chain: int             # number of inter-grid segments
     times: np.ndarray        # (N,)
     states: np.ndarray
     ilo: np.ndarray
@@ -194,12 +192,12 @@ class _Mesh:
         out[self.node_start[:-1]] = 0.0
         return out
 
-    def pieces(self) -> list[_Piece]:
+    def pieces(self, anchors: np.ndarray) -> list[_Piece]:
         bounds = self.node_start.tolist()
         return [_Piece(anchor=a, times=self.times[k0:k1], states=self.states[k0:k1],
                        ilo=self.ilo[k0:k1], wlo=self.wlo[k0:k1], lam_nodes=self.lam_nodes[k0:k1],
                        f_nodes=self.f_nodes[k0:k1])
-                for a, k0, k1 in zip(self.anchors.tolist(), bounds[:-1], bounds[1:])]
+                for a, k0, k1 in zip(anchors.tolist(), bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -364,7 +362,7 @@ def _build_mesh(model, chain: _ChainGeometry, fill: int) -> _Mesh:
         wlo[:, None] * model.running_cost[ilo, :]
         + (1.0 - wlo)[:, None] * model.running_cost[np.minimum(ilo + 1, n - 1), :]
     )
-    return _Mesh(node_start=node_start, anchors=chain.anchors, n_chain=chain.n_chain, times=times, states=states,
+    return _Mesh(node_start=node_start, times=times, states=states,
                  ilo=ilo, wlo=wlo, lam_nodes=lam_nodes, f_nodes=f_nodes)
 
 
@@ -408,7 +406,6 @@ class SegmentTables:
     survival: np.ndarray  # (P, n_a) e^{-hazard across the piece}
     weights: np.ndarray   # (width, P, n_a) weight of Qh at each band slot
     cols: np.ndarray      # (width, P, n_a) grid index * n_a + a of each band slot
-    anchors: np.ndarray   # (P,) grid index whose action governs the piece
 
     def values(self, rho: float, qh: np.ndarray) -> np.ndarray:
         """(P, n_a) one-stage value of each piece with nothing carried in."""
@@ -465,7 +462,7 @@ def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
         w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
     grid = np.minimum(base + np.arange(width)[:, None], n - 1)
     return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, weights=w.reshape(width, n_pieces, n_a),
-                         cols=grid[:, :, None] * n_a + np.arange(n_a), anchors=mesh.anchors)
+                         cols=grid[:, :, None] * n_a + np.arange(n_a))
 
 
 class OperatorWorkspace:
@@ -498,7 +495,7 @@ class OperatorWorkspace:
     @functools.cached_property
     def geometry(self) -> list[_Piece]:
         """The pieces, as views of the mesh; no solver layer reads them."""
-        return self.mesh.pieces()
+        return self.mesh.pieces(self.chain.anchors)
 
     @property
     def truncated(self) -> np.ndarray:
@@ -569,9 +566,9 @@ class OperatorWorkspace:
         model = self.model
         n, n_a = model.n_states, model.n_actions
         tables = self.segment_tables()
-        n_pieces = tables.anchors.size
+        n_pieces = self.chain.anchors.size
         pieces = np.arange(n_pieces)
-        act = policy.interior[tables.anchors]
+        act = policy.interior[self.chain.anchors]
         # each piece's kernel row: its band's kernel rows at its action, weighted
         weights, cols = tables.weights[:, pieces, act].T, tables.cols[:, pieces, act].T
         values = np.zeros((n_pieces, n + 3))
@@ -657,7 +654,7 @@ class OperatorWorkspace:
             ilo = mesh.ilo[end]
             stationary = ([k for k, _ in tails], ilo, np.minimum(ilo + 1, model.n_states - 1),
                           mesh.wlo[end][:, None], mesh.lam_nodes[end], np.maximum(mesh.lam_nodes[end], 1e-12),
-                          mesh.f_nodes[end], model.feasible_mask[mesh.anchors[[p for _, p in tails]]])
+                          mesh.f_nodes[end], model.feasible_mask[chain.anchors[[p for _, p in tails]]])
         return (tables.survival.tolist(), [f.tolist() for f in model.action_grid.feasible],
                 model.feasible_mask.tolist(), line_ok.tolist(), hits, stationary)
 

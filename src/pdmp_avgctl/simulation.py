@@ -162,7 +162,7 @@ class _Line:
     stationary: _Stationary | None
 
 
-def _node_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, list]:
+def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, list]:
     """The policy's :class:`_Nodes`, the chain node of each flow position,
     and the first and last table nodes of each exit piece.
 
@@ -172,7 +172,6 @@ def _node_tables(mesh, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, 
     each segment's onto the totals of the segments before it, so rounding
     does not build up over the whole chain.
     """
-    n_chain = mesh.n_chain
     first, left = mesh.first, mesh.left
     k_chain = int(first[n_chain])
     piece = np.repeat(np.arange(first.size - 1), np.diff(first))
@@ -264,8 +263,8 @@ class SimulationTables:
         self.interior_cum, self.interior_sum = _cumulative_rows(model.kernel_interior)
         self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
         self.boundary_cost = model.boundary_cost.tolist()
-        piece_action = policy.interior[mesh.anchors]
-        self.nodes, node_of, exit_nodes = _node_tables(mesh, piece_action, model.n_states)
+        piece_action = policy.interior[ws.chain.anchors]
+        self.nodes, node_of, exit_nodes = _node_tables(mesh, ws.chain.n_chain, piece_action, model.n_states)
         nodes = self.nodes
         times, hazard, cost_cum = nodes.times, nodes.hazard, nodes.cost_cum
         position = np.argsort(ws.chain.order).tolist()

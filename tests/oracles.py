@@ -22,7 +22,7 @@ def series_bias(model, policy, workspace, tol: float = 1e-8):
 
     The operators are those ``workspace`` assembles.  The series is summed
     until the tail bound a m_u max(g) kappa^(k+1) / (1 - kappa), with (a,
-    kappa) the estimated ergodicity constants, is at most ``tol`` (or 100 000
+    kappa) the certified ergodicity constants, is at most ``tol`` (or 100 000
     terms), then shifted to nu(h) = 0.  Raises ``AssertionError`` when kappa
     is not certified below 1 or the pseudo-Poisson defect exceeds ``tol``.
     """
@@ -31,7 +31,7 @@ def series_bias(model, policy, workspace, tol: float = 1e-8):
     rho = float(nu @ cost) / float(nu @ ell)
     w = cost - rho * ell
     g = model.lyapunov_g
-    a_est, kappa = estimate_ergodic_constants(kernel, nu, g, model.grid.points)
+    a_est, kappa = estimate_ergodic_constants(kernel, nu, g)
     assert kappa < 1.0 - 1e-9, f"geometric series refused: estimated kappa={kappa} is not certified below 1"
     c = model.constants
     m_u = max(rho * c.K_lambda, c.M * (1.0 + c.b * c.K_lambda) / c.c)

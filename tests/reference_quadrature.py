@@ -514,8 +514,8 @@ def composed_assemble(ws, policy):
     n, n_a = model.n_states, model.n_actions
     tables = ws.segment_tables()
     inc = incidence(ws)
-    pieces = np.arange(tables.anchors.size)
-    act = policy.interior[tables.anchors]
+    pieces = np.arange(ws.chain.anchors.size)
+    act = policy.interior[ws.chain.anchors]
     prefix, survival = compose(ws, tables.survival[pieces, act])
     ell = np.bincount(inc.line, weights=prefix * tables.sojourn[pieces, act][inc.piece], minlength=n)
     cost = np.bincount(inc.line, weights=prefix * tables.cost[pieces, act][inc.piece], minlength=n)
@@ -545,9 +545,9 @@ def dense_assemble(ws, policy):
     model = ws.model
     n, n_a = model.n_states, model.n_actions
     tables = ws.segment_tables()
-    n_pieces = tables.anchors.size
+    n_pieces = ws.chain.anchors.size
     pieces = np.arange(n_pieces)
-    act = policy.interior[tables.anchors]
+    act = policy.interior[ws.chain.anchors]
     flat = np.zeros((n_pieces, n * n_a))
     np.add.at(flat, (pieces, tables.cols[:, pieces, act]), tables.weights[:, pieces, act])
     values = np.zeros((n_pieces, n + 3))
@@ -594,7 +594,7 @@ def marched_improve(ws, rho, h, prev):
     tables = ws.segment_tables()
     values = tables.values(rho, qh_int).tolist()
     survival = tables.survival.tolist()
-    anchors = tables.anchors.tolist()
+    anchors = ws.chain.anchors.tolist()
     feasible = model.action_grid.feasible
     mask = model.feasible_mask
     incumbents = prev.interior.tolist()
@@ -648,7 +648,7 @@ def swept_residual(ws, rho, h):
         live = np.flatnonzero(lengths > t)
         p = inc.piece[ends[live] - 1 - t]
         w[live] = values[p] + survival[p] * w[live]
-    feasible = np.array([model.feasible_mask[tables.anchors[pieces]].all(axis=0) for pieces in line_pieces(ws)])
+    feasible = np.array([model.feasible_mask[ws.chain.anchors[pieces]].all(axis=0) for pieces in line_pieces(ws)])
     some = feasible.any(axis=1)
     best = np.min(np.where(feasible, w, np.inf), axis=1)
     return float(np.max(h[some] - best[some]))
@@ -668,7 +668,7 @@ def numpy_optimality_residual(ws, rho, h):
     _, b_val, _ = ws._boundary_choice(h, None)
     tables = ws.segment_tables()
     values = np.hstack((tables.values(rho, model.kernel_interior @ h), np.zeros(tables.survival.shape)))
-    factors = np.hstack((tables.survival, model.feasible_mask[tables.anchors]))
+    factors = np.hstack((tables.survival, model.feasible_mask[ws.chain.anchors]))
     terminal = np.ones((len(ws.chain.exits), 2 * n_a))
     terminal[:, :n_a] = [[b_val[e.boundary_index] if e.hit else 0.0] for e in ws.chain.exits]
     w = ws.backward(values, factors, terminal)

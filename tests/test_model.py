@@ -201,6 +201,46 @@ class TestAuditAssumptions:
         report = pa.audit_assumptions(model, policy)
         assert report.kappa_estimate == pytest.approx(0.7, abs=0.05)
 
+    def test_two_closed_classes_leave_ergodicity_not_checkable(self, write_model):
+        # action 0 keeps each state where it is: two closed classes, no unique nu
+        doc = two_state_jump_doc()
+        doc["kernel"]["interior"][0][0] = [1.0, 0.0]
+        doc["kernel"]["interior"][1][0] = [0.0, 1.0]
+        model = pa.load_model(write_model(doc))
+        report = pa.audit_assumptions(model, pa.FeedbackPolicy.lowest_feasible(model))
+        item = report.item("geometric-ergodicity")
+        assert item.status == "not_checkable"
+        assert "more than one closed communicating class" in item.note
+        assert report.a_estimate is None and report.kappa_estimate is None
+
+    def test_a_kernel_that_never_contracts_leaves_ergodicity_not_checkable(self, write_model):
+        # the swap chain is periodic: ||G^k - 1 nu||_g = 1 at every power
+        model = pa.load_model(write_model(swap_cycle_doc()))
+        report = pa.audit_assumptions(model, pa.FeedbackPolicy.lowest_feasible(model))
+        item = report.item("geometric-ergodicity")
+        assert item.status == "not_checkable"
+        assert "contracts" in item.note
+        assert report.a_estimate is None and report.kappa_estimate is None
+
+    def test_ergodic_constants_keep_still_under_a_roundoff_kernel_change(self):
+        # a relative change of 2e-16 in the model's kernel tables moves the
+        # audited (a, kappa) by roundoff only, not through which powers count
+        for name in pa.bundled_model_names():
+            doc = json.loads(pa.bundled_model_path(name).read_text())
+            want = None
+            for seed in (None, 1, 2, 3):
+                if seed is not None:
+                    rng = np.random.default_rng(seed)
+                    for part in ("interior", "boundary"):
+                        table = np.asarray(doc["kernel"][part], dtype=float)
+                        doc["kernel"][part] = (table * (1.0 + 2e-16 * rng.uniform(-1.0, 1.0, table.shape))).tolist()
+                model = pa.model_from_dict(doc)
+                report = pa.audit_assumptions(model, pa.FeedbackPolicy.lowest_feasible(model))
+                got = (report.a_estimate, report.kappa_estimate)
+                want = want or got
+                assert abs(got[0] - want[0]) <= 1e-9 * want[0], (name, seed, got, want)
+                assert abs(got[1] - want[1]) <= 1e-9 * want[1], (name, seed, got, want)
+
     def test_infinite_horizon_items_not_checkable(self, write_model):
         model = pa.load_model(write_model(two_state_jump_doc()))
         report = pa.audit_assumptions(model)
@@ -239,7 +279,7 @@ class TestAuditAssumptions:
     def test_line_integrals_match_the_per_line_meshes(self, models, workspaces):
         # the growth integral, the lower hazard and the discounted cost bound,
         # carried from per-piece sums by one backward pass, are the per-line sums on the per-line mesh
-        from pdmp_avgctl.model import _exp_growth_integral, _line_integrals
+        from pdmp_avgctl.model import _line_integrals
 
         for name, model in models.items():
             ws = workspaces[name]
@@ -248,7 +288,7 @@ class TestAuditAssumptions:
             fsup = pa.Table1D(model.grid.points, np.where(model.feasible_mask, model.running_cost,
                                                            -np.inf).max(axis=1))
             discounted_cost, lower_hazard = _line_integrals(model, ws, 0.0, fsup(ws.mesh.states))
-            got = (_exp_growth_integral(model, ws), lower_hazard, discounted_cost)
+            got = (_line_integrals(model, ws, c.c)[0], lower_hazard, discounted_cost)
             for j, geom in enumerate(line_geometry(ws)):
                 lam = lower(geom.states)
                 step = 0.5 * (lam[:-1] + lam[1:]) * geom.dt

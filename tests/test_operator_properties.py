@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
+from pdmp_avgctl.evaluation import ERGODIC_PROBE_POWERS, ErgodicityError, estimate_ergodic_constants, invariant_measure
 from pdmp_avgctl.operators import OperatorWorkspace
 
 from reference_quadrature import (composed_assemble, dense_assemble, forced_line_geometry, line_exit, line_geometry,
@@ -162,6 +163,32 @@ def test_assemble_matches_the_per_path_quadrature(case):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
+@PROPERTY_SETTINGS
+@given(case=random_model_docs())
+def test_certified_ergodic_constants_bound_every_power(case):
+    # c_k = ||G^k - 1 nu||_g from plain matrix powers stays under a kappa^k
+    # up to twice the powers the certificate reads, for the model's g and a
+    # random positive g; a refusal means no power it reads contracts
+    doc, fill, seed = case
+    model = pa.model_from_dict(doc)
+    ws = OperatorWorkspace(model, fill)
+    rng = np.random.default_rng(seed)
+    for policy in _policies(model, seed):
+        kernel = ws.assemble(policy)[0]
+        nu = invariant_measure(kernel)
+        for g in (model.lyapunov_g, rng.uniform(0.1, 10.0, model.n_states)):
+            norms = [np.max(np.abs(np.linalg.matrix_power(kernel, k) - nu) @ g / g)
+                     for k in range(2 * ERGODIC_PROBE_POWERS + 1)]
+            try:
+                a, kappa = estimate_ergodic_constants(kernel, nu, g)
+            except ErgodicityError:
+                assert min(norms[1:ERGODIC_PROBE_POWERS + 1]) >= 1.0 - 1e-12
+                continue
+            assert a > 0.0 and 0.0 <= kappa < 1.0
+            for k, c_k in enumerate(norms):
+                assert c_k <= a * kappa**k * (1.0 + 1e-12) + 1e-12, (k, c_k, a, kappa)
+
+
 def _within(got, want) -> bool:
     return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
@@ -175,7 +202,7 @@ def test_affine_pieces_start_exactly_on_their_grid_points(case):
     assert doc["flow"]["alpha1"] != 0.0
     model = pa.model_from_dict(doc)
     mesh = OperatorWorkspace(model, fill).mesh
-    assert np.array_equal(mesh.states[mesh.node_start[:-1]], model.grid.points[mesh.anchors])
+    assert np.array_equal(mesh.states[mesh.node_start[:-1]], model.grid.points[model.chain_geometry.anchors])
 
 
 @pytest.mark.parametrize("flow", FLOWS)

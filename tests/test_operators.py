@@ -388,7 +388,7 @@ class TestLineGeometry:
             points, flow = model.grid.points, model.flow
             order = flow_order(model)
             xs = points[order].tolist()
-            n, n_chain = model.n_states, ws.mesh.n_chain
+            n, n_chain = model.n_states, ws.chain.n_chain
             assert np.array_equal(ws.chain.order, order), name
             assert n_chain == (0 if flow.kind == "trivial" else n - 1), name
             for piece in ws.geometry:
@@ -457,7 +457,7 @@ class TestLineGeometry:
             ws = OperatorWorkspace(model, fill)
             lam_sup = model.lambda_sup
             ref_transit = _reference_transit(model)
-            n_chain = ws.mesh.n_chain
+            n_chain = ws.chain.n_chain
             for p, piece in enumerate(ws.geometry):
                 dur = float(piece.times[-1])
                 count = int(math.ceil(dur / (0.25 / lam_sup))) if lam_sup > 0.0 else 0
@@ -528,7 +528,7 @@ class TestLineGeometry:
             model, fresh = pa.load_model(path), pa.load_model(path)
             coarse, fine = OperatorWorkspace(model, 8), OperatorWorkspace(model, 32)
             chain = model.chain_geometry
-            assert coarse.chain is chain and fine.chain is chain and coarse.mesh.anchors is chain.anchors, name
+            assert coarse.chain is chain and fine.chain is chain, name
             for field in dataclasses.fields(chain):
                 value = getattr(chain, field.name)
                 if isinstance(value, np.ndarray):

@@ -158,12 +158,12 @@ class TestLineTables:
             policy = pa.FeedbackPolicy.lowest_feasible(model)
             tables = pa.prepare_simulation(model, policy, workspace=ws)
             assert all(line.nodes is tables.nodes for line in tables.lines)
-            assert len(tables.nodes.times) == ws.mesh.times.size - (ws.mesh.n_chain - 1)
+            assert len(tables.nodes.times) == ws.mesh.times.size - (ws.chain.n_chain - 1)
             ends = ws.chain.exit_of.tolist()
             exit_nodes = {k: (line.x0, line.x1) for k, line in zip(ends, tables.lines)}
             assert all((line.x0, line.x1) == exit_nodes[k] for k, line in zip(ends, tables.lines)), name
             exit_nodes = [exit_nodes[k] for k in range(len(ws.chain.exits))]
-            assert exit_nodes[0][0] == ws.mesh.first[ws.mesh.n_chain] + 1, name
+            assert exit_nodes[0][0] == ws.mesh.first[ws.chain.n_chain] + 1, name
             assert all(x1 + 1 == y0 for (_, x1), (y0, _) in zip(exit_nodes, exit_nodes[1:])), name
             assert exit_nodes[-1][1] == len(tables.nodes.times) - 1, name
             constant = [e.constant for e in ws.chain.exits]

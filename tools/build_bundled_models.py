@@ -42,11 +42,11 @@ def sup_cu1(model: pa.PdmpModel) -> float:
 
 
 def sup_growth(model: pa.PdmpModel) -> float:
-    from pdmp_avgctl.model import _exp_growth_integral
+    from pdmp_avgctl.model import _line_integrals
     from pdmp_avgctl.operators import OperatorWorkspace
 
     ws = OperatorWorkspace(model, 32)
-    return float(_exp_growth_integral(model, ws).max())
+    return float(_line_integrals(model, ws, model.constants.c)[0].max())
 
 
 def sup_kernel_drift_gap(model: pa.PdmpModel, k_g: float) -> float:
