@@ -79,12 +79,13 @@ def validate_flow(flow: FlowSpec) -> list[str]:
     return problems
 
 
-def velocity_at(flow: FlowSpec, x: float) -> float:
+def velocity_at(flow: FlowSpec, x: np.ndarray) -> np.ndarray:
+    """The flow's velocity at each of the points ``x``."""
     if flow.kind == "trivial":
-        return 0.0
+        return np.zeros(x.shape)
     if flow.kind == "affine1d":
-        return flow.alpha0 + flow.alpha1 * float(x)
-    return float(flow.velocity(x))
+        return flow.alpha0 + flow.alpha1 * x
+    return flow.velocity(x)
 
 
 def flow_direction(flow: FlowSpec) -> int:
@@ -229,29 +230,30 @@ def advance(flow: FlowSpec, x: float, t: float) -> float:
     return _tabulated_advance(flow, float(x), t_eff)
 
 
-def flow_derivative(flow: FlowSpec, h: Table1D, x: float) -> float:
+def flow_derivative(flow: FlowSpec, h: Table1D, x: float | np.ndarray) -> float | np.ndarray:
     """Directional derivative of h along the flow at x, from grid differences.
 
     Central where x has table neighbors on both sides, one-sided at the ends
-    of the flow line.  Exactly zero for the trivial flow.
+    of the flow line.  Exactly zero for the trivial flow.  ``x`` is a point,
+    which gives a float, or an array of points, which gives an array of
+    their derivatives.
     """
-    v = velocity_at(flow, x)
-    if v == 0.0:
-        return 0.0
+    points = np.asarray(x, dtype=float)
+    xs = points.reshape(-1)
+    v = velocity_at(flow, xs)
     coords = h.coords
     values = h.values
     n = coords.size
-    if n < 2:
-        return 0.0
-    j = int(np.argmin(np.abs(coords - x)))
-    if abs(coords[j] - x) <= 1e-12 * max(1.0, abs(x)):
-        if 0 < j < n - 1:
-            slope = (values[j + 1] - values[j - 1]) / (coords[j + 1] - coords[j - 1])
-        elif j == 0:
-            slope = (values[1] - values[0]) / (coords[1] - coords[0])
-        else:
-            slope = (values[-1] - values[-2]) / (coords[-1] - coords[-2])
-    else:
-        i = min(max(int(np.searchsorted(coords, x)) - 1, 0), n - 2)
-        slope = (values[i + 1] - values[i]) / (coords[i + 1] - coords[i])
-    return float(slope * v)
+    out = np.zeros(xs.size)
+    if n >= 2:
+        # x lies on its nearest table point (the lower on a tie) when within
+        # rounding of it, else between table points i and i + 1
+        i = np.searchsorted(coords, xs)
+        below, above = np.maximum(i - 1, 0), np.minimum(i, n - 1)
+        j = np.where(np.abs(coords[below] - xs) <= np.abs(coords[above] - xs), below, above)
+        on = np.abs(coords[j] - xs) <= 1e-12 * np.maximum(1.0, np.abs(xs))
+        a = np.where(on, np.maximum(j - 1, 0), np.minimum(below, n - 2))
+        b = np.where(on, np.minimum(j + 1, n - 1), a + 1)
+        slope = (values[b] - values[a]) / (coords[b] - coords[a])
+        out = np.where(v == 0.0, 0.0, slope * v)
+    return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)

@@ -518,18 +518,19 @@ def _piece_integrals(model: PdmpModel, ws, rate: float, v_nodes=None):
     whose exponential weight is integrated exactly, as in the engine:
     e^{-rel} dt (v_l (phi0 - phi1) + v_r phi1), written
     v_l phi0 + (v_r - v_l) phi1 so that v = 1 gives phi0 to the bit.  A
-    constant piece is exact on its one interval.
+    constant piece is exact on its one interval.  The intervals are the
+    mesh's node pairs (see :class:`~pdmp_avgctl.operators._Mesh`).
     """
     mesh = ws.mesh
     lam_low = Table1D(model.grid.points, model.constants.lambda_lower)(mesh.states)
-    left, dt = mesh.left, mesh.dt
-    z = (0.5 * (lam_low[left] + lam_low[left + 1]) - rate) * dt
+    dt = mesh.pair_dt
+    z = (0.5 * (lam_low[:-1] + lam_low[1:]) - rate) * dt
     rel = mesh.running_sums(z)
     p0, p1 = phi01(z)
     v = np.ones(mesh.times.size) if v_nodes is None else v_nodes
-    weight = np.exp(-rel[left]) * dt
-    weight *= v[left] * p0 + (v[left + 1] - v[left]) * p1
-    return np.add.reduceat(weight, mesh.first[:-1]), rel[mesh.node_start[1:] - 1]
+    weight = np.exp(-rel[:-1]) * dt
+    weight *= v[:-1] * p0 + (v[1:] - v[:-1]) * p1
+    return mesh.piece_sums(weight), rel[mesh.node_start[1:] - 1]
 
 
 def _line_integrals(model: PdmpModel, ws, rate: float, v_nodes=None) -> tuple[np.ndarray, np.ndarray]:
@@ -585,7 +586,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
                                tuple(float(s) for s in slacks)))
 
     g_tab = model.g_table()
-    xg = np.array([flow_derivative(model.flow, g_tab, float(x)) for x in pts])
+    xg = flow_derivative(model.flow, g_tab, pts)
     qg = model.kernel_interior @ model.lyapunov_g  # (n, n_a)
     lam = model.jump_rate[:n]
     expr = xg[:, None] + c.c * model.lyapunov_g[:, None] - lam * (model.lyapunov_g[:, None] - qg)

@@ -43,8 +43,8 @@ def interp_weights(coords: np.ndarray, x):
         ilo = np.zeros(x.shape, dtype=np.int64)
         return ilo, np.ones(x.shape)
     ilo = np.clip(np.searchsorted(coords, x, side="right") - 1, 0, coords.size - 2)
-    span = coords[ilo + 1] - coords[ilo]
-    frac = np.clip((x - coords[ilo]) / span, 0.0, 1.0)
+    lo = coords.take(ilo)
+    frac = np.clip((x - lo) / (coords.take(ilo + 1) - lo), 0.0, 1.0)
     return ilo, 1.0 - frac
 
 

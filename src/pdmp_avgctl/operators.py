@@ -29,6 +29,13 @@ the same end of the rate coordinates, where the model data are clamped, has
 the same jump rate, running cost and kernel row all along for every action;
 it is one interval (``_Exit.constant``), on which the quadrature is exact.
 
+The pieces' nodes are concatenated into one mesh (:class:`_Mesh`), and every
+per-interval quantity is laid out on its node pairs: pair j joins nodes j
+and j + 1, so an interval's two ends are the slices ``[:-1]`` and ``[1:]``
+of a node array, read without a gather.  The pair that joins a piece's last
+node to the next piece's first is no interval; it has length 0, and the
+per-piece sums leave it out.
+
 The control along a line is piecewise constant per piece: the action of the
 grid point a piece starts from governs it.  The quadrature is therefore
 written once, in :func:`_segment_tables`, which sums every (piece, action)
@@ -119,6 +126,14 @@ class _Mesh:
     ``first[p]:first[p + 1]``; the inter-grid segments come first, in flow
     order (piece q runs from flow position q to q + 1), then the exit piece
     of each chain end in flow order.
+
+    Every per-interval quantity is laid out as the node pairs of the mesh:
+    pair j joins nodes j and j + 1, so an (N - 1,) array holds one entry per
+    pair, and the two ends of every interval are the slices ``[:-1]`` and
+    ``[1:]`` of a node array.  The pair at a piece's last node joins it to
+    the next piece's first node: it is not an interval, and its length in
+    :attr:`pair_dt` is 0.  Per-piece sums run over each piece's own
+    intervals only (:meth:`piece_sums`).
     """
 
     node_start: np.ndarray   # (P+1,)
@@ -135,14 +150,28 @@ class _Mesh:
         return self.node_start - np.arange(self.node_start.size)
 
     @functools.cached_property
-    def left(self) -> np.ndarray:
-        """(K,) the node at the left end of each interval."""
-        counts = np.diff(self.first)
-        return np.arange(self.first[-1]) + np.repeat(np.arange(counts.size), counts)
+    def pair_dt(self) -> np.ndarray:
+        """(N-1,) the length of each pair: its interval's, or 0 at a piece's last node."""
+        dt = self.times[1:] - self.times[:-1]
+        dt[self.node_start[1:-1] - 1] = 0.0
+        return dt
 
-    @property
-    def dt(self) -> np.ndarray:
-        return self.times[self.left + 1] - self.times[self.left]
+    @functools.cached_property
+    def _bounds(self) -> np.ndarray:
+        """Per piece, its first pair and the pair that joins it to the next, interleaved.
+
+        As ``np.add.reduceat`` indices, the even segments are the pieces'
+        intervals and the odd ones the pairs that join consecutive pieces;
+        the last piece's segment runs to the end.
+        """
+        bounds = np.empty(2 * self.node_start.size - 3, dtype=np.int64)
+        bounds[0::2] = self.node_start[:-1]
+        bounds[1::2] = self.node_start[1:-1] - 1
+        return bounds
+
+    def piece_sums(self, values: np.ndarray) -> np.ndarray:
+        """(P, ...) per piece, the sum of the pair values ``values`` over its own intervals."""
+        return np.add.reduceat(values, self._bounds, axis=0)[::2]
 
     @functools.cached_property
     def _blocks(self) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]:
@@ -153,9 +182,9 @@ class _Mesh:
         row, as wide as its longest piece.  A row is padded to less than
         twice its own length, so the layout has fewer than twice as many
         slots as the mesh has intervals.  Returns each block's (first slot,
-        rows, width), the interval each slot holds (interval 0 in a row's
-        padding, which no node reads) and the slot each node reads (slot 0
-        at a piece's first node, which is set to 0).
+        rows, width), the pair each slot holds (pair 0 in a row's padding,
+        which no node reads) and the slot each node reads (slot 0 at a
+        piece's first node, which is set to 0).
         """
         counts = np.diff(self.first)
         length_class = np.ceil(np.log2(counts))
@@ -166,22 +195,25 @@ class _Mesh:
             row_start[rows] = start + width * np.arange(rows.size)
             blocks.append((start, rows.size, width))
             start += rows.size * width
-        slot = np.arange(self.first[-1]) + np.repeat(row_start - self.first[:-1], counts)
+        # node k of a piece reads the slot of the piece's interval k - 1,
+        # which holds the pair at the node before it
+        node = np.arange(-1, self.times.size - 1) + np.repeat(row_start - self.node_start[:-1], counts + 1)
+        inner = np.delete(np.arange(self.times.size), self.node_start[:-1])
         source = np.zeros(start, dtype=np.int64)
-        source[slot] = np.arange(self.first[-1])
-        node = np.zeros(self.times.size, dtype=np.int64)
-        node[self.left + 1] = slot
+        source[node[inner]] = inner - 1
+        node[self.node_start[:-1]] = 0
         return blocks, source, node
 
     def running_sums(self, z: np.ndarray) -> np.ndarray:
-        """Per node: the sum of the interval values ``z`` since its piece's start.
+        """Per node: the sum of the pair values ``z`` over its piece's intervals before it.
 
         Each piece sums from its own first node (where the result is 0), so
-        the rounding of one piece never carries into the next.  The pieces
-        are summed side by side, one per row of a padded block
-        (:attr:`_blocks`), by one cumulative sum along the rows per block:
-        each piece's own sequential sum, bit for bit.  The blocks hold fewer
-        than twice the interval count of entries per column of ``z``.
+        the rounding of one piece never carries into the next, and the pairs
+        that join pieces are never read.  The pieces are summed side by
+        side, one per row of a padded block (:attr:`_blocks`), by one
+        cumulative sum along the rows per block: each piece's own sequential
+        sum, bit for bit.  The blocks hold fewer than twice the interval
+        count of entries per column of ``z``.
         """
         blocks, source, node = self._blocks
         pad = z.take(source, axis=0)
@@ -355,12 +387,12 @@ def _build_mesh(model, chain: _ChainGeometry, fill: int) -> _Mesh:
     ilo, wlo = interp_weights(points, states)
     ilo_e, wlo_e = interp_weights(model.rate_coords, states)
     lam_nodes = (
-        wlo_e[:, None] * model.rate_table[ilo_e, :]
-        + (1.0 - wlo_e)[:, None] * model.rate_table[np.minimum(ilo_e + 1, model.rate_coords.size - 1), :]
+        wlo_e[:, None] * model.rate_table.take(ilo_e, axis=0)
+        + (1.0 - wlo_e)[:, None] * model.rate_table.take(np.minimum(ilo_e + 1, model.rate_coords.size - 1), axis=0)
     )
     f_nodes = (
-        wlo[:, None] * model.running_cost[ilo, :]
-        + (1.0 - wlo)[:, None] * model.running_cost[np.minimum(ilo + 1, n - 1), :]
+        wlo[:, None] * model.running_cost.take(ilo, axis=0)
+        + (1.0 - wlo)[:, None] * model.running_cost.take(np.minimum(ilo + 1, n - 1), axis=0)
     )
     return _Mesh(node_start=node_start, times=times, states=states,
                  ilo=ilo, wlo=wlo, lam_nodes=lam_nodes, f_nodes=f_nodes)
@@ -415,40 +447,39 @@ class SegmentTables:
 
 
 def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
-    """One vectorized pass over every piece's intervals, summed per piece."""
+    """One vectorized pass over the mesh's node pairs, summed per piece over its intervals."""
     n, n_a = model.n_states, model.n_actions
-    first = mesh.first
-    starts = first[:-1]
-    n_pieces = starts.size
-    left = mesh.left
-    d = mesh.dt[:, None]
+    n_pieces = mesh.node_start.size - 1
+    d = mesh.pair_dt[:, None]
     lam, f = mesh.lam_nodes, mesh.f_nodes
-    m = lam[left] + lam[left + 1]
+    m = lam[:-1] + lam[1:]
     m *= 0.5
     z = m * d
     p0, p1 = phi01(z)
     rel = mesh.running_sums(z)
-    # survival since the piece's start, times the interval length
-    head = np.exp(-rel[left])
+    # survival since the piece's start, times the interval length (0 on a
+    # pair that joins two pieces)
+    head = np.exp(-rel[:-1])
     head *= d
-    sojourn = np.add.reduceat(head * p0, starts, axis=0)
+    sojourn = mesh.piece_sums(head * p0)
     q = p0 - p1
-    integrand = f[left] * q
-    integrand += f[left + 1] * p1
+    integrand = f[:-1] * q
+    integrand += f[1:] * p1
     integrand *= head
-    cost = np.add.reduceat(integrand, starts, axis=0)
+    cost = mesh.piece_sums(integrand)
     survival = np.exp(-rel[mesh.node_start[1:] - 1])
 
-    # interval k weighs Qh at its left node by m d (p0 - p1) and at its right
-    # node by m d p1, so a node inside a piece carries both neighbours'
-    # weights.  A node reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[hi], hi =
-    # ilo + 1, or ilo itself where wlo = 1 (a node on a grid point reads no
-    # other); a piece spans a few consecutive grid points, so the weights are
-    # summed per (grid point - the piece's lowest, piece, action)
+    # pair j weighs Qh at node j by m d (p0 - p1) and at node j + 1 by m d p1
+    # (both 0 on a pair that joins two pieces), so a node inside a piece
+    # carries both neighbouring intervals' weights.  A node reads Qh as
+    # wlo Qh[ilo] + (1 - wlo) Qh[hi], hi = ilo + 1, or ilo itself where
+    # wlo = 1 (a node on a grid point reads no other); a piece spans a few
+    # consecutive grid points, so the weights are summed per (grid point -
+    # the piece's lowest, piece, action)
     head *= m
     node = np.zeros(lam.shape)
-    node[left] = head * q
-    node[left + 1] += head * p1
+    node[:-1] = head * q
+    node[1:] += head * p1
     ilo, wlo = mesh.ilo, mesh.wlo[:, None]
     hi = np.where(mesh.wlo < 1.0, ilo + 1, ilo)
     node_piece = np.repeat(np.arange(n_pieces), np.diff(mesh.node_start))

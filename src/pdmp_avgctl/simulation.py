@@ -170,46 +170,57 @@ def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> 
     two nodes and the running cost is linear between its node values.  Every
     piece's hazard and cost are its own running sums from 0; the chain adds
     each segment's onto the totals of the segments before it, so rounding
-    does not build up over the whole chain.
+    does not build up over the whole chain.  The interval data are computed
+    on the mesh's node pairs (see :class:`~pdmp_avgctl.operators._Mesh`),
+    from the jump rate and running cost at each node under its piece's
+    action; a pair that joins two pieces is no interval, and its entries are
+    dropped from the chain and set to 0 at an exit piece's last node.
     """
-    first, left = mesh.first, mesh.left
-    k_chain = int(first[n_chain])
-    piece = np.repeat(np.arange(first.size - 1), np.diff(first))
-    actions = piece_action[piece]
-    dt = mesh.times[left + 1] - mesh.times[left]
-    lam, f = mesh.lam_nodes, mesh.f_nodes
-    slope = 0.5 * (lam[left, actions] + lam[left + 1, actions])
-    f_left, f_right = f[left, actions], f[left + 1, actions]
-    per_interval = np.empty((dt.size, 2))
-    per_interval[:, 0] = slope * dt
-    per_interval[:, 1] = 0.5 * dt * (f_left + f_right)
-    running = mesh.running_sums(per_interval)
-
-    # chain node k is the left node of chain interval k; exit nodes follow
-    # the chain's end node as they are in the mesh
-    exit_start = int(mesh.node_start[n_chain])
+    node_start = mesh.node_start
+    n_nodes = mesh.times.size
+    exit_start = int(node_start[n_chain])
+    k_chain = exit_start - n_chain
     x_first = k_chain + 1
-    chain_left = left[:k_chain]
-    ends = mesh.node_start[1:n_chain + 1] - 1
+    actions = np.repeat(piece_action, np.diff(node_start))
+    at = np.arange(n_nodes) * mesh.lam_nodes.shape[1] + actions
+    lam, f = mesh.lam_nodes.ravel().take(at), mesh.f_nodes.ravel().take(at)
+    dt = mesh.pair_dt
+    slope = 0.5 * (lam[:-1] + lam[1:])
+    f_left, f_right = f[:-1], f[1:]
+    per_pair = np.empty((dt.size, 2))
+    per_pair[:, 0] = slope * dt
+    per_pair[:, 1] = 0.5 * dt * (f_left + f_right)
+    running = mesh.running_sums(per_pair)
+
+    # chain node k is the left node of chain interval k: every chain node
+    # but the segments' last; the chain's end node follows, then the exit
+    # nodes as they are in the mesh
+    ends = node_start[1:n_chain + 1] - 1
+    chain_left = np.ones(exit_start, dtype=bool)
+    chain_left[ends] = False
+    exit_first = node_start[n_chain:] + (x_first - exit_start)
 
     def nodes(own):
         """Node values: along the chain on top of earlier segments' totals, then the exit pieces' own."""
         before = np.concatenate(([0.0], np.cumsum(own[ends])))
-        return np.concatenate((before[piece[:k_chain]] + own[chain_left], before[-1:], own[exit_start:]))
+        chain = np.repeat(before[:-1], np.diff(mesh.first[:n_chain + 1])) + own[:exit_start][chain_left]
+        return np.concatenate((chain, before[-1:], own[exit_start:]))
 
     def intervals(values):
-        out = np.zeros(x_first + mesh.times.size - exit_start, dtype=values.dtype)
-        out[:k_chain] = values[:k_chain]
-        out[left[k_chain:] - exit_start + x_first] = values[k_chain:]
+        out = np.zeros(x_first + n_nodes - exit_start, dtype=values.dtype)
+        out[:k_chain] = values[:exit_start][chain_left]
+        out[x_first:-1] = values[exit_start:]
+        out[exit_first[1:] - 1] = 0
         return out
 
-    states = np.concatenate((mesh.states[chain_left], mesh.states[[exit_start - 1]], mesh.states[exit_start:]))
+    states = np.concatenate((mesh.states[:exit_start][chain_left], mesh.states[[exit_start - 1]],
+                             mesh.states[exit_start:]))
     tables = _Nodes(times=memoryview(nodes(mesh.times)), states=memoryview(states),
                     hazard=memoryview(nodes(running[:, 0])), slope=memoryview(intervals(slope)),
                     cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
-                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)))
-    node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
-    exit_first = (mesh.node_start[n_chain:] + (x_first - exit_start)).tolist()
+                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions[:-1])))
+    node_of = mesh.first[np.minimum(np.arange(n_lines), n_chain)].tolist()
+    exit_first = exit_first.tolist()
     return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))
 
 

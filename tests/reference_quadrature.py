@@ -14,6 +14,11 @@ the engines that came before it, on the library's line rule:
 * a mesh's per-piece running sums as one ``np.cumsum`` per piece
   (:func:`looped_running_sums`), as the library summed them before it laid
   the pieces side by side;
+* the piece tables (:func:`gathered_segment_tables`) and the audit's piece
+  integrals (:func:`gathered_piece_integrals`) on the interval layout, each
+  interval's node data gathered through its left node
+  (:func:`interval_left`), as the library built them before it laid every
+  per-interval quantity out as node pairs of the mesh;
 * on the library's shared pieces, the per-line compositions: each line's
   pieces as an incidence list (:func:`incidence`), the operators as running
   survival products along it (:func:`composed_assemble`), the improvement
@@ -53,8 +58,8 @@ import numpy as np
 from pdmp_avgctl import operators
 from pdmp_avgctl.flow import advance, flow_direction, hit_time, passage_time, _tabulated_advance
 from pdmp_avgctl.model import FeedbackPolicy
-from pdmp_avgctl.numerics import _SERIES_CUTOFF, interp_weights, phi01
-from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, OperatorWorkspace
+from pdmp_avgctl.numerics import _SERIES_CUTOFF, Table1D, interp_weights, phi01
+from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, OperatorWorkspace, SegmentTables
 
 
 def phi0(z):
@@ -377,14 +382,84 @@ def meshed_workspace(model, fill: int) -> OperatorWorkspace:
         return OperatorWorkspace(model, fill)
 
 
+def interval_left(mesh) -> np.ndarray:
+    """(K,) the node at the left end of each interval of ``mesh``, pieces in order."""
+    counts = np.diff(mesh.first)
+    return np.arange(mesh.first[-1]) + np.repeat(np.arange(counts.size), counts)
+
+
 def looped_running_sums(mesh, z: np.ndarray) -> np.ndarray:
-    """``mesh.running_sums(z)`` by one ``np.cumsum`` per piece."""
+    """``mesh.running_sums`` by one ``np.cumsum`` per piece, of ``z`` given per interval.
+
+    ``z[k]`` belongs to interval k, the pair at node ``interval_left(mesh)[k]``.
+    """
     out = np.zeros((mesh.times.size,) + z.shape[1:])
     first = mesh.first.tolist()
     for p, node in enumerate(mesh.node_start[:-1].tolist()):
         k0, k1 = first[p], first[p + 1]
         np.cumsum(z[k0:k1], axis=0, out=out[node + 1:node + 1 + k1 - k0])
     return out
+
+
+def gathered_segment_tables(model, mesh) -> SegmentTables:
+    """``operators._segment_tables`` on the interval layout: one vectorized
+    pass over every piece's intervals, each reading its two nodes' data by
+    gathers through its left node, summed per piece."""
+    n, n_a = model.n_states, model.n_actions
+    first = mesh.first
+    starts = first[:-1]
+    n_pieces = starts.size
+    left = interval_left(mesh)
+    d = (mesh.times[left + 1] - mesh.times[left])[:, None]
+    lam, f = mesh.lam_nodes, mesh.f_nodes
+    m = lam[left] + lam[left + 1]
+    m *= 0.5
+    z = m * d
+    p0, p1 = phi01(z)
+    rel = looped_running_sums(mesh, z)
+    head = np.exp(-rel[left])
+    head *= d
+    sojourn = np.add.reduceat(head * p0, starts, axis=0)
+    q = p0 - p1
+    integrand = f[left] * q
+    integrand += f[left + 1] * p1
+    integrand *= head
+    cost = np.add.reduceat(integrand, starts, axis=0)
+    survival = np.exp(-rel[mesh.node_start[1:] - 1])
+    head *= m
+    node = np.zeros(lam.shape)
+    node[left] = head * q
+    node[left + 1] += head * p1
+    ilo, wlo = mesh.ilo, mesh.wlo[:, None]
+    hi = np.where(mesh.wlo < 1.0, ilo + 1, ilo)
+    node_piece = np.repeat(np.arange(n_pieces), np.diff(mesh.node_start))
+    base = np.minimum.reduceat(ilo, mesh.node_start[:-1])
+    width = int(np.max(hi - base[node_piece])) + 1
+    size = width * n_pieces * n_a
+    offset = node_piece - base[node_piece] * n_pieces
+    w = np.zeros(size)
+    for grid, part in ((ilo, node * wlo), (hi, node * (1.0 - wlo))):
+        key = (offset + grid * n_pieces)[:, None] * n_a + np.arange(n_a)
+        w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
+    grid = np.minimum(base + np.arange(width)[:, None], n - 1)
+    return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, weights=w.reshape(width, n_pieces, n_a),
+                         cols=grid[:, :, None] * n_a + np.arange(n_a))
+
+
+def gathered_piece_integrals(model, ws, rate: float, v_nodes=None):
+    """``model._piece_integrals`` on the interval layout, each interval
+    reading its two nodes' data by gathers through its left node."""
+    mesh = ws.mesh
+    lam_low = Table1D(model.grid.points, model.constants.lambda_lower)(mesh.states)
+    left = interval_left(mesh)
+    dt = mesh.times[left + 1] - mesh.times[left]
+    z = (0.5 * (lam_low[left] + lam_low[left + 1]) - rate) * dt
+    rel = looped_running_sums(mesh, z)
+    p0, p1 = phi01(z)
+    v = np.ones(mesh.times.size) if v_nodes is None else v_nodes
+    weight = np.exp(-rel[left]) * dt
+    weight *= v[left] * p0 + (v[left + 1] - v[left]) * p1
+    return np.add.reduceat(weight, mesh.first[:-1]), rel[mesh.node_start[1:] - 1]
 
 
 def line_geometry(ws) -> list[_LineGeometry]:

@@ -14,6 +14,11 @@ whose constant exit pieces keep the count rule's intervals instead of one
 (:func:`reference_quadrature.meshed_workspace`), so they mark no line
 stationary, and the library's trajectories on them are drawn by the general
 branch of the jump loop on the full mesh.
+
+:func:`gathered_node_tables` builds a policy's node tables on the interval
+layout, each interval's node data gathered through its left node, as the
+library built them before it laid every per-interval quantity out as node
+pairs of the mesh.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import numpy as np
 from pdmp_avgctl.operators import DEFAULT_FILL
 from pdmp_avgctl.simulation import (DEFAULT_BATCHES, RATE_FLOOR, UNIFORM_BLOCK, SimulationError,
                                     SimulationExplosionError, SimulationSummary, TrajectoryRecord, _rng_stream,
-                                    _uniform_block, prepare_simulation)
-from reference_quadrature import meshed_workspace
+                                    _Nodes, _uniform_block, prepare_simulation)
+from reference_quadrature import interval_left, looped_running_sums, meshed_workspace
 
 
 def jump_target(tables, hit: bool, line, y: float, action: int, u: float) -> int:
@@ -277,3 +282,48 @@ def meshed_tables(model, policy, *, workspace=None):
     stationary."""
     fill = workspace.fill if workspace is not None else DEFAULT_FILL
     return prepare_simulation(model, policy, workspace=meshed_workspace(model, fill))
+
+
+def gathered_node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int):
+    """``simulation._node_tables`` on the interval layout: the policy's node
+    tables, the chain node of each flow position, and the first and last
+    table nodes of each exit piece."""
+    first = mesh.first
+    left = interval_left(mesh)
+    k_chain = int(first[n_chain])
+    piece = np.repeat(np.arange(first.size - 1), np.diff(first))
+    actions = piece_action[piece]
+    dt = mesh.times[left + 1] - mesh.times[left]
+    lam, f = mesh.lam_nodes, mesh.f_nodes
+    slope = 0.5 * (lam[left, actions] + lam[left + 1, actions])
+    f_left, f_right = f[left, actions], f[left + 1, actions]
+    per_interval = np.empty((dt.size, 2))
+    per_interval[:, 0] = slope * dt
+    per_interval[:, 1] = 0.5 * dt * (f_left + f_right)
+    running = looped_running_sums(mesh, per_interval)
+
+    # chain node k is the left node of chain interval k; exit nodes follow
+    # the chain's end node as they are in the mesh
+    exit_start = int(mesh.node_start[n_chain])
+    x_first = k_chain + 1
+    chain_left = left[:k_chain]
+    ends = mesh.node_start[1:n_chain + 1] - 1
+
+    def nodes(own):
+        before = np.concatenate(([0.0], np.cumsum(own[ends])))
+        return np.concatenate((before[piece[:k_chain]] + own[chain_left], before[-1:], own[exit_start:]))
+
+    def intervals(values):
+        out = np.zeros(x_first + mesh.times.size - exit_start, dtype=values.dtype)
+        out[:k_chain] = values[:k_chain]
+        out[left[k_chain:] - exit_start + x_first] = values[k_chain:]
+        return out
+
+    states = np.concatenate((mesh.states[chain_left], mesh.states[[exit_start - 1]], mesh.states[exit_start:]))
+    tables = _Nodes(times=memoryview(nodes(mesh.times)), states=memoryview(states),
+                    hazard=memoryview(nodes(running[:, 0])), slope=memoryview(intervals(slope)),
+                    cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
+                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)))
+    node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
+    exit_first = (mesh.node_start[n_chain:] + (x_first - exit_start)).tolist()
+    return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))

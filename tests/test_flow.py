@@ -123,6 +123,23 @@ class TestFlowDerivative:
         h = Table1D(pts, pts)
         assert flow_derivative(contraction(boundary=()), h, 2.0) == pytest.approx(-2.0, abs=1e-12)
 
+    def test_array_of_points_takes_the_grid_differences(self):
+        # on a grid point: central differences inside and one-sided ones at
+        # the ends; between grid points: the difference across the pair
+        # around it.  The array call gives each point's scalar value.
+        pts = np.linspace(0.0, 1.0, 9) ** 2
+        vals = np.exp(pts)
+        h = Table1D(pts, vals)
+        mid = 0.5 * (pts[:-1] + pts[1:])
+        on = np.concatenate(([(vals[1] - vals[0]) / (pts[1] - pts[0])], (vals[2:] - vals[:-2]) / (pts[2:] - pts[:-2]),
+                             [(vals[-1] - vals[-2]) / (pts[-1] - pts[-2])]))
+        between = (vals[1:] - vals[:-1]) / (pts[1:] - pts[:-1])
+        for flow, speed in ((unit_drift(), 1.0), (contraction(boundary=()), -np.concatenate((pts, mid)))):
+            got = flow_derivative(flow, h, np.concatenate((pts, mid)))
+            assert np.array_equal(got, np.concatenate((on, between)) * speed)
+            assert got.tolist() == [flow_derivative(flow, h, float(x)) for x in np.concatenate((pts, mid))]
+        assert flow_derivative(trivial(), h, mid).tolist() == [0.0] * mid.size
+
     def test_second_order_convergence(self):
         # error of the grid-difference derivative of exp(y) should drop ~4x
         # per halving of the grid spacing

@@ -5,18 +5,25 @@ size, action count, feasible sets, flow kind and speed, jump rates, kernels
 and costs are drawn at random, and the workspace is built at a small fill.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
+from pdmp_avgctl import operators
 from pdmp_avgctl.evaluation import ERGODIC_PROBE_POWERS, ErgodicityError, estimate_ergodic_constants, invariant_measure
+from pdmp_avgctl.model import _piece_integrals
 from pdmp_avgctl.operators import OperatorWorkspace
+from pdmp_avgctl.simulation import _Nodes, _node_tables
 
-from reference_quadrature import (composed_assemble, dense_assemble, forced_line_geometry, line_exit, line_geometry,
-                                  line_pieces, marched_improve, meshed_workspace, numpy_optimality_residual, piece_counts,
+from reference_quadrature import (composed_assemble, dense_assemble, forced_line_geometry, gathered_piece_integrals,
+                                  gathered_segment_tables, line_exit, line_geometry, line_pieces, marched_improve,
+                                  meshed_workspace, numpy_optimality_residual, piece_counts,
                                   reference_assemble, reference_improve, reference_optimality_residual,
                                   shared_line_geometry, swept_residual)
+from reference_simulation import gathered_node_tables
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
 
 FLOWS = ("trivial", "drift", "affine", "tabulated")
@@ -301,3 +308,38 @@ def test_backward_pass_matches_the_per_line_compositions(flow, data):
         assert _within(np.array([residual]), np.array([swept_residual(ws, rho, h)]))
         # the certificate's own numpy pass does the same arithmetic in the same order
         assert residual == numpy_optimality_residual(ws, rho, h)
+
+
+def assert_pair_layout_matches_the_gathers(ws, policies):
+    """The piece tables, the audit's piece integrals and the policies'
+    simulation node tables of ``ws``'s mesh equal, bit for bit, those built
+    on the interval layout by gathers through each interval's left node."""
+    model, mesh = ws.model, ws.mesh
+    got, want = operators._segment_tables(model, mesh), gathered_segment_tables(model, mesh)
+    for field in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    fsup = pa.Table1D(model.grid.points, np.where(model.feasible_mask, model.running_cost, -np.inf).max(axis=1))
+    for rate, v_nodes in ((model.constants.c, None), (0.0, fsup(mesh.states))):
+        for g, w in zip(_piece_integrals(model, ws, rate, v_nodes), gathered_piece_integrals(model, ws, rate, v_nodes)):
+            assert np.array_equal(g, w), rate
+    for policy in policies:
+        args = (mesh, ws.chain.n_chain, policy.interior[ws.chain.anchors], model.n_states)
+        (nodes, *got), (reference, *want) = _node_tables(*args), gathered_node_tables(*args)
+        for field in dataclasses.fields(_Nodes):
+            assert np.array_equal(np.asarray(getattr(nodes, field.name)),
+                                  np.asarray(getattr(reference, field.name))), field.name
+        assert got == want
+
+
+@pytest.mark.parametrize("flow", ("affine", "tabulated"))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pair_layout_matches_the_gathers(flow, data):
+    # the tables read every interval as a node pair of the mesh and sum each
+    # piece over its own intervals only, leaving out the pair that joins it
+    # to the next piece: with that pair in, a piece's sum is taken over one
+    # more term, which moves the last bits of a pairwise sum
+    clamped = data.draw(st.booleans())
+    doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True, clamped=clamped))
+    model = pa.model_from_dict(doc)
+    assert_pair_layout_matches_the_gathers(OperatorWorkspace(model, fill), _policies(model, seed))

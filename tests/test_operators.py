@@ -11,15 +11,17 @@ import pdmp_avgctl as pa
 from pdmp_avgctl import operators
 from pdmp_avgctl.flow import flow_direction, hit_time, passage_time
 from pdmp_avgctl.numerics import phi01
-from pdmp_avgctl.operators import MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, kernel_matrix
+from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, kernel_matrix
 
 from conftest import BUNDLED
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
-                                  cum_rate, dense_assemble, forced_line_geometry, line_exit, line_geometry, line_pieces,
-                                  looped_running_sums, marched_improve, op_G, op_H, numpy_optimality_residual,
-                                  one_stage_values, op_L, op_calL, phi0, phi1, policy_paths, reference_assemble,
+                                  cum_rate, dense_assemble, forced_line_geometry, interval_left, line_exit,
+                                  line_geometry, line_pieces, looped_running_sums, marched_improve, op_G, op_H,
+                                  numpy_optimality_residual, one_stage_values, op_L, op_calL, phi0, phi1,
+                                  policy_paths, reference_assemble,
                                   reference_improve, reference_optimality_residual, reference_sweep_values,
                                   sparse_values, swept_residual)
+from test_operator_properties import assert_pair_layout_matches_the_gathers
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
 
@@ -482,16 +484,20 @@ class TestLineGeometry:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_running_sums_match_the_per_piece_loop(self, models, workspaces, name):
         # bit for bit, on the engine's hazard increments and on random
-        # values of mixed magnitude, one column and several
+        # values of mixed magnitude, one column and several; the pairs that
+        # join two pieces are not intervals, and their values are never read
         model = models[name]
         rng = np.random.default_rng(7)
         for ws in (OperatorWorkspace(model, 8), workspaces[name]):
             mesh = ws.mesh
-            hazard = 0.5 * (mesh.lam_nodes[mesh.left] + mesh.lam_nodes[mesh.left + 1]) * mesh.dt[:, None]
-            size = mesh.left.size
+            left = interval_left(mesh)
+            dt = mesh.times[left + 1] - mesh.times[left]
+            hazard = 0.5 * (mesh.lam_nodes[left] + mesh.lam_nodes[left + 1]) * dt[:, None]
+            size = left.size
             for z in (hazard, hazard[:, 0], rng.normal(size=size) * 10.0 ** rng.uniform(-8, 3, size),
                       rng.normal(size=(size, 3)) * 10.0 ** rng.uniform(-8, 3, (size, 3))):
-                assert np.array_equal(mesh.running_sums(z), looped_running_sums(mesh, z)), (name, ws.fill)
+                assert np.array_equal(mesh.running_sums(as_pairs(mesh, z)), looped_running_sums(mesh, z)), \
+                    (name, ws.fill)
 
     def test_running_sums_pad_long_pieces_less_than_twice(self):
         # decay_flow_16's recipe on 256 grid points: the pieces near the
@@ -517,7 +523,7 @@ class TestLineGeometry:
             blocks, source, _ = mesh._blocks
             assert source.size == sum(rows * width for _, rows, width in blocks) < 2 * intervals, fill
             z = rng.normal(size=(intervals, 2)) * 10.0 ** rng.uniform(-8, 3, (intervals, 2))
-            assert np.array_equal(mesh.running_sums(z), looped_running_sums(mesh, z)), fill
+            assert np.array_equal(mesh.running_sums(as_pairs(mesh, z)), looped_running_sums(mesh, z)), fill
 
     def test_workspaces_of_one_model_share_one_chain_geometry(self):
         # the fill-independent geometry is built once per model object and
@@ -592,6 +598,24 @@ def agrees_with_the_per_line_references(ws, rng):
         improved, residual = ws.improve_and_certify(rho, h, prev)
         assert improved.key() == marched_improve(ws, rho, h, prev).key()
         assert abs(residual - swept_residual(ws, rho, h)) <= 1e-12
+
+
+def as_pairs(mesh, z: np.ndarray) -> np.ndarray:
+    """The per-interval values ``z`` laid out on the mesh's node pairs, NaN on the pairs that join pieces."""
+    out = np.full((mesh.times.size - 1,) + z.shape[1:], np.nan)
+    out[interval_left(mesh)] = z
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_pair_layout_matches_the_gathers(models, workspaces, name):
+    # at the audit's fill and at the refined fill, for the lowest feasible
+    # policy and a random one
+    model = models[name]
+    rng = np.random.default_rng(67)
+    policies = [pa.FeedbackPolicy.lowest_feasible(model), pa.FeedbackPolicy.random_feasible(model, rng)]
+    for ws in (OperatorWorkspace(model, DEFAULT_FILL), workspaces[name]):
+        assert_pair_layout_matches_the_gathers(ws, policies)
 
 
 # -- per-segment one-stage tables ---------------------------------------------

@@ -4,12 +4,14 @@
 For every N the ``drift_boundary_64`` recipe on an N-point grid
 (``perfbench/drift.py``'s ``drift_doc``) is written to a work directory, then
 measured in a fresh process, one N after another.  A measurement loads the
-model file, refines the workspace of the lowest feasible policy to the
+model file, audits it with the lowest feasible policy (at the audit's own
+fill, ``DEFAULT_FILL``), refines the workspace of that policy to the
 default target, then, at the refined fill, times the workspace build, the
 table build, assemble (each call on an empty assemble cache), evaluation,
 and the pass that gives the improved policy and the optimality residual
-together.  Every time is the median of as many calls as fit in
-``BUDGET_S`` seconds, and of at least ``MIN_SAMPLES``, so a
+together.  Load, audit, refinement, workspace build and tables make up
+the whole setup of a solve.  Every time is the median of as many calls as
+fit in ``BUDGET_S`` seconds, and of at least ``MIN_SAMPLES``, so a
 sub-millisecond column takes thousands of calls and a slow one three.  The
 Monte Carlo columns run the same policy on simulation tables prepared once:
 ``mc_us_per_jump`` is the median over replications at horizon
@@ -162,6 +164,7 @@ def _measure(path) -> tuple[dict, list]:
     rss_after_load = _rss_mb()
     timed("load_s", lambda: pa.load_model(path))
     policy = pa.FeedbackPolicy.lowest_feasible(model)
+    timed("audit_s", lambda: pa.audit_assumptions(model, policy))
     fill = pa.refined_workspace(model, policy).fill
     timed("refine_s", lambda: pa.refined_workspace(model, policy))
     timed("workspace_build_s", lambda: pa.OperatorWorkspace(model, fill))

@@ -33,7 +33,7 @@ def gaussian_row(points: np.ndarray, center: float, width: float) -> list[float]
 
 def sup_cu1(model: pa.PdmpModel) -> float:
     g_tab = Table1D(model.grid.points, model.lyapunov_g)
-    xg = np.array([flow_derivative(model.flow, g_tab, float(x)) for x in model.grid.points])
+    xg = flow_derivative(model.flow, g_tab, model.grid.points)
     qg = model.kernel_interior @ model.lyapunov_g
     lam = model.jump_rate[: model.n_states]
     expr = xg[:, None] + model.constants.c * model.lyapunov_g[:, None] \
