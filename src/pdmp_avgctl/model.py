@@ -227,15 +227,32 @@ def _as_array(value, shape: tuple, name: str) -> np.ndarray:
     return arr
 
 
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a float, refused with ``ModelFormatError`` unless it is a finite number > 0."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not 0.0 < number < math.inf:
+        raise ModelFormatError(f"'{name}' must be a finite number > 0, got {value!r}")
+    return number
+
+
 def _index_lists(raw, count: int, n_actions: int, name: str) -> tuple:
     if len(raw) != count:
         raise DimensionError(f"'{name}': expected {count} entries, got {len(raw)}")
     out = []
     for i, entry in enumerate(raw):
-        idx = np.asarray(entry, dtype=np.int64)
-        if idx.ndim != 1:
+        if isinstance(entry, np.ndarray):
+            entry = entry.tolist()
+        if not isinstance(entry, (list, tuple)) or any(isinstance(a, (list, tuple)) for a in entry):
             raise ModelFormatError(f"'{name}[{i}]' must be a flat list of action indices")
-        actions = sorted(set(idx.tolist()))
+        # a bool is an int to Python, and 0.5 or true would be read as action 0 or 1
+        if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool) for a in entry):
+            raise ModelFormatError(f"'{name}[{i}]' must hold integer action indices")
+        actions = sorted(set(int(a) for a in entry))
         if actions and (actions[0] < 0 or actions[-1] >= n_actions):
             raise ModelFormatError(f"'{name}[{i}]' contains an action index outside 0..{n_actions - 1}")
         out.append(np.array(actions, dtype=np.int64))
@@ -283,7 +300,7 @@ def model_from_dict(doc: dict, *, name: str = "model", source_hash: str = "") ->
     t_max_raw = flow_doc.get("t_max")
     if constants.c <= 0 and t_max_raw is None:
         raise ModelFormatError("flow.t_max must be given when constants.c <= 0")
-    t_max = float(t_max_raw) if t_max_raw is not None else 50.0 / constants.c
+    t_max = _positive_finite(t_max_raw, "flow.t_max") if t_max_raw is not None else 50.0 / constants.c
     velocity = None
     if kind == "tabulated1d":
         vel = np.asarray(_require(flow_doc, "velocity", "flow"), dtype=float)

@@ -23,7 +23,11 @@ t*(x_b) or, when t*(x_b) > t_max, at t_max (``t_max`` bounds only this final
 piece).  The mesh is built once per distinct *piece*, each timed from its own
 start: one per inter-grid segment, shared by every line that passes it, and
 one per chain end, shared by every line that ends there.  Mesh and tables
-take O(n * fill) memory.  An exit piece whose two end states are equal (a
+take O(n * fill) memory, and building them takes little more, by one buffer
+rule that every node-array builder keeps: no intermediate outlives its last
+read (it is deleted, or its buffer reused in place), and the shared mesh and
+chain arrays, which every workspace of a model and the simulator read, are
+never written.  An exit piece whose two end states are equal (a
 trivial flow, or a chain end on the flow's fixed point) or lie at or beyond
 the same end of the rate coordinates, where the model data are clamped, has
 the same jump rate, running cost and kernel row all along for every action;
@@ -154,6 +158,7 @@ class _Mesh:
         """(N-1,) the length of each pair: its interval's, or 0 at a piece's last node."""
         dt = self.times[1:] - self.times[:-1]
         dt[self.node_start[1:-1] - 1] = 0.0
+        dt.flags.writeable = False
         return dt
 
     @functools.cached_property
@@ -174,53 +179,30 @@ class _Mesh:
         return np.add.reduceat(values, self._bounds, axis=0)[::2]
 
     @functools.cached_property
-    def _blocks(self) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]:
-        """The padded layout of :meth:`running_sums`.
-
-        The pieces are grouped by length class: a piece of K intervals is in
-        class ceil(log2 K), and each class is a block of rows, one piece per
-        row, as wide as its longest piece.  A row is padded to less than
-        twice its own length, so the layout has fewer than twice as many
-        slots as the mesh has intervals.  Returns each block's (first slot,
-        rows, width), the pair each slot holds (pair 0 in a row's padding,
-        which no node reads) and the slot each node reads (slot 0 at a
-        piece's first node, which is set to 0).
-        """
+    def _runs(self) -> list[tuple[int, int, int]]:
+        """The runs of consecutive pieces with equal interval counts: (first node, pieces, count) each."""
         counts = np.diff(self.first)
-        length_class = np.ceil(np.log2(counts))
-        blocks, row_start, start = [], np.zeros(counts.size, dtype=np.int64), 0
-        for c in sorted(set(length_class.tolist())):
-            rows = np.flatnonzero(length_class == c)
-            width = int(counts[rows].max())
-            row_start[rows] = start + width * np.arange(rows.size)
-            blocks.append((start, rows.size, width))
-            start += rows.size * width
-        # node k of a piece reads the slot of the piece's interval k - 1,
-        # which holds the pair at the node before it
-        node = np.arange(-1, self.times.size - 1) + np.repeat(row_start - self.node_start[:-1], counts + 1)
-        inner = np.delete(np.arange(self.times.size), self.node_start[:-1])
-        source = np.zeros(start, dtype=np.int64)
-        source[node[inner]] = inner - 1
-        node[self.node_start[:-1]] = 0
-        return blocks, source, node
+        first = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1])))
+        pieces = np.diff(np.append(first, counts.size))
+        return list(zip(self.node_start[first].tolist(), pieces.tolist(), counts[first].tolist()))
 
     def running_sums(self, z: np.ndarray) -> np.ndarray:
         """Per node: the sum of the pair values ``z`` over its piece's intervals before it.
 
         Each piece sums from its own first node (where the result is 0), so
         the rounding of one piece never carries into the next, and the pairs
-        that join pieces are never read.  The pieces are summed side by
-        side, one per row of a padded block (:attr:`_blocks`), by one
-        cumulative sum along the rows per block: each piece's own sequential
-        sum, bit for bit.  The blocks hold fewer than twice the interval
-        count of entries per column of ``z``.
+        that join pieces are never read.  Pair j is copied to node j + 1 of
+        the result, and the pieces of a run of equal interval counts
+        (:attr:`_runs`) are the rows of one view of it, summed in place by
+        one cumulative sum along the rows: each piece's own sequential sum,
+        bit for bit.  Nothing but the result is allocated.  Equal transits
+        make one run of all the segments; at worst each piece is a run.
         """
-        blocks, source, node = self._blocks
-        pad = z.take(source, axis=0)
-        for start, rows, width in blocks:
-            block = pad[start:start + rows * width].reshape((rows, width) + z.shape[1:])
-            np.cumsum(block, axis=1, out=block)
-        out = pad.take(node, axis=0)
+        out = np.empty((self.times.size,) + z.shape[1:])
+        out[1:] = z
+        for start, pieces, count in self._runs:
+            rows = out[start:start + pieces * (count + 1)].reshape((pieces, count + 1) + z.shape[1:])[:, 1:]
+            np.cumsum(rows, axis=1, out=rows)
         out[self.node_start[:-1]] = 0.0
         return out
 
@@ -263,24 +245,30 @@ def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, one_interval: 
 def _flow_states(flow: FlowSpec, origin: np.ndarray, times: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The state at each node, on pieces that start from ``origin`` at the nodes flagged in ``starts``.
 
-    A piece's first node is its origin exactly.
+    A piece's first node is its origin exactly.  The states are written over
+    ``origin``, which the caller hands over, and returned.
     """
     if flow.kind == "trivial":
         return origin
     if flow.kind == "affine1d":
         if flow.alpha1 == 0.0:
-            return origin + flow.alpha0 * times
+            origin += flow.alpha0 * times
+            return origin
         ystar = -flow.alpha0 / flow.alpha1
         # ystar + (x - ystar) * 1.0 need not round back to x
-        states = ystar + (origin - ystar) * np.exp(flow.alpha1 * times)
-        states[starts] = origin[starts]
-        return states
+        first = origin[starts]
+        growth = flow.alpha1 * times
+        np.exp(growth, out=growth)
+        origin -= ystar
+        origin *= growth
+        origin += ystar
+        origin[starts] = first
+        return origin
     # node times never pass a piece's end, so no boundary re-check
-    states = origin.copy()
-    dt = np.diff(times).tolist()
+    t = times.tolist()
     for i in np.flatnonzero(~starts).tolist():
-        states[i] = _tabulated_advance(flow, states[i - 1], dt[i - 1])
-    return states
+        origin[i] = _tabulated_advance(flow, origin[i - 1], t[i] - t[i - 1])
+    return origin
 
 
 def _constant_exits(model, x0: np.ndarray, dur: np.ndarray) -> np.ndarray:
@@ -362,40 +350,49 @@ def _chain_geometry(model) -> _ChainGeometry:
     return chain
 
 
+def _interpolated(table: np.ndarray, ilo: np.ndarray, wlo: np.ndarray) -> np.ndarray:
+    """(N, n_a) the rows of ``table`` read at each node as ``wlo`` row ilo + (1 - wlo) row ilo + 1, clamped."""
+    out = table.take(ilo, axis=0)
+    out *= wlo[:, None]
+    right = table.take(np.minimum(ilo + 1, table.shape[0] - 1), axis=0)
+    right *= (1.0 - wlo)[:, None]
+    out += right
+    return out
+
+
 def _build_mesh(model, chain: _ChainGeometry, fill: int) -> _Mesh:
     """Every piece's nodes at ``fill``, in one vectorized pass."""
     points = model.grid.points
-    n = points.size
     dur = chain.dur
     counts = _interval_counts(dur, chain.truncated_tail, chain.one_interval, model.lambda_sup,
                               chain.shortest / fill, fill)
 
     # node k of a piece sits at k * (duration / count), the arithmetic of
     # np.linspace; each piece ends exactly on its duration
-    node_start = np.concatenate(([0], np.cumsum(counts + 1)))
-    node_piece = np.repeat(np.arange(dur.size), counts + 1)
-    k = np.arange(node_start[-1]) - node_start[node_piece]
-    times = k * (dur / counts)[node_piece]
+    nodes = counts + 1
+    node_start = np.concatenate(([0], np.cumsum(nodes)))
+    k = np.arange(node_start[-1])
+    k -= np.repeat(node_start[:-1], nodes)
+    times = np.repeat(dur / counts, nodes)
+    times *= k
+    del k
     times[node_start[1:] - 1] = dur
     starts = np.zeros(times.size, dtype=bool)
     starts[node_start[:-1]] = True
-    states = _flow_states(model.flow, points[chain.anchors][node_piece], times, starts)
+    states = _flow_states(model.flow, np.repeat(points[chain.anchors], nodes), times, starts)
+    del starts
     for e in chain.exits:
         if e.hit:
             states[node_start[e.piece + 1] - 1] = float(model.grid.boundary_points[e.boundary_index])
 
+    lam_nodes = _interpolated(model.rate_table, *interp_weights(model.rate_coords, states))
     ilo, wlo = interp_weights(points, states)
-    ilo_e, wlo_e = interp_weights(model.rate_coords, states)
-    lam_nodes = (
-        wlo_e[:, None] * model.rate_table.take(ilo_e, axis=0)
-        + (1.0 - wlo_e)[:, None] * model.rate_table.take(np.minimum(ilo_e + 1, model.rate_coords.size - 1), axis=0)
-    )
-    f_nodes = (
-        wlo[:, None] * model.running_cost.take(ilo, axis=0)
-        + (1.0 - wlo)[:, None] * model.running_cost.take(np.minimum(ilo + 1, n - 1), axis=0)
-    )
-    return _Mesh(node_start=node_start, times=times, states=states,
-                 ilo=ilo, wlo=wlo, lam_nodes=lam_nodes, f_nodes=f_nodes)
+    f_nodes = _interpolated(model.running_cost, ilo, wlo)
+    # the workspace's tables and the simulator's read the mesh; none writes it
+    for arr in (node_start, times, states, ilo, wlo, lam_nodes, f_nodes):
+        arr.flags.writeable = False
+    return _Mesh(node_start=node_start, times=times, states=states, ilo=ilo, wlo=wlo, lam_nodes=lam_nodes,
+                 f_nodes=f_nodes)
 
 
 @dataclass(frozen=True)
@@ -447,7 +444,11 @@ class SegmentTables:
 
 
 def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
-    """One vectorized pass over the mesh's node pairs, summed per piece over its intervals."""
+    """One vectorized pass over the mesh's node pairs, summed per piece over its intervals.
+
+    Each (N - 1, n_a) intermediate is dropped after its last read or reused
+    in place, so the pass holds at most six of them at a time.
+    """
     n, n_a = model.n_states, model.n_actions
     n_pieces = mesh.node_start.size - 1
     d = mesh.pair_dt[:, None]
@@ -457,40 +458,52 @@ def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
     z = m * d
     p0, p1 = phi01(z)
     rel = mesh.running_sums(z)
+    del z
+    survival = np.exp(-rel[mesh.node_start[1:] - 1])
     # survival since the piece's start, times the interval length (0 on a
-    # pair that joins two pieces)
-    head = np.exp(-rel[:-1])
+    # pair that joins two pieces), in rel's place
+    head = rel[:-1]
+    np.negative(head, out=head)
+    np.exp(head, out=head)
     head *= d
     sojourn = mesh.piece_sums(head * p0)
-    q = p0 - p1
+    q = p0
+    q -= p1  # p0 - p1, in p0's place
     integrand = f[:-1] * q
     integrand += f[1:] * p1
     integrand *= head
     cost = mesh.piece_sums(integrand)
-    survival = np.exp(-rel[mesh.node_start[1:] - 1])
+    del integrand
 
     # pair j weighs Qh at node j by m d (p0 - p1) and at node j + 1 by m d p1
     # (both 0 on a pair that joins two pieces), so a node inside a piece
-    # carries both neighbouring intervals' weights.  A node reads Qh as
-    # wlo Qh[ilo] + (1 - wlo) Qh[hi], hi = ilo + 1, or ilo itself where
-    # wlo = 1 (a node on a grid point reads no other); a piece spans a few
-    # consecutive grid points, so the weights are summed per (grid point -
-    # the piece's lowest, piece, action)
+    # carries both neighbouring intervals' weights; the node weights take
+    # rel's place.  A node reads Qh as wlo Qh[ilo] + (1 - wlo) Qh[hi],
+    # hi = ilo + 1, or ilo itself where wlo = 1 (a node on a grid point reads
+    # no other); a piece spans a few consecutive grid points, so the weights
+    # are summed per (grid point - the piece's lowest, piece, action)
     head *= m
-    node = np.zeros(lam.shape)
-    node[:-1] = head * q
-    node[1:] += head * p1
-    ilo, wlo = mesh.ilo, mesh.wlo[:, None]
-    hi = np.where(mesh.wlo < 1.0, ilo + 1, ilo)
-    node_piece = np.repeat(np.arange(n_pieces), np.diff(mesh.node_start))
+    del m
+    p1 *= head
+    head *= q
+    del q
+    node = rel
+    node[-1] = 0.0
+    node[1:] += p1
+    del p1
+    ilo, wlo = mesh.ilo, mesh.wlo
     base = np.minimum.reduceat(ilo, mesh.node_start[:-1])
-    width = int(np.max(hi - base[node_piece])) + 1
+    top = np.maximum.reduceat(ilo + (wlo < 1.0), mesh.node_start[:-1])  # the highest hi of each piece
+    width = int(np.max(top - base)) + 1
     size = width * n_pieces * n_a
-    offset = node_piece - base[node_piece] * n_pieces
-    w = np.zeros(size)
-    for grid, part in ((ilo, node * wlo), (hi, node * (1.0 - wlo))):
-        key = (offset + grid * n_pieces)[:, None] * n_a + np.arange(n_a)
-        w += np.bincount(key.ravel(), weights=part.ravel(), minlength=size)
+    # the slot of (ilo, piece, action) at each node; hi's is n_pieces * n_a further where wlo < 1
+    key = np.repeat(np.arange(n_pieces) - base * n_pieces, np.diff(mesh.node_start))
+    key += ilo * n_pieces
+    key = key[:, None] * n_a + np.arange(n_a)
+    w = np.bincount(key.ravel(), weights=(node * wlo[:, None]).ravel(), minlength=size)
+    key += (wlo < 1.0)[:, None] * (n_pieces * n_a)
+    node *= (1.0 - wlo)[:, None]
+    w += np.bincount(key.ravel(), weights=node.ravel(), minlength=size)
     grid = np.minimum(base + np.arange(width)[:, None], n - 1)
     return SegmentTables(sojourn=sojourn, cost=cost, survival=survival, weights=w.reshape(width, n_pieces, n_a),
                          cols=grid[:, :, None] * n_a + np.arange(n_a))
@@ -785,6 +798,13 @@ def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None) 
     return KernelMatrix(matrix=kernel, truncation_bound=float(survival[ws.truncated].max(initial=0.0)))
 
 
+def _max_change(new: np.ndarray, old: np.ndarray) -> float:
+    """max |new - old|, with one array of their size."""
+    change = new - old
+    np.abs(change, out=change)
+    return float(change.max())
+
+
 def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
                       start: OperatorWorkspace | None = None) -> OperatorWorkspace:
     """Double per-piece mesh fill until successive operator sets agree.
@@ -804,16 +824,14 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
     diff = math.inf
     while fill < MAX_FILL:
-        finer = OperatorWorkspace(model, fill * 2)
-        k2, l2, c2, _ = finer.assemble(policy, 0.0)
-        diff = max(
-            float(np.max(np.abs(k2 - kernel))),
-            float(np.max(np.abs(l2 - ell))),
-            float(np.max(np.abs(c2 - cost))),
-        )
-        finer.refine_diff = diff
-        ws = finer
-        kernel, ell, cost = k2, l2, c2
+        # only the coarser fill's operators are compared, so its workspace
+        # goes before the finer one is built (a ``start`` stays with its caller)
+        del ws
+        ws = OperatorWorkspace(model, fill * 2)
+        finer = ws.assemble(policy, 0.0)[:3]
+        diff = max(_max_change(new, old) for new, old in zip(finer, (kernel, ell, cost)))
+        ws.refine_diff = diff
+        kernel, ell, cost = finer
         fill *= 2
         if diff <= target:
             break

@@ -13,7 +13,9 @@ cost along it per policy; the line from grid point j is the stretch of the
 chain from its start node b_j to the node e_j of its chain end, then the
 nodes of that chain end's exit piece, which follow the chain in the same
 arrays.  So the tables take O(n * fill) memory, and no line copies the
-chain or an exit piece.  A constant exit piece, whose jump rate, running cost
+chain or an exit piece.  They are built by the engine's buffer rule: no
+intermediate outlives its last read, and the shared mesh and chain arrays
+are never written.  A constant exit piece, whose jump rate, running cost
 and post-jump kernel row are the same all along, is one interval of the
 operator mesh, and so of the tables.
 
@@ -174,23 +176,16 @@ def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> 
     on the mesh's node pairs (see :class:`~pdmp_avgctl.operators._Mesh`),
     from the jump rate and running cost at each node under its piece's
     action; a pair that joins two pieces is no interval, and its entries are
-    dropped from the chain and set to 0 at an exit piece's last node.
+    dropped from the chain and set to 0 at an exit piece's last node.  Each
+    table is made as soon as what it is made from is at hand, and every
+    node array is dropped after its last read.
     """
     node_start = mesh.node_start
     n_nodes = mesh.times.size
     exit_start = int(node_start[n_chain])
     k_chain = exit_start - n_chain
     x_first = k_chain + 1
-    actions = np.repeat(piece_action, np.diff(node_start))
-    at = np.arange(n_nodes) * mesh.lam_nodes.shape[1] + actions
-    lam, f = mesh.lam_nodes.ravel().take(at), mesh.f_nodes.ravel().take(at)
-    dt = mesh.pair_dt
-    slope = 0.5 * (lam[:-1] + lam[1:])
-    f_left, f_right = f[:-1], f[1:]
-    per_pair = np.empty((dt.size, 2))
-    per_pair[:, 0] = slope * dt
-    per_pair[:, 1] = 0.5 * dt * (f_left + f_right)
-    running = mesh.running_sums(per_pair)
+    size = x_first + n_nodes - exit_start
 
     # chain node k is the left node of chain interval k: every chain node
     # but the segments' last; the chain's end node follows, then the exit
@@ -200,25 +195,54 @@ def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> 
     chain_left[ends] = False
     exit_first = node_start[n_chain:] + (x_first - exit_start)
 
+    def place(own, end):
+        """``own`` at the chain's nodes, ``end`` at the chain's end node, then ``own`` at the exit pieces'."""
+        out = np.zeros(size, dtype=own.dtype)
+        out[:k_chain] = own[:exit_start][chain_left]
+        out[k_chain] = end
+        out[x_first:x_first + own.size - exit_start] = own[exit_start:]
+        return out
+
     def nodes(own):
         """Node values: along the chain on top of earlier segments' totals, then the exit pieces' own."""
         before = np.concatenate(([0.0], np.cumsum(own[ends])))
-        chain = np.repeat(before[:-1], np.diff(mesh.first[:n_chain + 1])) + own[:exit_start][chain_left]
-        return np.concatenate((chain, before[-1:], own[exit_start:]))
+        out = place(own, before[-1])
+        out[:k_chain] += np.repeat(before[:-1], np.diff(mesh.first[:n_chain + 1]))
+        return out
 
     def intervals(values):
-        out = np.zeros(x_first + n_nodes - exit_start, dtype=values.dtype)
-        out[:k_chain] = values[:exit_start][chain_left]
-        out[x_first:-1] = values[exit_start:]
+        out = place(values, 0)
         out[exit_first[1:] - 1] = 0
         return out
 
-    states = np.concatenate((mesh.states[:exit_start][chain_left], mesh.states[[exit_start - 1]],
-                             mesh.states[exit_start:]))
-    tables = _Nodes(times=memoryview(nodes(mesh.times)), states=memoryview(states),
-                    hazard=memoryview(nodes(running[:, 0])), slope=memoryview(intervals(slope)),
-                    cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
-                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions[:-1])))
+    actions = np.repeat(piece_action, np.diff(node_start))
+    action_table = intervals(actions[:-1])
+    at = np.arange(n_nodes)
+    at *= mesh.lam_nodes.shape[1]
+    at += actions
+    del actions
+    lam = mesh.lam_nodes.ravel().take(at)
+    f = mesh.f_nodes.ravel().take(at)
+    del at
+    slope = lam[:-1] + lam[1:]
+    slope *= 0.5
+    del lam
+    slope_table = intervals(slope)
+    slope *= mesh.pair_dt  # the hazard over each pair
+    hazard = nodes(mesh.running_sums(slope))
+    del slope
+    f_left, f_right = intervals(f[:-1]), intervals(f[1:])
+    f_sum = f[:-1] + f[1:]
+    del f
+    cost = 0.5 * mesh.pair_dt
+    cost *= f_sum  # the running cost over each pair
+    del f_sum
+    cost_cum = nodes(mesh.running_sums(cost))
+    del cost
+    tables = _Nodes(times=memoryview(nodes(mesh.times)),
+                    states=memoryview(place(mesh.states, mesh.states[exit_start - 1])),
+                    hazard=memoryview(hazard), slope=memoryview(slope_table), cost_cum=memoryview(cost_cum),
+                    f_left=memoryview(f_left), f_right=memoryview(f_right), actions=memoryview(action_table))
     node_of = mesh.first[np.minimum(np.arange(n_lines), n_chain)].tolist()
     exit_first = exit_first.tolist()
     return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))
@@ -323,8 +347,12 @@ def _keyed_draw(lo: list, hi: list, w: float, v: float, target: float) -> int:
 
 
 def _cumulative_rows(kernel: np.ndarray) -> tuple[list, list]:
-    """Per (state, action) kernel row: its cumulative sums and its ``sum()``, as lists."""
-    return (np.cumsum(kernel, axis=-1).tolist(),
+    """Per (state, action) kernel row: its cumulative sums and its ``sum()``, as lists.
+
+    The sums are taken one state's rows at a time, so no array of the
+    kernel's size is held beside the lists.
+    """
+    return ([np.cumsum(rows, axis=-1).tolist() for rows in kernel],
             [[float(row.sum()) for row in rows] for rows in kernel])
 
 

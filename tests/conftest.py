@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,21 @@ import pdmp_avgctl as pa
 
 BUNDLED = ["ctmdp_2state", "ctmdp_3state", "renewal_cycle", "drift_boundary_64", "decay_flow_16"]
 TRIVIAL_FLOW_BUNDLED = ["ctmdp_2state", "ctmdp_3state"]
+
+
+def traced(call):
+    """``call()``, with the bytes it leaves allocated and the peak it reached above its start.
+
+    numpy reports its buffers to :mod:`tracemalloc`, so both are
+    deterministic.
+    """
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -204,6 +205,26 @@ class TestBadInput:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("t_max", [-5, 0, math.inf, math.nan], ids=["negative", "zero", "inf", "nan"])
+    def test_bad_t_max_is_refused(self, write_model, tmp_path, capsys, command, t_max):
+        doc = json.loads(pa.bundled_model_path("decay_flow_16").read_text())
+        doc["flow"]["t_max"] = t_max
+        code = run_cli([command, "--model", write_model(doc), "--out", tmp_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: 'flow.t_max' must be a finite number > 0, got {t_max!r}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("field", ["feasible", "boundary_feasible"])
+    @pytest.mark.parametrize("index", [0.5, True], ids=["fractional", "bool"])
+    def test_non_integer_action_index_is_refused(self, write_model, tmp_path, capsys, command, field, index):
+        doc = json.loads(pa.bundled_model_path("drift_boundary_64").read_text())
+        doc["actions"][field][0] = [index]
+        code = run_cli([command, "--model", write_model(doc), "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: 'actions.{field}[0]' must hold integer action indices\n"
 
 
 class TestSolveArtifacts:

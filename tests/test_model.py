@@ -77,6 +77,9 @@ class TestLoadModel:
         ([[0, 1], [-1, 0]], ModelFormatError, r"^'actions\.feasible\[1\]' contains an action index outside 0\.\.1$"),
         ([[0, 1], [[0], [1]]], ModelFormatError, r"^'actions\.feasible\[1\]' must be a flat list of action indices$"),
         ([[0, 1]], DimensionError, r"^'actions\.feasible': expected 2 entries, got 1$"),
+        ([[0, 1], [0, 0.5]], ModelFormatError, r"^'actions\.feasible\[1\]' must hold integer action indices$"),
+        ([[0, 1], [True]], ModelFormatError, r"^'actions\.feasible\[1\]' must hold integer action indices$"),
+        ([[0, 1], [1.0]], ModelFormatError, r"^'actions\.feasible\[1\]' must hold integer action indices$"),
     ])
     def test_bad_feasible_lists_are_refused(self, write_model, feasible, error, message):
         doc = two_state_jump_doc()

@@ -12,6 +12,7 @@ from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges
                                     _rng_stream, _standard_error, _uniform_block)
 
 import reference_simulation
+from conftest import traced
 from reference_quadrature import policy_paths
 from test_operator_properties import FLOWS, random_model_docs
 from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
@@ -118,6 +119,17 @@ def line_arrays(line) -> dict:
 
 
 class TestLineTables:
+    def test_preparation_peak_stays_near_what_it_keeps(self, models, workspaces, solved):
+        # the tables of decay_flow_16's PIA-optimal policy at its refined
+        # fill: each node table is made as soon as its inputs are at hand,
+        # and every node array goes after its last read, so the peak is 1.13
+        # times the bytes the tables keep (2.23 times with transient copies)
+        model = models["decay_flow_16"]
+        tables, kept, peak = traced(lambda: pa.prepare_simulation(model, solved["decay_flow_16"][1],
+                                                                  workspace=workspaces["decay_flow_16"]))
+        assert len(tables.nodes.times) > 20000
+        assert peak <= 1.35 * kept, (peak, kept)
+
     def test_match_the_reference_paths(self, models, workspaces):
         # a line's chain stretch and exit piece hold the reference path's
         # tables; a line that passes no grid point is its exit piece alone,

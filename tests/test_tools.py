@@ -104,6 +104,8 @@ def test_scaling_row_on_a_small_grid(tmp_path, monkeypatch):
         assert row[key] > 0.0 and row[f"ref_{key}"] > 0.0, key
         assert row[key] == float(f"{row[key]:.3g}") and row[f"ref_{key}"] == float(f"{row[f'ref_{key}']:.3g}"), key
     assert row["tables_mb"] > 0.0 and row["peak_rss_mb"] > 0.0
+    # the refinement builds the mesh it returns; the simulation tables hold a node table or more
+    assert row["refine_peak_mb"] >= row["mesh_mb"] and row["prepare_peak_mb"] > 0.0
     assert row["mc_us_per_jump"] > 0.0 and row["mc_fixed_us"] > 0.0
     assert row["ref_mc_us_per_jump"] > 0.0 and row["ref_mc_fixed_us"] > 0.0 and row["slowdown"] > 0.0
     assert set(bench.machine()) >= {"cores", "numpy", "python"}

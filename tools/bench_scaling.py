@@ -24,8 +24,12 @@ stationary (a line that is one constant exit piece and never hits the
 boundary): every drift_N line ends on the boundary, so the ``mc_*`` columns
 time the general jump branch only, never the simulator's short branch for
 stationary lines.  ``rss_after_load_mb`` is the process's peak RSS right
-after the first load, ``peak_rss_mb`` at the end.  Every time is recorded
-to 3 significant figures.
+after the first load, ``peak_rss_mb`` at the end.  ``refine_peak_mb`` and
+``prepare_peak_mb`` are the :mod:`tracemalloc` peaks, above their start, of
+one refinement (from a new workspace at ``DEFAULT_FILL``) and of one
+``prepare_simulation`` on the refined workspace, each run once outside the
+timed calls; numpy reports its buffers to :mod:`tracemalloc`, so they repeat
+exactly.  Every time is recorded to 3 significant figures.
 
 Each measuring process runs the benchmark's host-speed probe
 (``perfbench/speed.py``'s ``SpeedProbe``, loaded by path) throughout.
@@ -57,9 +61,11 @@ import json
 import os
 import platform
 import resource
+import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +117,23 @@ def _table_bytes(ws) -> int:
 
 def _rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def _peak_mb(call) -> float:
+    """The :mod:`tracemalloc` peak of one ``call()`` above its start, in MB.
+
+    The speed probe's samples, which allocate arrays of their own, are held
+    off until the call has returned.
+    """
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return round(peak / 2**20, 3)
 
 
 def _timed(call, before=None) -> list:
@@ -166,6 +189,7 @@ def _measure(path) -> tuple[dict, list]:
     policy = pa.FeedbackPolicy.lowest_feasible(model)
     timed("audit_s", lambda: pa.audit_assumptions(model, policy))
     fill = pa.refined_workspace(model, policy).fill
+    refine_peak = _peak_mb(lambda: pa.refined_workspace(model, policy))
     timed("refine_s", lambda: pa.refined_workspace(model, policy))
     timed("workspace_build_s", lambda: pa.OperatorWorkspace(model, fill))
     spare = []
@@ -180,6 +204,7 @@ def _measure(path) -> tuple[dict, list]:
     timed("evaluate_s", lambda: pa.evaluate_policy(model, policy, workspace=ws))
     timed("improve_certify_s", lambda: ws.improve_and_certify(result.rho, result.h, policy))
     tables = pa.prepare_simulation(model, policy, workspace=ws)
+    prepare_peak = _peak_mb(lambda: pa.prepare_simulation(model, policy, workspace=ws))
     jumps = []
 
     def replication():
@@ -203,6 +228,8 @@ def _measure(path) -> tuple[dict, list]:
                                                 mesh.f_nodes)) / 2**20, 3),
         "rss_after_load_mb": rss_after_load,
         "tables_mb": round(_table_bytes(ws) / 2**20, 3),
+        "refine_peak_mb": refine_peak,
+        "prepare_peak_mb": prepare_peak,
         "rho": result.rho,
         "peak_rss_mb": _rss_mb(),
     }, columns
