@@ -33,9 +33,7 @@ from .model import (
     bundled_model_path,
 )
 from .operators import (
-    KernelMatrix,
     OperatorWorkspace,
-    kernel_matrix,
     refined_workspace,
 )
 from .evaluation import (
@@ -45,7 +43,6 @@ from .evaluation import (
     invariant_measure,
     estimate_ergodic_constants,
     evaluate_policy,
-    residual,
 )
 from .policy_iteration import (
     PiaTrace,

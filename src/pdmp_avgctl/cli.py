@@ -316,7 +316,12 @@ def cmd_report(config: RunConfig) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read trace {trace_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = doc.get("iterations", [])
+    rows = doc.get("iterations") if isinstance(doc, dict) else None
+    fields = ("n", "rho", "poisson_residual", "optimality_residual")
+    if not isinstance(rows, list) or not all(isinstance(r, dict) and all(f in r for f in fields) for r in rows):
+        print(f"error: trace {trace_path} must be a JSON object with an \"iterations\" list of rows "
+              f"carrying {', '.join(fields)}", file=sys.stderr)
+        return EXIT_USAGE
     header = (f"# model_sha256={doc.get('model_sha256', '')} "
               f"tool_version={doc.get('tool_version', '')}")
     _write_csv(config.out_dir / "rho_vs_n.csv", header, ["n", "rho"],

