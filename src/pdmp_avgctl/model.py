@@ -410,8 +410,10 @@ def validate_model(model: PdmpModel) -> list[Violation]:
         out.append(Violation(invariant, location, float(magnitude), message))
 
     pts = model.grid.points
-    for name, coords in (("grid.points", pts), ("grid.boundary_points", model.grid.boundary_points)):
-        if not np.all(np.isfinite(coords)):  # a JSON null reads as NaN
+    for name, values in (("grid.points", pts), ("grid.boundary_points", model.grid.boundary_points),
+                         ("actions.values", model.action_grid.actions),
+                         ("kernel.interior", model.kernel_interior), ("kernel.boundary", model.kernel_boundary)):
+        if not np.all(np.isfinite(values)):  # a JSON null reads as NaN
             flag("finite", name, math.nan, f"{name} contains non-finite entries")
     diffs = np.diff(pts)
     for i in np.nonzero(diffs <= 0)[0]:
@@ -475,6 +477,14 @@ def validate_model(model: PdmpModel) -> list[Violation]:
         if not ok:
             flag("constants.range", name, value, f"constant {name}={value} outside its admissible range")
 
+    if not out:  # the mesh's geometry needs a well-formed model
+        from .operators import DEFAULT_FILL, _mesh_nodes, _oversized_mesh
+
+        chain = model.chain_geometry
+        _, nodes = _mesh_nodes(model, chain, DEFAULT_FILL)
+        refusal = _oversized_mesh(model, chain, DEFAULT_FILL, nodes)
+        if refusal is not None:
+            flag("mesh.size", "flow", nodes, refusal)
     return out
 
 

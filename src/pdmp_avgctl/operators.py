@@ -84,6 +84,11 @@ from .numerics import interp_weights, phi01
 DEFAULT_FILL = 8
 REFINE_TARGET = 5e-9
 MAX_FILL = 2048
+# the most nodes a mesh may have: 10**7 nodes of float64 times, states and
+# weights, int64 grid indices and the rate and cost per action take 0.64 GB
+# at two actions; the largest bundled or drift_N (N <= 1024) mesh has 9,216
+# nodes at DEFAULT_FILL and 2,098,176 at MAX_FILL (drift_1024)
+MAX_MESH_NODES = 10_000_000
 MIN_TAIL_INTERVALS = 8
 TIE_TOL = 1e-12
 CACHE_ENTRIES = 256
@@ -233,13 +238,34 @@ def _interval_counts(dur: np.ndarray, truncated_tail: np.ndarray, one_interval: 
     line sees the same spacing; an exit piece that stops at t_max takes at
     least max(MIN_TAIL_INTERVALS, fill) intervals instead.  A constant exit
     piece (``one_interval``) takes one interval, on which the quadrature is
-    exact."""
+    exact.  The counts are floats, so a count past the int64 range, or an
+    infinite one, reads as what it is."""
     counts = np.ceil(dur / (0.25 / lam_sup)) if lam_sup > 0.0 else np.zeros(dur.size)
     budget = np.where((dur > 0) & math.isfinite(base_h), np.ceil(dur / base_h), float(fill))
     budget[truncated_tail] = max(MIN_TAIL_INTERVALS, fill)
-    counts = np.maximum(np.maximum(counts, budget), 1).astype(np.int64)
+    counts = np.maximum(np.maximum(counts, budget), 1)
     counts[one_interval] = 1
     return counts
+
+
+def _mesh_nodes(model, chain: _ChainGeometry, fill: int) -> tuple[np.ndarray, float]:
+    """The intervals of each piece of ``model``'s mesh at ``fill`` (floats,
+    see :func:`_interval_counts`), and the nodes they make, predicted
+    without building the mesh."""
+    counts = _interval_counts(chain.dur, chain.truncated_tail, chain.one_interval, model.lambda_sup,
+                              chain.shortest / fill, fill)
+    return counts, float(counts.sum()) + counts.size
+
+
+def _oversized_mesh(model, chain: _ChainGeometry, fill: int, nodes: float) -> str | None:
+    """Why a mesh of ``nodes`` nodes at ``fill`` is refused, or None when it is
+    within ``MAX_MESH_NODES`` (a non-finite count is refused)."""
+    if nodes <= MAX_MESH_NODES:
+        return None
+    longest = float(chain.dur.max())
+    return (f"the mesh at fill {fill} would have {nodes:.3g} nodes, more than MAX_MESH_NODES = {MAX_MESH_NODES}: "
+            f"lambda_sup x duration is {model.lambda_sup * longest:.3g} on the longest piece ({longest:.3g} long), "
+            "and no mesh interval is longer than 0.25 / lambda_sup")
 
 
 def _flow_states(flow: FlowSpec, origin: np.ndarray, times: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -361,11 +387,18 @@ def _interpolated(table: np.ndarray, ilo: np.ndarray, wlo: np.ndarray) -> np.nda
 
 
 def _build_mesh(model, chain: _ChainGeometry, fill: int) -> _Mesh:
-    """Every piece's nodes at ``fill``, in one vectorized pass."""
+    """Every piece's nodes at ``fill``, in one vectorized pass.
+
+    A mesh of more than ``MAX_MESH_NODES`` nodes is refused with
+    ``ValueError`` before anything is allocated.
+    """
     points = model.grid.points
     dur = chain.dur
-    counts = _interval_counts(dur, chain.truncated_tail, chain.one_interval, model.lambda_sup,
-                              chain.shortest / fill, fill)
+    counts, n_nodes = _mesh_nodes(model, chain, fill)
+    refusal = _oversized_mesh(model, chain, fill, n_nodes)
+    if refusal is not None:
+        raise ValueError(refusal)
+    counts = counts.astype(np.int64)
 
     # node k of a piece sits at k * (duration / count), the arithmetic of
     # np.linspace; each piece ends exactly on its duration

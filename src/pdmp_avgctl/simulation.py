@@ -27,10 +27,26 @@ searched in place by :mod:`bisect` without a copy.  The sojourn is one
 ``bisect_right(C, C[b_j] + level, b_j, e_j)`` on the chain, or, when the
 hazard level passes the chain's end, the same search over the exit piece's
 nodes; the running-cost integral reuses the interval found.  The post-jump
-state is one ``bisect_left`` on a precomputed cumulative kernel row; between
-grid points, one on each neighbouring row brackets the search on their
-linear mixture, and only a failed bracket check calls the keyed bisect.
-Uniforms are drawn from the stream in blocks.
+state is one ``bisect_left`` on a precomputed cumulative kernel row.
+Between grid points the row is the linear mixture of the two neighbouring
+rows, whose cell the interval's ``cell`` entry guesses (two comparisons
+check it, and only a failed check searches the grid): one ``bisect_left``
+on the lower neighbour's row, then a step at a time to the first state
+whose mixed key ``w lo[q] + v hi[q]`` reaches the target.  With no
+negative kernel entry the key does not decrease along the row, so that is
+the state a binary search on the keys finds, and on neighbouring rows that
+differ little it lies within a few states of the lower row's crossing.  The loop runs once per pair of a
+block of uniforms drawn from the stream; the jump-count guard cuts the
+block where it trips.
+
+A hazard level that passes the whole of a line that hits the boundary (the
+chain stretch and the whole exit piece) always gives the same sojourn,
+``chain_time + end``, and the same running cost, stored as the line's
+``pass_cost``.  The loop takes a third branch for such a boundary pass: it
+adds the two with the boundary charge and draws the post-jump state on the
+boundary row, the general branch's arithmetic with its searches done once
+when the tables are built.  The general branch draws interior jumps and
+sojourns past ``t_max`` only.
 
 A stationary line is one such constant exit piece and nothing else: no
 chain stretch, no boundary hit, and one stored kernel row for every
@@ -52,7 +68,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -93,9 +109,14 @@ class _Nodes:
     exit pieces follow in flow order, one block of nodes each, timed from the
     piece's start, with hazard and cost summed from 0 there.  Interval tables
     are indexed by their left node; the entry at a block's last node is
-    unused.  Each table is a ``memoryview`` of a float64 (``actions``: int64)
-    array: indexing it gives a Python number and :mod:`bisect` searches it,
-    without copying the array.
+    unused.  ``cell`` is each interval's grid cell: the lower of its two
+    nodes' cells, where the cell of a state is the clamped index ``i`` whose
+    grid points ``i`` and ``i + 1`` bound it (``mesh.ilo``).  A jump state on
+    the interval lies between the nodes' states, so the post-jump draw takes
+    it as a guess at the jump state's cell and checks it.  Each table is a
+    ``memoryview`` of a float64 (``actions``, ``cell``: int64) array:
+    indexing it gives a Python number and :mod:`bisect` searches it, without
+    copying the array.
     """
 
     times: memoryview
@@ -106,6 +127,7 @@ class _Nodes:
     f_left: memoryview
     f_right: memoryview
     actions: memoryview      # interval actions
+    cell: memoryview         # interval grid cells
 
 
 class _Stationary(NamedTuple):
@@ -135,9 +157,11 @@ class _Line:
     values at ``b``, and ``chain_*`` the hazard, time and running cost
     between ``b`` and ``e``.  ``x0``/``x1`` are the first and last nodes of
     the chain end's exit piece; the scalars are its totals and what a
-    sojourn past the tabulated horizon needs.  ``stationary`` is what the
-    jump loop's short branch reads on a stationary line, and None on any
-    other line.
+    sojourn past the tabulated horizon needs.  ``pass_cost``, set from the
+    rest, is the running cost of the whole line, ``_cost_to(line,
+    chain_time + end)``: what a sojourn that ends on the boundary hit costs.
+    ``stationary`` is what the jump loop's short branch reads on a
+    stationary line, and None on any other line.
     """
 
     nodes: _Nodes            # shared by every line, not copied
@@ -162,6 +186,11 @@ class _Line:
     state_tail: float
     action_tail: int         # the exit piece's action
     stationary: _Stationary | None
+    pass_cost: float = field(init=False)  # the running cost of a sojourn to the line's end
+
+    def __post_init__(self):
+        # the whole line's running cost is _cost_to's on the line itself
+        object.__setattr__(self, "pass_cost", _cost_to(self, self.chain_time + self.end))
 
 
 def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, list]:
@@ -217,6 +246,9 @@ def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> 
 
     actions = np.repeat(piece_action, np.diff(node_start))
     action_table = intervals(actions[:-1])
+    cell = np.minimum(mesh.ilo[:-1], mesh.ilo[1:])
+    cell_table = intervals(cell)
+    del cell
     at = np.arange(n_nodes)
     at *= mesh.lam_nodes.shape[1]
     at += actions
@@ -242,7 +274,8 @@ def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> 
     tables = _Nodes(times=memoryview(nodes(mesh.times)),
                     states=memoryview(place(mesh.states, mesh.states[exit_start - 1])),
                     hazard=memoryview(hazard), slope=memoryview(slope_table), cost_cum=memoryview(cost_cum),
-                    f_left=memoryview(f_left), f_right=memoryview(f_right), actions=memoryview(action_table))
+                    f_left=memoryview(f_left), f_right=memoryview(f_right), actions=memoryview(action_table),
+                    cell=memoryview(cell_table))
     node_of = mesh.first[np.minimum(np.arange(n_lines), n_chain)].tolist()
     exit_first = exit_first.tolist()
     return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))
@@ -277,12 +310,17 @@ class SimulationTables:
 
     Besides the shared :class:`_Nodes` and one :class:`_Line` per start state
     it holds, as Python lists, the model data a post-jump draw reads: the
-    grid points, the cumulative kernel rows, each kernel row's ``sum()`` and
-    the boundary charges.  A stationary line carries its
-    :class:`_Stationary`, which holds its cumulative kernel row.  An
-    infeasible policy (an action outside a state's feasible set, or outside
-    the action grid) is refused with ``ValueError`` before anything is
-    built, and so is a ``workspace`` built for another model.
+    grid points, the cells' bounds, the cumulative kernel rows, each kernel
+    row's ``sum()`` and the boundary charges.  ``cell_bounds`` is the grid
+    points with the first and last replaced by -inf and inf, so cell ``i``
+    holds the states ``y`` with ``cell_bounds[i] <= y < cell_bounds[i +
+    1]``, the states outside the grid included.  A stationary line carries
+    its :class:`_Stationary`, which holds its cumulative kernel row.  The
+    kernel rows' cumulative sums are taken for each policy's tables, not
+    once per model.  An infeasible policy (an action outside a state's
+    feasible set, or outside the action grid) is refused with ``ValueError``
+    before anything is built, and so is a ``workspace`` built for another
+    model.
     """
 
     def __init__(self, model, policy, *, workspace: OperatorWorkspace | None = None):
@@ -295,6 +333,7 @@ class SimulationTables:
         ws = workspace if workspace is not None else OperatorWorkspace(model)
         mesh = ws.mesh
         self.points = model.grid.points.tolist()
+        self.cell_bounds = [-math.inf] + self.points[1:-1] + [math.inf]
         self.interior_cum, self.interior_sum = _cumulative_rows(model.kernel_interior)
         self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
         self.boundary_cost = model.boundary_cost.tolist()
@@ -339,11 +378,6 @@ class SimulationTables:
                 action_tail=act,
                 stationary=stationary,
             ))
-
-
-def _keyed_draw(lo: list, hi: list, w: float, v: float, target: float) -> int:
-    """The first state whose mixed cumulative key ``w lo[q] + v hi[q]`` reaches ``target``."""
-    return bisect_left(range(len(lo)), target, key=lambda q: w * lo[q] + v * hi[q])
 
 
 def _cumulative_rows(kernel: np.ndarray) -> tuple[list, list]:
@@ -532,21 +566,21 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     edge_costs = []
     next_edge = edges[0]
 
-    lines = tabs.lines
-    nodes = tabs.nodes
-    n_hazard, n_times, n_states, n_slope, n_actions = \
-        nodes.hazard, nodes.times, nodes.states, nodes.slope, nodes.actions
-    n_cost, n_f_left, n_f_right = nodes.cost_cum, nodes.f_left, nodes.f_right
     points = tabs.points
     n = len(points)
     last = n - 1
+    # one line past the last, so a draw one past a row's end needs no clamp
+    lines = tabs.lines + tabs.lines[-1:]
+    nodes = tabs.nodes
+    n_hazard, n_times, n_states, n_slope, n_actions, n_cell = \
+        nodes.hazard, nodes.times, nodes.states, nodes.slope, nodes.actions, nodes.cell
+    n_cost, n_f_left, n_f_right = nodes.cost_cum, nodes.f_left, nodes.f_right
+    bounds = tabs.cell_bounds
     cum, total = tabs.interior_cum, tabs.interior_sum
     boundary_cum, boundary_sum, boundary_cost = tabs.boundary_cum, tabs.boundary_sum, tabs.boundary_cost
     cost_to = _cost_to
     log1p = math.log1p
-    rate_floor, block_size = RATE_FLOOR, UNIFORM_BLOCK
-    block = _uniform_block(rng)
-    drawn = 0
+    rate_floor, block_pairs = RATE_FLOOR, UNIFORM_BLOCK // 2
     t = 0.0
     j = int(x0)
     cost_f = 0.0
@@ -556,123 +590,125 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     jt, jz, jh, jcum = [], [], [], []
 
     while t < horizon:
-        line = lines[j]
-        if drawn == block_size:
-            block = _uniform_block(rng)
-            drawn = 0
-        u_jump = block[drawn + 1]
-        level = -log1p(-block[drawn])
-        drawn += 2
-        still = line.stationary
-        if still is not None:
-            # a stationary line: the general branch's arithmetic on its one
-            # interval, where the chain stretch, the node searches and the
-            # row interpolation drop out
-            rate, end, hazard_end, lam_tail, f_sum, cost_end, f_tail, row, row_total = still
-            hit = False
-            if level < hazard_end:
-                sojourn = level / rate if rate > rate_floor else 0.0
-            elif lam_tail <= rate_floor:
-                raise SimulationError(_DEAD_TAIL)
+        block = _uniform_block(rng)
+        if max_jumps - jumps < block_pairs:
+            # cut the block so that its last pair makes the jump that trips the guard
+            block = block[:2 * (max_jumps + 1 - jumps)]
+        pairs = iter(block)
+        for u_level, u_jump in zip(pairs, pairs):
+            line = lines[j]
+            level = -log1p(-u_level)
+            still = line.stationary
+            if still is not None:
+                # a stationary line: the general branch's arithmetic on its one
+                # interval, where the chain stretch, the node searches and the
+                # row interpolation drop out
+                rate, end, hazard_end, lam_tail, f_sum, cost_end, f_tail, row, row_total = still
+                hit = False
+                if level < hazard_end:
+                    sojourn = level / rate if rate > rate_floor else 0.0
+                elif lam_tail <= rate_floor:
+                    raise SimulationError(_DEAD_TAIL)
+                else:
+                    sojourn = end + (level - hazard_end) / lam_tail
+            elif line.hit and level >= line.chain_hazard and level - line.chain_hazard >= line.hazard_end:
+                # a boundary pass: the level passes the chain stretch and the
+                # whole exit piece, so the sojourn ends on the boundary hit
+                sojourn, hit = line.chain_time + line.end, True
             else:
-                sojourn = end + (level - hazard_end) / lam_tail
-        else:
-            # the sojourn: inverse transform of the uniform on the cumulative
-            # hazard, over the nodes of the chain stretch (timed from node b)
-            # or of the exit piece (timed from its start, after the chain
-            # time); k is the interval holding it, -1 past the table
-            if level < line.chain_hazard:
-                level += line.hazard_b
-                k = bisect_right(n_hazard, level, line.b, line.e) - 1
-                t_base = line.time_b
-                t_before = 0.0
-            else:
-                level -= line.chain_hazard
-                k = bisect_right(n_hazard, level, line.x0, line.x1) - 1 if level < line.hazard_end else -1
-                t_base = 0.0
-                t_before = line.chain_time
-            if k >= 0:
-                m = n_slope[k]
-                t_k = n_times[k]
-                t_k1 = n_times[k + 1]
-                dt = t_k1 - t_k
-                sigma = (level - n_hazard[k]) / m if m > rate_floor else 0.0
-                frac = sigma / dt if dt > 0 else 0.0
-                y_k = n_states[k]
-                y_jump = y_k + (n_states[k + 1] - y_k) * frac
-                sojourn, hit, act = t_before + (t_k - t_base + sigma), False, n_actions[k]
-            else:
-                y_jump = line.state_tail
-                if line.hit:
-                    sojourn, hit, act = t_before + line.end, True, line.boundary_action
+                # the sojourn: inverse transform of the uniform on the cumulative
+                # hazard, over the nodes of the chain stretch (timed from node b)
+                # or of the exit piece (timed from its start, after the chain
+                # time); k is the interval holding it, -1 past the table
+                hit = False
+                if level < line.chain_hazard:
+                    level += line.hazard_b
+                    k = bisect_right(n_hazard, level, line.b, line.e) - 1
+                    t_base = line.time_b
+                    t_before = 0.0
+                else:
+                    level -= line.chain_hazard
+                    k = bisect_right(n_hazard, level, line.x0, line.x1) - 1 if level < line.hazard_end else -1
+                    t_base = 0.0
+                    t_before = line.chain_time
+                if k >= 0:
+                    m = n_slope[k]
+                    t_k = n_times[k]
+                    t_k1 = n_times[k + 1]
+                    dt = t_k1 - t_k
+                    sigma = (level - n_hazard[k]) / m if m > rate_floor else 0.0
+                    frac = sigma / dt if dt > 0 else 0.0
+                    y_k = n_states[k]
+                    y_jump = y_k + (n_states[k + 1] - y_k) * frac
+                    sojourn, act, i = t_before + (t_k - t_base + sigma), n_actions[k], n_cell[k]
                 elif line.lam_tail <= rate_floor:
                     raise SimulationError(_DEAD_TAIL)
                 else:
-                    sojourn, hit, act = t_before + (line.end + (level - line.hazard_end) / line.lam_tail), False, \
+                    y_jump = line.state_tail
+                    sojourn, act = t_before + (line.end + (level - line.hazard_end) / line.lam_tail), \
                         line.action_tail
-        t_next = t + sojourn
-        # a jump landing exactly on the horizon still counts (T_i <= t convention)
-        if t_next > horizon:
-            while next_edge < horizon:
+                    i = bisect_right(bounds, y_jump) - 1
+            t_next = t + sojourn
+            # a jump landing exactly on the horizon still counts (T_i <= t convention)
+            if t_next > horizon:
+                while next_edge < horizon:
+                    edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
+                    next_edge = edges[len(edge_costs)]
+                cost_f += cost_to(line, horizon - t)
+                t = horizon
+                break
+            while next_edge < t_next:
                 edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
                 next_edge = edges[len(edge_costs)]
-            cost_f += cost_to(line, horizon - t)
-            t = horizon
-            break
-        while next_edge < t_next:
-            edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
-            next_edge = edges[len(edge_costs)]
 
-        if still is not None:
-            # _cost_to(line, sojourn) on the one interval, and the post-jump
-            # state on the line's one kernel row
-            if sojourn < end:
-                cost_f += 0.5 * sojourn * f_sum
-            else:
-                cost_f += cost_end + (sojourn - end) * f_tail
-            j = bisect_left(row, u_jump * row_total)
-        else:
-            # the running cost of the sojourn: _cost_to(line, sojourn), with
-            # the sojourn's interval k as the guess at the interval holding it
-            tau = sojourn
-            if tau < line.chain_time:
-                lo, hi, c_base, c_before = line.b, line.e, line.cost_b, 0.0
-                tau += line.time_b
-            else:
-                tau -= line.chain_time
-                lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
-                if tau >= line.end:  # past the table: no interval to integrate
-                    lo = -1
-                    cost_f += line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
-            if lo >= 0:
-                # t_k and t_k1 still hold the times at the ends of the sojourn's interval k
-                if not (lo <= k < hi and t_k <= tau < t_k1):
-                    k = bisect_right(n_times, tau, lo, hi) - 1
-                    t_k = n_times[k]
-                    t_k1 = n_times[k + 1]
-                dt = t_k1 - t_k
-                sigma = tau - t_k
-                f_k = n_f_left[k]
-                f_at = f_k + (n_f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
-                cost_f += c_before + (n_cost[k] - c_base + 0.5 * sigma * (f_k + f_at))
-
-            # the post-jump state: the first whose cumulative kernel mass
-            # reaches u times the row's, on the boundary row on a hit, else
-            # on the kernel row interpolated between the grid points around
-            # y_jump; between them the search on the mixed key is bracketed
-            # by the first crossings of the two rows (checked one past each
-            # end; _keyed_draw when a check fails)
-            if hit:
+            if still is not None:
+                # _cost_to(line, sojourn) on the one interval, and the post-jump
+                # state on the line's one kernel row
+                if sojourn < end:
+                    cost_f += 0.5 * sojourn * f_sum
+                else:
+                    cost_f += cost_end + (sojourn - end) * f_tail
+                j = bisect_left(row, u_jump * row_total)
+            elif hit:
+                # the whole line's running cost, the boundary charge, and the
+                # post-jump state on the boundary row
+                cost_f += line.pass_cost
                 b, a = line.boundary_index, line.boundary_action
                 cost_r += boundary_cost[b][a]
                 hits += 1
                 j = bisect_left(boundary_cum[b][a], u_jump * boundary_sum[b][a])
             else:
-                i = bisect_right(points, y_jump) - 1
-                if i < 0:
-                    i = 0
-                elif i > n - 2:
-                    i = n - 2
+                # the running cost of the sojourn: _cost_to(line, sojourn), with
+                # the sojourn's interval k as the guess at the interval holding it
+                tau = sojourn
+                if tau < line.chain_time:
+                    lo, hi, c_base, c_before = line.b, line.e, line.cost_b, 0.0
+                    tau += line.time_b
+                else:
+                    tau -= line.chain_time
+                    lo, hi, c_base, c_before = line.x0, line.x1, 0.0, line.chain_cost
+                    if tau >= line.end:  # past the table: no interval to integrate
+                        lo = -1
+                        cost_f += line.chain_cost + (line.cost_end + (tau - line.end) * line.f_tail)
+                if lo >= 0:
+                    # t_k and t_k1 still hold the times at the ends of the sojourn's interval k
+                    if not (lo <= k < hi and t_k <= tau < t_k1):
+                        k = bisect_right(n_times, tau, lo, hi) - 1
+                        t_k = n_times[k]
+                        t_k1 = n_times[k + 1]
+                    dt = t_k1 - t_k
+                    sigma = tau - t_k
+                    f_k = n_f_left[k]
+                    f_at = f_k + (n_f_right[k] - f_k) * (sigma / dt if dt > 0 else 0.0)
+                    cost_f += c_before + (n_cost[k] - c_base + 0.5 * sigma * (f_k + f_at))
+
+                # the post-jump state: the first whose cumulative kernel mass
+                # reaches u times the row's, on the kernel row interpolated
+                # between the grid points around y_jump, whose cell i is the
+                # guess checked here; between them, the first whose mixed key
+                # reaches it, stepped to from the lower row's first crossing
+                if not bounds[i] <= y_jump < bounds[i + 1]:
+                    i = bisect_right(bounds, y_jump) - 1
                 frac = (y_jump - points[i]) / (points[i + 1] - points[i])
                 if frac < 0.0:
                     frac = 0.0
@@ -688,24 +724,19 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
                     row_lo, row_hi = cum[i][act], cum[i + 1][act]
                     target = u_jump * (w * total[i][act] + v * total[i + 1][act])
                     j = bisect_left(row_lo, target)
-                    j_end = bisect_left(row_hi, target)
-                    if j_end < j:
-                        j, j_end = j_end, j
-                    if (j == 0 or w * row_lo[j - 1] + v * row_hi[j - 1] < target) and \
-                            (j_end == n or w * row_lo[j_end] + v * row_hi[j_end] >= target):
-                        while j < j_end and w * row_lo[j] + v * row_hi[j] < target:
-                            j += 1
-                    else:
-                        j = _keyed_draw(row_lo, row_hi, w, v, target)
-        if j > last:
-            j = last
-        jumps += 1
-        t = t_next
-        if record:
-            jt.append(t)
-            jz.append(j)
-            jh.append(hit)
-            jcum.append(cost_f + cost_r)
+                    while j < n and w * row_lo[j] + v * row_hi[j] < target:
+                        j += 1
+                    while j and w * row_lo[j - 1] + v * row_hi[j - 1] >= target:
+                        j -= 1
+            jumps += 1
+            t = t_next
+            if record:
+                jt.append(t)
+                jz.append(j if j < n else last)
+                jh.append(hit)
+                jcum.append(cost_f + cost_r)
+            if not t < horizon:
+                break
         if jumps > max_jumps:
             raise SimulationExplosionError(
                 f"jump count exceeded the guard ({max_jumps}) at t={t:.6g}",

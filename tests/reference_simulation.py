@@ -297,6 +297,7 @@ def gathered_node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: 
     lam, f = mesh.lam_nodes, mesh.f_nodes
     slope = 0.5 * (lam[left, actions] + lam[left + 1, actions])
     f_left, f_right = f[left, actions], f[left + 1, actions]
+    cell = np.minimum(mesh.ilo[left], mesh.ilo[left + 1])
     per_interval = np.empty((dt.size, 2))
     per_interval[:, 0] = slope * dt
     per_interval[:, 1] = 0.5 * dt * (f_left + f_right)
@@ -323,7 +324,8 @@ def gathered_node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: 
     tables = _Nodes(times=memoryview(nodes(mesh.times)), states=memoryview(states),
                     hazard=memoryview(nodes(running[:, 0])), slope=memoryview(intervals(slope)),
                     cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
-                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)))
+                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)),
+                    cell=memoryview(intervals(cell)))
     node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
     exit_first = (mesh.node_start[n_chain:] + (x_first - exit_start)).tolist()
     return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl import cli
+from pdmp_avgctl import cli, operators
 
 from toy_models import dominated_toy_doc, renewal_doc, two_state_jump_doc
 
@@ -254,6 +255,59 @@ class TestBadInput:
         doc["grid"][key][0] = None
         assert run_cli(["validate", "--model", write_model(doc), "--out", tmp_path]) == 1
         assert f"violation [finite] at grid.{key}: grid.{key} contains non-finite entries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, path", [
+        ("ctmdp_2state", ("kernel", "interior", 0, 0, 0)),
+        ("drift_boundary_64", ("kernel", "boundary", 0, 1, 3)),
+        ("ctmdp_2state", ("actions", "values", 0)),
+    ], ids=["kernel.interior", "kernel.boundary", "actions.values"])
+    def test_a_null_kernel_entry_or_action_value_fails_validation(self, write_model, tmp_path, capsys, name, path):
+        # a JSON null reads as NaN, which the kernel's row-sum and sign checks never flag
+        doc = json.loads(pa.bundled_model_path(name).read_text())
+        *parents, key = path
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = None
+        table = ".".join(path[:2])
+        model = write_model(doc)
+        assert run_cli(["validate", "--model", model, "--out", tmp_path]) == 1
+        assert f"violation [finite] at {table}: {table} contains non-finite entries" in capsys.readouterr().out
+        assert run_cli(["solve", "--model", model, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == "error: model fails validation\n"
+
+    @pytest.mark.parametrize("rate", [1e12, 1e300], ids=["above-the-cap", "non-finite"])
+    def test_a_mesh_past_the_node_cap_is_refused(self, write_model, tmp_path, capsys, rate):
+        # every rate at 1e12 asks decay_flow_16 for 1.1e13 nodes (80.7 TiB), and
+        # at 1e300 for an infinite count; neither is allocated
+        doc = json.loads(pa.bundled_model_path("decay_flow_16").read_text())
+        doc["rates"]["lambda"] = [[rate] * len(row) for row in doc["rates"]["lambda"]]
+        model = write_model(doc)
+        assert run_cli(["validate", "--model", model, "--out", tmp_path]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"violation [mesh.size] at flow: the mesh at fill {operators.DEFAULT_FILL} would have ")
+        assert f"nodes, more than MAX_MESH_NODES = {operators.MAX_MESH_NODES}: lambda_sup x duration is " in out
+        assert out.count("\n") == 1
+        assert run_cli(["solve", "--model", model, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == "error: model fails validation\n"
+        with pytest.raises(ValueError, match="more than MAX_MESH_NODES"):
+            pa.OperatorWorkspace(pa.load_model(model))
+
+    def test_a_t_max_far_past_every_jump_solves_as_the_default(self, write_model, tmp_path):
+        # decay_flow_16's one exit piece is constant, one interval at any t_max:
+        # t_max = 1e300 leaves its mesh and rho as they are, with no count cast
+        # from inf to int64 on the way
+        doc = json.loads(pa.bundled_model_path("decay_flow_16").read_text())
+        rhos = []
+        for t_max in (None, 1e300):
+            if t_max is not None:
+                doc["flow"]["t_max"] = t_max
+            out = tmp_path / str(t_max)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli(["solve", "--model", write_model(doc), "--out", out]) == 0
+            rhos.append(json.loads((out / "evaluation.json").read_text())["rho"])
+        assert rhos[0] == rhos[1]
 
     @pytest.mark.parametrize("trace", [
         [{"n": 0, "rho": 1.0, "poisson_residual": 0.0, "optimality_residual": 0.0}],

@@ -212,9 +212,11 @@ def loop_draws(tables, line, hit: bool, y: float, action: int, us: list) -> list
     def table(values, dtype=float):
         return memoryview(np.array(values, dtype=dtype))
 
+    cell = min(max(bisect_right(tables.points, y) - 1, 0), len(tables.points) - 2)
     nodes = _Nodes(times=table([0.0, 1.0]), states=table([y, y]), hazard=table([0.0, rate]),
                    slope=table([rate, 0.0]), cost_cum=table([0.0, 0.0]), f_left=table([0.0, 0.0]),
-                   f_right=table([0.0, 0.0]), actions=table([action, action], np.int64))
+                   f_right=table([0.0, 0.0]), actions=table([action, action], np.int64),
+                   cell=table([cell, 0], np.int64))
     rest = _Line(nodes=nodes, b=0, e=0, x0=0, x1=1, hazard_b=0.0, time_b=0.0, cost_b=0.0,
                  chain_hazard=0.0, chain_time=0.0, chain_cost=0.0, hit=hit,
                  boundary_index=line.boundary_index, boundary_action=line.boundary_action,
@@ -394,6 +396,32 @@ def test_trajectories_match_the_reference_loop(flow, data):
         assert summ == ref_summ
 
 
+@pytest.mark.parametrize("name, x0", [("drift_boundary_64", 4), ("decay_flow_16", 0)])
+def test_a_draw_one_past_a_row_end_is_recorded_on_the_last_state(models, monkeypatch, name, x0):
+    # the kernel row of state x0 under action 0 has a sum() past its last
+    # cumulative value, so a first jump at grid point x0 (hazard level 0:
+    # on drift_boundary_64's chain, on decay_flow_16's stationary line) with
+    # a second uniform just below 1 draws one past the row's end; the record
+    # holds the last state, and the trajectory goes on from it as the
+    # reference loop's does
+    model = models[name]
+    policy = pa.FeedbackPolicy.lowest_feasible(model)
+    tables = pa.prepare_simulation(model, policy)
+    u = math.nextafter(1.0, 0.0)
+    assert policy.interior[x0] == 0 and (tables.lines[x0].stationary is None) == (name == "drift_boundary_64")
+    assert bisect_left(tables.interior_cum[x0][0], u * tables.interior_sum[x0][0]) == model.n_states
+    block = [0.0, u] + np.random.default_rng(17).random(UNIFORM_BLOCK - 2).tolist()
+    for module in (pa.simulation, reference_simulation):
+        monkeypatch.setattr(module, "_uniform_block", lambda rng: block)
+    rec, summ = pa.simulate(model, policy, x0, 60.0, 0, tables=tables)
+    ref_rec, ref_summ = reference_simulation.simulate(model, policy, x0, 60.0, 0, tables=tables)
+    assert rec.jump_times[0] == 0.0 and rec.post_jump_states[0] == model.n_states - 1
+    assert rec.jump_count == ref_rec.jump_count > 1
+    for field in ("jump_times", "post_jump_states", "hit_boundary", "cost_at_jumps"):
+        assert np.array_equal(getattr(rec, field), getattr(ref_rec, field)), field
+    assert summ == ref_summ
+
+
 def stationary_cases(tables, record, x0: int, seed: int, replication: int) -> Counter:
     """How many recorded jumps left a stationary line inside its one interval, and how many past it.
 
@@ -429,6 +457,26 @@ def test_reference_loop_examples_reach_both_stationary_cases(monkeypatch, capsys
     with capsys.disabled():
         print(f"\nstationary jumps in the trivial reference-loop examples: {dict(cases)}")
     assert cases["in_piece"] > 0 and cases["past_t_max"] > 0
+
+
+def test_reference_loop_examples_reach_the_boundary_pass(monkeypatch, capsys):
+    # the examples of test_trajectories_match_the_reference_loop prove the
+    # closed-form boundary branch bit-identical to the reference loop: every
+    # recorded boundary hit is a jump whose hazard level passed a whole line
+    passes = Counter()
+    simulate = pa.simulate
+
+    def counting(model, policy, x0, horizon, seed, **kwargs):
+        out = simulate(model, policy, x0, horizon, seed, **kwargs)
+        passes[flow] += out[0].boundary_hits
+        return out
+
+    monkeypatch.setattr(pa, "simulate", counting)
+    for flow in ("affine", "drift", "tabulated"):
+        test_trajectories_match_the_reference_loop(flow)
+    with capsys.disabled():
+        print(f"\nboundary passes in the reference-loop examples: {dict(passes)}")
+    assert all(passes[flow] > 0 for flow in ("affine", "drift", "tabulated")), passes
 
 
 def assert_meshed_trajectory(tables, meshed, model, policy, x0, horizon, seed, **kwargs):
@@ -657,6 +705,13 @@ class TestSimulate:
         with pytest.raises(pa.SimulationExplosionError, match=r"guard \(50\)") as err:
             pa.simulate(model, policy, 0, 1e4, seed=4)
         assert err.value.stats["jumps"] > 50
+        # the guard trips inside the first uniform block and past it, at the
+        # reference loop's jump and time
+        for floor in (50, 700):
+            monkeypatch.setattr(pa.simulation, "MAX_JUMPS_FLOOR", floor)
+            got = _outcome(pa.simulate, model, policy, 0, 1e4, 4)
+            assert got == _outcome(reference_simulation.simulate, model, policy, 0, 1e4, 4, max_jumps=floor)
+            assert got[0] is pa.SimulationExplosionError and f"guard ({floor})" in got[1], got
 
     def test_invalid_horizon(self, models):
         model = models["ctmdp_2state"]

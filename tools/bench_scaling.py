@@ -22,8 +22,9 @@ batch edges and the summary), the median over batches of
 ``MC_FIXED_CALLS``.  No line of drift_N is
 stationary (a line that is one constant exit piece and never hits the
 boundary): every drift_N line ends on the boundary, so the ``mc_*`` columns
-time the general jump branch only, never the simulator's short branch for
-stationary lines.  ``rss_after_load_mb`` is the process's peak RSS right
+time the general jump branch (interior jumps) and the boundary-pass branch
+(a hazard level past the whole line, about half of drift_N's jumps), never
+the simulator's short branch for stationary lines.  ``rss_after_load_mb`` is the process's peak RSS right
 after the first load, ``peak_rss_mb`` at the end.  ``refine_peak_mb`` and
 ``prepare_peak_mb`` are the :mod:`tracemalloc` peaks, above their start, of
 one refinement (from a new workspace at ``DEFAULT_FILL``) and of one
