@@ -77,10 +77,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_csv(path: Path, header_comment: str, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, header: dict, fieldnames: list[str], rows: list[dict]) -> None:
+    """A CSV file whose first line is the comment ``# model_sha256=... tool_version=...`` of ``header``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        fh.write(header_comment + "\n")
+        fh.write(f"# model_sha256={header['model_sha256']} tool_version={header['tool_version']}\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -133,6 +134,20 @@ def _load_policy(model, path: Path):
     return policy
 
 
+def _model_and_policy(config: RunConfig):
+    """The model of ``--model``, which must pass validation, and the policy of
+    ``--policy`` or else the lowest feasible one; exits when either is refused."""
+    from .model import FeedbackPolicy, validate_model
+
+    model = _load_model_or_exit(config.model_path)
+    if validate_model(model):
+        print("error: model fails validation", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
+    policy = (_load_policy(model, config.policy_path) if config.policy_path
+              else FeedbackPolicy.lowest_feasible(model))
+    return model, policy
+
+
 def cmd_validate(config: RunConfig) -> int:
     from .model import validate_model
 
@@ -148,14 +163,9 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_audit(config: RunConfig) -> int:
-    from .model import FeedbackPolicy, audit_assumptions, validate_model
+    from .model import audit_assumptions
 
-    model = _load_model_or_exit(config.model_path)
-    if validate_model(model):
-        print("error: model fails validation; run the validate command", file=sys.stderr)
-        return EXIT_VALIDATION
-    policy = (_load_policy(model, config.policy_path) if config.policy_path
-              else FeedbackPolicy.lowest_feasible(model))
+    model, policy = _model_and_policy(config)
     report = audit_assumptions(model, policy)
     for item in report.items:
         slack = "" if not item.worst_slack == item.worst_slack else f" slack={item.worst_slack:.3g}"
@@ -169,14 +179,8 @@ def cmd_audit(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     from .evaluation import EvaluationError, evaluate_policy
-    from .model import FeedbackPolicy, validate_model
 
-    model = _load_model_or_exit(config.model_path)
-    if validate_model(model):
-        print("error: model fails validation", file=sys.stderr)
-        return EXIT_VALIDATION
-    policy = (_load_policy(model, config.policy_path) if config.policy_path
-              else FeedbackPolicy.lowest_feasible(model))
+    model, policy = _model_and_policy(config)
     try:
         result = evaluate_policy(model, policy, config.tol)
     except EvaluationError as exc:
@@ -203,17 +207,11 @@ def _evaluation_payload(model, policy, result) -> dict:
 
 def cmd_solve(config: RunConfig) -> int:
     from .evaluation import EvaluationError
-    from .model import FeedbackPolicy, audit_assumptions, validate_model
+    from .model import audit_assumptions
     from .operators import OperatorWorkspace, refined_workspace
     from .policy_iteration import run_pia
 
-    model = _load_model_or_exit(config.model_path)
-    if validate_model(model):
-        print("error: model fails validation", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    u0 = (_load_policy(model, config.policy_path) if config.policy_path
-          else FeedbackPolicy.lowest_feasible(model))
+    model, u0 = _model_and_policy(config)
     # the audit's workspace is where refinement starts, so it is built once
     start = OperatorWorkspace(model)
     report = audit_assumptions(model, u0, workspace=start)
@@ -234,8 +232,7 @@ def cmd_solve(config: RunConfig) -> int:
     _write_json(config.out_dir / "evaluation.json", _evaluation_payload(model, policy, result))
     _write_json(config.out_dir / "policy.json", _policy_payload(model, policy))
     _write_json(config.out_dir / "trace.json", dict(_artifact_header(model), **trace.to_dict()))
-    header = f"# model_sha256={model.source_hash} tool_version={_artifact_header(model)['tool_version']}"
-    _write_csv(config.out_dir / "trace.csv", header,
+    _write_csv(config.out_dir / "trace.csv", _artifact_header(model),
                ["n", "rho", "poisson_residual", "changed_states", "optimality_residual",
                 "delta_h", "h_gnorm"],
                trace.to_rows())
@@ -245,15 +242,9 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    from .model import FeedbackPolicy, validate_model
     from .simulation import SimulationExplosionError, mc_validate, simulate
 
-    model = _load_model_or_exit(config.model_path)
-    if validate_model(model):
-        print("error: model fails validation", file=sys.stderr)
-        return EXIT_VALIDATION
-    policy = (_load_policy(model, config.policy_path) if config.policy_path
-              else FeedbackPolicy.lowest_feasible(model))
+    model, policy = _model_and_policy(config)
 
     rho = config.rho
     result_path = config.out_dir / "evaluation.json"
@@ -295,12 +286,9 @@ def cmd_simulate(config: RunConfig) -> int:
             print(f"average={summary.average:.6g} se={summary.se:.3g} jumps={summary.jumps} "
                   f"boundary_hits={summary.boundary_hits}")
             if config.trajectory_csv:
-                meta = _artifact_header(model)
-                header = (f"# model_sha256={meta['model_sha256']} "
-                          f"tool_version={meta['tool_version']}")
                 rows = [{"t": t, "event_type": e, "state": s, "cost_so_far": c}
                         for t, e, s, c in record.to_rows()]
-                _write_csv(config.out_dir / "trajectory.csv", header,
+                _write_csv(config.out_dir / "trajectory.csv", _artifact_header(model),
                            ["t", "event_type", "state", "cost_so_far"], rows)
             exit_code = EXIT_OK
     except SimulationExplosionError as exc:
@@ -322,8 +310,7 @@ def cmd_report(config: RunConfig) -> int:
         print(f"error: trace {trace_path} must be a JSON object with an \"iterations\" list of rows "
               f"carrying {', '.join(fields)}", file=sys.stderr)
         return EXIT_USAGE
-    header = (f"# model_sha256={doc.get('model_sha256', '')} "
-              f"tool_version={doc.get('tool_version', '')}")
+    header = {key: doc.get(key, "") for key in ("model_sha256", "tool_version")}
     _write_csv(config.out_dir / "rho_vs_n.csv", header, ["n", "rho"],
                [{"n": r["n"], "rho": r["rho"]} for r in rows])
     _write_csv(config.out_dir / "residuals_vs_n.csv", header,

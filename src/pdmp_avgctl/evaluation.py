@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorWorkspace, check_workspace, refined_workspace
+from .operators import OperatorWorkspace, check_entry, refined_workspace
 
 DEFAULT_TOL = 1e-8
 STATIONARY_TOL = 1e-12
@@ -41,6 +41,10 @@ class ErgodicityError(EvaluationError):
     """The embedded chain looks reducible / non-ergodic under this policy."""
 
 
+class KernelMassError(EvaluationError, ValueError):
+    """Kernel rows that do not sum to 1: the process need not jump or hit the boundary by t_max."""
+
+
 def invariant_measure(kernel: np.ndarray) -> np.ndarray:
     """Invariant probability row nu with nu G = nu, sum nu = 1, nu >= 0.
 
@@ -51,7 +55,8 @@ def invariant_measure(kernel: np.ndarray) -> np.ndarray:
     ``STATIONARY_TOL`` in l1.  Raises ErgodicityError when the class check
     fails (the message gives the subdominant eigenvalue modulus, 1), or when
     the solve fails, returns a non-finite or negative entry, or does not
-    pass the stationarity step.
+    pass the stationarity step, and KernelMassError (a ValueError too) when
+    a row does not sum to 1 within 1e-6.
     """
     kernel = np.asarray(kernel, dtype=float)
     n = kernel.shape[0]
@@ -59,7 +64,7 @@ def invariant_measure(kernel: np.ndarray) -> np.ndarray:
         raise ValueError(f"kernel must be square, got {kernel.shape}")
     rowdev = np.max(np.abs(kernel.sum(axis=1) - 1.0))
     if rowdev > 1e-6:
-        raise ValueError(f"kernel rows must sum to 1 within 1e-6 (max deviation {rowdev:.3e})")
+        raise KernelMassError(f"kernel rows must sum to 1 within 1e-6 (max deviation {rowdev:.3e})")
     if not _one_closed_class(kernel > 0.0, 0):
         raise ErgodicityError(
             "invariant measure is not unique: the kernel has more than one closed "
@@ -194,13 +199,9 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
     """Average cost and bias of a feedback policy, by the deflated direct solve.
 
     The returned residual is the sup-norm defect of the solved equation on
-    the solver's own mesh.  A ``workspace`` built for another model is
-    refused with ``ValueError``.
+    the solver's own mesh.  Refuses as :func:`check_entry` does.
     """
-    check_workspace(model, workspace)
-    problems = policy.feasibility_problems(model)
-    if problems:
-        raise ValueError("infeasible policy: " + "; ".join(problems))
+    check_entry(model, policy, workspace)
     ws = workspace
     if ws is None:
         ws = refined_workspace(model, policy, target=min(tol / 2.0, 5e-9))

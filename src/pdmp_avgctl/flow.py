@@ -60,6 +60,8 @@ def validate_flow(flow: FlowSpec) -> list[str]:
         problems.append(f"unknown flow kind {flow.kind!r}")
         return problems
     if flow.kind == "affine1d":
+        if not math.isfinite(flow.alpha0) or not math.isfinite(flow.alpha1):
+            return [f"affine1d coefficients must be finite, got alpha0={flow.alpha0!r}, alpha1={flow.alpha1!r}"]
         v_lo = flow.alpha0 + flow.alpha1 * flow.lo
         v_hi = flow.alpha0 + flow.alpha1 * flow.hi
         if v_lo == 0.0 and v_hi == 0.0:
@@ -74,7 +76,9 @@ def validate_flow(flow: FlowSpec) -> list[str]:
             problems.append("tabulated1d flow requires a velocity table")
         else:
             v = flow.velocity.values
-            if np.any(v == 0.0) or (np.any(v > 0) and np.any(v < 0)):
+            if not np.all(np.isfinite(v)):
+                problems.append("tabulated1d velocity must be finite")
+            elif np.any(v == 0.0) or (np.any(v > 0) and np.any(v < 0)):
                 problems.append("tabulated1d velocity must have one strict sign on the grid")
     return problems
 

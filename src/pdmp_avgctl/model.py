@@ -301,9 +301,15 @@ def model_from_dict(doc: dict, *, name: str = "model", source_hash: str = "") ->
     all_coords = np.concatenate([points, boundary]) if n_b else points
     lo, hi = float(all_coords.min()), float(all_coords.max())
     t_max_raw = flow_doc.get("t_max")
-    if constants.c <= 0 and t_max_raw is None:
+    if t_max_raw is not None:
+        t_max = _number(t_max_raw, "flow.t_max", positive=True)
+    elif constants.c <= 0:
         raise ModelFormatError("flow.t_max must be given when constants.c <= 0")
-    t_max = _number(t_max_raw, "flow.t_max", positive=True) if t_max_raw is not None else 50.0 / constants.c
+    else:
+        t_max = 50.0 / constants.c
+        if not 0.0 < t_max < math.inf:  # a tiny c overflows it, an infinite one gives 0
+            raise ModelFormatError(f"the default flow.t_max = 50 / constants.c is {t_max!r} for constants.c = "
+                                   f"{constants.c!r}; give flow.t_max, a finite number > 0")
     velocity = None
     if kind == "tabulated1d":
         velocity = Table1D(points, _as_array(_require(flow_doc, "velocity", "flow"), (n_i,), "flow.velocity"))
@@ -383,7 +389,25 @@ def load_model(path) -> PdmpModel:
         raise ModelFormatError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: top level must be a JSON object")
-    return model_from_dict(doc, name=path.stem, source_hash=digest)
+    model = model_from_dict(doc, name=path.stem, source_hash=digest)
+    # a numeric table would read a JSON true or false as 1 or 0; the arrays
+    # are walked for one only when the file holds such a literal
+    if b"true" in raw or b"false" in raw:
+        _refuse_booleans(doc, "")
+    return model
+
+
+def _refuse_booleans(node, where: str) -> None:
+    """Refuse with ``ModelFormatError`` the first boolean inside an array of the document ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _refuse_booleans(value, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            if isinstance(value, bool):
+                raise ModelFormatError(f"'{where}[{i}]' must be a number, got {value!r}")
+            if isinstance(value, (dict, list)):
+                _refuse_booleans(value, f"{where}[{i}]")
 
 
 def bundled_model_names() -> list[str]:
@@ -462,11 +486,9 @@ def validate_model(model: PdmpModel) -> list[Violation]:
 
     lam_int = model.jump_rate[: model.n_states]
     lower = model.constants.lambda_lower
-    for i in range(model.n_states):
-        for a in model.action_grid.feasible[i]:
-            if lam_int[i, a] < lower[i] - 1e-12:
-                flag("rates.floor", f"(state {i}, action {a})", lower[i] - lam_int[i, a],
-                     f"lambda({pts[i]}, a{a})={lam_int[i, a]} below lambda_lower={lower[i]}")
+    for i, a in np.argwhere(model.feasible_mask & (lam_int < lower[:, None] - 1e-12)):
+        flag("rates.floor", f"(state {i}, action {a})", lower[i] - lam_int[i, a],
+             f"lambda({pts[i]}, a{a})={lam_int[i, a]} below lambda_lower={lower[i]}")
 
     c = model.constants
     for name, value, ok in (
@@ -590,13 +612,13 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy, *, workspace=Non
     :func:`~pdmp_avgctl.evaluation.estimate_ergodic_constants`), so they
     bound |G^k h - nu(h)| for every h.  A kernel with more than one closed
     class, or one that no power up to ``ERGODIC_PROBE_POWERS`` contracts,
-    makes that item "not_checkable".  A ``workspace`` built for another
-    model is refused with ``ValueError``.
+    makes that item "not_checkable".  Refuses as
+    :func:`~pdmp_avgctl.operators.check_entry` does.
     """
-    from .operators import OperatorWorkspace, check_workspace
+    from .operators import OperatorWorkspace, check_entry
     from .evaluation import ERGODIC_PROBE_POWERS, EvaluationError, estimate_ergodic_constants, invariant_measure
 
-    check_workspace(model, workspace)
+    check_entry(model, policy, workspace)
     c = model.constants
     pts = model.grid.points
     n = model.n_states
@@ -614,60 +636,48 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy, *, workspace=Non
         items.append(AuditItem(name, status, float(slacks[worst]), locations[worst], note,
                                tuple(float(s) for s in slacks)))
 
+    def sup_over_actions(vals, mask, where):
+        """Per row, the largest of ``vals`` over the actions ``mask`` admits, and where it is."""
+        vals = np.where(mask, vals, -np.inf)
+        a_star = np.argmax(vals, axis=1)
+        return vals[np.arange(a_star.size), a_star], [f"{w}, a={a}" for w, a in zip(where, a_star.tolist())]
+
+    at_x = [f"x={x}" for x in pts]
     g_tab = model.g_table()
     xg = flow_derivative(model.flow, g_tab, pts)
     qg = model.kernel_interior @ model.lyapunov_g  # (n, n_a)
     lam = model.jump_rate[:n]
-    expr = xg[:, None] + c.c * model.lyapunov_g[:, None] - lam * (model.lyapunov_g[:, None] - qg)
-    expr = np.where(fmask, expr, -np.inf)
-    worst_a = np.argmax(expr, axis=1)
-    add("interior-growth", c.b - expr[np.arange(n), worst_a],
-        [f"x={pts[i]}, a={int(worst_a[i])}" for i in range(n)],
-        note="flow derivative of g by grid differences")
-
-    fexpr = np.where(fmask, model.running_cost, -np.inf)
-    worst_a = np.argmax(fexpr, axis=1)
-    add("cost-vs-weight", c.M * model.lyapunov_g - fexpr[np.arange(n), worst_a],
-        [f"x={pts[i]}, a={int(worst_a[i])}" for i in range(n)])
+    g = model.lyapunov_g[:, None]
+    sup, locs = sup_over_actions(xg[:, None] + c.c * g - lam * (g - qg), fmask, at_x)
+    add("interior-growth", c.b - sup, locs, note="flow derivative of g by grid differences")
+    sup, locs = sup_over_actions(model.running_cost, fmask, at_x)
+    add("cost-vs-weight", c.M * model.lyapunov_g - sup, locs)
 
     # boundary items only where some line actually reaches the boundary
     reachable = sorted({e.boundary_index for e in ws.chain.exits if e.hit})
     if model.n_boundary and reachable:
-        bmask = model.boundary_feasible_mask
-        g_b = model.boundary_g()
-        qg_b = model.kernel_boundary @ model.lyapunov_g
-        slacks, locs = [], []
-        for zi in reachable:
-            vals = model.lyapunov_rbar[zi] + qg_b[zi] - g_b[zi]
-            vals = np.where(bmask[zi], vals, -np.inf)
-            a_star = int(np.argmax(vals))
-            slacks.append(-vals[a_star])
-            locs.append(f"z={model.grid.boundary_points[zi]}, a={a_star}")
-        add("boundary-weight", slacks, locs)
-
-        slacks, locs = [], []
-        ratio = c.M / (c.c + c.delta)
-        for zi in reachable:
-            vals = model.boundary_cost[zi] - ratio * model.lyapunov_rbar[zi]
-            vals = np.where(bmask[zi], vals, -np.inf)
-            a_star = int(np.argmax(vals))
-            slacks.append(-vals[a_star])
-            locs.append(f"z={model.grid.boundary_points[zi]}, a={a_star}")
-        add("boundary-cost-ratio", slacks, locs)
+        rbar = model.lyapunov_rbar[reachable, None]
+        bmask = model.boundary_feasible_mask[reachable]
+        at_z = [f"z={z}" for z in model.grid.boundary_points[reachable]]
+        qg_b = (model.kernel_boundary @ model.lyapunov_g)[reachable]
+        sup, locs = sup_over_actions(rbar + qg_b - model.boundary_g()[reachable, None], bmask, at_z)
+        add("boundary-weight", -sup, locs)
+        sup, locs = sup_over_actions(model.boundary_cost[reachable] - c.M / (c.c + c.delta) * rbar, bmask, at_z)
+        add("boundary-cost-ratio", -sup, locs)
     else:
         items.append(AuditItem("boundary-weight", "pass", math.inf, "(vacuous)", "no reachable boundary"))
         items.append(AuditItem("boundary-cost-ratio", "pass", math.inf, "(vacuous)", "no reachable boundary"))
 
     # rate floor under every feasible action
     floor_slack = np.where(fmask, lam - c.lambda_lower[:, None], np.inf).min(axis=1)
-    add("rate-floor", floor_slack, [f"x={pts[i]}" for i in range(n)])
+    add("rate-floor", floor_slack, at_x)
 
     # expected-growth integral bounded by K_lambda
     growth, growth_exponent = _line_integrals(model, ws, c.c)
     truncated = ws.truncated
     decay = np.exp(-growth_exponent)[truncated]
     undecayed = bool(np.any(decay > 1e-9))
-    add("growth-integral", c.K_lambda - growth, [f"x={pts[i]}" for i in range(n)],
+    add("growth-integral", c.K_lambda - growth, at_x,
         note="window-truncated on lines that never hit the boundary" if truncated.any() else "",
         not_checkable=undecayed)
 
@@ -694,7 +704,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy, *, workspace=Non
 
     # kernel drift: Gg <= k_g g + K_g along the policy's feedback paths
     add("kernel-drift", c.k_g * model.lyapunov_g + c.K_g - ws.assemble(policy)[0] @ model.lyapunov_g,
-        [f"x={pts[j]} (policy)" for j in range(n)])
+        [f"{x} (policy)" for x in at_x])
 
     items.append(AuditItem("discounted-finiteness", "omitted", math.inf, "(not audited)",
                            "finiteness of discounted infima has no constructive check; omitted by design"))

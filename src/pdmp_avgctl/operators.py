@@ -61,8 +61,9 @@ What no fill changes (flow order, transits, chain ends, exits and piece
 durations) is worked out once per model object
 (:attr:`~pdmp_avgctl.model.PdmpModel.chain_geometry`) and shared, read-only,
 by all its workspaces; a workspace builds only its nodes.  A workspace
-belongs to the model object it was built for; every entry that takes one
-refuses another model's (:func:`check_workspace`).  Its one per-policy
+belongs to the model object it was built for.  Every entry that takes a
+policy runs one check first (:func:`check_entry`): it refuses another
+model's workspace and an infeasible policy.  A workspace's one per-policy
 cache holds each policy's assembled operators and, from
 :func:`~pdmp_avgctl.policy_iteration.run_pia`, each policy's PIA step.
 """
@@ -795,16 +796,17 @@ class OperatorWorkspace:
         return FeedbackPolicy(interior=np.array(new_interior, dtype=np.int64), boundary=b_act), residual
 
 
-def check_workspace(model, workspace: OperatorWorkspace | None) -> None:
-    """Refuse with ``ValueError`` a workspace built for another model object.
-
-    A workspace's mesh, tables and cached operators and steps are those of
-    its own model, so one handed in with another model would answer for the
-    wrong model without a sign.  Models are told apart by identity, as
-    simulation tables are.
+def check_entry(model, policy, workspace: OperatorWorkspace | None = None) -> None:
+    """Refuse with ``ValueError`` a workspace built for another model object
+    (its mesh, tables and caches would answer for the wrong model without a
+    sign), then a policy of the wrong length or with an action outside a
+    state's feasible set or the action grid ("infeasible policy: ...").
     """
     if workspace is not None and workspace.model is not model:
         raise ValueError("the workspace was built for another model")
+    problems = policy.feasibility_problems(model)
+    if problems:
+        raise ValueError("infeasible policy: " + "; ".join(problems))
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -819,15 +821,15 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
     """Double per-piece mesh fill until successive operator sets agree.
 
     Refinement starts from ``start`` (a workspace of ``model``, say one an
-    audit already built; another model's is refused with ``ValueError``) or
-    from a new one at ``DEFAULT_FILL``.  Agreement
+    audit already built; refused as :func:`check_entry` refuses) or from a
+    new one at ``DEFAULT_FILL``.  Agreement
     is measured as the max absolute change across kernel entries, expected
     sojourn weights and one-policy costs; the finer workspace is returned
     with the achieved difference recorded on ``refine_diff`` and whether it
     met ``target`` on ``refine_converged``.  Stopping at ``MAX_FILL`` short of
     the target warns with a :class:`RuntimeWarning`.
     """
-    check_workspace(model, start)
+    check_entry(model, policy, start)
     ws = start if start is not None else OperatorWorkspace(model, DEFAULT_FILL)
     fill = ws.fill
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)

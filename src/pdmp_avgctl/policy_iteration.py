@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import FeedbackPolicy
-from .operators import OperatorWorkspace, check_workspace, refined_workspace
+from .operators import OperatorWorkspace, check_entry, refined_workspace
 from .evaluation import EvaluationResult, evaluate_policy
 
 DEFAULT_TOL_RHO = 1e-8
@@ -100,14 +100,11 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
     workspace's per-policy cache under the policy's key, and taken from
     there when this or a later run on the same workspace reaches the policy
     again; its arrays are read-only.  A step that raises
-    is not kept.
+    is not kept.  Refuses as :func:`check_entry` does.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    check_workspace(model, workspace)
-    problems = u0.feasibility_problems(model)
-    if problems:
-        raise ValueError("infeasible initial policy: " + "; ".join(problems))
+    check_entry(model, u0, workspace)
     ws = workspace if workspace is not None else refined_workspace(model, u0)
 
     trace = PiaTrace()

@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import OperatorWorkspace, check_workspace
+from .operators import OperatorWorkspace, check_entry
 
 DEFAULT_BATCHES = 20
 # the jump-count guard: max(MAX_JUMPS_FLOOR, MAX_JUMPS_FACTOR * (lambda_sup + 1) * horizon)
@@ -317,17 +317,12 @@ class SimulationTables:
     1]``, the states outside the grid included.  A stationary line carries
     its :class:`_Stationary`, which holds its cumulative kernel row.  The
     kernel rows' cumulative sums are taken for each policy's tables, not
-    once per model.  An infeasible policy (an action outside a state's
-    feasible set, or outside the action grid) is refused with ``ValueError``
-    before anything is built, and so is a ``workspace`` built for another
-    model.
+    once per model.  Before anything is built, they refuse as
+    :func:`~pdmp_avgctl.operators.check_entry` does.
     """
 
     def __init__(self, model, policy, *, workspace: OperatorWorkspace | None = None):
-        check_workspace(model, workspace)
-        problems = policy.feasibility_problems(model)
-        if problems:
-            raise ValueError("infeasible policy: " + "; ".join(problems))
+        check_entry(model, policy, workspace)
         self.model = model
         self.policy = policy
         ws = workspace if workspace is not None else OperatorWorkspace(model)

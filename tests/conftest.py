@@ -2,10 +2,26 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 
 import pytest
+from hypothesis.errors import HypothesisSideeffectWarning
+from hypothesis.internal.conjecture import providers
 
 import pdmp_avgctl as pa
+import pdmp_avgctl.cli  # noqa: F401  (every module of the package, for the pool below)
+
+# Hypothesis draws some values from a pool of the constants (numbers and
+# strings) in the local modules imported so far, and grows the pool
+# whenever sys.modules grows, so a derandomized test's examples would depend
+# on what ran before it.  The pool is fixed here, to the constants of every
+# module of the package (the pool a full run had before any tool module was
+# loaded).  Reading them now, before any test, is what Hypothesis warns of
+# as slow.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", HypothesisSideeffectWarning)
+    _CONSTANTS = providers._get_local_constants()
+providers._get_local_constants = lambda: _CONSTANTS
 
 BUNDLED = ["ctmdp_2state", "ctmdp_3state", "renewal_cycle", "drift_boundary_64", "decay_flow_16"]
 TRIVIAL_FLOW_BUNDLED = ["ctmdp_2state", "ctmdp_3state"]

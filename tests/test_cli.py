@@ -221,6 +221,62 @@ class TestBadInput:
         assert err == f"error: 'flow.t_max' must be a finite number > 0, got {t_max!r}\n"
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("c", [1e-320, math.inf], ids=["overflowing", "infinite"])
+    def test_a_default_t_max_that_is_not_finite_and_positive_is_refused(self, write_model, tmp_path, capsys,
+                                                                        command, c):
+        # decay_flow_16 omits flow.t_max, so it defaults to 50 / c: inf for a
+        # c this small, 0 for an infinite one
+        doc = json.loads(pa.bundled_model_path("decay_flow_16").read_text())
+        assert "t_max" not in doc["flow"]
+        doc["constants"]["c"] = c
+        code = run_cli([command, "--model", write_model(doc), "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: the default flow.t_max = 50 / constants.c is {50.0 / c!r} for "
+                                           f"constants.c = {c!r}; give flow.t_max, a finite number > 0\n")
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("path, value", [(("rates", "lambda", 0, 0), True), (("lyapunov", "g", 3), False)],
+                             ids=["nested", "flat"])
+    def test_a_boolean_inside_a_numeric_table_is_refused(self, write_model, tmp_path, capsys, command, path, value):
+        # json reads true and false as Python bools, which a float table takes for 1 and 0
+        doc = _mutated(json.loads(pa.bundled_model_path("decay_flow_16").read_text()), path, value)
+        code = run_cli([command, "--model", write_model(doc), "--out", tmp_path])
+        assert code == 2
+        where = path[0] + "." + path[1] + "".join(f"[{i}]" for i in path[2:])
+        assert capsys.readouterr().err == f"error: '{where}' must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize("field", ["alpha0", "alpha1", "velocity"])
+    def test_a_non_finite_flow_coefficient_is_refused(self, write_model, capsys, field):
+        doc = json.loads(pa.bundled_model_path("drift_boundary_64").read_text())
+        if field == "velocity":
+            doc["flow"] = {"kind": "tabulated1d", "velocity": [1.0] * 63 + [math.inf]}
+            want = "error: tabulated1d velocity must be finite\n"
+        else:
+            doc["flow"][field] = math.inf
+            want = ("error: affine1d coefficients must be finite, got "
+                    f"alpha0={doc['flow']['alpha0']!r}, alpha1={doc['flow']['alpha1']!r}\n")
+        assert run_cli(["validate", "--model", write_model(doc)]) == 2
+        assert capsys.readouterr().err == want
+
+    def test_a_kernel_that_loses_mass_ends_the_solve(self, write_model, tmp_path, capsys):
+        # renewal_cycle never jumps on its own; with the flow reversed no line
+        # reaches the boundary, so no kernel row has mass: the audit cannot
+        # certify ergodicity and the solve stops with exit 3, not a traceback
+        doc = json.loads(pa.bundled_model_path("renewal_cycle").read_text())
+        doc["flow"]["alpha0"] = -1.0
+        model = write_model(doc)
+        assert run_cli(["validate", "--model", model]) == 0
+        capsys.readouterr()
+        run_cli(["audit", "--model", model, "--out", tmp_path])
+        item = next(it for it in json.loads((tmp_path / "audit.json").read_text())["items"]
+                    if it["name"] == "geometric-ergodicity")
+        assert (item["status"], item["note"]) == ("not_checkable", "not certified: kernel rows must sum to 1 "
+                                                                   "within 1e-6 (max deviation 1.000e+00)")
+        capsys.readouterr()
+        assert run_cli(["solve", "--model", model, "--out", tmp_path]) == 3
+        assert capsys.readouterr().err == "error: kernel rows must sum to 1 within 1e-6 (max deviation 1.000e+00)\n"
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize("field", ["feasible", "boundary_feasible"])
     @pytest.mark.parametrize("index", [0.5, True], ids=["fractional", "bool"])
     def test_non_integer_action_index_is_refused(self, write_model, tmp_path, capsys, command, field, index):
@@ -437,7 +493,8 @@ BUNDLED_DOCS = {name: json.loads(pa.bundled_model_path(name).read_text()) for na
 # per document and section, the paths into it; a section is drawn first, so the
 # large kernel tables do not crowd out the scalars
 DOC_PATHS = {name: {key: list(_paths(doc[key], (key,))) for key in doc} for name, doc in BUNDLED_DOCS.items()}
-REPLACEMENTS = ("x", True, False, None, "list", "dict")
+# 1e400 is written as Infinity, which reads back as inf
+REPLACEMENTS = ("x", True, False, None, "list", "dict", 1e-320, -1.0, 1e400)
 
 
 @st.composite
@@ -478,14 +535,18 @@ def mutant_dir(tmp_path_factory):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(mutation=mutations())
 def test_a_mutated_bundled_model_is_validated_or_refused(mutant_dir, mutation):
-    # the loader and validator answer every mutation with a documented exit
-    # code, and a refusal with one error line: never with a traceback
+    # the loader, the validator and solve answer every mutation with a
+    # documented exit code, and a refusal with one error line: never with a
+    # traceback
     name, path, change = mutation
     model_path = mutant_dir / "mutant.json"
     model_path.write_text(json.dumps(_mutated(BUNDLED_DOCS[name], path, change)))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(["validate", "--model", model_path])
-    assert code in (0, 1, 2), (mutation, code)
-    if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (mutation, err.getvalue())
+    for command, codes in (("validate", (0, 1, 2)), ("solve", (0, 1, 2, 3))):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a refinement short of its target warns and goes on
+            code = run_cli([command, "--model", model_path, "--out", mutant_dir])
+        assert code in codes, (mutation, command, code)
+        if code == 2 or (command, code) == ("solve", 1):
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+                (mutation, command, err.getvalue())

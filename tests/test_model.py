@@ -12,7 +12,7 @@ import pdmp_avgctl as pa
 from pdmp_avgctl.model import DimensionError, ModelFormatError
 
 from reference_quadrature import line_geometry, op_G, phi0, phi1, policy_paths
-from toy_models import swap_cycle_doc, two_state_jump_doc
+from toy_models import renewal_doc, swap_cycle_doc, two_state_jump_doc
 
 
 class TestLoadModel:
@@ -176,6 +176,80 @@ class TestValidateModel:
         doc["kernel"]["interior"][0][0] = [0.3, 0.7 + 1e-10]  # passes load, fails validate
         violations = pa.validate_model(pa.load_model(write_model(doc)))
         assert any(v.invariant == "kernel.rowsum" for v in violations)
+
+
+def three_boundary_doc(seed: int) -> dict:
+    """renewal_doc with three actions, boundary points at 0.35, 0.65 and 1.0
+    (so the lines reach all three), random boundary data and feasible sets,
+    and jump rates below the floor at several (state, action) pairs."""
+    rng = np.random.default_rng(seed)
+    doc = renewal_doc(n=16)
+    n, n_b, n_a = 16, 3, 3
+    doc["grid"]["boundary_points"] = [0.35, 0.65, 1.0]
+    feasible = [sorted(rng.choice(n_a, size=rng.integers(1, n_a + 1), replace=False).tolist())
+                for _ in range(n + n_b)]
+    doc["actions"] = {"values": [0.0, 1.0, 2.0], "feasible": feasible[:n], "boundary_feasible": feasible[n:]}
+    lower = rng.uniform(0.5, 1.0, n)
+    lam = lower[:, None] + rng.uniform(-0.3, 0.5, (n, n_a))
+    doc["rates"]["lambda"] = lam.tolist() + rng.uniform(0.5, 1.0, (n_b, n_a)).tolist()
+    doc["constants"]["lambda_lower"] = lower.tolist()
+    kern = rng.dirichlet(np.full(n, 0.7), size=(n + n_b, n_a))
+    doc["kernel"] = {"interior": kern[:n].tolist(), "boundary": kern[n:].tolist()}
+    doc["costs"] = {"running": rng.uniform(0.0, 2.0, (n, n_a)).tolist(),
+                    "boundary": rng.uniform(0.0, 2.0, (n_b, n_a)).tolist()}
+    doc["lyapunov"]["r_bar"] = rng.uniform(0.5, 2.0, n_b).tolist()
+    return doc
+
+
+def looped_floor_violations(model) -> list:
+    """validate_model's rates.floor violations, state by state and action by action."""
+    out = []
+    lam, lower, pts = model.jump_rate[:model.n_states], model.constants.lambda_lower, model.grid.points
+    for i in range(model.n_states):
+        for a in model.action_grid.feasible[i]:
+            if lam[i, a] < lower[i] - 1e-12:
+                out.append(pa.Violation("rates.floor", f"(state {i}, action {a})", float(lower[i] - lam[i, a]),
+                                        f"lambda({pts[i]}, a{a})={lam[i, a]} below lambda_lower={lower[i]}"))
+    return out
+
+
+def looped_boundary_items(model, reachable: list) -> dict:
+    """The audit's boundary-weight and boundary-cost-ratio (slacks, locations), point by point."""
+    c = model.constants
+    g_b = model.boundary_g()
+    qg_b = model.kernel_boundary @ model.lyapunov_g
+    out = {}
+    for name, vals_at in (("boundary-weight", lambda zi: model.lyapunov_rbar[zi] + qg_b[zi] - g_b[zi]),
+                          ("boundary-cost-ratio", lambda zi: model.boundary_cost[zi]
+                           - c.M / (c.c + c.delta) * model.lyapunov_rbar[zi])):
+        slacks, locs = [], []
+        for zi in reachable:
+            vals = np.where(model.boundary_feasible_mask[zi], vals_at(zi), -np.inf)
+            a_star = int(np.argmax(vals))
+            slacks.append(float(-vals[a_star]))
+            locs.append(f"z={model.grid.boundary_points[zi]}, a={a_star}")
+        out[name] = (slacks, locs)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_floor_and_boundary_checks_match_the_loops(seed):
+    # the array expressions flag, order and word the floor violations, and
+    # take the boundary items' slacks and locations, as a loop over each
+    # state and boundary point does, bit for bit
+    model = pa.model_from_dict(three_boundary_doc(seed))
+    want = looped_floor_violations(model)
+    assert len(want) >= 2
+    assert [v for v in pa.validate_model(model) if v.invariant == "rates.floor"] == want
+    ws = pa.OperatorWorkspace(model)
+    reachable = sorted({e.boundary_index for e in ws.chain.exits if e.hit})
+    assert reachable == [0, 1, 2]
+    report = audit_lowest(model, workspace=ws)
+    for name, (slacks, locs) in looped_boundary_items(model, reachable).items():
+        item = report.item(name)
+        worst = int(np.argmin(slacks))
+        assert (item.slack_by_state, item.worst_slack, item.worst_location) == (tuple(slacks), slacks[worst],
+                                                                                locs[worst]), name
 
 
 def audit_lowest(model, **kwargs):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -780,7 +781,7 @@ class TestSegmentTables:
         assert np.all(v_new <= v_prev + 1e-9 * (1.0 + np.max(np.abs(h)))), name
 
 
-# every entry that takes a workspace refuses one built for another model
+# every entry that takes a policy and a workspace refuses one built for another model
 OTHER_MODEL_ENTRIES = {
     "evaluate_policy": lambda m, u, res, ws: pa.evaluate_policy(m, u, workspace=ws),
     "run_pia": lambda m, u, res, ws: pa.run_pia(m, u, workspace=ws),
@@ -810,3 +811,26 @@ def test_a_workspace_of_another_model_is_refused(models, tripled_ctmdp, entry):
     assert pa.evaluate_policy(other, policy, workspace=other_ws).rho == pytest.approx(3.0 * own.rho)
     with pytest.raises(ValueError, match="workspace was built for another model"):
         OTHER_MODEL_ENTRIES[entry](model, policy, own, other_ws)
+
+
+@pytest.fixture(scope="module")
+def restricted_drift():
+    """drift_boundary_64 with action 0 infeasible at grid state 3, and a workspace of it."""
+    doc = json.loads(pa.bundled_model_path("drift_boundary_64").read_text())
+    doc["actions"]["feasible"][3] = [1]
+    model = pa.model_from_dict(doc)
+    return model, OperatorWorkspace(model)
+
+
+# the same entries take a policy, and refuse one that is not an admissible
+# feedback policy of the model before any work, with its own workspace
+@pytest.mark.parametrize("action", [0, 5], ids=["infeasible", "outside-the-action-grid"])
+@pytest.mark.parametrize("entry", sorted(OTHER_MODEL_ENTRIES))
+def test_an_infeasible_policy_is_refused(restricted_drift, entry, action):
+    model, ws = restricted_drift
+    lowest = pa.FeedbackPolicy.lowest_feasible(model)
+    interior = lowest.interior.copy()
+    interior[3] = action
+    policy = pa.FeedbackPolicy(interior=interior, boundary=lowest.boundary)
+    with pytest.raises(ValueError, match=f"^infeasible policy: action {action} infeasible at interior state 3$"):
+        OTHER_MODEL_ENTRIES[entry](model, policy, types.SimpleNamespace(rho=1.0), ws)

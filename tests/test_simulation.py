@@ -440,7 +440,22 @@ def stationary_cases(tables, record, x0: int, seed: int, replication: int) -> Co
     return cases
 
 
-def test_reference_loop_examples_reach_both_stationary_cases(monkeypatch, capsys):
+def reference_loop_examples(request, monkeypatch, flow: str) -> None:
+    """Run test_trajectories_match_the_reference_loop on the examples its ``flow`` case draws.
+
+    Hypothesis's pytest plugin seeds each case of a parametrized test with
+    the case's node id, which it leaves on the test (the last case run), so
+    the id is set here: a direct call draws the case's own examples, alone
+    or after any other test.
+    """
+    module = request.node.nodeid.rsplit("::", 1)[0]
+    inner = test_trajectories_match_the_reference_loop.hypothesis.inner_test
+    key = f"{module}::test_trajectories_match_the_reference_loop[{flow}]".encode()
+    monkeypatch.setattr(inner, "_hypothesis_internal_add_digest", key, raising=False)
+    test_trajectories_match_the_reference_loop(flow)
+
+
+def test_reference_loop_examples_reach_both_stationary_cases(request, monkeypatch, capsys):
     # the trivial-flow examples of test_trajectories_match_the_reference_loop
     # prove the stationary branch bit-identical to the reference loop; they
     # draw sojourns inside the one interval and past t_max alike
@@ -453,13 +468,13 @@ def test_reference_loop_examples_reach_both_stationary_cases(monkeypatch, capsys
         return out
 
     monkeypatch.setattr(pa, "simulate", counting)
-    test_trajectories_match_the_reference_loop("trivial")
+    reference_loop_examples(request, monkeypatch, "trivial")
     with capsys.disabled():
         print(f"\nstationary jumps in the trivial reference-loop examples: {dict(cases)}")
     assert cases["in_piece"] > 0 and cases["past_t_max"] > 0
 
 
-def test_reference_loop_examples_reach_the_boundary_pass(monkeypatch, capsys):
+def test_reference_loop_examples_reach_the_boundary_pass(request, monkeypatch, capsys):
     # the examples of test_trajectories_match_the_reference_loop prove the
     # closed-form boundary branch bit-identical to the reference loop: every
     # recorded boundary hit is a jump whose hazard level passed a whole line
@@ -473,7 +488,7 @@ def test_reference_loop_examples_reach_the_boundary_pass(monkeypatch, capsys):
 
     monkeypatch.setattr(pa, "simulate", counting)
     for flow in ("affine", "drift", "tabulated"):
-        test_trajectories_match_the_reference_loop(flow)
+        reference_loop_examples(request, monkeypatch, flow)
     with capsys.disabled():
         print(f"\nboundary passes in the reference-loop examples: {dict(passes)}")
     assert all(passes[flow] > 0 for flow in ("affine", "drift", "tabulated")), passes

@@ -6,7 +6,8 @@ its constants with the script's ``sup_*`` functions, so the tuners are
 checked here against the per-path reference quadrature, and every recipe
 must write its bundled model byte for byte.  The scaling
 benchmark ``tools/bench_scaling.py`` is run on one small grid, with the
-benchmark's host-speed probe.  The library names that the benchmark's tracer
+benchmark's host-speed probe, and ``tools/bundled_artifacts.py`` on one
+bundled model.  The library names that the benchmark's tracer
 (``perfbench/tracing.py``) and generator reach are checked to resolve.
 """
 
@@ -120,6 +121,30 @@ def test_scaling_columns_fill_their_budget(monkeypatch):
     assert len(bench._timed(lambda: None)) == bench.MIN_SAMPLES
     monkeypatch.setattr(bench, "BUDGET_S", 0.02)
     assert len(bench._timed(lambda: None)) > bench.MIN_SAMPLES
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_bundled_artifacts_are_reproduced_byte_for_byte(tmp_path, capsys):
+    # two runs into two directories write the same tree, the directory masked
+    # in the console lines, so a diff of two checkouts' trees shows only what
+    # the code changed
+    tool = load_tool("bundled_artifacts")
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert tool.main([str(out), "ctmdp_2state"]) == 0
+        trees.append(_tree(out / "ctmdp_2state"))
+    first, second = trees
+    assert first == second
+    steps = ("audit", "evaluate", "solve", "simulate", "trajectory", "report")
+    assert {name.split("/")[0] for name in first} == {"console.txt", *steps}
+    assert {"solve/policy.json", "simulate/mc_summary.json", "trajectory/trajectory.csv",
+            "report/rho_vs_n.csv"} <= set(first)
+    console = first["console.txt"].decode()
+    assert console.count("\nexit 0\n") == 1 + len(steps) and "OUT/ctmdp_2state/solve" in console
+    assert str(tmp_path) not in console and "wrote " in capsys.readouterr().out
 
 
 def test_the_library_keeps_what_the_benchmark_reaches():
