@@ -1,23 +1,34 @@
-"""Fixed-policy evaluation: invariant measure, average cost, and bias.
+"""Fixed-policy evaluation: average cost, bias, and invariant measure.
 
 For a feedback policy u the embedded chain of post-jump locations has kernel
-G; with its invariant row nu the average cost per unit time is
-
-    rho = nu . (Lf + Hr) / nu . calL
-
-and the bias h is the unique solution of  h = -rho*calL + Lf + Hr + G h  with
-nu(h) = 0.  The policy's (G, calL, Lf + Hr) come from
+G, and the policy's (G, calL, Lf + Hr) come from
 :meth:`OperatorWorkspace.assemble`, one backward pass over the workspace's
-per-piece tables, the same sums improvement reads.  nu is unique when the
-graph of G has one closed communicating class; that is checked first, and
-nu is then one direct solve of its stationarity system, checked by one step
-nu <- nu G.  The bias is solved by one deflated direct linear solve.  The
-paper's geometric series sum_k G^k (Lf + Hr - rho calL), truncated by the
-ergodicity constants of :func:`estimate_ergodic_constants`, is kept only as
-the tests' independent cross-check of that solve.  Those constants (a,
-kappa) are certified, not fitted: they come from the g-weighted operator
-norms of the powers of G - 1 nu, so |G^k h - nu(h)| <= a ||h||_g kappa^k g
-holds for every h and every k.
+per-piece tables, the same sums improvement reads.  The average cost rho and
+the bias h solve the pseudo-Poisson equation
+
+    h = -rho*calL + Lf + Hr + G h,
+
+which fixes h up to a constant.  With h pinned to 0 at ``PIN_STATE`` it is
+one bordered linear system in (h, rho),
+
+    [[I - G, calL], [e_s, 0]] (h, rho) = (Lf + Hr, 0),
+
+nonsingular when the graph of G has one closed communicating class and
+nu . calL > 0, for nu the invariant row of G.  The kernel's row mass and
+class are checked first and the solution's defect after: that check and
+solve (:func:`_bias`) are evaluation's one path, shared by
+:func:`evaluate_policy` and policy iteration, which reads only rho and the
+pinned h.  nu is derived only where it is read, by one direct solve of its
+stationarity system checked by one step nu <- nu G: for a returned
+:class:`EvaluationResult` (its nu, D = nu . calL, and h shifted to
+nu(h) = 0; :func:`_measured`) and for the audit.  The paper's geometric
+series sum_k G^k (Lf + Hr - rho calL), truncated by the ergodicity
+constants of :func:`estimate_ergodic_constants`, and the deflated solve
+(I - G + 1 nu) h = Lf + Hr - rho calL are kept only as the tests'
+independent cross-checks.  Those constants (a, kappa) are certified, not
+fitted: they come from the g-weighted operator norms of the powers of
+G - 1 nu, so |G^k h - nu(h)| <= a ||h||_g kappa^k g holds for every h and
+every k.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .operators import OperatorWorkspace, check_entry, refined_workspace
 DEFAULT_TOL = 1e-8
 STATIONARY_TOL = 1e-12
 ERGODIC_PROBE_POWERS = 20
+PIN_STATE = 0  # the grid state where the bordered solve pins h to 0
 
 
 class EvaluationError(RuntimeError):
@@ -48,15 +60,21 @@ class KernelMassError(EvaluationError, ValueError):
 def invariant_measure(kernel: np.ndarray) -> np.ndarray:
     """Invariant probability row nu with nu G = nu, sum nu = 1, nu >= 0.
 
-    The transition graph ``kernel > 0`` must have exactly one closed
-    communicating class (checked first, in O(n^2)); the stationarity system
-    nu (G - I) = 0 with sum nu = 1 is then nonsingular and solved directly.
-    One step nu <- nu G, renormalised, must move nu by at most
-    ``STATIONARY_TOL`` in l1.  Raises ErgodicityError when the class check
-    fails (the message gives the subdominant eigenvalue modulus, 1), or when
-    the solve fails, returns a non-finite or negative entry, or does not
-    pass the stationarity step, and KernelMassError (a ValueError too) when
-    a row does not sum to 1 within 1e-6.
+    The kernel is checked first (:func:`_checked_kernel`), then the
+    stationarity system is solved (:func:`_stationary`).
+    """
+    return _stationary(_checked_kernel(kernel))
+
+
+def _checked_kernel(kernel: np.ndarray) -> np.ndarray:
+    """``kernel`` as a float array, once its rows sum to 1 and its graph has one closed class.
+
+    Raises KernelMassError (a ValueError too) when a row does not sum to 1
+    within 1e-6, and ErgodicityError when the transition graph ``kernel >
+    0`` has more than one closed communicating class (checked in O(n^2);
+    the message gives the subdominant eigenvalue modulus, 1).  After both
+    checks nu is unique, and the bordered and stationarity systems are
+    nonsingular.
     """
     kernel = np.asarray(kernel, dtype=float)
     n = kernel.shape[0]
@@ -70,7 +88,19 @@ def invariant_measure(kernel: np.ndarray) -> np.ndarray:
             "invariant measure is not unique: the kernel has more than one closed "
             "communicating class, so eigenvalue 1 repeats; subdominant eigenvalue modulus: 1"
         )
+    return kernel
 
+
+def _stationary(kernel: np.ndarray) -> np.ndarray:
+    """nu of a kernel that :func:`_checked_kernel` passed, by one direct solve.
+
+    The stationarity system nu (G - I) = 0 with sum nu = 1 is solved
+    directly; one step nu <- nu G, renormalised, must move nu by at most
+    ``STATIONARY_TOL`` in l1.  Raises ErgodicityError when the solve fails,
+    returns a non-finite or negative entry, or does not pass the
+    stationarity step.
+    """
+    n = kernel.shape[0]
     system = kernel.T - np.eye(n)
     system[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -167,8 +197,9 @@ def estimate_ergodic_constants(kernel: np.ndarray, nu: np.ndarray, g: np.ndarray
 class EvaluationResult:
     """Solution of the fixed-policy average-cost equation on the grid.
 
-    ``to_dict`` names the one solver, the deflated direct solve, as
-    ``evaluation.json`` carries it: ``method`` "direct", 0 ``iterations``.
+    ``h`` is normalised to nu(h) = 0.  ``to_dict`` names the one solver, the
+    bordered direct solve, as ``evaluation.json`` carries it: ``method``
+    "direct", 0 ``iterations``.
     """
 
     rho: float
@@ -196,37 +227,67 @@ class EvaluationResult:
 
 def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
                     workspace: OperatorWorkspace | None = None) -> EvaluationResult:
-    """Average cost and bias of a feedback policy, by the deflated direct solve.
+    """Average cost, bias and invariant measure of a feedback policy.
 
-    The returned residual is the sup-norm defect of the solved equation on
-    the solver's own mesh.  Refuses as :func:`check_entry` does.
+    One bordered direct solve (:func:`_bias`) gives (rho, h); nu is then
+    derived and h shifted to nu(h) = 0 (:func:`_measured`).  The returned
+    residual is the sup-norm defect of the solved equation on the solver's
+    own mesh.  Refuses as :func:`check_entry` does.
     """
     check_entry(model, policy, workspace)
     ws = workspace
     if ws is None:
         ws = refined_workspace(model, policy, target=min(tol / 2.0, 5e-9))
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
+    rho, h, _ = _bias(kernel, ell, cost, tol)
+    return _measured(ws, kernel, ell, cost, rho, h)
 
-    nu = invariant_measure(kernel)
-    D = float(nu @ ell)
-    rho = float(nu @ cost) / D
-    w = cost - rho * ell
 
+def _defect(kernel: np.ndarray, ell: np.ndarray, cost: np.ndarray, rho: float, h: np.ndarray) -> float:
+    """Sup-norm defect of h = -rho*calL + Lf + Hr + G h."""
+    return float(np.max(np.abs(h + rho * ell - cost - kernel @ h)))
+
+
+def _bias(kernel: np.ndarray, ell: np.ndarray, cost: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
+    """(rho, h, defect) of one policy's operators: h pinned to 0 at ``PIN_STATE``.
+
+    The kernel is checked (:func:`_checked_kernel`), then the bordered
+    system [[I - G, calL], [e_s, 0]] (h, rho) = (Lf + Hr, 0) is solved once.
+    Raises EvaluationError when the system is singular or the defect of its
+    solution is above ``tol`` (or not finite).
+    """
+    kernel = _checked_kernel(kernel)
     n = kernel.shape[0]
+    system = np.zeros((n + 1, n + 1))
+    np.negative(kernel, out=system[:n, :n])
+    diagonal = np.arange(n)
+    system[diagonal, diagonal] += 1.0
+    system[:n, n] = ell
+    system[n, PIN_STATE] = 1.0
     try:
-        h = np.linalg.solve(np.eye(n) - kernel + np.outer(np.ones(n), nu), w)
+        solution = np.linalg.solve(system, np.append(cost, 0.0))
     except np.linalg.LinAlgError as exc:
         raise EvaluationError(
-            "deflated system (I - G + 1 nu') is singular; the chain's "
-            "geometric rate looks like kappa ~ 1"
+            "bordered system [[I - G, calL], [e_s, 0]] is singular; nu . calL looks like 0"
         ) from exc
-    h = h - float(nu @ h) * np.ones(n)
-    defect = h + rho * ell - cost - kernel @ h
-    res = float(np.max(np.abs(defect)))
-    if res > tol:
+    h, rho = solution[:n], float(solution[n])
+    res = _defect(kernel, ell, cost, rho, h)
+    if not res <= tol:
         raise EvaluationError(
             f"pseudo-Poisson defect {res:.3e} exceeds tol={tol:.3e} (method=direct)"
         )
-    stats = {"fill": ws.fill, "refine_diff": ws.refine_diff, "nu_h": float(nu @ h)}
-    return EvaluationResult(rho=rho, h=h, nu=nu, D=D, residual=res, stats=stats)
+    return rho, h, res
 
+
+def _measured(ws: OperatorWorkspace, kernel: np.ndarray, ell: np.ndarray, cost: np.ndarray, rho: float,
+              h: np.ndarray) -> EvaluationResult:
+    """The result of a policy whose (rho, h) :func:`_bias` solved: nu, D = nu . calL and h with nu(h) = 0.
+
+    nu is one stationarity solve (:func:`_stationary`; the kernel already
+    passed its check), and the residual is the defect of the shifted h.
+    """
+    nu = _stationary(kernel)
+    h = h - float(nu @ h)
+    stats = {"fill": ws.fill, "refine_diff": ws.refine_diff, "nu_h": float(nu @ h)}
+    return EvaluationResult(rho=rho, h=h, nu=nu, D=float(nu @ ell), residual=_defect(kernel, ell, cost, rho, h),
+                            stats=stats)

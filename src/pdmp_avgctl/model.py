@@ -164,7 +164,7 @@ class FeedbackPolicy:
     boundary: np.ndarray
 
     def key(self) -> tuple:
-        return (tuple(int(a) for a in self.interior), tuple(int(a) for a in self.boundary))
+        return (tuple(np.asarray(self.interior).tolist()), tuple(np.asarray(self.boundary).tolist()))
 
     def feasibility_problems(self, model: PdmpModel) -> list[str]:
         problems = [

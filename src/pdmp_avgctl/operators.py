@@ -826,15 +826,21 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
     is measured as the max absolute change across kernel entries, expected
     sojourn weights and one-policy costs; the finer workspace is returned
     with the achieved difference recorded on ``refine_diff`` and whether it
-    met ``target`` on ``refine_converged``.  Stopping at ``MAX_FILL`` short of
-    the target warns with a :class:`RuntimeWarning`.
+    met ``target`` on ``refine_converged``.  Stopping short of the target,
+    at ``MAX_FILL`` or where the doubled fill's mesh would pass
+    ``MAX_MESH_NODES`` (predicted before it is built), warns with a
+    :class:`RuntimeWarning`.
     """
     check_entry(model, policy, start)
     ws = start if start is not None else OperatorWorkspace(model, DEFAULT_FILL)
     fill = ws.fill
     kernel, ell, cost, _ = ws.assemble(policy, 0.0)
     diff = math.inf
+    limit = f"max_fill {MAX_FILL}"
     while fill < MAX_FILL:
+        if not _mesh_nodes(model, ws.chain, fill * 2)[1] <= MAX_MESH_NODES:
+            limit = f"fill {fill * 2} would pass MAX_MESH_NODES = {MAX_MESH_NODES}"
+            break
         # only the coarser fill's operators are compared, so its workspace
         # goes before the finer one is built (a ``start`` stays with its caller)
         del ws
@@ -848,7 +854,7 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
             break
     ws.refine_converged = diff <= target
     if not ws.refine_converged:
-        warnings.warn(f"mesh refinement stopped at fill {fill} (max_fill {MAX_FILL}) with "
+        warnings.warn(f"mesh refinement stopped at fill {fill} ({limit}) with "
                       f"refine_diff {ws.refine_diff} above the target {target:g}",
                       RuntimeWarning, stacklevel=2)
     return ws

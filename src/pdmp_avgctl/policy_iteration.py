@@ -12,11 +12,15 @@ and Qh = Q h.  The value of the returned policy therefore reproduces the
 pass's value, which is what makes the average cost non-increasing across
 iterations up to solver tolerance.
 
-One PIA step -- a policy's evaluation, its improved policy and its
-certificate -- depends only on the workspace and the policy, so
-:func:`run_pia` keeps each step in the workspace's per-policy cache, with
-its arrays read-only, and a later run on the same workspace that reaches
-the same policy (another start of a sweep) reuses it.
+One PIA step -- a policy's (rho, h) from one bordered solve, with h pinned
+to 0 at :data:`~pdmp_avgctl.evaluation.PIN_STATE` (improvement does not see
+a constant shift of h), its improved policy and its certificate -- depends
+only on the workspace and the policy.  So :func:`run_pia` keeps each step in
+the workspace's per-policy cache, with its arrays read-only, and a later run
+on the same workspace that reaches the same policy (another start of a
+sweep) reuses it.  No step derives the invariant measure nu: the returned
+evaluation does, once per final policy and workspace, from that policy's
+step, and is kept in the same cache.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .model import FeedbackPolicy
 from .operators import OperatorWorkspace, check_entry, refined_workspace
-from .evaluation import EvaluationResult, evaluate_policy
+from .evaluation import DEFAULT_TOL, EvaluationResult, _bias, _measured
 
 DEFAULT_TOL_RHO = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -77,12 +81,25 @@ class PiaTrace:
 
 
 def _step(model, ws: OperatorWorkspace, policy: FeedbackPolicy) -> tuple:
-    """(evaluation, improved policy, optimality residual) of ``policy`` on ``ws``, arrays read-only."""
-    evaluation = evaluate_policy(model, policy, workspace=ws)
-    improved, opt_res = ws.improve_and_certify(evaluation.rho, evaluation.h, policy)
-    for array in (evaluation.h, evaluation.nu, improved.interior, improved.boundary):
+    """(rho, pinned h, defect, improved policy, optimality residual) of ``policy`` on ``ws``, arrays read-only.
+
+    The policy is feasible: a start that :func:`check_entry` passed, or a
+    policy improvement chose among feasible actions.
+    """
+    rho, h, residual = _bias(*ws.assemble(policy, 0.0)[:3], DEFAULT_TOL)
+    improved, opt_res = ws.improve_and_certify(rho, h, policy)
+    for array in (h, improved.interior, improved.boundary):
         array.flags.writeable = False
-    return evaluation, improved, opt_res
+    return rho, h, residual, improved, opt_res
+
+
+def _result(ws: OperatorWorkspace, policy: FeedbackPolicy, rho: float, h: np.ndarray) -> EvaluationResult:
+    """The evaluation ``run_pia`` returns for ``policy``: its step's (rho, h) with nu derived, arrays read-only."""
+    kernel, ell, cost, _ = ws.assemble(policy, 0.0)
+    result = _measured(ws, kernel, ell, cost, rho, h)
+    for array in (result.h, result.nu):
+        array.flags.writeable = False
+    return result
 
 
 def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
@@ -96,11 +113,15 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
     Revisiting an earlier policy without improving rho reports "cycling" and
     the best iterate seen.
 
-    Each step (evaluation, improved policy, certificate) is kept in the
+    Each step (rho, pinned h, improved policy, certificate) is kept in the
     workspace's per-policy cache under the policy's key, and taken from
     there when this or a later run on the same workspace reaches the policy
-    again; its arrays are read-only.  A step that raises
-    is not kept.  Refuses as :func:`check_entry` does.
+    again; its arrays are read-only.  The trace's ``delta_h`` and
+    ``h_gnorm`` read the pinned h.  The returned evaluation derives nu from
+    its policy's step and shifts h to nu(h) = 0; it is kept in the same
+    cache, so a later run that ends on the same policy returns the same
+    object.  A step or result that raises is not kept.  Refuses as
+    :func:`check_entry` does, once, for ``u0``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -109,48 +130,51 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
 
     trace = PiaTrace()
     seen: dict = {}
-    best: tuple | None = None  # (rho, eval, policy)
+    best: tuple | None = None  # (rho, step, policy)
     policy = u0
     prev_h = None
     prev_rho = math.inf
-    evaluation = None
+
+    def finish(step, final):
+        return ws.cached(("pia-result", final.key()), lambda: _result(ws, final, *step[:2])), final, trace
 
     for n in range(max_iter):
         key = policy.key()
-        evaluation, improved, opt_res = ws.cached(("pia-step", key), lambda: _step(model, ws, policy))
+        step = ws.cached(("pia-step", key), lambda: _step(model, ws, policy))
+        rho, h, residual, improved, opt_res = step
         changed = int(np.sum(improved.interior != policy.interior)
                       + np.sum(improved.boundary != policy.boundary))
-        delta_h = float(np.max(np.abs(evaluation.h - prev_h))) if prev_h is not None else math.nan
+        delta_h = float(np.max(np.abs(h - prev_h))) if prev_h is not None else math.nan
         trace.records.append(IterationRecord(
             n=n,
-            rho=evaluation.rho,
-            poisson_residual=evaluation.residual,
+            rho=rho,
+            poisson_residual=residual,
             changed_states=changed,
             optimality_residual=opt_res,
             delta_h=delta_h,
-            h_gnorm=evaluation.gnorm_h(model.lyapunov_g),
+            h_gnorm=float(np.max(np.abs(h) / model.lyapunov_g)),
         ))
 
-        if best is None or evaluation.rho < best[0]:
-            best = (evaluation.rho, evaluation, policy)
+        if best is None or rho < best[0]:
+            best = (rho, step, policy)
 
         if changed == 0:
             trace.status = "converged"
             trace.reason = "policy-identity"
-            return evaluation, policy, trace
-        if prev_rho - evaluation.rho < tol_rho and opt_res <= 10.0 * tol_rho:
+            return finish(step, policy)
+        if prev_rho - rho < tol_rho and opt_res <= 10.0 * tol_rho:
             trace.status = "converged"
             trace.reason = "rho-tolerance"
-            return evaluation, policy, trace
+            return finish(step, policy)
 
-        if key in seen and evaluation.rho >= seen[key] - tol_rho:
+        if key in seen and rho >= seen[key] - tol_rho:
             trace.status = "cycling"
-            return best[1], best[2], trace
-        seen[key] = evaluation.rho
+            return finish(best[1], best[2])
+        seen[key] = rho
 
-        prev_h = evaluation.h
-        prev_rho = evaluation.rho
+        prev_h = h
+        prev_rho = rho
         policy = improved
 
     trace.status = "max-iter"
-    return best[1], best[2], trace
+    return finish(best[1], best[2])

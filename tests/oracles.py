@@ -6,8 +6,9 @@ value iteration on plain arrays, with no part of the solver library involved.
 
 :func:`series_bias` solves the pseudo-Poisson equation of any model the way
 the paper writes it, as the geometric series sum_k G^k (Lf + Hr - rho calL),
-so the library's deflated direct solve has a second, independent method to
-agree with.
+and :func:`deflated_bias` by the deflated system (I - G + 1 nu) h =
+Lf + Hr - rho calL with rho = nu . (Lf + Hr) / nu . calL, so the library's
+bordered direct solve has two other methods to agree with.
 """
 
 from __future__ import annotations
@@ -50,6 +51,21 @@ def series_bias(model, policy, workspace, tol: float = 1e-8):
     defect = float(np.max(np.abs(h + rho * ell - cost - kernel @ h)))
     assert defect <= tol, f"pseudo-Poisson defect {defect:.3e} of the series exceeds tol={tol:.3e}"
     return rho, h
+
+
+def deflated_bias(workspace, policy):
+    """(rho, h): average cost and bias of ``policy`` on ``workspace``'s operators by the deflated solve.
+
+    nu comes first, from the library's checked stationarity solve; then
+    rho = nu . (Lf + Hr) / nu . calL, and h solves (I - G + 1 nu) h =
+    Lf + Hr - rho calL, shifted to nu(h) = 0.
+    """
+    kernel, ell, cost, _ = workspace.assemble(policy, 0.0)
+    nu = invariant_measure(kernel)
+    rho = float(nu @ cost) / float(nu @ ell)
+    n = kernel.shape[0]
+    h = np.linalg.solve(np.eye(n) - kernel + np.outer(np.ones(n), nu), cost - rho * ell)
+    return rho, h - float(nu @ h)
 
 
 def _uniformized(lam: np.ndarray, kernel: np.ndarray):

@@ -349,6 +349,18 @@ class TestBadInput:
         with pytest.raises(ValueError, match="more than MAX_MESH_NODES"):
             pa.OperatorWorkspace(pa.load_model(model))
 
+    def test_refinement_past_the_node_cap_solves_on_the_last_mesh_within_it(self, tmp_path, capsys,
+                                                                            monkeypatch):
+        # decay_flow_16 passes validation at fill 8 (367 nodes) under a cap of
+        # 2000, and its refinement would double past it at fill 64 (2774)
+        monkeypatch.setattr(operators, "MAX_MESH_NODES", 2000)
+        model = pa.bundled_model_path("decay_flow_16")
+        with pytest.warns(RuntimeWarning, match=r"stopped at fill 32 \(fill 64 would pass MAX_MESH_NODES = 2000\)"):
+            code = run_cli(["solve", "--model", model, "--out", tmp_path])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("status=converged rho=")
+        assert json.loads((tmp_path / "evaluation.json").read_text())["residual"] <= 1e-8
+
     def test_a_t_max_far_past_every_jump_solves_as_the_default(self, write_model, tmp_path):
         # decay_flow_16's one exit piece is constant, one interval at any t_max:
         # t_max = 1e300 leaves its mesh and rho as they are, with no count cast
@@ -493,8 +505,8 @@ BUNDLED_DOCS = {name: json.loads(pa.bundled_model_path(name).read_text()) for na
 # per document and section, the paths into it; a section is drawn first, so the
 # large kernel tables do not crowd out the scalars
 DOC_PATHS = {name: {key: list(_paths(doc[key], (key,))) for key in doc} for name, doc in BUNDLED_DOCS.items()}
-# 1e400 is written as Infinity, which reads back as inf
-REPLACEMENTS = ("x", True, False, None, "list", "dict", 1e-320, -1.0, 1e400)
+# 1e400 is written as Infinity, which reads back as inf, and nan as NaN
+REPLACEMENTS = ("x", True, False, None, "list", "dict", 1e-320, -1.0, 1e400, math.nan, 1e300, -1e300)
 
 
 @st.composite

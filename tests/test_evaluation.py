@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
 from pdmp_avgctl import evaluation
-from pdmp_avgctl.evaluation import ErgodicityError, invariant_measure
+from pdmp_avgctl.evaluation import ErgodicityError, KernelMassError, invariant_measure
 
-from oracles import series_bias
+from oracles import deflated_bias, series_bias
 from reference_quadrature import doubled_mesh_residual
+from test_operator_properties import random_model_docs
 from toy_models import constant_cost_variant, swap_cycle_doc, two_state_jump_doc
 
 
@@ -205,6 +208,52 @@ class TestEvaluatePolicy:
         bad = pa.FeedbackPolicy(interior=np.array([3, 3]), boundary=np.array([], dtype=np.int64))
         with pytest.raises(ValueError, match="infeasible"):
             pa.evaluate_policy(model, bad)
+
+
+def assert_matches_the_deflated_oracle(result, workspace, policy):
+    """rho within 1e-13 relative, and the nu-normalised h within 1e-10, of :func:`deflated_bias`."""
+    rho, h = deflated_bias(workspace, policy)
+    assert abs(result.rho - rho) <= 1e-13 * abs(rho), (result.rho, rho)
+    assert np.max(np.abs(result.h - h)) <= 1e-10
+
+
+class TestBorderedSolve:
+    def test_bundled_evaluations_match_the_deflated_oracle(self, models, workspaces, solved):
+        for name, model in models.items():
+            ws = workspaces[name]
+            result, optimal, _ = solved[name]
+            assert_matches_the_deflated_oracle(result, ws, optimal)
+            for policy in (pa.FeedbackPolicy.lowest_feasible(model), optimal):
+                assert_matches_the_deflated_oracle(pa.evaluate_policy(model, policy, workspace=ws), ws, policy)
+
+    def test_pinned_and_returned_bias_differ_by_a_constant(self, models, workspaces, solved):
+        # the loop's h is pinned to 0 at PIN_STATE; the returned one has nu(h) = 0
+        for name, model in models.items():
+            result, policy, _ = solved[name]
+            kernel, ell, cost, _ = workspaces[name].assemble(policy)
+            rho, pinned, _ = evaluation._bias(kernel, ell, cost, 1e-8)
+            assert pinned[evaluation.PIN_STATE] == pytest.approx(0.0, abs=1e-12)
+            assert rho == result.rho
+            assert np.max(np.abs(pinned - (result.h - result.h[evaluation.PIN_STATE]))) <= 1e-10, name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=random_model_docs(varied=True))
+def test_the_bordered_solve_matches_the_deflated_oracle_on_random_models(case):
+    doc, fill, seed = case
+    model = pa.model_from_dict(doc)
+    ws = pa.OperatorWorkspace(model, fill)
+    u0 = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed))
+    try:
+        result = pa.evaluate_policy(model, u0, workspace=ws)
+    except (ErgodicityError, KernelMassError) as exc:
+        # the oracle's nu refuses the kernel with the same check
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            deflated_bias(ws, u0)
+        return
+    assert_matches_the_deflated_oracle(result, ws, u0)
+    final, policy, _ = pa.run_pia(model, u0, workspace=ws)
+    assert_matches_the_deflated_oracle(final, ws, policy)
 
 
 class TestResidual:

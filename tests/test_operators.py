@@ -370,6 +370,19 @@ class TestRefinement:
             ws = pa.refined_workspace(model, policy, target=1e-15)
         assert ws.fill == 16 and ws.refine_converged is False and ws.refine_diff > 1e-15
 
+    @pytest.mark.parametrize("cap, fill", [(2000, 32), (500, 8)], ids=["after-doublings", "at-the-start"])
+    def test_refinement_stops_before_a_mesh_past_the_node_cap(self, models, monkeypatch, cap, fill):
+        # decay_flow_16 has 367, 713, 1400 and 2774 nodes at fills 8 to 64:
+        # the doubling that would pass the cap is never built
+        model = models["decay_flow_16"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        monkeypatch.setattr(operators, "MAX_MESH_NODES", cap)
+        with pytest.warns(RuntimeWarning, match=rf"stopped at fill {fill} \(fill {2 * fill} would pass "
+                                                rf"MAX_MESH_NODES = {cap}\) with refine_diff \S+ above the target"):
+            ws = pa.refined_workspace(model, policy)
+        assert ws.fill == fill and ws.refine_converged is False
+        assert ws.mesh.times.size <= cap
+
     def test_refinement_peak_stays_near_what_it_keeps(self, models):
         # decay_flow_16 refines to fill 512 (22,019 nodes); the builders drop
         # every node-sized intermediate after its last read, and only the

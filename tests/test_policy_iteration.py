@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -267,16 +268,16 @@ class TestStepCache:
         assert len(trace.records) > 1
         again, _, _ = pa.run_pia(model, u0, workspace=ws)
         assert again is first
-        steps = [v for v in ws._assembled.values() if isinstance(v[0], pa.EvaluationResult)]
+        steps = [v for k, v in ws._assembled.items() if k[0] == "pia-step"]
         assert len(steps) == len(trace.records)
-        for evaluation, improved, _ in steps:
-            for array in (evaluation.h, evaluation.nu, improved.interior, improved.boundary):
+        for _, h, _, improved, _ in steps:
+            for array in (h, improved.interior, improved.boundary, first.h, first.nu):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[0]
         with pytest.raises(ValueError, match="read-only"):
             policy.interior[0] = 0
 
-    @pytest.mark.parametrize("where", ["evaluation", "pass"])
+    @pytest.mark.parametrize("where", ["evaluation", "pass", "measure"])
     def test_a_step_that_raises_is_not_kept(self, models, monkeypatch, where):
         model = models["ctmdp_3state"]
         ws = pa.OperatorWorkspace(model, 16)
@@ -287,12 +288,55 @@ class TestStepCache:
 
         with monkeypatch.context() as patch:
             if where == "evaluation":
-                patch.setattr(pa.policy_iteration, "evaluate_policy", fail)
-            else:
+                patch.setattr(pa.policy_iteration, "_bias", fail)
+            elif where == "pass":
                 patch.setattr(ws, "improve_and_certify", fail)
+            else:
+                patch.setattr(pa.policy_iteration, "_measured", fail)
             with pytest.raises(pa.EvaluationError, match="refused for the test"):
                 pa.run_pia(model, u0, workspace=ws)
-        # at most the operators the evaluation assembled on the way
-        assert set(ws._assembled) <= {(u0.key(), 0.0)}
+        if where == "measure":
+            # the steps stand; the result that raised is not kept
+            assert not [k for k in ws._assembled if k[0] == "pia-result"]
+        else:
+            # at most the operators the evaluation assembled on the way
+            assert set(ws._assembled) <= {(u0.key(), 0.0)}
         _, _, trace = pa.run_pia(model, u0, workspace=ws)
         assert trace.status == "converged"
+
+
+def test_a_sweep_solves_once_per_distinct_step_and_final_policy(models, monkeypatch):
+    # the loop's one solve is the (n+1)-square bordered system; only a final
+    # policy's nu is an n-square stationarity solve, and only u0 is checked
+    model = models["drift_boundary_64"]
+    n = model.n_states
+    ws = pa.OperatorWorkspace(model, 16)
+    ws.assemble(pa.FeedbackPolicy.lowest_feasible(model))  # the tables, before the counting starts
+    solves = collections.Counter()
+    entries = []
+    solve, check = np.linalg.solve, pa.policy_iteration.check_entry
+
+    def counted_solve(a, b):
+        solves[a.shape[0]] += 1
+        return solve(a, b)
+
+    def counted_check(*args):
+        entries.append(args[1])
+        return check(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    for module in (pa.policy_iteration, pa.evaluation):
+        monkeypatch.setattr(module, "check_entry", counted_check)
+    rng = np.random.default_rng(12)
+    starts = [pa.FeedbackPolicy.random_feasible(model, rng) for _ in range(6)]
+    finals, records = set(), 0
+    for u0 in starts + starts[:2]:  # the repeated starts run from the cache
+        _, policy, trace = pa.run_pia(model, u0, workspace=ws)
+        finals.add(policy.key())
+        records += len(trace.records)
+    steps = [k for k in ws._assembled if k[0] == "pia-step"]
+    assert {k for k in ws._assembled if k[0] == "pia-result"} == {("pia-result", key) for key in finals}
+    assert solves == {n + 1: len(steps), n: len(finals)}
+    assert len(steps) < records
+    runs = starts + starts[:2]
+    assert len(entries) == len(runs) and all(seen is u0 for seen, u0 in zip(entries, runs))

@@ -7,9 +7,12 @@ measured in a fresh process, one N after another.  A measurement loads the
 model file, audits it with the lowest feasible policy (at the audit's own
 fill, ``DEFAULT_FILL``), refines the workspace of that policy to the
 default target, then, at the refined fill, times the workspace build, the
-table build, assemble (each call on an empty assemble cache), evaluation,
-and the pass that gives the improved policy and the optimality residual
-together.  Load, audit, refinement, workspace build and tables make up
+table build, assemble (each call on an empty assemble cache), evaluation
+(``evaluate_s``: the bordered solve and the invariant measure), the pass
+that gives the improved policy and the optimality residual together, and
+one policy-iteration step as ``run_pia`` takes it when its step cache
+misses (``pia_step_s``: the kernel checks, the bordered solve and that
+pass, on the policy's operators already assembled).  Load, audit, refinement, workspace build and tables make up
 the whole setup of a solve.  Every time is the median of as many calls as
 fit in ``BUDGET_S`` seconds, and of at least ``MIN_SAMPLES``, so a
 sub-millisecond column takes thousands of calls and a slow one three.  The
@@ -204,6 +207,7 @@ def _measure(path) -> tuple[dict, list]:
     result = pa.evaluate_policy(model, policy, workspace=ws)
     timed("evaluate_s", lambda: pa.evaluate_policy(model, policy, workspace=ws))
     timed("improve_certify_s", lambda: ws.improve_and_certify(result.rho, result.h, policy))
+    timed("pia_step_s", lambda: pa.policy_iteration._step(model, ws, policy))
     tables = pa.prepare_simulation(model, policy, workspace=ws)
     prepare_peak = _peak_mb(lambda: pa.prepare_simulation(model, policy, workspace=ws))
     jumps = []
