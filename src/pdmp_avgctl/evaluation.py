@@ -74,16 +74,18 @@ def _checked_kernel(kernel: np.ndarray) -> np.ndarray:
     0`` has more than one closed communicating class (checked in O(n^2);
     the message gives the subdominant eigenvalue modulus, 1).  After both
     checks nu is unique, and the bordered and stationarity systems are
-    nonsingular.
+    nonsingular.  The class is settled by one vectorised test when the
+    kernel has a positive column (:func:`_one_step_doeblin`); only a kernel
+    without one walks its graph (:func:`_one_closed_class`).
     """
     kernel = np.asarray(kernel, dtype=float)
     n = kernel.shape[0]
     if kernel.shape != (n, n):
         raise ValueError(f"kernel must be square, got {kernel.shape}")
-    rowdev = np.max(np.abs(kernel.sum(axis=1) - 1.0))
+    rowdev = np.abs(kernel.sum(axis=1) - 1.0).max()
     if rowdev > 1e-6:
         raise KernelMassError(f"kernel rows must sum to 1 within 1e-6 (max deviation {rowdev:.3e})")
-    if not _one_closed_class(kernel > 0.0, 0):
+    if not _one_step_doeblin(kernel) and not _one_closed_class(kernel > 0.0, 0):
         raise ErgodicityError(
             "invariant measure is not unique: the kernel has more than one closed "
             "communicating class, so eigenvalue 1 repeats; subdominant eigenvalue modulus: 1"
@@ -124,6 +126,16 @@ def _stationary(kernel: np.ndarray) -> np.ndarray:
         )
     nu = np.clip(nxt, 0.0, None)
     return nu / nu.sum()
+
+
+def _one_step_doeblin(kernel: np.ndarray) -> bool:
+    """Whether some column of ``kernel`` is positive in every row: Doeblin's condition in one step.
+
+    Every state then jumps to that column's state, so the state lies in
+    every closed class, and there is exactly one (Meyn & Tweedie, *Markov
+    Chains and Stochastic Stability*, 2nd ed., 2009, ch. 16).
+    """
+    return bool(kernel.min(axis=0).max() > 0.0)
 
 
 def _reach(adj: np.ndarray, start: int) -> np.ndarray:
@@ -245,7 +257,7 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
 
 def _defect(kernel: np.ndarray, ell: np.ndarray, cost: np.ndarray, rho: float, h: np.ndarray) -> float:
     """Sup-norm defect of h = -rho*calL + Lf + Hr + G h."""
-    return float(np.max(np.abs(h + rho * ell - cost - kernel @ h)))
+    return float(np.abs(h + rho * ell - cost - kernel @ h).max())
 
 
 def _bias(kernel: np.ndarray, ell: np.ndarray, cost: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
@@ -264,8 +276,10 @@ def _bias(kernel: np.ndarray, ell: np.ndarray, cost: np.ndarray, tol: float) -> 
     system[diagonal, diagonal] += 1.0
     system[:n, n] = ell
     system[n, PIN_STATE] = 1.0
+    rhs = np.zeros(n + 1)
+    rhs[:n] = cost
     try:
-        solution = np.linalg.solve(system, np.append(cost, 0.0))
+        solution = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise EvaluationError(
             "bordered system [[I - G, calL], [e_s, 0]] is singular; nu . calL looks like 0"

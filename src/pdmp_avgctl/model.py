@@ -156,6 +156,14 @@ class PdmpModel:
         return Table1D(self.grid.points, self.lyapunov_g)(self.grid.boundary_points)
 
 
+def _admits(actions, mask: np.ndarray) -> bool:
+    """Whether ``actions`` is an integer array of one index per row of ``mask`` that ``mask`` admits."""
+    if not (isinstance(actions, np.ndarray) and actions.dtype.kind in "iu" and actions.shape == mask.shape[:1]):
+        return False
+    return not actions.size or bool(actions.min() >= 0 and actions.max() < mask.shape[1]
+                                    and mask[np.arange(actions.size), actions].all())
+
+
 @dataclass(frozen=True)
 class FeedbackPolicy:
     """Measurable selector on the grid: one action index per state."""
@@ -167,6 +175,22 @@ class FeedbackPolicy:
         return (tuple(np.asarray(self.interior).tolist()), tuple(np.asarray(self.boundary).tolist()))
 
     def feasibility_problems(self, model: PdmpModel) -> list[str]:
+        """Why the policy is not an admissible feedback policy of ``model``; [] when it is.
+
+        An admissible policy is one integer array of one action index per
+        interior state and one per boundary point, each index in its state's
+        feasible set.  Such a policy passes one vectorised test per array
+        (:func:`_admits`); only a policy that fails it has its messages
+        built: a wrong length, else per array a non-integer dtype (a float
+        or boolean array would be read as other actions, or not index at
+        all) and then each infeasible entry, in state order.
+        """
+        if _admits(self.interior, model.feasible_mask) and _admits(self.boundary, model.boundary_feasible_mask):
+            return []
+        return self._problems(model)
+
+    def _problems(self, model: PdmpModel) -> list[str]:
+        """:meth:`feasibility_problems`' messages, built entry by entry."""
         problems = [
             f"policy has {len(actions)} {where} entries, model has {count}"
             for where, actions, count in (("interior", self.interior, model.n_states),
@@ -175,9 +199,15 @@ class FeedbackPolicy:
         ]
         if problems:
             return problems
-        for where, actions, mask in (("interior state", self.interior, model.feasible_mask),
-                                     ("boundary point", self.boundary, model.boundary_feasible_mask)):
-            actions = np.asarray(actions, dtype=np.int64)
+        for name, where, actions, mask in (("interior", "interior state", self.interior, model.feasible_mask),
+                                           ("boundary", "boundary point", self.boundary,
+                                            model.boundary_feasible_mask)):
+            actions = np.asarray(actions)
+            if actions.dtype.kind not in "iu" or actions.ndim != 1:
+                problems.append(f"{name} actions must be a flat array of integer action indices, "
+                                f"got {actions.dtype} of shape {actions.shape}")
+                continue
+            actions = actions.astype(np.int64, copy=False)
             ok = (actions >= 0) & (actions < model.n_actions)  # an index outside the action grid is infeasible
             ok[ok] = mask[ok, actions[ok]]
             problems += [f"action {int(actions[i])} infeasible at {where} {i}" for i in np.flatnonzero(~ok)]

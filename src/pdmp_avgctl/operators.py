@@ -799,8 +799,10 @@ class OperatorWorkspace:
 def check_entry(model, policy, workspace: OperatorWorkspace | None = None) -> None:
     """Refuse with ``ValueError`` a workspace built for another model object
     (its mesh, tables and caches would answer for the wrong model without a
-    sign), then a policy of the wrong length or with an action outside a
-    state's feasible set or the action grid ("infeasible policy: ...").
+    sign), then a policy of the wrong length, with a non-integer action
+    array, or with an action outside a state's feasible set or the action
+    grid ("infeasible policy: ..."; see
+    :meth:`~pdmp_avgctl.model.FeedbackPolicy.feasibility_problems`).
     """
     if workspace is not None and workspace.model is not model:
         raise ValueError("the workspace was built for another model")

@@ -26,6 +26,7 @@ step, and is kept in the same cache.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ DEFAULT_TOL_RHO = 1e-8
 DEFAULT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)  # one per iteration; nothing compares or prints one
 class IterationRecord:
     n: int
     rho: float
@@ -130,21 +131,21 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
 
     trace = PiaTrace()
     seen: dict = {}
-    best: tuple | None = None  # (rho, step, policy)
+    best: tuple | None = None  # (rho, step, policy, key)
     policy = u0
     prev_h = None
     prev_rho = math.inf
 
-    def finish(step, final):
-        return ws.cached(("pia-result", final.key()), lambda: _result(ws, final, *step[:2])), final, trace
+    def finish(step, final, key):
+        return ws.cached(("pia-result", key), lambda: _result(ws, final, *step[:2])), final, trace
 
+    key = u0.key()
     for n in range(max_iter):
-        key = policy.key()
         step = ws.cached(("pia-step", key), lambda: _step(model, ws, policy))
         rho, h, residual, improved, opt_res = step
-        changed = int(np.sum(improved.interior != policy.interior)
-                      + np.sum(improved.boundary != policy.boundary))
-        delta_h = float(np.max(np.abs(h - prev_h))) if prev_h is not None else math.nan
+        new_key = improved.key()
+        changed = sum(map(operator.ne, key[0], new_key[0])) + sum(map(operator.ne, key[1], new_key[1]))
+        delta_h = float(np.abs(h - prev_h).max()) if prev_h is not None else math.nan
         trace.records.append(IterationRecord(
             n=n,
             rho=rho,
@@ -152,29 +153,29 @@ def run_pia(model, u0: FeedbackPolicy, tol_rho: float = DEFAULT_TOL_RHO,
             changed_states=changed,
             optimality_residual=opt_res,
             delta_h=delta_h,
-            h_gnorm=float(np.max(np.abs(h) / model.lyapunov_g)),
+            h_gnorm=float((np.abs(h) / model.lyapunov_g).max()),
         ))
 
         if best is None or rho < best[0]:
-            best = (rho, step, policy)
+            best = (rho, step, policy, key)
 
         if changed == 0:
             trace.status = "converged"
             trace.reason = "policy-identity"
-            return finish(step, policy)
+            return finish(step, policy, key)
         if prev_rho - rho < tol_rho and opt_res <= 10.0 * tol_rho:
             trace.status = "converged"
             trace.reason = "rho-tolerance"
-            return finish(step, policy)
+            return finish(step, policy, key)
 
         if key in seen and rho >= seen[key] - tol_rho:
             trace.status = "cycling"
-            return finish(best[1], best[2])
+            return finish(*best[1:])
         seen[key] = rho
 
         prev_h = h
         prev_rho = rho
-        policy = improved
+        policy, key = improved, new_key
 
     trace.status = "max-iter"
-    return finish(best[1], best[2])
+    return finish(*best[1:])

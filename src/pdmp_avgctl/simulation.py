@@ -61,12 +61,14 @@ What does not change from one replication to the next is checked once: the
 policy's feasibility when its :class:`SimulationTables` are built, and in
 :func:`simulate` only that the tables belong to the model and policy given.
 A replication's batch edges and batch-means standard error are those of
-``np.linspace`` and ``np.std``, bit for bit, without their per-call set-up.
+``np.linspace`` and ``np.std``, bit for bit, without their per-call set-up,
+and its stream re-keys the thread's one generator rather than building one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -81,6 +83,7 @@ MAX_JUMPS_FLOOR = 100_000
 MAX_JUMPS_FACTOR = 100.0
 RATE_FLOOR = 1e-12
 UNIFORM_BLOCK = 1024  # uniforms per draw from the stream; even, so pairs never straddle blocks
+CUMSUM_STATES = 64  # states whose kernel rows one cumsum of _cumulative_rows takes
 _DEAD_TAIL = ("drawn hazard level exceeds the tabulated horizon and the tail jump rate is (numerically) "
               "zero; the model violates the divergence the rate floor is supposed to guarantee")
 
@@ -148,7 +151,7 @@ class _Stationary(NamedTuple):
     row_total: float         # that kernel row's sum()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Line:
     """One start state's feedback path: a stretch of the chain, then its chain end's exit piece.
 
@@ -190,7 +193,7 @@ class _Line:
 
     def __post_init__(self):
         # the whole line's running cost is _cost_to's on the line itself
-        object.__setattr__(self, "pass_cost", _cost_to(self, self.chain_time + self.end))
+        self.pass_cost = _cost_to(self, self.chain_time + self.end)
 
 
 def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, list]:
@@ -378,11 +381,16 @@ class SimulationTables:
 def _cumulative_rows(kernel: np.ndarray) -> tuple[list, list]:
     """Per (state, action) kernel row: its cumulative sums and its ``sum()``, as lists.
 
-    The sums are taken one state's rows at a time, so no array of the
-    kernel's size is held beside the lists.
+    One ``cumsum`` per ``CUMSUM_STATES`` states' rows and one ``sum`` over
+    the kernel's last axis, each the row-by-row result bit for bit: a
+    cumulative sum runs along its row, and the sum reduces each contiguous
+    row on its own.  The blocks keep the array beside the lists to a
+    block's rows, not the kernel's size.
     """
-    return ([np.cumsum(rows, axis=-1).tolist() for rows in kernel],
-            [[float(row.sum()) for row in rows] for rows in kernel])
+    cum = []
+    for lo in range(0, len(kernel), CUMSUM_STATES):
+        cum += np.cumsum(kernel[lo:lo + CUMSUM_STATES], axis=-1).tolist()
+    return cum, kernel.sum(axis=-1).tolist()
 
 
 def prepare_simulation(model, policy, *, workspace: OperatorWorkspace | None = None) -> SimulationTables:
@@ -465,6 +473,14 @@ class SimulationSummary:
         }
 
 
+def _key_words(seed: int, replication: int) -> tuple[int, int]:
+    """(seed, replication) as the two words of a Philox key, each an unsigned 64-bit integer."""
+    for name, value in (("seed", seed), ("replication", replication)):
+        if not 0 <= int(value) < 2**64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return int(seed), int(replication)
+
+
 def _rng_stream(seed: int, replication: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, replication).
 
@@ -472,10 +488,29 @@ def _rng_stream(seed: int, replication: int) -> np.random.Generator:
     of 2**63 or more next to a smaller one as float64, which rounds the
     word.  Below 2**63 both forms give the same key.
     """
-    for name, value in (("seed", seed), ("replication", replication)):
-        if not 0 <= int(value) < 2**64:  # a key word is an unsigned 64-bit integer
-            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
-    return np.random.Generator(np.random.Philox(key=np.array([int(seed), int(replication)], dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(key=np.array(_key_words(seed, replication), dtype=np.uint64)))
+
+
+_streams = threading.local()  # each thread's one generator, which _thread_stream re-keys
+
+
+def _thread_stream(seed: int, replication: int) -> np.random.Generator:
+    """This thread's generator, re-keyed to the stream of :func:`_rng_stream` (``seed``, ``replication``).
+
+    Setting the Philox state to a fresh key's (counter, buffer and
+    ``buffer_pos`` reset) is several times cheaper than building a
+    generator, and gives the same stream whatever was drawn before: the
+    state is all a Philox stream reads.  Each thread re-keys its own
+    generator, so no two threads share a stream.
+    """
+    key = _key_words(seed, replication)
+    rng = getattr(_streams, "rng", None)
+    if rng is None:
+        rng = _streams.rng = _rng_stream(*key)
+    else:
+        rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                                   "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _uniform_block(rng: np.random.Generator) -> list:
@@ -524,13 +559,15 @@ def _check_horizon(horizon: float) -> None:
 
 def simulate(model, policy, x0: int, horizon: float, seed: int, *,
              replication: int = 0, record: bool = True,
-             tables: SimulationTables | None = None) -> tuple[TrajectoryRecord, SimulationSummary]:
+             tables: SimulationTables | None = None) -> tuple[TrajectoryRecord | None, SimulationSummary]:
     """Simulate the controlled process from grid state index ``x0``.
 
     Identical (model, policy, x0, horizon, seed, replication) reproduce the
     trajectory bit for bit (counter-based generator, fixed draw order: one
     uniform for the sojourn and one for the post-jump state per jump, drawn
-    from the stream in blocks).
+    from the stream in blocks).  The stream is this thread's one generator,
+    re-keyed for each call (:func:`_thread_stream`).  With ``record=False``
+    no :class:`TrajectoryRecord` is built, and None stands in its place.
 
     ``tables`` must have been prepared for this model object and this policy
     (the same object or one with the same :meth:`FeedbackPolicy.key`); they
@@ -552,7 +589,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
         raise ValueError("simulation tables were prepared for another policy")
     else:
         tabs = tables
-    rng = _rng_stream(seed, replication)
+    rng = _thread_stream(seed, replication)
     batches = DEFAULT_BATCHES
     max_jumps = int(max(MAX_JUMPS_FLOOR, MAX_JUMPS_FACTOR * (model.lambda_sup + 1.0) * horizon))
 
@@ -755,7 +792,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
         boundary_hits=hits,
         jump_count=jumps,
         final_time=t,
-    )
+    ) if record else None
     summary = SimulationSummary(
         average=(cost_f + cost_r) / horizon,
         se=se,

@@ -493,6 +493,13 @@ class TestPipeline:
         assert doc["rho"] == pytest.approx(1.5625, abs=1e-9)
 
 
+def _at(node, path: tuple):
+    """The node at ``path`` inside ``node``."""
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _paths(node, path=()):
     """Every path into ``node``, containers and leaves, its own first."""
     yield path
@@ -505,16 +512,27 @@ BUNDLED_DOCS = {name: json.loads(pa.bundled_model_path(name).read_text()) for na
 # per document and section, the paths into it; a section is drawn first, so the
 # large kernel tables do not crowd out the scalars
 DOC_PATHS = {name: {key: list(_paths(doc[key], (key,))) for key in doc} for name, doc in BUNDLED_DOCS.items()}
-# 1e400 is written as Infinity, which reads back as inf, and nan as NaN
-REPLACEMENTS = ("x", True, False, None, "list", "dict", 1e-320, -1.0, 1e400, math.nan, 1e300, -1e300)
+# per document and section, the paths to its non-empty lists
+LIST_PATHS = {name: {key: [p for p in paths if isinstance(node := _at(BUNDLED_DOCS[name], p), list) and node]
+                     for key, paths in sections.items()}
+              for name, sections in DOC_PATHS.items()}
+# 1e400 is written as Infinity, which reads back as inf, and nan as NaN; the
+# integers are an action index past the grid, past int64 and past uint64,
+# and a negative one
+REPLACEMENTS = ("x", True, False, None, "list", "dict", 1e-320, -1.0, 1e400, math.nan, 1e300, -1e300,
+                99, 2**63, 2**64, -7)
 
 
 @st.composite
 def mutations(draw):
-    """(document name, path, mutation): one leaf replaced, one key deleted, or a section made a scalar."""
+    """(document name, path, mutation): one leaf replaced, one key deleted, a section made a scalar,
+    or a list's last entry dropped or repeated."""
     name = draw(st.sampled_from(sorted(BUNDLED_DOCS)))
     section = draw(st.sampled_from(sorted(DOC_PATHS[name])))
-    kind = draw(st.sampled_from(("replace", "delete", "scalar section")))
+    kind = draw(st.sampled_from(("replace", "delete", "scalar section", "reshape")))
+    if kind == "reshape" and LIST_PATHS[name][section]:
+        return name, draw(st.sampled_from(LIST_PATHS[name][section])), draw(st.sampled_from(("drop last",
+                                                                                            "repeat last")))
     if kind == "scalar section":
         return name, (section,), draw(st.sampled_from((3, "x", True, None)))
     if kind == "delete":
@@ -534,6 +552,8 @@ def _mutated(doc: dict, path: tuple, mutation) -> dict:
         del node[last]
     elif mutation in ("list", "dict"):
         node[last] = [node[last]] if mutation == "list" else {"value": node[last]}
+    elif mutation in ("drop last", "repeat last"):
+        node[last] = node[last][:-1] if mutation == "drop last" else node[last] + node[last][-1:]
     else:
         node[last] = mutation
     return top

@@ -129,6 +129,56 @@ def test_invariant_measure_exists_exactly_when_one_class_is_closed(kernel):
     assert np.abs(nu @ kernel - nu).sum() <= 1e-13
 
 
+@st.composite
+def supports(draw):
+    """A random boolean support on n <= 12 states with no empty row, and one of its columns made full half the time."""
+    n = draw(st.integers(1, 12))
+    bits = (1 << n * n) - 1
+    for _ in range(draw(st.integers(1, 3))):  # each random mask halves the density
+        bits &= draw(st.integers(0, (1 << n * n) - 1))
+    adj = np.array([bits >> k & 1 for k in range(n * n)], dtype=bool).reshape(n, n)
+    if draw(st.booleans()):
+        adj[:, draw(st.integers(0, n - 1))] = True
+    adj[~adj.any(axis=1), draw(st.integers(0, n - 1))] = True
+    return adj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(adj=supports())
+def test_the_one_step_doeblin_test_accepts_only_one_closed_class(adj):
+    # whenever the shortcut accepts a kernel on this support, the walk finds
+    # one closed class too, from every start
+    kernel = adj / adj.sum(axis=1, keepdims=True)
+    if evaluation._one_step_doeblin(kernel):
+        assert all(evaluation._one_closed_class(adj, s) for s in range(adj.shape[0]))
+        assert _closed_class_count(adj) == 1
+    else:
+        assert not adj.all(axis=0).any()
+
+
+def test_a_kernel_with_a_positive_column_walks_no_graph(monkeypatch):
+    reach = evaluation._reach
+    calls = []
+
+    def counted(adj, start):
+        calls.append(start)
+        return reach(adj, start)
+
+    monkeypatch.setattr(evaluation, "_reach", counted)
+    # a cycle that also jumps to state 2 from every state, so column 2 is positive
+    n = 16
+    kernel = np.zeros((n, n))
+    kernel[np.arange(n), (np.arange(n) + 1) % n] = 0.5
+    kernel[:, 2] += 0.5
+    nu = invariant_measure(kernel)
+    assert calls == [] and np.abs(nu @ kernel - nu).sum() <= 1e-13
+    # the same cycle without the jump has no positive column, so its graph is walked
+    kernel[:, 2] -= 0.5
+    kernel[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    invariant_measure(kernel)
+    assert calls
+
+
 class TestEvaluatePolicy:
     def test_two_state_cycle_closed_form(self):
         # swap chain: time-weighted cycle average (f1/l1 + f2/l2)/(1/l1 + 1/l2)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
 from pdmp_avgctl.model import DimensionError, ModelFormatError
@@ -473,6 +474,34 @@ class TestFeedbackPolicy:
                 want += [f"action {a} infeasible at boundary point {i}"
                          for i, a in enumerate(policy.boundary.tolist()) if a not in grid.boundary_feasible[i]]
                 assert policy.feasibility_problems(model) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(pa.bundled_model_names())), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["feasible", "one entry", "random", "length", "float", "bool", "uint", "list"]))
+    def test_the_one_test_accept_and_the_messages_agree(self, models, name, seed, kind):
+        # the vectorised accept and the message-building path give one list:
+        # [] exactly when every entry is feasible
+        model, rng = models[name], np.random.default_rng(seed)
+        policy = pa.FeedbackPolicy.random_feasible(model, rng)
+        interior, boundary = policy.interior.copy(), policy.boundary
+        if kind == "one entry":
+            interior[rng.integers(model.n_states)] = rng.integers(-2, model.n_actions + 2)
+        elif kind == "random":
+            interior = rng.integers(-1, model.n_actions + 1, model.n_states)
+        elif kind == "length":
+            interior = interior[:-1]
+        elif kind in ("float", "bool", "uint"):
+            interior = interior.astype({"float": float, "bool": bool, "uint": np.uint8}[kind])
+        elif kind == "list":
+            interior = interior.tolist()
+        candidate = pa.FeedbackPolicy(interior=interior, boundary=boundary)
+        got = candidate.feasibility_problems(model)
+        assert got == candidate._problems(model)
+        if kind in ("feasible", "uint", "list"):
+            assert got == []
+        elif kind in ("float", "bool"):
+            assert got == [f"interior actions must be a flat array of integer action indices, "
+                           f"got {interior.dtype} of shape ({model.n_states},)"]
 
     def test_random_feasible_policies(self, models):
         rng = np.random.default_rng(0)

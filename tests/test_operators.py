@@ -847,3 +847,17 @@ def test_an_infeasible_policy_is_refused(restricted_drift, entry, action):
     policy = pa.FeedbackPolicy(interior=interior, boundary=lowest.boundary)
     with pytest.raises(ValueError, match=f"^infeasible policy: action {action} infeasible at interior state 3$"):
         OTHER_MODEL_ENTRIES[entry](model, policy, types.SimpleNamespace(rho=1.0), ws)
+
+
+# a float or boolean action array is refused by the same check, not read as
+# other actions (0.7 as 0, True as 1) or met later as an IndexError
+@pytest.mark.parametrize("interior", [[0.7, 0.7], [True, False]], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", sorted(OTHER_MODEL_ENTRIES))
+def test_a_non_integer_policy_is_refused(models, entry, interior):
+    model = models["ctmdp_2state"]
+    interior = np.array(interior)
+    policy = pa.FeedbackPolicy(interior=interior, boundary=np.array([], dtype=np.int64))
+    message = (f"^infeasible policy: interior actions must be a flat array of integer action indices, "
+               f"got {interior.dtype} of shape \\(2,\\)$")
+    with pytest.raises(ValueError, match=message):
+        OTHER_MODEL_ENTRIES[entry](model, policy, types.SimpleNamespace(rho=1.0), OperatorWorkspace(model, 16))

@@ -145,6 +145,24 @@ class TestRunPia:
         deltas = [r.delta_h for r in trace.records[1:]]
         assert all(np.isfinite(d) for d in deltas)
 
+    def test_changed_states_count_interior_and_boundary_entries(self, models):
+        # each record counts the entries, boundary points included, where the
+        # improved policy differs from the one evaluated
+        model = models["drift_boundary_64"]
+        ws = pa.OperatorWorkspace(model, 16)
+        rng = np.random.default_rng(3)
+        boundary_changes = 0
+        for _ in range(6):
+            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            _, _, trace = pa.run_pia(model, policy, workspace=ws)
+            for record in trace.records:
+                improved = ws._assembled[("pia-step", policy.key())][3]
+                boundary = int(np.sum(improved.boundary != policy.boundary))
+                assert record.changed_states == int(np.sum(improved.interior != policy.interior)) + boundary
+                boundary_changes += boundary
+                policy = improved
+        assert boundary_changes
+
 
 class TestOptimalityResidual:
     def test_converged_output_certifies(self, models, workspaces, solved):

@@ -1,5 +1,7 @@
 import copy
 import math
+import sys
+import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdmp_avgctl as pa
-from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _cost_to, _Line, _Nodes,
-                                    _rng_stream, _standard_error, _uniform_block)
+from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _cost_to, _cumulative_rows, _Line,
+                                    _Nodes, _rng_stream, _standard_error, _thread_stream, _uniform_block)
 
 import reference_simulation
 from conftest import traced
@@ -626,6 +628,18 @@ class TestRunningCost:
                     assert abs(_cost_to(line, float(path.times[k])) - cum[k]) <= 1e-12 * max(1.0, cum[-1])
 
 
+def test_cumulative_rows_are_the_row_by_row_sums(models):
+    # cumsums over blocks of states and one sum over the kernel give each
+    # row's own, bit for bit, past one block of states and on rows past
+    # numpy's pairwise-summation blocks too
+    rng = np.random.default_rng(5)
+    kernels = [k for model in models.values() for k in (model.kernel_interior, model.kernel_boundary)]
+    kernels += [rng.dirichlet(np.ones(n), size=(states, 2)) for states, n in ((3, 7), (130, 9), (3, 129), (2, 1025))]
+    for kernel in kernels:
+        assert _cumulative_rows(kernel) == ([np.cumsum(rows, axis=-1).tolist() for rows in kernel],
+                                            [[float(row.sum()) for row in rows] for rows in kernel])
+
+
 def test_batch_edges_and_standard_error_are_numpys_to_the_bit():
     # horizons from the smallest subnormal (where numpy's step underflows to
     # zero) to near the largest double, batch counts from 1
@@ -772,6 +786,63 @@ class TestSimulate:
         for seed, replication in ((0, 0), (7, 3), (424242, 31), (2**63 - 1, 2**62)):
             listed = np.random.Generator(np.random.Philox(key=[seed, replication]))
             assert _rng_stream(seed, replication).random(8).tolist() == listed.random(8).tolist()
+
+    @pytest.mark.parametrize("drawn", [0, 3, 1500], ids=["fresh", "partly-drawn", "past-a-block"])
+    def test_the_re_keyed_thread_stream_is_the_keyed_stream(self, drawn):
+        # re-keying the thread's one generator gives _rng_stream's stream,
+        # whatever the stream before it drew, at the key words' ends
+        for seed, replication in ((0, 0), (2**63, 0), (0, 2**63), (2**64 - 1, 2**64 - 1), (7, 2**64 - 1)):
+            before = _thread_stream(11, 5)
+            before.random(drawn)
+            rng = _thread_stream(seed, replication)
+            assert rng is before
+            assert rng.random(2100).tolist() == _rng_stream(seed, replication).random(2100).tolist()
+
+    @pytest.mark.parametrize("seed, replication, name", [(-1, 0, "seed"), (2**64, 0, "seed"),
+                                                          (0, 2**64, "replication"), (0, -7, "replication")])
+    def test_the_thread_stream_refuses_keys_outside_the_philox_key(self, seed, replication, name):
+        for stream in (_rng_stream, _thread_stream):
+            with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 2\*\*64\), got "):
+                stream(seed, replication)
+
+    def test_threads_simulating_at_once_draw_their_own_streams(self, models, workspaces):
+        # each thread re-keys its own generator: replications run in six
+        # threads at once, switching often, give the sequential summaries
+        model = models["drift_boundary_64"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        tables = pa.prepare_simulation(model, policy, workspace=workspaces["drift_boundary_64"])
+
+        def summaries(offset):
+            return [pa.simulate(model, policy, 0, 400.0, 5, replication=offset + r, record=False, tables=tables)[1]
+                    for r in range(4)]
+
+        want = {k: summaries(4 * k) for k in range(6)}
+        got = {}
+        threads = [threading.Thread(target=lambda k=k: got.__setitem__(k, summaries(4 * k))) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+        mine, theirs = _thread_stream(1, 0), []
+        thread = threading.Thread(target=lambda: theirs.append(_thread_stream(1, 0)))
+        thread.start()
+        thread.join(timeout=60)
+        assert theirs and theirs[0] is not mine
+
+    def test_no_record_is_built_without_record(self, models):
+        model = models["ctmdp_2state"]
+        policy = pa.FeedbackPolicy.lowest_feasible(model)
+        record, summary = pa.simulate(model, policy, 0, 50.0, seed=3, record=False)
+        assert record is None
+        full, same = pa.simulate(model, policy, 0, 50.0, seed=3)
+        assert same == summary and full.jump_count == summary.jumps
 
     @pytest.mark.parametrize("action", [1, 2, -1], ids=["infeasible", "past-the-actions", "negative"])
     def test_infeasible_policy_is_refused_before_any_table(self, write_model, action):

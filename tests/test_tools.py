@@ -15,6 +15,7 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,14 @@ def test_scaling_row_on_a_small_grid(tmp_path, monkeypatch):
     assert row["mc_us_per_jump"] > 0.0 and row["mc_fixed_us"] > 0.0
     assert row["ref_mc_us_per_jump"] > 0.0 and row["ref_mc_fixed_us"] > 0.0 and row["slowdown"] > 0.0
     assert set(bench.machine()) >= {"cores", "numpy", "python"}
+
+
+def test_scaling_records_the_package_import_cost(monkeypatch):
+    bench = load_tool("bench_scaling")
+    monkeypatch.setattr(bench, "IMPORT_SAMPLES", 1)
+    cost = bench.import_cost()
+    assert cost["import_ms"] > 0.0 and cost["import_ms"] == float(f"{cost['import_ms']:.3g}")
+    assert cost["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
 
 
 def test_scaling_columns_fill_their_budget(monkeypatch):

@@ -53,7 +53,9 @@ Run from the root of a checkout:
 The rows go under ``--label`` in the output file, next to those of other
 labels already there (say, the same script run on the parent commit with the
 same ``--work`` directory), with the machine's cores, numpy and Python
-versions.  Model files already in the work directory are reused.
+versions, and the package's own import time in a fresh process
+(``import_ms``) with whether that process wrote bytecode.  Model files
+already in the work directory are reused.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ MIN_SAMPLES = 3
 BUDGET_S = 1.0
 MC_HORIZON = 1e4
 MC_FIXED_CALLS = 200
+IMPORT_SAMPLES = 9
 
 
 def _perfbench(name: str):
@@ -245,6 +248,28 @@ def machine() -> dict:
             "machine": platform.machine(), "processor": platform.processor() or None}
 
 
+# one fresh interpreter: numpy first, then the package, timed alone
+IMPORT_PROBE = """
+import json, sys, time
+import numpy
+t0 = time.perf_counter()
+import pdmp_avgctl
+print(json.dumps({"ms": 1e3 * (time.perf_counter() - t0), "dont_write_bytecode": sys.flags.dont_write_bytecode}))
+"""
+
+
+def import_cost() -> dict:
+    """``import_ms``: the median over ``IMPORT_SAMPLES`` fresh processes of ``import pdmp_avgctl`` after
+    numpy, and whether those processes wrote no bytecode (``dont_write_bytecode``, set by
+    ``PYTHONDONTWRITEBYTECODE``): without valid bytecode each import compiles the package's sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    runs = [json.loads(subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                                      check=True, env=env).stdout)
+            for _ in range(IMPORT_SAMPLES)]
+    return {"import_ms": _significant(float(np.median([r["ms"] for r in runs]))),
+            "dont_write_bytecode": bool(runs[0]["dont_write_bytecode"])}
+
+
 def _run(args: list) -> str:
     """The last output line of this script run with ``args`` in a fresh process, BLAS on one thread."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -281,7 +306,7 @@ def main(argv=None) -> int:
         rows.append(json.loads(_run(["--measure", str(path)])))
         print(json.dumps(rows[-1]), flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = {"machine": machine(), "rows": rows}
+    doc.setdefault("runs", {})[args.label] = {"machine": dict(machine(), **import_cost()), "rows": rows}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
