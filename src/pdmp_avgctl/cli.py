@@ -267,6 +267,12 @@ def cmd_simulate(config: RunConfig) -> int:
             print(f"error: {result_path} holds no finite rho; pass --rho", file=sys.stderr)
             return EXIT_USAGE
 
+    if rho is not None and config.trajectory_csv:
+        source = "--rho" if config.rho is not None else str(result_path)
+        print(f"error: --trajectory-csv records one plain run, but rho from {source} makes this a Monte Carlo "
+              f"verdict run, which records no trajectory; drop --trajectory-csv, or run without --rho into an "
+              f"--out holding no evaluation.json", file=sys.stderr)
+        return EXIT_USAGE
     if not 0 <= config.x0 < model.n_states:
         print(f"error: --x0 must be in [0, {model.n_states})", file=sys.stderr)
         return EXIT_USAGE

@@ -60,9 +60,18 @@ draws the same trajectory bit for bit.
 What does not change from one replication to the next is checked once: the
 policy's feasibility when its :class:`SimulationTables` are built, and in
 :func:`simulate` only that the tables belong to the model and policy given.
-A replication's batch edges and batch-means standard error are those of
-``np.linspace`` and ``np.std``, bit for bit, without their per-call set-up,
-and its stream re-keys the thread's one generator rather than building one.
+A replication's stream re-keys the thread's one generator rather than
+building one.
+
+The jump loop keeps no batch state.  The batch-means standard error is the
+single-run estimator of one long trajectory (Law, *Simulation Modeling and
+Analysis*, 5th ed., 2015, ch. 9), so it is derived after the loop from the
+trajectory record: each batch edge is costed on the sojourn that holds it,
+with the arithmetic a loop that costs the edges as it passes them would
+use, and the edges and the standard error are those of ``np.linspace`` and
+``np.std``, bit for bit, without their per-call set-up.  A replication
+that builds no record (``record=False``, as :func:`mc_validate`'s do) has
+no trajectory to batch, and its summary's ``se`` is None.
 """
 
 from __future__ import annotations
@@ -451,7 +460,7 @@ class TrajectoryRecord:
 @dataclass(frozen=True)
 class SimulationSummary:
     average: float
-    se: float
+    se: float | None         # the recorded trajectory's batch-means standard error; None without a record
     jumps: int
     boundary_hits: int
     seed: int
@@ -552,6 +561,33 @@ def _standard_error(batch_means: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(dev * dev) / (batches - 1)) / math.sqrt(batches)
 
 
+def _recorded_se(lines: list, x0: int, horizon: float, batches: int,
+                 jt: list, jz: list, jcum: list, total: float) -> float:
+    """The batch-means standard error of a recorded trajectory of total cost ``total``.
+
+    Batch edge ``e`` below the horizon lies in the sojourn that starts at
+    the last recorded jump at or before it, the ``i``-th with ``i =
+    bisect_right(jt, e) - 1``, or at time 0 in ``x0`` when there is none.
+    Its cost is the cost at that jump plus the running cost of the
+    sojourn's line up to ``e``.
+    Edges from the horizon on take the total.  That is the arithmetic, in
+    its order, of a jump loop that costs each edge as it passes it, so the
+    standard error is the same bit for bit.
+    """
+    if batches == 1:
+        return 0.0
+    edge_costs = []
+    for e in _batch_edges(horizon, batches):
+        if not e < horizon:
+            break
+        i = bisect_right(jt, e) - 1
+        at, line, t = (jcum[i], lines[jz[i]], jt[i]) if i >= 0 else (0.0, lines[x0], 0.0)
+        edge_costs.append(at + _cost_to(line, e - t))
+    edge_costs += [total] * (batches - len(edge_costs))
+    batch_totals = np.diff(np.concatenate([[0.0], edge_costs]))
+    return _standard_error(batch_totals / (horizon / batches))
+
+
 def _check_horizon(horizon: float) -> None:
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -574,8 +610,9 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     checked the policy's feasibility when they were built, so a replication
     does not check it again.
 
-    The average's standard error comes from ``DEFAULT_BATCHES`` batch means,
-    and a run past the jump-count guard (``MAX_JUMPS_FLOOR``,
+    The average's standard error comes from ``DEFAULT_BATCHES`` batch means
+    of the recorded trajectory (:func:`_recorded_se`); without a record it
+    is None.  A run past the jump-count guard (``MAX_JUMPS_FLOOR``,
     ``MAX_JUMPS_FACTOR``) raises :class:`SimulationExplosionError`.
     """
     _check_horizon(horizon)
@@ -590,13 +627,7 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     else:
         tabs = tables
     rng = _thread_stream(seed, replication)
-    batches = DEFAULT_BATCHES
     max_jumps = int(max(MAX_JUMPS_FLOOR, MAX_JUMPS_FACTOR * (model.lambda_sup + 1.0) * horizon))
-
-    # one edge past the last so the "next edge" test needs no bounds check
-    edges = _batch_edges(horizon, batches) + [math.inf]
-    edge_costs = []
-    next_edge = edges[0]
 
     points = tabs.points
     n = len(points)
@@ -610,7 +641,6 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
     bounds = tabs.cell_bounds
     cum, total = tabs.interior_cum, tabs.interior_sum
     boundary_cum, boundary_sum, boundary_cost = tabs.boundary_cum, tabs.boundary_sum, tabs.boundary_cost
-    cost_to = _cost_to
     log1p = math.log1p
     rate_floor, block_pairs = RATE_FLOOR, UNIFORM_BLOCK // 2
     t = 0.0
@@ -683,15 +713,9 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
             t_next = t + sojourn
             # a jump landing exactly on the horizon still counts (T_i <= t convention)
             if t_next > horizon:
-                while next_edge < horizon:
-                    edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
-                    next_edge = edges[len(edge_costs)]
-                cost_f += cost_to(line, horizon - t)
+                cost_f += _cost_to(line, horizon - t)
                 t = horizon
                 break
-            while next_edge < t_next:
-                edge_costs.append(cost_f + cost_r + cost_to(line, next_edge - t))
-                next_edge = edges[len(edge_costs)]
 
             if still is not None:
                 # _cost_to(line, sojourn) on the one interval, and the post-jump
@@ -776,12 +800,8 @@ def simulate(model, policy, x0: int, horizon: float, seed: int, *,
                        "recent_rate": jumps / max(t, 1e-12)},
             )
 
-    edge_costs += [cost_f + cost_r] * (batches - len(edge_costs))
-
-    batch_totals = np.diff(np.concatenate([[0.0], edge_costs]))
-    batch_means = batch_totals / (horizon / batches)
-    se = _standard_error(batch_means) if batches > 1 else 0.0
-
+    batches = DEFAULT_BATCHES
+    se = _recorded_se(tabs.lines, int(x0), horizon, batches, jt, jz, jcum, cost_f + cost_r) if record else None
     record_obj = TrajectoryRecord(
         jump_times=np.asarray(jt),
         post_jump_states=np.asarray(jz, dtype=np.int64),

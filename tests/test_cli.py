@@ -174,6 +174,28 @@ class TestBadInput:
         assert run_cli(args + ["--policy", tmp_path / "policy.json"]) == 0
         assert (tmp_path / "mc_summary.json").exists()
 
+    def test_trajectory_csv_with_rho_is_refused(self, write_model, tmp_path, capsys):
+        # a verdict run records no trajectory, so --trajectory-csv is refused, not ignored
+        path = write_model(renewal_doc(), "renewal")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--model", path, "--rho", "0.7", "--horizon", "50", "--reps", "2",
+                        "--seed", "1", "--trajectory-csv", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trajectory-csv ") and "rho from --rho makes" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_trajectory_csv_with_an_evaluation_rho_is_refused(self, write_model, tmp_path, capsys):
+        path = write_model(dominated_toy_doc(), "a")
+        assert run_cli(["solve", "--model", path, "--out", tmp_path]) == 0
+        capsys.readouterr()
+        code = run_cli(["simulate", "--model", path, "--policy", tmp_path / "policy.json", "--horizon", "100",
+                        "--reps", "2", "--seed", "1", "--trajectory-csv", "--out", tmp_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trajectory-csv ") and "evaluation.json makes" in err and "--rho" in err
+        assert not (tmp_path / "mc_summary.json").exists()
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_evaluate_records_its_policy_for_simulate(self, write_model, tmp_path):
         path = write_model(dominated_toy_doc(), "a")
         assert run_cli(["evaluate", "--model", path, "--out", tmp_path]) == 0

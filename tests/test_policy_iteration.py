@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -248,6 +249,45 @@ def test_pia_meets_the_uniformization_oracle_on_random_ctmdps(case):
     model, result, _ = _solve_random_ctmdp(case)
     rho_star, _ = uniformization_rvi(*model_arrays(model))
     assert abs(result.rho - rho_star) <= 1e-6
+
+
+# PIA's answer against every feasible stationary policy: a piece runs at its
+# anchor's action, so one state's action enters the kernel row of every state
+# upstream on its flow line, and the finite-MDP theorem does not cover the
+# discrete problem directly
+
+def _least_rho(model, ws) -> float:
+    """The least rho of every feasible (interior, boundary) policy, each by the bordered solve on ``ws``."""
+    n, grid = model.n_states, model.action_grid
+    least = np.inf
+    for actions in itertools.product(*grid.feasible, *grid.boundary_feasible):
+        policy = pa.FeedbackPolicy(interior=np.array(actions[:n], dtype=np.int64),
+                                   boundary=np.array(actions[n:], dtype=np.int64))
+        least = min(least, pa.evaluate_policy(model, policy, workspace=ws).rho)
+    return least
+
+
+def _assert_pia_is_the_best_policy(model, result, trace, least) -> None:
+    assert result.rho <= least + 1e-12 * max(1.0, abs(result.rho)), (result.rho, least)
+    if trace.status == "converged":
+        assert trace.records[-1].optimality_residual <= 1e-7, trace.records[-1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=random_model_docs())
+def test_pia_beats_every_feasible_policy(case):
+    doc, fill, seed = case
+    model = pa.model_from_dict(doc)
+    ws = pa.OperatorWorkspace(model, fill)
+    result, _, trace = pa.run_pia(model, pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed)),
+                                  workspace=ws)
+    _assert_pia_is_the_best_policy(model, result, trace, _least_rho(model, ws))
+
+
+@pytest.mark.parametrize("name", ["ctmdp_2state", "ctmdp_3state", "renewal_cycle"])
+def test_pia_beats_every_feasible_policy_of_the_small_bundled_models(models, workspaces, solved, name):
+    result, _, trace = solved[name]
+    _assert_pia_is_the_best_policy(models[name], result, trace, _least_rho(models[name], workspaces[name]))
 
 
 # a sweep: several starts solved on one workspace, as the benchmark's start

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import sys
 import threading
@@ -7,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pdmp_avgctl as pa
 from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _batch_edges, _cost_to, _cumulative_rows, _Line,
@@ -395,6 +396,42 @@ def test_trajectories_match_the_reference_loop(flow, data):
             assert np.array_equal(getattr(rec, name), getattr(ref_rec, name)), name
         assert (rec.running_cost_total, rec.boundary_cost_total, rec.final_time) == \
             (ref_rec.running_cost_total, ref_rec.boundary_cost_total, ref_rec.final_time)
+        assert summ == ref_summ
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_recorded_standard_error_is_the_reference_loops(flow, data):
+    # the standard error derived from the record is that of the reference
+    # loop, which costs each batch edge as it passes it, bit for bit: with
+    # the last jump on the horizon, with a batch edge on a jump, and with
+    # one batch
+    doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
+    model = pa.model_from_dict(doc)
+    policy = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed))
+    tables = pa.prepare_simulation(model, policy, workspace=pa.OperatorWorkspace(model, fill))
+    x0 = data.draw(st.integers(0, model.n_states - 1))
+    first = _outcome(pa.simulate, model, policy, x0, 30.0, seed, tables=tables)
+    assume(not isinstance(first[0], type))
+    times = [t for t in first[0].jump_times.tolist() if t > 0.0]
+    assume(times)
+    t_k = data.draw(st.sampled_from(times))
+    for horizon, batches in ((t_k, 20), (2.0 * t_k, 2), (2.0 * t_k, 1)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pa.simulation, "DEFAULT_BATCHES", batches)
+            rec, summ = pa.simulate(model, policy, x0, horizon, seed, tables=tables)
+        ref_rec, ref_summ = reference_simulation.simulate(model, policy, x0, horizon, seed, batches=batches,
+                                                          tables=tables)
+        if batches == 20:
+            assert rec.jump_times[-1] == horizon  # the last jump lands on the horizon
+        elif batches == 2:
+            assert t_k in rec.jump_times  # the batch edge horizon / 2 is a jump time
+        for name in ("jump_times", "post_jump_states", "hit_boundary", "cost_at_jumps"):
+            assert np.array_equal(getattr(rec, name), getattr(ref_rec, name)), name
+        assert (rec.running_cost_total, rec.boundary_cost_total, rec.final_time) == \
+            (ref_rec.running_cost_total, ref_rec.boundary_cost_total, ref_rec.final_time)
+        assert (summ.average.hex(), summ.se.hex()) == (ref_summ.average.hex(), ref_summ.se.hex())
         assert summ == ref_summ
 
 
@@ -842,7 +879,9 @@ class TestSimulate:
         record, summary = pa.simulate(model, policy, 0, 50.0, seed=3, record=False)
         assert record is None
         full, same = pa.simulate(model, policy, 0, 50.0, seed=3)
-        assert same == summary and full.jump_count == summary.jumps
+        # no trajectory, no batches: every field but the standard error is the recorded run's
+        assert summary.se is None and same.se > 0.0
+        assert dataclasses.replace(same, se=None) == summary and full.jump_count == summary.jumps
 
     @pytest.mark.parametrize("action", [1, 2, -1], ids=["infeasible", "past-the-actions", "negative"])
     def test_infeasible_policy_is_refused_before_any_table(self, write_model, action):

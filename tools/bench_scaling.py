@@ -20,8 +20,9 @@ Monte Carlo columns run the same policy on simulation tables prepared once:
 ``mc_us_per_jump`` is the median over replications at horizon
 ``MC_HORIZON`` of a replication's time per jump, and ``mc_fixed_us`` the
 time of a replication whose horizon ends before its first jump (the
-per-replication cost of keying the stream, drawing the first uniforms, the
-batch edges and the summary), the median over batches of
+per-replication cost of keying the stream, drawing the first uniforms and
+building the summary; an unrecorded replication has no batch means), the
+median over batches of
 ``MC_FIXED_CALLS``.  No line of drift_N is
 stationary (a line that is one constant exit piece and never hits the
 boundary): every drift_N line ends on the boundary, so the ``mc_*`` columns
