@@ -54,7 +54,13 @@ class ErgodicityError(EvaluationError):
 
 
 class KernelMassError(EvaluationError, ValueError):
-    """Kernel rows that do not sum to 1: the process need not jump or hit the boundary by t_max."""
+    """Kernel rows that do not sum to 1.
+
+    An assembled kernel loses mass only on a line whose frozen tail past
+    t_max never jumps (jump rate at or below
+    :data:`~pdmp_avgctl.operators.RATE_FLOOR`); every other tail is closed
+    in the operators.
+    """
 
 
 def invariant_measure(kernel: np.ndarray) -> np.ndarray:
@@ -250,7 +256,7 @@ def evaluate_policy(model, policy, tol: float = DEFAULT_TOL, *,
     ws = workspace
     if ws is None:
         ws = refined_workspace(model, policy, target=min(tol / 2.0, 5e-9))
-    kernel, ell, cost, _ = ws.assemble(policy, 0.0)
+    kernel, ell, cost = ws.assemble(policy, 0.0)
     rho, h, _ = _bias(kernel, ell, cost, tol)
     return _measured(ws, kernel, ell, cost, rho, h)
 

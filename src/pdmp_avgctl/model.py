@@ -620,7 +620,12 @@ def _line_integrals(model: PdmpModel, ws, rate: float, v_nodes=None) -> tuple[np
     One exponent pass and one backward pass: each piece's integral plus
     e^{rate t - int lambda_lower} across the piece times the integral of
     the rest of the line, as :meth:`OperatorWorkspace.assemble` carries
-    survival, and the pieces' exponents summed alongside.
+    survival, and the pieces' exponents summed alongside.  Unlike the
+    operators, they are not closed past t_max: the audit checks the
+    paper's assumptions on the model's flow, which goes on past t_max where
+    the operators' frozen state stops, so a line that stops at t_max is
+    integrated over its window only, and the audit's t -> infinity items
+    stay "not_checkable" there.
     """
     inner, exponent = _piece_integrals(model, ws, rate, v_nodes)
     w = ws.backward(np.column_stack((inner, exponent)),

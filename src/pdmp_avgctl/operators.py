@@ -46,16 +46,20 @@ written once, in :func:`_segment_tables`, which sums every (piece, action)
 pair's sojourn weight, running-cost integral, survival across the piece and
 weights of Qh = Q h on the few consecutive grid points the piece spans: a
 dense band of ``width`` slots per (piece, action), which assembly and the
-one-stage values both read.  The value to go from a grid point does not
-depend on the line that reached it, so every operator is one backward pass
-over the grid positions in flow order (:meth:`OperatorWorkspace.backward`):
-the piece's value plus its survival times the value at the next grid point,
-or the exit's terminal value at a chain end.  Assembly, improvement and the
-optimality certificate run that pass on the same tables, so all three
-minimize over and evaluate exactly the same path class.  Improvement and the
-certificate are one entry (:meth:`OperatorWorkspace.improve_and_certify`),
-one pass on Python floats, with Qh, the boundary minima and the pieces'
-one-stage values computed once for both.
+one-stage values both read.  Past the end of an exit piece that stops at
+t_max the state is frozen at the piece's last node under the piece's action,
+as the simulator runs it, and the tables hold that tail in closed form, so
+a line's kernel row keeps its whole jump mass.  The value to go from
+a grid point does not depend on the line that reached it, so every operator
+is one backward pass over the grid positions in flow order
+(:meth:`OperatorWorkspace.backward`): the piece's value plus its survival
+times the value at the next grid point, or the exit's terminal value at a
+chain end.  Assembly, improvement and the optimality certificate run that
+pass on the same tables, so all three minimize over and evaluate exactly
+the same path class.  Improvement and the certificate are one entry
+(:meth:`OperatorWorkspace.improve_and_certify`), one pass on Python floats,
+with Qh, the boundary minima and the pieces' one-stage values computed once
+for both.
 
 What no fill changes (flow order, transits, chain ends, exits and piece
 durations) is worked out once per model object
@@ -91,6 +95,8 @@ MAX_FILL = 2048
 # nodes at DEFAULT_FILL and 2,098,176 at MAX_FILL (drift_1024)
 MAX_MESH_NODES = 10_000_000
 MIN_TAIL_INTERVALS = 8
+# a frozen tail whose jump rate is at or below this never jumps
+RATE_FLOOR = 1e-12
 TIE_TOL = 1e-12
 CACHE_ENTRIES = 256
 
@@ -439,6 +445,9 @@ class SegmentTables:
         -rho * sojourn[p, a] + cost[p, a] + sum_k weights[k, p, a] * Qh.flat[cols[k, p, a]]
         + survival[p, a] * W
 
+    (an exit piece that stops at t_max includes its frozen tail and has
+    survival 0; see :func:`_segment_tables`).
+
     The band slot k is grid point ``base_p + k``, base_p the lowest grid
     point the piece reads, and ``cols = min(base_p + k, n - 1) * n_a + a``
     indexes both ``Qh.ravel()`` and ``kernel_interior.reshape(n * n_a, n)``;
@@ -461,8 +470,16 @@ class SegmentTables:
         return -rho * self.sojourn + self.cost + q.sum(axis=0)
 
 
-def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
+def _segment_tables(model, mesh: _Mesh, truncated_tail: np.ndarray) -> SegmentTables:
     """One vectorized pass over the mesh's node pairs, summed per piece over its intervals.
+
+    Past the end of an exit piece that stops at t_max (``truncated_tail``)
+    the state is frozen at the piece's last node, under the piece's action:
+    a jump comes at the rate lam there, at the running cost f there, to the
+    kernel row there.  With S the survival across the piece, that tail
+    adds S / lam to the sojourn, S f / lam to the cost and S to the last
+    node's Qh weight, and leaves survival 0.  A tail with lam at or below
+    ``RATE_FLOOR`` never jumps and keeps S, so its kernel row loses S.
 
     Each (N - 1, n_a) intermediate is dropped after its last read or reused
     in place, so the pass holds at most six of them at a time.
@@ -509,6 +526,15 @@ def _segment_tables(model, mesh: _Mesh) -> SegmentTables:
     node[-1] = 0.0
     node[1:] += p1
     del p1
+    tails = np.flatnonzero(truncated_tail)
+    last = mesh.node_start[tails + 1] - 1
+    rate = lam[last]
+    closed = np.where(rate > RATE_FLOOR, survival[tails], 0.0)
+    rate = np.maximum(rate, RATE_FLOOR)
+    sojourn[tails] += closed / rate
+    cost[tails] += closed * f[last] / rate
+    node[last] += closed
+    survival[tails] -= closed
     ilo, wlo = mesh.ilo, mesh.wlo
     base = np.minimum.reduceat(ilo, mesh.node_start[:-1])
     top = np.maximum.reduceat(ilo + (wlo < 1.0), mesh.node_start[:-1])  # the highest hi of each piece
@@ -604,7 +630,7 @@ class OperatorWorkspace:
     # -- assembled operator set ----------------------------------------------
 
     def assemble(self, policy, alpha: float = 0.0):
-        """(kernel, ell, cost, survival) of one policy, one backward pass over the piece tables.
+        """(kernel, ell, cost) of one policy, one backward pass over the piece tables.
 
         Piece p runs at the action a of its anchor, with kernel row
 
@@ -612,13 +638,13 @@ class OperatorWorkspace:
 
         (its band's kernel rows, weighted).  The pass carries
 
-            [G, ell, cost, S] <- [g_p, sojourn_p, cost_p, 0] + survival_p [G, ell, cost, S]
+            [G, ell, cost] <- [g_p, sojourn_p, cost_p] + survival_p [G, ell, cost]
 
-        from [Q_boundary(z, u_b), 0, r(z, u_b), 1] after an exit that hits
-        the boundary at z and from [0, 0, 0, 1] after one that stops at
-        t_max.  ``survival[j]`` is S, the probability of no jump up to the
-        line's end.  Only zero discount is served; ``alpha`` is part of the
-        cache key.
+        from [Q_boundary(z, u_b), 0, r(z, u_b)] after an exit that hits the
+        boundary at z and from 0 after one that stops at t_max, whose frozen
+        tail its tables already hold (survival 0; see
+        :func:`_segment_tables`).  Only zero discount is served; ``alpha`` is
+        part of the cache key.
         """
         if alpha != 0.0:
             raise ValueError(f"assemble serves only alpha = 0, got alpha={alpha}")
@@ -633,19 +659,18 @@ class OperatorWorkspace:
         act = policy.interior[self.chain.anchors]
         # each piece's kernel row: its band's kernel rows at its action, weighted
         weights, cols = tables.weights[:, pieces, act].T, tables.cols[:, pieces, act].T
-        values = np.zeros((n_pieces, n + 3))
+        values = np.empty((n_pieces, n + 2))
         values[:, :n] = (weights[:, None, :] @ model.kernel_interior.reshape(n * n_a, n)[cols])[:, 0]
         values[:, n] = tables.sojourn[pieces, act]
         values[:, n + 1] = tables.cost[pieces, act]
-        terminal = np.zeros((len(self.chain.exits), n + 3))
-        terminal[:, n + 2] = 1.0
+        terminal = np.zeros((len(self.chain.exits), n + 2))
         for k, e in enumerate(self.chain.exits):
             if e.hit:
                 b_act = policy.boundary[e.boundary_index]
                 terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
                 terminal[k, n + 1] = model.boundary_cost[e.boundary_index, b_act]
         w = self.backward(values, tables.survival[pieces, act], terminal)
-        return (w[:, :n].copy(), w[:, n].copy(), w[:, n + 1].copy(), w[:, n + 2].copy())
+        return w[:, :n].copy(), w[:, n].copy(), w[:, n + 1].copy()
 
     # -- one-stage machinery ---------------------------------------------------
 
@@ -682,7 +707,7 @@ class OperatorWorkspace:
         no pass pays for them.
         """
         if self._segments is None:
-            self._segments = _segment_tables(self.model, self.mesh)
+            self._segments = _segment_tables(self.model, self.mesh, self.chain.truncated_tail)
             self._pass = self._pass_lists(self._segments)
         return self._segments
 
@@ -691,14 +716,11 @@ class OperatorWorkspace:
 
         Per piece the survival of every action; per grid state its feasible
         actions, its mask and the mask of actions feasible at every piece
-        start of its line (those a frozen-action sweep may hold); the exits
-        that hit the boundary with their boundary point; and, for the exits
-        that stop at t_max (None without any), the grid interpolation, jump
-        rate, running cost and feasibility at the end of the exit piece.
-        Built with the segment tables, once per workspace.
+        start of its line (those a frozen-action sweep may hold); and the
+        exits that hit the boundary with their boundary point.  Built with
+        the segment tables, once per workspace.
         """
         model = self.model
-        mesh = self.mesh
         chain = self.chain
         # a line's sweep may hold an action feasible at every flow position
         # from the line's own to its chain end's: none of them counts it
@@ -709,16 +731,8 @@ class OperatorWorkspace:
         line_ok = np.empty(bad.shape, dtype=bool)
         line_ok[chain.order] = infeasible[end] == infeasible - bad
         hits = [(k, e.boundary_index) for k, e in enumerate(chain.exits) if e.hit]
-        tails = [(k, e.piece) for k, e in enumerate(chain.exits) if not e.hit]
-        stationary = None
-        if tails:
-            end = mesh.node_start[[p + 1 for _, p in tails]] - 1
-            ilo = mesh.ilo[end]
-            stationary = ([k for k, _ in tails], ilo, np.minimum(ilo + 1, model.n_states - 1),
-                          mesh.wlo[end][:, None], mesh.lam_nodes[end], np.maximum(mesh.lam_nodes[end], 1e-12),
-                          mesh.f_nodes[end], model.feasible_mask[chain.anchors[[p for _, p in tails]]])
         return (tables.survival.tolist(), [f.tolist() for f in model.action_grid.feasible],
-                model.feasible_mask.tolist(), line_ok.tolist(), hits, stationary)
+                model.feasible_mask.tolist(), line_ok.tolist(), hits)
 
     def improve_and_certify(self, rho: float, h: np.ndarray, prev) -> tuple:
         """The improved policy and the optimality residual, one backward pass over the grid positions.
@@ -728,9 +742,10 @@ class OperatorWorkspace:
         carried in at its end, so the pass minimizes over exactly the
         piecewise-constant-per-piece paths the operators integrate, and the
         chosen policy's one-stage value reproduces the pass's value.  A tie
-        within ``TIE_TOL`` keeps the incumbent of ``prev``.  Past an exit
-        that stops at t_max the state is frozen, with the stationary value
-        (f - rho + lambda Qh) / lambda of its best feasible action.
+        within ``TIE_TOL`` keeps the incumbent of ``prev``.  An exit piece
+        that stops at t_max holds its frozen tail at the piece's own action
+        (:func:`_segment_tables`), as the simulator runs it, so nothing is
+        carried in after it.
 
         *Certificate.*  sup_x [ h(x) - min over frozen-action sweeps of the
         one-stage value ]: each action is held constant along the whole flow
@@ -749,7 +764,7 @@ class OperatorWorkspace:
         qh_int = model.kernel_interior @ h  # (n, n_a)
         b_act, b_val, b_min = self._boundary_choice(h, prev)
         values = self.segment_tables().values(rho, qh_int).tolist()
-        survival, feasible, mask, line_ok, hits, stationary = self._pass
+        survival, feasible, mask, line_ok, hits = self._pass
         if not any(map(any, line_ok)):
             raise ValueError("no flow line admits a feasible frozen-action sweep")
         terminal = [0.0] * len(self.chain.exits)  # improvement
@@ -757,12 +772,6 @@ class OperatorWorkspace:
         b_val, b_min = b_val.tolist(), b_min.tolist()
         for k, zi in hits:
             terminal[k], sweep_end[k] = b_val[zi], b_min[zi]
-        if stationary is not None:
-            tail_k, ilo, hi, wlo, lam, lam_T, f, tail_mask = stationary
-            qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[hi, :]
-            station = (f - rho + lam * qh_end) / lam_T
-            for k, v in zip(tail_k, np.min(np.where(tail_mask, station, np.inf), axis=1).tolist()):
-                terminal[k] = v
 
         h_list = h.tolist()
         incumbents = prev.interior.tolist()
@@ -836,7 +845,7 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
     check_entry(model, policy, start)
     ws = start if start is not None else OperatorWorkspace(model, DEFAULT_FILL)
     fill = ws.fill
-    kernel, ell, cost, _ = ws.assemble(policy, 0.0)
+    kernel, ell, cost = ws.assemble(policy, 0.0)
     diff = math.inf
     limit = f"max_fill {MAX_FILL}"
     while fill < MAX_FILL:
@@ -847,7 +856,7 @@ def refined_workspace(model, policy, *, target: float = REFINE_TARGET,
         # goes before the finer one is built (a ``start`` stays with its caller)
         del ws
         ws = OperatorWorkspace(model, fill * 2)
-        finer = ws.assemble(policy, 0.0)[:3]
+        finer = ws.assemble(policy, 0.0)
         diff = max(_max_change(new, old) for new, old in zip(finer, (kernel, ell, cost)))
         ws.refine_diff = diff
         kernel, ell, cost = finer

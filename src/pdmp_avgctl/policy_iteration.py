@@ -87,7 +87,7 @@ def _step(model, ws: OperatorWorkspace, policy: FeedbackPolicy) -> tuple:
     The policy is feasible: a start that :func:`check_entry` passed, or a
     policy improvement chose among feasible actions.
     """
-    rho, h, residual = _bias(*ws.assemble(policy, 0.0)[:3], DEFAULT_TOL)
+    rho, h, residual = _bias(*ws.assemble(policy, 0.0), DEFAULT_TOL)
     improved, opt_res = ws.improve_and_certify(rho, h, policy)
     for array in (h, improved.interior, improved.boundary):
         array.flags.writeable = False
@@ -96,7 +96,7 @@ def _step(model, ws: OperatorWorkspace, policy: FeedbackPolicy) -> tuple:
 
 def _result(ws: OperatorWorkspace, policy: FeedbackPolicy, rho: float, h: np.ndarray) -> EvaluationResult:
     """The evaluation ``run_pia`` returns for ``policy``: its step's (rho, h) with nu derived, arrays read-only."""
-    kernel, ell, cost, _ = ws.assemble(policy, 0.0)
+    kernel, ell, cost = ws.assemble(policy, 0.0)
     result = _measured(ws, kernel, ell, cost, rho, h)
     for array in (result.h, result.nu):
         array.flags.writeable = False

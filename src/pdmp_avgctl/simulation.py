@@ -68,10 +68,10 @@ single-run estimator of one long trajectory (Law, *Simulation Modeling and
 Analysis*, 5th ed., 2015, ch. 9), so it is derived after the loop from the
 trajectory record: each batch edge is costed on the sojourn that holds it,
 with the arithmetic a loop that costs the edges as it passes them would
-use, and the edges and the standard error are those of ``np.linspace`` and
-``np.std``, bit for bit, without their per-call set-up.  A replication
-that builds no record (``record=False``, as :func:`mc_validate`'s do) has
-no trajectory to batch, and its summary's ``se`` is None.
+use, and the edges and the standard error are ``np.linspace``'s and
+``np.std``'s.  A replication that builds no record (``record=False``, as
+:func:`mc_validate`'s do) has no trajectory to batch, and its summary's
+``se`` is None.
 """
 
 from __future__ import annotations
@@ -84,13 +84,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import OperatorWorkspace, check_entry
+from .operators import RATE_FLOOR, OperatorWorkspace, check_entry
 
 DEFAULT_BATCHES = 20
 # the jump-count guard: max(MAX_JUMPS_FLOOR, MAX_JUMPS_FACTOR * (lambda_sup + 1) * horizon)
 MAX_JUMPS_FLOOR = 100_000
 MAX_JUMPS_FACTOR = 100.0
-RATE_FLOOR = 1e-12
 UNIFORM_BLOCK = 1024  # uniforms per draw from the stream; even, so pairs never straddle blocks
 CUMSUM_STATES = 64  # states whose kernel rows one cumsum of _cumulative_rows takes
 _DEAD_TAIL = ("drawn hazard level exceeds the tabulated horizon and the tail jump rate is (numerically) "
@@ -532,35 +531,6 @@ def _uniform_block(rng: np.random.Generator) -> list:
     return rng.random(UNIFORM_BLOCK).tolist()
 
 
-def _batch_edges(horizon: float, batches: int) -> list:
-    """``np.linspace(horizon / batches, horizon, batches).tolist()`` in numpy's arithmetic, without its set-up.
-
-    Edge i is ``i * step + start``, and the last one is ``horizon`` itself;
-    a step that underflows to zero gives ``i / (batches - 1) * delta +
-    start``, as numpy's does.
-    """
-    start = horizon / batches
-    if batches == 1:
-        return [start]
-    div = batches - 1
-    delta = horizon - start
-    step = delta / div
-    if step == 0.0:
-        return [i / div * delta + start for i in range(div)] + [horizon]
-    return [i * step + start for i in range(div)] + [horizon]
-
-
-def _standard_error(batch_means: np.ndarray) -> float:
-    """``np.std(batch_means, ddof=1) / sqrt(batches)`` in ``np.std``'s order of operations, without its set-up.
-
-    The mean, the squared deviations from it and their sum over
-    ``batches - 1``, with numpy's pairwise ``np.add.reduce`` for both sums.
-    """
-    batches = batch_means.size
-    dev = batch_means - np.add.reduce(batch_means) / batches
-    return math.sqrt(np.add.reduce(dev * dev) / (batches - 1)) / math.sqrt(batches)
-
-
 def _recorded_se(lines: list, x0: int, horizon: float, batches: int,
                  jt: list, jz: list, jcum: list, total: float) -> float:
     """The batch-means standard error of a recorded trajectory of total cost ``total``.
@@ -577,15 +547,15 @@ def _recorded_se(lines: list, x0: int, horizon: float, batches: int,
     if batches == 1:
         return 0.0
     edge_costs = []
-    for e in _batch_edges(horizon, batches):
+    for e in np.linspace(horizon / batches, horizon, batches).tolist():
         if not e < horizon:
             break
         i = bisect_right(jt, e) - 1
         at, line, t = (jcum[i], lines[jz[i]], jt[i]) if i >= 0 else (0.0, lines[x0], 0.0)
         edge_costs.append(at + _cost_to(line, e - t))
     edge_costs += [total] * (batches - len(edge_costs))
-    batch_totals = np.diff(np.concatenate([[0.0], edge_costs]))
-    return _standard_error(batch_totals / (horizon / batches))
+    batch_means = np.diff(np.concatenate([[0.0], edge_costs])) / (horizon / batches)
+    return float(np.std(batch_means, ddof=1) / math.sqrt(batches))
 
 
 def _check_horizon(horizon: float) -> None:

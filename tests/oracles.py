@@ -27,7 +27,7 @@ def series_bias(model, policy, workspace, tol: float = 1e-8):
     terms), then shifted to nu(h) = 0.  Raises ``AssertionError`` when kappa
     is not certified below 1 or the pseudo-Poisson defect exceeds ``tol``.
     """
-    kernel, ell, cost, _ = workspace.assemble(policy, 0.0)
+    kernel, ell, cost = workspace.assemble(policy, 0.0)
     nu = invariant_measure(kernel)
     rho = float(nu @ cost) / float(nu @ ell)
     w = cost - rho * ell
@@ -60,7 +60,7 @@ def deflated_bias(workspace, policy):
     rho = nu . (Lf + Hr) / nu . calL, and h solves (I - G + 1 nu) h =
     Lf + Hr - rho calL, shifted to nu(h) = 0.
     """
-    kernel, ell, cost, _ = workspace.assemble(policy, 0.0)
+    kernel, ell, cost = workspace.assemble(policy, 0.0)
     nu = invariant_measure(kernel)
     rho = float(nu @ cost) / float(nu @ ell)
     n = kernel.shape[0]

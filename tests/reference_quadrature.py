@@ -32,10 +32,9 @@ the engines that came before it, on the library's line rule:
   sums (:func:`sparse_values`), as the library computed them before it
   read the tables' band of Q weights directly.
 
-It also keeps two checks on the library's assembled operators that no
-library caller needs: the truncation bound (:func:`truncation_bound`, the
-jump mass a line that stops at t_max leaves out) and the bias's defect on a
-doubled mesh (:func:`doubled_mesh_residual`).
+It also keeps a check on the library's assembled operators that no library
+caller needs: the bias's defect on a doubled mesh
+(:func:`doubled_mesh_residual`).
 
 On the per-line meshes it integrates the operators the direct way, one
 :class:`PolicyPath` (a policy's feedback path from one grid state) at a time
@@ -48,7 +47,13 @@ over every mesh interval of the line, at any discount shift ``alpha >= -c``:
 
 Each interval integrates a linear interpolant of the data against the exactly
 integrated exponential survival weight (hazard frozen to its trapezoidal
-slope), which is the rule the segment tables sum.
+slope), which is the rule the segment tables sum.  Past the end of a line
+that stops at t_max the state is frozen at the line's last node, under the
+last piece's action: the jump rate lam, running cost f and kernel row there
+hold, so the tail adds S / (a + lam) times v to L_a v and S lam / (a + lam)
+times Qh to G_a h, S = e^{-a T - Lam(T)} (:func:`_tail_factor`); every
+reference here closes that tail in its own arithmetic, and one whose lam is
+at or below ``RATE_FLOOR`` never jumps and adds nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ from pdmp_avgctl import operators
 from pdmp_avgctl.flow import advance, flow_direction, hit_time, passage_time, _tabulated_advance
 from pdmp_avgctl.model import FeedbackPolicy
 from pdmp_avgctl.numerics import _SERIES_CUTOFF, Table1D, interp_weights, phi01
-from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, TIE_TOL, OperatorWorkspace, SegmentTables
+from pdmp_avgctl.operators import (DEFAULT_FILL, MIN_TAIL_INTERVALS, RATE_FLOOR, TIE_TOL, OperatorWorkspace,
+                                   SegmentTables)
 
 
 def phi0(z):
@@ -344,13 +350,22 @@ def _segment_tables(model, geometry) -> LineSegmentTables:
         first = node[starts[1:]].copy()
         node[1:] += right[:-1]
         node[starts[1:]] = first
+        end_weight = right[ends - 1]
+        if geom.truncated:
+            # the frozen tail past t_max, on the line's last segment and node
+            closed = np.where(lam[-1] > RATE_FLOOR, survival[-1], 0.0)
+            rate = np.maximum(lam[-1], RATE_FLOOR)
+            sojourn[-1] += closed / rate
+            cost[-1] += closed * f[-1] / rate
+            end_weight[-1] += closed
+            survival[-1] -= closed
         ilo, wlo = geom.ilo, geom.wlo[:, None]
         hi = np.minimum(ilo + 1, n - 1)
         base = np.minimum.reduceat(np.minimum(ilo[:-1], ilo[1:]), starts)
         width = int(np.max(np.maximum(hi[:-1], hi[1:]) - base[seg])) + 1
         size = starts.size * width * n_a
         w = np.zeros(size)
-        for at, where, weight in ((seg, slice(0, -1), node), (np.arange(starts.size), ends, right[ends - 1])):
+        for at, where, weight in ((seg, slice(0, -1), node), (np.arange(starts.size), ends, end_weight)):
             offset = at * width - base[at]
             share = wlo[where]
             for grid, part in ((ilo[where], weight * share), (hi[where], weight * (1.0 - share))):
@@ -406,10 +421,12 @@ def looped_running_sums(mesh, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def gathered_segment_tables(model, mesh) -> SegmentTables:
+def gathered_segment_tables(model, mesh, truncated_tail) -> SegmentTables:
     """``operators._segment_tables`` on the interval layout: one vectorized
     pass over every piece's intervals, each reading its two nodes' data by
-    gathers through its left node, summed per piece."""
+    gathers through its left node, summed per piece; then each piece that
+    stops at t_max (``truncated_tail``) gains its frozen tail, one piece at
+    a time."""
     n, n_a = model.n_states, model.n_actions
     first = mesh.first
     starts = first[:-1]
@@ -435,6 +452,14 @@ def gathered_segment_tables(model, mesh) -> SegmentTables:
     node = np.zeros(lam.shape)
     node[left] = head * q
     node[left + 1] += head * p1
+    for p in np.flatnonzero(truncated_tail).tolist():
+        end = mesh.node_start[p + 1] - 1
+        closed = np.where(lam[end] > RATE_FLOOR, survival[p], 0.0)
+        rate = np.maximum(lam[end], RATE_FLOOR)
+        sojourn[p] += closed / rate
+        cost[p] += closed * f[end] / rate
+        node[end] += closed
+        survival[p] -= closed
     ilo, wlo = mesh.ilo, mesh.wlo[:, None]
     hi = np.where(mesh.wlo < 1.0, ilo + 1, ilo)
     node_piece = np.repeat(np.arange(n_pieces), np.diff(mesh.node_start))
@@ -584,7 +609,7 @@ def compose(ws, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def composed_assemble(ws, policy):
-    """(kernel, ell, cost, survival) of one policy, composed line by line from the piece tables.
+    """(kernel, ell, cost) of one policy, composed line by line from the piece tables.
 
     With P_p the product of the survivals of the line's earlier pieces,
     ell = sum_p P_p sojourn_p, cost = sum_p P_p cost_p + P_end r(z, u_b) and
@@ -611,11 +636,11 @@ def composed_assemble(ws, policy):
             b_act = policy.boundary[ex.boundary_index]
             kernel[j] += survival[j] * model.kernel_boundary[ex.boundary_index, b_act]
             cost[j] += survival[j] * model.boundary_cost[ex.boundary_index, b_act]
-    return kernel, ell, cost, survival
+    return kernel, ell, cost
 
 
 def dense_assemble(ws, policy):
-    """(kernel, ell, cost, survival) of one policy, each piece's kernel row a dense product.
+    """(kernel, ell, cost) of one policy, each piece's kernel row a dense product.
 
     As the library assembled before it gathered each piece's band of kernel
     rows: the piece's Q weights at its action are scattered into a dense
@@ -630,19 +655,18 @@ def dense_assemble(ws, policy):
     act = policy.interior[ws.chain.anchors]
     flat = np.zeros((n_pieces, n * n_a))
     np.add.at(flat, (pieces, tables.cols[:, pieces, act]), tables.weights[:, pieces, act])
-    values = np.zeros((n_pieces, n + 3))
+    values = np.zeros((n_pieces, n + 2))
     values[:, :n] = flat @ model.kernel_interior.reshape(n * n_a, n)
     values[:, n] = tables.sojourn[pieces, act]
     values[:, n + 1] = tables.cost[pieces, act]
-    terminal = np.zeros((len(ws.chain.exits), n + 3))
-    terminal[:, n + 2] = 1.0
+    terminal = np.zeros((len(ws.chain.exits), n + 2))
     for k, e in enumerate(ws.chain.exits):
         if e.hit:
             b_act = policy.boundary[e.boundary_index]
             terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
             terminal[k, n + 1] = model.boundary_cost[e.boundary_index, b_act]
     w = ws.backward(values, tables.survival[pieces, act], terminal)
-    return w[:, :n], w[:, n], w[:, n + 1], w[:, n + 2]
+    return w[:, :n], w[:, n], w[:, n + 1]
 
 
 def sparse_values(tables, rho, qh):
@@ -661,7 +685,7 @@ def sparse_values(tables, rho, qh):
 
 def one_stage_values(ws, policy, rho, h):
     """-rho*calL + Lf + Hr + Gh under the policy's feedback paths, per state, from ``ws.assemble``."""
-    kernel, ell, cost, _ = ws.assemble(policy)
+    kernel, ell, cost = ws.assemble(policy)
     return -rho * ell + cost + kernel @ h
 
 
@@ -681,17 +705,8 @@ def marched_improve(ws, rho, h, prev):
     new_interior = np.empty(n, dtype=np.int64)
     for j, pieces in enumerate(line_pieces(ws)):
         ex = line_exit(ws, j)
-        if ex.hit:
-            w_next = float(b_val[ex.boundary_index])
-        else:
-            # past the horizon the state is frozen: the stationary value
-            # (f - rho + lambda Qh) / lambda of the best feasible action
-            tail = ws.geometry[ex.piece]
-            ilo, wlo = tail.ilo[-1], tail.wlo[-1]
-            qh_end = wlo * qh_int[ilo, :] + (1.0 - wlo) * qh_int[min(ilo + 1, n - 1), :]
-            lam_T = np.maximum(tail.lam_nodes[-1], 1e-12)
-            station = (tail.f_nodes[-1] - rho + tail.lam_nodes[-1] * qh_end) / lam_T
-            w_next = float(np.min(np.where(mask[tail.anchor], station, np.inf)))
+        # the tables hold the frozen tail of an exit that stops at t_max
+        w_next = float(b_val[ex.boundary_index]) if ex.hit else 0.0
         for p in reversed(pieces):
             anchor = anchors[p]
             v_s, b_s = values[p], survival[p]
@@ -806,24 +821,23 @@ class PolicyPath:
         return left, right
 
     def tail_weight(self, alpha: float) -> float:
-        """Survival weight left beyond the truncation horizon (0 when the line hits)."""
+        """Survival weight at t_max on a line that stops there (0 when the line hits)."""
         if not self.truncated:
             return 0.0
         return float(np.exp(-alpha * self.times[-1] - self.cum_hazard[-1]))
 
-    def flow_integral_tail_bound(self, alpha: float, v_sup: float) -> float:
-        """Bound on the neglected tail of a flow integral past the horizon.
 
-        For flow integrals (L v) of a value bounded by ``v_sup``: the state is
-        frozen past t_max, so the tail is at most v_sup * tail_weight / (alpha
-        + tail rate).  For kernel integrals (G h) use v_sup = sup |Qh| with
-        alpha >= 0, where the tail is at most v_sup * tail_weight outright.
-        """
-        if not self.truncated:
-            return 0.0
-        rate = float(self.lam_right[-1]) if self.dt.size else 0.0
-        denom = max(alpha + rate, 1e-12)
-        return abs(v_sup) * self.tail_weight(alpha) / denom
+def _tail_factor(path: PolicyPath, alpha: float) -> float:
+    """S / (alpha + lam): the discounted time spent in the frozen state past t_max.
+
+    The state is frozen at the path's last node, with the last interval's
+    action and its jump rate lam there; a path that hits the boundary, or a
+    tail with lam at or below ``RATE_FLOOR``, has no tail.
+    """
+    rate = float(path.lam_right[-1])
+    if not path.truncated or rate <= RATE_FLOOR:
+        return 0.0
+    return path.tail_weight(alpha) / (alpha + rate)
 
 
 def _path_from_geometry(model, geom: _LineGeometry, policy) -> PolicyPath:
@@ -897,23 +911,20 @@ def _interval_weights(path: PolicyPath, alpha: float):
 
 
 def op_L(alpha: float, v: np.ndarray, path: PolicyPath) -> float:
-    """Discounted flow integral of a (state, action) table along the path.
-
-    On lines truncated at the horizon the neglected tail is bounded by
-    ``path.flow_integral_tail_bound(alpha, sup |v|)``.
-    """
+    """Discounted flow integral of a (state, action) table along the path, the frozen tail included."""
     _check_alpha(path.model, alpha)
     v = np.asarray(v, dtype=float)
     head, _, p0, p1 = _interval_weights(path, alpha)
     v_left, v_right = path.node_table_values(v)
-    return float(np.sum(head * path.dt * (v_left * p0 + (v_right - v_left) * p1)))
+    along = float(np.sum(head * path.dt * (v_left * p0 + (v_right - v_left) * p1)))
+    return along + _tail_factor(path, alpha) * float(v_right[-1])
 
 
 def op_calL(alpha: float, path: PolicyPath) -> float:
     """Expected discounted sojourn weight: op_L with v identically one."""
     _check_alpha(path.model, alpha)
     head, _, p0, _ = _interval_weights(path, alpha)
-    return float(np.sum(head * path.dt * p0))
+    return float(np.sum(head * path.dt * p0)) + _tail_factor(path, alpha)
 
 
 def op_H(alpha: float, w: np.ndarray, path: PolicyPath) -> float:
@@ -935,6 +946,7 @@ def op_G(alpha: float, h: np.ndarray, path: PolicyPath) -> float:
     qh_left, qh_right = path.node_table_values(qh)
     mass = path.hazard_slope * path.dt
     total = float(np.sum(head * mass * (qh_left * p0 + (qh_right - qh_left) * p1)))
+    total += _tail_factor(path, alpha) * float(path.lam_right[-1]) * float(qh_right[-1])
     if path.hit:
         surv = math.exp(-alpha * path.end_time - path.cum_hazard[-1])
         total += surv * float(model.kernel_boundary[path.boundary_index, path.boundary_action, :] @ h)
@@ -961,6 +973,10 @@ def _kernel_row(path: PolicyPath, alpha: float) -> np.ndarray:
         + np.bincount(hi[1:] * n_a + a, weights=c_right * (1.0 - wlo[1:]), minlength=size)
     )
     row = np.einsum("xa,xay->y", flat.reshape(n, n_a), model.kernel_interior)
+    # the frozen tail jumps from the last node, on the kernel row interpolated there
+    tail = _tail_factor(path, alpha) * float(path.lam_right[-1])
+    row = row + tail * (wlo[-1] * model.kernel_interior[ilo[-1], a[-1]]
+                        + (1.0 - wlo[-1]) * model.kernel_interior[hi[-1], a[-1]])
     if path.hit:
         surv = math.exp(-alpha * path.end_time - path.cum_hazard[-1])
         row = row + surv * model.kernel_boundary[path.boundary_index, path.boundary_action, :]
@@ -987,6 +1003,16 @@ def reference_assemble(ws, policy, alpha: float = 0.0, geometry=None):
 # re-integrates every segment of every line from a per-line mesh
 # (``geometry``, by default the per-line meshes at ``ws``'s fill).
 
+def frozen_values(geom, rho, qh_end):
+    """(n_a,) per action, the one-stage value of the state frozen at the end of a line that stops at t_max.
+
+    (f - rho + lam Qh) / lam at the line's last node, 0 for an action whose
+    lam is at or below ``RATE_FLOOR`` (that tail never jumps).
+    """
+    lam = geom.lam_nodes[-1]
+    return np.where(lam > RATE_FLOOR, (geom.f_nodes[-1] - rho + lam * qh_end) / np.maximum(lam, RATE_FLOOR), 0.0)
+
+
 def reference_improve(ws, rho, h, prev, geometry=None):
     model = ws.model
     n_a = model.n_actions
@@ -996,13 +1022,8 @@ def reference_improve(ws, rho, h, prev, geometry=None):
     for geom in line_geometry(ws) if geometry is None else geometry:
         qh_nodes = (geom.wlo[:, None] * qh_int[geom.ilo, :]
                     + (1.0 - geom.wlo)[:, None] * qh_int[np.minimum(geom.ilo + 1, model.n_states - 1), :])
-        if geom.hit:
-            w_next = float(b_val[geom.boundary_index])
-        else:
-            lam_T = np.maximum(geom.lam_nodes[-1], 1e-12)
-            station = (geom.f_nodes[-1] - rho + geom.lam_nodes[-1] * qh_nodes[-1]) / lam_T
-            masked = np.where(model.feasible_mask[geom.seg_slices[-1][2]], station, np.inf)
-            w_next = float(np.min(masked))
+        # the last segment carries in the boundary's value, or each action's frozen state past t_max
+        w_next = float(b_val[geom.boundary_index]) if geom.hit else frozen_values(geom, rho, qh_nodes[-1])
         for (k0, k1, anchor) in reversed(geom.seg_slices):
             lam, f, qh = geom.lam_nodes[k0:k1 + 1], geom.f_nodes[k0:k1 + 1], qh_nodes[k0:k1 + 1]
             d = geom.dt[k0:k1, None]
@@ -1044,8 +1065,8 @@ def reference_sweep_values(ws, rho, h, geometry=None):
         vals = np.sum(np.exp(-lam_cum[:-1]) * (
             -rho * d * p0 + d * (f[:-1] * p0 + (f[1:] - f[:-1]) * p1)
             + m * d * (qh[:-1] * p0 + (qh[1:] - qh[:-1]) * p1)), axis=0)
-        if geom.hit:
-            vals = vals + np.exp(-lam_cum[-1]) * b_val[geom.boundary_index]
+        end = b_val[geom.boundary_index] if geom.hit else frozen_values(geom, rho, qh[-1])
+        vals = vals + np.exp(-lam_cum[-1]) * end
         out.append(np.where(geom.line_feasible, vals, np.inf))
     return out
 
@@ -1055,17 +1076,7 @@ def reference_optimality_residual(ws, rho, h, geometry=None):
                if v is not None)
 
 
-# -- checks on the library's assembled operators --------------------------------
-
-def truncation_bound(ws, policy) -> float:
-    """The largest survival left at the end of a line of ``ws`` that stops at t_max.
-
-    It is the jump mass that line's kernel row leaves out; 0 when every line
-    hits the boundary.
-    """
-    survival = ws.assemble(policy)[3]
-    return float(survival[ws.truncated].max(initial=0.0))
-
+# -- a check on the library's assembled operators ------------------------------
 
 def doubled_mesh_residual(model, policy, result) -> float:
     """Defect of a solved (rho, h) recomputed on a new mesh at twice the solve's fill.
@@ -1073,5 +1084,5 @@ def doubled_mesh_residual(model, policy, result) -> float:
     Guards against mesh-correlated cancellation: the solve's own defect can be
     tiny on its mesh while the operators are still unconverged.
     """
-    kernel, ell, cost, _ = OperatorWorkspace(model, 2 * result.stats["fill"]).assemble(policy)
+    kernel, ell, cost = OperatorWorkspace(model, 2 * result.stats["fill"]).assemble(policy)
     return float(np.max(np.abs(result.h + result.rho * ell - cost - kernel @ result.h)))

@@ -163,7 +163,7 @@ def test_criterion_09_norm_and_bound_suite(models, workspaces):
         rng = np.random.default_rng(31415)
         for _ in range(3):
             policy = pa.FeedbackPolicy.random_feasible(model, rng)
-            _, ell, cost, _ = ws.assemble(policy, 0.0)
+            _, ell, cost = ws.assemble(policy, 0.0)
             assert np.all(ell > 0.0) and np.all(ell <= c.K_lambda + 1e-9), name
             assert np.all(cost >= -1e-12) and np.all(cost <= envelope + 1e-9), name
             res = pa.evaluate_policy(model, policy, workspace=ws)

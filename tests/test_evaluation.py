@@ -280,7 +280,7 @@ class TestBorderedSolve:
         # the loop's h is pinned to 0 at PIN_STATE; the returned one has nu(h) = 0
         for name, model in models.items():
             result, policy, _ = solved[name]
-            kernel, ell, cost, _ = workspaces[name].assemble(policy)
+            kernel, ell, cost = workspaces[name].assemble(policy)
             rho, pinned, _ = evaluation._bias(kernel, ell, cost, 1e-8)
             assert pinned[evaluation.PIN_STATE] == pytest.approx(0.0, abs=1e-12)
             assert rho == result.rho

@@ -151,7 +151,7 @@ def test_unit_running_cost_without_boundary_charge_is_the_sojourn(case):
     model = pa.model_from_dict(constant_cost_variant(doc, 1.0))
     ws = OperatorWorkspace(model, fill)
     for policy in _policies(model, seed):
-        _, ell, cost, _ = ws.assemble(policy)
+        _, ell, cost = ws.assemble(policy)
         assert np.max(np.abs(cost - ell)) <= 1e-12
 
 
@@ -165,7 +165,7 @@ def test_assemble_matches_the_per_path_quadrature(case):
     ws = OperatorWorkspace(model, fill)
     geometry = shared_line_geometry(ws)
     for policy in _policies(model, seed):
-        kernel, ell, cost, _ = ws.assemble(policy)
+        kernel, ell, cost = ws.assemble(policy)
         for got, want in zip((kernel, ell, cost), reference_assemble(ws, policy, geometry=geometry)):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
@@ -243,7 +243,7 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
     geometry = forced_line_geometry(ws)
     rng = np.random.default_rng(seed)
     for policy in _policies(model, seed):
-        for got, want in zip(ws.assemble(policy)[:3], reference_assemble(ws, policy, geometry=geometry)):
+        for got, want in zip(ws.assemble(policy), reference_assemble(ws, policy, geometry=geometry)):
             assert _within(got, want)
         rho, h = float(rng.uniform(0.0, 3.0)), rng.normal(scale=2.0, size=model.n_states)
         improved, residual = ws.improve_and_certify(rho, h, policy)
@@ -269,7 +269,7 @@ def test_shared_pieces_match_the_per_line_reference(flow, data):
         else:
             assert np.array_equal(piece.times, old.times)
     for policy in _policies(model, seed):
-        for got, want in zip(ws.assemble(policy)[:3], meshed.assemble(policy)[:3]):
+        for got, want in zip(ws.assemble(policy), meshed.assemble(policy)):
             assert _within(got, want)
 
 
@@ -315,7 +315,8 @@ def assert_pair_layout_matches_the_gathers(ws, policies):
     simulation node tables of ``ws``'s mesh equal, bit for bit, those built
     on the interval layout by gathers through each interval's left node."""
     model, mesh = ws.model, ws.mesh
-    got, want = operators._segment_tables(model, mesh), gathered_segment_tables(model, mesh)
+    tails = ws.chain.truncated_tail
+    got, want = operators._segment_tables(model, mesh, tails), gathered_segment_tables(model, mesh, tails)
     for field in dataclasses.fields(got):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
     fsup = pa.Table1D(model.grid.points, np.where(model.feasible_mask, model.running_cost, -np.inf).max(axis=1))

@@ -22,7 +22,7 @@ from reference_quadrature import (_reference_transit, _segment_tables, build_pol
                                   numpy_optimality_residual, one_stage_values, op_L, op_calL, phi0, phi1,
                                   policy_paths, reference_assemble,
                                   reference_improve, reference_optimality_residual, reference_sweep_values,
-                                  sparse_values, swept_residual, truncation_bound)
+                                  sparse_values, swept_residual)
 from test_operator_properties import assert_pair_layout_matches_the_gathers
 from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
 
@@ -223,20 +223,23 @@ class TestKernelMatrix:
                 want = np.array([op_G(0.0, e, path) for path in paths])
                 assert np.max(np.abs(kernel[:, z] - want)) <= 1e-12, (name, z)
 
-    def test_truncation_bound_is_the_largest_tail_weight(self, models, workspaces):
+    def test_a_line_that_stops_at_t_max_keeps_its_jump_mass(self, models, workspaces):
+        # rate 2 up to the horizon t_max = 1 leaves survival e^-2 at t_max,
+        # which the frozen tail past it carries: every row keeps its whole
+        # jump mass, and the sojourn is 1 / 2 in closed form
         doc = swap_cycle_doc(lam=(2.0, 2.0))
         doc["flow"] = {"kind": "trivial", "t_max": 1.0}
         truncated = pa.model_from_dict(doc)
-        cases = [(truncated, OperatorWorkspace(truncated, 16))]
-        cases += [(models[name], workspaces[name]) for name in BUNDLED]
-        for model, ws in cases:
-            policy = pa.FeedbackPolicy.lowest_feasible(model)
-            want = max(path.tail_weight(0.0) for path in policy_paths(ws, policy))
-            got = truncation_bound(ws, policy)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), model.name
-        # rate 2 up to the horizon t_max = 1
         policy = pa.FeedbackPolicy.lowest_feasible(truncated)
-        assert truncation_bound(OperatorWorkspace(truncated), policy) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        for ws in (OperatorWorkspace(truncated), OperatorWorkspace(truncated, 16)):
+            assert ws.truncated.all()
+            assert math.exp(-2.0) == pytest.approx(policy_paths(ws, policy)[0].tail_weight(0.0), rel=1e-12)
+            kernel, ell, _ = ws.assemble(policy)
+            assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
+            assert np.max(np.abs(ell - 0.5)) <= 1e-12
+        for name in BUNDLED:
+            kernel = workspaces[name].assemble(pa.FeedbackPolicy.lowest_feasible(models[name]))[0]
+            assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12, name
 
     def test_assemble_serves_zero_discount_only(self, models, workspaces):
         model = models["decay_flow_16"]
@@ -251,13 +254,11 @@ class TestAssembleFromTables:
             ws = workspaces[name]
             for _ in range(5):
                 policy = pa.FeedbackPolicy.random_feasible(model, rng)
-                kernel, ell, cost, survival = ws.assemble(policy)
+                kernel, ell, cost = ws.assemble(policy)
                 ref_kernel, ref_ell, ref_cost = reference_assemble(ws, policy)
                 assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12, name
                 assert np.max(np.abs(ell - ref_ell)) <= 1e-12, name
                 assert np.max(np.abs(cost - ref_cost)) <= 1e-12, name
-                ends = np.array([path.cum_hazard[-1] for path in policy_paths(ws, policy)])
-                assert np.max(np.abs(survival - np.exp(-ends))) <= 1e-12, name
 
     def test_band_gather_matches_the_dense_product(self, models, workspaces):
         # each piece's kernel row gathered from its band's kernel rows is the
@@ -283,9 +284,9 @@ class TestAssembleFromTables:
         model = models["drift_boundary_64"]
         ws = OperatorWorkspace(model, 8)
         policy = pa.FeedbackPolicy.lowest_feasible(model)
-        kernel, ell, cost, survival = ws.assemble(policy)
+        kernel, ell, cost = ws.assemble(policy)
         assert kernel.shape == (model.n_states, model.n_states)
-        assert ell.shape == cost.shape == survival.shape == (model.n_states,)
+        assert ell.shape == cost.shape == (model.n_states,)
         assert len(pa.prepare_simulation(model, policy, workspace=ws).lines) == model.n_states
 
 
@@ -297,7 +298,7 @@ class TestBoundChain:
             envelope = c.M * (1.0 + c.b * c.K_lambda) / c.c * model.lyapunov_g
             for _ in range(3):
                 policy = pa.FeedbackPolicy.random_feasible(model, rng)
-                _, _, cost, _ = workspaces[name].assemble(policy, 0.0)
+                _, _, cost = workspaces[name].assemble(policy, 0.0)
                 assert np.all(cost >= -1e-12), name
                 assert np.all(cost <= envelope + 1e-9), name
 
@@ -339,18 +340,20 @@ class TestPolicyPath:
                 anchors = line_geometry(workspaces[name])[j].seg_anchor
                 assert np.all(mask[anchors, path.interval_actions])
 
-    def test_tail_bound_covers_the_neglected_integral(self, trivial_rate2):
-        # truncate a constant-rate line early and compare the left-out mass
-        # against the advertised bound
+    def test_the_frozen_tail_closes_the_path_integrals(self):
+        # truncate a constant-rate line early: past t_max the frozen state
+        # jumps at the same rate, so at any discount a the integrals are
+        # those of the untruncated line, 1 / (a + 2) and a jump mass 2 / (a + 2)
         doc = swap_cycle_doc(lam=(2.0, 2.0))
         doc["flow"] = {"kind": "trivial", "t_max": 1.0}
         model = pa.model_from_dict(doc)
         policy = pa.FeedbackPolicy.lowest_feasible(model)
         path = build_policy_path(model, policy, 0, fill=64)
-        v = np.ones((2, 1))
-        exact_tail = 0.5 - op_L(0.0, v, path)  # full integral is 1/lambda
-        bound = path.flow_integral_tail_bound(0.0, 1.0)
-        assert 0.0 < exact_tail <= bound * (1.0 + 1e-9)
+        assert path.truncated and path.tail_weight(0.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        for alpha in (0.0, 0.5, 3.0):
+            assert op_L(alpha, np.ones((2, 1)), path) == pytest.approx(1.0 / (alpha + 2.0), rel=1e-12)
+            assert op_calL(alpha, path) == pytest.approx(1.0 / (alpha + 2.0), rel=1e-12)
+            assert op_G(alpha, np.array([0.0, 1.0]), path) == pytest.approx(2.0 / (alpha + 2.0), rel=1e-12)
 
     def test_truncation_weight_negligible_on_bundled(self, models, workspaces):
         for name, model in models.items():

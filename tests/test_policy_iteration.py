@@ -186,7 +186,7 @@ class TestOptimalityResidual:
         all_zero = pa.FeedbackPolicy(interior=np.zeros(2, dtype=np.int64),
                                      boundary=np.array([], dtype=np.int64))
         res = pa.evaluate_policy(model, all_zero, workspace=ws)
-        _, ell, _, _ = ws.assemble(all_zero, 0.0)
+        _, ell, _ = ws.assemble(all_zero, 0.0)
         expected_gap = 0.8 * float(ell.max())
         _, residual = ws.improve_and_certify(res.rho, res.h, all_zero)
         assert residual >= 0.95 * expected_gap
@@ -223,7 +223,9 @@ class TestTraceBoundedness:
                 assert rec.h_gnorm <= bound * 1.1 + 1e-9, (name, rec.n)
 
 
-# random trivial-flow CTMDPs: each example solves from a random feasible start
+# random trivial-flow CTMDPs: each example solves from a random feasible start,
+# once with the default horizon and once with t_max drawn from 0.2 to 1.2, where
+# every line stops at t_max and its frozen tail carries the survival left there
 PIA_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
@@ -236,19 +238,21 @@ def _solve_random_ctmdp(case):
 
 
 @PIA_PROPERTY_SETTINGS
-@given(case=random_model_docs(flow="trivial"))
-def test_pia_converges_with_rho_nonincreasing_on_random_ctmdps(case):
-    _, _, trace = _solve_random_ctmdp(case)
-    assert trace.status == "converged"
-    assert np.all(np.diff(trace.rhos) <= 1e-10), trace.rhos
+@given(case=random_model_docs(flow="trivial"), truncated=random_model_docs(flow="trivial", varied=True))
+def test_pia_converges_with_rho_nonincreasing_on_random_ctmdps(case, truncated):
+    for drawn in (case, truncated):
+        _, _, trace = _solve_random_ctmdp(drawn)
+        assert trace.status == "converged"
+        assert np.all(np.diff(trace.rhos) <= 1e-10), trace.rhos
 
 
 @PIA_PROPERTY_SETTINGS
-@given(case=random_model_docs(flow="trivial"))
-def test_pia_meets_the_uniformization_oracle_on_random_ctmdps(case):
-    model, result, _ = _solve_random_ctmdp(case)
-    rho_star, _ = uniformization_rvi(*model_arrays(model))
-    assert abs(result.rho - rho_star) <= 1e-6
+@given(case=random_model_docs(flow="trivial"), truncated=random_model_docs(flow="trivial", varied=True))
+def test_pia_meets_the_uniformization_oracle_on_random_ctmdps(case, truncated):
+    for drawn in (case, truncated):
+        model, result, _ = _solve_random_ctmdp(drawn)
+        rho_star, _ = uniformization_rvi(*model_arrays(model))
+        assert abs(result.rho - rho_star) <= 1e-6
 
 
 # PIA's answer against every feasible stationary policy: a piece runs at its
@@ -274,14 +278,16 @@ def _assert_pia_is_the_best_policy(model, result, trace, least) -> None:
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=random_model_docs())
-def test_pia_beats_every_feasible_policy(case):
-    doc, fill, seed = case
-    model = pa.model_from_dict(doc)
-    ws = pa.OperatorWorkspace(model, fill)
-    result, _, trace = pa.run_pia(model, pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed)),
-                                  workspace=ws)
-    _assert_pia_is_the_best_policy(model, result, trace, _least_rho(model, ws))
+@given(case=random_model_docs(), varied=random_model_docs(varied=True))
+def test_pia_beats_every_feasible_policy(case, varied):
+    # every line of ``case`` hits the boundary; ``varied`` draws the grid,
+    # the direction and a horizon, so some lines stop at t_max
+    for doc, fill, seed in (case, varied):
+        model = pa.model_from_dict(doc)
+        ws = pa.OperatorWorkspace(model, fill)
+        result, _, trace = pa.run_pia(model, pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed)),
+                                      workspace=ws)
+        _assert_pia_is_the_best_policy(model, result, trace, _least_rho(model, ws))
 
 
 @pytest.mark.parametrize("name", ["ctmdp_2state", "ctmdp_3state", "renewal_cycle"])
