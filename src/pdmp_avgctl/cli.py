@@ -242,7 +242,8 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    from .simulation import SimulationExplosionError, mc_validate, simulate
+    from .operators import refined_workspace
+    from .simulation import SimulationExplosionError, mc_validate, prepare_simulation, simulate
 
     model, policy = _model_and_policy(config)
 
@@ -276,17 +277,20 @@ def cmd_simulate(config: RunConfig) -> int:
     if not 0 <= config.x0 < model.n_states:
         print(f"error: --x0 must be in [0, {model.n_states})", file=sys.stderr)
         return EXIT_USAGE
+    # the refined mesh that evaluate and solve price the policy on
+    ws = refined_workspace(model, policy)
     try:
         if rho is not None:
             verdict = mc_validate(model, policy, float(rho), config.x0, config.horizon,
-                                  config.replications, config.seed)
+                                  config.replications, config.seed, workspace=ws)
             _write_json(config.out_dir / "mc_summary.json",
                         dict(_artifact_header(model), **verdict.to_dict()))
             print(f"verdict={'pass' if verdict.passed else 'fail'} "
                   f"mean={verdict.pooled_mean:.6g} se={verdict.pooled_se:.3g} rho={rho:.6g}")
             exit_code = EXIT_OK if verdict.passed else EXIT_VALIDATION
         else:
-            record, summary = simulate(model, policy, config.x0, config.horizon, config.seed)
+            record, summary = simulate(model, policy, config.x0, config.horizon, config.seed,
+                                       tables=prepare_simulation(model, policy, workspace=ws))
             _write_json(config.out_dir / "sim_summary.json",
                         dict(_artifact_header(model), **summary.to_dict()))
             print(f"average={summary.average:.6g} se={summary.se:.3g} jumps={summary.jumps} "

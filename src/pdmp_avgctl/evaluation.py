@@ -227,9 +227,6 @@ class EvaluationResult:
     residual: float
     stats: dict = field(default_factory=dict)
 
-    def gnorm_h(self, g: np.ndarray) -> float:
-        return float(np.max(np.abs(self.h) / np.asarray(g, dtype=float)))
-
     def to_dict(self) -> dict:
         return {
             "schema": "pdmp-result/1",

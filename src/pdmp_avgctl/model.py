@@ -219,12 +219,6 @@ class FeedbackPolicy:
         boundary = np.array([int(idx[0]) for idx in model.action_grid.boundary_feasible], dtype=np.int64)
         return cls(interior=interior, boundary=boundary)
 
-    @classmethod
-    def random_feasible(cls, model: PdmpModel, rng: np.random.Generator) -> "FeedbackPolicy":
-        interior = np.array([int(rng.choice(idx)) for idx in model.action_grid.feasible], dtype=np.int64)
-        boundary = np.array([int(rng.choice(idx)) for idx in model.action_grid.boundary_feasible], dtype=np.int64)
-        return cls(interior=interior, boundary=boundary)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -7,17 +7,24 @@ post-jump states drawn from the transition kernel.  Cost integrals reuse the
 operator engine's meshes so the simulated running cost and the solver's flow
 integrals are the same discretization.
 
-The tables follow the engine's pieces.  The inter-grid segments form one node
-chain in flow order, with one cumulative hazard C and one cumulative running
-cost along it per policy; the line from grid point j is the stretch of the
-chain from its start node b_j to the node e_j of its chain end, then the
-nodes of that chain end's exit piece, which follow the chain in the same
-arrays.  So the tables take O(n * fill) memory, and no line copies the
-chain or an exit piece.  They are built by the engine's buffer rule: no
-intermediate outlives its last read, and the shared mesh and chain arrays
-are never written.  A constant exit piece, whose jump rate, running cost
-and post-jump kernel row are the same all along, is one interval of the
-operator mesh, and so of the tables.
+The tables index the operator mesh's own nodes: a node table holds one
+entry per mesh node, an interval table one per node pair.  The inter-grid
+segments form one node chain in flow order, with one time, cumulative
+hazard C and cumulative running cost along it per policy, each segment's
+own running sums on top of the totals of the segments before it.  So the
+two nodes of a joint, a segment's last node and the next segment's first,
+hold the same time, hazard and cost, and both hold the grid point as their
+state: a search of C or of the times steps over the zero-length pair
+between them.  Only a level that rounds onto the value at a line's chain
+end stops on such a pair, and reads the joint's time and state.  The line
+from grid point j is the stretch of the chain from its start node b_j to
+the node e_j of its chain end, then the nodes of that chain end's exit
+piece, which follow the chain in the same arrays.  So the tables take O(n * fill)
+memory, and no line copies the chain or an exit piece.  They are built by
+the engine's buffer rule: no intermediate outlives its last read, and the
+shared mesh and chain arrays are never written.  A constant exit piece,
+whose jump rate, running cost and post-jump kernel row are the same all
+along, is one interval of the operator mesh, and so of the tables.
 
 A jump costs O(log K) interpreted work on a K-node line and makes neither a
 numpy call nor a Python call: the sojourn, its running cost and the
@@ -110,24 +117,28 @@ class SimulationExplosionError(SimulationError):
 
 @dataclass(frozen=True, slots=True)
 class _Nodes:
-    """A policy's path tables over the whole mesh: the chain of inter-grid
+    """A policy's path tables on the mesh's own nodes: the chain of inter-grid
     segments, then every chain end's exit piece.
 
-    The chain holds one node per chain interval plus the last segment's end;
-    consecutive segments share their joint node, which takes the next
-    segment's first state, the grid point itself.  Its times, cumulative
-    hazard C and cumulative running cost run along the whole chain.  The
-    exit pieces follow in flow order, one block of nodes each, timed from the
-    piece's start, with hazard and cost summed from 0 there.  Interval tables
-    are indexed by their left node; the entry at a block's last node is
-    unused.  ``cell`` is each interval's grid cell: the lower of its two
-    nodes' cells, where the cell of a state is the clamped index ``i`` whose
-    grid points ``i`` and ``i + 1`` bound it (``mesh.ilo``).  A jump state on
-    the interval lies between the nodes' states, so the post-jump draw takes
-    it as a guess at the jump state's cell and checks it.  Each table is a
-    ``memoryview`` of a float64 (``actions``, ``cell``: int64) array:
-    indexing it gives a Python number and :mod:`bisect` searches it, without
-    copying the array.
+    A node table holds one entry per mesh node.  Along the chain the times,
+    cumulative hazard C and cumulative running cost run on from segment to
+    segment, so both nodes of a joint hold the same values; both take the
+    next segment's first state, the grid point itself, and the last
+    segment's last node, the chain's end, keeps its flowed state.  The exit
+    pieces are timed from their start, with hazard and cost summed from 0
+    there.  An interval table holds one entry per node pair of the mesh,
+    indexed by its left node; a pair that joins two pieces is no interval,
+    and a search reads its entry only at a level rounded onto a chain end's
+    value, where its zero length gives the joint's time and state.
+    ``f_left``/``f_right`` are the views ``[:-1]`` and ``[1:]`` of one node
+    array of running costs.  ``cell`` is each pair's grid cell: the lower of
+    its two nodes' cells, where the cell of a state is the clamped index
+    ``i`` whose grid points ``i`` and ``i + 1`` bound it (``mesh.ilo``).  A
+    jump state on the interval lies between the nodes' states, so the
+    post-jump draw takes it as a guess at the jump state's cell and checks
+    it.  Each table is a ``memoryview`` of a float64 (``actions``, ``cell``:
+    int64) array: indexing it gives a Python number and :mod:`bisect`
+    searches it, without copying the array.
     """
 
     times: memoryview
@@ -163,16 +174,18 @@ class _Stationary(NamedTuple):
 class _Line:
     """One start state's feedback path: a stretch of the chain, then its chain end's exit piece.
 
-    ``b``/``e`` are the chain nodes of the start state and of its chain end
-    (equal when the start state is a chain end), ``*_b`` the node tables'
-    values at ``b``, and ``chain_*`` the hazard, time and running cost
-    between ``b`` and ``e``.  ``x0``/``x1`` are the first and last nodes of
-    the chain end's exit piece; the scalars are its totals and what a
-    sojourn past the tabulated horizon needs.  ``pass_cost``, set from the
-    rest, is the running cost of the whole line, ``_cost_to(line,
-    chain_time + end)``: what a sojourn that ends on the boundary hit costs.
-    ``stationary`` is what the jump loop's short branch reads on a
-    stationary line, and None on any other line.
+    ``b``/``e`` are the mesh nodes of the start state and of its chain end
+    (equal when the start state is a chain end): the first node of the
+    segment that starts there, or past the last segment the chain's end
+    (node 0 on a mesh with no segment, whose chain stretches are empty).
+    ``*_b`` are the node tables' values at ``b``, and ``chain_*`` the hazard,
+    time and running cost between ``b`` and ``e``.  ``x0``/``x1`` are the
+    first and last mesh nodes of the chain end's exit piece; the scalars are
+    its totals and what a sojourn past the tabulated horizon needs.
+    ``pass_cost``, set from the rest, is the running cost of the whole line,
+    ``_cost_to(line, chain_time + end)``: what a sojourn that ends on the
+    boundary hit costs.  ``stationary`` is what the jump loop's short branch
+    reads on a stationary line, and None on any other line.
     """
 
     nodes: _Nodes            # shared by every line, not copied
@@ -204,92 +217,49 @@ class _Line:
         self.pass_cost = _cost_to(self, self.chain_time + self.end)
 
 
-def _node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int) -> tuple[_Nodes, list, list]:
-    """The policy's :class:`_Nodes`, the chain node of each flow position,
-    and the first and last table nodes of each exit piece.
+def _node_tables(mesh, n_chain: int, piece_action: np.ndarray) -> _Nodes:
+    """The policy's :class:`_Nodes` on ``mesh``'s own nodes.
 
     The hazard slope of an interval is the trapezoid of the jump rates at its
-    two nodes and the running cost is linear between its node values.  Every
-    piece's hazard and cost are its own running sums from 0; the chain adds
-    each segment's onto the totals of the segments before it, so rounding
-    does not build up over the whole chain.  The interval data are computed
-    on the mesh's node pairs (see :class:`~pdmp_avgctl.operators._Mesh`),
-    from the jump rate and running cost at each node under its piece's
-    action; a pair that joins two pieces is no interval, and its entries are
-    dropped from the chain and set to 0 at an exit piece's last node.  Each
-    table is made as soon as what it is made from is at hand, and every
-    node array is dropped after its last read.
+    two nodes and the running cost is linear between its node values, each
+    node read under its piece's action.  Every piece's hazard and cost are
+    its own running sums from 0; the chain adds each segment's onto the
+    totals of the segments before it, so rounding does not build up over the
+    whole chain.  Each table is made as soon as what it is made from is at
+    hand, and every node array is dropped after its last read.
     """
     node_start = mesh.node_start
-    n_nodes = mesh.times.size
-    exit_start = int(node_start[n_chain])
-    k_chain = exit_start - n_chain
-    x_first = k_chain + 1
-    size = x_first + n_nodes - exit_start
+    ends = node_start[1:n_chain + 1] - 1  # each segment's last node
 
-    # chain node k is the left node of chain interval k: every chain node
-    # but the segments' last; the chain's end node follows, then the exit
-    # nodes as they are in the mesh
-    ends = node_start[1:n_chain + 1] - 1
-    chain_left = np.ones(exit_start, dtype=bool)
-    chain_left[ends] = False
-    exit_first = node_start[n_chain:] + (x_first - exit_start)
-
-    def place(own, end):
-        """``own`` at the chain's nodes, ``end`` at the chain's end node, then ``own`` at the exit pieces'."""
-        out = np.zeros(size, dtype=own.dtype)
-        out[:k_chain] = own[:exit_start][chain_left]
-        out[k_chain] = end
-        out[x_first:x_first + own.size - exit_start] = own[exit_start:]
-        return out
-
-    def nodes(own):
-        """Node values: along the chain on top of earlier segments' totals, then the exit pieces' own."""
+    def chained(own):
+        """``own``, each segment's values in place on top of the totals of the segments before it."""
         before = np.concatenate(([0.0], np.cumsum(own[ends])))
-        out = place(own, before[-1])
-        out[:k_chain] += np.repeat(before[:-1], np.diff(mesh.first[:n_chain + 1]))
-        return out
-
-    def intervals(values):
-        out = place(values, 0)
-        out[exit_first[1:] - 1] = 0
-        return out
+        own[:node_start[n_chain]] += np.repeat(before[:-1], np.diff(node_start[:n_chain + 1]))
+        return own
 
     actions = np.repeat(piece_action, np.diff(node_start))
-    action_table = intervals(actions[:-1])
     cell = np.minimum(mesh.ilo[:-1], mesh.ilo[1:])
-    cell_table = intervals(cell)
-    del cell
-    at = np.arange(n_nodes)
+    at = np.arange(mesh.times.size)
     at *= mesh.lam_nodes.shape[1]
     at += actions
-    del actions
     lam = mesh.lam_nodes.ravel().take(at)
     f = mesh.f_nodes.ravel().take(at)
     del at
     slope = lam[:-1] + lam[1:]
     slope *= 0.5
     del lam
-    slope_table = intervals(slope)
-    slope *= mesh.pair_dt  # the hazard over each pair
-    hazard = nodes(mesh.running_sums(slope))
-    del slope
-    f_left, f_right = intervals(f[:-1]), intervals(f[1:])
-    f_sum = f[:-1] + f[1:]
-    del f
+    hazard = slope * mesh.pair_dt  # the hazard over each pair
+    hazard = chained(mesh.running_sums(hazard))
     cost = 0.5 * mesh.pair_dt
-    cost *= f_sum  # the running cost over each pair
-    del f_sum
-    cost_cum = nodes(mesh.running_sums(cost))
-    del cost
-    tables = _Nodes(times=memoryview(nodes(mesh.times)),
-                    states=memoryview(place(mesh.states, mesh.states[exit_start - 1])),
-                    hazard=memoryview(hazard), slope=memoryview(slope_table), cost_cum=memoryview(cost_cum),
-                    f_left=memoryview(f_left), f_right=memoryview(f_right), actions=memoryview(action_table),
-                    cell=memoryview(cell_table))
-    node_of = mesh.first[np.minimum(np.arange(n_lines), n_chain)].tolist()
-    exit_first = exit_first.tolist()
-    return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))
+    cost *= f[:-1] + f[1:]  # the running cost over each pair
+    cost = chained(mesh.running_sums(cost))
+    # a joint takes the next segment's first state, the grid point itself
+    states = mesh.states.copy()
+    states[ends[:-1]] = mesh.states[node_start[1:n_chain]]
+    return _Nodes(times=memoryview(chained(mesh.times.copy())), states=memoryview(states),
+                  hazard=memoryview(hazard), slope=memoryview(slope), cost_cum=memoryview(cost),
+                  f_left=memoryview(f[:-1]), f_right=memoryview(f[1:]), actions=memoryview(actions[:-1]),
+                  cell=memoryview(cell))
 
 
 def _fixed_row(points: list, y0: float, y1: float) -> int:
@@ -344,20 +314,23 @@ class SimulationTables:
         self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
         self.boundary_cost = model.boundary_cost.tolist()
         piece_action = policy.interior[ws.chain.anchors]
-        self.nodes, node_of, exit_nodes = _node_tables(mesh, ws.chain.n_chain, piece_action, model.n_states)
-        nodes = self.nodes
+        n_chain = ws.chain.n_chain
+        self.nodes = nodes = _node_tables(mesh, n_chain, piece_action)
         times, hazard, cost_cum = nodes.times, nodes.hazard, nodes.cost_cum
+        starts = mesh.node_start.tolist()
+        # a flow position past the last segment starts at the chain's end, the
+        # last segment's last node; with no segment, node 0 stands for it
+        node_of = starts[:n_chain] + [max(starts[n_chain] - 1, 0)] * (model.n_states - n_chain)
         position = np.argsort(ws.chain.order).tolist()
         self.lines = []
         for j, k in enumerate(ws.chain.exit_of.tolist()):
             ex = ws.chain.exits[k]
             b, e = node_of[position[j]], node_of[ex.position]
             p = ex.piece
-            x0, x1 = exit_nodes[k]
+            x0, x1 = starts[p], starts[p + 1] - 1
             act = int(piece_action[p])
-            last = int(mesh.node_start[p + 1]) - 1
             end, hazard_end, cost_end = times[x1], hazard[x1], cost_cum[x1]
-            lam_tail, f_tail = float(mesh.lam_nodes[last, act]), float(mesh.f_nodes[last, act])
+            lam_tail, f_tail = float(mesh.lam_nodes[x1, act]), float(mesh.f_nodes[x1, act])
             stationary = None
             if b == e and not ex.hit and ex.constant:
                 row = _fixed_row(self.points, nodes.states[x0], nodes.states[x1])

@@ -15,10 +15,10 @@ whose constant exit pieces keep the count rule's intervals instead of one
 stationary, and the library's trajectories on them are drawn by the general
 branch of the jump loop on the full mesh.
 
-:func:`gathered_node_tables` builds a policy's node tables on the interval
-layout, each interval's node data gathered through its left node, as the
-library built them before it laid every per-interval quantity out as node
-pairs of the mesh.
+:func:`gathered_node_tables` builds a policy's node tables on the mesh's
+nodes by gathers and loops, each pair's node data gathered through its left
+node and the segments chained one at a time, and each grid state's line
+bounds through the pieces' anchors.
 """
 
 from __future__ import annotations
@@ -284,48 +284,52 @@ def meshed_tables(model, policy, *, workspace=None):
     return prepare_simulation(model, policy, workspace=meshed_workspace(model, fill))
 
 
-def gathered_node_tables(mesh, n_chain: int, piece_action: np.ndarray, n_lines: int):
-    """``simulation._node_tables`` on the interval layout: the policy's node
-    tables, the chain node of each flow position, and the first and last
-    table nodes of each exit piece."""
-    first = mesh.first
+def gathered_node_tables(ws, policy):
+    """``simulation._node_tables`` by gathers on ``ws``'s mesh, and each grid
+    state's line bounds.
+
+    Every pair's node data are gathered through its left node, each node
+    under its own piece's action; each piece is summed over its own
+    intervals by its own ``np.cumsum``, and the segments are chained one at
+    a time, each on top of the last node of the one before it.  A segment's
+    last node takes the next segment's first state.  The line from grid
+    state j starts at the first node of the segment anchored at j, or at the
+    chain's end (node 0 with no segment) when no segment is, and runs to its
+    exit piece's anchor's start; ``(b, e, x0, x1)`` per grid state.
+    """
+    mesh, n_chain = ws.mesh, ws.chain.n_chain
+    node_start = mesh.node_start.tolist()
+    anchors = ws.chain.anchors.tolist()
+    n_nodes = mesh.times.size
+    actions = policy.interior[anchors][np.repeat(np.arange(len(anchors)), np.diff(node_start))]
+    at = np.arange(n_nodes)
+    lam, f = mesh.lam_nodes[at, actions], mesh.f_nodes[at, actions]
+    pair = at[:-1]
+    slope = 0.5 * (lam[pair] + lam[pair + 1])
     left = interval_left(mesh)
-    k_chain = int(first[n_chain])
-    piece = np.repeat(np.arange(first.size - 1), np.diff(first))
-    actions = piece_action[piece]
     dt = mesh.times[left + 1] - mesh.times[left]
-    lam, f = mesh.lam_nodes, mesh.f_nodes
-    slope = 0.5 * (lam[left, actions] + lam[left + 1, actions])
-    f_left, f_right = f[left, actions], f[left + 1, actions]
-    cell = np.minimum(mesh.ilo[left], mesh.ilo[left + 1])
     per_interval = np.empty((dt.size, 2))
-    per_interval[:, 0] = slope * dt
-    per_interval[:, 1] = 0.5 * dt * (f_left + f_right)
+    per_interval[:, 0] = slope[left] * dt
+    per_interval[:, 1] = 0.5 * dt * (f[left] + f[left + 1])
     running = looped_running_sums(mesh, per_interval)
-
-    # chain node k is the left node of chain interval k; exit nodes follow
-    # the chain's end node as they are in the mesh
-    exit_start = int(mesh.node_start[n_chain])
-    x_first = k_chain + 1
-    chain_left = left[:k_chain]
-    ends = mesh.node_start[1:n_chain + 1] - 1
-
-    def nodes(own):
-        before = np.concatenate(([0.0], np.cumsum(own[ends])))
-        return np.concatenate((before[piece[:k_chain]] + own[chain_left], before[-1:], own[exit_start:]))
-
-    def intervals(values):
-        out = np.zeros(x_first + mesh.times.size - exit_start, dtype=values.dtype)
-        out[:k_chain] = values[:k_chain]
-        out[left[k_chain:] - exit_start + x_first] = values[k_chain:]
-        return out
-
-    states = np.concatenate((mesh.states[chain_left], mesh.states[[exit_start - 1]], mesh.states[exit_start:]))
-    tables = _Nodes(times=memoryview(nodes(mesh.times)), states=memoryview(states),
-                    hazard=memoryview(nodes(running[:, 0])), slope=memoryview(intervals(slope)),
-                    cost_cum=memoryview(nodes(running[:, 1])), f_left=memoryview(intervals(f_left)),
-                    f_right=memoryview(intervals(f_right)), actions=memoryview(intervals(actions)),
-                    cell=memoryview(intervals(cell)))
-    node_of = first[np.minimum(np.arange(n_lines), n_chain)].tolist()
-    exit_first = (mesh.node_start[n_chain:] + (x_first - exit_start)).tolist()
-    return tables, node_of, list(zip(exit_first[:-1], [x - 1 for x in exit_first[1:]]))
+    times, hazard, cost = mesh.times.copy(), running[:, 0].copy(), running[:, 1].copy()
+    for values in (times, hazard, cost):
+        before = 0.0
+        for k0, k1 in zip(node_start[:n_chain], node_start[1:n_chain + 1]):
+            values[k0:k1] += before
+            before = values[k1 - 1]
+    states = mesh.states.copy()
+    for k in node_start[1:n_chain]:
+        states[k - 1] = mesh.states[k]
+    tables = _Nodes(times=memoryview(times), states=memoryview(states), hazard=memoryview(hazard),
+                    slope=memoryview(slope), cost_cum=memoryview(cost), f_left=memoryview(f[pair]),
+                    f_right=memoryview(f[pair + 1]), actions=memoryview(actions[pair]),
+                    cell=memoryview(np.minimum(mesh.ilo[pair], mesh.ilo[pair + 1])))
+    start_of = {a: node_start[p] for p, a in enumerate(anchors[:n_chain])}
+    chain_end = node_start[n_chain] - 1 if n_chain else 0
+    bounds = []
+    for j, k in enumerate(ws.chain.exit_of.tolist()):
+        p = n_chain + k
+        bounds.append((start_of.get(j, chain_end), start_of.get(anchors[p], chain_end),
+                       node_start[p], node_start[p + 1] - 1))
+    return tables, bounds

@@ -13,7 +13,7 @@ import pytest
 import pdmp_avgctl as pa
 
 from oracles import model_arrays, series_bias, uniformization_rvi
-from toy_models import constant_cost_variant
+from toy_models import constant_cost_variant, random_feasible
 
 
 def report(criterion: str, detail: str) -> None:
@@ -26,7 +26,7 @@ def test_criterion_01_kernel_mass_identity(models):
     for name, model in models.items():
         rng = np.random.default_rng(1001)
         policies = [pa.FeedbackPolicy.lowest_feasible(model)]
-        policies += [pa.FeedbackPolicy.random_feasible(model, rng) for _ in range(5)]
+        policies += [random_feasible(model, rng) for _ in range(5)]
         start = time.perf_counter()
         ws = pa.OperatorWorkspace(model)  # default mesh; the identity is structural
         for policy in policies:
@@ -80,7 +80,7 @@ def test_criterion_04_monotone_pia(models, workspaces):
     for name, model in models.items():
         rng = np.random.default_rng(2024)
         for _ in range(10):
-            u0 = pa.FeedbackPolicy.random_feasible(model, rng)
+            u0 = random_feasible(model, rng)
             _, _, trace = pa.run_pia(model, u0, max_iter=200, workspace=workspaces[name])
             rhos = trace.rhos
             assert np.all(np.diff(rhos) <= 1e-7), (name, rhos)
@@ -162,7 +162,7 @@ def test_criterion_09_norm_and_bound_suite(models, workspaces):
         envelope = c.M * (1.0 + c.b * c.K_lambda) / c.c * model.lyapunov_g
         rng = np.random.default_rng(31415)
         for _ in range(3):
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             _, ell, cost = ws.assemble(policy, 0.0)
             assert np.all(ell > 0.0) and np.all(ell <= c.K_lambda + 1e-9), name
             assert np.all(cost >= -1e-12) and np.all(cost <= envelope + 1e-9), name

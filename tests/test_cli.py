@@ -486,6 +486,31 @@ class TestPipeline:
         verdict = json.loads((tmp_path / "mc_summary.json").read_text())
         assert verdict["passed"] is True
 
+    def test_simulate_samples_the_refined_mesh(self, tmp_path, monkeypatch):
+        # the verdict and the plain run both read the mesh refined for the
+        # simulated policy, on which evaluate prices it, not a fresh one at
+        # DEFAULT_FILL: decay_flow_16 refines to a finer fill
+        from pdmp_avgctl import simulation
+
+        path = pa.bundled_model_path("decay_flow_16")
+        model = pa.load_model(path)
+        fill = pa.refined_workspace(model, pa.FeedbackPolicy.lowest_feasible(model)).fill
+        assert fill > operators.DEFAULT_FILL
+        seen = []
+
+        def spy(call):
+            def recorded(*args, workspace=None, **kwargs):
+                seen.append((call.__name__, None if workspace is None else workspace.fill))
+                return call(*args, workspace=workspace, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(simulation, "mc_validate", spy(simulation.mc_validate))
+        monkeypatch.setattr(simulation, "prepare_simulation", spy(simulation.prepare_simulation))
+        args = ["simulate", "--model", path, "--horizon", "20", "--seed", "1", "--out", tmp_path]
+        assert run_cli(args + ["--rho", "0.56", "--reps", "2"]) in (0, 1)
+        assert run_cli(args) == 0
+        assert seen == [("mc_validate", fill), ("prepare_simulation", fill), ("prepare_simulation", fill)]
+
     def test_plain_simulation_summary_and_trajectory(self, write_model, tmp_path):
         path = write_model(renewal_doc(), "renewal")
         code = run_cli(["simulate", "--model", path, "--horizon", "50", "--seed", "3",

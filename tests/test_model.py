@@ -13,7 +13,7 @@ import pdmp_avgctl as pa
 from pdmp_avgctl.model import DimensionError, ModelFormatError
 
 from reference_quadrature import line_geometry, op_G, phi0, phi1, policy_paths
-from toy_models import renewal_doc, swap_cycle_doc, two_state_jump_doc
+from toy_models import random_feasible, renewal_doc, swap_cycle_doc, two_state_jump_doc
 
 
 class TestLoadModel:
@@ -482,7 +482,7 @@ class TestFeedbackPolicy:
         # the vectorised accept and the message-building path give one list:
         # [] exactly when every entry is feasible
         model, rng = models[name], np.random.default_rng(seed)
-        policy = pa.FeedbackPolicy.random_feasible(model, rng)
+        policy = random_feasible(model, rng)
         interior, boundary = policy.interior.copy(), policy.boundary
         if kind == "one entry":
             interior[rng.integers(model.n_states)] = rng.integers(-2, model.n_actions + 2)
@@ -507,5 +507,5 @@ class TestFeedbackPolicy:
         rng = np.random.default_rng(0)
         model = models["drift_boundary_64"]
         for _ in range(5):
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             assert policy.feasibility_problems(model) == []

@@ -16,7 +16,7 @@ from pdmp_avgctl import operators
 from pdmp_avgctl.evaluation import ERGODIC_PROBE_POWERS, ErgodicityError, estimate_ergodic_constants, invariant_measure
 from pdmp_avgctl.model import _piece_integrals
 from pdmp_avgctl.operators import OperatorWorkspace
-from pdmp_avgctl.simulation import _Nodes, _node_tables
+from pdmp_avgctl.simulation import _Nodes
 
 from reference_quadrature import (composed_assemble, dense_assemble, forced_line_geometry, gathered_piece_integrals,
                                   gathered_segment_tables, line_exit, line_geometry, line_pieces, marched_improve,
@@ -24,7 +24,7 @@ from reference_quadrature import (composed_assemble, dense_assemble, forced_line
                                   reference_assemble, reference_improve, reference_optimality_residual,
                                   shared_line_geometry, swept_residual)
 from reference_simulation import gathered_node_tables
-from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
+from toy_models import constant_cost_variant, random_feasible, renewal_doc, two_state_jump_doc
 
 FLOWS = ("trivial", "drift", "affine", "tabulated")
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -130,7 +130,7 @@ def random_model_docs(draw, flow: str | None = None, varied: bool = False, clamp
 def _policies(model, seed: int, count: int = 3):
     rng = np.random.default_rng(seed)
     return [pa.FeedbackPolicy.lowest_feasible(model)] + [
-        pa.FeedbackPolicy.random_feasible(model, rng) for _ in range(count - 1)]
+        random_feasible(model, rng) for _ in range(count - 1)]
 
 
 @PROPERTY_SETTINGS
@@ -311,9 +311,11 @@ def test_backward_pass_matches_the_per_line_compositions(flow, data):
 
 
 def assert_pair_layout_matches_the_gathers(ws, policies):
-    """The piece tables, the audit's piece integrals and the policies'
-    simulation node tables of ``ws``'s mesh equal, bit for bit, those built
-    on the interval layout by gathers through each interval's left node."""
+    """The piece tables and the audit's piece integrals of ``ws``'s mesh
+    equal, bit for bit, those built on the interval layout by gathers through
+    each interval's left node; and the policies' simulation node tables and
+    line bounds, those built by gathers through each pair's left node and
+    loops over the segments."""
     model, mesh = ws.model, ws.mesh
     tails = ws.chain.truncated_tail
     got, want = operators._segment_tables(model, mesh, tails), gathered_segment_tables(model, mesh, tails)
@@ -324,12 +326,12 @@ def assert_pair_layout_matches_the_gathers(ws, policies):
         for g, w in zip(_piece_integrals(model, ws, rate, v_nodes), gathered_piece_integrals(model, ws, rate, v_nodes)):
             assert np.array_equal(g, w), rate
     for policy in policies:
-        args = (mesh, ws.chain.n_chain, policy.interior[ws.chain.anchors], model.n_states)
-        (nodes, *got), (reference, *want) = _node_tables(*args), gathered_node_tables(*args)
+        tables = pa.prepare_simulation(model, policy, workspace=ws)
+        reference, bounds = gathered_node_tables(ws, policy)
         for field in dataclasses.fields(_Nodes):
-            assert np.array_equal(np.asarray(getattr(nodes, field.name)),
+            assert np.array_equal(np.asarray(getattr(tables.nodes, field.name)),
                                   np.asarray(getattr(reference, field.name))), field.name
-        assert got == want
+        assert [(line.b, line.e, line.x0, line.x1) for line in tables.lines] == bounds
 
 
 @pytest.mark.parametrize("flow", ("affine", "tabulated"))
@@ -344,3 +346,31 @@ def test_pair_layout_matches_the_gathers(flow, data):
     doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True, clamped=clamped))
     model = pa.model_from_dict(doc)
     assert_pair_layout_matches_the_gathers(OperatorWorkspace(model, fill), _policies(model, seed))
+
+
+@PROPERTY_SETTINGS
+@given(case=random_model_docs(varied=True))
+def test_the_simulation_tables_join_the_segments_on_the_grid_points(case):
+    # the simulator's tables index the mesh's own nodes: at every joint of two
+    # segments both nodes hold one time, hazard and cost, and the grid point
+    # as their state, so no search stops on the pair between them; a line's
+    # bounds are real nodes, and with no segment (a trivial flow) its chain
+    # stretch is empty
+    doc, fill, seed = case
+    model = pa.model_from_dict(doc)
+    ws = OperatorWorkspace(model, fill)
+    n_chain = ws.chain.n_chain
+    joints = ws.mesh.node_start[1:n_chain]
+    points = model.grid.points[ws.chain.order[1:n_chain]]
+    for policy in _policies(model, seed):
+        tables = pa.prepare_simulation(model, policy, workspace=ws)
+        nodes = tables.nodes
+        for name in ("times", "hazard", "cost_cum"):
+            values = np.asarray(getattr(nodes, name))
+            assert np.array_equal(values[joints - 1], values[joints]), name
+        states = np.asarray(nodes.states)
+        assert np.array_equal(states[joints - 1], points) and np.array_equal(states[joints], points)
+        assert len(nodes.times) == ws.mesh.times.size
+        for line in tables.lines:
+            assert 0 <= line.b <= line.e < len(nodes.times)
+            assert line.b == line.e or doc["flow"]["kind"] != "trivial"

@@ -24,7 +24,7 @@ from reference_quadrature import (_reference_transit, _segment_tables, build_pol
                                   reference_improve, reference_optimality_residual, reference_sweep_values,
                                   sparse_values, swept_residual)
 from test_operator_properties import assert_pair_layout_matches_the_gathers
-from toy_models import dominated_toy_doc, renewal_doc, swap_cycle_doc
+from toy_models import dominated_toy_doc, random_feasible, renewal_doc, swap_cycle_doc
 
 
 def path_for(model, state_index=0, policy=None, fill=32):
@@ -121,7 +121,7 @@ class TestOpCalL:
         for name, model in models.items():
             rng = np.random.default_rng(11)
             for _ in range(3):
-                policy = pa.FeedbackPolicy.random_feasible(model, rng)
+                policy = random_feasible(model, rng)
                 for j in range(model.n_states):
                     path = build_policy_path(model, policy, j, workspace=workspaces[name])
                     for alpha in (0.0, -model.constants.c):
@@ -154,7 +154,7 @@ class TestOpG:
         for name, model in models.items():
             ones = np.ones(model.n_states)
             rng = np.random.default_rng(5)
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             for j in range(model.n_states):
                 path = build_policy_path(model, policy, j, workspace=workspaces[name])
                 assert op_G(0.0, ones, path) == pytest.approx(1.0, abs=1e-6), (name, j)
@@ -199,7 +199,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(29)
         for name, model in models.items():
             for _ in range(3):
-                policy = pa.FeedbackPolicy.random_feasible(model, rng)
+                policy = random_feasible(model, rng)
                 kernel = workspaces[name].assemble(policy)[0]
                 assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-6, name
 
@@ -214,7 +214,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(41)
         for name, model in models.items():
             ws = workspaces[name]
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             kernel = ws.assemble(policy)[0]
             paths = policy_paths(ws, policy)
             for z in sorted({*range(0, model.n_states, max(1, model.n_states // 8)), model.n_states - 1}):
@@ -253,7 +253,7 @@ class TestAssembleFromTables:
         for name, model in models.items():
             ws = workspaces[name]
             for _ in range(5):
-                policy = pa.FeedbackPolicy.random_feasible(model, rng)
+                policy = random_feasible(model, rng)
                 kernel, ell, cost = ws.assemble(policy)
                 ref_kernel, ref_ell, ref_cost = reference_assemble(ws, policy)
                 assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12, name
@@ -267,7 +267,7 @@ class TestAssembleFromTables:
         for name, model in models.items():
             ws = workspaces[name]
             policies = [pa.FeedbackPolicy.lowest_feasible(model)]
-            policies += [pa.FeedbackPolicy.random_feasible(model, rng) for _ in range(3)]
+            policies += [random_feasible(model, rng) for _ in range(3)]
             for policy in policies:
                 for got, want in zip(ws.assemble(policy), dense_assemble(ws, policy)):
                     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
@@ -297,7 +297,7 @@ class TestBoundChain:
             c = model.constants
             envelope = c.M * (1.0 + c.b * c.K_lambda) / c.c * model.lyapunov_g
             for _ in range(3):
-                policy = pa.FeedbackPolicy.random_feasible(model, rng)
+                policy = random_feasible(model, rng)
                 _, _, cost = workspaces[name].assemble(policy, 0.0)
                 assert np.all(cost >= -1e-12), name
                 assert np.all(cost <= envelope + 1e-9), name
@@ -333,7 +333,7 @@ class TestPolicyPath:
     def test_node_actions_feasible(self, models, workspaces):
         rng = np.random.default_rng(37)
         for name, model in models.items():
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             mask = model.feasible_mask
             for j in range(model.n_states):
                 path = build_policy_path(model, policy, j, workspace=workspaces[name])
@@ -624,7 +624,7 @@ def agrees_with_the_per_line_references(ws, rng):
     model = ws.model
     geometry = forced_line_geometry(ws)
     for _ in range(3):
-        policy = pa.FeedbackPolicy.random_feasible(model, rng)
+        policy = random_feasible(model, rng)
         got = ws.assemble(policy)
         for want in (composed_assemble(ws, policy), reference_assemble(ws, policy, geometry=geometry)):
             for g, w in zip(got, want):
@@ -648,7 +648,7 @@ def test_pair_layout_matches_the_gathers(models, workspaces, name):
     # policy and a random one
     model = models[name]
     rng = np.random.default_rng(67)
-    policies = [pa.FeedbackPolicy.lowest_feasible(model), pa.FeedbackPolicy.random_feasible(model, rng)]
+    policies = [pa.FeedbackPolicy.lowest_feasible(model), random_feasible(model, rng)]
     for ws in (OperatorWorkspace(model, DEFAULT_FILL), workspaces[name]):
         assert_pair_layout_matches_the_gathers(ws, policies)
 
@@ -659,7 +659,7 @@ def random_problem(model, rng):
     """A seeded random (rho, h, incumbent) of the scale PIA produces."""
     rho = float(rng.uniform(0.0, 3.0))
     h = rng.normal(scale=2.0, size=model.n_states)
-    return rho, h, pa.FeedbackPolicy.random_feasible(model, rng)
+    return rho, h, random_feasible(model, rng)
 
 
 class TestSegmentTables:
@@ -756,7 +756,7 @@ class TestSegmentTables:
         rng = np.random.default_rng(71)
         for name, model in models.items():
             ws = workspaces[name]
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             for _ in range(6):
                 res = pa.evaluate_policy(model, policy, workspace=ws)
                 improved, residual = ws.improve_and_certify(res.rho, res.h, policy)

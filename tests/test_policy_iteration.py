@@ -11,7 +11,7 @@ import pdmp_avgctl as pa
 from oracles import model_arrays, uniformization_policy_value, uniformization_rvi
 from reference_quadrature import one_stage_values
 from test_operator_properties import random_model_docs
-from toy_models import constant_cost_variant, dominated_toy_doc, renewal_doc, two_state_jump_doc
+from toy_models import constant_cost_variant, dominated_toy_doc, random_feasible, renewal_doc, two_state_jump_doc
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ class TestImprovePolicy:
         for name, model in models.items():
             ws = workspaces[name]
             for _ in range(4):
-                policy = pa.FeedbackPolicy.random_feasible(model, rng)
+                policy = random_feasible(model, rng)
                 res = pa.evaluate_policy(model, policy, tol, workspace=ws)
                 improved, _ = ws.improve_and_certify(res.rho, res.h, policy)
                 res2 = pa.evaluate_policy(model, improved, tol, workspace=ws)
@@ -53,7 +53,7 @@ class TestImprovePolicy:
         rng = np.random.default_rng(202)
         for name, model in models.items():
             ws = workspaces[name]
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             res = pa.evaluate_policy(model, policy, workspace=ws)
             improved, _ = ws.improve_and_certify(res.rho, res.h, policy)
             v_old = one_stage_values(ws, policy, res.rho, res.h)
@@ -119,7 +119,7 @@ class TestRunPia:
         rng = np.random.default_rng(303)
         for name, model in models.items():
             for _ in range(3):
-                u0 = pa.FeedbackPolicy.random_feasible(model, rng)
+                u0 = random_feasible(model, rng)
                 _, _, trace = pa.run_pia(model, u0, workspace=workspaces[name])
                 rhos = trace.rhos
                 assert np.all(np.diff(rhos) <= 1e-7), (name, rhos)
@@ -141,7 +141,7 @@ class TestRunPia:
     def test_bias_delta_is_monitored(self, models, workspaces):
         model = models["decay_flow_16"]
         rng = np.random.default_rng(7)
-        u0 = pa.FeedbackPolicy.random_feasible(model, rng)
+        u0 = random_feasible(model, rng)
         _, _, trace = pa.run_pia(model, u0, workspace=workspaces["decay_flow_16"])
         deltas = [r.delta_h for r in trace.records[1:]]
         assert all(np.isfinite(d) for d in deltas)
@@ -154,7 +154,7 @@ class TestRunPia:
         rng = np.random.default_rng(3)
         boundary_changes = 0
         for _ in range(6):
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             _, _, trace = pa.run_pia(model, policy, workspace=ws)
             for record in trace.records:
                 improved = ws._assembled[("pia-step", policy.key())][3]
@@ -196,7 +196,7 @@ class TestOptimalityResidual:
         rng = np.random.default_rng(404)
         for name, model in models.items():
             ws = workspaces[name]
-            policy = pa.FeedbackPolicy.random_feasible(model, rng)
+            policy = random_feasible(model, rng)
             for _ in range(25):
                 res = pa.evaluate_policy(model, policy, workspace=ws)
                 improved, _ = ws.improve_and_certify(res.rho, res.h, policy)
@@ -212,7 +212,7 @@ class TestTraceBoundedness:
         rng = np.random.default_rng(505)
         for name, model in models.items():
             ws = workspaces[name]
-            u0 = pa.FeedbackPolicy.random_feasible(model, rng)
+            u0 = random_feasible(model, rng)
             res0 = pa.evaluate_policy(model, u0, workspace=ws)
             report = pa.audit_assumptions(model, u0, workspace=ws)
             c = model.constants
@@ -232,7 +232,7 @@ PIA_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=Tru
 def _solve_random_ctmdp(case):
     doc, fill, seed = case
     model = pa.model_from_dict(doc)
-    u0 = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed))
+    u0 = random_feasible(model, np.random.default_rng(seed))
     result, _, trace = pa.run_pia(model, u0, workspace=pa.OperatorWorkspace(model, fill))
     return model, result, trace
 
@@ -285,7 +285,7 @@ def test_pia_beats_every_feasible_policy(case, varied):
     for doc, fill, seed in (case, varied):
         model = pa.model_from_dict(doc)
         ws = pa.OperatorWorkspace(model, fill)
-        result, _, trace = pa.run_pia(model, pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed)),
+        result, _, trace = pa.run_pia(model, random_feasible(model, np.random.default_rng(seed)),
                                       workspace=ws)
         _assert_pia_is_the_best_policy(model, result, trace, _least_rho(model, ws))
 
@@ -319,7 +319,7 @@ def test_a_sweep_on_one_workspace_runs_as_on_fresh_workspaces(case, starts):
     rng = np.random.default_rng(seed)
     shared = pa.OperatorWorkspace(model, fill)
     for _ in range(starts):
-        u0 = pa.FeedbackPolicy.random_feasible(model, rng)
+        u0 = random_feasible(model, rng)
         assert _pia_outcome(model, u0, shared) == _pia_outcome(model, u0, pa.OperatorWorkspace(model, fill))
 
 
@@ -327,7 +327,7 @@ class TestStepCache:
     def test_a_later_run_reuses_the_step_and_its_arrays_are_read_only(self, models):
         model = models["drift_boundary_64"]
         ws = pa.OperatorWorkspace(model, 16)
-        u0 = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(11))
+        u0 = random_feasible(model, np.random.default_rng(11))
         first, policy, trace = pa.run_pia(model, u0, workspace=ws)
         assert len(trace.records) > 1
         again, _, _ = pa.run_pia(model, u0, workspace=ws)
@@ -392,7 +392,7 @@ def test_a_sweep_solves_once_per_distinct_step_and_final_policy(models, monkeypa
     for module in (pa.policy_iteration, pa.evaluation):
         monkeypatch.setattr(module, "check_entry", counted_check)
     rng = np.random.default_rng(12)
-    starts = [pa.FeedbackPolicy.random_feasible(model, rng) for _ in range(6)]
+    starts = [random_feasible(model, rng) for _ in range(6)]
     finals, records = set(), 0
     for u0 in starts + starts[:2]:  # the repeated starts run from the cache
         _, policy, trace = pa.run_pia(model, u0, workspace=ws)

@@ -18,7 +18,7 @@ import reference_simulation
 from conftest import traced
 from reference_quadrature import policy_paths
 from test_operator_properties import FLOWS, random_model_docs
-from toy_models import constant_cost_variant, renewal_doc, two_state_jump_doc
+from toy_models import constant_cost_variant, random_feasible, renewal_doc, two_state_jump_doc
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ class TestSampleSojourn:
         # exit piece alike, and one past its end: the first jump comes at the
         # reference path's time of that cumulative hazard, or at its end
         model, ws = models[name], workspaces[name]
-        policy = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(4))
+        policy = random_feasible(model, np.random.default_rng(4))
         tables = pa.prepare_simulation(model, policy, workspace=ws)
         blocks = []
         # a hazard level far past every line's end for every later sojourn
@@ -84,7 +84,7 @@ class TestSampleSojourn:
             path = paths[j]
             hazard = path.cum_hazard
             # about 40 intervals, with the ends of the chain stretch and of the exit piece
-            k_chain, size = tables.lines[j].e - tables.lines[j].b, hazard.size - 1
+            k_chain, size = chain_lefts(tables.lines[j], ws.mesh).size, hazard.size - 1
             picks = set(range(0, size, max(1, size // 40))) | {k_chain - 1, k_chain, size - 2, size - 1}
             levels = [0.5 * (hazard[k] + hazard[k + 1]) for k in sorted(picks)
                       if 0 <= k < size and hazard[k + 1] > hazard[k]]
@@ -108,15 +108,25 @@ class TestSampleSojourn:
             pa.simulate(model, policy, 0, 10.0, seed=5)
 
 
-def line_arrays(line) -> dict:
-    """A simulation line's node and interval tables, chain stretch then exit piece, from 0."""
-    b, e, x0, x1 = line.b, line.e, line.x0, line.x1
+def chain_lefts(line, mesh) -> np.ndarray:
+    """The left nodes of a simulation line's chain intervals on ``mesh``.
+
+    A segment's last node, which repeats the next segment's first, and the
+    pair that joins them are left out.
+    """
+    return np.setdiff1d(np.arange(line.b, line.e), mesh.node_start[1:] - 1)
+
+
+def line_arrays(line, mesh) -> dict:
+    """A simulation line's node and interval tables on ``mesh``, chain stretch then exit piece, from 0."""
+    b, x0, x1 = line.b, line.x0, line.x1
+    chain = chain_lefts(line, mesh)
     arr = {name: np.asarray(getattr(line.nodes, name)) for name in
            ("times", "states", "hazard", "slope", "f_left", "f_right", "actions")}
-    nodes = {name: np.concatenate((arr[name][b:e] - (arr[name][b] if name != "states" else 0.0),
+    nodes = {name: np.concatenate((arr[name][chain] - (arr[name][b] if name != "states" else 0.0),
                                    start + arr[name][x0:x1 + 1]))
              for name, start in (("times", line.chain_time), ("states", 0.0), ("hazard", line.chain_hazard))}
-    intervals = {name: np.concatenate((arr[name][b:e], arr[name][x0:x1]))
+    intervals = {name: np.concatenate((arr[name][chain], arr[name][x0:x1]))
                  for name in ("slope", "f_left", "f_right", "actions")}
     return nodes | intervals
 
@@ -125,7 +135,7 @@ class TestLineTables:
     def test_preparation_peak_stays_near_what_it_keeps(self, models, workspaces, solved):
         # the tables of decay_flow_16's PIA-optimal policy at its refined
         # fill: each node table is made as soon as its inputs are at hand,
-        # and every node array goes after its last read, so the peak is 1.13
+        # and every node array goes after its last read, so the peak is 1.11
         # times the bytes the tables keep (2.23 times with transient copies)
         model = models["decay_flow_16"]
         tables, kept, peak = traced(lambda: pa.prepare_simulation(model, solved["decay_flow_16"][1],
@@ -142,11 +152,11 @@ class TestLineTables:
         for name, model in models.items():
             ws = workspaces[name]
             for policy in (pa.FeedbackPolicy.lowest_feasible(model),
-                           pa.FeedbackPolicy.random_feasible(model, rng)):
+                           random_feasible(model, rng)):
                 tables = pa.prepare_simulation(model, policy, workspace=ws)
                 for line, path in zip(tables.lines, policy_paths(ws, policy)):
                     f_left, f_right = path.node_table_values(model.running_cost)
-                    got = line_arrays(line)
+                    got = line_arrays(line, ws.mesh)
                     wanted = {"times": path.times, "states": path.states, "hazard": path.cum_hazard,
                               "slope": path.hazard_slope, "f_left": f_left, "f_right": f_right,
                               "actions": path.interval_actions}
@@ -164,21 +174,23 @@ class TestLineTables:
 
     def test_lines_share_one_chain(self, models, workspaces):
         # no line copies the chain or an exit piece: the tables hold one node
-        # per mesh node, less the joints the segments share, and every line
-        # that ends on the same chain end reads that end's exit nodes, the
-        # piece's own intervals: one on a constant exit piece (every one of
+        # per mesh node, and every line that ends on the same chain end reads
+        # that end's exit nodes, the exit piece's own mesh nodes and
+        # intervals: one on a constant exit piece (every one of
         # ctmdp_3state's, none of drift_boundary_64's)
         for name in ("drift_boundary_64", "ctmdp_3state"):
             model, ws = models[name], workspaces[name]
             policy = pa.FeedbackPolicy.lowest_feasible(model)
             tables = pa.prepare_simulation(model, policy, workspace=ws)
             assert all(line.nodes is tables.nodes for line in tables.lines)
-            assert len(tables.nodes.times) == ws.mesh.times.size - (ws.chain.n_chain - 1)
+            assert len(tables.nodes.times) == ws.mesh.times.size
+            node_start = ws.mesh.node_start
             ends = ws.chain.exit_of.tolist()
-            exit_nodes = {k: (line.x0, line.x1) for k, line in zip(ends, tables.lines)}
-            assert all((line.x0, line.x1) == exit_nodes[k] for k, line in zip(ends, tables.lines)), name
-            exit_nodes = [exit_nodes[k] for k in range(len(ws.chain.exits))]
-            assert exit_nodes[0][0] == ws.mesh.first[ws.chain.n_chain] + 1, name
+            for k, line in zip(ends, tables.lines):
+                p = ws.chain.exits[k].piece
+                assert (line.x0, line.x1) == (node_start[p], node_start[p + 1] - 1), name
+            exit_nodes = [(node_start[e.piece], node_start[e.piece + 1] - 1) for e in ws.chain.exits]
+            assert exit_nodes[0][0] == node_start[ws.chain.n_chain], name
             assert all(x1 + 1 == y0 for (_, x1), (y0, _) in zip(exit_nodes, exit_nodes[1:])), name
             assert exit_nodes[-1][1] == len(tables.nodes.times) - 1, name
             constant = [e.constant for e in ws.chain.exits]
@@ -377,8 +389,8 @@ def test_trajectories_match_the_reference_loop(flow, data):
     ws = pa.OperatorWorkspace(model, fill)
     rng = np.random.default_rng(seed)
     for policy in (pa.FeedbackPolicy.lowest_feasible(model),
-                   pa.FeedbackPolicy.random_feasible(model, rng),
-                   pa.FeedbackPolicy.random_feasible(model, rng)):
+                   random_feasible(model, rng),
+                   random_feasible(model, rng)):
         tables = pa.prepare_simulation(model, policy, workspace=ws)
         x0 = int(rng.integers(model.n_states))
         horizon = float(rng.uniform(5.0, 40.0))
@@ -409,7 +421,7 @@ def test_the_recorded_standard_error_is_the_reference_loops(flow, data):
     # one batch
     doc, fill, seed = data.draw(random_model_docs(flow=flow, varied=True))
     model = pa.model_from_dict(doc)
-    policy = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(seed))
+    policy = random_feasible(model, np.random.default_rng(seed))
     tables = pa.prepare_simulation(model, policy, workspace=pa.OperatorWorkspace(model, fill))
     x0 = data.draw(st.integers(0, model.n_states - 1))
     first = _outcome(pa.simulate, model, policy, x0, 30.0, seed, tables=tables)
@@ -560,7 +572,7 @@ class TestStationaryLines:
     def test_trajectories_match_the_meshed_tables(self, models, workspaces, solved, name):
         model, ws = models[name], workspaces[name]
         for policy in (solved[name][1], pa.FeedbackPolicy.lowest_feasible(model),
-                       pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(8))):
+                       random_feasible(model, np.random.default_rng(8))):
             tables = pa.prepare_simulation(model, policy, workspace=ws)
             meshed = reference_simulation.meshed_tables(model, policy, workspace=ws)
             for replication, x0 in enumerate((0, model.n_states - 1)):
@@ -574,7 +586,7 @@ class TestStationaryLines:
         model = pa.model_from_dict(doc)
         ws = pa.OperatorWorkspace(model, fill)
         rng = np.random.default_rng(seed)
-        for policy in (pa.FeedbackPolicy.lowest_feasible(model), pa.FeedbackPolicy.random_feasible(model, rng)):
+        for policy in (pa.FeedbackPolicy.lowest_feasible(model), random_feasible(model, rng)):
             tables = pa.prepare_simulation(model, policy, workspace=ws)
             meshed = reference_simulation.meshed_tables(model, policy, workspace=ws)
             assert_meshed_trajectory(tables, meshed, model, policy, int(rng.integers(model.n_states)),
@@ -584,7 +596,7 @@ class TestStationaryLines:
         # nor any line of drift_boundary_64, whose exit piece varies
         for name, model in models.items():
             for policy in (solved[name][1], pa.FeedbackPolicy.lowest_feasible(model),
-                           pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(9))):
+                           random_feasible(model, np.random.default_rng(9))):
                 lines = pa.prepare_simulation(model, policy, workspace=workspaces[name]).lines
                 assert not any(line.hit and line.stationary is not None for line in lines), name
                 if name == "drift_boundary_64":
@@ -599,7 +611,7 @@ class TestStationaryLines:
         model = pa.model_from_dict(doc)
         ws = pa.OperatorWorkspace(model, fill)
         rng = np.random.default_rng(seed)
-        for policy in (pa.FeedbackPolicy.lowest_feasible(model), pa.FeedbackPolicy.random_feasible(model, rng)):
+        for policy in (pa.FeedbackPolicy.lowest_feasible(model), random_feasible(model, rng)):
             lines = pa.prepare_simulation(model, policy, workspace=ws).lines
             assert not any(line.hit and line.stationary is not None for line in lines)
             if flow == "trivial":
@@ -631,11 +643,12 @@ class TestRunningCost:
         for name, j in (("decay_flow_16", 12), ("drift_boundary_64", 16), ("drift_boundary_64", 56)):
             model = models[name]
             policy = pa.FeedbackPolicy.lowest_feasible(model)
-            tables = pa.prepare_simulation(model, policy)
+            ws = pa.OperatorWorkspace(model)
+            tables = pa.prepare_simulation(model, policy, workspace=ws)
             line = tables.lines[j]
             assert 0.0 < line.chain_time < line.chain_time + line.end
             charge = tables.boundary_cost[line.boundary_index][line.boundary_action] if line.hit else 0.0
-            hazard = line_arrays(line)["hazard"]
+            hazard = line_arrays(line, ws.mesh)["hazard"]
             levels = [x for h in hazard for x in (h, math.nextafter(h, math.inf), math.nextafter(h, 0.0))]
             levels += (0.5 * (hazard[1:] + hazard[:-1]))[::max(1, hazard.size // 20)].tolist()
             levels.append(hazard[-1] + 1.0)
@@ -887,7 +900,7 @@ class TestSimulate:
     def test_tables_of_another_policy_or_model_are_refused(self, models):
         model = models["drift_boundary_64"]
         policy = pa.FeedbackPolicy.lowest_feasible(model)
-        other = pa.FeedbackPolicy.random_feasible(model, np.random.default_rng(2))
+        other = random_feasible(model, np.random.default_rng(2))
         assert other.key() != policy.key()
         tables = pa.prepare_simulation(model, policy)
         with pytest.raises(ValueError, match="prepared for another policy"):

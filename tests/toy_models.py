@@ -1,8 +1,21 @@
-"""Hand-built model documents used as test fixtures and oracle targets."""
+"""Hand-built model documents used as test fixtures and oracle targets, and
+a seeded random feasible policy."""
 
 from __future__ import annotations
 
 import copy
+
+import numpy as np
+
+import pdmp_avgctl as pa
+
+
+def random_feasible(model, rng: np.random.Generator) -> pa.FeedbackPolicy:
+    """A feasible policy drawn by ``rng``: one ``rng.choice`` of each interior
+    state's feasible actions in grid order, then one per boundary point."""
+    interior = np.array([int(rng.choice(idx)) for idx in model.action_grid.feasible], dtype=np.int64)
+    boundary = np.array([int(rng.choice(idx)) for idx in model.action_grid.boundary_feasible], dtype=np.int64)
+    return pa.FeedbackPolicy(interior=interior, boundary=boundary)
 
 
 def two_state_jump_doc() -> dict:

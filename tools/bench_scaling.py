@@ -12,8 +12,10 @@ table build, assemble (each call on an empty assemble cache), evaluation
 that gives the improved policy and the optimality residual together, and
 one policy-iteration step as ``run_pia`` takes it when its step cache
 misses (``pia_step_s``: the kernel checks, the bordered solve and that
-pass, on the policy's operators already assembled).  Load, audit, refinement, workspace build and tables make up
-the whole setup of a solve.  Every time is the median of as many calls as
+pass, on the policy's operators already assembled), and one
+``prepare_simulation`` of that policy's simulation tables
+(``prepare_s``).  Load, audit, refinement, workspace build and tables make
+up the whole setup of a solve.  Every time is the median of as many calls as
 fit in ``BUDGET_S`` seconds, and of at least ``MIN_SAMPLES``, so a
 sub-millisecond column takes thousands of calls and a slow one three.  The
 Monte Carlo columns run the same policy on simulation tables prepared once:
@@ -214,6 +216,7 @@ def _measure(path) -> tuple[dict, list]:
     timed("pia_step_s", lambda: pa.policy_iteration._step(model, ws, policy))
     tables = pa.prepare_simulation(model, policy, workspace=ws)
     prepare_peak = _peak_mb(lambda: pa.prepare_simulation(model, policy, workspace=ws))
+    timed("prepare_s", lambda: pa.prepare_simulation(model, policy, workspace=ws))
     jumps = []
 
     def replication():
