@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -388,7 +389,10 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": cmd_simulate,
         "report": cmd_report,
     }[config.command]
-    return handler(config)
+    with warnings.catch_warnings():
+        # a library warning (a refinement short of its target) as one line, as the commands print theirs
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return handler(config)
 
 
 def console_main() -> None:

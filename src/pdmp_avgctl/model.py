@@ -141,12 +141,19 @@ class PdmpModel:
 
     @functools.cached_property
     def chain_geometry(self):
-        """Flow order, chain ends, exits and piece durations of the flow lines,
-        which every operator workspace of this model shares at any fill
-        (:class:`~pdmp_avgctl.operators._ChainGeometry`)."""
+        """The flow lines' structure and feasibility lists, which every operator workspace
+        of this model shares at any fill (:class:`~pdmp_avgctl.operators._ChainGeometry`)."""
         from .operators import _chain_geometry
 
         return _chain_geometry(self)
+
+    @functools.cached_property
+    def kernel_rows(self) -> tuple:
+        """(interior_cum, interior_sum, boundary_cum, boundary_sum) as lists, which every
+        policy's simulation tables share read-only (:func:`~pdmp_avgctl.simulation._cumulative_rows`)."""
+        from .simulation import _cumulative_rows
+
+        return (*_cumulative_rows(self.kernel_interior), *_cumulative_rows(self.kernel_boundary))
 
     def g_table(self) -> Table1D:
         return Table1D(self.grid.points, self.lyapunov_g)
@@ -683,7 +690,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy, *, workspace=Non
     add("cost-vs-weight", c.M * model.lyapunov_g - sup, locs)
 
     # boundary items only where some line actually reaches the boundary
-    reachable = sorted({e.boundary_index for e in ws.chain.exits if e.hit})
+    reachable = sorted({zi for _, zi in ws.chain.hits})
     if model.n_boundary and reachable:
         rbar = model.lyapunov_rbar[reachable, None]
         bmask = model.boundary_feasible_mask[reachable]
@@ -703,7 +710,7 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy, *, workspace=Non
 
     # expected-growth integral bounded by K_lambda
     growth, growth_exponent = _line_integrals(model, ws, c.c)
-    truncated = ws.truncated
+    truncated = ws.chain.truncated
     decay = np.exp(-growth_exponent)[truncated]
     undecayed = bool(np.any(decay > 1e-9))
     add("growth-integral", c.K_lambda - growth, at_x,
@@ -732,14 +739,14 @@ def audit_assumptions(model: PdmpModel, policy: FeedbackPolicy, *, workspace=Non
                            "finite on the truncation window"))
 
     # kernel drift: Gg <= k_g g + K_g along the policy's feedback paths
-    add("kernel-drift", c.k_g * model.lyapunov_g + c.K_g - ws.assemble(policy)[0] @ model.lyapunov_g,
+    kernel = ws.assemble(policy)[0]
+    add("kernel-drift", c.k_g * model.lyapunov_g + c.K_g - kernel @ model.lyapunov_g,
         [f"{x} (policy)" for x in at_x])
 
     items.append(AuditItem("discounted-finiteness", "omitted", math.inf, "(not audited)",
                            "finiteness of discounted infima has no constructive check; omitted by design"))
 
     a_est = kappa_est = None
-    kernel = ws.assemble(policy, 0.0)[0]
     try:
         nu = invariant_measure(kernel)
         a_est, kappa_est = estimate_ergodic_constants(kernel, nu, model.lyapunov_g)

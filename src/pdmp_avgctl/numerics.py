@@ -37,16 +37,14 @@ def phi01(z):
 def interp_weights(coords: np.ndarray, x):
     """Bracketing indices and left weights for clamped linear interpolation.
 
-    Returns (ilo, wlo) so that a table ``v`` sampled on ``coords`` is read as
-    ``wlo * v[ilo] + (1 - wlo) * v[ilo + 1]`` at each of the points ``x`` (an
-    array).  Points outside the hull clamp to the nearest endpoint.  Besides
-    the two results it holds two arrays of ``x``'s size at a time.
+    Returns (ilo, wlo) so that a table ``v`` sampled on ``coords`` (at
+    least two of them) is read as ``wlo * v[ilo] + (1 - wlo) * v[ilo + 1]``
+    at each of the points ``x`` (an array).  Points outside the hull clamp
+    to the nearest endpoint.  Besides the two results it holds two arrays of
+    ``x``'s size at a time.
     """
     coords = np.asarray(coords, dtype=float)
     x = np.asarray(x, dtype=float)
-    if coords.size == 1:
-        ilo = np.zeros(x.shape, dtype=np.int64)
-        return ilo, np.ones(x.shape)
     ilo = np.searchsorted(coords, x, side="right")
     ilo -= 1
     np.clip(ilo, 0, coords.size - 2, out=ilo)
@@ -68,13 +66,11 @@ class Table1D:
 
     Evaluation is clamped linear interpolation, which is also the convention
     used by the quadrature engine, so limits toward the state-space hull agree
-    with the nearest sample.
+    with the nearest sample.  There are at least two coordinates.
     """
 
     coords: np.ndarray
     values: np.ndarray
 
     def __call__(self, x):
-        if self.coords.size == 1:
-            return np.full_like(np.asarray(x, dtype=float), self.values[0])
         return np.interp(np.asarray(x, dtype=float), self.coords, self.values)

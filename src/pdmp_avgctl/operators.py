@@ -61,11 +61,12 @@ the same path class.  Improvement and the certificate are one entry
 with Qh, the boundary minima and the pieces' one-stage values computed once
 for both.
 
-What no fill changes (flow order, transits, chain ends, exits and piece
-durations) is worked out once per model object
+What no fill changes (the line structure and the feasibility lists the
+improvement/certificate pass loops over) is worked out once per model object
 (:attr:`~pdmp_avgctl.model.PdmpModel.chain_geometry`) and shared, read-only,
-by all its workspaces; a workspace builds only its nodes.  A workspace
-belongs to the model object it was built for.  Every entry that takes a
+by all its workspaces, the audit and the simulator; a workspace builds only
+its nodes and their piece tables.  A workspace belongs to the model object
+it was built for.  Every entry that takes a
 policy runs one check first (:func:`check_entry`): it refuses another
 model's workspace and an infeasible policy.  A workspace's one per-policy
 cache holds each policy's assembled operators and, from
@@ -138,8 +139,8 @@ class _Piece:
 class _Mesh:
     """The nodes of every piece, concatenated.
 
-    Piece p owns nodes ``node_start[p]:node_start[p + 1]`` and intervals
-    ``first[p]:first[p + 1]``; the inter-grid segments come first, in flow
+    Piece p owns nodes ``node_start[p]:node_start[p + 1]``, and so one
+    interval fewer than nodes; the inter-grid segments come first, in flow
     order (piece q runs from flow position q to q + 1), then the exit piece
     of each chain end in flow order.
 
@@ -159,11 +160,6 @@ class _Mesh:
     wlo: np.ndarray
     lam_nodes: np.ndarray    # (N, n_actions)
     f_nodes: np.ndarray
-
-    @functools.cached_property
-    def first(self) -> np.ndarray:
-        """(P+1,) first interval of each piece, and the interval count."""
-        return self.node_start - np.arange(self.node_start.size)
 
     @functools.cached_property
     def pair_dt(self) -> np.ndarray:
@@ -193,7 +189,7 @@ class _Mesh:
     @functools.cached_property
     def _runs(self) -> list[tuple[int, int, int]]:
         """The runs of consecutive pieces with equal interval counts: (first node, pieces, count) each."""
-        counts = np.diff(self.first)
+        counts = np.diff(self.node_start) - 1
         first = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1])))
         pieces = np.diff(np.append(first, counts.size))
         return list(zip(self.node_start[first].tolist(), pieces.tolist(), counts[first].tolist()))
@@ -325,27 +321,35 @@ def _constant_exits(model, x0: np.ndarray, dur: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ChainGeometry:
-    """The part of the piece meshes that no fill changes, built once per model
-    object (:attr:`~pdmp_avgctl.model.PdmpModel.chain_geometry`) and shared by
-    all its workspaces, so its arrays are read-only.
+    """The line structure and feasibility lists that no fill changes, built once
+    per model object (:attr:`~pdmp_avgctl.model.PdmpModel.chain_geometry`)
+    and read, never written, by all its workspaces, the audit and the simulator.
 
     Pieces are numbered as in :class:`_Mesh`.
     """
 
     order: np.ndarray           # (n,) grid indices in flow order
+    position: np.ndarray        # (n,) per grid state, its flow position
     n_chain: int                # number of inter-grid segments
     exits: tuple                # the _Exit of each chain end, in flow order
     exit_of: np.ndarray         # (n,) per grid state, the exit its line ends on
+    truncated: np.ndarray       # (n,) per grid state, whether its line stops at t_max instead of the boundary
+    hits: tuple                 # (exit, boundary point) of each exit that hits the boundary
     anchors: np.ndarray         # (P,) grid index each piece starts from
     dur: np.ndarray             # (P,) duration; 0 for a segment no line runs along
     truncated_tail: np.ndarray  # (P,) the exit pieces that stop at t_max
     one_interval: np.ndarray    # (P,) the constant exit pieces
     shortest: float             # the shortest positive inter-grid transit
     steps: tuple                # (grid index, piece, exit or -1) per flow position, against the flow
+    feasible: tuple             # per grid state, its feasible actions
+    mask: tuple                 # per grid state, per action, whether it is feasible
+    line_ok: tuple              # per grid state, per action, whether a frozen-action sweep may hold it
+    sweepable: bool             # some line admits a frozen-action sweep
 
 
 def _chain_geometry(model) -> _ChainGeometry:
-    """Flow order, chain ends, exits and piece durations of ``model``'s lines."""
+    """Flow order, chain ends, exits and piece durations of ``model``'s lines,
+    and the feasibility lists the improvement/certificate pass reads."""
     flow = model.flow
     points = model.grid.points
     n = points.size
@@ -367,18 +371,32 @@ def _chain_geometry(model) -> _ChainGeometry:
     constant = _constant_exits(model, points[order[ends]], dur[n_chain:])
     exits = tuple(_Exit(position=q, piece=n_chain + k, hit=hit, boundary_index=b, constant=c)
                   for k, (q, hit, b, c) in enumerate(zip(ends, hits, boundary_index, constant.tolist())))
-    exit_of = np.empty(n, dtype=np.int64)
-    exit_of[order] = np.searchsorted(ends, np.arange(n))
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    exit_of = np.searchsorted(ends, position)
     at_end = {e.position: k for k, e in enumerate(exits)}
     steps = tuple((j, n_chain + at_end[q], at_end[q]) if q in at_end else (j, q, -1)
                   for q, j in reversed(list(enumerate(order.tolist()))))
+    # a line's sweep may hold an action feasible at every flow position
+    # from the line's own to its chain end's: none of them counts it
+    # among the infeasible ones
+    bad = ~model.feasible_mask[order]
+    infeasible = np.cumsum(bad, axis=0)
+    line_ok = np.empty(bad.shape, dtype=bool)
+    line_ok[order] = infeasible[np.asarray(ends)[exit_of[order]]] == infeasible - bad
     chain = _ChainGeometry(
-        order=order, n_chain=n_chain, exits=exits, exit_of=exit_of,
+        order=order, position=position, n_chain=n_chain, exits=exits, exit_of=exit_of,
+        truncated=np.logical_not(hits)[exit_of],
+        hits=tuple((k, b) for k, (hit, b) in enumerate(zip(hits, boundary_index)) if hit),
         anchors=order[np.concatenate((np.arange(n_chain), ends)).astype(np.int64)], dur=dur,
         truncated_tail=np.concatenate((np.zeros(n_chain, dtype=bool), np.logical_not(hits))),
         one_interval=np.concatenate((np.zeros(n_chain, dtype=bool), constant)),
-        shortest=min((t for t in transit if t > 0.0), default=math.inf), steps=steps)
-    for arr in (chain.order, chain.exit_of, chain.anchors, chain.dur, chain.truncated_tail, chain.one_interval):
+        shortest=min((t for t in transit if t > 0.0), default=math.inf), steps=steps,
+        feasible=tuple(tuple(f.tolist()) for f in model.action_grid.feasible),
+        mask=tuple(map(tuple, model.feasible_mask.tolist())), line_ok=tuple(map(tuple, line_ok.tolist())),
+        sweepable=bool(line_ok.any()))
+    for arr in (chain.order, chain.position, chain.exit_of, chain.truncated, chain.anchors, chain.dur,
+                chain.truncated_tail, chain.one_interval):
         arr.flags.writeable = False
     return chain
 
@@ -462,6 +480,11 @@ class SegmentTables:
     survival: np.ndarray  # (P, n_a) e^{-hazard across the piece}
     weights: np.ndarray   # (width, P, n_a) weight of Qh at each band slot
     cols: np.ndarray      # (width, P, n_a) grid index * n_a + a of each band slot
+
+    @functools.cached_property
+    def survival_lists(self) -> list:
+        """``survival`` as lists, one per piece, which the improvement/certificate pass loops over."""
+        return self.survival.tolist()
 
     def values(self, rho: float, qh: np.ndarray) -> np.ndarray:
         """(P, n_a) one-stage value of each piece with nothing carried in."""
@@ -561,12 +584,9 @@ class OperatorWorkspace:
     what makes improvement values directly comparable across policies.
     ``mesh`` holds the pieces' nodes, ``geometry`` lists per-piece views of
     it (built on first read), and ``chain`` is the model's shared
-    :class:`_ChainGeometry`, the one place to read ``chain.order`` (the grid
-    indices in flow order), ``chain.exits`` (the exit of each chain end) and
-    ``chain.exit_of`` (the exit each grid state's line ends on).  The piece
-    tables, with the lists the improvement/certificate pass reads, are built
-    on first use, and one per-policy cache (:meth:`cached`) keeps assembled
-    operators and PIA steps.
+    :class:`_ChainGeometry`, the one place to read the line structure.  The
+    piece tables are built on first use, and one per-policy cache
+    (:meth:`cached`) keeps assembled operators and PIA steps.
     """
 
     def __init__(self, model, fill: int = DEFAULT_FILL):
@@ -576,7 +596,6 @@ class OperatorWorkspace:
         self.mesh = _build_mesh(model, self.chain, self.fill)
         self._assembled: dict = {}
         self._segments: SegmentTables | None = None
-        self._pass: tuple | None = None
         self.refine_diff: float | None = None
         self.refine_converged: bool | None = None
 
@@ -584,11 +603,6 @@ class OperatorWorkspace:
     def geometry(self) -> list[_Piece]:
         """The pieces, as views of the mesh; no solver layer reads them."""
         return self.mesh.pieces(self.chain.anchors)
-
-    @property
-    def truncated(self) -> np.ndarray:
-        """(n,) whether each grid state's line stops at t_max instead of the boundary."""
-        return ~np.array([e.hit for e in self.chain.exits], dtype=bool)[self.chain.exit_of]
 
     def backward(self, values: np.ndarray, factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
         """Value to go along every flow line, in one pass over the grid positions against the flow.
@@ -664,11 +678,10 @@ class OperatorWorkspace:
         values[:, n] = tables.sojourn[pieces, act]
         values[:, n + 1] = tables.cost[pieces, act]
         terminal = np.zeros((len(self.chain.exits), n + 2))
-        for k, e in enumerate(self.chain.exits):
-            if e.hit:
-                b_act = policy.boundary[e.boundary_index]
-                terminal[k, :n] = model.kernel_boundary[e.boundary_index, b_act]
-                terminal[k, n + 1] = model.boundary_cost[e.boundary_index, b_act]
+        for k, zi in self.chain.hits:
+            b_act = policy.boundary[zi]
+            terminal[k, :n] = model.kernel_boundary[zi, b_act]
+            terminal[k, n + 1] = model.boundary_cost[zi, b_act]
         w = self.backward(values, tables.survival[pieces, act], terminal)
         return w[:, :n].copy(), w[:, n].copy(), w[:, n + 1].copy()
 
@@ -701,38 +714,10 @@ class OperatorWorkspace:
         return best_act, best_val, min_val
 
     def segment_tables(self) -> SegmentTables:
-        """The per-piece one-stage tables, built on first use.
-
-        The lists :meth:`improve_and_certify` reads are built with them, so
-        no pass pays for them.
-        """
+        """The per-piece one-stage tables, built on first use."""
         if self._segments is None:
             self._segments = _segment_tables(self.model, self.mesh, self.chain.truncated_tail)
-            self._pass = self._pass_lists(self._segments)
         return self._segments
-
-    def _pass_lists(self, tables: SegmentTables) -> tuple:
-        """What the improvement/certificate pass reads besides (rho, h), as lists where it loops.
-
-        Per piece the survival of every action; per grid state its feasible
-        actions, its mask and the mask of actions feasible at every piece
-        start of its line (those a frozen-action sweep may hold); and the
-        exits that hit the boundary with their boundary point.  Built with
-        the segment tables, once per workspace.
-        """
-        model = self.model
-        chain = self.chain
-        # a line's sweep may hold an action feasible at every flow position
-        # from the line's own to its chain end's: none of them counts it
-        # among the infeasible ones
-        bad = ~model.feasible_mask[chain.order]
-        infeasible = np.cumsum(bad, axis=0)
-        end = np.array([e.position for e in chain.exits], dtype=np.int64)[chain.exit_of[chain.order]]
-        line_ok = np.empty(bad.shape, dtype=bool)
-        line_ok[chain.order] = infeasible[end] == infeasible - bad
-        hits = [(k, e.boundary_index) for k, e in enumerate(chain.exits) if e.hit]
-        return (tables.survival.tolist(), [f.tolist() for f in model.action_grid.feasible],
-                model.feasible_mask.tolist(), line_ok.tolist(), hits)
 
     def improve_and_certify(self, rho: float, h: np.ndarray, prev) -> tuple:
         """The improved policy and the optimality residual, one backward pass over the grid positions.
@@ -760,24 +745,26 @@ class OperatorWorkspace:
         once for both, and the arithmetic is that of a pass per part.
         """
         model = self.model
+        chain = self.chain
+        if not chain.sweepable:
+            raise ValueError("no flow line admits a feasible frozen-action sweep")
         h = np.asarray(h, dtype=float)
         qh_int = model.kernel_interior @ h  # (n, n_a)
         b_act, b_val, b_min = self._boundary_choice(h, prev)
-        values = self.segment_tables().values(rho, qh_int).tolist()
-        survival, feasible, mask, line_ok, hits = self._pass
-        if not any(map(any, line_ok)):
-            raise ValueError("no flow line admits a feasible frozen-action sweep")
-        terminal = [0.0] * len(self.chain.exits)  # improvement
-        sweep_end = [0.0] * len(self.chain.exits)  # certificate
+        tables = self.segment_tables()
+        values = tables.values(rho, qh_int).tolist()
+        survival, feasible, mask, line_ok = tables.survival_lists, chain.feasible, chain.mask, chain.line_ok
+        terminal = [0.0] * len(chain.exits)  # improvement
+        sweep_end = [0.0] * len(chain.exits)  # certificate
         b_val, b_min = b_val.tolist(), b_min.tolist()
-        for k, zi in hits:
+        for k, zi in chain.hits:
             terminal[k], sweep_end[k] = b_val[zi], b_min[zi]
 
         h_list = h.tolist()
         incumbents = prev.interior.tolist()
         new_interior = [0] * model.n_states
         residual = -math.inf
-        for j, p, k in self.chain.steps:  # the first step, the last flow position, is a chain end
+        for j, p, k in chain.steps:  # the first step, the last flow position, is a chain end
             v_s, b_s = values[p], survival[p]
             if k >= 0:
                 w_next = terminal[k]

@@ -34,7 +34,7 @@ searched in place by :mod:`bisect` without a copy.  The sojourn is one
 ``bisect_right(C, C[b_j] + level, b_j, e_j)`` on the chain, or, when the
 hazard level passes the chain's end, the same search over the exit piece's
 nodes; the running-cost integral reuses the interval found.  The post-jump
-state is one ``bisect_left`` on a precomputed cumulative kernel row.
+state is one ``bisect_left`` on one of the model's cumulative kernel rows.
 Between grid points the row is the linear mixture of the two neighbouring
 rows, whose cell the interval's ``cell`` entry guesses (two comparisons
 check it, and only a failed check searches the grid): one ``bisect_left``
@@ -297,8 +297,8 @@ class SimulationTables:
     holds the states ``y`` with ``cell_bounds[i] <= y < cell_bounds[i +
     1]``, the states outside the grid included.  A stationary line carries
     its :class:`_Stationary`, which holds its cumulative kernel row.  The
-    kernel rows' cumulative sums are taken for each policy's tables, not
-    once per model.  Before anything is built, they refuse as
+    kernel rows are the model's (:attr:`~pdmp_avgctl.model.PdmpModel.kernel_rows`),
+    shared by every policy's tables.  Before anything is built, they refuse as
     :func:`~pdmp_avgctl.operators.check_entry` does.
     """
 
@@ -310,8 +310,7 @@ class SimulationTables:
         mesh = ws.mesh
         self.points = model.grid.points.tolist()
         self.cell_bounds = [-math.inf] + self.points[1:-1] + [math.inf]
-        self.interior_cum, self.interior_sum = _cumulative_rows(model.kernel_interior)
-        self.boundary_cum, self.boundary_sum = _cumulative_rows(model.kernel_boundary)
+        self.interior_cum, self.interior_sum, self.boundary_cum, self.boundary_sum = model.kernel_rows
         self.boundary_cost = model.boundary_cost.tolist()
         piece_action = policy.interior[ws.chain.anchors]
         n_chain = ws.chain.n_chain
@@ -321,7 +320,7 @@ class SimulationTables:
         # a flow position past the last segment starts at the chain's end, the
         # last segment's last node; with no segment, node 0 stands for it
         node_of = starts[:n_chain] + [max(starts[n_chain] - 1, 0)] * (model.n_states - n_chain)
-        position = np.argsort(ws.chain.order).tolist()
+        position = ws.chain.position.tolist()
         self.lines = []
         for j, k in enumerate(ws.chain.exit_of.tolist()):
             ex = ws.chain.exits[k]
@@ -366,7 +365,7 @@ def _cumulative_rows(kernel: np.ndarray) -> tuple[list, list]:
     the kernel's last axis, each the row-by-row result bit for bit: a
     cumulative sum runs along its row, and the sum reduces each contiguous
     row on its own.  The blocks keep the array beside the lists to a
-    block's rows, not the kernel's size.
+    block's rows, not the kernel's size, once per model and kernel.
     """
     cum = []
     for lo in range(0, len(kernel), CUMSUM_STATES):

@@ -402,10 +402,17 @@ def meshed_workspace(model, fill: int) -> OperatorWorkspace:
         return OperatorWorkspace(model, fill)
 
 
+def interval_first(mesh) -> np.ndarray:
+    """(P+1,) the first interval of each piece of ``mesh``, and the interval
+    count: a piece has one interval fewer than nodes."""
+    return mesh.node_start - np.arange(mesh.node_start.size)
+
+
 def interval_left(mesh) -> np.ndarray:
     """(K,) the node at the left end of each interval of ``mesh``, pieces in order."""
-    counts = np.diff(mesh.first)
-    return np.arange(mesh.first[-1]) + np.repeat(np.arange(counts.size), counts)
+    first = interval_first(mesh)
+    counts = np.diff(first)
+    return np.arange(first[-1]) + np.repeat(np.arange(counts.size), counts)
 
 
 def looped_running_sums(mesh, z: np.ndarray) -> np.ndarray:
@@ -414,7 +421,7 @@ def looped_running_sums(mesh, z: np.ndarray) -> np.ndarray:
     ``z[k]`` belongs to interval k, the pair at node ``interval_left(mesh)[k]``.
     """
     out = np.zeros((mesh.times.size,) + z.shape[1:])
-    first = mesh.first.tolist()
+    first = interval_first(mesh).tolist()
     for p, node in enumerate(mesh.node_start[:-1].tolist()):
         k0, k1 = first[p], first[p + 1]
         np.cumsum(z[k0:k1], axis=0, out=out[node + 1:node + 1 + k1 - k0])
@@ -428,7 +435,7 @@ def gathered_segment_tables(model, mesh, truncated_tail) -> SegmentTables:
     stops at t_max (``truncated_tail``) gains its frozen tail, one piece at
     a time."""
     n, n_a = model.n_states, model.n_actions
-    first = mesh.first
+    first = interval_first(mesh)
     starts = first[:-1]
     n_pieces = starts.size
     left = interval_left(mesh)
@@ -489,7 +496,7 @@ def gathered_piece_integrals(model, ws, rate: float, v_nodes=None):
     v = np.ones(mesh.times.size) if v_nodes is None else v_nodes
     weight = np.exp(-rel[left]) * dt
     weight *= v[left] * p0 + (v[left + 1] - v[left]) * p1
-    return np.add.reduceat(weight, mesh.first[:-1]), rel[mesh.node_start[1:] - 1]
+    return np.add.reduceat(weight, interval_first(mesh)[:-1]), rel[mesh.node_start[1:] - 1]
 
 
 def line_geometry(ws) -> list[_LineGeometry]:

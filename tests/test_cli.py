@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -377,11 +378,27 @@ class TestBadInput:
         # 2000, and its refinement would double past it at fill 64 (2774)
         monkeypatch.setattr(operators, "MAX_MESH_NODES", 2000)
         model = pa.bundled_model_path("decay_flow_16")
-        with pytest.warns(RuntimeWarning, match=r"stopped at fill 32 \(fill 64 would pass MAX_MESH_NODES = 2000\)"):
-            code = run_cli(["solve", "--model", model, "--out", tmp_path])
+        code = run_cli(["solve", "--model", model, "--out", tmp_path])
         assert code == 0
-        assert capsys.readouterr().out.startswith("status=converged rho=")
+        captured = capsys.readouterr()
+        assert captured.out.startswith("status=converged rho=")
+        # the library's RuntimeWarning reaches stderr as the CLI's own warning line
+        assert re.fullmatch(r"warning: mesh refinement stopped at fill 32 \(fill 64 would pass MAX_MESH_NODES = "
+                            r"2000\) with refine_diff \S+ above the target 5e-09\n", captured.err), captured.err
         assert json.loads((tmp_path / "evaluation.json").read_text())["residual"] <= 1e-8
+
+    @pytest.mark.parametrize("command", [["solve"], ["evaluate"], ["simulate", "--seed", "1", "--horizon", "10"]])
+    def test_a_refinement_short_of_its_target_warns_in_one_line(self, tmp_path, capsys, monkeypatch, command):
+        # decay_flow_16 refines to fill 16 only under MAX_FILL = 16, short of
+        # its target: the command goes on, and says so in one warning line
+        # with no Python warning text or source path in it
+        monkeypatch.setattr(operators, "MAX_FILL", 16)
+        model = pa.bundled_model_path("decay_flow_16")
+        assert run_cli([command[0], "--model", model, "--out", tmp_path, *command[1:]]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: mesh refinement stopped at fill 16 \(max_fill 16\) with refine_diff \S+ "
+                            r"above the target 5e-09\n", err), err
+        assert "RuntimeWarning" not in err and ".py" not in err
 
     def test_a_t_max_far_past_every_jump_solves_as_the_default(self, write_model, tmp_path):
         # decay_flow_16's one exit piece is constant, one interval at any t_max:
@@ -629,3 +646,10 @@ def test_a_mutated_bundled_model_is_validated_or_refused(mutant_dir, mutation):
         if code == 2 or (command, code) == ("solve", 1):
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
                 (mutation, command, err.getvalue())
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # a command that states no --tol, --tol-rho or --max-iter runs as the library does by default
+    config = cli.RunConfig(command="solve")
+    assert (config.tol, config.tol_rho, config.max_iter) == (
+        pa.evaluation.DEFAULT_TOL, pa.policy_iteration.DEFAULT_TOL_RHO, pa.policy_iteration.DEFAULT_MAX_ITER)

@@ -374,3 +374,33 @@ def test_the_simulation_tables_join_the_segments_on_the_grid_points(case):
         for line in tables.lines:
             assert 0 <= line.b <= line.e < len(nodes.times)
             assert line.b == line.e or doc["flow"]["kind"] != "trivial"
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_the_chain_geometry_is_the_one_record_of_the_lines(flow, data):
+    # the model's chain geometry holds what no fill changes: each grid
+    # state's flow position and whether its line stops at t_max, the exits
+    # that hit the boundary, and the feasibility lists the improvement/
+    # certificate pass reads, line_ok by a direct walk over the feasible sets
+    # from the state's flow position to its chain end's; every workspace of
+    # the model, at any fill, reads that one object
+    doc, fill, _ = data.draw(random_model_docs(flow=flow, varied=True))
+    model = pa.model_from_dict(doc)
+    chain = model.chain_geometry
+    order = chain.order.tolist()
+    feasible = [set(f.tolist()) for f in model.action_grid.feasible]
+    for j in range(model.n_states):
+        ex = chain.exits[chain.exit_of[j]]
+        assert order[chain.position[j]] == j
+        assert chain.truncated[j] == (not ex.hit)
+        walk = [feasible[order[q]] for q in range(chain.position[j], ex.position + 1)]
+        assert chain.line_ok[j] == tuple(all(a in f for f in walk) for a in range(model.n_actions))
+        assert chain.feasible[j] == tuple(sorted(feasible[j]))
+        assert chain.mask[j] == tuple(a in feasible[j] for a in range(model.n_actions))
+    assert chain.hits == tuple((k, e.boundary_index) for k, e in enumerate(chain.exits) if e.hit)
+    assert chain.sweepable == any(map(any, chain.line_ok))
+    assert not any(a.flags.writeable for a in (chain.position, chain.truncated))
+    for ws in (OperatorWorkspace(model, fill), OperatorWorkspace(model, 2 * fill)):
+        assert ws.chain is chain

@@ -17,7 +17,7 @@ from pdmp_avgctl.operators import DEFAULT_FILL, MIN_TAIL_INTERVALS, REFINE_TARGE
 from conftest import BUNDLED, traced
 from reference_quadrature import (_reference_transit, _segment_tables, build_policy_path, composed_assemble,
                                   cum_rate, dense_assemble, doubled_mesh_residual, forced_line_geometry,
-                                  interval_left, line_exit,
+                                  interval_first, interval_left, line_exit,
                                   line_geometry, line_pieces, looped_running_sums, marched_improve, op_G, op_H,
                                   numpy_optimality_residual, one_stage_values, op_L, op_calL, phi0, phi1,
                                   policy_paths, reference_assemble,
@@ -232,7 +232,7 @@ class TestKernelMatrix:
         truncated = pa.model_from_dict(doc)
         policy = pa.FeedbackPolicy.lowest_feasible(truncated)
         for ws in (OperatorWorkspace(truncated), OperatorWorkspace(truncated, 16)):
-            assert ws.truncated.all()
+            assert ws.chain.truncated.all()
             assert math.exp(-2.0) == pytest.approx(policy_paths(ws, policy)[0].tail_weight(0.0), rel=1e-12)
             kernel, ell, _ = ws.assemble(policy)
             assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
@@ -478,7 +478,7 @@ class TestLineGeometry:
                 geom = reference[j]
                 assert anchors == [a for _, _, a in geom.seg_slices], where
                 assert (line_exit(ws, j).hit, line_exit(ws, j).boundary_index) == (geom.hit, geom.boundary_index)
-            assert np.array_equal(ws.truncated, [not line_exit(ws, j).hit for j in range(n)]), name
+            assert np.array_equal(ws.chain.truncated, [not line_exit(ws, j).hit for j in range(n)]), name
 
     @pytest.mark.parametrize("fill", [8, 16])
     def test_nodes_match_the_per_segment_linspace_reference(self, models, fill):
@@ -550,8 +550,8 @@ class TestLineGeometry:
         rng = np.random.default_rng(11)
         for fill in (8, 64):
             mesh = OperatorWorkspace(model, fill).mesh
-            counts = np.diff(mesh.first)
-            intervals = int(mesh.first[-1])
+            counts = np.diff(interval_first(mesh))
+            intervals = int(interval_first(mesh)[-1])
             assert counts.max() * counts.size > 8 * intervals, fill
             assert len(mesh._runs) > counts.size // 4, fill
             z = rng.normal(size=(intervals, 2)) * 10.0 ** rng.uniform(-8, 3, (intervals, 2))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pdmp_avgctl as pa
+from pdmp_avgctl import simulation
 from pdmp_avgctl.simulation import (UNIFORM_BLOCK, SimulationError, _cost_to, _cumulative_rows, _Line, _Nodes,
                                     _rng_stream, _thread_stream, _uniform_block)
 
@@ -688,6 +689,20 @@ def test_cumulative_rows_are_the_row_by_row_sums(models):
     for kernel in kernels:
         assert _cumulative_rows(kernel) == ([np.cumsum(rows, axis=-1).tolist() for rows in kernel],
                                             [[float(row.sum()) for row in rows] for rows in kernel])
+
+
+def test_the_kernel_rows_are_the_models(monkeypatch):
+    # the cumulative kernel rows are built once per model, the interior and
+    # the boundary kernel's, and every policy's tables share them
+    model = pa.load_model(pa.bundled_model_path("drift_boundary_64"))
+    built = []
+    monkeypatch.setattr(simulation, "_cumulative_rows", lambda kernel: built.append(kernel) or _cumulative_rows(kernel))
+    ws = pa.OperatorWorkspace(model)
+    policies = (pa.FeedbackPolicy.lowest_feasible(model), random_feasible(model, np.random.default_rng(3)))
+    first, second = (pa.prepare_simulation(model, policy, workspace=ws) for policy in policies)
+    assert len(built) == 2 and built[0] is model.kernel_interior and built[1] is model.kernel_boundary
+    assert first.interior_cum is second.interior_cum and first.boundary_sum is second.boundary_sum
+    assert (first.interior_cum, first.interior_sum, first.boundary_cum, first.boundary_sum) == model.kernel_rows
 
 
 class TestSimulate:

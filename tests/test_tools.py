@@ -105,7 +105,7 @@ def test_scaling_row_on_a_small_grid(tmp_path, monkeypatch):
     assert row["load_s"] > 0.0 and 0.0 < row["rss_after_load_mb"] <= row["peak_rss_mb"]
     # times keep 3 significant figures, so the sub-millisecond layers read non-zero
     for key in ("audit_s", "refine_s", "workspace_build_s", "tables_s", "assemble_s", "evaluate_s",
-                "improve_certify_s", "pia_step_s", "prepare_s"):
+                "improve_certify_s", "pia_step_s", "kernel_rows_s", "prepare_s"):
         assert row[key] > 0.0 and row[f"ref_{key}"] > 0.0, key
         assert row[key] == float(f"{row[key]:.3g}") and row[f"ref_{key}"] == float(f"{row[f'ref_{key}']:.3g}"), key
     assert row["tables_mb"] > 0.0 and row["peak_rss_mb"] > 0.0

@@ -12,10 +12,12 @@ table build, assemble (each call on an empty assemble cache), evaluation
 that gives the improved policy and the optimality residual together, and
 one policy-iteration step as ``run_pia`` takes it when its step cache
 misses (``pia_step_s``: the kernel checks, the bordered solve and that
-pass, on the policy's operators already assembled), and one
-``prepare_simulation`` of that policy's simulation tables
-(``prepare_s``).  Load, audit, refinement, workspace build and tables make
-up the whole setup of a solve.  Every time is the median of as many calls as
+pass, on the policy's operators already assembled), one build of the
+model's cumulative kernel rows, interior and boundary (``kernel_rows_s``:
+what ``PdmpModel.kernel_rows`` takes once per model), and one
+``prepare_simulation`` of that policy's own simulation tables, with the
+model's rows already built (``prepare_s``).  Load, audit, refinement,
+workspace build and tables make up the whole setup of a solve.  Every time is the median of as many calls as
 fit in ``BUDGET_S`` seconds, and of at least ``MIN_SAMPLES``, so a
 sub-millisecond column takes thousands of calls and a slow one three.  The
 Monte Carlo columns run the same policy on simulation tables prepared once:
@@ -34,7 +36,8 @@ the simulator's short branch for stationary lines.  ``rss_after_load_mb`` is the
 after the first load, ``peak_rss_mb`` at the end.  ``refine_peak_mb`` and
 ``prepare_peak_mb`` are the :mod:`tracemalloc` peaks, above their start, of
 one refinement (from a new workspace at ``DEFAULT_FILL``) and of one
-``prepare_simulation`` on the refined workspace, each run once outside the
+``prepare_simulation`` on the refined workspace (the policy's own tables;
+the model's kernel rows are built before it), each run once outside the
 timed calls; numpy reports its buffers to :mod:`tracemalloc`, so they repeat
 exactly.  Every time is recorded to 3 significant figures.
 
@@ -214,6 +217,8 @@ def _measure(path) -> tuple[dict, list]:
     timed("evaluate_s", lambda: pa.evaluate_policy(model, policy, workspace=ws))
     timed("improve_certify_s", lambda: ws.improve_and_certify(result.rho, result.h, policy))
     timed("pia_step_s", lambda: pa.policy_iteration._step(model, ws, policy))
+    kernels = (model.kernel_interior, model.kernel_boundary)
+    timed("kernel_rows_s", lambda: [pa.simulation._cumulative_rows(kernel) for kernel in kernels])
     tables = pa.prepare_simulation(model, policy, workspace=ws)
     prepare_peak = _peak_mb(lambda: pa.prepare_simulation(model, policy, workspace=ws))
     timed("prepare_s", lambda: pa.prepare_simulation(model, policy, workspace=ws))
